@@ -354,6 +354,24 @@ struct AppliedUpdate {
   sdn::FlowMod fm;
 };
 
+/// Packets moved in some wall time; rates are totals over totals, so a
+/// host slow phase shifts them in proportion to its share of the run
+/// instead of flipping a median between two modes.
+struct Rate {
+  u64 packets = 0;
+  u64 ns = 0;
+  [[nodiscard]] double mpps() const {
+    return ns == 0 ? 0.0
+                   : static_cast<double>(packets) * 1e3 /
+                         static_cast<double>(ns);
+  }
+  Rate& operator+=(const Rate& o) {
+    packets += o.packets;
+    ns += o.ns;
+    return *this;
+  }
+};
+
 double ratio(u64 num, u64 den) {
   return den == 0 ? 0.0 : static_cast<double>(num) / static_cast<double>(den);
 }
@@ -364,16 +382,15 @@ double ratio(u64 num, u64 den) {
 struct LegResult {
   u64 packets = 0;
   u64 wall_ns = 0;
-  std::vector<double> batch_us;     ///< source-to-sink wall time per batch
-  std::vector<double> window_mpps;  ///< throughput of each ~50 ms window
+  std::vector<double> batch_us;  ///< source-to-sink wall time per batch
   Counters counters;
+
+  [[nodiscard]] Rate rate() const { return {packets, wall_ns}; }
 
   void append(const LegResult& o) {
     packets += o.packets;
     wall_ns += o.wall_ns;
     batch_us.insert(batch_us.end(), o.batch_us.begin(), o.batch_us.end());
-    window_mpps.insert(window_mpps.end(), o.window_mpps.begin(),
-                       o.window_mpps.end());
     counters.add(o.counters, +1);
   }
 };
@@ -422,8 +439,6 @@ class Run {
     const u64 quantum = update_every == 0 ? 1 : 2 * update_every;
     // Spans one quantum can add: six per batch, three per update.
     const usize quantum_spans = 6 * quantum + (update_every == 0 ? 0 : 6);
-    u64 window_start = t_begin;
-    u64 window_packets = 0;
     u64 batches = 0;
     u64 updates = 0;
     for (;;) {
@@ -437,15 +452,9 @@ class Run {
           kTraced ? push_traced(t_start, cause) : push_untraced();
       ++batches;
       r.packets += batch_.size();
-      window_packets += batch_.size();
       r.batch_us.push_back(static_cast<double>(t_end - t_start) / 1e3);
       if (batches % quantum != 0) continue;
       if (kTraced && spans_.size() + quantum_spans > span_limit) break;
-      if (t_end - window_start < 50'000'000) continue;
-      r.window_mpps.push_back(static_cast<double>(window_packets) * 1e3 /
-                              static_cast<double>(t_end - window_start));
-      window_start = t_end;
-      window_packets = 0;
       const u64 elapsed = t_end - t_begin;
       const bool enough_updates = update_every == 0 || updates >= min_updates;
       if ((elapsed >= budget_ns && enough_updates) ||
@@ -459,11 +468,12 @@ class Run {
   }
 
   /// A fresh one-worker Engine over the same pool, left to work for
-  /// \p seconds; returns its Mpps. Loop mode, so the run ends on stop()
+  /// \p seconds; returns the packets it moved and its wall time, from
+  /// construction to stop() returning. Loop mode, so the run ends on stop()
   /// within a batch rather than on the supervisor's next watchdog scan.
   /// Its matched count must equal what the pipeline matched on the same
   /// packet positions.
-  double engine_run(double seconds) {
+  Rate engine_run(double seconds) {
     // As pclass_serve runs it: telemetry, a 100 ms stats sampler and the
     // supervisor on.
     dataplane::EngineConfig ecfg;
@@ -491,8 +501,7 @@ class Run {
                  std::to_string(rep.packets()) + " packets, the pipeline " +
                  std::to_string(want) + " " + rep.first_error());
     }
-    return static_cast<double>(rep.packets()) * 1e3 /
-           static_cast<double>(t1 - t0);
+    return {rep.packets(), t1 - t0};
   }
 
   /// Check every sampled verdict against a LinearSearch oracle at the
@@ -864,7 +873,7 @@ void measure(const Options& opt, Run& run, Report& rep, double setup_s) {
   const double round_s = opt.seconds / kRounds;
   const bool own_update_leg = spec.update_every == 0;
   LegResult main;
-  std::vector<double> engine;
+  Rate engine;
   double rss_mb = 0;
   for (usize k = 0; k < kRounds; ++k) {
     run.fresh_chain();
@@ -879,22 +888,21 @@ void measure(const Options& opt, Run& run, Report& rep, double setup_s) {
     if (own_update_leg) {
       (void)run.leg<false>(round_s * 0.15, 1, kMinUpdates / kRounds);
     }
-    engine.push_back(run.engine_run(round_s * 0.3));
-    std::vector<double> w = leg.window_mpps;
+    const Rate e = run.engine_run(round_s * 0.3);
+    engine += e;
     rep.line("round " + std::to_string(k) + ": host.calib_ns = " +
              Report::fmt(calib) + ", pipeline Mpps = " +
-             Report::fmt(pb::median(w)) + ", engine Mpps = " +
-             Report::fmt(engine.back()));
+             Report::fmt(leg.rate().mpps()) + ", engine Mpps = " +
+             Report::fmt(e.mpps()));
   }
   run.check_oracle();
 
-  std::vector<double> windows = main.window_mpps;
-  rep.metric("throughput_mpps", pb::median(windows), "Mpps",
-             "median of " + std::to_string(windows.size()) +
-                 " ~50 ms windows, " + std::to_string(main.packets) +
-                 " packets");
-  rep.metric("engine_mpps", pb::median(engine), "Mpps",
-             "median of " + std::to_string(engine.size()) + " Engine runs");
+  rep.metric("throughput_mpps", main.rate().mpps(), "Mpps",
+             std::to_string(main.packets) +
+                 " packets / wall time of the pipeline legs");
+  rep.metric("engine_mpps", engine.mpps(), "Mpps",
+             std::to_string(engine.packets) + " packets / wall time of " +
+                 std::to_string(kRounds) + " Engine runs");
   rep.timing_us("latency", main.batch_us);
   rep.timing_us("update_visibility", run.visibility_us());
   rep.metric("setup_s", setup_s, "s",
@@ -922,22 +930,17 @@ void measure_layers(const Options& opt, const Inputs& in, Run& run,
   const double round_s = opt.seconds / kRounds;
   const double chunk = round_s * (own_update_leg ? 0.55 : 0.75) / 2;
   const usize pipeline_spans = own_update_leg ? kMaxSpans * 3 / 4 : kMaxSpans;
-  u64 plain_pkts = 0;
-  u64 plain_ns = 0;
-  u64 traced_pkts = 0;
-  u64 traced_ns = 0;
+  Rate plain;
+  Rate traced;
   u64 traced_wall = 0;
   Counters c;
-  std::vector<double> engine;
+  Rate engine;
   for (usize k = 0; k < kRounds; ++k) {
     run.fresh_chain();
-    const LegResult p = run.leg<false>(chunk, spec.update_every, 0);
-    plain_pkts += p.packets;
-    plain_ns += p.wall_ns;
+    plain += run.leg<false>(chunk, spec.update_every, 0).rate();
     const LegResult t =
         run.leg<true>(chunk, spec.update_every, 0, pipeline_spans);
-    traced_pkts += t.packets;
-    traced_ns += t.wall_ns;
+    traced += t.rate();
     traced_wall += t.wall_ns;
     c.add(t.counters, +1);
     if (own_update_leg) {
@@ -945,7 +948,7 @@ void measure_layers(const Options& opt, const Inputs& in, Run& run,
       c.add(u.counters, +1);
       traced_wall += u.wall_ns;
     }
-    engine.push_back(run.engine_run(round_s * 0.15));
+    engine += run.engine_run(round_s * 0.15);
   }
   run.check_oracle();
 
@@ -996,10 +999,12 @@ void measure_layers(const Options& opt, const Inputs& in, Run& run,
   report_paths(rep, c, /*as_metrics=*/true);
   rep.metric("dataplane.sink.ns_per_pkt", self_ns(Layer::kSink) / pkts, "ns",
              per_pkt);
-  std::vector<double> engine_ns;
-  for (const double m : engine) engine_ns.push_back(1e3 / m);
-  rep.metric("dataplane.engine.ns_per_pkt", pb::median(engine_ns), "ns",
-             "median of " + std::to_string(engine.size()) + " Engine runs");
+  rep.metric("dataplane.engine.ns_per_pkt",
+             static_cast<double>(engine.ns) /
+                 static_cast<double>(std::max<u64>(engine.packets, 1)),
+             "ns",
+             "wall time / packets over " + std::to_string(kRounds) +
+                 " Engine runs");
   rep.metric("control.parse_rule.ns_per_cmd",
              self_ns(Layer::kParseRule) /
                  static_cast<double>(std::max<u64>(parses, 1)),
@@ -1018,11 +1023,7 @@ void measure_layers(const Options& opt, const Inputs& in, Run& run,
              "n=" + std::to_string(recoveries));
   report_device_updates(rep, in);
   report_hwsim(rep, in);
-  rep.metric("trace.overhead_frac",
-             1.0 - (static_cast<double>(traced_pkts) /
-                    static_cast<double>(traced_ns)) /
-                       (static_cast<double>(plain_pkts) /
-                        static_cast<double>(plain_ns)),
+  rep.metric("trace.overhead_frac", 1.0 - traced.mpps() / plain.mpps(),
              "ratio",
              "1 - traced / untraced Mpps over " + std::to_string(kRounds) +
                  " alternating chunk pairs");
