@@ -30,6 +30,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "baseline/linear_search.hpp"
@@ -39,6 +40,7 @@
 #include "dataplane/engine.hpp"
 #include "dataplane/rule_program.hpp"
 #include "harness.hpp"
+#include "net/packet.hpp"
 #include "net/trace.hpp"
 #include "telemetry/trace_ring.hpp"
 #include "workload/binio.hpp"
@@ -72,9 +74,15 @@ constexpr u64 kTrafficDraws = 4;
 /// Updates an untraced leg must reach before it may stop, so the
 /// visibility p99 has at least ten samples beyond it.
 constexpr u64 kMinUpdates = 1000;
-constexpr usize kSetups = 5;
+/// Batches between two updates wherever updates are sent.
+constexpr usize kUpdateEvery = 16;
 /// Rounds a run is split into, each on a fresh chain.
 constexpr usize kRounds = 4;
+/// Set-ups timed at the end of every round, so that `setup_s` samples
+/// the host over the whole run rather than at its start only.
+constexpr usize kSetupsPerRound = 3;
+/// Churn rules each match one of this many of the pool's heaviest flows.
+constexpr usize kTargetFlows = 8;
 
 enum class Kind { kZipf, kThrash, kChurn };
 
@@ -82,15 +90,12 @@ struct WorkloadSpec {
   const char* name;
   Kind kind;
   usize pool_packets;  ///< a multiple of kBatch: passes align with batches
-  /// Batches between updates in the main pipeline loop (0 = none). Zipf
-  /// and thrash time updates in a leg of their own instead.
-  usize update_every;
 };
 
 constexpr std::array<WorkloadSpec, 3> kWorkloads = {{
-    {"acl10k-zipf", Kind::kZipf, 131'072, 0},
-    {"acl10k-thrash", Kind::kThrash, 32'768, 0},
-    {"acl10k-churn", Kind::kChurn, 65'536, 16},
+    {"acl10k-zipf", Kind::kZipf, 131'072},
+    {"acl10k-thrash", Kind::kThrash, 32'768},
+    {"acl10k-churn", Kind::kChurn, 65'536},
 }};
 
 struct Options {
@@ -162,6 +167,61 @@ struct Inputs {
   u64 digest = 0;
 };
 
+/// Point every add of \p storm at one of the pool's kTargetFlows heaviest
+/// flows (its exact source, destination, destination port and protocol),
+/// so the churn rules change verdicts the oracle samples: a verdict
+/// served from a stale flow cache, probe memo or snapshot then disagrees
+/// with the oracle at its rule version. Flows are passed over when a base
+/// rule has the same match part (the add would be refused) or when their
+/// base verdict is a priority-0 rule (a churn rule, also priority 0 but
+/// with a higher id, would lose that tie).
+void aim_at_heavy_flows(workload::UpdateStorm& storm, const net::Trace& trace,
+                        const ruleset::RuleSet& rules) {
+  std::map<net::FiveTuple, u64> counts;
+  for (usize i = 0; i < trace.size(); ++i) ++counts[trace[i].header];
+  std::vector<std::pair<u64, net::FiveTuple>> flows;
+  flows.reserve(counts.size());
+  for (const auto& [tuple, n] : counts) flows.emplace_back(n, tuple);
+  std::stable_sort(
+      flows.begin(), flows.end(),
+      [](const auto& a, const auto& b) { return a.first > b.first; });
+  const baseline::LinearSearch base(rules);
+  std::unordered_set<u64> taken;
+  for (const ruleset::Rule& r : rules) {
+    taken.insert(ruleset::match_fingerprint(r));
+  }
+  std::vector<ruleset::Rule> targets;
+  for (const auto& [n, t] : flows) {
+    if (targets.size() == kTargetFlows) break;
+    // The pool carries raw packets: the rule must match what the Parser
+    // reads back (a protocol without ports reads as port 0).
+    if (net::parse_five_tuple(net::make_packet(t).bytes) != t) continue;
+    ruleset::Rule m;
+    m.src_ip = ruleset::IpPrefix::make(t.src_ip, 32);
+    m.dst_ip = ruleset::IpPrefix::make(t.dst_ip, 32);
+    m.src_port = ruleset::PortRange::wildcard();
+    m.dst_port = ruleset::PortRange::exact(t.dst_port);
+    m.proto = ruleset::ProtoMatch::exact(t.protocol);
+    const ruleset::Rule* r = base.classify(t, nullptr);
+    if ((r == nullptr || r->priority > 0) &&
+        !taken.contains(ruleset::match_fingerprint(m))) {
+      targets.push_back(m);
+    }
+  }
+  if (targets.empty()) throw Error("no pool flow a churn rule can win");
+  usize adds = 0;
+  for (sdn::Message& msg : storm.schedule) {
+    sdn::FlowMod& fm = std::get<sdn::FlowMod>(msg);
+    if (fm.command != sdn::FlowMod::Command::kAdd) continue;
+    const ruleset::Rule& m = targets[adds++ % targets.size()];
+    fm.match.src_ip = m.src_ip;
+    fm.match.dst_ip = m.dst_ip;
+    fm.match.src_port = m.src_port;
+    fm.match.dst_port = m.dst_port;
+    fm.match.proto = m.proto;
+  }
+}
+
 std::string read_file(const fs::path& p) {
   std::ifstream in(p, std::ios::binary);
   if (!in) throw Error("cannot read " + p.string());
@@ -207,8 +267,9 @@ Inputs load_inputs(const WorkloadSpec& spec, u64 seed, const fs::path& dir) {
         }
       }
     }
-    const workload::UpdateStorm storm = workload::make_update_storm(
+    workload::UpdateStorm storm = workload::make_update_storm(
         rules, kUpdateLines, kChurnFirstId, seed ^ 0x5707);
+    aim_at_heavy_flows(storm, trace, rules);
     std::ofstream os(requests_path, std::ios::binary);
     for (const sdn::Message& m : storm.schedule) {
       os << render_request(std::get<sdn::FlowMod>(m)) << '\n';
@@ -428,12 +489,14 @@ class Run {
   /// Closed loop for \p seconds: one batch at a time, an update before
   /// every \p update_every-th batch (0: none). Stops only between whole
   /// add/remove pairs, and not before \p min_updates updates (unless it
-  /// overruns 4x); traced, also once \p span_limit spans are stored.
+  /// overruns 4x); traced, also before it stores more than \p span_budget
+  /// spans.
   template <bool kTraced>
   LegResult leg(double seconds, usize update_every, u64 min_updates,
-                usize span_limit = 0) {
+                usize span_budget = 0) {
     LegResult r;
     const Counters before = Counters::of(*chain_);
+    const usize span_limit = spans_.size() + span_budget;
     const u64 t_begin = steady_now_ns();
     const u64 budget_ns = static_cast<u64>(seconds * 1e9);
     const u64 quantum = update_every == 0 ? 1 : 2 * update_every;
@@ -743,27 +806,28 @@ void write_spans(const std::vector<Span>& spans, const fs::path& path) {
   if (!os) throw Error("cannot write " + path.string());
 }
 
-/// Time kSetups fresh set-ups (publisher install into both replicas +
-/// traffic pool build); keep the last. Returns the median seconds.
-double timed_setup(const Inputs& in,
-                   std::unique_ptr<dataplane::RuleProgramPublisher>& programs,
-                   dataplane::TrafficPool& pool) {
-  std::vector<double> secs;
-  for (usize r = 0; r < kSetups; ++r) {
-    programs.reset();
-    pool = dataplane::TrafficPool{};
-    const u64 t0 = steady_now_ns();
-    programs = std::make_unique<dataplane::RuleProgramPublisher>(
-        device_config(in.rules));
-    programs->install_ruleset(in.rules);
-    // An empty batch republishes, which first brings the other replica
-    // to the log head: both replicas hold the ruleset before traffic.
-    programs->apply_batch({});
-    pool = dataplane::TrafficPool::from_trace(in.trace,
-                                              /*materialize_packets=*/true);
-    secs.push_back(static_cast<double>(steady_now_ns() - t0) / 1e9);
-  }
-  return pb::median(secs);
+/// One set-up: a fresh publisher installs the ruleset into both replicas
+/// and the traffic pool is built as raw packets. Returns its seconds.
+double set_up(const Inputs& in,
+              std::unique_ptr<dataplane::RuleProgramPublisher>& programs,
+              dataplane::TrafficPool& pool) {
+  const u64 t0 = steady_now_ns();
+  programs = std::make_unique<dataplane::RuleProgramPublisher>(
+      device_config(in.rules));
+  programs->install_ruleset(in.rules);
+  // An empty batch republishes, which first brings the other replica to
+  // the log head: both replicas hold the ruleset before traffic.
+  programs->apply_batch({});
+  pool = dataplane::TrafficPool::from_trace(in.trace,
+                                            /*materialize_packets=*/true);
+  return static_cast<double>(steady_now_ns() - t0) / 1e9;
+}
+
+/// A set-up whose publisher and pool are dropped, after the timing.
+double throwaway_set_up(const Inputs& in) {
+  std::unique_ptr<dataplane::RuleProgramPublisher> programs;
+  dataplane::TrafficPool pool;
+  return set_up(in, programs, pool);
 }
 
 void report_paths(Report& rep, const Counters& c, bool as_metrics) {
@@ -868,10 +932,17 @@ void report_device_updates(Report& rep, const Inputs& in) {
 /// rounds, each on a fresh chain and with an Engine run of its own, so
 /// every metric pools several path-controller realizations and spreads
 /// over the host's drift during the run.
-void measure(const Options& opt, Run& run, Report& rep, double setup_s) {
+///
+/// Every run reports every end-to-end metric, so zipf and thrash, whose
+/// pipeline legs carry no updates, time update visibility in a leg of
+/// their own at churn's cadence; their throughput and latency come from
+/// the update-free pipeline leg only.
+void measure(const Options& opt, const Inputs& in, Run& run, Report& rep,
+             std::vector<double> setup_s) {
   const WorkloadSpec& spec = *opt.spec;
   const double round_s = opt.seconds / kRounds;
-  const bool own_update_leg = spec.update_every == 0;
+  const bool churn = spec.kind == Kind::kChurn;
+  const usize update_every = churn ? kUpdateEvery : 0;
   LegResult main;
   Rate engine;
   double rss_mb = 0;
@@ -881,19 +952,23 @@ void measure(const Options& opt, Run& run, Report& rep, double setup_s) {
     // warm chain, before the harness's latency samples grow with speed.
     if (k == 0) rss_mb = peak_rss_mb();
     const double calib = calibrate_ns();
-    const LegResult leg =
-        run.leg<false>(round_s * (own_update_leg ? 0.5 : 0.65),
-                       spec.update_every, kMinUpdates / kRounds);
+    const LegResult leg = run.leg<false>(round_s * (churn ? 0.65 : 0.5),
+                                         update_every, kMinUpdates / kRounds);
     main.append(leg);
-    if (own_update_leg) {
-      (void)run.leg<false>(round_s * 0.15, 1, kMinUpdates / kRounds);
+    if (!churn) {
+      (void)run.leg<false>(round_s * 0.15, kUpdateEvery,
+                           kMinUpdates / kRounds);
     }
     const Rate e = run.engine_run(round_s * 0.3);
     engine += e;
+    for (usize s = 0; s < kSetupsPerRound; ++s) {
+      setup_s.push_back(throwaway_set_up(in));
+    }
     rep.line("round " + std::to_string(k) + ": host.calib_ns = " +
              Report::fmt(calib) + ", pipeline Mpps = " +
              Report::fmt(leg.rate().mpps()) + ", engine Mpps = " +
-             Report::fmt(e.mpps()));
+             Report::fmt(e.mpps()) + ", set-up s = " +
+             Report::fmt(setup_s.back()));
   }
   run.check_oracle();
 
@@ -905,8 +980,11 @@ void measure(const Options& opt, Run& run, Report& rep, double setup_s) {
                  std::to_string(kRounds) + " Engine runs");
   rep.timing_us("latency", main.batch_us);
   rep.timing_us("update_visibility", run.visibility_us());
-  rep.metric("setup_s", setup_s, "s",
-             "median of " + std::to_string(kSetups) + " set-ups");
+  const usize setups = setup_s.size();
+  rep.metric("setup_s", pb::median(setup_s), "s",
+             "median of " + std::to_string(setups) +
+                 " set-ups: one at start, " + std::to_string(kSetupsPerRound) +
+                 " after each round");
   rep.metric("rss_peak_mb", rss_mb, "MB",
              "getrusage ru_maxrss after set-up and the first warm pass");
   rep.line("core.flow_cache.hit_ratio = " +
@@ -921,15 +999,19 @@ void measure(const Options& opt, Run& run, Report& rep, double setup_s) {
 void measure_layers(const Options& opt, const Inputs& in, Run& run,
                     Report& rep) {
   const WorkloadSpec& spec = *opt.spec;
-  const bool own_update_leg = spec.update_every == 0;
-  // Untraced and traced chunks alternate on each round's chain, so host
-  // drift and the path controller's choices fall on both sides of
-  // trace.overhead_frac.
+  const bool churn = spec.kind == Kind::kChurn;
+  const usize update_every = churn ? kUpdateEvery : 0;
+  // Each round's chain runs a traced chunk, then an untraced chunk of the
+  // same wall time, so host drift and the path controller's choices fall
+  // on both sides of trace.overhead_frac. Every round gets an equal share
+  // of the span store; a chunk that fills its share ends early, and its
+  // untraced partner with it.
   constexpr usize kMaxSpans = 800'000;
+  constexpr usize kRoundSpans = kMaxSpans / kRounds;
   run.reserve_spans(kMaxSpans);
   const double round_s = opt.seconds / kRounds;
-  const double chunk = round_s * (own_update_leg ? 0.55 : 0.75) / 2;
-  const usize pipeline_spans = own_update_leg ? kMaxSpans * 3 / 4 : kMaxSpans;
+  const double chunk = round_s * (churn ? 0.75 : 0.55) / 2;
+  const usize pipeline_spans = churn ? kRoundSpans : kRoundSpans * 3 / 4;
   Rate plain;
   Rate traced;
   u64 traced_wall = 0;
@@ -937,14 +1019,16 @@ void measure_layers(const Options& opt, const Inputs& in, Run& run,
   Rate engine;
   for (usize k = 0; k < kRounds; ++k) {
     run.fresh_chain();
-    plain += run.leg<false>(chunk, spec.update_every, 0).rate();
-    const LegResult t =
-        run.leg<true>(chunk, spec.update_every, 0, pipeline_spans);
+    const LegResult t = run.leg<true>(chunk, update_every, 0, pipeline_spans);
     traced += t.rate();
     traced_wall += t.wall_ns;
     c.add(t.counters, +1);
-    if (own_update_leg) {
-      const LegResult u = run.leg<true>(round_s * 0.15, 1, 0, kMaxSpans);
+    const double traced_s = static_cast<double>(t.wall_ns) / 1e9;
+    plain += run.leg<false>(traced_s, update_every, 0).rate();
+    if (!churn) {
+      // The update path's layers, at churn's cadence (see measure()).
+      const LegResult u = run.leg<true>(round_s * 0.15, kUpdateEvery, 0,
+                                        kRoundSpans - pipeline_spans);
       c.add(u.counters, +1);
       traced_wall += u.wall_ns;
     }
@@ -1051,7 +1135,7 @@ int run_benchmark(const Options& opt, int cpu) {
 
   std::unique_ptr<dataplane::RuleProgramPublisher> programs;
   dataplane::TrafficPool pool;
-  const double setup_s = timed_setup(in, programs, pool);
+  const double setup_s = set_up(in, programs, pool);
   Run run(opt, in, std::move(programs), std::move(pool));
 
   Report rep;
@@ -1068,7 +1152,7 @@ int run_benchmark(const Options& opt, int cpu) {
   if (opt.trace) {
     measure_layers(opt, in, run, rep);
   } else {
-    measure(opt, run, rep, setup_s);
+    measure(opt, in, run, rep, {setup_s});
   }
 
   const double calib_end = calibrate_ns();
