@@ -743,16 +743,24 @@ class Report {
     line(name + " = " + fmt(value) + " " + unit + "  (" + note + ")");
   }
 
-  /// A timing's p50 and p99 as <name>_p50_us / <name>_p99_us; the report
-  /// line adds n and the highest percentile the sample supports.
-  void timing_us(const std::string& name, std::vector<double> samples) {
+  /// A timing's p50 and p99 as <name>_p50_us / <name>_p99_us, as metrics
+  /// or, with \p as_metrics false, on report lines only; the report line
+  /// adds n and the highest percentile the sample supports.
+  void timing_us(const std::string& name, std::vector<double> samples,
+                 bool as_metrics = true) {
     const pb::Summary s = pb::summarize(samples);
     const std::string note =
         "n=" + std::to_string(s.n) + "; highest p with >=10 beyond: p" +
         fmt(s.top_p) + " = " + fmt(s.top_value) +
         (s.p99_supported() ? "" : "; p99 UNSUPPORTED");
-    metric(name + "_p50_us", s.p50, "us", note);
-    metric(name + "_p99_us", s.p99, "us", note);
+    for (const auto& [suffix, value] :
+         {std::pair{"_p50_us", s.p50}, std::pair{"_p99_us", s.p99}}) {
+      if (as_metrics) {
+        metric(name + suffix, value, "us", note);
+      } else {
+        line(name + suffix + " = " + fmt(value) + " us  (" + note + ")");
+      }
+    }
   }
 
   void line(const std::string& text) { std::cout << "  " << text << "\n"; }
@@ -933,10 +941,8 @@ void report_device_updates(Report& rep, const Inputs& in) {
 /// every metric pools several path-controller realizations and spreads
 /// over the host's drift during the run.
 ///
-/// Every run reports every end-to-end metric, so zipf and thrash, whose
-/// pipeline legs carry no updates, time update visibility in a leg of
-/// their own at churn's cadence; their throughput and latency come from
-/// the update-free pipeline leg only.
+/// Update visibility (churn only) goes on report lines, not into the
+/// result: see "Update visibility" in perfbench/README.md.
 void measure(const Options& opt, const Inputs& in, Run& run, Report& rep,
              std::vector<double> setup_s) {
   const WorkloadSpec& spec = *opt.spec;
@@ -952,13 +958,9 @@ void measure(const Options& opt, const Inputs& in, Run& run, Report& rep,
     // warm chain, before the harness's latency samples grow with speed.
     if (k == 0) rss_mb = peak_rss_mb();
     const double calib = calibrate_ns();
-    const LegResult leg = run.leg<false>(round_s * (churn ? 0.65 : 0.5),
-                                         update_every, kMinUpdates / kRounds);
+    const LegResult leg =
+        run.leg<false>(round_s * 0.65, update_every, kMinUpdates / kRounds);
     main.append(leg);
-    if (!churn) {
-      (void)run.leg<false>(round_s * 0.15, kUpdateEvery,
-                           kMinUpdates / kRounds);
-    }
     const Rate e = run.engine_run(round_s * 0.3);
     engine += e;
     for (usize s = 0; s < kSetupsPerRound; ++s) {
@@ -979,7 +981,10 @@ void measure(const Options& opt, const Inputs& in, Run& run, Report& rep,
              std::to_string(engine.packets) + " packets / wall time of " +
                  std::to_string(kRounds) + " Engine runs");
   rep.timing_us("latency", main.batch_us);
-  rep.timing_us("update_visibility", run.visibility_us());
+  if (churn) {
+    rep.timing_us("update_visibility", run.visibility_us(),
+                  /*as_metrics=*/false);
+  }
   const usize setups = setup_s.size();
   rep.metric("setup_s", pb::median(setup_s), "s",
              "median of " + std::to_string(setups) +
@@ -1026,7 +1031,8 @@ void measure_layers(const Options& opt, const Inputs& in, Run& run,
     const double traced_s = static_cast<double>(t.wall_ns) / 1e9;
     plain += run.leg<false>(traced_s, update_every, 0).rate();
     if (!churn) {
-      // The update path's layers, at churn's cadence (see measure()).
+      // Every traced run reports every per-layer metric, so the update
+      // path's layers are traced here too, at churn's cadence.
       const LegResult u = run.leg<true>(round_s * 0.15, kUpdateEvery, 0,
                                         kRoundSpans - pipeline_spans);
       c.add(u.counters, +1);
