@@ -1,28 +1,26 @@
 /// \file bench_batch_ablation.cpp
-/// Phase-2 batch engine ablation: scalar vs phase2 (memo off) vs phase2
-/// with the per-batch memo vs the persistent snapshot-keyed memo at
-/// ways=1 (direct-mapped) and ways=2 (set-associative) vs the adaptive
-/// cost-model path controller, across batch sizes, on three workload
-/// shapes —
+/// Phase-2 batch engine ablation: the scalar loop vs phase2 (memo off) vs
+/// phase2 with the snapshot-keyed probe memo vs the adaptive cost-model
+/// path controller, across batch sizes, on three workload shapes —
 ///
 ///   * fw-like      wildcard-heavy lists, heavy combination reuse
 ///                  (the probe memo's home turf);
 ///   * zipf-flows   flow-structured ACL traffic (combine-level dedup +
 ///                  cross-batch flow locality: the persistent memo's
-///                  best case vs the per-batch reset);
+///                  best case);
 ///   * cache-thrash every packet a distinct flow at maximal repeat
 ///                  distance (traffic engineered against batching; the
 ///                  controller must degrade to ~scalar cost).
 ///
 /// For each point: single-threaded host throughput over the whole
 /// trace, modeled mean/p99 lookup cycles (exact percentiles, not the
-/// histogram buckets), probe-memo hits and invalidations. The
-/// memo/batch vs memo/persist rows are the per-batch-reset vs
-/// snapshot-keyed lifetime A/B — on byte-identical workloads when
-/// --load-workloads replays scenario-saved PCR1/PCT1 files.
+/// histogram buckets), probe-memo hits, conflict evictions and
+/// invalidations — on byte-identical workloads when --load-workloads
+/// replays scenario-saved PCR1/PCT1 files.
 ///
 /// Correctness gate: every phase-2 verdict and per-packet access count
-/// is compared against the scalar path; any mismatch exits nonzero.
+/// is compared against the scalar loop (PathPolicy::kForceScalarLoop);
+/// any mismatch exits nonzero.
 ///
 /// --telemetry-gate runs the observability overhead gate instead of the
 /// ablation matrix: the dataplane engine on a pinned single-worker
@@ -33,9 +31,9 @@
 /// the "near-zero-cost" contract CI enforces.
 ///
 /// --supervisor-gate is the same A/B harness pointed at the robustness
-/// plane (PR 9): supervisor off vs supervisor on (heartbeats, watchdog
-/// thread, restart bookkeeping) with an armed empty-plan FaultInjector
-/// — the drained-plan fast path every supervised production run pays.
+/// plane: supervisor off vs supervisor on (watchdog thread, restart
+/// bookkeeping) with an armed empty-plan FaultInjector — the
+/// drained-plan fast path every supervised production run pays.
 /// Same shapes, same interleaved best-of-N, same 3% Mpps budget.
 ///
 /// Usage: bench_batch_ablation [--packets N] [--ip-alg mbt|bst|rvh]
@@ -192,8 +190,9 @@ int run_telemetry_gate(const std::vector<Shape>& shapes, usize reps,
 /// One timed engine pass for the supervisor gate: the same pinned
 /// geometry as the telemetry gate (telemetry itself off in both legs,
 /// so the delta isolates the robustness plane), baseline vs supervisor
-/// enabled with an armed empty-plan FaultInjector — heartbeat stores,
-/// the per-sweep injector fast path, and a live watchdog thread.
+/// enabled with an armed empty-plan FaultInjector — the per-sweep
+/// injector fast path and a live watchdog thread reading the heartbeat
+/// every worker ticks.
 double supervisor_leg_mpps(const dataplane::RuleProgramPublisher& programs,
                            const net::Trace& trace, bool supervised) {
   dataplane::TrafficPool pool =
@@ -373,52 +372,43 @@ int main(int argc, char** argv) {
 
     std::vector<core::ClassifyResult> scalar_res;
     std::vector<core::ClassifyResult> out;
-    clf.set_batch_mode(core::BatchMode::kScalar);
+    clf.set_batch_path_policy(core::PathPolicy::kForceScalarLoop);
     const Point scalar =
         run_point(clf, in, net::kDefaultBatchCapacity, scalar_res);
 
     // The mode matrix: forced rows isolate one mechanism each (batch
-    // engine alone; + per-batch memo; + persistent memo at ways=1 vs
-    // ways=2 — the lifetime and associativity A/Bs), the adaptive row
-    // is the shipping configuration (cost-model controller free to
-    // pick any path per batch).
+    // engine alone; + probe memo), the adaptive row is the shipping
+    // configuration (cost-model controller free to pick any path per
+    // batch).
     struct ModeSpec {
       const char* name;
       core::PathPolicy policy;
       bool memo;
-      bool persistent;
-      u32 ways;
     };
     constexpr ModeSpec kModes[] = {
-        {"phase2", core::PathPolicy::kForcePhase2, false, true, 2},
-        {"p2+memo/batch", core::PathPolicy::kForcePhase2, true, false, 2},
-        {"p2+memo/persist", core::PathPolicy::kForcePhase2, true, true, 1},
-        {"p2+memo/persist", core::PathPolicy::kForcePhase2, true, true, 2},
-        {"adaptive", core::PathPolicy::kAdaptive, true, true, 2},
+        {"phase2", core::PathPolicy::kForcePhase2, false},
+        {"phase2+memo", core::PathPolicy::kForcePhase2, true},
+        {"adaptive", core::PathPolicy::kAdaptive, true},
     };
 
-    TextTable t({"batch", "mode", "ways", "Mpps", "vs scalar", "mean cyc",
+    TextTable t({"batch", "mode", "Mpps", "vs scalar", "mean cyc",
                  "p99 cyc", "memo hits", "confl", "inval"});
-    t.add_row({"-", "scalar", "-", TextTable::num(scalar.mpps, 3), "1.00x",
+    t.add_row({"-", "scalar", TextTable::num(scalar.mpps, 3), "1.00x",
                TextTable::num(scalar.mean_cycles, 1),
                std::to_string(scalar.p99_cycles), "0", "-", "-"});
     for (const usize batch : {usize{8}, usize{32}, usize{128}}) {
       for (const ModeSpec& mode : kModes) {
-        clf.set_batch_mode(core::BatchMode::kPhase2);
         clf.set_batch_path_policy(mode.policy);
         clf.set_batch_probe_memo(mode.memo);
-        clf.set_batch_memo_persistent(mode.persistent);
-        clf.set_batch_memo_ways(mode.ways);
         const Point p = run_point(clf, in, batch, out);
         if (!equivalent(out, scalar_res)) {
-          std::cerr << "FAIL: " << mode.name << "/w" << mode.ways
+          std::cerr << "FAIL: " << mode.name
                     << " (batch " << batch
                     << ") diverged from the scalar path on " << shape.name
                     << "\n";
           ok = false;
         }
         t.add_row({std::to_string(batch), mode.name,
-                   mode.memo ? std::to_string(mode.ways) : "-",
                    TextTable::num(p.mpps, 3),
                    TextTable::num(p.mpps / scalar.mpps, 2) + "x",
                    TextTable::num(p.mean_cycles, 1),

@@ -9,6 +9,11 @@ namespace pclass::control {
 
 namespace {
 
+/// Rule ids and priorities are 16-bit fields of the Rule Filter word;
+/// bounding them here answers a bad request before it reaches the
+/// publisher (whose failed apply rebuilds the standby replica).
+constexpr u64 kMaxRuleField = 0xFFFF;
+
 /// Strict bounded decimal: parse_count plus a range check.
 u64 parse_uint(const std::string& text, u64 max, const char* what) {
   u64 v = 0;
@@ -123,9 +128,9 @@ sdn::Message parse_rule_command(std::span<const std::string> args) {
     }
     fm.command = sdn::FlowMod::Command::kAdd;
     fm.cookie = RuleId{static_cast<u32>(
-        parse_uint(args[1], 0xFFFFFFFEu, "rule id"))};
+        parse_uint(args[1], kMaxRuleField, "rule id"))};
     fm.match.priority =
-        static_cast<Priority>(parse_uint(args[2], 0xFFFFFFFEu, "priority"));
+        static_cast<Priority>(parse_uint(args[2], kMaxRuleField, "priority"));
     fm.match.src_ip = parse_ip_prefix(args[3]);
     fm.match.dst_ip = parse_ip_prefix(args[4]);
     fm.match.src_port = parse_port_range(args[5]);
@@ -140,7 +145,7 @@ sdn::Message parse_rule_command(std::span<const std::string> args) {
     }
     fm.command = sdn::FlowMod::Command::kDelete;
     fm.cookie = RuleId{static_cast<u32>(
-        parse_uint(args[1], 0xFFFFFFFEu, "rule id"))};
+        parse_uint(args[1], kMaxRuleField, "rule id"))};
     return fm;
   }
   if (verb == "modify") {
@@ -149,7 +154,7 @@ sdn::Message parse_rule_command(std::span<const std::string> args) {
     }
     fm.command = sdn::FlowMod::Command::kModify;
     fm.cookie = RuleId{static_cast<u32>(
-        parse_uint(args[1], 0xFFFFFFFEu, "rule id"))};
+        parse_uint(args[1], kMaxRuleField, "rule id"))};
     fm.action = parse_action(args[2]);
     return fm;
   }
@@ -158,8 +163,7 @@ sdn::Message parse_rule_command(std::span<const std::string> args) {
 
 sdn::Message parse_set_command(std::span<const std::string> args) {
   if (args.size() != 2) {
-    throw ParseError(
-        "set: expected <path-policy|memo-ways|batch-mode|ip-alg> <value>");
+    throw ParseError("set: expected <path-policy|ip-alg> <value>");
   }
   const std::string& knob = args[0];
   const std::string& value = args[1];
@@ -173,20 +177,6 @@ sdn::Message parse_set_command(std::span<const std::string> args) {
       cm.path_policy = core::PathPolicy::kForceScalarLoop;
     } else {
       throw ParseError("set path-policy: expected adaptive|phase2|scalar-loop");
-    }
-    return cm;
-  }
-  if (knob == "memo-ways") {
-    cm.memo_ways = static_cast<u32>(parse_uint(value, 64, "memo-ways"));
-    return cm;
-  }
-  if (knob == "batch-mode") {
-    if (value == "scalar") {
-      cm.batch_mode = core::BatchMode::kScalar;
-    } else if (value == "phase2") {
-      cm.batch_mode = core::BatchMode::kPhase2;
-    } else {
-      throw ParseError("set batch-mode: expected scalar|phase2");
     }
     return cm;
   }

@@ -89,15 +89,14 @@ struct HandlerResult {
 ///   add <id> <priority> <src> <dst> <sports> <dports> <proto> <action>
 ///   remove <id>
 ///   modify <id> <action>
-/// -> the southbound FlowMod. \throws ParseError.
+/// -> the southbound FlowMod; <id> and <priority> are 0..65535 (the
+/// Rule Filter's 16-bit fields). \throws ParseError.
 [[nodiscard]] sdn::Message parse_rule_command(
     std::span<const std::string> args);
 
 /// Args after the `set` handler name:
 ///   path-policy adaptive|phase2|scalar-loop
-///   memo-ways <n>
-///   batch-mode scalar|phase2
-///   ip-alg mbt|bst
+///   ip-alg mbt|bst|rvh
 /// -> a single-knob ConfigMod. \throws ParseError.
 [[nodiscard]] sdn::Message parse_set_command(std::span<const std::string> args);
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <utility>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
@@ -37,18 +38,21 @@ u64 next_device_id() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
+/// Reject an entry whose id/priority/action overflow the Rule Filter's
+/// 16-bit fields before the update path mutates anything: the same throw
+/// from RuleFilter::insert would come after the labels were acquired.
+void check_entry_word(const char* who, const RuleEntry& e) {
+  if (!e.fits_word()) {
+    throw ConfigError(std::string(who) +
+                      ": rule id/priority/action exceed the 16-bit Rule "
+                      "Filter entry fields");
+  }
+}
+
 }  // namespace
 
 ConfigurableClassifier::ConfigurableClassifier(ClassifierConfig cfg)
-    : cfg_([&] {
-        // Reject a bad memo geometry at construction, not from the
-        // first memo-eligible batch deep in a dataplane worker.
-        if (!ProbeMemo::valid_ways(cfg.batch_memo_ways)) {
-          throw ConfigError(
-              "ClassifierConfig: batch_memo_ways must be 1 or 2");
-        }
-        return cfg;
-      }()),
+    : cfg_(std::move(cfg)),
       device_id_(next_device_id()),
       ip_tables_{alg::LabelTable<ruleset::SegmentPrefix>(Dimension::kSrcIpHi),
                  alg::LabelTable<ruleset::SegmentPrefix>(Dimension::kSrcIpLo),
@@ -111,13 +115,6 @@ ConfigurableClassifier::ConfigurableClassifier(ClassifierConfig cfg)
 }
 
 ConfigurableClassifier::~ConfigurableClassifier() = default;
-
-void ConfigurableClassifier::set_batch_memo_ways(u32 ways) {
-  if (!ProbeMemo::valid_ways(ways)) {
-    throw ConfigError("set_batch_memo_ways: ways must be 1 or 2");
-  }
-  cfg_.batch_memo_ways = ways;
-}
 
 ruleset::SegmentPrefix ConfigurableClassifier::ip_segment(
     const ruleset::Rule& r, usize ip_dim_index) {
@@ -272,6 +269,8 @@ hw::UpdateStats ConfigurableClassifier::add_rule(const ruleset::Rule& r) {
   if (!r.id.valid()) {
     throw ConfigError("add_rule: rule must carry a valid RuleId");
   }
+  const RuleEntry entry{r.id, r.priority, r.action.token};
+  check_entry_word("add_rule", entry);
   if (installed_.contains(r.id)) {
     throw ConfigError("add_rule: duplicate rule id " +
                       std::to_string(r.id.value));
@@ -286,8 +285,7 @@ hw::UpdateStats ConfigurableClassifier::add_rule(const ruleset::Rule& r) {
   const auto labels = acquire_labels(r, log, nullptr);
   const Key68 key = Key68::merge(labels);
   log.hash_compute("rule_filter.hash");
-  filter_insert_with_reseed(key, RuleEntry{r.id, r.priority, r.action.token},
-                            log);
+  filter_insert_with_reseed(key, entry, log);
   installed_.emplace(r.id, InstalledRule{r, key});
   match_index_.emplace(fp, r.id);
   return apply(log);
@@ -304,6 +302,10 @@ hw::UpdateStats ConfigurableClassifier::add_rules(
     if (!r.id.valid()) {
       throw ConfigError("add_rules: rule must carry a valid RuleId");
     }
+    check_entry_word("add_rules",
+                     RuleEntry{r.id, r.priority, r.action.token});
+  }
+  for (const ruleset::Rule& r : rules) {
     if (installed_.contains(r.id)) {
       throw ConfigError("add_rules: duplicate rule id " +
                         std::to_string(r.id.value));
@@ -384,12 +386,13 @@ hw::UpdateStats ConfigurableClassifier::modify_rule(RuleId id,
     throw ConfigError("modify_rule: rule " + std::to_string(id.value) +
                       " is not installed");
   }
-  hw::CommandLog log;
   ruleset::Rule& rule = it->second.rule;
+  const RuleEntry entry{rule.id, rule.priority, action.token};
+  check_entry_word("modify_rule", entry);
+  hw::CommandLog log;
   rule.action = action;
   log.hash_compute("rule_filter.hash");
-  rule_filter_->modify(it->second.key,
-                       RuleEntry{rule.id, rule.priority, action.token}, log);
+  rule_filter_->modify(it->second.key, entry, log);
   return apply(log);
 }
 
@@ -591,7 +594,7 @@ void ConfigurableClassifier::classify_batch(
   if (out.size() < in.size()) {
     throw ConfigError("classify_batch: output span smaller than input");
   }
-  if (cfg_.batch_mode == BatchMode::kScalar || in.size() <= 1) {
+  if (in.size() <= 1) {
     // Single-packet batches have nothing to share; the scalar path is
     // the phase-2 engine's exact cost model without its scaffolding.
     for (usize i = 0; i < in.size(); ++i) {
@@ -836,30 +839,22 @@ void ConfigurableClassifier::classify_batch_phase2(
     }
   }
 
-  // The combination-probe memo. Persistent (the default): bind to this
-  // device's (id, epoch) — carried over unchanged, cached combinations
-  // from earlier batches of the same program keep serving; any device
-  // change (snapshot swap rotates the worker onto a different replica,
-  // or an in-place update bumped the epoch) drops every entry before a
-  // stale verdict could serve. Per-batch mode (the PR-3 A/B reference)
-  // invalidates unconditionally.
+  // The combination-probe memo: bind to this device's (id, epoch) —
+  // carried over unchanged, cached combinations from earlier batches of
+  // the same program keep serving; any device change (snapshot swap
+  // rotates the worker onto a different replica, or an in-place update
+  // bumped the epoch) drops every entry before a stale verdict could
+  // serve.
   ProbeMemo* memo = nullptr;
   if (use_memo) {
-    // Rebuild on any geometry mismatch — including shrinks: a config
+    // Rebuild on any size mismatch — including shrinks: a config
     // asking for a 16-slot memo must actually get one (the fuzz
     // harness's set-pressure dimension depends on it), not silently
     // keep the scratch's larger default.
-    if (s.memo.slots() != ProbeMemo::normalized_slots(cfg_.batch_memo_slots) ||
-        s.memo.ways() != cfg_.batch_memo_ways) {
-      s.memo = ProbeMemo(cfg_.batch_memo_slots, cfg_.batch_memo_ways);
+    if (s.memo.slots() != ProbeMemo::normalized_slots(cfg_.batch_memo_slots)) {
+      s.memo = ProbeMemo(cfg_.batch_memo_slots);
     }
-    bool invalidated = true;
-    if (cfg_.batch_memo_persistent) {
-      invalidated = s.memo.bind(device_id_, device_epoch_);
-    } else {
-      s.memo.invalidate();
-    }
-    if (invalidated) ++s.memo_invalidations;
+    if (s.memo.bind(device_id_, device_epoch_)) ++s.memo_invalidations;
     memo = &s.memo;
   }
 

@@ -144,12 +144,11 @@ struct BatchScratch {
 
   /// The snapshot-keyed combination-probe memo (see ProbeMemo's
   /// lifetime contract): persists across batches, invalidated when the
-  /// device binding changes — never reset at a batch boundary unless
-  /// ClassifierConfig::batch_memo_persistent is off.
+  /// device binding changes — never reset at a batch boundary.
   ProbeMemo memo{ProbeMemo::kDefaultSlots};
-  /// Times the memo dropped its entries (initial bind, snapshot swap,
-  /// in-place update, or every batch in per-batch mode); surfaced per
-  /// dataplane worker as probe_memo_invalidations.
+  /// Times the memo dropped its entries (initial bind, snapshot swap or
+  /// in-place update); surfaced per dataplane worker as
+  /// probe_memo_invalidations.
   u64 memo_invalidations = 0;
 
   /// The online path controller (PathPolicy::kAdaptive): a per-path
@@ -170,8 +169,8 @@ struct BatchScratch {
   /// Telemetry taps, written by every classify_batch() call: the
   /// execution path that served the last batch and the distinct-header
   /// count the controller consumed for it (0 when the count was
-  /// skipped — forced policies and the scalar mode never pay the
-  /// fingerprint sort, and telemetry must not reintroduce it).
+  /// skipped — forced policies and single-packet batches never pay the
+  /// fingerprint pass, and telemetry must not reintroduce it).
   BatchPath last_batch_path = BatchPath::kScalarLoop;
   usize last_batch_distinct = 0;
 };
@@ -214,25 +213,8 @@ class ConfigurableClassifier {
   /// Phase-3 policy (software decision; free).
   void set_combine_mode(CombineMode mode) { cfg_.combine_mode = mode; }
 
-  /// classify_batch() strategy (software decision; free). The A/B knob
-  /// the tools expose as --batch-mode.
-  void set_batch_mode(BatchMode mode) { cfg_.batch_mode = mode; }
-
   /// Toggle combination-probe memo eligibility (phase-2 only; free).
   void set_batch_probe_memo(bool on) { cfg_.batch_probe_memo = on; }
-
-  /// Toggle the memo's persistent (snapshot-keyed) lifetime; off = the
-  /// per-batch generation reset, kept as the A/B reference (free).
-  void set_batch_memo_persistent(bool on) {
-    cfg_.batch_memo_persistent = on;
-  }
-
-  /// Memo associativity (2 = set-associative default, 1 = the
-  /// direct-mapped A/B reference; software decision, free — the scratch
-  /// memo is rebuilt at the next batch).
-  /// \throws ConfigError for unsupported geometries, here rather than
-  /// from the first memo-eligible batch on the hot path.
-  void set_batch_memo_ways(u32 ways);
 
   /// Per-batch execution-path policy (adaptive controller vs forced
   /// path; software decision, free).
@@ -255,11 +237,12 @@ class ConfigurableClassifier {
   /// This is the entry point the dataplane engine drives per worker
   /// batch; `out.size()` must be >= `in.size()`.
   ///
-  /// Under BatchMode::kPhase2 (the default) this is a true batch
-  /// engine: per-dimension keys are gathered and sorted across the
-  /// whole span, each engine resolves one sorted run per batch (shared
-  /// trie levels and duplicate keys are walked once on the host), and
-  /// the combiner memoizes repeated label combinations. Results and
+  /// Unless PathPolicy::kForceScalarLoop pins the packet-at-a-time
+  /// loop, this is a true batch engine: per-dimension keys are gathered
+  /// and sorted across the whole span, each engine resolves one sorted
+  /// run per batch (shared trie levels and duplicate keys are walked
+  /// once on the host), and the combiner memoizes repeated label
+  /// combinations. Results and
   /// per-packet memory_accesses are *identical* to the scalar path
   /// (asserted by tests/test_batch_phase2.cpp); per-packet cycles are
   /// identical with the probe memo off and <= with it on.
@@ -349,7 +332,7 @@ class ConfigurableClassifier {
   [[nodiscard]] alg::ListRef ip_lookup(usize ip_dim_index, u16 key,
                                        hw::CycleRecorder* rec) const;
 
-  /// The BatchMode::kPhase2 engine behind classify_batch(). \p use_memo
+  /// The phase-2 batch engine behind classify_batch(). \p use_memo
   /// engages the combination-probe memo (the path controller or a
   /// forced policy already folded eligibility in).
   void classify_batch_phase2(std::span<const net::FiveTuple> in,

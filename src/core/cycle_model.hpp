@@ -17,7 +17,7 @@
 /// unchanged device and are dropped the instant the device changes).
 /// The batch engine may lower cycles via memo hits but never changes
 /// memory-access counts, so rates derived here stay comparable across
-/// batch modes, memo lifetimes and controller path choices.
+/// execution paths, memo on/off and controller path choices.
 #pragma once
 
 #include "common/types.hpp"

@@ -200,8 +200,8 @@ class FlowCacheElement : public Element {
 
 /// Phases 2-4: acquire the current RuleProgram (one atomic load per
 /// batch), feed every unresolved packet through the classifier's batch
-/// entry point in one call (under BatchMode::kPhase2 that is the
-/// sorted-key batch engine; the element owns the reusable BatchScratch,
+/// entry point in one call (the sorted-key batch engine unless the path
+/// policy picks the scalar loop; the element owns the reusable BatchScratch,
 /// so steady-state batches allocate nothing *and* the scratch's
 /// snapshot-keyed probe memo and EWMA path controller persist across
 /// this worker's batches — hits compound while the published program

@@ -260,42 +260,15 @@ void Engine::spawn_worker(WorkerThread& w) {
 
 void Engine::worker_main(WorkerThread& w) {
   net::PacketBatch batch(cfg_.batch_size);
-  if (!cfg_.supervisor.enabled) {
-    // Round-robin over the thread's shards: one batch per live shard
-    // per sweep, so co-located shards progress at the same batch
-    // cadence. A shard whose (finite or empty) pool ran dry drops out
-    // of the sweep. Unsupervised: the shard list is stable, so the
-    // legacy local bookkeeping is the whole fast path.
-    std::vector<bool> done(w.shards.size(), false);
-    usize live = w.shards.size();
-    while (live > 0 && !stop_.load(std::memory_order_relaxed)) {
-      if (cfg_.worker_fault_hook) {
-        cfg_.worker_fault_hook(w.index);
-      }
-      if (cfg_.fault_injector != nullptr) {
-        cfg_.fault_injector->on_worker_batch(
-            w.index, w.sweeps.fetch_add(1, std::memory_order_relaxed));
-      }
-      for (usize k = 0; k < w.shards.size(); ++k) {
-        if (done[k]) continue;
-        Shard& s = *w.shards[k];
-        s.source->push_batch(batch);
-        if (s.source->exhausted()) {
-          s.drained.store(true, std::memory_order_release);
-          done[k] = true;
-          --live;
-        }
-      }
-    }
-    return;
-  }
-  // Supervised: the shard list can change under us (the watchdog hands
+  // Round-robin over the thread's shards: one batch per live shard per
+  // sweep, so co-located shards progress at the same batch cadence; a
+  // shard whose (finite or empty) pool ran dry drops out of the sweep.
+  // The shard list can change under us (the supervisor's watchdog hands
   // a failed worker's shards over), so copy it per sweep under the
   // lock; progress ticks the heartbeat the watchdog's stall detector
   // reads, and the persistent sweep counter drives the injector even
-  // across restarts. Shard::drained replaces the local done[] — it is
-  // the piece of "which packets are already delivered" that must
-  // survive this thread dying.
+  // across restarts. Shard::drained is the piece of "which packets are
+  // already delivered" that must survive this thread dying.
   std::vector<Shard*> mine;
   while (!stop_.load(std::memory_order_relaxed)) {
     {

@@ -82,9 +82,10 @@ class WorkerBudget {
 };
 
 /// Engine self-healing policy (the watchdog; see docs/ROBUSTNESS.md).
-/// Off by default: the legacy contract — a worker that throws is
-/// reported dead in WorkerReport::error and its traffic is lost —
-/// stays intact, and worker_main keeps its untouched fast path.
+/// Every worker runs the same sweep loop, heartbeat included; `enabled`
+/// only starts the watchdog thread that reads it. Off by default: a
+/// worker that throws is reported dead in WorkerReport::error and its
+/// traffic is lost.
 struct SupervisorConfig {
   bool enabled = false;
   /// Watchdog scan period.
@@ -267,22 +268,21 @@ class Engine {
     std::vector<CapturedVerdict> captured;
     /// Set by the owning worker once the shard's source ran dry. Owner-
     /// written, watchdog-read: it is what survives a worker restart or
-    /// a takeover (the local done[] bookkeeping dies with the thread).
+    /// a takeover.
     std::atomic<bool> drained{false};
   };
 
   /// An OS thread driving one or more shards round-robin.
   struct WorkerThread {
     usize index = 0;
-    /// Owned shards. Stable unless the supervisor is enabled, in which
-    /// case mu guards it (the watchdog reassigns shards on takeover and
-    /// the worker copies the list per sweep).
+    /// Owned shards, guarded by mu: the watchdog reassigns shards on
+    /// takeover and the worker copies the list per sweep.
     std::vector<Shard*> shards;
     std::thread thread;
     double wall_seconds = 0;
     std::string error;  ///< exception text if the (last) incarnation died
     // ---- supervisor state (PR 9) ----
-    mutable std::mutex mu;          ///< guards `shards` when supervised
+    mutable std::mutex mu;          ///< guards `shards`
     std::atomic<u64> heartbeat{0};  ///< one tick per sweep (stall detect)
     std::atomic<u64> sweeps{0};     ///< persistent sweep counter (injector)
     std::atomic<bool> exited{false};  ///< thread function returned

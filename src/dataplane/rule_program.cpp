@@ -64,10 +64,9 @@ void RuleProgramPublisher::publish(const std::shared_ptr<RuleProgram>& next) {
 void RuleProgramPublisher::rebuild_standby(std::shared_ptr<RuleProgram>& p) {
   const std::shared_ptr<RuleProgram>& good = replicas_[published_slot_];
   // Mirror the published replica's *entire* live configuration — a
-  // ConfigMod in the log may have changed the IP algorithm or any of
-  // the batch-path knobs (batch mode, path policy, memo geometry) since
-  // construction, and a rebuild from the constructor config would
-  // silently undo them on the standby.
+  // ConfigMod in the log may have changed the IP algorithm or the path
+  // policy since construction, and a rebuild from the constructor
+  // config would silently undo them on the standby.
   auto fresh = std::make_shared<RuleProgram>(good->clf_.config());
   for (const ruleset::Rule& r : good->clf_.installed_rules()) {
     fresh->clf_.add_rule(r);

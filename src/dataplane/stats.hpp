@@ -166,8 +166,7 @@ struct WorkerReport {
   /// plus one per snapshot swap this worker classified across).
   u64 probe_memo_invalidations = 0;
   /// Memo replacements that overwrote a live entry of another key — the
-  /// conflict misses the 2-way geometry exists to reduce (the
-  /// --memo-ways 1-vs-2 A/B observable).
+  /// conflict misses the 2-way geometry exists to reduce.
   u64 probe_memo_conflict_evictions = 0;
   /// Batches served via each phase-2 execution path (the per-worker
   /// controller's choices; forced policies count here too).

@@ -63,12 +63,8 @@ struct FlowMod {
 /// third value with the RVH backend).
 struct ConfigMod {
   std::optional<core::IpAlgorithm> ip_algorithm;  ///< IPalg_s value
-  /// classify_batch() strategy (phase-2 vs scalar).
-  std::optional<core::BatchMode> batch_mode;
-  /// Phase-2 execution-path policy (adaptive / forced).
+  /// classify_batch() execution-path policy (adaptive / forced).
   std::optional<core::PathPolicy> path_policy;
-  /// Probe-memo associativity; the classifier validates the value.
-  std::optional<u32> memo_ways;
 };
 
 /// Device -> controller notification.

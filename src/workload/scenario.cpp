@@ -244,9 +244,6 @@ core::ClassifierConfig scenario_config(const ruleset::RuleSet& rules,
       core::ClassifierConfig::for_scale(rules.size() + extra_headroom);
   cfg.combine_mode = core::CombineMode::kCrossProduct;  // exact lookups
   cfg.ip_algorithm = opts.ip_algorithm;
-  cfg.batch_mode = opts.batch_mode;
-  cfg.batch_memo_persistent = opts.memo_persistent;
-  cfg.batch_memo_ways = opts.memo_ways;
   cfg.batch_path_policy = opts.path_policy;
   return cfg;
 }
@@ -940,7 +937,7 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
                        const std::vector<ScenarioResult>& results) {
   JsonWriter j(os);
   j.begin_object();
-  j.key("schema").value("pclass-scenarios-v1");
+  j.key("schema").value("pclass-scenarios-v2");
   const auto& build = common::build_info();
   j.key("meta").begin_object();
   j.key("build").begin_object();
@@ -957,9 +954,6 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
   j.key("scale").value(opts.scale);
   j.key("seed").value(u64{opts.seed});
   j.key("ip_algorithm").value(std::string(to_string(opts.ip_algorithm)));
-  j.key("batch_mode").value(std::string(to_string(opts.batch_mode)));
-  j.key("memo_persistent").value(opts.memo_persistent);
-  j.key("memo_ways").value(opts.memo_ways);
   j.key("path_policy").value(std::string(to_string(opts.path_policy)));
   j.key("parallel").value(opts.parallel);
   j.key("max_workers").value(opts.max_workers);

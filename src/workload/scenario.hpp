@@ -43,23 +43,11 @@ struct ScenarioOptions {
   /// per-family win/loss axis of the catalog (MBT/BST trie family vs
   /// the incremental-update RVH).
   core::IpAlgorithm ip_algorithm = core::IpAlgorithm::kMbt;
-  /// classify_batch() strategy for every scenario's device (the
-  /// phase-2 vs scalar A/B knob; modeled results are identical, host
-  /// throughput is not).
-  core::BatchMode batch_mode = core::BatchMode::kPhase2;
-  /// Probe-memo lifetime A/B: true (default) = snapshot-keyed memo
-  /// persisting across batches; false = the PR-3 per-batch reset.
-  /// Byte-identical workloads + this knob = the cross-batch hit-rate
-  /// comparison CI uploads.
-  bool memo_persistent = true;
-  /// Probe-memo associativity A/B: 2 (default) = two tagged ways per
-  /// set with LRU, 1 = the direct-mapped reference (--memo-ways).
-  u32 memo_ways = 2;
-  /// Phase-2 execution-path policy. kAdaptive (default) lets each
-  /// worker's cost-model controller pick per batch; kForcePhase2 pins
-  /// the batch engine (+memo), making memo hit counts deterministic —
-  /// what the CI persistent-vs-per-batch A/B pins so the hit-rate gain
-  /// reflects the memo lifetime, not controller choices.
+  /// classify_batch() execution-path policy. kAdaptive (default) lets
+  /// each worker's cost-model controller pick per batch; kForcePhase2
+  /// pins the batch engine (+memo), making memo hit counts
+  /// deterministic; kForceScalarLoop pins the packet-at-a-time loop
+  /// (modeled results are identical, host throughput is not).
   core::PathPolicy path_policy = core::PathPolicy::kAdaptive;
   /// Scenarios run concurrently by run_all()/run_many() (results are
   /// independent; report order stays catalog order). 0 = auto: as many
@@ -130,7 +118,7 @@ struct ScenarioResult {
   /// plus one per snapshot swap a worker classified across).
   u64 probe_memo_invalidations = 0;
   /// Memo replacements that evicted a live entry of another key, summed
-  /// across workers (the --memo-ways 1-vs-2 A/B observable).
+  /// across workers.
   u64 probe_memo_conflict_evictions = 0;
   /// Path-controller choices, summed across workers: batches served by
   /// the scalar loop / batch engine / batch engine + memo.
@@ -254,7 +242,7 @@ class ScenarioRunner {
 };
 
 /// Emit the single JSON report CI archives (schema
-/// "pclass-scenarios-v1"): options, per-scenario results and the
+/// "pclass-scenarios-v2"): options, per-scenario results and the
 /// aggregate all_ok verdict.
 void write_json_report(std::ostream& os, const ScenarioOptions& opts,
                        const std::vector<ScenarioResult>& results);

@@ -102,7 +102,7 @@ void check_equivalence(core::ClassifierConfig cfg,
   std::vector<core::ClassifyResult> out;
   for (const usize batch : kBatchSizes) {
     // Memo off: bit-exact replay of the scalar cost model.
-    clf.set_batch_mode(core::BatchMode::kPhase2);
+    clf.set_batch_path_policy(core::PathPolicy::kAdaptive);
     clf.set_batch_probe_memo(false);
     run_batched(clf, in, batch, out);
     for (usize i = 0; i < in.size(); ++i) {
@@ -121,8 +121,8 @@ void check_equivalence(core::ClassifierConfig cfg,
           << "memo on, batch " << batch << ", packet " << i;
     }
 
-    // Scalar batch mode: trivially the scalar path.
-    clf.set_batch_mode(core::BatchMode::kScalar);
+    // Forced scalar loop: trivially the scalar path.
+    clf.set_batch_path_policy(core::PathPolicy::kForceScalarLoop);
     run_batched(clf, in, batch, out);
     for (usize i = 0; i < in.size(); ++i) {
       expect_verdicts_equal(out[i], ref.results[i], i);
@@ -181,16 +181,6 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Adversarial trace shapes: depth-heavy and thrash-heavy key patterns
 // stress the MBT path cache and the adaptive gates respectively.
-TEST(BatchMemoConfig, InvalidWaysRejectedAtConfigTime) {
-  core::ClassifierConfig cfg;
-  cfg.batch_memo_ways = 3;
-  EXPECT_THROW(core::ConfigurableClassifier{cfg}, ConfigError);
-  core::ConfigurableClassifier clf;
-  EXPECT_THROW(clf.set_batch_memo_ways(0), ConfigError);
-  EXPECT_NO_THROW(clf.set_batch_memo_ways(1));
-  EXPECT_NO_THROW(clf.set_batch_memo_ways(2));
-}
-
 TEST(BatchPhase2, AdversarialTraces) {
   const ruleset::RuleSet rules = workload::synthesize(
       workload::RulesetProfile::acl(200, 99));
@@ -205,8 +195,8 @@ TEST(BatchPhase2, AdversarialTraces) {
   check_equivalence(cfg, rules, headers_of(thrash));
 }
 
-// Controller-forced-path matrix: every PathPolicy x memo eligibility x
-// memo lifetime combination must reproduce the scalar verdicts and
+// Controller-forced-path matrix: every PathPolicy x memo eligibility
+// combination must reproduce the scalar verdicts and
 // per-packet accesses; cycles stay exact whenever the memo cannot
 // engage and never exceed scalar when it can.
 TEST(BatchPhase2, ControllerForcedPathMatrix) {
@@ -227,23 +217,20 @@ TEST(BatchPhase2, ControllerForcedPathMatrix) {
        {core::PathPolicy::kAdaptive, core::PathPolicy::kForcePhase2,
         core::PathPolicy::kForceScalarLoop}) {
     for (const bool memo : {false, true}) {
-      for (const bool persistent : {false, true}) {
-        clf.set_batch_path_policy(policy);
-        clf.set_batch_probe_memo(memo);
-        clf.set_batch_memo_persistent(persistent);
-        run_batched(clf, in, 32, out);
-        const bool memo_can_engage =
-            memo && policy != core::PathPolicy::kForceScalarLoop;
-        for (usize i = 0; i < in.size(); ++i) {
-          expect_verdicts_equal(out[i], ref.results[i], i);
-          if (memo_can_engage) {
-            EXPECT_LE(out[i].cycles, ref.results[i].cycles)
-                << "policy " << to_string(policy) << ", packet " << i;
-          } else {
-            EXPECT_EQ(out[i].cycles, ref.results[i].cycles)
-                << "policy " << to_string(policy) << ", packet " << i;
-            EXPECT_EQ(out[i].memo_hits, 0u);
-          }
+      clf.set_batch_path_policy(policy);
+      clf.set_batch_probe_memo(memo);
+      run_batched(clf, in, 32, out);
+      const bool memo_can_engage =
+          memo && policy != core::PathPolicy::kForceScalarLoop;
+      for (usize i = 0; i < in.size(); ++i) {
+        expect_verdicts_equal(out[i], ref.results[i], i);
+        if (memo_can_engage) {
+          EXPECT_LE(out[i].cycles, ref.results[i].cycles)
+              << "policy " << to_string(policy) << ", packet " << i;
+        } else {
+          EXPECT_EQ(out[i].cycles, ref.results[i].cycles)
+              << "policy " << to_string(policy) << ", packet " << i;
+          EXPECT_EQ(out[i].memo_hits, 0u);
         }
       }
     }
@@ -290,13 +277,6 @@ TEST(BatchPhase2, PersistentMemoCompoundsAcrossBatches) {
       << "a warm persistent memo must serve more hits than a cold one";
   // One bind at first use; never again while the device is unchanged.
   EXPECT_EQ(scratch.memo_invalidations, 1u);
-
-  // Per-batch mode as the A/B: every batch invalidates.
-  clf.set_batch_memo_persistent(false);
-  const u64 inval_before = scratch.memo_invalidations;
-  (void)pass();
-  EXPECT_EQ(scratch.memo_invalidations - inval_before,
-            (in.size() + 31) / 32);
 }
 
 // Stale entries must never serve across an in-place device update: the

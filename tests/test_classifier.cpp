@@ -3,6 +3,8 @@
 // updates, algorithm reconfiguration, cost accounting and reports.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "baseline/linear_search.hpp"
 #include "core/classifier.hpp"
 #include "ruleset/generator.hpp"
@@ -350,6 +352,54 @@ TEST(Classifier, FailedAddKeepsDeviceCorrect) {
   ASSERT_GT(failures, 0u);
   baseline::LinearSearch oracle(installed);
   EXPECT_EQ(count_mismatches(clf, oracle, trace_for(rs, 500)), 0u);
+}
+
+TEST(Classifier, RejectedWideRuleLeaksNoLabels) {
+  // An id, priority or action above the Rule Filter's 16-bit fields is
+  // refused before the update path acquires a single label.
+  const RuleSet rs = small_set();
+  ConfigurableClassifier clf(
+      cfg_for(rs, CombineMode::kCrossProduct, IpAlgorithm::kMbt));
+  clf.add_rules(rs);
+  const auto counts = [&clf] {
+    std::array<usize, kNumDimensions> c{};
+    for (const Dimension d : kAllDimensions) {
+      c[index_of(d)] = clf.label_count(d);
+    }
+    return c;
+  };
+  const auto before = counts();
+
+  Rule ok;
+  ok.src_ip = ruleset::IpPrefix::make(0x63636300u, 24);  // 99.99.99.0/24
+  ok.dst_ip = ruleset::IpPrefix::make(0x62000000u, 8);   // 98.0.0.0/8
+  ok.src_port = ruleset::PortRange::exact(4242);
+  ok.dst_port = ruleset::PortRange::exact(4343);
+  ok.proto = ruleset::ProtoMatch::exact(47);
+  ok.priority = 5;
+  ok.id = RuleId{60000};
+
+  Rule wide_id = ok;
+  wide_id.id = RuleId{70000};
+  EXPECT_THROW(clf.add_rule(wide_id), ConfigError);
+  Rule wide_prio = ok;
+  wide_prio.priority = 70000;
+  EXPECT_THROW(clf.add_rule(wide_prio), ConfigError);
+  Rule wide_action = ok;
+  wide_action.action = ruleset::Action{70000};
+  EXPECT_THROW(clf.add_rule(wide_action), ConfigError);
+  RuleSet bulk("bulk");
+  bulk.add_verbatim(wide_id);
+  EXPECT_THROW(clf.add_rules(bulk), ConfigError);
+  EXPECT_EQ(counts(), before);
+
+  // A valid add and remove of the same match returns to the same counts.
+  clf.add_rule(ok);
+  EXPECT_THROW(clf.modify_rule(ok.id, ruleset::Action{70000}), ConfigError);
+  EXPECT_EQ(clf.installed_rule(ok.id)->action, ok.action);
+  clf.remove_rule(ok.id);
+  EXPECT_EQ(counts(), before);
+  EXPECT_EQ(clf.rule_count(), rs.size());
 }
 
 TEST(Classifier, UpdateStatsAccumulateOnBus) {

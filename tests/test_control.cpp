@@ -89,6 +89,20 @@ TEST(ControlProtocol, ParsesRuleCommands) {
   EXPECT_THROW(control::parse_rule_command(bad_arity), ParseError);
   const std::vector<std::string> bad_id = {"remove", "not-a-number"};
   EXPECT_THROW(control::parse_rule_command(bad_id), ParseError);
+  // Rule ids and priorities are the Rule Filter's 16-bit fields.
+  std::vector<std::string> wide = add;
+  wide[1] = "65535";
+  wide[2] = "65535";
+  EXPECT_NO_THROW((void)control::parse_rule_command(wide));
+  wide[1] = "65536";
+  EXPECT_THROW(control::parse_rule_command(wide), ParseError);
+  wide[1] = "7";
+  wide[2] = "70000";
+  EXPECT_THROW(control::parse_rule_command(wide), ParseError);
+  const std::vector<std::string> wide_rm = {"remove", "70000"};
+  EXPECT_THROW(control::parse_rule_command(wide_rm), ParseError);
+  const std::vector<std::string> wide_mod = {"modify", "70000", "drop"};
+  EXPECT_THROW(control::parse_rule_command(wide_mod), ParseError);
   const std::vector<std::string> bad_verb = {"upsert", "7"};
   EXPECT_THROW(control::parse_rule_command(bad_verb), ParseError);
 }
@@ -99,10 +113,6 @@ TEST(ControlProtocol, ParsesSetCommands) {
   ASSERT_TRUE(cm.path_policy.has_value());
   EXPECT_EQ(*cm.path_policy, core::PathPolicy::kForceScalarLoop);
 
-  const std::vector<std::string> mw = {"memo-ways", "2"};
-  EXPECT_EQ(*std::get<sdn::ConfigMod>(control::parse_set_command(mw)).memo_ways,
-            2u);
-
   const std::vector<std::string> alg = {"ip-alg", "rvh"};
   EXPECT_EQ(
       *std::get<sdn::ConfigMod>(control::parse_set_command(alg)).ip_algorithm,
@@ -110,7 +120,7 @@ TEST(ControlProtocol, ParsesSetCommands) {
 
   const std::vector<std::string> bad_knob = {"turbo", "on"};
   EXPECT_THROW(control::parse_set_command(bad_knob), ParseError);
-  const std::vector<std::string> bad_value = {"batch-mode", "warp"};
+  const std::vector<std::string> bad_value = {"path-policy", "warp"};
   EXPECT_THROW(control::parse_set_command(bad_value), ParseError);
 }
 
@@ -349,7 +359,15 @@ TEST(ControlServer, RejectsMalformedUnknownAndOversizedLines) {
     EXPECT_EQ(c.request("frobnicate now").code, 400);
     EXPECT_EQ(c.request("write rule add 1 2").code, 400);  // bad arity
     EXPECT_EQ(c.request("write rule add x 2 * * * * 6 drop").code, 400);
-    EXPECT_EQ(c.request("write set memo-ways 9999").code, 400);
+    EXPECT_EQ(c.request("write set path-policy warp").code, 400);
+    // Retired knobs are unknown knobs.
+    EXPECT_EQ(c.request("write set batch-mode scalar").code, 400);
+    EXPECT_EQ(c.request("write set memo-ways 2").code, 400);
+    // Above the Rule Filter's 16-bit id field: refused at parse time.
+    EXPECT_EQ(c.request("write rule add 70000 5 99.99.99.0/24 98.0.0.0/8 "
+                        "4242 4343 47 drop")
+                  .code,
+              400);
     EXPECT_EQ(c.request("subscribe stats 0").code, 400);
     EXPECT_EQ(c.request("read").code, 400);
     // Empty lines are ignored, not answered.
@@ -468,8 +486,8 @@ TEST(ControlPlane, ScriptedUpdatesAreOracleCleanWithVisibilityLatency) {
 
   // Config knobs land through the same southbound path.
   EXPECT_EQ(c.request("write set path-policy phase2").code, 200);
-  EXPECT_EQ(c.request("write set batch-mode scalar").code, 200);
-  EXPECT_EQ(c.request("write set batch-mode phase2").code, 200);
+  EXPECT_EQ(c.request("write set path-policy scalar-loop").code, 200);
+  EXPECT_EQ(c.request("write set path-policy adaptive").code, 200);
 }
 
 // ---- streaming subscriptions ----------------------------------------------
@@ -572,7 +590,7 @@ TEST(ControlPlane, DrainReconcilesLiveScrapeWithReportTotals) {
   EXPECT_EQ(c.request("write rule add 62001 62001 10.0.1.2/32 * * * 6 drop")
                 .code,
             409);
-  EXPECT_EQ(c.request("write set memo-ways 1").code, 409);
+  EXPECT_EQ(c.request("write set path-policy phase2").code, 409);
   EXPECT_EQ(c.read_request("read metrics").code, 200);
   EXPECT_EQ(c.read_request("read timeseries").code, 200);
 }

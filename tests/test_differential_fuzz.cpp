@@ -4,7 +4,7 @@
 //   {acl,fw,ipc} RulesetProfile draws x synthesized traces
 //   x IP lookup backends {mbt, bst, rvh}
 //   x batch sizes {1, 32, 256}
-//   x probe-memo {ways 1, ways 2} x {per-batch, persistent} x {off}
+//   x probe-memo {on, off}
 //   x memo slot counts {16, 64, 512} (tiny memos force eviction churn)
 //   x all PathPolicy pins (adaptive / phase2 / scalar-loop)
 // and drives the trace through classify_batch() with ONE long-lived
@@ -23,7 +23,7 @@
 // (remove / re-add / modify) at batch boundaries, then keep classifying
 // with the same scratch: the persistent memo's epoch invalidation is
 // what keeps the next batch's verdicts correct, so any stale entry
-// served under the 2-way geometry shows up as a verdict or access
+// the 2-way memo serves shows up as a verdict or access
 // mismatch against the freshly-rebuilt oracle.
 //
 // Determinism: the default run uses a fixed seed (what CI's main job
@@ -82,9 +82,7 @@ struct FuzzConfig {
   core::IpAlgorithm alg = core::IpAlgorithm::kMbt;
   usize batch = 0;
   bool memo_on = true;
-  u32 memo_ways = 2;
   u32 memo_slots = 512;
-  bool memo_persistent = true;
   core::PathPolicy policy = core::PathPolicy::kAdaptive;
   bool updates = false;
   u64 seed = 0;
@@ -96,9 +94,7 @@ struct FuzzConfig {
            " alg=" + std::string(to_string(alg)) +
            " batch=" + std::to_string(batch) +
            " memo=" + (memo_on ? "on" : "off") +
-           " ways=" + std::to_string(memo_ways) +
            " slots=" + std::to_string(memo_slots) +
-           (memo_persistent ? " persistent" : " per-batch") +
            " policy=" + std::string(to_string(policy)) +
            (updates ? " updates=yes" : " updates=no") +
            " seed=" + std::to_string(seed);
@@ -116,9 +112,7 @@ FuzzConfig draw_config(Rng& rng, u64 seed) {
                      core::IpAlgorithm::kRvh}[rng.below(3)];
   c.batch = std::array<usize, 3>{1, 32, 256}[rng.below(3)];
   c.memo_on = rng.below(8) != 0;  // mostly on — it is the system under test
-  c.memo_ways = rng.below(2) == 0 ? 1 : 2;
   c.memo_slots = std::array<u32, 3>{16, 64, 512}[rng.below(3)];
-  c.memo_persistent = rng.below(2) == 0;
   c.policy = std::array{core::PathPolicy::kAdaptive,
                         core::PathPolicy::kForcePhase2,
                         core::PathPolicy::kForceScalarLoop}[rng.below(3)];
@@ -184,11 +178,8 @@ void run_config(const FuzzConfig& c) {
       core::ClassifierConfig::for_scale(rules.size() + 64);
   cfg.combine_mode = core::CombineMode::kCrossProduct;  // exact => oracle
   cfg.ip_algorithm = c.alg;
-  cfg.batch_mode = core::BatchMode::kPhase2;
   cfg.batch_probe_memo = c.memo_on;
   cfg.batch_memo_slots = c.memo_slots;
-  cfg.batch_memo_ways = c.memo_ways;
-  cfg.batch_memo_persistent = c.memo_persistent;
   cfg.batch_path_policy = c.policy;
   core::ConfigurableClassifier clf(cfg);
   clf.add_rules(rules);
@@ -290,25 +281,21 @@ TEST(DifferentialFuzz, UpdateStormNeverServesStaleUnderTinyMemo) {
   // either one skipping it would serve a stale memo entry here.
   for (const core::IpAlgorithm alg :
        {core::IpAlgorithm::kMbt, core::IpAlgorithm::kRvh}) {
-    for (const u32 ways : {1u, 2u}) {
-      const u64 cseed = meta.next();
-      FuzzConfig c;
-      c.seed = cseed;
-      c.family = "fw";  // wildcard-heavy: repeated combinations, hot memo
-      c.rules_n = 80;
-      c.packets = 512;
-      c.zipf_trace = true;
-      c.alg = alg;
-      c.batch = 32;
-      c.memo_on = true;
-      c.memo_ways = ways;
-      c.memo_slots = 16;  // minimum geometry: every set under pressure
-      c.memo_persistent = true;
-      c.policy = core::PathPolicy::kForcePhase2;  // memo always engaged
-      c.updates = true;
-      SCOPED_TRACE(c.describe());
-      run_config(c);
-    }
+    const u64 cseed = meta.next();
+    FuzzConfig c;
+    c.seed = cseed;
+    c.family = "fw";  // wildcard-heavy: repeated combinations, hot memo
+    c.rules_n = 80;
+    c.packets = 512;
+    c.zipf_trace = true;
+    c.alg = alg;
+    c.batch = 32;
+    c.memo_on = true;
+    c.memo_slots = 16;  // minimum geometry: every set under pressure
+    c.policy = core::PathPolicy::kForcePhase2;  // memo always engaged
+    c.updates = true;
+    SCOPED_TRACE(c.describe());
+    run_config(c);
   }
 }
 

@@ -6,8 +6,7 @@
 ///
 ///   pclass_classify <rules_file> <trace_file> [--alg mbt|bst|rvh]
 ///                   [--mode first|cross] [--verify]
-///                   [--batch-mode scalar|phase2]
-///                   [--memo persistent|per-batch|off] [--memo-ways 1|2]
+///                   [--memo persistent|off]
 ///                   [--path-policy adaptive|phase2|scalar-loop]
 ///                   [--workers N] [--batch B] [--cache DEPTH]
 ///                   [--shards N] [--shard-mode replica|partition]
@@ -29,18 +28,15 @@
 /// per-shard subsets whose verdicts a combiner merges by best
 /// (priority, rule id) — verdict-identical to the unsharded run.
 ///
-/// --batch-mode selects how batches run phase 2 (the A/B knob): scalar
-/// = packet-at-a-time, phase2 = sorted-key batch engine. It applies to
-/// the engine path and to the single-threaded loop (which then
-/// classifies in batches of --batch and reports host throughput, so the
-/// two modes can be compared directly). Default: phase2.
+/// --path-policy pins how batches run instead of letting the per-worker
+/// cost-model controller pick per batch: phase2 = sorted-key batch
+/// engine, scalar-loop = packet-at-a-time. It applies to the engine
+/// path and to the single-threaded loop (which then classifies in
+/// batches of --batch and reports host throughput, so the paths can be
+/// compared directly). Default: adaptive.
 ///
-/// --memo controls the combination-probe memo: persistent (default,
-/// snapshot-keyed, survives batch boundaries), per-batch (the PR-3
-/// reset, the A/B reference) or off; --memo-ways its associativity
-/// (2 = set-associative default, 1 = direct-mapped A/B reference).
-/// --path-policy pins the phase-2 execution path instead of letting
-/// the per-worker cost-model controller pick it per batch.
+/// --memo controls the combination-probe memo: persistent (default:
+/// 2-way, snapshot-keyed, survives batch boundaries) or off.
 #include <array>
 #include <chrono>
 #include <fstream>
@@ -70,11 +66,10 @@ namespace {
 int usage() {
   std::cerr << "usage: pclass_classify <rules_file> <trace_file> "
                "[--alg mbt|bst|rvh] [--mode first|cross] [--verify]\n"
-               "                       [--batch-mode scalar|phase2] "
-               "[--memo persistent|per-batch|off] [--memo-ways 1|2]\n"
-               "                       [--path-policy "
-               "adaptive|phase2|scalar-loop] "
-               "[--workers N [--batch B] [--cache DEPTH]\n"
+               "                       [--memo persistent|off] "
+               "[--path-policy adaptive|phase2|scalar-loop]\n"
+               "                       [--workers N [--batch B] "
+               "[--cache DEPTH]\n"
                "                        [--shards N] [--shard-mode "
                "replica|partition] [--steer-symmetric]\n"
                "                        [--stats-interval-ms N] "
@@ -198,7 +193,7 @@ int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
   TextTable a({"metric", "value"});
   a.add_row({"engine", std::to_string(workers) + " workers x batch " +
                            std::to_string(batch) + " (" +
-                           to_string(cfg.batch_mode) + ")"});
+                           to_string(cfg.batch_path_policy) + ")"});
   if (shards > 0) {
     a.add_row({"shards", std::to_string(shards) + " (" +
                              std::string(to_string(shard_mode)) +
@@ -309,11 +304,8 @@ int main(int argc, char** argv) {
   }
   core::IpAlgorithm alg = core::IpAlgorithm::kMbt;
   core::CombineMode mode = core::CombineMode::kCrossProduct;
-  core::BatchMode batch_mode = core::BatchMode::kPhase2;
   core::PathPolicy path_policy = core::PathPolicy::kAdaptive;
   bool probe_memo = true;
-  bool memo_persistent = true;
-  u32 memo_ways = 2;
   bool verify = false;
   usize workers = 0;  // 0 = classic single-threaded loop
   usize batch = net::kDefaultBatchCapacity;
@@ -359,27 +351,11 @@ int main(int argc, char** argv) {
       if (v == "first") mode = core::CombineMode::kFirstLabel;
       else if (v == "cross") mode = core::CombineMode::kCrossProduct;
       else return usage();
-    } else if (flag == "--batch-mode" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "scalar") batch_mode = core::BatchMode::kScalar;
-      else if (v == "phase2") batch_mode = core::BatchMode::kPhase2;
-      else return usage();
     } else if (flag == "--memo" && i + 1 < argc) {
       const std::string v = argv[++i];
-      if (v == "persistent") {
-        probe_memo = true;
-        memo_persistent = true;
-      } else if (v == "per-batch") {
-        probe_memo = true;
-        memo_persistent = false;
-      } else if (v == "off") {
-        probe_memo = false;
-      } else {
-        return usage();
-      }
-    } else if (flag == "--memo-ways" && i + 1 < argc) {
-      if (!parse_count(argv[++i], n) || (n != 1 && n != 2)) return usage();
-      memo_ways = static_cast<u32>(n);
+      if (v == "persistent") probe_memo = true;
+      else if (v == "off") probe_memo = false;
+      else return usage();
     } else if (flag == "--path-policy" && i + 1 < argc) {
       const std::string v = argv[++i];
       if (v == "adaptive") path_policy = core::PathPolicy::kAdaptive;
@@ -429,10 +405,7 @@ int main(int argc, char** argv) {
         core::ClassifierConfig::for_scale(rules.size());
     cfg.ip_algorithm = alg;
     cfg.combine_mode = mode;
-    cfg.batch_mode = batch_mode;
     cfg.batch_probe_memo = probe_memo;
-    cfg.batch_memo_persistent = memo_persistent;
-    cfg.batch_memo_ways = memo_ways;
     cfg.batch_path_policy = path_policy;
 
     if (workers > 0) {
@@ -447,7 +420,7 @@ int main(int argc, char** argv) {
     core::ConfigurableClassifier clf(cfg);
     const auto load = clf.add_rules(rules);
 
-    // Single-threaded loop, batched: the --batch-mode A/B runs over the
+    // Single-threaded loop, batched: every --path-policy runs over the
     // same headers with host wall time measured around the batch calls.
     hw::CycleAggregate agg;
     usize hits = 0;
@@ -479,8 +452,8 @@ int main(int argc, char** argv) {
         clf.lookup_pipeline().initiation_interval());
     TextTable t({"metric", "value"});
     t.add_row({"configuration", std::string(to_string(alg)) + " / " +
-                                    to_string(mode) + " / batch " +
-                                    to_string(batch_mode)});
+                                    to_string(mode) + " / path " +
+                                    to_string(path_policy)});
     t.add_row({"host throughput",
                TextTable::num(host_secs <= 0
                                   ? 0.0

@@ -12,8 +12,6 @@
 ///                   [--scale F] [--out FILE] [--parallel N]
 ///                   [--max-workers N]
 ///                   [--ip-alg mbt|bst|rvh]
-///                   [--batch-mode scalar|phase2]
-///                   [--memo persistent|per-batch] [--memo-ways 1|2]
 ///                   [--path-policy adaptive|phase2|scalar-loop]
 ///                   [--shards N] [--shard-mode replica|partition]
 ///                   [--steer-symmetric] [--fault-plan SPEC]
@@ -38,11 +36,9 @@
 /// scenarios draw engine worker threads from one shared WorkerBudget
 /// capped at --max-workers (default: the hardware thread count), so a
 /// parallel run never oversubscribes the host with scenarios x workers
-/// threads. --memo-ways selects the probe memo's associativity (2 =
-/// set-associative default, 1 = the direct-mapped A/B reference).
-/// --ip-alg selects the IP lookup backend every scenario's device is
-/// built with (mbt/bst trie family, rvh range-vector hash) — the
-/// per-family win/loss axis CI sweeps over saved workloads.
+/// threads. --ip-alg selects the IP lookup backend every scenario's
+/// device is built with (mbt/bst trie family, rvh range-vector hash) —
+/// the per-family win/loss axis CI sweeps over saved workloads.
 ///
 /// --shards N runs every scenario's engine as N RSS-style shards, each
 /// owning its classifier replica, flow cache and probe memo.
@@ -60,9 +56,8 @@
 ///
 /// --save-workloads writes each scenario's synthesized ruleset/trace as
 /// versioned PCR1/PCT1 binaries; --load-workloads replays them instead
-/// of re-synthesizing, so two runs (e.g. scalar vs phase2 batch mode,
-/// persistent vs per-batch probe memo via --memo, or two PRs) measure
-/// byte-identical workloads.
+/// of re-synthesizing, so two runs (e.g. --path-policy scalar-loop vs
+/// phase2, two backends, or two PRs) measure byte-identical workloads.
 #include <array>
 #include <fstream>
 #include <iostream>
@@ -84,8 +79,7 @@ int usage() {
                "[--scenario NAME]... "
                "[--smoke] [--workers N] [--cache-depth N] [--seed N] "
                "[--scale F] [--out FILE] [--parallel N] [--max-workers N] "
-               "[--ip-alg mbt|bst|rvh] [--batch-mode scalar|phase2] "
-               "[--memo persistent|per-batch] [--memo-ways 1|2] "
+               "[--ip-alg mbt|bst|rvh] "
                "[--path-policy adaptive|phase2|scalar-loop] "
                "[--shards N] [--shard-mode replica|partition] "
                "[--steer-symmetric] [--fault-plan SPEC] "
@@ -208,19 +202,6 @@ int main(int argc, char** argv) {
       else if (v == "bst") opts.ip_algorithm = core::IpAlgorithm::kBst;
       else if (v == "rvh") opts.ip_algorithm = core::IpAlgorithm::kRvh;
       else return usage();
-    } else if (flag == "--batch-mode" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "scalar") opts.batch_mode = core::BatchMode::kScalar;
-      else if (v == "phase2") opts.batch_mode = core::BatchMode::kPhase2;
-      else return usage();
-    } else if (flag == "--memo" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "persistent") opts.memo_persistent = true;
-      else if (v == "per-batch") opts.memo_persistent = false;
-      else return usage();
-    } else if (flag == "--memo-ways" && i + 1 < argc) {
-      if (!parse_count(argv[++i], n) || (n != 1 && n != 2)) return usage();
-      opts.memo_ways = static_cast<u32>(n);
     } else if (flag == "--path-policy" && i + 1 < argc) {
       const std::string v = argv[++i];
       if (v == "adaptive") opts.path_policy = core::PathPolicy::kAdaptive;

@@ -12,8 +12,7 @@
 ///                [--listen tcp:PORT | tcp:HOST:PORT | unix:PATH]
 ///                [--workers N] [--batch B] [--cache-depth N]
 ///                [--stats-interval-ms N] [--ip-alg mbt|bst|rvh]
-///                [--batch-mode scalar|phase2]
-///                [--memo persistent|per-batch|off] [--memo-ways 1|2]
+///                [--memo persistent|off]
 ///                [--path-policy adaptive|phase2|scalar-loop]
 ///                [--shards N] [--steer-symmetric]
 ///                [--fault-plan SPEC] [--report FILE] [--version]
@@ -78,9 +77,7 @@ int usage() {
          "                    [--workers N] [--batch B] [--cache-depth N]\n"
          "                    [--stats-interval-ms N] "
          "[--ip-alg mbt|bst|rvh]\n"
-         "                    [--batch-mode scalar|phase2]\n"
-         "                    [--memo persistent|per-batch|off] "
-         "[--memo-ways 1|2]\n"
+         "                    [--memo persistent|off]\n"
          "                    [--path-policy adaptive|phase2|scalar-loop]\n"
          "                    [--shards N] [--steer-symmetric]\n"
          "                    [--fault-plan SPEC] [--report FILE] "
@@ -287,11 +284,8 @@ int main(int argc, char** argv) {
   u32 cache_depth = 0;
   u64 stats_interval_ms = 100;
   core::IpAlgorithm ip_algorithm = core::IpAlgorithm::kMbt;
-  core::BatchMode batch_mode = core::BatchMode::kPhase2;
   core::PathPolicy path_policy = core::PathPolicy::kAdaptive;
   bool probe_memo = true;
-  bool memo_persistent = true;
-  u32 memo_ways = 2;
   usize shards = 0;
   bool steer_symmetric = false;
   std::string fault_plan_spec;
@@ -328,27 +322,11 @@ int main(int argc, char** argv) {
       else if (v == "bst") ip_algorithm = core::IpAlgorithm::kBst;
       else if (v == "rvh") ip_algorithm = core::IpAlgorithm::kRvh;
       else return usage();
-    } else if (flag == "--batch-mode" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "scalar") batch_mode = core::BatchMode::kScalar;
-      else if (v == "phase2") batch_mode = core::BatchMode::kPhase2;
-      else return usage();
     } else if (flag == "--memo" && i + 1 < argc) {
       const std::string v = argv[++i];
-      if (v == "persistent") {
-        probe_memo = true;
-        memo_persistent = true;
-      } else if (v == "per-batch") {
-        probe_memo = true;
-        memo_persistent = false;
-      } else if (v == "off") {
-        probe_memo = false;
-      } else {
-        return usage();
-      }
-    } else if (flag == "--memo-ways" && i + 1 < argc) {
-      if (!parse_count(argv[++i], n) || (n != 1 && n != 2)) return usage();
-      memo_ways = static_cast<u32>(n);
+      if (v == "persistent") probe_memo = true;
+      else if (v == "off") probe_memo = false;
+      else return usage();
     } else if (flag == "--shards" && i + 1 < argc) {
       // 0 = unsharded. Replica mode only: partition is finite-only
       // (its combiner consumes bounded capture streams) and the serve
@@ -388,10 +366,7 @@ int main(int argc, char** argv) {
         core::ClassifierConfig::for_scale(rules.size() + 1024);
     cfg.combine_mode = core::CombineMode::kCrossProduct;
     cfg.ip_algorithm = ip_algorithm;
-    cfg.batch_mode = batch_mode;
     cfg.batch_probe_memo = probe_memo;
-    cfg.batch_memo_persistent = memo_persistent;
-    cfg.batch_memo_ways = memo_ways;
     cfg.batch_path_policy = path_policy;
 
     dataplane::RuleProgramPublisher programs(cfg);
