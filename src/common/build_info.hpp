@@ -1,6 +1,6 @@
 /// \file build_info.hpp
 /// Build/version metadata surfaced end-to-end: `--version` on every
-/// CLI, the `meta.build` block of the pclass-scenarios-v2 report, the
+/// CLI, the `meta.build` block of the pclass-scenarios-v3 report, the
 /// `pclass_build_info` Prometheus gauge and the daemon's `read version`
 /// handler. One source of truth so a scraped metric, a report artifact
 /// and a CLI banner can always be traced to the same binary.

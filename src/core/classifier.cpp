@@ -141,86 +141,109 @@ hw::UpdateStats ConfigurableClassifier::apply(hw::CommandLog& log) {
 }
 
 std::array<Label, kNumDimensions> ConfigurableClassifier::acquire_labels(
-    const ruleset::Rule& r, hw::CommandLog& log,
-    std::array<std::vector<std::pair<ruleset::SegmentPrefix, Label>>, 4>*
-        bst_bulk) {
+    const ruleset::Rule& r, hw::CommandLog& log, BstStaging* bst_bulk) {
   std::array<Label, kNumDimensions> labels{};
-
-  for (usize i = 0; i < 4; ++i) {
-    const Dimension d = kIpDims[i];
-    const ruleset::SegmentPrefix v = ip_segment(r, i);
-    const alg::AcquireResult acq = ip_tables_[i].acquire(v, r.priority);
-    labels[index_of(d)] = acq.label;
-    const Priority best = ip_tables_[i].best_priority(v);
-    Priority& shadow = label_prio_[index_of(d)][acq.label.value];
-    if (acq.created) {
-      shadow = best;
-      switch (cfg_.ip_algorithm) {
-        case IpAlgorithm::kMbt:
-          mbt_[i]->insert(v, acq.label, log);
-          break;
-        case IpAlgorithm::kRvh:
-          rvh_[i]->insert(v, acq.label, log);
-          break;
-        case IpAlgorithm::kBst:
-          if (bst_bulk != nullptr) {
-            (*bst_bulk)[i].emplace_back(v, acq.label);
-          } else {
-            bst_[i]->insert(v, acq.label, log);
-          }
-          break;
+  // Label steps taken so far (release_labels order) and whether the
+  // last one's engine write landed: exactly what a throw rolls back.
+  usize steps = 0;
+  bool written = true;
+  try {
+    for (usize i = 0; i < 4; ++i) {
+      const Dimension d = kIpDims[i];
+      const ruleset::SegmentPrefix v = ip_segment(r, i);
+      const alg::AcquireResult acq = ip_tables_[i].acquire(v, r.priority);
+      ++steps;
+      written = false;
+      labels[index_of(d)] = acq.label;
+      const Priority best = ip_tables_[i].best_priority(v);
+      Priority& shadow = label_prio_[index_of(d)][acq.label.value];
+      if (acq.created) {
+        shadow = best;
+        switch (cfg_.ip_algorithm) {
+          case IpAlgorithm::kMbt:
+            mbt_[i]->insert(v, acq.label, log);
+            break;
+          case IpAlgorithm::kRvh:
+            rvh_[i]->insert(v, acq.label, log);
+            break;
+          case IpAlgorithm::kBst:
+            if (bst_bulk != nullptr) {
+              (*bst_bulk)[i].emplace_back(v, acq.label);
+            } else {
+              bst_[i]->insert(v, acq.label, log);
+            }
+            break;
+        }
+      } else if (shadow != best) {
+        shadow = best;
+        switch (cfg_.ip_algorithm) {
+          case IpAlgorithm::kMbt:
+            mbt_[i]->refresh(v, log);
+            break;
+          case IpAlgorithm::kRvh:
+            rvh_[i]->refresh(v, log);
+            break;
+          case IpAlgorithm::kBst:
+            // bulk BST: the single rebuild at the end re-sorts everything
+            if (bst_bulk == nullptr) {
+              bst_[i]->refresh(v, log);
+            }
+            break;
+        }
       }
-    } else if (shadow != best) {
-      shadow = best;
-      switch (cfg_.ip_algorithm) {
-        case IpAlgorithm::kMbt:
-          mbt_[i]->refresh(v, log);
-          break;
-        case IpAlgorithm::kRvh:
-          rvh_[i]->refresh(v, log);
-          break;
-        case IpAlgorithm::kBst:
-          // bulk BST: the single rebuild at the end re-sorts everything
-          if (bst_bulk == nullptr) {
-            bst_[i]->refresh(v, log);
-          }
-          break;
+      written = true;
+    }
+
+    auto do_port = [&](alg::LabelTable<ruleset::PortRange>& table,
+                       alg::PortRegisterFile& regs,
+                       const ruleset::PortRange& v, Dimension d) {
+      const alg::AcquireResult acq = table.acquire(v, r.priority);
+      ++steps;
+      written = false;
+      labels[index_of(d)] = acq.label;
+      label_prio_[index_of(d)][acq.label.value] = table.best_priority(v);
+      if (acq.created) {
+        regs.insert(v, acq.label, log);
       }
-    }
-  }
+      written = true;
+    };
+    do_port(sport_table_, *sport_regs_, r.src_port, Dimension::kSrcPort);
+    do_port(dport_table_, *dport_regs_, r.dst_port, Dimension::kDstPort);
 
-  auto do_port = [&](alg::LabelTable<ruleset::PortRange>& table,
-                     alg::PortRegisterFile& regs, const ruleset::PortRange& v,
-                     Dimension d) {
-    const alg::AcquireResult acq = table.acquire(v, r.priority);
-    labels[index_of(d)] = acq.label;
-    label_prio_[index_of(d)][acq.label.value] = table.best_priority(v);
+    const alg::AcquireResult acq = proto_table_.acquire(r.proto, r.priority);
+    ++steps;
+    written = false;
+    labels[index_of(Dimension::kProtocol)] = acq.label;
+    label_prio_[index_of(Dimension::kProtocol)][acq.label.value] =
+        proto_table_.best_priority(r.proto);
     if (acq.created) {
-      regs.insert(v, acq.label, log);
+      proto_lut_->insert(r.proto, acq.label, log);
     }
-  };
-  do_port(sport_table_, *sport_regs_, r.src_port, Dimension::kSrcPort);
-  do_port(dport_table_, *dport_regs_, r.dst_port, Dimension::kDstPort);
-
-  const alg::AcquireResult acq = proto_table_.acquire(r.proto, r.priority);
-  labels[index_of(Dimension::kProtocol)] = acq.label;
-  label_prio_[index_of(Dimension::kProtocol)][acq.label.value] =
-      proto_table_.best_priority(r.proto);
-  if (acq.created) {
-    proto_lut_->insert(r.proto, acq.label, log);
+  } catch (...) {
+    release_labels(r, log, bst_bulk, steps, written);
+    throw;
   }
-
   return labels;
 }
 
 void ConfigurableClassifier::release_labels(const ruleset::Rule& r,
-                                            hw::CommandLog& log) {
-  for (usize i = 0; i < 4; ++i) {
+                                            hw::CommandLog& log,
+                                            BstStaging* bst_bulk, usize steps,
+                                            bool last_written) {
+  // Does step k's engine entry exist to be removed or refreshed?
+  const auto written = [&](usize k) { return k + 1 < steps || last_written; };
+  for (usize i = 0; i < 4 && i < steps; ++i) {
     const Dimension d = kIpDims[i];
     const ruleset::SegmentPrefix v = ip_segment(r, i);
     const alg::ReleaseResult rel = ip_tables_[i].release(v, r.priority);
     if (rel.freed) {
       label_prio_[index_of(d)][rel.label.value] = kNoPriority;
+      if (!written(i)) continue;
+      if (bst_bulk != nullptr) {
+        // Freed means this rule created it, so it was staged last.
+        (*bst_bulk)[i].pop_back();
+        continue;
+      }
       switch (cfg_.ip_algorithm) {
         case IpAlgorithm::kMbt: mbt_[i]->remove(v, log); break;
         case IpAlgorithm::kBst: bst_[i]->remove(v, log); break;
@@ -233,32 +256,36 @@ void ConfigurableClassifier::release_labels(const ruleset::Rule& r,
         shadow = best;
         switch (cfg_.ip_algorithm) {
           case IpAlgorithm::kMbt: mbt_[i]->refresh(v, log); break;
-          case IpAlgorithm::kBst: bst_[i]->refresh(v, log); break;
+          case IpAlgorithm::kBst:
+            if (bst_bulk == nullptr) bst_[i]->refresh(v, log);
+            break;
           case IpAlgorithm::kRvh: rvh_[i]->refresh(v, log); break;
         }
       }
     }
   }
 
-  auto do_port = [&](alg::LabelTable<ruleset::PortRange>& table,
+  auto do_port = [&](usize k, alg::LabelTable<ruleset::PortRange>& table,
                      alg::PortRegisterFile& regs,
                      const ruleset::PortRange& v, Dimension d) {
+    if (k >= steps) return;
     const alg::ReleaseResult rel = table.release(v, r.priority);
     if (rel.freed) {
       label_prio_[index_of(d)][rel.label.value] = kNoPriority;
-      regs.remove(v, log);
+      if (written(k)) regs.remove(v, log);
     } else {
       label_prio_[index_of(d)][rel.label.value] = table.best_priority(v);
     }
   };
-  do_port(sport_table_, *sport_regs_, r.src_port, Dimension::kSrcPort);
-  do_port(dport_table_, *dport_regs_, r.dst_port, Dimension::kDstPort);
+  do_port(4, sport_table_, *sport_regs_, r.src_port, Dimension::kSrcPort);
+  do_port(5, dport_table_, *dport_regs_, r.dst_port, Dimension::kDstPort);
 
+  if (steps < kNumDimensions) return;
   const alg::ReleaseResult rel = proto_table_.release(r.proto, r.priority);
   if (rel.freed) {
     label_prio_[index_of(Dimension::kProtocol)][rel.label.value] =
         kNoPriority;
-    proto_lut_->remove(r.proto, log);
+    if (written(6)) proto_lut_->remove(r.proto, log);
   } else {
     label_prio_[index_of(Dimension::kProtocol)][rel.label.value] =
         proto_table_.best_priority(r.proto);
@@ -269,8 +296,7 @@ hw::UpdateStats ConfigurableClassifier::add_rule(const ruleset::Rule& r) {
   if (!r.id.valid()) {
     throw ConfigError("add_rule: rule must carry a valid RuleId");
   }
-  const RuleEntry entry{r.id, r.priority, r.action.token};
-  check_entry_word("add_rule", entry);
+  check_entry_word("add_rule", RuleEntry{r.id, r.priority, r.action.token});
   if (installed_.contains(r.id)) {
     throw ConfigError("add_rule: duplicate rule id " +
                       std::to_string(r.id.value));
@@ -282,20 +308,30 @@ hw::UpdateStats ConfigurableClassifier::add_rule(const ruleset::Rule& r) {
                       std::to_string(match_index_.at(fp).value) + ")");
   }
   hw::CommandLog log;
-  const auto labels = acquire_labels(r, log, nullptr);
-  const Key68 key = Key68::merge(labels);
+  install_rule(r, fp, log, nullptr);
+  return apply(log);
+}
+
+void ConfigurableClassifier::install_rule(const ruleset::Rule& r, u64 fp,
+                                          hw::CommandLog& log,
+                                          BstStaging* bst_bulk) {
+  const Key68 key = Key68::merge(acquire_labels(r, log, bst_bulk));
   log.hash_compute("rule_filter.hash");
-  filter_insert_with_reseed(key, entry, log);
+  try {
+    filter_insert_with_reseed(
+        key, RuleEntry{r.id, r.priority, r.action.token}, log);
+  } catch (...) {
+    release_labels(r, log, bst_bulk);  // e.g. the Rule Filter is full
+    throw;
+  }
   installed_.emplace(r.id, InstalledRule{r, key});
   match_index_.emplace(fp, r.id);
-  return apply(log);
 }
 
 hw::UpdateStats ConfigurableClassifier::add_rules(
     const ruleset::RuleSet& rules) {
   hw::CommandLog log;
-  std::array<std::vector<std::pair<ruleset::SegmentPrefix, Label>>, 4>
-      staged;
+  BstStaging staged;
   auto* bulk = cfg_.ip_algorithm == IpAlgorithm::kBst ? &staged : nullptr;
 
   for (const ruleset::Rule& r : rules) {
@@ -305,30 +341,33 @@ hw::UpdateStats ConfigurableClassifier::add_rules(
     check_entry_word("add_rules",
                      RuleEntry{r.id, r.priority, r.action.token});
   }
-  for (const ruleset::Rule& r : rules) {
-    if (installed_.contains(r.id)) {
-      throw ConfigError("add_rules: duplicate rule id " +
-                        std::to_string(r.id.value));
-    }
-    const u64 fp = ruleset::match_fingerprint(r);
-    if (match_index_.contains(fp)) {
-      throw ConfigError("add_rules: duplicate match part (dedup the set "
-                        "first)");
-    }
-    const auto labels = acquire_labels(r, log, bulk);
-    const Key68 key = Key68::merge(labels);
-    log.hash_compute("rule_filter.hash");
-    filter_insert_with_reseed(key,
-                              RuleEntry{r.id, r.priority, r.action.token},
-                              log);
-    installed_.emplace(r.id, InstalledRule{r, key});
-    match_index_.emplace(fp, r.id);
-  }
-  if (bulk != nullptr) {
+  const auto flush_staged = [&] {
+    if (bulk == nullptr) return;
     for (usize i = 0; i < 4; ++i) {
       bst_[i]->insert_bulk(staged[i], log);
     }
+  };
+  try {
+    for (const ruleset::Rule& r : rules) {
+      if (installed_.contains(r.id)) {
+        throw ConfigError("add_rules: duplicate rule id " +
+                          std::to_string(r.id.value));
+      }
+      const u64 fp = ruleset::match_fingerprint(r);
+      if (match_index_.contains(fp)) {
+        throw ConfigError("add_rules: duplicate match part (dedup the set "
+                          "first)");
+      }
+      install_rule(r, fp, log, bulk);
+    }
+  } catch (...) {
+    // The rules before the failing one stay installed: hand the BST
+    // their staged prefixes and publish the new epoch, then rethrow.
+    flush_staged();
+    apply(log);
+    throw;
   }
+  flush_staged();
   return apply(log);
 }
 

@@ -188,11 +188,13 @@ class ConfigurableClassifier {
 
   /// Install one rule (Fig. 4 flow). Returns the measured update cost.
   /// \throws ConfigError on duplicate id or duplicate match part;
-  ///         CapacityError when any hardware structure is full.
+  ///         CapacityError when any hardware structure is full. A throw
+  ///         first gives back every label (and engine entry) it took.
   hw::UpdateStats add_rule(const ruleset::Rule& r);
 
   /// Bulk-install a rule set (single BST rebuild per dimension when the
-  /// BST configuration is active).
+  /// BST configuration is active). On a throw the failing rule is
+  /// rolled back as in add_rule; the rules before it stay installed.
   hw::UpdateStats add_rules(const ruleset::RuleSet& rules);
 
   /// Remove an installed rule.
@@ -315,15 +317,34 @@ class ConfigurableClassifier {
   [[nodiscard]] static ruleset::SegmentPrefix ip_segment(
       const ruleset::Rule& r, usize ip_dim_index);
 
+  /// New IP prefixes of a bulk BST load, per IP dimension, staged for
+  /// one rebuild at the end instead of one rebuild per rule.
+  using BstStaging =
+      std::array<std::vector<std::pair<ruleset::SegmentPrefix, Label>>, 4>;
+
   /// Acquire all 7 labels for a rule, inserting/refreshing engine state
   /// as needed. When \p bst_bulk is non-null (bulk load under BST), new
-  /// IP prefixes are staged there instead of rebuilding per rule.
-  std::array<Label, kNumDimensions> acquire_labels(
-      const ruleset::Rule& r, hw::CommandLog& log,
-      std::array<std::vector<std::pair<ruleset::SegmentPrefix, Label>>, 4>*
-          bst_bulk);
+  /// IP prefixes are staged there. A throw part-way (e.g. a label table
+  /// out of labels) releases what this rule acquired before it
+  /// propagates, so a failed add leaves every table as it found it.
+  std::array<Label, kNumDimensions> acquire_labels(const ruleset::Rule& r,
+                                                   hw::CommandLog& log,
+                                                   BstStaging* bst_bulk);
 
-  void release_labels(const ruleset::Rule& r, hw::CommandLog& log);
+  /// Acquire \p r's labels and insert it into the Rule Filter, rolling
+  /// the labels back if the insert throws; \p fp is its match
+  /// fingerprint. The caller has checked ids and duplicates.
+  void install_rule(const ruleset::Rule& r, u64 fp, hw::CommandLog& log,
+                    BstStaging* bst_bulk);
+
+  /// Release a rule's labels, removing/refreshing engine state as
+  /// needed. The rollback of a part-way acquire passes \p steps < 7 (the
+  /// label steps taken, in acquire order: four IP segments, source port,
+  /// destination port, protocol), \p last_written = false when the last
+  /// step's engine write did not land, and the same \p bst_bulk.
+  void release_labels(const ruleset::Rule& r, hw::CommandLog& log,
+                      BstStaging* bst_bulk = nullptr,
+                      usize steps = kNumDimensions, bool last_written = true);
 
   /// Charge a command batch on the update bus; returns the batch stats.
   hw::UpdateStats apply(hw::CommandLog& log);

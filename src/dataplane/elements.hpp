@@ -101,16 +101,6 @@ class TrafficPool {
     return packets_;
   }
 
-  /// Deep copy with a rewound cursor — partition mode gives every shard
-  /// its own full copy of the stream so per-shard drains stay in input
-  /// order (index-aligned verdict capture across shards).
-  [[nodiscard]] TrafficPool clone() const {
-    TrafficPool p;
-    p.packets_ = packets_;
-    p.tuples_ = tuples_;
-    return p;
-  }
-
  private:
   std::vector<net::Packet> packets_;
   std::vector<net::FiveTuple> tuples_;
@@ -279,9 +269,8 @@ class ClassifierElement : public Element {
 
 /// Tail element: verdict accounting and latency measurement. With a
 /// \p capture vector attached it also records every packet's verdict in
-/// arrival order (the partition combiner's and the sharded differential
-/// fuzzer's input) — finite runs only; the engine rejects capture in
-/// loop mode.
+/// arrival order (the sharded differential fuzzer's input) — finite
+/// runs only; the engine rejects capture in loop mode.
 class ActionSink : public Element {
  public:
   explicit ActionSink(telemetry::WorkerTelemetry* tel = nullptr,

@@ -72,36 +72,9 @@ usize WorkerBudget::waiting() const {
 // ---- Engine ---------------------------------------------------------------
 
 Engine::Engine(EngineConfig cfg, const RuleProgramPublisher& programs)
-    : cfg_(cfg), programs_({&programs}) {
+    : cfg_(cfg), programs_(programs) {
   if (cfg_.workers == 0) cfg_.workers = 1;
   if (cfg_.batch_size == 0) cfg_.batch_size = net::kDefaultBatchCapacity;
-  if (cfg_.shards > 0 && cfg_.shard_mode == ShardMode::kPartition) {
-    throw ConfigError(
-        "Engine: partition mode needs one publisher per shard (use the "
-        "multi-publisher constructor with partition_rules())");
-  }
-}
-
-Engine::Engine(EngineConfig cfg,
-               std::vector<const RuleProgramPublisher*> shard_programs)
-    : cfg_(cfg), programs_(std::move(shard_programs)) {
-  if (cfg_.workers == 0) cfg_.workers = 1;
-  if (cfg_.batch_size == 0) cfg_.batch_size = net::kDefaultBatchCapacity;
-  if (cfg_.shards == 0 || cfg_.shard_mode != ShardMode::kPartition) {
-    throw ConfigError(
-        "Engine: the multi-publisher constructor is partition mode's "
-        "(cfg.shards > 0, cfg.shard_mode = kPartition)");
-  }
-  if (programs_.size() != cfg_.shards) {
-    throw ConfigError("Engine: " + std::to_string(programs_.size()) +
-                      " shard publishers for " + std::to_string(cfg_.shards) +
-                      " shards");
-  }
-  for (const auto* p : programs_) {
-    if (p == nullptr) {
-      throw ConfigError("Engine: null shard publisher");
-    }
-  }
 }
 
 Engine::~Engine() {
@@ -114,12 +87,8 @@ void Engine::start(TrafficPool& pool) {
   if (running_) {
     throw ConfigError("Engine: start() while already running");
   }
-  if (capture_enabled() && cfg_.loop) {
-    throw ConfigError(cfg_.shard_mode == ShardMode::kPartition &&
-                              cfg_.shards > 0
-                          ? "Engine: partition mode requires a finite pool "
-                            "(the combiner consumes bounded capture streams)"
-                          : "Engine: capture_verdicts requires a finite pool");
+  if (cfg_.capture_verdicts && cfg_.loop) {
+    throw ConfigError("Engine: capture_verdicts requires a finite pool");
   }
   stop_.store(false, std::memory_order_relaxed);
   shards_.clear();
@@ -156,11 +125,11 @@ void Engine::start(TrafficPool& pool) {
   const usize nshards = sharded ? cfg_.shards : thread_count;
   thread_count = std::min(thread_count, nshards);
 
-  // Replica mode's RSS stage: split the caller's pool into per-flow
-  // consistent slices before any worker starts (the software analogue
-  // of the NIC hashing into receive queues).
+  // The RSS stage: split the caller's pool into per-flow consistent
+  // slices before any worker starts (the software analogue of the NIC
+  // hashing into receive queues).
   std::vector<TrafficPool> steered;
-  if (sharded && cfg_.shard_mode == ShardMode::kReplica) {
+  if (sharded) {
     steered = steer_split(pool, nshards, cfg_.steer_symmetric);
   }
 
@@ -175,13 +144,11 @@ void Engine::start(TrafficPool& pool) {
     sh->index = s;
     sh->owner = s % thread_count;
     if (sharded) {
-      sh->pool = cfg_.shard_mode == ShardMode::kReplica ? std::move(steered[s])
-                                                        : pool.clone();
+      sh->pool = std::move(steered[s]);
       sh->active_pool = &sh->pool;
     } else {
       sh->active_pool = &pool;  // legacy geometry: shared claim cursor
     }
-    const RuleProgramPublisher* prog = &program_for(s);
     const std::string stem =
         (sharded ? "shard" : "worker") + std::to_string(s);
     sh->source =
@@ -189,12 +156,12 @@ void Engine::start(TrafficPool& pool) {
     sh->parser = sh->pipeline.emplace<Parser>(tel);
     if (cfg_.flow_cache_depth > 0) {
       sh->cache = sh->pipeline.emplace<FlowCacheElement>(
-          prog, cfg_.flow_cache_depth, stem + ".flow_cache", tel);
+          &programs_, cfg_.flow_cache_depth, stem + ".flow_cache", tel);
     }
     sh->classifier =
-        sh->pipeline.emplace<ClassifierElement>(prog, sh->cache, tel);
+        sh->pipeline.emplace<ClassifierElement>(&programs_, sh->cache, tel);
     sh->sink = sh->pipeline.emplace<ActionSink>(
-        tel, capture_enabled() ? &sh->captured : nullptr);
+        tel, cfg_.capture_verdicts ? &sh->captured : nullptr);
     shards_.push_back(std::move(sh));
   }
   for (usize t = 0; t < thread_count; ++t) {
@@ -323,14 +290,12 @@ void Engine::take_over_shards(WorkerThread& w) {
     }
   }
   if (undrained.empty()) return;
-  // Takeover is a replica-mode capability: replica shards are
-  // independent steered slices, so any survivor can finish them. In
-  // partition mode a moved shard would desynchronize the combiner's
-  // index-aligned capture streams, and in the unsharded geometry the
-  // pool is shared — survivors' own sources claim the remaining
-  // packets without any handover.
+  // Takeover is a sharded-engine capability: shards are independent
+  // steered slices, so any survivor can finish them. In the unsharded
+  // geometry the pool is shared — survivors' own sources claim the
+  // remaining packets without any handover.
   WorkerThread* survivor = nullptr;
-  if (cfg_.shards > 0 && cfg_.shard_mode == ShardMode::kReplica) {
+  if (cfg_.shards > 0) {
     for (auto& other : threads_) {
       if (other.get() == &w) continue;
       if (other->failed_permanently.load(std::memory_order_relaxed)) continue;
@@ -536,19 +501,12 @@ EngineReport Engine::finish(bool signal_stop) {
         offered = caller_pool_->size();
         claimed = caller_pool_->claimed();
         for (const auto& sh : shards_) delivered += sh->sink->packets();
-      } else if (cfg_.shard_mode == ShardMode::kReplica) {
+      } else {
         for (const auto& sh : shards_) {
           offered += sh->pool.size();
           claimed += sh->pool.claimed();
           delivered += sh->sink->packets();
         }
-      } else {
-        // Partition: every shard drains its own full copy of the
-        // stream; shard 0's copy is the canonical ledger (summing
-        // would count each packet S times).
-        offered = shards_[0]->pool.size();
-        claimed = shards_[0]->pool.claimed();
-        delivered = shards_[0]->sink->packets();
       }
       offered_ = offered;
       delivered_ = delivered;
@@ -714,86 +672,6 @@ WorkerReport Engine::merge_shard_reports(
   return m;
 }
 
-WorkerReport Engine::combine_partition(
-    const std::vector<WorkerReport>& rows,
-    std::vector<CapturedVerdict>& combined) const {
-  // Work counters sum across shards (every shard genuinely spent that
-  // work probing its rule subset); the per-packet accounting below
-  // comes from the combined verdicts so no packet counts twice.
-  WorkerReport m = merge_shard_reports(0, [&] {
-    std::vector<const WorkerReport*> ptrs;
-    ptrs.reserve(rows.size());
-    for (const WorkerReport& r : rows) ptrs.push_back(&r);
-    return ptrs;
-  }());
-  m.batches = 0;
-  for (const WorkerReport& r : rows) m.batches += r.batches;
-  m.packets = 0;
-  m.matched = 0;
-  m.dropped = 0;
-  m.parse_errors = 0;
-  m.latency = LatencyHistogram{};
-
-  const usize n = shards_.empty() ? 0 : shards_[0]->captured.size();
-  for (const auto& sh : shards_) {
-    if (sh->captured.size() != n) {
-      // Index alignment is the combiner's contract (every shard drains
-      // its own full copy of the stream, in order); a mismatch means a
-      // shard died mid-stream — surface it rather than mis-combining.
-      if (m.error.empty()) {
-        m.error = "partition combine: shard " + std::to_string(sh->index) +
-                  " captured " + std::to_string(sh->captured.size()) +
-                  " verdicts, shard 0 captured " + std::to_string(n);
-      }
-      return m;
-    }
-  }
-  combined.clear();
-  combined.reserve(n);
-  for (usize i = 0; i < n; ++i) {
-    CapturedVerdict out = shards_[0]->captured[i];
-    bool any = false;
-    u64 max_cycles = 0;
-    u64 mem = 0;
-    u64 max_version = 0;
-    for (const auto& sh : shards_) {
-      const CapturedVerdict& cv = sh->captured[i];
-      max_cycles = std::max(max_cycles, cv.cycles);
-      max_version = std::max(max_version, cv.version);
-      mem += cv.memory_accesses;
-      if (!cv.matched) continue;
-      // LinearSearch's stable order: min (priority, rule id) wins.
-      if (!any || cv.priority < out.priority ||
-          (cv.priority == out.priority && cv.rule < out.rule)) {
-        out.matched = true;
-        out.rule = cv.rule;
-        out.priority = cv.priority;
-        out.action_token = cv.action_token;
-        any = true;
-      }
-    }
-    if (!any) {
-      out.matched = false;
-      out.rule = RuleId{};
-      out.priority = kNoPriority;
-      out.action_token = 0;
-    }
-    out.cycles = max_cycles;
-    out.memory_accesses = mem;
-    out.version = max_version;
-    combined.push_back(out);
-    ++m.packets;
-    if (out.matched) {
-      ++m.matched;
-    } else {
-      ++m.dropped;  // parse error or combined table miss: default drop
-    }
-    if (out.parse_error) ++m.parse_errors;
-    m.latency.record(max_cycles);
-  }
-  return m;
-}
-
 EngineReport Engine::collect() const {
   EngineReport rep;
   rep.wall_seconds = wall_seconds_;
@@ -826,7 +704,7 @@ EngineReport Engine::collect() const {
     for (auto& r : rep.workers) {
       apply_status(r, *threads_[r.worker % threads_.size()]);
     }
-  } else if (cfg_.shard_mode == ShardMode::kReplica) {
+  } else {
     for (const auto& th : threads_) {
       std::vector<const WorkerReport*> rows;
       rows.reserve(th->shards.size());
@@ -840,25 +718,8 @@ EngineReport Engine::collect() const {
       rep.workers.push_back(std::move(m));
     }
     rep.shards = std::move(shard_rows);
-  } else {
-    WorkerReport m = combine_partition(shard_rows, rep.combined);
-    double wall = 0;
-    for (const auto& th : threads_) {
-      wall = std::max(wall, th->wall_seconds);
-      if (m.error.empty()) m.error = th->error;
-      // Single combined row: fold every thread's supervisor state in.
-      m.restarts += th->restarts.load(std::memory_order_relaxed);
-      m.stalls += th->stalls.load(std::memory_order_relaxed);
-      m.failed_permanently =
-          m.failed_permanently ||
-          th->failed_permanently.load(std::memory_order_relaxed);
-      m.shards_lost += th->shards_lost;
-    }
-    m.wall_seconds = wall;
-    rep.workers.push_back(std::move(m));
-    rep.shards = std::move(shard_rows);
   }
-  if (capture_enabled()) {
+  if (cfg_.capture_verdicts) {
     rep.captured.reserve(shards_.size());
     for (const auto& sh : shards_) {
       rep.captured.push_back(sh->captured);

@@ -4,12 +4,6 @@
 
 namespace pclass::dataplane {
 
-std::optional<ShardMode> parse_shard_mode(std::string_view s) {
-  if (s == "replica") return ShardMode::kReplica;
-  if (s == "partition") return ShardMode::kPartition;
-  return std::nullopt;
-}
-
 std::vector<TrafficPool> steer_split(const TrafficPool& pool, usize nshards,
                                      bool symmetric) {
   if (nshards == 0) {
@@ -30,23 +24,6 @@ std::vector<TrafficPool> steer_split(const TrafficPool& pool, usize nshards,
     out[s].add(p);
   }
   return out;
-}
-
-std::vector<ruleset::RuleSet> partition_rules(const ruleset::RuleSet& rules,
-                                              usize nshards) {
-  if (nshards == 0) {
-    throw ConfigError("partition_rules: shard count must be >= 1");
-  }
-  std::vector<ruleset::RuleSet> parts;
-  parts.reserve(nshards);
-  for (usize s = 0; s < nshards; ++s) {
-    parts.emplace_back(rules.name() + ".shard" + std::to_string(s));
-  }
-  usize i = 0;
-  for (const ruleset::Rule& r : rules) {
-    parts[i++ % nshards].add_verbatim(r);
-  }
-  return parts;
 }
 
 }  // namespace pclass::dataplane

@@ -22,9 +22,8 @@
 namespace pclass::dataplane {
 
 /// One packet's verdict as the ActionSink saw it, in arrival order
-/// (EngineConfig::capture_verdicts; partition mode records these
-/// unconditionally — the combiner consumes them). `version` is the
-/// rule-program snapshot the batch was classified against, which is
+/// (EngineConfig::capture_verdicts). `version` is the rule-program
+/// snapshot the batch was classified against, which is
 /// what lets the sharded differential fuzzer check every verdict
 /// against a LinearSearch oracle built at exactly that version.
 struct CapturedVerdict {
@@ -248,28 +247,17 @@ struct WorkerErrorDetail {
 /// `workers` is always the authoritative, double-count-free view: its
 /// per-counter sums are the engine totals whatever the shard geometry.
 /// Unsharded engines put one row per worker thread there (as always).
-/// Sharded replica engines put one *merged* row per worker thread
-/// (summing the disjoint shards that thread owns) and expose the raw
-/// per-shard rows in `shards`. Sharded partition engines — where every
-/// shard classifies the whole stream, so summing shard rows would count
-/// each packet S times — put a single combined row in `workers` (the
-/// combiner's true totals) and the raw per-shard rows in `shards`.
+/// Sharded engines put one *merged* row per worker thread (summing the
+/// disjoint shards that thread owns) and expose the raw per-shard rows
+/// in `shards`.
 struct EngineReport {
   std::vector<WorkerReport> workers;
   /// Per-shard raw rows (WorkerReport::worker = shard index); empty for
-  /// unsharded engines. Replica invariant: sum(shards) == sum(workers).
+  /// unsharded engines. Invariant: sum(shards) == sum(workers).
   std::vector<WorkerReport> shards;
   /// Per-shard (or per-worker when unsharded) verdict streams, arrival
-  /// order; filled when EngineConfig::capture_verdicts is set or the
-  /// engine ran in partition mode.
+  /// order; filled when EngineConfig::capture_verdicts is set.
   std::vector<std::vector<CapturedVerdict>> captured;
-  /// Partition mode only: the combiner's per-packet output stream in
-  /// input order (index i is input packet i). `cycles` is the max over
-  /// the shards (parallel probe, wait-for-all) and `memory_accesses`
-  /// the sum (total modelled work); the verdict fields carry the
-  /// winning shard's min-(priority, rule) match. Empty outside
-  /// partition mode.
-  std::vector<CapturedVerdict> combined;
   double wall_seconds = 0;
   /// The StatsSampler's interval series (empty when
   /// EngineConfig::stats_interval_ms == 0). Invariant: per-counter

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <filesystem>
 #include <functional>
-#include <iostream>
 #include <map>
 #include <ostream>
 #include <thread>
@@ -131,7 +130,7 @@ void fill_engine_stats(ScenarioResult& r, EngineReport rep) {
   r.update_visibility = rep.update_visibility();
   // Surface ALL worker deaths (healed incarnations included), each with
   // its worker index + restart count; then any remaining fatal error the
-  // log does not already carry (e.g. a partition combiner misalignment).
+  // log does not already carry.
   std::vector<std::string> logged;
   for (const auto& d : rep.error_log) {
     r.worker_errors.push_back(
@@ -198,44 +197,6 @@ void verify_oracle(ScenarioResult& r, const RuleProgramPublisher& programs,
   }
 }
 
-/// Partition-mode oracle: the combined verdict stream is index-aligned
-/// with the trace (every shard drains its own full copy in input
-/// order), so packet i's combined verdict must equal LinearSearch over
-/// the union of the shard rulesets — which is the original ruleset, so
-/// partition mode is verdict-identical to unsharded by construction.
-void verify_partition(
-    ScenarioResult& r,
-    const std::vector<std::unique_ptr<RuleProgramPublisher>>& pubs,
-    const net::Trace& trace,
-    const std::vector<dataplane::CapturedVerdict>& combined) {
-  ruleset::RuleSet oracle_rules("oracle");
-  for (const auto& pub : pubs) {
-    const auto snap = pub->acquire();
-    for (const ruleset::Rule& rule : snap->classifier().installed_rules()) {
-      oracle_rules.add_verbatim(rule);
-    }
-  }
-  const baseline::LinearSearch oracle(oracle_rules);
-  if (combined.size() != trace.size()) {
-    if (r.error.empty()) {
-      r.error = "partition: combined stream length " +
-                std::to_string(combined.size()) + " != trace length " +
-                std::to_string(trace.size());
-    }
-    return;
-  }
-  for (usize i = 0; i < trace.size(); ++i) {
-    const ruleset::Rule* want = oracle.classify(trace[i].header, nullptr);
-    const dataplane::CapturedVerdict& cv = combined[i];
-    const bool agree = want == nullptr
-                           ? !cv.matched
-                           : cv.matched && cv.rule == want->id &&
-                                 cv.priority == want->priority;
-    ++r.oracle_checked;
-    if (!agree) ++r.oracle_mismatches;
-  }
-}
-
 /// Device configuration sized for the scenario (exact lookup mode).
 core::ClassifierConfig scenario_config(const ruleset::RuleSet& rules,
                                        usize extra_headroom,
@@ -246,13 +207,6 @@ core::ClassifierConfig scenario_config(const ruleset::RuleSet& rules,
   cfg.ip_algorithm = opts.ip_algorithm;
   cfg.batch_path_policy = opts.path_policy;
   return cfg;
-}
-
-/// Shard geometry a scenario actually ran with (the report field the
-/// CI shard gate asserts against — never the requested mode).
-std::string effective_shard_mode(usize shards, dataplane::ShardMode mode) {
-  if (shards == 0) return "unsharded";
-  return mode == dataplane::ShardMode::kPartition ? "partition" : "replica";
 }
 
 /// Engine geometry for a scenario (loop/shards vary per call site).
@@ -266,7 +220,6 @@ EngineConfig engine_config(const ScenarioOptions& opts, WorkerBudget* budget,
           .stats_interval_ms = opts.stats_interval_ms,
           .collect_trace = opts.collect_trace,
           .shards = shards,
-          .shard_mode = opts.shard_mode,
           .steer_symmetric = opts.steer_symmetric};
 }
 
@@ -280,31 +233,6 @@ void run_finite(ScenarioResult& r, const ScenarioOptions& opts,
       TrafficPool::from_trace(trace, /*materialize_packets=*/false);
   const EngineConfig ecfg =
       engine_config(opts, budget, /*loop=*/false, opts.shards);
-  r.shard_mode_effective = effective_shard_mode(opts.shards, opts.shard_mode);
-  if (opts.shards > 0 &&
-      opts.shard_mode == dataplane::ShardMode::kPartition) {
-    // Disjoint rule subsets, one publisher per shard; each config is
-    // sized for the full set so churny callers keep headroom.
-    const std::vector<ruleset::RuleSet> parts =
-        dataplane::partition_rules(rules, opts.shards);
-    std::vector<std::unique_ptr<RuleProgramPublisher>> pubs;
-    std::vector<const RuleProgramPublisher*> ptrs;
-    pubs.reserve(parts.size());
-    for (const ruleset::RuleSet& part : parts) {
-      pubs.push_back(std::make_unique<RuleProgramPublisher>(
-          scenario_config(rules, 0, opts)));
-      pubs.back()->install_ruleset(part);
-      ptrs.push_back(pubs.back().get());
-    }
-    Engine engine(ecfg, std::move(ptrs));
-    EngineReport rep = engine.run(pool);
-    r.shard_reports = rep.shards;
-    const std::vector<dataplane::CapturedVerdict> combined =
-        std::move(rep.combined);
-    fill_engine_stats(r, std::move(rep));
-    verify_partition(r, pubs, trace, combined);
-    return;
-  }
   RuleProgramPublisher programs(scenario_config(rules, 0, opts));
   programs.install_ruleset(rules);
   Engine engine(ecfg, programs);
@@ -422,20 +350,7 @@ ScenarioResult run_update_storm(const ScenarioOptions& opts,
   const u64 version_before = programs.version();
   TrafficPool pool =
       TrafficPool::from_trace(trace, /*materialize_packets=*/false);
-  // Partition mode is finite-only (the combiner consumes bounded
-  // capture streams); the loop-mode storm falls back to unsharded —
-  // loudly, and the report records what actually ran.
-  const bool partition_fallback =
-      opts.shards > 0 &&
-      opts.shard_mode == dataplane::ShardMode::kPartition;
-  const usize shards = partition_fallback ? 0 : opts.shards;
-  if (partition_fallback) {
-    std::cerr << "warning: " << name
-              << ": partition sharding is finite-only; running unsharded "
-                 "(see shard_mode_effective in the report)\n";
-  }
-  r.shard_mode_effective = effective_shard_mode(shards, opts.shard_mode);
-  Engine engine(engine_config(opts, budget, /*loop=*/true, shards),
+  Engine engine(engine_config(opts, budget, /*loop=*/true, opts.shards),
                 programs);
   engine.start(pool);
   const auto t0 = std::chrono::steady_clock::now();
@@ -513,20 +428,7 @@ ScenarioResult run_update_storm_multi(const ScenarioOptions& opts,
   const u64 version_before = programs.version();
   TrafficPool pool =
       TrafficPool::from_trace(w.trace, /*materialize_packets=*/false);
-  // Partition is finite-only; the loop-mode storm falls back to
-  // unsharded (replica shards loop over their steered slices fine) —
-  // loudly, and the report records what actually ran.
-  const bool partition_fallback =
-      opts.shards > 0 &&
-      opts.shard_mode == dataplane::ShardMode::kPartition;
-  const usize shards = partition_fallback ? 0 : opts.shards;
-  if (partition_fallback) {
-    std::cerr << "warning: " << name
-              << ": partition sharding is finite-only; running unsharded "
-                 "(see shard_mode_effective in the report)\n";
-  }
-  r.shard_mode_effective = effective_shard_mode(shards, opts.shard_mode);
-  Engine engine(engine_config(opts, budget, /*loop=*/true, shards),
+  Engine engine(engine_config(opts, budget, /*loop=*/true, opts.shards),
                 programs);
   engine.start(pool);
 
@@ -650,7 +552,7 @@ ScenarioResult run_chaos(const ScenarioOptions& opts, WorkerBudget* budget,
   r.fault_plan = plan.to_string();
   fault::FaultInjector injector(std::move(plan));
 
-  // Takeover needs shards to reassign: force replica mode, >= 3 workers
+  // Takeover needs shards to reassign: force sharding, >= 3 workers
   // (the default plan targets workers 1 and 2; worker 0 survives).
   // Flow cache off — the per-version oracle demands exact verdicts.
   ScenarioOptions copts = opts;
@@ -659,8 +561,6 @@ ScenarioResult run_chaos(const ScenarioOptions& opts, WorkerBudget* budget,
   const usize shards =
       std::max<usize>(opts.shards == 0 ? 4 : opts.shards, copts.workers);
   EngineConfig ecfg = engine_config(copts, budget, /*loop=*/false, shards);
-  ecfg.shard_mode = dataplane::ShardMode::kReplica;
-  r.shard_mode_effective = effective_shard_mode(shards, ecfg.shard_mode);
   ecfg.capture_verdicts = true;
   ecfg.fault_injector = &injector;
   ecfg.supervisor.enabled = true;
@@ -937,7 +837,7 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
                        const std::vector<ScenarioResult>& results) {
   JsonWriter j(os);
   j.begin_object();
-  j.key("schema").value("pclass-scenarios-v2");
+  j.key("schema").value("pclass-scenarios-v3");
   const auto& build = common::build_info();
   j.key("meta").begin_object();
   j.key("build").begin_object();
@@ -959,7 +859,6 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
   j.key("max_workers").value(opts.max_workers);
   j.key("stats_interval_ms").value(u64{opts.stats_interval_ms});
   j.key("shards").value(opts.shards);
-  j.key("shard_mode").value(std::string(to_string(opts.shard_mode)));
   j.key("steer_symmetric").value(opts.steer_symmetric);
   j.key("steer_hash").value("mix64-5tuple");
   j.key("fault_plan").value(opts.fault_plan);
@@ -1073,7 +972,6 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
     }
     j.end_array();
     j.end_object();
-    j.key("shard_mode_effective").value(r.shard_mode_effective);
     j.key("shards").begin_array();
     for (const dataplane::WorkerReport& s : r.shard_reports) {
       j.begin_object();

@@ -78,12 +78,8 @@ struct ScenarioOptions {
   bool collect_trace = false;
   /// RSS-style shard count (--shards). 0 = unsharded (the legacy
   /// geometry: every worker thread drains the shared pool).
+  /// Each shard drains a steered per-flow slice with the full ruleset.
   usize shards = 0;
-  /// Replica: steered per-flow slices, full ruleset per shard.
-  /// Partition: full stream per shard, disjoint rule subsets + priority
-  /// combiner — finite scenarios only; the loop-mode update-storm
-  /// scenarios fall back to unsharded under partition (--shard-mode).
-  dataplane::ShardMode shard_mode = dataplane::ShardMode::kReplica;
   /// Symmetric steering hash: both flow directions land on one shard.
   bool steer_symmetric = false;
   /// Fault-injection plan for the chaos scenario (--fault-plan), in
@@ -181,15 +177,9 @@ struct ScenarioResult {
   u64 lost_packets = 0;    ///< claimed but in flight inside a dead worker
   bool conserved = true;   ///< delivered + shed + lost == offered
   /// Raw per-shard rows (EngineReport::shards; empty when the scenario
-  /// ran unsharded) — the report's `shards` array. Replica invariant:
+  /// ran unsharded) — the report's `shards` array. Invariant:
   /// per-counter sums equal the engine totals above.
   std::vector<dataplane::WorkerReport> shard_reports;
-  /// Shard geometry the scenario *actually* ran with ("unsharded",
-  /// "replica" or "partition") — distinct from the requested options
-  /// when a loop-mode scenario cannot honor partition sharding and
-  /// falls back to unsharded; the report surfaces the fallback instead
-  /// of echoing the request.
-  std::string shard_mode_effective = "unsharded";
 
   std::string error;  ///< non-empty when the scenario failed to run
 
@@ -242,7 +232,7 @@ class ScenarioRunner {
 };
 
 /// Emit the single JSON report CI archives (schema
-/// "pclass-scenarios-v2"): options, per-scenario results and the
+/// "pclass-scenarios-v3"): options, per-scenario results and the
 /// aggregate all_ok verdict.
 void write_json_report(std::ostream& os, const ScenarioOptions& opts,
                        const std::vector<ScenarioResult>& results);

@@ -402,6 +402,111 @@ TEST(Classifier, RejectedWideRuleLeaksNoLabels) {
   EXPECT_EQ(clf.rule_count(), rs.size());
 }
 
+TEST(Classifier, CapacityErrorMidAddLeaksNoLabels) {
+  // The protocol label table holds four labels. Once a fourth protocol
+  // is in, an add with a fifth one throws after the IP and port labels
+  // were already taken; those must be given back.
+  const RuleSet rs = small_set();
+  for (const IpAlgorithm alg :
+       {IpAlgorithm::kMbt, IpAlgorithm::kBst, IpAlgorithm::kRvh}) {
+    SCOPED_TRACE(to_string(alg));
+    ConfigurableClassifier clf(cfg_for(rs, CombineMode::kCrossProduct, alg));
+    clf.add_rules(rs);
+    const auto counts = [&clf] {
+      std::array<usize, kNumDimensions> c{};
+      for (const Dimension d : kAllDimensions) {
+        c[index_of(d)] = clf.label_count(d);
+      }
+      return c;
+    };
+    const auto installed = counts();
+    EXPECT_EQ(installed,
+              (std::array<usize, kNumDimensions>{10, 94, 134, 164, 1, 99, 3}));
+
+    Rule fourth;
+    fourth.src_ip = ruleset::IpPrefix::make(0x63636300u, 24);
+    fourth.dst_ip = ruleset::IpPrefix::make(0x62000000u, 8);
+    fourth.src_port = ruleset::PortRange::exact(4242);
+    fourth.dst_port = ruleset::PortRange::exact(4343);
+    fourth.proto = ruleset::ProtoMatch::exact(50);
+    fourth.priority = 5;
+    fourth.id = RuleId{60000};
+    clf.add_rule(fourth);
+    const auto full = counts();
+    EXPECT_EQ(full,
+              (std::array<usize, kNumDimensions>{11, 95, 134, 164, 2, 100, 4}));
+
+    Rule fifth = fourth;
+    fifth.src_port = ruleset::PortRange::exact(4444);
+    fifth.proto = ruleset::ProtoMatch::exact(51);
+    fifth.id = RuleId{60001};
+    EXPECT_THROW(clf.add_rule(fifth), CapacityError);
+    EXPECT_EQ(counts(), full);
+    // In a batch, the rules before the failing one stay installed and
+    // classify (under BST their staged prefixes still reach the tree).
+    Rule earlier = fourth;
+    earlier.src_ip = ruleset::IpPrefix::make(0x61616100u, 24);
+    earlier.priority = 0;
+    earlier.id = RuleId{60002};
+    RuleSet bulk("bulk");
+    bulk.add_verbatim(earlier);
+    bulk.add_verbatim(fifth);
+    EXPECT_THROW(clf.add_rules(bulk), CapacityError);
+    const auto hit = clf.classify(
+        net::FiveTuple{0x61616101u, 0x62000001u, 4242, 4343, 50});
+    ASSERT_TRUE(hit.match.has_value());
+    EXPECT_EQ(hit.match->rule, earlier.id);
+    clf.remove_rule(earlier.id);
+    EXPECT_EQ(counts(), full);
+
+    clf.remove_rule(fourth.id);
+    EXPECT_EQ(counts(), installed);
+    // The rolled-back prefixes left no engine state behind: re-adding
+    // the same match part (and then the fifth protocol) works.
+    clf.add_rule(fourth);
+    clf.remove_rule(fourth.id);
+    clf.add_rule(fifth);
+    EXPECT_TRUE(clf.classify(net::FiveTuple{0x63636301u, 0x62000001u, 4444,
+                                            4343, 51})
+                    .match.has_value());
+    clf.remove_rule(fifth.id);
+    EXPECT_EQ(counts(), installed);
+  }
+}
+
+TEST(Classifier, FullRuleFilterLeaksNoLabels) {
+  // Every label is taken before the Rule Filter insert; a genuinely
+  // full filter must give them all back.
+  ClassifierConfig cfg = ClassifierConfig::for_scale(8);
+  cfg.combine_mode = CombineMode::kCrossProduct;
+  cfg.rule_filter_depth = 4;
+  cfg.rule_filter_max_probes = 4;
+  ConfigurableClassifier clf(cfg);
+  const auto make = [](u32 k) {
+    Rule r;
+    r.src_ip = ruleset::IpPrefix::make(0x0A000000u | (k << 8), 24);
+    r.dst_port = ruleset::PortRange::exact(static_cast<u16>(1000 + k));
+    r.priority = k;
+    r.id = RuleId{k + 1};
+    return r;
+  };
+  for (u32 k = 0; k < 4; ++k) clf.add_rule(make(k));
+  const auto counts = [&clf] {
+    std::array<usize, kNumDimensions> c{};
+    for (const Dimension d : kAllDimensions) {
+      c[index_of(d)] = clf.label_count(d);
+    }
+    return c;
+  };
+  const auto before = counts();
+  EXPECT_THROW(clf.add_rule(make(4)), CapacityError);
+  EXPECT_EQ(counts(), before);
+  EXPECT_EQ(clf.rule_count(), 4u);
+  clf.remove_rule(RuleId{1});
+  clf.add_rule(make(4));
+  EXPECT_EQ(clf.rule_count(), 4u);
+}
+
 TEST(Classifier, UpdateStatsAccumulateOnBus) {
   const RuleSet rs = small_set();
   ConfigurableClassifier clf(

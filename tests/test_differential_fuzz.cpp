@@ -32,8 +32,8 @@
 // reproducible by exporting the same value).
 //
 // The second half of the file is the *sharded-engine* differential
-// fuzzer: real multi-worker Engines (2-4 shards, 1..S threads, replica
-// and partition geometry) with verdict capture on, while a concurrent
+// fuzzer: real multi-worker Engines (2-4 shards, 1..S threads) with
+// verdict capture on, while a concurrent
 // mutator streams rule updates through the RuleProgramPublisher
 // mid-classification. Every captured verdict is checked against a
 // LinearSearch oracle reconstructed at exactly the rule-program
@@ -303,8 +303,8 @@ TEST(DifferentialFuzz, UpdateStormNeverServesStaleUnderTinyMemo) {
 // Sharded-engine differential fuzz: real Engines, real worker threads,
 // live publisher mutations. Where the harness above exercises one
 // classifier on one thread, this one exercises the full sharded runtime
-// — steering, per-shard replicas, RCU snapshot acquisition and the
-// partition combiner — against per-version LinearSearch oracles.
+// — steering, per-shard replicas and RCU snapshot acquisition —
+// against per-version LinearSearch oracles.
 // ===========================================================================
 
 namespace {
@@ -320,9 +320,7 @@ struct ShardFuzzConfig {
   usize workers = 1;   ///< worker threads (may be < shards: multi-shard threads)
   usize batch = 32;
   bool symmetric = false;
-  bool partition = false;   ///< partition geometry (no mutations: the
-                            ///< per-shard publishers version independently)
-  bool mutations = false;   ///< concurrent publisher mutator (replica only)
+  bool mutations = false;   ///< concurrent publisher mutator
   u32 cache_depth = 0;
   u64 seed = 0;
 
@@ -335,7 +333,6 @@ struct ShardFuzzConfig {
            " workers=" + std::to_string(workers) +
            " batch=" + std::to_string(batch) +
            (symmetric ? " steer=symmetric" : " steer=plain") +
-           (partition ? " mode=partition" : " mode=replica") +
            (mutations ? " mutations=yes" : " mutations=no") +
            " cache=" + std::to_string(cache_depth) +
            " seed=" + std::to_string(seed);
@@ -355,14 +352,11 @@ ShardFuzzConfig draw_shard_config(Rng& rng, u64 seed) {
   c.workers = 1 + static_cast<usize>(rng.below(c.shards));   // 1..S
   c.batch = std::array<usize, 3>{8, 32, 64}[rng.below(3)];
   c.symmetric = rng.below(2) == 0;
-  c.partition = rng.below(4) == 0;  // every ~4th iteration
-  if (!c.partition) {
-    c.mutations = rng.below(2) == 0;
-    // The flow cache's one-batch stale window is by design; the
-    // per-version oracle check demands exact verdicts, so the cache
-    // stays off whenever the mutator runs.
-    c.cache_depth = c.mutations ? 0 : (rng.below(2) == 0 ? 0 : 64);
-  }
+  c.mutations = rng.below(2) == 0;
+  // The flow cache's one-batch stale window is by design; the
+  // per-version oracle check demands exact verdicts, so the cache stays
+  // off whenever the mutator runs.
+  c.cache_depth = c.mutations ? 0 : (rng.below(2) == 0 ? 0 : 64);
   return c;
 }
 
@@ -458,48 +452,8 @@ void run_shard_config(const ShardFuzzConfig& c) {
   cfg.combine_mode = core::CombineMode::kCrossProduct;  // exact => oracle
   cfg.ip_algorithm = c.alg;
 
-  if (c.partition) {
-    // Disjoint rule subsets, one publisher per shard, no mutations: the
-    // combined stream must equal LinearSearch over the full set.
-    const std::vector<ruleset::RuleSet> parts =
-        dataplane::partition_rules(rules, c.shards);
-    std::vector<std::unique_ptr<dataplane::RuleProgramPublisher>> pubs;
-    std::vector<const dataplane::RuleProgramPublisher*> ptrs;
-    for (const ruleset::RuleSet& part : parts) {
-      pubs.push_back(std::make_unique<dataplane::RuleProgramPublisher>(cfg));
-      pubs.back()->install_ruleset(part);
-      ptrs.push_back(pubs.back().get());
-    }
-    dataplane::Engine engine(
-        {.workers = c.workers,
-         .batch_size = c.batch,
-         .telemetry = false,
-         .shards = c.shards,
-         .shard_mode = dataplane::ShardMode::kPartition},
-        ptrs);
-    const dataplane::EngineReport rep = engine.run(pool);
-    ASSERT_TRUE(rep.first_error().empty())
-        << c.describe() << ": " << rep.first_error();
-    ASSERT_EQ(rep.combined.size(), trace.size()) << c.describe();
-    ASSERT_EQ(rep.workers.size(), 1u) << c.describe();
-    EXPECT_EQ(rep.workers[0].packets, trace.size()) << c.describe();
-    const baseline::LinearSearch oracle(rules);
-    for (usize i = 0; i < trace.size(); ++i) {
-      const ruleset::Rule* want = oracle.classify(trace[i].header, nullptr);
-      const dataplane::CapturedVerdict& cv = rep.combined[i];
-      ASSERT_EQ(cv.matched, want != nullptr) << c.describe() << " pkt " << i;
-      if (want != nullptr) {
-        ASSERT_EQ(cv.rule, want->id) << c.describe() << " pkt " << i;
-        ASSERT_EQ(cv.priority, want->priority) << c.describe() << " pkt " << i;
-        ASSERT_EQ(cv.action_token, want->action.token)
-            << c.describe() << " pkt " << i;
-      }
-    }
-    return;
-  }
-
-  // Replica geometry: one publisher, steered slices, optional live
-  // mutator racing the workers.
+  // One publisher, steered slices, optional live mutator racing the
+  // workers.
   dataplane::RuleProgramPublisher pub(cfg);
   pub.install_ruleset(rules);
   VersionedOracles oracles;
@@ -535,7 +489,6 @@ void run_shard_config(const ShardFuzzConfig& c) {
       .flow_cache_depth = c.cache_depth,
       .telemetry = false,
       .shards = c.shards,
-      .shard_mode = dataplane::ShardMode::kReplica,
       .steer_symmetric = c.symmetric,
       .capture_verdicts = true};
   if (c.mutations) {
@@ -665,7 +618,6 @@ TEST(ShardedDifferentialFuzz, UpdateStormAcrossShardsNeverServesStaleVerdict) {
       c.workers = 4;
       c.batch = 16;  // many snapshot acquisitions per run
       c.symmetric = symmetric;
-      c.partition = false;
       c.mutations = true;
       c.cache_depth = 0;
       SCOPED_TRACE(c.describe());

@@ -296,7 +296,6 @@ TEST(Supervisor, PermanentFailureHandsShardsToSurvivors) {
   cfg.workers = 2;
   cfg.batch_size = 32;
   cfg.shards = 4;
-  cfg.shard_mode = ShardMode::kReplica;
   cfg.fault_injector = &inj;
   cfg.supervisor = fast_supervisor();
 

@@ -1,13 +1,9 @@
 /// Tests for the RSS-style sharded runtime: steering determinism and
-/// uniformity, the priority-preserving rule partition, partition-mode
-/// verdict identity with the unsharded engine (combiner tie-breaks
-/// exactly like LinearSearch), and the replica-mode sum-of-shards ==
-/// engine-totals invariant — including geometries where the shard count
-/// exceeds the worker count.
+/// uniformity, and the sum-of-shards == engine-totals invariant —
+/// including geometries where the shard count exceeds the worker count.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
+#include <array>
 #include <vector>
 
 #include "baseline/linear_search.hpp"
@@ -37,21 +33,6 @@ net::FiveTuple tuple_of(u32 a, u32 b, u16 sp, u16 dp, u8 proto) {
   t.dst_port = dp;
   t.protocol = proto;
   return t;
-}
-
-/// Drain \p pool through an unsharded single-worker engine with verdict
-/// capture: the returned stream is in exact input order.
-std::vector<CapturedVerdict> run_captured(const RuleProgramPublisher& programs,
-                                          TrafficPool& pool) {
-  Engine engine({.workers = 1,
-                 .batch_size = 32,
-                 .telemetry = false,
-                 .capture_verdicts = true},
-                programs);
-  const EngineReport rep = engine.run(pool);
-  EXPECT_EQ(rep.captured.size(), 1u);
-  return rep.captured.empty() ? std::vector<CapturedVerdict>{}
-                              : rep.captured[0];
 }
 
 }  // namespace
@@ -135,165 +116,6 @@ TEST(FlowSteer, SteerSplitPreservesEveryEntryOnItsHashedShard) {
   EXPECT_THROW((void)steer_split(pool, 0), ConfigError);
 }
 
-// ---- rule partition -------------------------------------------------------
-
-TEST(PartitionRules, DisjointVerbatimUnionEqualsInput) {
-  auto rules = ruleset::make_classbench_like(ruleset::FilterType::kFw, 1000);
-  const std::vector<ruleset::RuleSet> parts = partition_rules(rules, 3);
-  ASSERT_EQ(parts.size(), 3u);
-
-  std::map<u32, std::pair<usize, Priority>> seen;  // id -> (count, prio)
-  usize total = 0;
-  for (const ruleset::RuleSet& part : parts) {
-    total += part.size();
-    for (const ruleset::Rule& r : part) {
-      auto [it, inserted] = seen.emplace(r.id.value,
-                                         std::make_pair(usize{1}, r.priority));
-      if (!inserted) ++it->second.first;
-    }
-  }
-  EXPECT_EQ(total, rules.size());
-  EXPECT_EQ(seen.size(), rules.size());  // disjoint: no id twice
-  for (const ruleset::Rule& r : rules) {
-    const auto it = seen.find(r.id.value);
-    ASSERT_NE(it, seen.end()) << "rule " << r.id.value << " lost";
-    EXPECT_EQ(it->second.first, 1u);
-    EXPECT_EQ(it->second.second, r.priority);  // priorities untouched
-  }
-  // Round-robin deal: shard sizes differ by at most one.
-  const usize lo = std::min({parts[0].size(), parts[1].size(),
-                             parts[2].size()});
-  const usize hi = std::max({parts[0].size(), parts[1].size(),
-                             parts[2].size()});
-  EXPECT_LE(hi - lo, 1u);
-  EXPECT_THROW((void)partition_rules(rules, 0), ConfigError);
-}
-
-// ---- partition-mode engine ------------------------------------------------
-
-TEST(PartitionEngine, VerdictsIdenticalToUnsharded) {
-  auto rules = ruleset::make_classbench_like(ruleset::FilterType::kAcl, 1000);
-  ruleset::TraceGenerator tg(rules, {.headers = 2500, .seed = 31});
-  const net::Trace trace = tg.generate();
-
-  RuleProgramPublisher whole(exact_config(rules.size()));
-  whole.install_ruleset(rules);
-  TrafficPool pool = TrafficPool::from_trace(trace, /*materialize=*/false);
-  const std::vector<CapturedVerdict> want = run_captured(whole, pool);
-  ASSERT_EQ(want.size(), trace.size());
-
-  constexpr usize kShards = 3;
-  const std::vector<ruleset::RuleSet> parts = partition_rules(rules, kShards);
-  std::vector<std::unique_ptr<RuleProgramPublisher>> pubs;
-  std::vector<const RuleProgramPublisher*> ptrs;
-  for (const ruleset::RuleSet& part : parts) {
-    pubs.push_back(
-        std::make_unique<RuleProgramPublisher>(exact_config(rules.size())));
-    pubs.back()->install_ruleset(part);
-    ptrs.push_back(pubs.back().get());
-  }
-  TrafficPool pool2 = TrafficPool::from_trace(trace, /*materialize=*/false);
-  Engine engine({.workers = kShards,
-                 .batch_size = 32,
-                 .telemetry = false,
-                 .shards = kShards,
-                 .shard_mode = ShardMode::kPartition},
-                ptrs);
-  const EngineReport rep = engine.run(pool2);
-
-  ASSERT_TRUE(rep.first_error().empty()) << rep.first_error();
-  ASSERT_EQ(rep.combined.size(), want.size());
-  ASSERT_EQ(rep.workers.size(), 1u);  // one combined, double-count-free row
-  ASSERT_EQ(rep.shards.size(), kShards);
-  for (usize i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(rep.combined[i].matched, want[i].matched) << "packet " << i;
-    if (want[i].matched) {
-      EXPECT_EQ(rep.combined[i].rule, want[i].rule) << "packet " << i;
-      EXPECT_EQ(rep.combined[i].priority, want[i].priority) << "packet " << i;
-      EXPECT_EQ(rep.combined[i].action_token, want[i].action_token)
-          << "packet " << i;
-    }
-  }
-  EXPECT_EQ(rep.workers[0].packets, trace.size());
-  // Every shard classified the whole stream.
-  for (const WorkerReport& s : rep.shards) {
-    EXPECT_EQ(s.packets, trace.size());
-  }
-}
-
-TEST(PartitionEngine, CombinerTieBreaksLikeLinearSearch) {
-  // Two rules with EQUAL priority both matching the same header, dealt
-  // onto different shards by the round-robin split. LinearSearch's
-  // stable order resolves the tie to the lower rule id; the combiner
-  // must do exactly the same across shards.
-  ruleset::RuleSet rules("tie");
-  for (u32 i = 0; i < 4; ++i) {
-    ruleset::Rule r;
-    r.src_ip = ruleset::IpPrefix::make(0x0A000000u, i < 2 ? 8 : 16);
-    r.priority = 5;  // all tied
-    r.id = RuleId{10 + i};
-    r.action = ruleset::Action{sdn::ActionSpec::output(1).encode()};
-    rules.add_verbatim(r);
-  }
-  const net::FiveTuple probe =
-      tuple_of(0x0A000001u, 0x01020304u, 1, 2, net::kProtoTcp);
-
-  const baseline::LinearSearch oracle(rules);
-  const ruleset::Rule* want = oracle.classify(probe, nullptr);
-  ASSERT_NE(want, nullptr);
-  EXPECT_EQ(want->id.value, 10u);  // stable: first added among the tie
-
-  const std::vector<ruleset::RuleSet> parts = partition_rules(rules, 2);
-  std::vector<std::unique_ptr<RuleProgramPublisher>> pubs;
-  std::vector<const RuleProgramPublisher*> ptrs;
-  for (const ruleset::RuleSet& part : parts) {
-    pubs.push_back(std::make_unique<RuleProgramPublisher>(exact_config(64)));
-    pubs.back()->install_ruleset(part);
-    ptrs.push_back(pubs.back().get());
-  }
-  TrafficPool pool;
-  for (int i = 0; i < 8; ++i) pool.add(probe);
-  Engine engine({.workers = 2,
-                 .batch_size = 4,
-                 .telemetry = false,
-                 .shards = 2,
-                 .shard_mode = ShardMode::kPartition},
-                ptrs);
-  const EngineReport rep = engine.run(pool);
-  ASSERT_EQ(rep.combined.size(), 8u);
-  for (const CapturedVerdict& cv : rep.combined) {
-    ASSERT_TRUE(cv.matched);
-    EXPECT_EQ(cv.rule, want->id);
-    EXPECT_EQ(cv.priority, want->priority);
-  }
-}
-
-TEST(PartitionEngine, ConstructorGeometryValidation) {
-  RuleProgramPublisher one(exact_config(64));
-  // Partition through the single-publisher constructor: rejected (the
-  // shards would all see the full set — silently wrong verdict math).
-  EXPECT_THROW(Engine({.shards = 2, .shard_mode = ShardMode::kPartition},
-                      one),
-               ConfigError);
-  // Multi-publisher constructor demands partition geometry...
-  EXPECT_THROW(Engine({.shards = 0},
-                      std::vector<const RuleProgramPublisher*>{&one}),
-               ConfigError);
-  // ...and exactly one publisher per shard.
-  EXPECT_THROW(Engine({.shards = 2, .shard_mode = ShardMode::kPartition},
-                      std::vector<const RuleProgramPublisher*>{&one}),
-               ConfigError);
-  // Partition is finite-only: loop mode is rejected at start().
-  RuleProgramPublisher other(exact_config(64));
-  Engine loopy({.loop = true,
-                .shards = 2,
-                .shard_mode = ShardMode::kPartition},
-               std::vector<const RuleProgramPublisher*>{&one, &other});
-  TrafficPool pool;
-  pool.add(tuple_of(1, 2, 3, 4, net::kProtoTcp));
-  EXPECT_THROW(loopy.start(pool), ConfigError);
-}
-
 // ---- replica-mode engine --------------------------------------------------
 
 TEST(ReplicaEngine, SumOfShardsEqualsEngineTotals) {
@@ -315,8 +137,7 @@ TEST(ReplicaEngine, SumOfShardsEqualsEngineTotals) {
   Engine engine({.workers = 3,
                  .batch_size = 32,
                  .flow_cache_depth = 256,
-                 .shards = 4,
-                 .shard_mode = ShardMode::kReplica},
+                 .shards = 4},
                 programs);
   const EngineReport rep = engine.run(pool);
 
@@ -368,7 +189,6 @@ TEST(ReplicaEngine, CaptureStreamsHonorSteering) {
                  .batch_size = 16,
                  .telemetry = false,
                  .shards = 4,
-                 .shard_mode = ShardMode::kReplica,
                  .capture_verdicts = true},
                 programs);
   const EngineReport rep = engine.run(pool);
@@ -381,6 +201,14 @@ TEST(ReplicaEngine, CaptureStreamsHonorSteering) {
     }
   }
   EXPECT_EQ(total, trace.size());
+
+  // Capture is finite-only: a loop-mode engine that cannot honour it is
+  // rejected at start(), never run without the log.
+  Engine loopy({.loop = true, .shards = 2, .capture_verdicts = true},
+               programs);
+  TrafficPool loop_pool;
+  loop_pool.add(tuple_of(1, 2, 3, 4, net::kProtoTcp));
+  EXPECT_THROW(loopy.start(loop_pool), ConfigError);
 }
 
 // ---- ScenarioRunner geometry ----------------------------------------------
@@ -390,7 +218,6 @@ TEST(ScenarioShards, ReplicaScenarioKeepsSumOfShardsInvariant) {
   opts.workers = 2;
   opts.scale = 0.05;
   opts.shards = 3;  // != workers on purpose
-  opts.shard_mode = ShardMode::kReplica;
   workload::ScenarioRunner runner(opts);
   const workload::ScenarioResult r = runner.run("acl-like");
   ASSERT_TRUE(r.ok()) << r.error;
@@ -403,24 +230,4 @@ TEST(ScenarioShards, ReplicaScenarioKeepsSumOfShardsInvariant) {
   EXPECT_EQ(sp, r.packets_processed);  // nothing double-counted
   EXPECT_EQ(sm, r.matched);
   EXPECT_EQ(r.oracle_mismatches, 0u);
-}
-
-TEST(ScenarioShards, PartitionScenarioVerdictIdentical) {
-  workload::ScenarioOptions base;
-  base.workers = 2;
-  base.scale = 0.05;
-  workload::ScenarioRunner plain(base);
-  const workload::ScenarioResult want = plain.run("fw-like");
-  ASSERT_TRUE(want.ok()) << want.error;
-
-  workload::ScenarioOptions opts = base;
-  opts.shards = 4;
-  opts.shard_mode = ShardMode::kPartition;
-  workload::ScenarioRunner runner(opts);
-  const workload::ScenarioResult r = runner.run("fw-like");
-  ASSERT_TRUE(r.ok()) << r.error;
-  EXPECT_EQ(r.oracle_mismatches, 0u);
-  EXPECT_EQ(r.packets_processed, want.packets_processed);
-  EXPECT_EQ(r.matched, want.matched);  // verdict-identical by construction
-  ASSERT_EQ(r.shard_reports.size(), 4u);
 }

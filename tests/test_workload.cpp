@@ -474,7 +474,7 @@ TEST(Scenario, JsonReportIsWellFormedish) {
   std::ostringstream os;
   write_json_report(os, runner.options(), results);
   const std::string s = os.str();
-  EXPECT_NE(s.find("\"schema\":\"pclass-scenarios-v2\""), std::string::npos);
+  EXPECT_NE(s.find("\"schema\":\"pclass-scenarios-v3\""), std::string::npos);
   // v2 dropped the retired knobs' option fields.
   EXPECT_EQ(s.find("\"memo_ways\""), std::string::npos);
   EXPECT_EQ(s.find("\"memo_persistent\""), std::string::npos);

@@ -6,11 +6,9 @@
 ///
 ///   pclass_classify <rules_file> <trace_file> [--alg mbt|bst|rvh]
 ///                   [--mode first|cross] [--verify]
-///                   [--memo persistent|off]
 ///                   [--path-policy adaptive|phase2|scalar-loop]
 ///                   [--workers N] [--batch B] [--cache DEPTH]
-///                   [--shards N] [--shard-mode replica|partition]
-///                   [--steer-symmetric]
+///                   [--shards N] [--steer-symmetric]
 ///                   [--stats-interval-ms N] [--trace-out FILE]
 ///                   [--metrics-out FILE]
 ///
@@ -22,11 +20,9 @@
 /// chrome://tracing JSON (one track per worker) and --metrics-out dumps
 /// end-of-run counters in Prometheus text format. All three require
 /// --workers, as do the sharding knobs: --shards N steers packets to N
-/// RSS-style shards by 5-tuple flow hash (--steer-symmetric
-/// canonicalizes endpoint order so both flow directions co-locate);
-/// --shard-mode partition instead splits the ruleset into disjoint
-/// per-shard subsets whose verdicts a combiner merges by best
-/// (priority, rule id) — verdict-identical to the unsharded run.
+/// RSS-style shards by 5-tuple flow hash, each with the full ruleset
+/// (--steer-symmetric canonicalizes endpoint order so both flow
+/// directions co-locate).
 ///
 /// --path-policy pins how batches run instead of letting the per-worker
 /// cost-model controller pick per batch: phase2 = sorted-key batch
@@ -34,15 +30,11 @@
 /// path and to the single-threaded loop (which then classifies in
 /// batches of --batch and reports host throughput, so the paths can be
 /// compared directly). Default: adaptive.
-///
-/// --memo controls the combination-probe memo: persistent (default:
-/// 2-way, snapshot-keyed, survives batch boundaries) or off.
 #include <array>
 #include <chrono>
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -54,7 +46,6 @@
 #include "core/classifier.hpp"
 #include "core/cycle_model.hpp"
 #include "dataplane/engine.hpp"
-#include "dataplane/flow_steer.hpp"
 #include "net/trace.hpp"
 #include "ruleset/classbench.hpp"
 #include "telemetry/export.hpp"
@@ -66,12 +57,11 @@ namespace {
 int usage() {
   std::cerr << "usage: pclass_classify <rules_file> <trace_file> "
                "[--alg mbt|bst|rvh] [--mode first|cross] [--verify]\n"
-               "                       [--memo persistent|off] "
-               "[--path-policy adaptive|phase2|scalar-loop]\n"
+               "                       [--path-policy "
+               "adaptive|phase2|scalar-loop]\n"
                "                       [--workers N [--batch B] "
                "[--cache DEPTH]\n"
-               "                        [--shards N] [--shard-mode "
-               "replica|partition] [--steer-symmetric]\n"
+               "                        [--shards N] [--steer-symmetric]\n"
                "                        [--stats-interval-ms N] "
                "[--trace-out FILE] [--metrics-out FILE]]\n"
                "(--batch/--cache, the shard knobs and the telemetry flags "
@@ -112,8 +102,8 @@ struct TelemetryOut {
 /// Dataplane-engine path: the whole trace, batched, across N workers.
 int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
                core::ClassifierConfig cfg, usize workers, usize batch,
-               u32 cache_depth, usize shards, dataplane::ShardMode shard_mode,
-               bool steer_symmetric, bool verify, const TelemetryOut& tout) {
+               u32 cache_depth, usize shards, bool steer_symmetric,
+               bool verify, const TelemetryOut& tout) {
   dataplane::RuleProgramPublisher programs(cfg);
   const hw::UpdateStats load = programs.install_ruleset(rules);
   dataplane::TrafficPool pool =
@@ -126,26 +116,8 @@ int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
       .stats_interval_ms = tout.stats_interval_ms,
       .collect_trace = !tout.trace_path.empty(),
       .shards = shards,
-      .shard_mode = shard_mode,
       .steer_symmetric = steer_symmetric};
-  // Partition mode: disjoint rule subsets, one publisher per shard
-  // (the full-ruleset publisher above keeps serving --verify).
-  std::vector<std::unique_ptr<dataplane::RuleProgramPublisher>> part_pubs;
-  std::vector<const dataplane::RuleProgramPublisher*> part_ptrs;
-  if (shards > 0 && shard_mode == dataplane::ShardMode::kPartition) {
-    for (const ruleset::RuleSet& part :
-         dataplane::partition_rules(rules, shards)) {
-      part_pubs.push_back(
-          std::make_unique<dataplane::RuleProgramPublisher>(cfg));
-      part_pubs.back()->install_ruleset(part);
-      part_ptrs.push_back(part_pubs.back().get());
-    }
-  }
-  const std::unique_ptr<dataplane::Engine> eng =
-      part_ptrs.empty()
-          ? std::make_unique<dataplane::Engine>(ecfg, programs)
-          : std::make_unique<dataplane::Engine>(ecfg, std::move(part_ptrs));
-  dataplane::Engine& engine = *eng;
+  dataplane::Engine engine(ecfg, programs);
   // The engine clamps degenerate values (0 workers/batch); report the
   // effective geometry, not the requested one.
   workers = engine.config().workers;
@@ -195,10 +167,9 @@ int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
                            std::to_string(batch) + " (" +
                            to_string(cfg.batch_path_policy) + ")"});
   if (shards > 0) {
-    a.add_row({"shards", std::to_string(shards) + " (" +
-                             std::string(to_string(shard_mode)) +
-                             (steer_symmetric ? ", symmetric steering)"
-                                              : ")")});
+    a.add_row({"shards", std::to_string(shards) +
+                             (steer_symmetric ? " (symmetric steering)"
+                                              : "")});
   }
   a.add_row({"probe memo hits", std::to_string(memo_hits) + " (" +
                                     std::to_string(memo_inval) +
@@ -305,13 +276,11 @@ int main(int argc, char** argv) {
   core::IpAlgorithm alg = core::IpAlgorithm::kMbt;
   core::CombineMode mode = core::CombineMode::kCrossProduct;
   core::PathPolicy path_policy = core::PathPolicy::kAdaptive;
-  bool probe_memo = true;
   bool verify = false;
   usize workers = 0;  // 0 = classic single-threaded loop
   usize batch = net::kDefaultBatchCapacity;
   u32 cache_depth = 0;
   usize shards = 0;
-  dataplane::ShardMode shard_mode = dataplane::ShardMode::kReplica;
   bool steer_symmetric = false;
   TelemetryOut tout;
   u64 n = 0;
@@ -333,11 +302,6 @@ int main(int argc, char** argv) {
     } else if (flag == "--shards" && i + 1 < argc) {
       if (!parse_count(argv[++i], n)) return usage();
       shards = static_cast<usize>(n);
-    } else if (flag == "--shard-mode" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "replica") shard_mode = dataplane::ShardMode::kReplica;
-      else if (v == "partition") shard_mode = dataplane::ShardMode::kPartition;
-      else return usage();
     } else if (flag == "--steer-symmetric") {
       steer_symmetric = true;
     } else if ((flag == "--alg" || flag == "--ip-alg") && i + 1 < argc) {
@@ -350,11 +314,6 @@ int main(int argc, char** argv) {
       const std::string v = argv[++i];
       if (v == "first") mode = core::CombineMode::kFirstLabel;
       else if (v == "cross") mode = core::CombineMode::kCrossProduct;
-      else return usage();
-    } else if (flag == "--memo" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "persistent") probe_memo = true;
-      else if (v == "off") probe_memo = false;
       else return usage();
     } else if (flag == "--path-policy" && i + 1 < argc) {
       const std::string v = argv[++i];
@@ -386,7 +345,7 @@ int main(int argc, char** argv) {
     return usage();
   }
   if (workers == 0 && (shards > 0 || steer_symmetric)) {
-    std::cerr << "error: --shards/--shard-mode/--steer-symmetric require "
+    std::cerr << "error: --shards/--steer-symmetric require "
                  "the dataplane engine (--workers N)\n";
     return usage();
   }
@@ -405,12 +364,11 @@ int main(int argc, char** argv) {
         core::ClassifierConfig::for_scale(rules.size());
     cfg.ip_algorithm = alg;
     cfg.combine_mode = mode;
-    cfg.batch_probe_memo = probe_memo;
     cfg.batch_path_policy = path_policy;
 
     if (workers > 0) {
       return run_engine(rules, trace, cfg, workers, batch, cache_depth,
-                        shards, shard_mode, steer_symmetric, verify, tout);
+                        shards, steer_symmetric, verify, tout);
     }
     if (cache_depth != 0) {
       std::cerr << "note: --cache configures the dataplane engine "

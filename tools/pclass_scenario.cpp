@@ -13,8 +13,8 @@
 ///                   [--max-workers N]
 ///                   [--ip-alg mbt|bst|rvh]
 ///                   [--path-policy adaptive|phase2|scalar-loop]
-///                   [--shards N] [--shard-mode replica|partition]
-///                   [--steer-symmetric] [--fault-plan SPEC]
+///                   [--shards N] [--steer-symmetric]
+///                   [--fault-plan SPEC]
 ///                   [--save-workloads DIR] [--load-workloads DIR]
 ///                   [--stats-interval-ms N] [--trace-out FILE]
 ///                   [--metrics-out FILE]
@@ -41,13 +41,10 @@
 /// the per-family win/loss axis CI sweeps over saved workloads.
 ///
 /// --shards N runs every scenario's engine as N RSS-style shards, each
-/// owning its classifier replica, flow cache and probe memo.
-/// --shard-mode replica (default) steers the trace per-flow across full
-/// ruleset replicas; partition deals the rules round-robin into
-/// disjoint per-shard subsets and re-combines verdicts by (priority,
-/// rule id) — finite scenarios only (the update-storm scenarios fall
-/// back to unsharded under partition). --steer-symmetric makes both
-/// directions of a flow land on the same shard.
+/// owning its classifier replica, flow cache and probe memo; the trace
+/// is steered per-flow across the full-ruleset replicas.
+/// --steer-symmetric makes both directions of a flow land on the same
+/// shard.
 ///
 /// --fault-plan SPEC overrides the chaos scenario's built-in seeded
 /// fault plan (grammar: throw:w=W@S, stall:w=W@S:ms=D, pubfail:u=K,
@@ -81,7 +78,7 @@ int usage() {
                "[--scale F] [--out FILE] [--parallel N] [--max-workers N] "
                "[--ip-alg mbt|bst|rvh] "
                "[--path-policy adaptive|phase2|scalar-loop] "
-               "[--shards N] [--shard-mode replica|partition] "
+               "[--shards N] "
                "[--steer-symmetric] [--fault-plan SPEC] "
                "[--save-workloads DIR] [--load-workloads DIR] "
                "[--stats-interval-ms N] [--trace-out FILE] "
@@ -215,10 +212,6 @@ int main(int argc, char** argv) {
       // 0 = unsharded (the default geometry).
       if (!parse_count(argv[++i], n) || n > 256) return usage();
       opts.shards = static_cast<usize>(n);
-    } else if (flag == "--shard-mode" && i + 1 < argc) {
-      const auto mode = dataplane::parse_shard_mode(argv[++i]);
-      if (!mode) return usage();
-      opts.shard_mode = *mode;
     } else if (flag == "--steer-symmetric") {
       opts.steer_symmetric = true;
     } else if (flag == "--fault-plan" && i + 1 < argc) {

@@ -12,15 +12,13 @@
 ///                [--listen tcp:PORT | tcp:HOST:PORT | unix:PATH]
 ///                [--workers N] [--batch B] [--cache-depth N]
 ///                [--stats-interval-ms N] [--ip-alg mbt|bst|rvh]
-///                [--memo persistent|off]
 ///                [--path-policy adaptive|phase2|scalar-loop]
 ///                [--shards N] [--steer-symmetric]
 ///                [--fault-plan SPEC] [--report FILE] [--version]
 ///
 /// --shards N serves the loop with N RSS-style replica shards (per-flow
 /// steered slices, one classifier replica + flow cache + probe memo
-/// per shard); `read stats` then reports one row per shard. Partition
-/// mode is finite-only and rejected here.
+/// per shard); `read stats` then reports one row per shard.
 ///
 /// The engine runs supervised: a watchdog thread restarts workers that
 /// die (bounded retries with backoff), detects heartbeat stalls, and in
@@ -77,7 +75,6 @@ int usage() {
          "                    [--workers N] [--batch B] [--cache-depth N]\n"
          "                    [--stats-interval-ms N] "
          "[--ip-alg mbt|bst|rvh]\n"
-         "                    [--memo persistent|off]\n"
          "                    [--path-policy adaptive|phase2|scalar-loop]\n"
          "                    [--shards N] [--steer-symmetric]\n"
          "                    [--fault-plan SPEC] [--report FILE] "
@@ -285,7 +282,6 @@ int main(int argc, char** argv) {
   u64 stats_interval_ms = 100;
   core::IpAlgorithm ip_algorithm = core::IpAlgorithm::kMbt;
   core::PathPolicy path_policy = core::PathPolicy::kAdaptive;
-  bool probe_memo = true;
   usize shards = 0;
   bool steer_symmetric = false;
   std::string fault_plan_spec;
@@ -322,15 +318,8 @@ int main(int argc, char** argv) {
       else if (v == "bst") ip_algorithm = core::IpAlgorithm::kBst;
       else if (v == "rvh") ip_algorithm = core::IpAlgorithm::kRvh;
       else return usage();
-    } else if (flag == "--memo" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "persistent") probe_memo = true;
-      else if (v == "off") probe_memo = false;
-      else return usage();
     } else if (flag == "--shards" && i + 1 < argc) {
-      // 0 = unsharded. Replica mode only: partition is finite-only
-      // (its combiner consumes bounded capture streams) and the serve
-      // loop never ends.
+      // 0 = unsharded.
       if (!parse_count(argv[++i], n) || n > 256) return usage();
       shards = static_cast<usize>(n);
     } else if (flag == "--steer-symmetric") {
@@ -366,7 +355,6 @@ int main(int argc, char** argv) {
         core::ClassifierConfig::for_scale(rules.size() + 1024);
     cfg.combine_mode = core::CombineMode::kCrossProduct;
     cfg.ip_algorithm = ip_algorithm;
-    cfg.batch_probe_memo = probe_memo;
     cfg.batch_path_policy = path_policy;
 
     dataplane::RuleProgramPublisher programs(cfg);
@@ -392,7 +380,6 @@ int main(int argc, char** argv) {
                                  .loop = true,
                                  .stats_interval_ms = stats_interval_ms,
                                  .shards = shards,
-                                 .shard_mode = dataplane::ShardMode::kReplica,
                                  .steer_symmetric = steer_symmetric};
     // The daemon always runs supervised: workers that die restart with
     // bounded retries, stalls are detected, and a permanently failed
