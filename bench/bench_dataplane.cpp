@@ -58,17 +58,9 @@ ScalePoint run_point(const dataplane::RuleProgramPublisher& programs,
   const auto lat = rep.merged_latency();
   p.p50 = lat.percentile(50);
   p.p99 = lat.percentile(99);
-  u64 hits = 0;
-  u64 misses = 0;
-  for (const auto& w : rep.workers) {
-    hits += w.cache_hits;
-    misses += w.cache_misses;
-    p.memo_hits += w.probe_memo_hits;
-  }
-  p.hit_rate = hits + misses == 0
-                   ? 0.0
-                   : static_cast<double>(hits) /
-                         static_cast<double>(hits + misses);
+  const telemetry::CounterSet totals = rep.totals();
+  p.hit_rate = totals.cache_hit_rate();
+  p.memo_hits = totals[telemetry::Counter::probe_memo_hits];
   return p;
 }
 

@@ -60,13 +60,14 @@ int main() {
   const dataplane::EngineReport rep = engine.stop();
   std::cout << "\nworker  packets   matched   cache-hit%  p50cyc  p99cyc  "
                "versions\n";
+  using telemetry::Counter;
   for (const auto& w : rep.workers) {
-    std::cout << "  " << w.worker << "     " << w.packets << "   "
-              << w.matched << "   "
-              << static_cast<int>(w.cache_hit_rate() * 100) << "%        "
+    std::cout << "  " << w.worker << "     " << w.counters[Counter::packets]
+              << "   " << w.counters[Counter::matched] << "   "
+              << static_cast<int>(w.counters.cache_hit_rate() * 100) << "%        "
               << w.latency.percentile(50) << "      "
               << w.latency.percentile(99) << "     [" << w.min_version
-              << ", " << w.max_version << "]"
+              << ", " << w.counters[Counter::snapshot_version] << "]"
               << (w.version_monotonic ? "" : "  NON-MONOTONIC!") << "\n";
   }
   std::cout << "\naggregate: " << rep.packets() << " packets in "

@@ -183,7 +183,14 @@ i64 MultiBitTrie::walk_to_anchor(ruleset::SegmentPrefix p, bool create,
       if (!create) {
         throw InternalError("MultiBitTrie: path missing for known prefix");
       }
-      e.child = alloc_node(k + 1, node, idx, log);
+      try {
+        e.child = alloc_node(k + 1, node, idx, log);
+      } catch (const CapacityError&) {
+        // Free the interior nodes this walk created before rethrowing:
+        // they hold no prefix, so nothing else would ever reclaim them.
+        prune_upwards(k, node, log);
+        throw;
+      }
       write_entry(k, node, idx, log);
       // Re-fetch: alloc_node may have grown the pool vector.
     }

@@ -30,41 +30,21 @@ u64 elapsed_clamped(u64 later_ns, u64 earlier_ns) {
   return later_ns > earlier_ns ? later_ns - earlier_ns : 1;
 }
 
-}  // namespace
-
-void write_stats_sample(workload::JsonWriter& w,
-                        const telemetry::StatsSample& s) {
-  w.begin_object();
-  w.key("t_ns").value(s.t_ns);
-  w.key("interval_ns").value(s.interval_ns);
-  w.key("packets").value(s.packets);
-  w.key("batches").value(s.batches);
-  w.key("cache_hits").value(s.cache_hits);
-  w.key("classifier_lookups").value(s.classifier_lookups);
-  w.key("probe_memo_hits").value(s.probe_memo_hits);
-  w.key("memory_accesses").value(s.memory_accesses);
-  w.key("mpps").value(s.mpps);
-  w.key("p50_cycles").value(s.p50_cycles);
-  w.key("p99_cycles").value(s.p99_cycles);
-  w.key("min_version").value(s.min_version);
-  w.key("max_version").value(s.max_version);
-  w.key("update_visibility_samples").value(s.update_visibility_samples);
-  w.key("update_visibility_mean_ns").value(s.update_visibility_mean_ns);
-  w.end_object();
-}
-
+/// One NDJSON-serialized stats row (each `subscribe stats` push).
 std::string format_stats_row(const telemetry::StatsSample& s) {
   std::ostringstream os;
   workload::JsonWriter w(os);
-  write_stats_sample(w, s);
+  telemetry::write_stats_sample(w, s);
   os << '\n';
   return os.str();
 }
 
-/// Per-subscriber decimation window: sampler rows are merged sum-exactly
-/// and emitted once the client's requested interval has elapsed, so a
-/// coarse subscriber of a fine sampler still sees deltas that sum to
-/// the totals. Shared-ptr owned by both the sampler callback and the
+}  // namespace
+
+/// Per-subscriber decimation window: sampler rows are merged exactly
+/// (CounterSet::merge) and emitted once the client's requested interval
+/// has elapsed, so a coarse subscriber of a fine sampler still sees rows
+/// that merge to the totals. Shared-ptr owned by both the sampler callback and the
 /// ControlPlane's map (whichever drops last frees it).
 struct ControlPlane::SubState {
   u64 requested_ns = 0;
@@ -72,26 +52,16 @@ struct ControlPlane::SubState {
 
   std::mutex mu;
   telemetry::StatsSample acc{};
-  double vis_weight_ns = 0;  ///< samples-weighted visibility mean
   bool any = false;
 
   void merge_locked(const telemetry::StatsSample& s) {
     acc.t_ns = s.t_ns;
     acc.interval_ns += s.interval_ns;
-    acc.packets += s.packets;
-    acc.batches += s.batches;
-    acc.cache_hits += s.cache_hits;
-    acc.classifier_lookups += s.classifier_lookups;
-    acc.probe_memo_hits += s.probe_memo_hits;
-    acc.memory_accesses += s.memory_accesses;
+    acc.counters.merge(s.counters);
     // Percentiles and versions are point-in-time: latest row wins.
     acc.p50_cycles = s.p50_cycles;
     acc.p99_cycles = s.p99_cycles;
     acc.min_version = s.min_version;
-    acc.max_version = s.max_version;
-    vis_weight_ns += static_cast<double>(s.update_visibility_samples) *
-                     s.update_visibility_mean_ns;
-    acc.update_visibility_samples += s.update_visibility_samples;
     any = true;
   }
 
@@ -99,15 +69,10 @@ struct ControlPlane::SubState {
     telemetry::StatsSample out = acc;
     out.mpps = out.interval_ns == 0
                    ? 0.0
-                   : static_cast<double>(out.packets) * 1e3 /
-                         static_cast<double>(out.interval_ns);
-    out.update_visibility_mean_ns =
-        out.update_visibility_samples == 0
-            ? 0.0
-            : vis_weight_ns /
-                  static_cast<double>(out.update_visibility_samples);
+                   : static_cast<double>(
+                         out.counters[telemetry::Counter::packets]) *
+                         1e3 / static_cast<double>(out.interval_ns);
     acc = {};
-    vis_weight_ns = 0;
     any = false;
     return out;
   }
@@ -397,7 +362,7 @@ std::pair<u64, u64> ControlPlane::worker_versions() const {
   u64 max_v = 0;
   bool first = true;
   for (const auto* t : tel_blocks_) {
-    const u64 v = telemetry::counter_load(t->live.snapshot_version);
+    const u64 v = t->live.get(telemetry::Counter::snapshot_version);
     max_v = std::max(max_v, v);
     min_v = first ? v : std::min(min_v, v);
     first = false;
@@ -577,86 +542,24 @@ std::string ControlPlane::stats_json() {
   w.end_object();
 
   // Per-worker running totals straight off the live atomics, plus the
-  // engine-wide sums the CI reconcile compares against report totals.
-  u64 tot_packets = 0;
-  u64 tot_batches = 0;
-  u64 tot_matched = 0;
-  u64 tot_dropped = 0;
-  u64 tot_cache_hits = 0;
-  u64 tot_lookups = 0;
-  u64 tot_mem = 0;
-  u64 tot_memo_hits = 0;
-  u64 vis_samples = 0;
-  u64 vis_total_ns = 0;
-  u64 vis_max_ns = 0;
+  // engine-wide merge the CI reconcile compares against report totals.
+  telemetry::CounterSet totals;
   w.key("workers").begin_array();
   for (const auto* t : tel_blocks_) {
-    const auto& lv = t->live;
-    using telemetry::counter_load;
-    const u64 packets = counter_load(lv.packets);
-    const u64 batches = counter_load(lv.batches);
-    const u64 matched = counter_load(lv.matched);
-    const u64 dropped = counter_load(lv.dropped);
-    const u64 cache_hits = counter_load(lv.cache_hits);
-    const u64 lookups = counter_load(lv.classifier_lookups);
-    const u64 mem = counter_load(lv.memory_accesses);
-    const u64 memo_hits = counter_load(lv.probe_memo_hits);
-    tot_packets += packets;
-    tot_batches += batches;
-    tot_matched += matched;
-    tot_dropped += dropped;
-    tot_cache_hits += cache_hits;
-    tot_lookups += lookups;
-    tot_mem += mem;
-    tot_memo_hits += memo_hits;
-    vis_samples += counter_load(lv.update_visibility_samples);
-    vis_total_ns += counter_load(lv.update_visibility_total_ns);
-    vis_max_ns = std::max(vis_max_ns, counter_load(lv.update_visibility_max_ns));
+    const telemetry::CounterSet c = t->live.snapshot();
+    totals.merge(c);
     w.begin_object();
     w.key("worker").value(static_cast<u64>(t->worker));
-    w.key("packets").value(packets);
-    w.key("batches").value(batches);
-    w.key("matched").value(matched);
-    w.key("dropped").value(dropped);
-    w.key("parse_errors").value(counter_load(lv.parse_errors));
-    w.key("cache_hits").value(cache_hits);
-    w.key("cache_misses").value(counter_load(lv.cache_misses));
-    w.key("classifier_lookups").value(lookups);
-    w.key("memory_accesses").value(mem);
-    w.key("probe_memo_hits").value(memo_hits);
-    w.key("probe_memo_invalidations")
-        .value(counter_load(lv.probe_memo_invalidations));
-    w.key("probe_memo_conflict_evictions")
-        .value(counter_load(lv.probe_memo_conflict_evictions));
-    w.key("path_scalar_loop_batches")
-        .value(counter_load(lv.path_scalar_loop_batches));
-    w.key("path_phase2_batches").value(counter_load(lv.path_phase2_batches));
-    w.key("path_phase2_memo_batches")
-        .value(counter_load(lv.path_phase2_memo_batches));
-    w.key("snapshot_version").value(counter_load(lv.snapshot_version));
+    telemetry::write_counters(w, c);
     w.end_object();
   }
   w.end_array();
 
   w.key("totals").begin_object();
-  w.key("packets").value(tot_packets);
-  w.key("batches").value(tot_batches);
-  w.key("matched").value(tot_matched);
-  w.key("dropped").value(tot_dropped);
-  w.key("cache_hits").value(tot_cache_hits);
-  w.key("classifier_lookups").value(tot_lookups);
-  w.key("memory_accesses").value(tot_mem);
-  w.key("probe_memo_hits").value(tot_memo_hits);
+  telemetry::write_counters(w, totals);
   w.end_object();
 
-  w.key("update_visibility").begin_object();
-  w.key("samples").value(vis_samples);
-  w.key("mean_ns").value(vis_samples == 0
-                             ? 0.0
-                             : static_cast<double>(vis_total_ns) /
-                                   static_cast<double>(vis_samples));
-  w.key("max_ns").value(vis_max_ns);
-  w.end_object();
+  telemetry::write_update_visibility(w, totals);
 
   w.key("socket_visibility").begin_object();
   w.key("samples").value(sv.samples);
@@ -703,33 +606,10 @@ std::string ControlPlane::metrics_text() {
            engine_.running() ? 1.0 : 0.0);
 
   for (const auto* t : tel_blocks_) {
-    const auto& lv = t->live;
-    using telemetry::counter_load;
     const std::string worker = std::to_string(t->worker);
     const Label labels[] = {{"worker", worker}};
-    const auto c = [&](std::string_view name, std::string_view help,
-                       u64 value) {
-      mw.counter(name, help, labels, static_cast<double>(value));
-    };
-    c("pclass_live_packets_total", "Packets sunk (running total).",
-      counter_load(lv.packets));
-    c("pclass_live_batches_total", "Batches processed.",
-      counter_load(lv.batches));
-    c("pclass_live_matched_total", "Packets matched by a rule.",
-      counter_load(lv.matched));
-    c("pclass_live_dropped_total", "Packets dropped (miss or drop action).",
-      counter_load(lv.dropped));
-    c("pclass_live_cache_hits_total", "Flow-cache hits.",
-      counter_load(lv.cache_hits));
-    c("pclass_live_classifier_lookups_total", "Full classifier lookups.",
-      counter_load(lv.classifier_lookups));
-    c("pclass_live_memory_accesses_total", "Modelled block-memory reads.",
-      counter_load(lv.memory_accesses));
-    c("pclass_live_probe_memo_hits_total", "Combiner probes served by memo.",
-      counter_load(lv.probe_memo_hits));
-    mw.gauge("pclass_live_snapshot_version",
-             "Rule-program version this worker last classified against.",
-             labels, static_cast<double>(counter_load(lv.snapshot_version)));
+    telemetry::write_counter_metrics(mw, "pclass_live_", labels,
+                                     t->live.snapshot());
   }
 
   mw.gauge("pclass_publisher_version", "Published rule-program version.", {},
@@ -801,11 +681,109 @@ std::string ControlPlane::timeseries_json() {
   w.key("schema").value("pclass-live-timeseries-v1");
   w.key("drained").value(drained_);
   w.key("rows").begin_array();
-  for (const auto& s : rows) write_stats_sample(w, s);
+  for (const auto& s : rows) telemetry::write_stats_sample(w, s);
   w.end_array();
   w.end_object();
   os << '\n';
   return os.str();
+}
+
+void write_serve_report(std::ostream& os, const dataplane::EngineReport& rep,
+                        const ControlPlane& cp, const ControlServer& server) {
+  const auto& build = build_info();
+  const SocketVisibility sv = cp.socket_visibility();
+  const telemetry::CounterSet totals = rep.totals();
+  workload::JsonWriter j(os);
+  j.begin_object();
+  j.key("schema").value("pclass-serve-v1");
+  j.key("meta").begin_object();
+  j.key("build").begin_object();
+  j.key("version").value(build.version);
+  j.key("git_sha").value(build.git_sha);
+  j.key("compiler").value(build.compiler);
+  j.key("build_type").value(build.build_type);
+  j.end_object();
+  j.end_object();
+  j.key("endpoint").value(server.endpoint());
+  j.key("wall_seconds").value(rep.wall_seconds);
+
+  j.key("counters");
+  telemetry::write_counter_table(j);
+
+  j.key("workers").begin_array();
+  for (const auto& w : rep.workers) {
+    j.begin_object();
+    j.key("worker").value(static_cast<u64>(w.worker));
+    telemetry::write_counters(j, w.counters);
+    j.key("mpps").value(w.mpps());
+    j.key("p50_cycles").value(w.latency.percentile(50));
+    j.key("p99_cycles").value(w.latency.percentile(99));
+    if (!w.error.empty()) j.key("error").value(w.error);
+    j.end_object();
+  }
+  j.end_array();
+
+  // Raw per-shard rows (empty unsharded); workers[] above stays the
+  // authoritative double-count-free view.
+  j.key("shards").begin_array();
+  for (const auto& s : rep.shards) {
+    j.begin_object();
+    j.key("shard").value(static_cast<u64>(s.worker));
+    telemetry::write_counters(j, s.counters);
+    j.key("p50_cycles").value(s.latency.percentile(50));
+    j.key("p99_cycles").value(s.latency.percentile(99));
+    j.end_object();
+  }
+  j.end_array();
+
+  j.key("totals").begin_object();
+  telemetry::write_counters(j, totals);
+  j.key("aggregate_mpps").value(rep.aggregate_mpps());
+  j.end_object();
+
+  telemetry::write_update_visibility(j, totals);
+
+  j.key("socket").begin_object();
+  j.key("updates_accepted").value(cp.updates_accepted());
+  j.key("connections_accepted").value(server.connections_accepted());
+  j.key("connections_rejected").value(server.connections_rejected());
+  j.key("requests_served").value(server.requests_served());
+  j.key("visibility").begin_object();
+  j.key("samples").value(sv.samples);
+  j.key("cmd_to_first_mean_ns").value(sv.cmd_to_first_mean_ns);
+  j.key("cmd_to_first_max_ns").value(sv.cmd_to_first_max_ns);
+  j.key("cmd_to_all_mean_ns").value(sv.cmd_to_all_mean_ns);
+  j.key("cmd_to_all_max_ns").value(sv.cmd_to_all_max_ns);
+  j.key("publish_to_first_mean_ns").value(sv.publish_to_first_mean_ns);
+  j.key("publish_to_first_max_ns").value(sv.publish_to_first_max_ns);
+  j.key("pending").value(sv.pending);
+  j.key("unresolved").value(sv.unresolved);
+  j.end_object();
+  j.end_object();
+
+  j.key("supervisor").begin_object();
+  j.key("worker_restarts").value(rep.worker_restarts);
+  j.key("stall_detections").value(rep.stall_detections);
+  j.key("shards_reassigned").value(rep.shards_reassigned);
+  j.key("workers_failed").value(rep.workers_failed);
+  j.end_object();
+
+  j.key("errors").begin_array();
+  for (const auto& d : rep.error_log) {
+    j.begin_object();
+    j.key("worker").value(static_cast<u64>(d.worker));
+    j.key("restarts").value(d.restarts);
+    j.key("permanent").value(d.permanent);
+    j.key("message").value(d.message);
+    j.end_object();
+  }
+  j.end_array();
+
+  j.key("timeseries").begin_array();
+  for (const auto& s : rep.timeseries) telemetry::write_stats_sample(j, s);
+  j.end_array();
+  j.end_object();
+  os << "\n";
 }
 
 }  // namespace pclass::control

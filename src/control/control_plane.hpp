@@ -25,6 +25,7 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -37,11 +38,6 @@
 #include "dataplane/engine.hpp"
 #include "dataplane/rule_program.hpp"
 #include "net/trace.hpp"
-#include "telemetry/sample.hpp"
-
-namespace pclass::workload {
-class JsonWriter;
-}
 
 namespace pclass::control {
 
@@ -60,15 +56,6 @@ struct SocketVisibility {
   u64 pending = 0;     ///< in flight (not yet seen by every worker)
   u64 unresolved = 0;  ///< abandoned (engine drained before visibility)
 };
-
-/// One stats row as a JSON object (the shared field layout of
-/// `subscribe stats` rows, `read timeseries` and the daemon report).
-void write_stats_sample(workload::JsonWriter& w,
-                        const telemetry::StatsSample& s);
-
-/// One NDJSON-serialized stats row (shared by `subscribe stats`, `read
-/// timeseries` and the daemon report's timeseries rendering).
-[[nodiscard]] std::string format_stats_row(const telemetry::StatsSample& s);
 
 class ControlPlane {
  public:
@@ -192,5 +179,11 @@ class ControlPlane {
   u64 last_capture_truncated_ = 0;
   bool has_capture_ = false;
 };
+
+/// The daemon's end-of-run JSON report (schema pclass-serve-v1): the
+/// counter table, per-worker / per-shard rows and totals, the
+/// timeseries, the socket counters and the update-visibility rollups.
+void write_serve_report(std::ostream& os, const dataplane::EngineReport& rep,
+                        const ControlPlane& cp, const ControlServer& server);
 
 }  // namespace pclass::control

@@ -49,7 +49,6 @@ void PacketSource::push_batch(net::PacketBatch& batch) {
     exhausted_ = true;
     return;
   }
-  ++batches_;
   forward(batch);
 }
 
@@ -75,9 +74,7 @@ void Parser::push_batch(net::PacketBatch& batch) {
       ++errors_;
     }
   }
-  if (tel_ != nullptr) {
-    telemetry::counter_store(tel_->live.parse_errors, errors_);
-  }
+  if (tel_ != nullptr) fill_counters(tel_->live);
   forward(batch);
 }
 
@@ -106,10 +103,7 @@ void FlowCacheElement::push_batch(net::PacketBatch& batch) {
       m.action_token = e.action;
     }
   }
-  if (tel_ != nullptr) {
-    telemetry::counter_store(tel_->live.cache_hits, cache_.stats().hits);
-    telemetry::counter_store(tel_->live.cache_misses, cache_.stats().misses);
-  }
+  if (tel_ != nullptr) fill_counters(tel_->live);
   forward(batch);
 }
 
@@ -169,7 +163,6 @@ void ClassifierElement::push_batch(net::PacketBatch& batch) {
 void ClassifierElement::publish_telemetry(const net::PacketBatch& batch,
                                           u64 version, u64 t_start_ns,
                                           bool version_advanced) {
-  telemetry::WorkerLive& live = tel_->live;
   const u64 t_end = telemetry::steady_now_ns();
 
   // Update visibility: the first batch after the published version
@@ -182,32 +175,16 @@ void ClassifierElement::publish_telemetry(const net::PacketBatch& batch,
     if (const std::optional<u64> t_pub =
             programs_->publish_clock().lookup(version)) {
       const u64 lat = t_start_ns > *t_pub ? t_start_ns - *t_pub : 0;
-      telemetry::counter_add(live.update_visibility_samples, 1);
-      telemetry::counter_add(live.update_visibility_total_ns, lat);
-      if (lat > telemetry::counter_load(live.update_visibility_max_ns)) {
-        telemetry::counter_store(live.update_visibility_max_ns, lat);
-      }
+      ++vis_samples_;
+      vis_total_ns_ += lat;
+      vis_max_ns_ = std::max(vis_max_ns_, lat);
     }
   }
 
-  // Mirror the running totals (totals, not deltas: the sampler's
+  // Publish the running totals (totals, not deltas: the sampler's
   // interval differences then sum exactly to the end-of-run report).
-  telemetry::counter_store(live.classifier_lookups, lookups_);
-  telemetry::counter_store(live.probe_memo_hits, memo_hits_);
-  telemetry::counter_store(live.probe_memo_invalidations,
-                           scratch_.memo_invalidations);
+  fill_counters(tel_->live);
   const u64 conflicts = scratch_.memo.conflict_evictions();
-  telemetry::counter_store(live.probe_memo_conflict_evictions, conflicts);
-  telemetry::counter_store(
-      live.path_scalar_loop_batches,
-      scratch_.controller.batches(core::BatchPath::kScalarLoop));
-  telemetry::counter_store(
-      live.path_phase2_batches,
-      scratch_.controller.batches(core::BatchPath::kPhase2));
-  telemetry::counter_store(
-      live.path_phase2_memo_batches,
-      scratch_.controller.batches(core::BatchPath::kPhase2Memo));
-  telemetry::counter_store(live.snapshot_version, version);
 
   // One span event per batch into the SPSC ring.
   telemetry::TraceEvent ev;
@@ -249,27 +226,17 @@ void ActionSink::push_batch(net::PacketBatch& batch) {
       cv.memory_accesses = m.memory_accesses;
       capture_->push_back(cv);
     }
-    if (m.from_cache) ++cache_hits_;
     if (!m.matched) {
       ++dropped_;  // parse error or table miss: default drop
       continue;
     }
     ++matched_;
-    const sdn::ActionSpec a = sdn::ActionSpec::decode(m.action_token);
-    if (a.kind == sdn::ActionSpec::Kind::kDrop) {
+    if (sdn::ActionSpec::decode(m.action_token).kind ==
+        sdn::ActionSpec::Kind::kDrop) {
       ++dropped_;
-    } else {
-      ++forwarded_;
     }
   }
-  if (tel_ != nullptr) {
-    telemetry::WorkerLive& live = tel_->live;
-    telemetry::counter_store(live.packets, packets_);
-    telemetry::counter_store(live.batches, batches_);
-    telemetry::counter_store(live.matched, matched_);
-    telemetry::counter_store(live.dropped, dropped_);
-    telemetry::counter_store(live.memory_accesses, memory_accesses_);
-  }
+  if (tel_ != nullptr) fill_counters(tel_->live);
   forward(batch);
 }
 

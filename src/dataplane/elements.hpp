@@ -117,13 +117,11 @@ class PacketSource : public Element {
 
   /// True once a finite pool ran dry (the worker's termination signal).
   [[nodiscard]] bool exhausted() const { return exhausted_; }
-  [[nodiscard]] u64 batches() const { return batches_; }
 
  private:
   TrafficPool* pool_;
   bool loop_;
   bool exhausted_ = false;
-  u64 batches_ = 0;
 };
 
 /// Phase 1: split raw bytes into the 5-tuple; non-IPv4 input takes the
@@ -137,6 +135,12 @@ class Parser : public Element {
 
   [[nodiscard]] u64 parsed() const { return parsed_; }
   [[nodiscard]] u64 errors() const { return errors_; }
+
+  /// This element's counter rows (see telemetry/counters.hpp) into
+  /// \p out: a WorkerReport's CounterSet or the live block.
+  void fill_counters(auto& out) const {
+    out.set(telemetry::Counter::parse_errors, errors_);
+  }
 
  private:
   telemetry::WorkerTelemetry* tel_;
@@ -181,6 +185,12 @@ class FlowCacheElement : public Element {
     return cache_.stats();
   }
 
+  /// This element's counter rows into \p out (see Parser).
+  void fill_counters(auto& out) const {
+    out.set(telemetry::Counter::cache_hits, cache_.stats().hits);
+    out.set(telemetry::Counter::cache_misses, cache_.stats().misses);
+  }
+
  private:
   const RuleProgramPublisher* programs_;
   core::FlowCache cache_;
@@ -216,11 +226,6 @@ class ClassifierElement : public Element {
   [[nodiscard]] u64 probe_memo_invalidations() const {
     return scratch_.memo_invalidations;
   }
-  /// Memo replacements that evicted a live entry of another key (the
-  /// associativity A/B observable).
-  [[nodiscard]] u64 probe_memo_conflict_evictions() const {
-    return scratch_.memo.conflict_evictions();
-  }
   /// Batches this worker served via each execution path (the
   /// controller's choices, or the forced policy's).
   [[nodiscard]] u64 path_batches(core::BatchPath p) const {
@@ -239,14 +244,33 @@ class ClassifierElement : public Element {
   [[nodiscard]] u64 min_version() const {
     return seen_any_ ? min_version_ : 0;
   }
-  [[nodiscard]] u64 max_version() const { return max_version_; }
   [[nodiscard]] bool version_monotonic() const { return monotonic_; }
 
+  /// This element's counter rows into \p out (see Parser).
+  void fill_counters(auto& out) const {
+    using telemetry::Counter;
+    out.set(Counter::classifier_lookups, lookups_);
+    out.set(Counter::probe_memo_hits, memo_hits_);
+    out.set(Counter::probe_memo_invalidations, probe_memo_invalidations());
+    out.set(Counter::probe_memo_conflict_evictions,
+            scratch_.memo.conflict_evictions());
+    out.set(Counter::path_scalar_loop_batches,
+            path_batches(core::BatchPath::kScalarLoop));
+    out.set(Counter::path_phase2_batches,
+            path_batches(core::BatchPath::kPhase2));
+    out.set(Counter::path_phase2_memo_batches,
+            path_batches(core::BatchPath::kPhase2Memo));
+    out.set(Counter::snapshot_version, max_version_);
+    out.set(Counter::update_visibility_samples, vis_samples_);
+    out.set(Counter::update_visibility_total_ns, vis_total_ns_);
+    out.set(Counter::update_visibility_max_ns, vis_max_ns_);
+  }
+
  private:
-  /// Mirror the running totals into the live counter block, record the
-  /// update-visibility sample when the observed version advanced, and
-  /// push this batch's span event into the trace ring. Only called when
-  /// telemetry is attached.
+  /// Record the update-visibility sample when the observed version
+  /// advanced, publish the running totals into the live counter block
+  /// and push this batch's span event into the trace ring. Only called
+  /// when telemetry is attached.
   void publish_telemetry(const net::PacketBatch& batch, u64 version,
                          u64 t_start_ns, bool version_advanced);
 
@@ -265,6 +289,13 @@ class ClassifierElement : public Element {
   u64 max_version_ = 0;
   bool monotonic_ = true;
   bool seen_any_ = false;
+  /// Update-visibility latency (publish -> this worker observing the
+  /// new version): observation count, summed ns and worst case. Only
+  /// measured with telemetry attached; zero when the program never
+  /// changed mid-run.
+  u64 vis_samples_ = 0;
+  u64 vis_total_ns_ = 0;
+  u64 vis_max_ns_ = 0;
 };
 
 /// Tail element: verdict accounting and latency measurement. With a
@@ -282,14 +313,17 @@ class ActionSink : public Element {
   [[nodiscard]] u64 packets() const { return packets_; }
   [[nodiscard]] u64 matched() const { return matched_; }
   [[nodiscard]] u64 dropped() const { return dropped_; }
-  [[nodiscard]] u64 forwarded() const { return forwarded_; }
-  [[nodiscard]] u64 cache_hits() const { return cache_hits_; }
-  [[nodiscard]] u64 batches() const { return batches_; }
-  /// Modelled block-memory reads this worker's lookups performed,
-  /// accumulated from per-packet CycleRecorder charges (the per-worker
-  /// replacement for the old shared hw::Memory read counters).
-  [[nodiscard]] u64 memory_accesses() const { return memory_accesses_; }
   [[nodiscard]] const LatencyHistogram& latency() const { return latency_; }
+
+  /// This element's counter rows into \p out (see Parser).
+  void fill_counters(auto& out) const {
+    using telemetry::Counter;
+    out.set(Counter::packets, packets_);
+    out.set(Counter::batches, batches_);
+    out.set(Counter::matched, matched_);
+    out.set(Counter::dropped, dropped_);
+    out.set(Counter::memory_accesses, memory_accesses_);
+  }
 
  private:
   telemetry::WorkerTelemetry* tel_;
@@ -297,9 +331,9 @@ class ActionSink : public Element {
   u64 packets_ = 0;
   u64 matched_ = 0;
   u64 dropped_ = 0;
-  u64 forwarded_ = 0;
-  u64 cache_hits_ = 0;
   u64 batches_ = 0;
+  /// Modelled block-memory reads of this worker's lookups, summed from
+  /// the per-packet CycleRecorder charges.
   u64 memory_accesses_ = 0;
   LatencyHistogram latency_;
 };

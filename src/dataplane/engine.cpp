@@ -570,106 +570,24 @@ EngineReport Engine::run(TrafficPool& pool) {
 WorkerReport Engine::shard_report(const Shard& s) const {
   WorkerReport r;
   r.worker = s.index;
-  r.batches = s.sink->batches();
-  r.packets = s.sink->packets();
-  r.matched = s.sink->matched();
-  r.dropped = s.sink->dropped();
-  r.parse_errors = s.parser->errors();
-  r.cache_hits = s.sink->cache_hits();
-  r.classifier_lookups = s.classifier->lookups();
-  r.memory_accesses = s.sink->memory_accesses();
-  r.probe_memo_hits = s.classifier->probe_memo_hits();
-  r.probe_memo_invalidations = s.classifier->probe_memo_invalidations();
-  r.probe_memo_conflict_evictions =
-      s.classifier->probe_memo_conflict_evictions();
-  r.path_scalar_loop_batches =
-      s.classifier->path_batches(core::BatchPath::kScalarLoop);
-  r.path_phase2_batches =
-      s.classifier->path_batches(core::BatchPath::kPhase2);
-  r.path_phase2_memo_batches =
-      s.classifier->path_batches(core::BatchPath::kPhase2Memo);
+  s.parser->fill_counters(r.counters);
+  if (s.cache != nullptr) s.cache->fill_counters(r.counters);
+  s.classifier->fill_counters(r.counters);
+  s.sink->fill_counters(r.counters);
   for (usize p = 0; p < core::kNumBatchPaths; ++p) {
     const auto path = static_cast<core::BatchPath>(p);
     r.controller_models[p] = s.classifier->controller_model(path);
     r.controller_observations[p] = s.classifier->controller_observations(path);
   }
-  r.cache_misses = s.cache == nullptr ? 0 : s.cache->stats().misses;
   r.min_version = s.classifier->min_version();
-  r.max_version = s.classifier->max_version();
   r.version_monotonic = s.classifier->version_monotonic();
   if (s.index < tel_.size() && tel_[s.index] != nullptr) {
-    const telemetry::WorkerTelemetry& t = *tel_[s.index];
-    r.trace_events_dropped = t.ring.dropped();
-    r.update_visibility_samples =
-        telemetry::counter_load(t.live.update_visibility_samples);
-    r.update_visibility_total_ns =
-        telemetry::counter_load(t.live.update_visibility_total_ns);
-    r.update_visibility_max_ns =
-        telemetry::counter_load(t.live.update_visibility_max_ns);
+    r.trace_events_dropped = tel_[s.index]->ring.dropped();
   }
   r.latency = s.sink->latency();
   r.wall_seconds = threads_[s.owner]->wall_seconds;
   r.error = threads_[s.owner]->error;
   return r;
-}
-
-WorkerReport Engine::merge_shard_reports(
-    usize worker, const std::vector<const WorkerReport*>& rows) {
-  WorkerReport m;
-  m.worker = worker;
-  std::array<usize, core::kNumBatchPaths> fitted{};
-  bool first_version = true;
-  for (const WorkerReport* row : rows) {
-    const WorkerReport& r = *row;
-    m.batches += r.batches;
-    m.packets += r.packets;
-    m.matched += r.matched;
-    m.dropped += r.dropped;
-    m.parse_errors += r.parse_errors;
-    m.cache_hits += r.cache_hits;
-    m.cache_misses += r.cache_misses;
-    m.classifier_lookups += r.classifier_lookups;
-    m.memory_accesses += r.memory_accesses;
-    m.probe_memo_hits += r.probe_memo_hits;
-    m.probe_memo_invalidations += r.probe_memo_invalidations;
-    m.probe_memo_conflict_evictions += r.probe_memo_conflict_evictions;
-    m.path_scalar_loop_batches += r.path_scalar_loop_batches;
-    m.path_phase2_batches += r.path_phase2_batches;
-    m.path_phase2_memo_batches += r.path_phase2_memo_batches;
-    for (usize p = 0; p < core::kNumBatchPaths; ++p) {
-      m.controller_observations[p] += r.controller_observations[p];
-      if (r.controller_observations[p] == 0) continue;
-      m.controller_models[p].ns_per_packet +=
-          r.controller_models[p].ns_per_packet;
-      m.controller_models[p].ns_per_distinct_key +=
-          r.controller_models[p].ns_per_distinct_key;
-      ++fitted[p];
-    }
-    if (r.packets > 0 || r.max_version > 0 || r.min_version > 0) {
-      m.min_version = first_version ? r.min_version
-                                    : std::min(m.min_version, r.min_version);
-      m.max_version = std::max(m.max_version, r.max_version);
-      first_version = false;
-    }
-    m.version_monotonic = m.version_monotonic && r.version_monotonic;
-    m.trace_events_dropped += r.trace_events_dropped;
-    m.update_visibility_samples += r.update_visibility_samples;
-    m.update_visibility_total_ns += r.update_visibility_total_ns;
-    m.update_visibility_max_ns =
-        std::max(m.update_visibility_max_ns, r.update_visibility_max_ns);
-    m.latency.merge(r.latency);
-    m.wall_seconds = std::max(m.wall_seconds, r.wall_seconds);
-    if (m.error.empty()) m.error = r.error;
-  }
-  // Cost-model coefficients are per-shard fits, not additive: average
-  // over the shards that produced timed observations.
-  for (usize p = 0; p < core::kNumBatchPaths; ++p) {
-    if (fitted[p] == 0) continue;
-    m.controller_models[p].ns_per_packet /= static_cast<double>(fitted[p]);
-    m.controller_models[p].ns_per_distinct_key /=
-        static_cast<double>(fitted[p]);
-  }
-  return m;
 }
 
 EngineReport Engine::collect() const {
@@ -706,12 +624,12 @@ EngineReport Engine::collect() const {
     }
   } else {
     for (const auto& th : threads_) {
-      std::vector<const WorkerReport*> rows;
+      std::vector<WorkerReport> rows;
       rows.reserve(th->shards.size());
       for (const Shard* sh : th->shards) {
-        rows.push_back(&shard_rows[sh->index]);
+        rows.push_back(shard_rows[sh->index]);
       }
-      WorkerReport m = merge_shard_reports(th->index, rows);
+      WorkerReport m = merge_reports(th->index, rows);
       if (m.error.empty()) m.error = th->error;
       m.wall_seconds = th->wall_seconds;
       apply_status(m, *th);

@@ -304,10 +304,6 @@ class Engine {
   [[nodiscard]] EngineReport collect() const;
   /// WorkerReport for one shard's elements (worker = shard index).
   [[nodiscard]] WorkerReport shard_report(const Shard& s) const;
-  /// Sum shard rows owned by one thread into a per-thread row (the
-  /// sharded engine's workers[] view).
-  [[nodiscard]] static WorkerReport merge_shard_reports(
-      usize worker, const std::vector<const WorkerReport*>& rows);
   /// Effective trace retention cap: 0 = not collecting, SIZE_MAX =
   /// collecting without a limit.
   [[nodiscard]] usize trace_keep() const;

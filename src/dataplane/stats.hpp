@@ -16,6 +16,7 @@
 #include "common/types.hpp"
 #include "core/path_controller.hpp"
 #include "net/five_tuple.hpp"
+#include "telemetry/counters.hpp"
 #include "telemetry/sample.hpp"
 #include "telemetry/trace_ring.hpp"
 
@@ -151,45 +152,23 @@ class LatencyHistogram {
 /// One worker's end-of-run measurement.
 struct WorkerReport {
   usize worker = 0;
-  u64 batches = 0;
-  u64 packets = 0;
-  u64 matched = 0;
-  u64 dropped = 0;       ///< table miss or explicit drop action
-  u64 parse_errors = 0;
-  u64 cache_hits = 0;
-  u64 cache_misses = 0;
-  u64 classifier_lookups = 0;  ///< full 4-phase lookups (cache misses)
-  u64 memory_accesses = 0;     ///< modelled block-memory reads (per-worker)
-  u64 probe_memo_hits = 0;     ///< combiner probes served by the memo
-  /// Times the persistent probe memo dropped its entries (initial bind
-  /// plus one per snapshot swap this worker classified across).
-  u64 probe_memo_invalidations = 0;
-  /// Memo replacements that overwrote a live entry of another key — the
-  /// conflict misses the 2-way geometry exists to reduce.
-  u64 probe_memo_conflict_evictions = 0;
-  /// Batches served via each phase-2 execution path (the per-worker
-  /// controller's choices; forced policies count here too).
-  u64 path_scalar_loop_batches = 0;
-  u64 path_phase2_batches = 0;
-  u64 path_phase2_memo_batches = 0;
+  /// Every registry row (telemetry/counters.hpp), filled by the
+  /// shard's elements through the same fill_counters() that publishes
+  /// the live block.
+  telemetry::CounterSet counters;
   /// The controller's fitted per-path cost model
   /// (ns = a*packets + b*distinct_keys), indexed by core::BatchPath,
   /// plus the timed observation count behind each fit (0 under forced
   /// policies, which skip the clock — the models stay zero there).
   std::array<core::PathCostModel, core::kNumBatchPaths> controller_models{};
   std::array<u64, core::kNumBatchPaths> controller_observations{};
-  u64 min_version = 0;   ///< lowest rule-program version observed
-  u64 max_version = 0;   ///< highest rule-program version observed
+  /// Lowest rule-program version observed (the highest is
+  /// counters[snapshot_version]).
+  u64 min_version = 0;
   bool version_monotonic = true;  ///< versions never went backwards
   /// TraceRing events lost to overwrite before a drain reached them
   /// (0 when telemetry is off or the ring kept up).
   u64 trace_events_dropped = 0;
-  /// Update-visibility latency (publish -> this worker observing the
-  /// new version): observation count, summed ns and worst case. Zero
-  /// when the program never changed mid-run (finite scenarios).
-  u64 update_visibility_samples = 0;
-  u64 update_visibility_total_ns = 0;
-  u64 update_visibility_max_ns = 0;
   LatencyHistogram latency;       ///< per-packet lookup cycles
   double wall_seconds = 0;
   /// Non-empty if the worker died on an exception (exceptions must not
@@ -207,26 +186,58 @@ struct WorkerReport {
   /// reassign them to — their remaining packets are shed).
   u64 shards_lost = 0;
 
-  [[nodiscard]] double cache_hit_rate() const {
-    const u64 total = cache_hits + cache_misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(cache_hits) /
-                            static_cast<double>(total);
-  }
   [[nodiscard]] double mpps() const {
-    return wall_seconds <= 0.0 ? 0.0
-                               : static_cast<double>(packets) / 1e6 /
-                                     wall_seconds;
+    return wall_seconds <= 0.0
+               ? 0.0
+               : static_cast<double>(counters[telemetry::Counter::packets]) /
+                     1e6 / wall_seconds;
   }
 };
 
-/// Engine-wide update-visibility rollup (see WorkerReport's
-/// update_visibility_* fields).
-struct UpdateVisibility {
-  u64 samples = 0;
-  double mean_ns = 0;
-  u64 max_ns = 0;
-};
+/// Merge \p rows into one row labelled \p worker: counters by their
+/// merge rules, the version range over the rows that saw a batch, the
+/// latency histograms, the first error, and the fitted cost models
+/// averaged over the rows that have timed observations (per-row fits
+/// are not additive). A sharded worker's row merges its shards; the
+/// scenario totals merge the worker rows.
+[[nodiscard]] inline WorkerReport merge_reports(
+    usize worker, std::span<const WorkerReport> rows) {
+  WorkerReport m;
+  m.worker = worker;
+  std::array<usize, core::kNumBatchPaths> fitted{};
+  bool first_version = true;
+  for (const WorkerReport& r : rows) {
+    m.counters.merge(r.counters);
+    for (usize p = 0; p < core::kNumBatchPaths; ++p) {
+      m.controller_observations[p] += r.controller_observations[p];
+      if (r.controller_observations[p] == 0) continue;
+      m.controller_models[p].ns_per_packet +=
+          r.controller_models[p].ns_per_packet;
+      m.controller_models[p].ns_per_distinct_key +=
+          r.controller_models[p].ns_per_distinct_key;
+      ++fitted[p];
+    }
+    if (r.counters[telemetry::Counter::packets] > 0 ||
+        r.counters[telemetry::Counter::snapshot_version] > 0 ||
+        r.min_version > 0) {
+      m.min_version = first_version ? r.min_version
+                                    : std::min(m.min_version, r.min_version);
+      first_version = false;
+    }
+    m.version_monotonic = m.version_monotonic && r.version_monotonic;
+    m.trace_events_dropped += r.trace_events_dropped;
+    m.latency.merge(r.latency);
+    m.wall_seconds = std::max(m.wall_seconds, r.wall_seconds);
+    if (m.error.empty()) m.error = r.error;
+  }
+  for (usize p = 0; p < core::kNumBatchPaths; ++p) {
+    if (fitted[p] == 0) continue;
+    m.controller_models[p].ns_per_packet /= static_cast<double>(fitted[p]);
+    m.controller_models[p].ns_per_distinct_key /=
+        static_cast<double>(fitted[p]);
+  }
+  return m;
+}
 
 /// One worker death, with enough context to tell a healed incarnation
 /// from a permanent failure (EngineReport::error_log — the "surface ALL
@@ -298,14 +309,20 @@ struct EngineReport {
            delivered_packets + shed_packets + lost_packets == offered_packets;
   }
 
+  /// Every counter row merged over the workers.
+  [[nodiscard]] telemetry::CounterSet totals() const {
+    telemetry::CounterSet t;
+    for (const auto& w : workers) t.merge(w.counters);
+    return t;
+  }
   [[nodiscard]] u64 packets() const {
     u64 n = 0;
-    for (const auto& w : workers) n += w.packets;
+    for (const auto& w : workers) n += w.counters[telemetry::Counter::packets];
     return n;
   }
   [[nodiscard]] u64 matched() const {
     u64 n = 0;
-    for (const auto& w : workers) n += w.matched;
+    for (const auto& w : workers) n += w.counters[telemetry::Counter::matched];
     return n;
   }
   [[nodiscard]] double aggregate_mpps() const {
@@ -335,19 +352,6 @@ struct EngineReport {
     u64 n = 0;
     for (const auto& w : workers) n += w.trace_events_dropped;
     return n;
-  }
-  [[nodiscard]] UpdateVisibility update_visibility() const {
-    UpdateVisibility v;
-    u64 total_ns = 0;
-    for (const auto& w : workers) {
-      v.samples += w.update_visibility_samples;
-      total_ns += w.update_visibility_total_ns;
-      v.max_ns = std::max(v.max_ns, w.update_visibility_max_ns);
-    }
-    v.mean_ns = v.samples == 0 ? 0.0
-                               : static_cast<double>(total_ns) /
-                                     static_cast<double>(v.samples);
-    return v;
   }
 };
 

@@ -114,4 +114,20 @@ void MetricsWriter::sample(std::string_view name, std::string_view type,
   os_ << " " << buf << "\n";
 }
 
+void write_counter_metrics(MetricsWriter& mw, std::string_view prefix,
+                           std::span<const MetricsWriter::Label> labels,
+                           const CounterSet& c) {
+  for (usize i = 0; i < kNumCounters; ++i) {
+    const CounterDef& d = kCounters[i];
+    std::string name(prefix);
+    name += d.name;
+    const auto value = static_cast<double>(c.v[i]);
+    if (d.kind == CounterKind::kCounter) {
+      mw.counter(name + "_total", d.help, labels, value);
+    } else {
+      mw.gauge(name, d.help, labels, value);
+    }
+  }
+}
+
 }  // namespace pclass::telemetry

@@ -13,6 +13,7 @@
 #include <string_view>
 #include <vector>
 
+#include "telemetry/counters.hpp"
 #include "telemetry/trace_ring.hpp"
 
 namespace pclass::telemetry {
@@ -58,5 +59,11 @@ class MetricsWriter {
   std::ostream& os_;
   std::set<std::string, std::less<>> declared_;
 };
+
+/// One sample per registry row of \p c, with the row's help text:
+/// `<prefix><name>_total` for counter rows, `<prefix><name>` for gauges.
+void write_counter_metrics(MetricsWriter& mw, std::string_view prefix,
+                           std::span<const MetricsWriter::Label> labels,
+                           const CounterSet& c);
 
 }  // namespace pclass::telemetry

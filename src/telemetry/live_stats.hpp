@@ -1,11 +1,12 @@
 /// \file live_stats.hpp
 /// Per-worker live counters: the mid-run-readable mirror of the
-/// end-of-run WorkerReport fields.
+/// end-of-run WorkerReport counters (one atomic per row of the
+/// telemetry/counters.hpp registry).
 ///
 /// Ownership/ordering model: every counter is a single-writer relaxed
 /// atomic — the owning worker publishes its running totals once per
-/// batch with `load(relaxed) + store(relaxed)` (which compiles to a
-/// plain add, no lock-prefixed RMW), and the StatsSampler reads them
+/// batch with a relaxed store (a plain mov, no lock-prefixed RMW, no
+/// per-packet atomics), and the StatsSampler reads them
 /// relaxed from its own thread. Because the worker publishes *totals*
 /// (not deltas), the sampler's interval deltas always sum exactly to
 /// the end-of-run totals — the invariant the telemetry tests and the CI
@@ -17,6 +18,7 @@
 #include <atomic>
 
 #include "dataplane/stats.hpp"
+#include "telemetry/counters.hpp"
 #include "telemetry/trace_ring.hpp"
 
 namespace pclass::telemetry {
@@ -54,68 +56,41 @@ class AtomicHistogram {
   std::array<std::atomic<u64>, kBuckets> buckets_{};
 };
 
-/// One worker's live counter block. Fields mirror WorkerReport; all are
-/// running totals published by the worker's pipeline elements.
+/// One worker's live counter block: one single-writer atomic per
+/// registry row, each a running total the worker's pipeline elements
+/// store through their fill_counters().
 struct WorkerLive {
-  std::atomic<u64> packets{0};
-  std::atomic<u64> batches{0};
-  std::atomic<u64> matched{0};
-  std::atomic<u64> dropped{0};
-  std::atomic<u64> parse_errors{0};
-  std::atomic<u64> cache_hits{0};
-  std::atomic<u64> cache_misses{0};
-  std::atomic<u64> classifier_lookups{0};
-  std::atomic<u64> memory_accesses{0};
-  std::atomic<u64> probe_memo_hits{0};
-  std::atomic<u64> probe_memo_invalidations{0};
-  std::atomic<u64> probe_memo_conflict_evictions{0};
-  std::atomic<u64> path_scalar_loop_batches{0};
-  std::atomic<u64> path_phase2_batches{0};
-  std::atomic<u64> path_phase2_memo_batches{0};
-  /// Latest rule-program version this worker classified against
-  /// (0 until the first batch).
-  std::atomic<u64> snapshot_version{0};
-  /// Update-visibility latency: each time the worker observes a higher
-  /// published version than before, it charges `observe_time -
-  /// publish_time(version)` here (see PublishClock). samples/total/max
-  /// make both a mean and a worst case recoverable.
-  std::atomic<u64> update_visibility_samples{0};
-  std::atomic<u64> update_visibility_total_ns{0};
-  std::atomic<u64> update_visibility_max_ns{0};
+  std::array<std::atomic<u64>, kNumCounters> counters{};
   AtomicHistogram latency;
+
+  /// Fill target of the elements' fill_counters(): store one row.
+  void set(Counter c, u64 v) { counter_store(counters[index_of(c)], v); }
+  [[nodiscard]] u64 get(Counter c) const {
+    return counter_load(counters[index_of(c)]);
+  }
+  /// Relaxed copy of every row.
+  [[nodiscard]] CounterSet snapshot() const {
+    CounterSet out;
+    for (usize i = 0; i < kNumCounters; ++i) {
+      out.v[i] = counter_load(counters[i]);
+    }
+    return out;
+  }
 };
 
-/// Coherent-enough copy of one worker's WorkerLive (or a sum over
-/// workers), taken with relaxed loads. Used by the sampler for interval
-/// differencing.
+/// Coherent-enough merge of the workers' WorkerLive blocks, taken with
+/// relaxed loads. Used by the sampler for interval differencing.
 struct LiveSnapshot {
-  u64 packets = 0;
-  u64 batches = 0;
-  u64 cache_hits = 0;
-  u64 classifier_lookups = 0;
-  u64 memory_accesses = 0;
-  u64 probe_memo_hits = 0;
-  u64 update_visibility_samples = 0;
-  u64 update_visibility_total_ns = 0;
+  CounterSet counters;
   u64 min_version = 0;  ///< lowest nonzero snapshot_version (0 = none)
-  u64 max_version = 0;
   std::array<u64, AtomicHistogram::kBuckets> latency_buckets{};
 
-  /// Accumulate one worker's live block into this (sum) snapshot.
+  /// Merge one worker's live block into this snapshot.
   void add(const WorkerLive& w) {
-    packets += counter_load(w.packets);
-    batches += counter_load(w.batches);
-    cache_hits += counter_load(w.cache_hits);
-    classifier_lookups += counter_load(w.classifier_lookups);
-    memory_accesses += counter_load(w.memory_accesses);
-    probe_memo_hits += counter_load(w.probe_memo_hits);
-    update_visibility_samples += counter_load(w.update_visibility_samples);
-    update_visibility_total_ns += counter_load(w.update_visibility_total_ns);
-    const u64 v = counter_load(w.snapshot_version);
-    if (v != 0) {
-      min_version = min_version == 0 ? v : std::min(min_version, v);
-      max_version = std::max(max_version, v);
-    }
+    const CounterSet c = w.snapshot();
+    counters.merge(c);
+    const u64 v = c[Counter::snapshot_version];
+    if (v != 0) min_version = min_version == 0 ? v : std::min(min_version, v);
     const auto b = w.latency.snapshot();
     for (usize i = 0; i < b.size(); ++i) latency_buckets[i] += b[i];
   }

@@ -136,15 +136,10 @@ void StatsSampler::tick() {
     // a periodic tick) must not divide by the zero interval below; the
     // deltas are all zero then too, so the row is dropped as idle.
     s.interval_ns = now - t_prev_ns_;
-    s.packets = cur.packets - prev_.packets;
-    s.batches = cur.batches - prev_.batches;
-    s.cache_hits = cur.cache_hits - prev_.cache_hits;
-    s.classifier_lookups = cur.classifier_lookups - prev_.classifier_lookups;
-    s.probe_memo_hits = cur.probe_memo_hits - prev_.probe_memo_hits;
-    s.memory_accesses = cur.memory_accesses - prev_.memory_accesses;
+    s.counters = cur.counters.minus(prev_.counters);
     s.mpps = s.interval_ns == 0
                  ? 0.0
-                 : static_cast<double>(s.packets) * 1e3 /
+                 : static_cast<double>(s.counters[Counter::packets]) * 1e3 /
                        static_cast<double>(s.interval_ns);
     std::array<u64, AtomicHistogram::kBuckets> delta_buckets;
     u64 delta_count = 0;
@@ -159,22 +154,11 @@ void StatsSampler::tick() {
         dataplane::LatencyHistogram::percentile_from(delta_buckets,
                                                      delta_count, 99)));
     s.min_version = cur.min_version;
-    s.max_version = cur.max_version;
-    s.update_visibility_samples =
-        cur.update_visibility_samples - prev_.update_visibility_samples;
-    const u64 vis_ns =
-        cur.update_visibility_total_ns - prev_.update_visibility_total_ns;
-    s.update_visibility_mean_ns =
-        s.update_visibility_samples == 0
-            ? 0.0
-            : static_cast<double>(vis_ns) /
-                  static_cast<double>(s.update_visibility_samples);
 
-    // Idle ticks produce no row: the series records activity, and an
-    // all-zero delta adds nothing to the sum invariant either way.
-    active = s.packets != 0 || s.batches != 0 ||
-             s.classifier_lookups != 0 || delta_count != 0 ||
-             s.update_visibility_samples != 0;
+    // Idle ticks produce no row: the series records activity. A row is
+    // kept whenever any counter moved, so merging the rows still gives
+    // the end-of-run totals exactly.
+    active = cur.counters != prev_.counters || delta_count != 0;
     if (active) {
       samples_.push_back(s);
     }

@@ -71,63 +71,21 @@ using dataplane::WorkerBudget;
 /// Copy the engine-side measurement into the result (by value: the
 /// telemetry series and trace events are moved out of the report).
 void fill_engine_stats(ScenarioResult& r, EngineReport rep) {
-  r.packets_processed = rep.packets();
-  r.matched = rep.matched();
+  const dataplane::WorkerReport all = dataplane::merge_reports(0, rep.workers);
+  r.counters = all.counters;
   r.wall_seconds = rep.wall_seconds;
   r.mpps = rep.aggregate_mpps();
-  const auto lat = rep.merged_latency();
-  r.mean_cycles = lat.mean();
-  r.p50_cycles = lat.percentile(50);
-  r.p99_cycles = lat.percentile(99);
-  r.max_cycles = lat.max();
-  u64 hits = 0, misses = 0, min_v = 0, max_v = 0;
-  bool first = true;
-  std::array<usize, core::kNumBatchPaths> fitted_workers{};
-  for (const auto& w : rep.workers) {
-    hits += w.cache_hits;
-    misses += w.cache_misses;
-    r.memory_accesses += w.memory_accesses;
-    r.probe_memo_hits += w.probe_memo_hits;
-    r.probe_memo_invalidations += w.probe_memo_invalidations;
-    r.probe_memo_conflict_evictions += w.probe_memo_conflict_evictions;
-    r.path_scalar_loop_batches += w.path_scalar_loop_batches;
-    r.path_phase2_batches += w.path_phase2_batches;
-    r.path_phase2_memo_batches += w.path_phase2_memo_batches;
-    for (usize p = 0; p < core::kNumBatchPaths; ++p) {
-      if (w.controller_observations[p] == 0) continue;
-      r.controller_models[p].ns_per_packet +=
-          w.controller_models[p].ns_per_packet;
-      r.controller_models[p].ns_per_distinct_key +=
-          w.controller_models[p].ns_per_distinct_key;
-      ++fitted_workers[p];
-    }
-    if (w.max_version == 0 && w.min_version == 0 && w.packets == 0) {
-      continue;  // idle worker: no versions observed
-    }
-    min_v = first ? w.min_version : std::min(min_v, w.min_version);
-    max_v = std::max(max_v, w.max_version);
-    first = false;
-  }
-  // Coefficients are per-worker fits, not additive: average over the
-  // workers that actually produced one.
-  for (usize p = 0; p < core::kNumBatchPaths; ++p) {
-    if (fitted_workers[p] == 0) continue;
-    r.controller_models[p].ns_per_packet /=
-        static_cast<double>(fitted_workers[p]);
-    r.controller_models[p].ns_per_distinct_key /=
-        static_cast<double>(fitted_workers[p]);
-  }
-  r.cache_hit_rate =
-      hits + misses == 0
-          ? 0.0
-          : static_cast<double>(hits) / static_cast<double>(hits + misses);
-  r.snapshot_min_version = min_v;
-  r.snapshot_max_version = max_v;
-  r.snapshot_lag = max_v >= min_v ? max_v - min_v : 0;
-  r.versions_monotonic = rep.versions_monotonic();
-  r.trace_events_dropped = rep.trace_events_dropped();
+  r.mean_cycles = all.latency.mean();
+  r.p50_cycles = all.latency.percentile(50);
+  r.p99_cycles = all.latency.percentile(99);
+  r.max_cycles = all.latency.max();
+  r.controller_models = all.controller_models;
+  r.snapshot_min_version = all.min_version;
+  const u64 max_v = all.counters[telemetry::Counter::snapshot_version];
+  r.snapshot_lag = max_v >= all.min_version ? max_v - all.min_version : 0;
+  r.versions_monotonic = all.version_monotonic;
+  r.trace_events_dropped = all.trace_events_dropped;
   r.trace_events_truncated = rep.trace_events_truncated;
-  r.update_visibility = rep.update_visibility();
   // Surface ALL worker deaths (healed incarnations included), each with
   // its worker index + restart count; then any remaining fatal error the
   // log does not already carry.
@@ -161,6 +119,7 @@ void fill_engine_stats(ScenarioResult& r, EngineReport rep) {
   r.conserved = rep.conserved();
   r.timeseries = std::move(rep.timeseries);
   r.trace_events = std::move(rep.trace_events);
+  r.shard_reports = std::move(rep.shards);
   if (r.error.empty()) {
     r.error = rep.first_error();
   }
@@ -237,7 +196,6 @@ void run_finite(ScenarioResult& r, const ScenarioOptions& opts,
   programs.install_ruleset(rules);
   Engine engine(ecfg, programs);
   EngineReport rep = engine.run(pool);
-  r.shard_reports = rep.shards;
   fill_engine_stats(r, std::move(rep));
   verify_oracle(r, programs, trace);
 }
@@ -362,7 +320,6 @@ ScenarioResult run_update_storm(const ScenarioOptions& opts,
           .count();
   {
     EngineReport rep = engine.stop();
-    r.shard_reports = rep.shards;
     fill_engine_stats(r, std::move(rep));
   }
 
@@ -465,7 +422,6 @@ ScenarioResult run_update_storm_multi(const ScenarioOptions& opts,
           .count();
   {
     EngineReport rep = engine.stop();
-    r.shard_reports = rep.shards;
     fill_engine_stats(r, std::move(rep));
   }
 
@@ -606,7 +562,6 @@ ScenarioResult run_chaos(const ScenarioOptions& opts, WorkerBudget* budget,
           .count();
 
   EngineReport rep = engine.wait();
-  r.shard_reports = rep.shards;
 
   // Per-version oracle over every delivered verdict: a verdict stamped
   // with an unpublished version is itself a mismatch (torn snapshot).
@@ -837,7 +792,7 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
                        const std::vector<ScenarioResult>& results) {
   JsonWriter j(os);
   j.begin_object();
-  j.key("schema").value("pclass-scenarios-v3");
+  j.key("schema").value("pclass-scenarios-v4");
   const auto& build = common::build_info();
   j.key("meta").begin_object();
   j.key("build").begin_object();
@@ -863,6 +818,8 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
   j.key("steer_hash").value("mix64-5tuple");
   j.key("fault_plan").value(opts.fault_plan);
   j.end_object();
+  j.key("counters");
+  telemetry::write_counter_table(j);
   j.key("scenarios").begin_array();
   for (const ScenarioResult& r : results) {
     j.begin_object();
@@ -871,8 +828,7 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
     j.key("ok").value(r.ok());
     j.key("rules").value(r.rules);
     j.key("trace_packets").value(r.trace_packets);
-    j.key("packets_processed").value(r.packets_processed);
-    j.key("matched").value(r.matched);
+    j.key("packets_processed").value(r.counters[telemetry::Counter::packets]);
     j.key("wall_seconds").value(r.wall_seconds);
     j.key("throughput_mpps").value(r.mpps);
     j.key("lookup_cycles").begin_object();
@@ -881,16 +837,9 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
     j.key("p99").value(r.p99_cycles);
     j.key("max").value(r.max_cycles);
     j.end_object();
-    j.key("cache_hit_rate").value(r.cache_hit_rate);
-    j.key("memory_accesses").value(r.memory_accesses);
-    j.key("probe_memo_hits").value(r.probe_memo_hits);
-    j.key("probe_memo_invalidations").value(r.probe_memo_invalidations);
-    j.key("probe_memo_conflict_evictions")
-        .value(r.probe_memo_conflict_evictions);
+    j.key("cache_hit_rate").value(r.counters.cache_hit_rate());
+    telemetry::write_counters(j, r.counters);
     j.key("controller").begin_object();
-    j.key("scalar_loop_batches").value(r.path_scalar_loop_batches);
-    j.key("phase2_batches").value(r.path_phase2_batches);
-    j.key("phase2_memo_batches").value(r.path_phase2_memo_batches);
     j.key("cost_model").begin_object();
     for (usize p = 0; p < core::kNumBatchPaths; ++p) {
       const auto path = static_cast<core::BatchPath>(p);
@@ -908,7 +857,8 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
     j.end_object();
     j.key("snapshot").begin_object();
     j.key("min_version").value(r.snapshot_min_version);
-    j.key("max_version").value(r.snapshot_max_version);
+    j.key("max_version")
+        .value(r.counters[telemetry::Counter::snapshot_version]);
     j.key("lag").value(r.snapshot_lag);
     j.key("monotonic").value(r.versions_monotonic);
     j.end_object();
@@ -945,30 +895,10 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
     j.key("telemetry").begin_object();
     j.key("trace_events_dropped").value(r.trace_events_dropped);
     j.key("trace_events_truncated").value(r.trace_events_truncated);
-    j.key("update_visibility").begin_object();
-    j.key("samples").value(r.update_visibility.samples);
-    j.key("mean_ns").value(r.update_visibility.mean_ns);
-    j.key("max_ns").value(r.update_visibility.max_ns);
-    j.end_object();
+    telemetry::write_update_visibility(j, r.counters);
     j.key("timeseries").begin_array();
     for (const telemetry::StatsSample& s : r.timeseries) {
-      j.begin_object();
-      j.key("t_ns").value(s.t_ns);
-      j.key("interval_ns").value(s.interval_ns);
-      j.key("packets").value(s.packets);
-      j.key("batches").value(s.batches);
-      j.key("mpps").value(s.mpps);
-      j.key("cache_hits").value(s.cache_hits);
-      j.key("classifier_lookups").value(s.classifier_lookups);
-      j.key("probe_memo_hits").value(s.probe_memo_hits);
-      j.key("memory_accesses").value(s.memory_accesses);
-      j.key("p50_cycles").value(s.p50_cycles);
-      j.key("p99_cycles").value(s.p99_cycles);
-      j.key("min_version").value(s.min_version);
-      j.key("max_version").value(s.max_version);
-      j.key("update_visibility_samples").value(s.update_visibility_samples);
-      j.key("update_visibility_mean_ns").value(s.update_visibility_mean_ns);
-      j.end_object();
+      telemetry::write_stats_sample(j, s);
     }
     j.end_array();
     j.end_object();
@@ -976,18 +906,10 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
     for (const dataplane::WorkerReport& s : r.shard_reports) {
       j.begin_object();
       j.key("shard").value(s.worker);
-      j.key("batches").value(s.batches);
-      j.key("packets").value(s.packets);
-      j.key("matched").value(s.matched);
-      j.key("dropped").value(s.dropped);
-      j.key("parse_errors").value(s.parse_errors);
-      j.key("cache_hits").value(s.cache_hits);
-      j.key("cache_misses").value(s.cache_misses);
-      j.key("classifier_lookups").value(s.classifier_lookups);
-      j.key("memory_accesses").value(s.memory_accesses);
-      j.key("probe_memo_hits").value(s.probe_memo_hits);
+      telemetry::write_counters(j, s.counters);
       j.key("min_version").value(s.min_version);
-      j.key("max_version").value(s.max_version);
+      j.key("max_version")
+          .value(s.counters[telemetry::Counter::snapshot_version]);
       j.key("p99_cycles").value(s.latency.percentile(99));
       j.end_object();
     }

@@ -99,28 +99,14 @@ struct ScenarioResult {
   usize trace_packets = 0;
 
   // Engine measurement.
-  u64 packets_processed = 0;
-  u64 matched = 0;
+  /// Every counter row merged over the workers (telemetry/counters.hpp).
+  telemetry::CounterSet counters;
   double wall_seconds = 0;
   double mpps = 0;
   double mean_cycles = 0;
   u64 p50_cycles = 0;
   u64 p99_cycles = 0;
   u64 max_cycles = 0;
-  double cache_hit_rate = 0;
-  u64 memory_accesses = 0;  ///< per-worker recorder totals, summed
-  u64 probe_memo_hits = 0;  ///< combiner probes served by the memo
-  /// Persistent-memo entry drops, summed across workers (initial binds
-  /// plus one per snapshot swap a worker classified across).
-  u64 probe_memo_invalidations = 0;
-  /// Memo replacements that evicted a live entry of another key, summed
-  /// across workers.
-  u64 probe_memo_conflict_evictions = 0;
-  /// Path-controller choices, summed across workers: batches served by
-  /// the scalar loop / batch engine / batch engine + memo.
-  u64 path_scalar_loop_batches = 0;
-  u64 path_phase2_batches = 0;
-  u64 path_phase2_memo_batches = 0;
   /// The controller's fitted per-path cost model coefficients
   /// (ns = ns_per_packet * packets + ns_per_distinct_key * distinct),
   /// averaged over the workers that produced timed observations for the
@@ -128,8 +114,8 @@ struct ScenarioResult {
   std::array<core::PathCostModel, core::kNumBatchPaths> controller_models{};
 
   // Snapshot consistency.
+  /// Lowest version observed; the highest is counters[snapshot_version].
   u64 snapshot_min_version = 0;
-  u64 snapshot_max_version = 0;
   u64 snapshot_lag = 0;  ///< max - min version observed across workers
   bool versions_monotonic = true;
 
@@ -150,7 +136,6 @@ struct ScenarioResult {
   u64 trace_events_dropped = 0;
   /// Spans measured but not retained (per-engine trace_keep_limit).
   u64 trace_events_truncated = 0;
-  dataplane::UpdateVisibility update_visibility;
   /// Every worker error, surfaced as the report's `errors` array with
   /// worker index + restart count ("worker N [restarts=R, healed|
   /// permanent]: what"); r.error carries the first *fatal* one for
@@ -232,7 +217,7 @@ class ScenarioRunner {
 };
 
 /// Emit the single JSON report CI archives (schema
-/// "pclass-scenarios-v3"): options, per-scenario results and the
+/// "pclass-scenarios-v4"): options, per-scenario results and the
 /// aggregate all_ok verdict.
 void write_json_report(std::ostream& os, const ScenarioOptions& opts,
                        const std::vector<ScenarioResult>& results);

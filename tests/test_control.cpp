@@ -31,6 +31,7 @@
 #include "control/server.hpp"
 #include "dataplane/engine.hpp"
 #include "fault/fault.hpp"
+#include "workload/scenario.hpp"
 
 using namespace pclass;
 using control::ControlPlane;
@@ -173,7 +174,8 @@ struct ServeHarness {
   explicit ServeHarness(u64 stats_interval_ms = 5,
                         std::function<void(usize)> fault_hook = nullptr,
                         fault::FaultInjector* injector = nullptr,
-                        dataplane::SupervisorConfig sup = {})
+                        dataplane::SupervisorConfig sup = {},
+                        usize shards = 0)
       : programs(harness_config()) {
     for (u32 i = 1; i <= 64; ++i) programs.apply(add_msg(i));
     for (u32 i = 0; i < 512; ++i) {
@@ -186,6 +188,7 @@ struct ServeHarness {
                                 .batch_size = 16,
                                 .loop = true,
                                 .stats_interval_ms = stats_interval_ms,
+                                .shards = shards,
                                 .worker_fault_hook = std::move(fault_hook),
                                 .fault_injector = injector,
                                 .supervisor = sup},
@@ -549,50 +552,108 @@ TEST(ControlPlane, SubscribeWithoutSamplerGetsTerminalRecord) {
 
 // ---- drain & reconcile -----------------------------------------------------
 
-TEST(ControlPlane, DrainReconcilesLiveScrapeWithReportTotals) {
-  ServeHarness h;
-  TestClient c(h.port());
-  ASSERT_EQ(c.request("write rule add 62000 62000 10.0.1.1/32 * * * 6 drop")
-                .code,
-            200);
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+/// Every counter row of \p want appears as `"name":value` in the first
+/// JSON object at or after \p anchor in \p json.
+void expect_counter_rows(const std::string& json, const std::string& anchor,
+                         const telemetry::CounterSet& want) {
+  SCOPED_TRACE(anchor);
+  const usize at = json.find(anchor);
+  ASSERT_NE(at, std::string::npos) << json;
+  const std::string obj = json.substr(at, json.find('}', at) + 1 - at);
+  for (usize i = 0; i < telemetry::kNumCounters; ++i) {
+    const std::string kv = "\"" + std::string(telemetry::kCounters[i].name) +
+                           "\":" + std::to_string(want.v[i]);
+    EXPECT_TRUE(obj.find(kv + ",") != std::string::npos ||
+                obj.find(kv + "}") != std::string::npos)
+        << kv << " not in " << obj;
+  }
+}
 
+/// The drain moment and the counter table's promise, row by row: for
+/// every row, the merged shards, the merged workers, the post-drain live
+/// blocks and the merged timeseries agree (sum rows summed, max rows
+/// maxed), and the row is rendered by `read stats`, `read metrics`,
+/// `subscribe` rows, the daemon report and the scenario report.
+TEST(ControlPlane, DrainReconcilesEveryCounterRowOnEverySurface) {
+  using telemetry::CounterSet;
+  ServeHarness h(/*stats_interval_ms=*/2, nullptr, nullptr, {},
+                 /*shards=*/2);
+  TestClient c(h.port());
+  TestClient sub(h.port());
+  ASSERT_EQ(sub.request("subscribe stats 5").code, 200);
+  const std::string row = sub.read_line();
+  for (u32 id = 62100; id < 62108; ++id) {
+    std::ostringstream cmd;
+    cmd << "write rule add " << id << " " << id << " 10.0.0." << id % 64 + 1
+        << "/32 * * * 6 out:2";
+    ASSERT_EQ(c.request(cmd.str()).code, 200);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
   const auto drain = c.request("write drain");
   ASSERT_EQ(drain.code, 200);
   EXPECT_NE(drain.message.find("packets="), std::string::npos);
-
-  // The post-drain scrape must agree exactly with the engine report.
   const dataplane::EngineReport rep = h.cp->drain();  // idempotent
-  u64 t_batches = 0, t_lookups = 0;
-  for (const auto& w : rep.workers) {
-    t_batches += w.batches;
-    t_lookups += w.classifier_lookups;
-  }
-  const auto stats = c.read_request("read stats");
-  ASSERT_EQ(stats.code, 200);
-  EXPECT_NE(stats.payload.find("\"drained\":true"), std::string::npos);
-  EXPECT_NE(stats.payload.find("\"totals\":{\"packets\":" +
-                               std::to_string(rep.packets())),
-            std::string::npos)
-      << stats.payload;
-  EXPECT_NE(stats.payload.find("\"batches\":" + std::to_string(t_batches)),
-            std::string::npos);
-  // Sum of interval deltas == totals (the sampler's final flush ran).
-  u64 d_packets = 0, d_lookups = 0;
-  for (const auto& s : rep.timeseries) {
-    d_packets += s.packets;
-    d_lookups += s.classifier_lookups;
-  }
-  EXPECT_EQ(d_packets, rep.packets());
-  EXPECT_EQ(d_lookups, t_lookups);
-
+  const std::string stats = c.read_request("read stats").payload;
+  EXPECT_NE(stats.find("\"drained\":true"), std::string::npos);
   // Updates are refused after drain; reads keep working.
   EXPECT_EQ(c.request("write rule add 62001 62001 10.0.1.2/32 * * * 6 drop")
                 .code,
             409);
   EXPECT_EQ(c.request("write set path-policy phase2").code, 409);
-  EXPECT_EQ(c.read_request("read metrics").code, 200);
   EXPECT_EQ(c.read_request("read timeseries").code, 200);
+  const std::string metrics = c.read_request("read metrics").payload;
+  std::ostringstream serve;
+  control::write_serve_report(serve, rep, *h.cp, *h.server);
+
+  ASSERT_EQ(rep.shards.size(), 2u);
+  const CounterSet workers = rep.totals();
+  const CounterSet shards = dataplane::merge_reports(0, rep.shards).counters;
+  CounterSet live;
+  for (const auto* t : h.engine->telemetry_blocks()) {
+    live.merge(t->live.snapshot());
+  }
+  CounterSet series;
+  for (const auto& s : rep.timeseries) series.merge(s.counters);
+  EXPECT_GT(workers[telemetry::Counter::packets], 0u);
+  EXPECT_GT(workers[telemetry::Counter::update_visibility_samples], 0u);
+  for (usize i = 0; i < telemetry::kNumCounters; ++i) {
+    const std::string name(telemetry::kCounters[i].name);
+    EXPECT_EQ(shards.v[i], workers.v[i]) << name;
+    EXPECT_EQ(live.v[i], workers.v[i]) << name;
+    EXPECT_EQ(series.v[i], workers.v[i]) << name;
+    EXPECT_NE(row.find("\"" + name + "\":"), std::string::npos) << row;
+    EXPECT_NE(metrics.find("pclass_live_" + name), std::string::npos)
+        << name;
+  }
+  expect_counter_rows(stats, "\"totals\":", workers);
+  expect_counter_rows(serve.str(), "\"totals\":", workers);
+  expect_counter_rows(serve.str(), "\"shards\":[", rep.shards[0].counters);
+
+  // The scenario report: same equalities, same rows.
+  workload::ScenarioOptions opts;
+  opts.workers = 1;
+  opts.scale = 0.04;
+  opts.stats_interval_ms = 1;
+  opts.shards = 2;
+  workload::ScenarioRunner runner(opts);
+  const std::vector<workload::ScenarioResult> results = {
+      runner.run("acl-like")};
+  const workload::ScenarioResult& r = results[0];
+  ASSERT_TRUE(r.ok()) << r.error;
+  ASSERT_EQ(r.shard_reports.size(), 2u);
+  ASSERT_FALSE(r.timeseries.empty());
+  CounterSet r_series;
+  for (const auto& s : r.timeseries) r_series.merge(s.counters);
+  EXPECT_TRUE(dataplane::merge_reports(0, r.shard_reports).counters ==
+              r.counters);
+  EXPECT_TRUE(r_series == r.counters);
+  std::ostringstream json;
+  workload::write_json_report(json, opts, results);
+  expect_counter_rows(json.str(), "\"cache_hit_rate\":", r.counters);
+  expect_counter_rows(json.str(), "\"shards\":[",
+                      r.shard_reports[0].counters);
+  expect_counter_rows(json.str(), "\"timeseries\":[",
+                      r.timeseries[0].counters);
 }
 
 // ---- trace capture ---------------------------------------------------------

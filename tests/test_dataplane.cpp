@@ -16,6 +16,7 @@
 
 using namespace pclass;
 using namespace pclass::dataplane;
+using telemetry::Counter;
 
 namespace {
 
@@ -342,8 +343,8 @@ TEST(RuleProgram, EngineObservesMonotonicVersionsDuringUpdateStorm) {
   EXPECT_TRUE(rep.versions_monotonic());
   EXPECT_GT(rep.packets(), 0u);
   for (const auto& w : rep.workers) {
-    EXPECT_GE(w.max_version, w.min_version);
-    EXPECT_LE(w.max_version, 200u);
+    EXPECT_GE(w.counters[Counter::snapshot_version], w.min_version);
+    EXPECT_LE(w.counters[Counter::snapshot_version], 200u);
   }
 }
 
@@ -409,8 +410,8 @@ TEST(Engine, MultiWorkerMatchesSingleThreadedOracle) {
   // Work was actually spread over the workers.
   usize active_workers = 0;
   for (const auto& w : rep.workers) {
-    if (w.packets > 0) ++active_workers;
-    EXPECT_EQ(w.parse_errors, 0u);
+    if (w.counters[Counter::packets] > 0) ++active_workers;
+    EXPECT_EQ(w.counters[Counter::parse_errors], 0u);
   }
   EXPECT_GE(active_workers, 2u);
   // Latency percentiles come out ordered.
@@ -434,7 +435,6 @@ TEST(FlowCacheElement, ServesRepeatsAndFlushesOnVersionBump) {
   b.clear();
   b.push(probe_tuple(5));
   p.push_batch(b);  // repeat flow: served by the cache
-  EXPECT_EQ(sink->cache_hits(), 1u);
   EXPECT_EQ(sink->matched(), 2u);
   EXPECT_EQ(cache->stats().hits, 1u);
 
@@ -449,7 +449,7 @@ TEST(FlowCacheElement, ServesRepeatsAndFlushesOnVersionBump) {
   b.push(probe_tuple(5));
   p.push_batch(b);
   EXPECT_EQ(cache->stats().invalidations, 1u);
-  EXPECT_EQ(sink->cache_hits(), 1u);   // not served from the stale line
+  EXPECT_EQ(cache->stats().hits, 1u);  // not served from the stale line
   EXPECT_EQ(sink->matched(), 2u);      // rule is gone: miss
   EXPECT_EQ(b.rule_version, 2u);
 }
@@ -466,10 +466,10 @@ TEST(Engine, SingleWorkerCacheHitsOnRepeatedFlows) {
                 programs);
   const EngineReport rep = engine.run(pool);
   ASSERT_EQ(rep.workers.size(), 1u);
-  EXPECT_EQ(rep.workers[0].packets, 64u);
-  EXPECT_EQ(rep.workers[0].cache_hits, 48u);
-  EXPECT_GT(rep.workers[0].cache_hit_rate(), 0.7);
-  EXPECT_EQ(rep.workers[0].classifier_lookups, 16u);
+  EXPECT_EQ(rep.workers[0].counters[Counter::packets], 64u);
+  EXPECT_EQ(rep.workers[0].counters[Counter::cache_hits], 48u);
+  EXPECT_GT(rep.workers[0].counters.cache_hit_rate(), 0.7);
+  EXPECT_EQ(rep.workers[0].counters[Counter::classifier_lookups], 16u);
 }
 
 TEST(Engine, RawPacketPathParsesOnWorkers) {
@@ -485,7 +485,5 @@ TEST(Engine, RawPacketPathParsesOnWorkers) {
   Engine engine({.workers = 2, .batch_size = 16}, programs);
   const EngineReport rep = engine.run(pool);
   EXPECT_EQ(rep.packets(), 300u);
-  u64 lookups = 0;
-  for (const auto& w : rep.workers) lookups += w.classifier_lookups;
-  EXPECT_EQ(lookups, 300u);  // no flow cache: every packet classified
+  EXPECT_EQ(rep.totals()[Counter::classifier_lookups], 300u);  // no flow cache: every packet classified
 }

@@ -535,7 +535,7 @@ void run_shard_config(const ShardFuzzConfig& c) {
   usize total = 0;
   for (usize s = 0; s < c.shards; ++s) {
     total += rep.captured[s].size();
-    EXPECT_EQ(rep.captured[s].size(), rep.shards[s].packets)
+    EXPECT_EQ(rep.captured[s].size(), rep.shards[s].counters[telemetry::Counter::packets])
         << c.describe() << " shard " << s;
     for (usize k = 0; k < rep.captured[s].size(); ++k) {
       const dataplane::CapturedVerdict& cv = rep.captured[s][k];

@@ -213,6 +213,27 @@ TEST(Mbt, CapacityErrorWhenPoolExhausted) {
   EXPECT_THROW(rig.insert(0xFF00, 16, 2, 0), CapacityError);
 }
 
+TEST(Mbt, FailedInsertFreesTheNodesItsWalkCreated) {
+  MbtConfig cfg;
+  cfg.level_capacity = {1, 4, 1};
+  Rig rig(cfg);
+  rig.insert(0x0100, 16, 1, 0);  // takes the only L2 node
+  ASSERT_EQ(rig.trie->node_count(1), 1u);
+  // Each /16 under a fresh root entry gets an L1 node, then finds the L2
+  // pool full: that L1 node must not stay behind.
+  for (u16 k = 1; k <= 3; ++k) {
+    EXPECT_THROW(rig.insert(static_cast<u16>(k << 11 | 0x0100), 16,
+                            static_cast<u16>(10 + k), 0),
+                 CapacityError);
+    EXPECT_EQ(rig.trie->node_count(1), 1u);
+  }
+  // So a /10, which needs one L1 node and no L2 node, still fits.
+  rig.insert(0xF800, 10, 20, 0);
+  EXPECT_EQ(rig.trie->node_count(1), 2u);
+  EXPECT_EQ(rig.lookup(0xF812), std::vector<u16>{20});
+  EXPECT_EQ(rig.lookup(0x0100), std::vector<u16>{1});
+}
+
 TEST(Mbt, MemoryAccounting) {
   Rig rig;
   EXPECT_GT(rig.trie->capacity_bits(), 0u);

@@ -273,26 +273,10 @@ TEST(StatsSampler, IntervalDeltasSumToEndOfRunTotals) {
 
   EXPECT_EQ(rep.packets(), kPackets);
   ASSERT_FALSE(rep.timeseries.empty());
-  u64 d_packets = 0, d_batches = 0, d_hits = 0, d_lookups = 0, d_mem = 0;
-  for (const StatsSample& s : rep.timeseries) {
-    d_packets += s.packets;
-    d_batches += s.batches;
-    d_hits += s.cache_hits;
-    d_lookups += s.classifier_lookups;
-    d_mem += s.memory_accesses;
-  }
-  u64 t_batches = 0, t_hits = 0, t_lookups = 0, t_mem = 0;
-  for (const auto& w : rep.workers) {
-    t_batches += w.batches;
-    t_hits += w.cache_hits;
-    t_lookups += w.classifier_lookups;
-    t_mem += w.memory_accesses;
-  }
-  EXPECT_EQ(d_packets, rep.packets());
-  EXPECT_EQ(d_batches, t_batches);
-  EXPECT_EQ(d_hits, t_hits);
-  EXPECT_EQ(d_lookups, t_lookups);
-  EXPECT_EQ(d_mem, t_mem);
+  // Every counter row: the merged interval rows are the totals.
+  telemetry::CounterSet merged;
+  for (const StatsSample& s : rep.timeseries) merged.merge(s.counters);
+  EXPECT_TRUE(merged == rep.totals());
 
   // The collected spans are plausible and attributed to real workers.
   EXPECT_GT(rep.trace_events.size(), 0u);
@@ -318,7 +302,7 @@ TEST(UpdateVisibility, MeasuredOnDeterministicUpdateStorm) {
   }
   const dataplane::EngineReport rep = engine.stop();
 
-  const dataplane::UpdateVisibility vis = rep.update_visibility();
+  const UpdateVisibility vis = rep.totals().update_visibility();
   EXPECT_GT(vis.samples, 0u);
   EXPECT_GT(vis.mean_ns, 0.0);
   EXPECT_TRUE(std::isfinite(vis.mean_ns));
@@ -329,7 +313,7 @@ TEST(UpdateVisibility, MeasuredOnDeterministicUpdateStorm) {
   EXPECT_LT(vis.max_ns, u64{10} * 1000 * 1000 * 1000);
   // The sampler saw the version advance mid-run.
   ASSERT_FALSE(rep.timeseries.empty());
-  EXPECT_GT(rep.timeseries.back().max_version,
+  EXPECT_GT(rep.timeseries.back().counters[Counter::snapshot_version],
             rep.timeseries.front().min_version);
 }
 
@@ -511,7 +495,7 @@ TEST(StatsSampler, SubscribersSeeEveryActiveRowIncludingFinalFlush) {
         ++cursor;
       }
       ASSERT_LT(cursor, rep.timeseries.size()) << "row not found in series";
-      EXPECT_EQ(rep.timeseries[cursor].packets, r.packets);
+      EXPECT_TRUE(rep.timeseries[cursor].counters == r.counters);
       ++cursor;
     }
   }

@@ -22,6 +22,7 @@
 
 using namespace pclass;
 using namespace pclass::workload;
+using telemetry::Counter;
 
 namespace {
 
@@ -334,7 +335,7 @@ TEST(Scenario, SmokeRunOracleClean) {
     const ScenarioResult r = runner.run(name);
     EXPECT_TRUE(r.ok()) << name << ": " << r.error << " (mismatches "
                         << r.oracle_mismatches << ")";
-    EXPECT_GT(r.packets_processed, 0u) << name;
+    EXPECT_GT(r.counters[Counter::packets], 0u) << name;
     EXPECT_GT(r.oracle_checked, 0u) << name;
     EXPECT_EQ(r.oracle_mismatches, 0u) << name;
     if (std::string(name) == "update-storm") {
@@ -349,13 +350,13 @@ TEST(Scenario, MultiWriterStormOracleCleanUnderContention) {
   EXPECT_TRUE(r.ok()) << r.error << " (mismatches " << r.oracle_mismatches
                       << ")";
   EXPECT_GT(r.updates_applied, 0u);
-  EXPECT_GT(r.packets_processed, 0u);
+  EXPECT_GT(r.counters[Counter::packets], 0u);
   EXPECT_EQ(r.oracle_mismatches, 0u);
   // 4 writers x >= 256 paced messages each actually went through.
   EXPECT_GE(r.updates_applied, 1024u);
   // The swap churn forced the workers' persistent memos to rebind many
   // times mid-trace (each publish rotates the replica under them).
-  EXPECT_GT(r.probe_memo_invalidations, 2u);
+  EXPECT_GT(r.counters[Counter::probe_memo_invalidations], 2u);
 }
 
 TEST(Scenario, RunManyParallelMatchesSequentialOrder) {
@@ -379,8 +380,8 @@ TEST(Scenario, RunManyParallelMatchesSequentialOrder) {
     EXPECT_EQ(a[i].rules, b[i].rules);
     EXPECT_EQ(a[i].trace_packets, b[i].trace_packets);
     EXPECT_EQ(a[i].oracle_checked, b[i].oracle_checked);
-    EXPECT_EQ(a[i].packets_processed, b[i].packets_processed);
-    EXPECT_EQ(a[i].matched, b[i].matched);
+    EXPECT_EQ(a[i].counters[Counter::packets], b[i].counters[Counter::packets]);
+    EXPECT_EQ(a[i].counters[Counter::matched], b[i].counters[Counter::matched]);
   }
   EXPECT_THROW((void)par.run_many({"acl-like", "nope"}), ConfigError);
 }
@@ -398,7 +399,7 @@ TEST(Scenario, WorkerBudgetCapsConcurrentEngineWorkers) {
   const auto results = runner.run_many(names);
   for (const auto& r : results) {
     EXPECT_TRUE(r.ok()) << r.name << ": " << r.error;
-    EXPECT_GT(r.packets_processed, 0u) << r.name;
+    EXPECT_GT(r.counters[Counter::packets], 0u) << r.name;
   }
   EXPECT_GT(runner.budget().peak_in_use(), 0u);
   EXPECT_LE(runner.budget().peak_in_use(), 3u);
@@ -462,10 +463,10 @@ TEST(Scenario, CacheThrashDefeatsCacheAndZipfFeedsIt) {
   const ScenarioResult zipf = runner.run("zipf-locality");
   ASSERT_TRUE(thrash.ok()) << thrash.error;
   ASSERT_TRUE(zipf.ok()) << zipf.error;
-  EXPECT_LT(thrash.cache_hit_rate, 0.05);
-  EXPECT_GT(zipf.cache_hit_rate, 0.5);
+  EXPECT_LT(thrash.counters.cache_hit_rate(), 0.05);
+  EXPECT_GT(zipf.counters.cache_hit_rate(), 0.5);
   // Per-worker recorder plumbing delivers the access totals.
-  EXPECT_GT(thrash.memory_accesses, 0u);
+  EXPECT_GT(thrash.counters[Counter::memory_accesses], 0u);
 }
 
 TEST(Scenario, JsonReportIsWellFormedish) {
@@ -474,7 +475,10 @@ TEST(Scenario, JsonReportIsWellFormedish) {
   std::ostringstream os;
   write_json_report(os, runner.options(), results);
   const std::string s = os.str();
-  EXPECT_NE(s.find("\"schema\":\"pclass-scenarios-v3\""), std::string::npos);
+  EXPECT_NE(s.find("\"schema\":\"pclass-scenarios-v4\""), std::string::npos);
+  // v4 moved controller.*_batches to the flat path_*_batches rows.
+  EXPECT_EQ(s.find("\"scalar_loop_batches\""), std::string::npos);
+  EXPECT_NE(s.find("\"path_scalar_loop_batches\""), std::string::npos);
   // v2 dropped the retired knobs' option fields.
   EXPECT_EQ(s.find("\"memo_ways\""), std::string::npos);
   EXPECT_EQ(s.find("\"memo_persistent\""), std::string::npos);

@@ -128,40 +128,27 @@ int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
     return 1;
   }
 
-  TextTable t({"worker", "packets", "matched", "cache hit%", "p50 cyc",
-               "p99 cyc", "Mpps"});
-  for (const auto& w : rep.workers) {
-    t.add_row({std::to_string(w.worker), std::to_string(w.packets),
-               std::to_string(w.matched),
-               TextTable::num(w.cache_hit_rate() * 100.0, 1),
-               std::to_string(w.latency.percentile(50)),
-               std::to_string(w.latency.percentile(99)),
-               TextTable::num(w.mpps(), 3)});
-  }
-  t.print(std::cout);
-
-  if (!rep.shards.empty()) {
-    TextTable st({"shard", "packets", "matched", "cache hit%", "p50 cyc",
-                  "p99 cyc"});
-    for (const auto& s : rep.shards) {
-      st.add_row({std::to_string(s.worker), std::to_string(s.packets),
-                  std::to_string(s.matched),
-                  TextTable::num(s.cache_hit_rate() * 100.0, 1),
-                  std::to_string(s.latency.percentile(50)),
-                  std::to_string(s.latency.percentile(99))});
+  const auto print_rows = [](const std::string& label,
+                             const std::vector<dataplane::WorkerReport>& rows) {
+    using telemetry::Counter;
+    TextTable t({label, "packets", "matched", "cache hit%", "p50 cyc",
+                 "p99 cyc", "Mpps"});
+    for (const auto& w : rows) {
+      t.add_row({std::to_string(w.worker),
+                 std::to_string(w.counters[Counter::packets]),
+                 std::to_string(w.counters[Counter::matched]),
+                 TextTable::num(w.counters.cache_hit_rate() * 100.0, 1),
+                 std::to_string(w.latency.percentile(50)),
+                 std::to_string(w.latency.percentile(99)),
+                 TextTable::num(w.mpps(), 3)});
     }
-    st.print(std::cout);
-  }
+    t.print(std::cout);
+  };
+  print_rows("worker", rep.workers);
+  if (!rep.shards.empty()) print_rows("shard", rep.shards);
 
   const auto lat = rep.merged_latency();
-  u64 memo_hits = 0, memo_inval = 0, b_scalar = 0, b_p2 = 0, b_p2m = 0;
-  for (const auto& w : rep.workers) {
-    memo_hits += w.probe_memo_hits;
-    memo_inval += w.probe_memo_invalidations;
-    b_scalar += w.path_scalar_loop_batches;
-    b_p2 += w.path_phase2_batches;
-    b_p2m += w.path_phase2_memo_batches;
-  }
+  const telemetry::CounterSet totals = rep.totals();
   TextTable a({"metric", "value"});
   a.add_row({"engine", std::to_string(workers) + " workers x batch " +
                            std::to_string(batch) + " (" +
@@ -171,13 +158,13 @@ int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
                              (steer_symmetric ? " (symmetric steering)"
                                               : "")});
   }
-  a.add_row({"probe memo hits", std::to_string(memo_hits) + " (" +
-                                    std::to_string(memo_inval) +
-                                    " invalidations)"});
-  a.add_row({"controller paths",
-             "scalar-loop " + std::to_string(b_scalar) + " / phase2 " +
-                 std::to_string(b_p2) + " / phase2+memo " +
-                 std::to_string(b_p2m) + " batches"});
+  // The memo and path-controller rows of the counter table.
+  for (usize i = 0; i < telemetry::kNumCounters; ++i) {
+    const std::string_view name = telemetry::kCounters[i].name;
+    if (name.starts_with("probe_memo_") || name.starts_with("path_")) {
+      a.add_row({std::string(name), std::to_string(totals.v[i])});
+    }
+  }
   a.add_row({"load cost", std::to_string(load.cycles) + " bus cycles (1 "
                           "coalesced snapshot)"});
   a.add_row({"packets", std::to_string(rep.packets())});
@@ -222,22 +209,17 @@ int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
     telemetry::MetricsWriter m(os);
     using Label = telemetry::MetricsWriter::Label;
     const std::array<Label, 1> ls = {Label{"tool", "pclass_classify"}};
-    m.counter("pclass_packets_total", "Packets processed", ls,
-              static_cast<double>(rep.packets()));
-    m.counter("pclass_matched_total", "Packets matched by a rule", ls,
-              static_cast<double>(rep.matched()));
+    telemetry::write_counter_metrics(m, "pclass_", ls, totals);
     m.gauge("pclass_throughput_mpps", "End-of-run aggregate Mpps", ls,
             rep.aggregate_mpps());
     m.gauge("pclass_lookup_cycles_p50", "Modelled lookup cycles, p50", ls,
             static_cast<double>(lat.percentile(50)));
     m.gauge("pclass_lookup_cycles_p99", "Modelled lookup cycles, p99", ls,
             static_cast<double>(lat.percentile(99)));
-    m.counter("pclass_probe_memo_hits_total", "Probe-memo hits", ls,
-              static_cast<double>(memo_hits));
     m.counter("pclass_trace_events_dropped_total",
               "Trace-ring events lost to overwrite", ls,
               static_cast<double>(rep.trace_events_dropped()));
-    const auto vis = rep.update_visibility();
+    const auto vis = totals.update_visibility();
     m.gauge("pclass_update_visibility_mean_ns",
             "Mean publish->worker-visible latency", ls, vis.mean_ns);
     std::cerr << "wrote " << tout.metrics_path << "\n";

@@ -101,23 +101,15 @@ void write_metrics(std::ostream& os,
   }
   for (const auto& r : results) {
     const std::array<Label, 1> ls = {Label{"scenario", r.name}};
-    m.counter("pclass_packets_total", "Packets processed", ls,
-              static_cast<double>(r.packets_processed));
-    m.counter("pclass_matched_total", "Packets matched by a rule", ls,
-              static_cast<double>(r.matched));
+    telemetry::write_counter_metrics(m, "pclass_", ls, r.counters);
     m.gauge("pclass_throughput_mpps", "End-of-run aggregate Mpps", ls,
             r.mpps);
     m.gauge("pclass_cache_hit_rate", "Flow-cache hit rate", ls,
-            r.cache_hit_rate);
+            r.counters.cache_hit_rate());
     m.gauge("pclass_lookup_cycles_p50", "Modelled lookup cycles, p50", ls,
             static_cast<double>(r.p50_cycles));
     m.gauge("pclass_lookup_cycles_p99", "Modelled lookup cycles, p99", ls,
             static_cast<double>(r.p99_cycles));
-    m.counter("pclass_probe_memo_hits_total", "Probe-memo hits", ls,
-              static_cast<double>(r.probe_memo_hits));
-    m.counter("pclass_probe_memo_conflict_evictions_total",
-              "Probe-memo conflict evictions", ls,
-              static_cast<double>(r.probe_memo_conflict_evictions));
     m.counter("pclass_updates_applied_total", "Southbound updates applied",
               ls, static_cast<double>(r.updates_applied));
     m.counter("pclass_trace_events_dropped_total",
@@ -125,10 +117,7 @@ void write_metrics(std::ostream& os,
               static_cast<double>(r.trace_events_dropped));
     m.gauge("pclass_update_visibility_mean_ns",
             "Mean publish->worker-visible latency", ls,
-            r.update_visibility.mean_ns);
-    m.gauge("pclass_update_visibility_max_ns",
-            "Max publish->worker-visible latency", ls,
-            static_cast<double>(r.update_visibility.max_ns));
+            r.counters.update_visibility().mean_ns);
     m.counter("pclass_oracle_mismatches_total",
               "Oracle verification mismatches", ls,
               static_cast<double>(r.oracle_mismatches));
@@ -253,25 +242,25 @@ int main(int argc, char** argv) {
         wanted.empty() ? runner.run_all() : runner.run_many(wanted);
 
     // Human-readable progress on stderr; the JSON report is the output.
+    using telemetry::Counter;
     for (const auto& r : results) {
       std::cerr << (r.ok() ? "ok   " : "FAIL ") << r.name << ": "
-                << r.packets_processed << " pkts, "
+                << r.counters[Counter::packets] << " pkts, "
                 << r.rules << " rules, p50/p99 " << r.p50_cycles << "/"
                 << r.p99_cycles << " cyc, cache "
-                << static_cast<int>(r.cache_hit_rate * 100) << "%, oracle "
+                << static_cast<int>(r.counters.cache_hit_rate() * 100) << "%, oracle "
                 << (r.oracle_checked - r.oracle_mismatches) << "/"
                 << r.oracle_checked;
-      if (r.probe_memo_hits > 0) {
-        std::cerr << ", memo " << r.probe_memo_hits << " (inval "
-                  << r.probe_memo_invalidations << ", confl "
-                  << r.probe_memo_conflict_evictions << ")";
+      if (r.counters[Counter::probe_memo_hits] > 0) {
+        std::cerr << ", memo " << r.counters[Counter::probe_memo_hits]
+                  << " (inval " << r.counters[Counter::probe_memo_invalidations]
+                  << ")";
       }
       if (r.updates_applied > 0) {
         std::cerr << ", " << r.updates_applied << " updates";
       }
-      if (r.update_visibility.samples > 0) {
-        std::cerr << ", upd-vis "
-                  << static_cast<u64>(r.update_visibility.mean_ns) / 1000
+      if (const auto vis = r.counters.update_visibility(); vis.samples > 0) {
+        std::cerr << ", upd-vis " << static_cast<u64>(vis.mean_ns) / 1000
                   << "us mean";
       }
       if (r.trace_events_dropped > 0) {

@@ -62,7 +62,6 @@
 #include "net/trace.hpp"
 #include "ruleset/classbench.hpp"
 #include "workload/binio.hpp"
-#include "workload/json_writer.hpp"
 
 using namespace pclass;
 
@@ -138,135 +137,6 @@ control::ServerConfig parse_listen(const std::string& spec) {
   }
   cfg.tcp_port = static_cast<u16>(port);
   return cfg;
-}
-
-void write_report(std::ostream& os, const dataplane::EngineReport& rep,
-                  const control::ControlPlane& cp,
-                  const control::ControlServer& server) {
-  const auto& build = common::build_info();
-  const control::SocketVisibility sv = cp.socket_visibility();
-  const dataplane::UpdateVisibility uv = rep.update_visibility();
-  workload::JsonWriter j(os);
-  j.begin_object();
-  j.key("schema").value("pclass-serve-v1");
-  j.key("meta").begin_object();
-  j.key("build").begin_object();
-  j.key("version").value(build.version);
-  j.key("git_sha").value(build.git_sha);
-  j.key("compiler").value(build.compiler);
-  j.key("build_type").value(build.build_type);
-  j.end_object();
-  j.end_object();
-  j.key("endpoint").value(server.endpoint());
-  j.key("wall_seconds").value(rep.wall_seconds);
-
-  u64 batches = 0, dropped = 0, cache_hits = 0, lookups = 0, mem = 0,
-      memo_hits = 0;
-  j.key("workers").begin_array();
-  for (const auto& w : rep.workers) {
-    batches += w.batches;
-    dropped += w.dropped;
-    cache_hits += w.cache_hits;
-    lookups += w.classifier_lookups;
-    mem += w.memory_accesses;
-    memo_hits += w.probe_memo_hits;
-    j.begin_object();
-    j.key("worker").value(static_cast<u64>(w.worker));
-    j.key("packets").value(w.packets);
-    j.key("batches").value(w.batches);
-    j.key("matched").value(w.matched);
-    j.key("dropped").value(w.dropped);
-    j.key("cache_hits").value(w.cache_hits);
-    j.key("classifier_lookups").value(w.classifier_lookups);
-    j.key("memory_accesses").value(w.memory_accesses);
-    j.key("probe_memo_hits").value(w.probe_memo_hits);
-    j.key("mpps").value(w.mpps());
-    j.key("p50_cycles").value(w.latency.percentile(50));
-    j.key("p99_cycles").value(w.latency.percentile(99));
-    if (!w.error.empty()) j.key("error").value(w.error);
-    j.end_object();
-  }
-  j.end_array();
-
-  // Raw per-shard rows (empty unsharded); workers[] above stays the
-  // authoritative double-count-free view.
-  j.key("shards").begin_array();
-  for (const auto& s : rep.shards) {
-    j.begin_object();
-    j.key("shard").value(static_cast<u64>(s.worker));
-    j.key("packets").value(s.packets);
-    j.key("batches").value(s.batches);
-    j.key("matched").value(s.matched);
-    j.key("dropped").value(s.dropped);
-    j.key("cache_hits").value(s.cache_hits);
-    j.key("classifier_lookups").value(s.classifier_lookups);
-    j.key("memory_accesses").value(s.memory_accesses);
-    j.key("probe_memo_hits").value(s.probe_memo_hits);
-    j.key("p50_cycles").value(s.latency.percentile(50));
-    j.key("p99_cycles").value(s.latency.percentile(99));
-    j.end_object();
-  }
-  j.end_array();
-
-  j.key("totals").begin_object();
-  j.key("packets").value(rep.packets());
-  j.key("batches").value(batches);
-  j.key("matched").value(rep.matched());
-  j.key("dropped").value(dropped);
-  j.key("cache_hits").value(cache_hits);
-  j.key("classifier_lookups").value(lookups);
-  j.key("memory_accesses").value(mem);
-  j.key("probe_memo_hits").value(memo_hits);
-  j.key("aggregate_mpps").value(rep.aggregate_mpps());
-  j.end_object();
-
-  j.key("update_visibility").begin_object();
-  j.key("samples").value(uv.samples);
-  j.key("mean_ns").value(uv.mean_ns);
-  j.key("max_ns").value(uv.max_ns);
-  j.end_object();
-
-  j.key("socket").begin_object();
-  j.key("updates_accepted").value(cp.updates_accepted());
-  j.key("connections_accepted").value(server.connections_accepted());
-  j.key("connections_rejected").value(server.connections_rejected());
-  j.key("requests_served").value(server.requests_served());
-  j.key("visibility").begin_object();
-  j.key("samples").value(sv.samples);
-  j.key("cmd_to_first_mean_ns").value(sv.cmd_to_first_mean_ns);
-  j.key("cmd_to_first_max_ns").value(sv.cmd_to_first_max_ns);
-  j.key("cmd_to_all_mean_ns").value(sv.cmd_to_all_mean_ns);
-  j.key("cmd_to_all_max_ns").value(sv.cmd_to_all_max_ns);
-  j.key("publish_to_first_mean_ns").value(sv.publish_to_first_mean_ns);
-  j.key("publish_to_first_max_ns").value(sv.publish_to_first_max_ns);
-  j.key("pending").value(sv.pending);
-  j.key("unresolved").value(sv.unresolved);
-  j.end_object();
-  j.end_object();
-
-  j.key("supervisor").begin_object();
-  j.key("worker_restarts").value(rep.worker_restarts);
-  j.key("stall_detections").value(rep.stall_detections);
-  j.key("shards_reassigned").value(rep.shards_reassigned);
-  j.key("workers_failed").value(rep.workers_failed);
-  j.end_object();
-
-  j.key("errors").begin_array();
-  for (const auto& d : rep.error_log) {
-    j.begin_object();
-    j.key("worker").value(static_cast<u64>(d.worker));
-    j.key("restarts").value(d.restarts);
-    j.key("permanent").value(d.permanent);
-    j.key("message").value(d.message);
-    j.end_object();
-  }
-  j.end_array();
-
-  j.key("timeseries").begin_array();
-  for (const auto& s : rep.timeseries) control::write_stats_sample(j, s);
-  j.end_array();
-  j.end_object();
-  os << "\n";
 }
 
 }  // namespace
@@ -433,7 +303,7 @@ int main(int argc, char** argv) {
     if (!report_path.empty()) {
       std::ofstream os(report_path);
       if (!os) throw Error("cannot open " + report_path);
-      write_report(os, rep, cp, server);
+      control::write_serve_report(os, rep, cp, server);
       std::cerr << "wrote " << report_path << "\n";
     }
 
