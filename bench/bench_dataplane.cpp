@@ -55,10 +55,10 @@ ScalePoint run_point(const dataplane::RuleProgramPublisher& programs,
   ScalePoint p;
   p.workers = workers;
   p.mpps = rep.aggregate_mpps();
-  const auto lat = rep.merged_latency();
-  p.p50 = lat.percentile(50);
-  p.p99 = lat.percentile(99);
-  const telemetry::CounterSet totals = rep.totals();
+  const dataplane::WorkerReport all = dataplane::merge_reports(0, rep.workers);
+  p.p50 = all.latency.percentile(50);
+  p.p99 = all.latency.percentile(99);
+  const telemetry::CounterSet& totals = all.counters;
   p.hit_rate = totals.cache_hit_rate();
   p.memo_hits = totals[telemetry::Counter::probe_memo_hits];
   return p;
@@ -179,7 +179,8 @@ int main(int argc, char** argv) {
           .count();
   const dataplane::EngineReport storm = engine.stop();
 
-  const bool monotonic = storm.versions_monotonic();
+  const bool monotonic =
+      dataplane::merge_reports(0, storm.workers).version_monotonic;
   const bool progressed =
       storm.packets() > 0 && storm.first_error().empty();
   const bool versions_ok =

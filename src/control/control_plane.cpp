@@ -692,7 +692,8 @@ void write_serve_report(std::ostream& os, const dataplane::EngineReport& rep,
                         const ControlPlane& cp, const ControlServer& server) {
   const auto& build = build_info();
   const SocketVisibility sv = cp.socket_visibility();
-  const telemetry::CounterSet totals = rep.totals();
+  const telemetry::CounterSet totals =
+      dataplane::merge_reports(0, rep.workers).counters;
   workload::JsonWriter j(os);
   j.begin_object();
   j.key("schema").value("pclass-serve-v1");

@@ -260,7 +260,7 @@ struct WorkerErrorDetail {
 /// Unsharded engines put one row per worker thread there (as always).
 /// Sharded engines put one *merged* row per worker thread (summing the
 /// disjoint shards that thread owns) and expose the raw per-shard rows
-/// in `shards`.
+/// in `shards`. merge_reports(0, workers) is the whole-engine row.
 struct EngineReport {
   std::vector<WorkerReport> workers;
   /// Per-shard raw rows (WorkerReport::worker = shard index); empty for
@@ -277,8 +277,8 @@ struct EngineReport {
   /// Drained TraceRing events (EngineConfig::collect_trace).
   std::vector<telemetry::TraceEvent> trace_events;
   /// Spans drained past EngineConfig::trace_keep_limit — measured but
-  /// not retained for the export (distinct from trace_events_dropped(),
-  /// which is ring-overwrite loss).
+  /// not retained for the export (distinct from the workers'
+  /// trace_events_dropped, which is ring-overwrite loss).
   u64 trace_events_truncated = 0;
   // ---- conservation ledger (finite runs; see docs/ROBUSTNESS.md) ----
   /// True when the engine computed the ledger (finite pool; loop-mode
@@ -309,12 +309,6 @@ struct EngineReport {
            delivered_packets + shed_packets + lost_packets == offered_packets;
   }
 
-  /// Every counter row merged over the workers.
-  [[nodiscard]] telemetry::CounterSet totals() const {
-    telemetry::CounterSet t;
-    for (const auto& w : workers) t.merge(w.counters);
-    return t;
-  }
   [[nodiscard]] u64 packets() const {
     u64 n = 0;
     for (const auto& w : workers) n += w.counters[telemetry::Counter::packets];
@@ -336,22 +330,6 @@ struct EngineReport {
       if (!w.error.empty()) return w.error;
     }
     return {};
-  }
-  [[nodiscard]] bool versions_monotonic() const {
-    for (const auto& w : workers) {
-      if (!w.version_monotonic) return false;
-    }
-    return true;
-  }
-  [[nodiscard]] LatencyHistogram merged_latency() const {
-    LatencyHistogram h;
-    for (const auto& w : workers) h.merge(w.latency);
-    return h;
-  }
-  [[nodiscard]] u64 trace_events_dropped() const {
-    u64 n = 0;
-    for (const auto& w : workers) n += w.trace_events_dropped;
-    return n;
   }
 };
 

@@ -8,7 +8,9 @@
 ///
 /// Adding a counter: add one row here, then one `out.set(...)` line in
 /// the `fill_counters` of the element that owns the value. Every
-/// surface picks it up under the row's name.
+/// surface picks it up under the row's name. tools/check_report.py
+/// pins the row names (COUNTER_ROWS), so a row that is renamed or
+/// dropped here fails CI's report gates.
 #pragma once
 
 #include <algorithm>

@@ -71,20 +71,9 @@ using dataplane::WorkerBudget;
 /// Copy the engine-side measurement into the result (by value: the
 /// telemetry series and trace events are moved out of the report).
 void fill_engine_stats(ScenarioResult& r, EngineReport rep) {
-  const dataplane::WorkerReport all = dataplane::merge_reports(0, rep.workers);
-  r.counters = all.counters;
+  r.engine = dataplane::merge_reports(0, rep.workers);
   r.wall_seconds = rep.wall_seconds;
   r.mpps = rep.aggregate_mpps();
-  r.mean_cycles = all.latency.mean();
-  r.p50_cycles = all.latency.percentile(50);
-  r.p99_cycles = all.latency.percentile(99);
-  r.max_cycles = all.latency.max();
-  r.controller_models = all.controller_models;
-  r.snapshot_min_version = all.min_version;
-  const u64 max_v = all.counters[telemetry::Counter::snapshot_version];
-  r.snapshot_lag = max_v >= all.min_version ? max_v - all.min_version : 0;
-  r.versions_monotonic = all.version_monotonic;
-  r.trace_events_dropped = all.trace_events_dropped;
   r.trace_events_truncated = rep.trace_events_truncated;
   // Surface ALL worker deaths (healed incarnations included), each with
   // its worker index + restart count; then any remaining fatal error the
@@ -828,17 +817,18 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
     j.key("ok").value(r.ok());
     j.key("rules").value(r.rules);
     j.key("trace_packets").value(r.trace_packets);
-    j.key("packets_processed").value(r.counters[telemetry::Counter::packets]);
+    const dataplane::WorkerReport& e = r.engine;
+    j.key("packets_processed").value(e.counters[telemetry::Counter::packets]);
     j.key("wall_seconds").value(r.wall_seconds);
     j.key("throughput_mpps").value(r.mpps);
     j.key("lookup_cycles").begin_object();
-    j.key("mean").value(r.mean_cycles);
-    j.key("p50").value(r.p50_cycles);
-    j.key("p99").value(r.p99_cycles);
-    j.key("max").value(r.max_cycles);
+    j.key("mean").value(e.latency.mean());
+    j.key("p50").value(e.latency.percentile(50));
+    j.key("p99").value(e.latency.percentile(99));
+    j.key("max").value(e.latency.max());
     j.end_object();
-    j.key("cache_hit_rate").value(r.counters.cache_hit_rate());
-    telemetry::write_counters(j, r.counters);
+    j.key("cache_hit_rate").value(e.counters.cache_hit_rate());
+    telemetry::write_counters(j, e.counters);
     j.key("controller").begin_object();
     j.key("cost_model").begin_object();
     for (usize p = 0; p < core::kNumBatchPaths; ++p) {
@@ -848,19 +838,19 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
         if (c == '-' || c == '+') c = '_';
       }
       j.key(key).begin_object();
-      j.key("ns_per_packet").value(r.controller_models[p].ns_per_packet);
+      j.key("ns_per_packet").value(e.controller_models[p].ns_per_packet);
       j.key("ns_per_distinct_key")
-          .value(r.controller_models[p].ns_per_distinct_key);
+          .value(e.controller_models[p].ns_per_distinct_key);
       j.end_object();
     }
     j.end_object();
     j.end_object();
     j.key("snapshot").begin_object();
-    j.key("min_version").value(r.snapshot_min_version);
-    j.key("max_version")
-        .value(r.counters[telemetry::Counter::snapshot_version]);
-    j.key("lag").value(r.snapshot_lag);
-    j.key("monotonic").value(r.versions_monotonic);
+    const u64 max_v = e.counters[telemetry::Counter::snapshot_version];
+    j.key("min_version").value(e.min_version);
+    j.key("max_version").value(max_v);
+    j.key("lag").value(max_v >= e.min_version ? max_v - e.min_version : 0);
+    j.key("monotonic").value(e.version_monotonic);
     j.end_object();
     j.key("updates").begin_object();
     j.key("applied").value(r.updates_applied);
@@ -893,9 +883,9 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
     j.key("conserved").value(r.conserved);
     j.end_object();
     j.key("telemetry").begin_object();
-    j.key("trace_events_dropped").value(r.trace_events_dropped);
+    j.key("trace_events_dropped").value(e.trace_events_dropped);
     j.key("trace_events_truncated").value(r.trace_events_truncated);
-    telemetry::write_update_visibility(j, r.counters);
+    telemetry::write_update_visibility(j, e.counters);
     j.key("timeseries").begin_array();
     for (const telemetry::StatsSample& s : r.timeseries) {
       telemetry::write_stats_sample(j, s);

@@ -99,25 +99,12 @@ struct ScenarioResult {
   usize trace_packets = 0;
 
   // Engine measurement.
-  /// Every counter row merged over the workers (telemetry/counters.hpp).
-  telemetry::CounterSet counters;
+  /// The worker rows merged into one (dataplane::merge_reports): every
+  /// counter row, lookup cycles, the version range and monotonicity,
+  /// the fitted per-path cost models and the trace-ring drops.
+  dataplane::WorkerReport engine;
   double wall_seconds = 0;
   double mpps = 0;
-  double mean_cycles = 0;
-  u64 p50_cycles = 0;
-  u64 p99_cycles = 0;
-  u64 max_cycles = 0;
-  /// The controller's fitted per-path cost model coefficients
-  /// (ns = ns_per_packet * packets + ns_per_distinct_key * distinct),
-  /// averaged over the workers that produced timed observations for the
-  /// path (all-zero under forced policies).
-  std::array<core::PathCostModel, core::kNumBatchPaths> controller_models{};
-
-  // Snapshot consistency.
-  /// Lowest version observed; the highest is counters[snapshot_version].
-  u64 snapshot_min_version = 0;
-  u64 snapshot_lag = 0;  ///< max - min version observed across workers
-  bool versions_monotonic = true;
 
   // Update churn (update-storm scenario; zero elsewhere).
   u64 updates_applied = 0;
@@ -133,7 +120,6 @@ struct ScenarioResult {
   // chrome trace export consumes.
   std::vector<telemetry::StatsSample> timeseries;
   std::vector<telemetry::TraceEvent> trace_events;
-  u64 trace_events_dropped = 0;
   /// Spans measured but not retained (per-engine trace_keep_limit).
   u64 trace_events_truncated = 0;
   /// Every worker error, surfaced as the report's `errors` array with
@@ -169,7 +155,8 @@ struct ScenarioResult {
   std::string error;  ///< non-empty when the scenario failed to run
 
   [[nodiscard]] bool ok() const {
-    return error.empty() && oracle_mismatches == 0 && versions_monotonic;
+    return error.empty() && oracle_mismatches == 0 &&
+           engine.version_monotonic;
   }
 };
 

@@ -606,7 +606,7 @@ TEST(ControlPlane, DrainReconcilesEveryCounterRowOnEverySurface) {
   control::write_serve_report(serve, rep, *h.cp, *h.server);
 
   ASSERT_EQ(rep.shards.size(), 2u);
-  const CounterSet workers = rep.totals();
+  const CounterSet workers = dataplane::merge_reports(0, rep.workers).counters;
   const CounterSet shards = dataplane::merge_reports(0, rep.shards).counters;
   CounterSet live;
   for (const auto* t : h.engine->telemetry_blocks()) {
@@ -629,27 +629,28 @@ TEST(ControlPlane, DrainReconcilesEveryCounterRowOnEverySurface) {
   expect_counter_rows(serve.str(), "\"totals\":", workers);
   expect_counter_rows(serve.str(), "\"shards\":[", rep.shards[0].counters);
 
-  // The scenario report: same equalities, same rows.
+  // The scenario report: same equalities, same rows, with shards that
+  // do not divide evenly over the worker threads.
   workload::ScenarioOptions opts;
-  opts.workers = 1;
+  opts.workers = 2;
   opts.scale = 0.04;
   opts.stats_interval_ms = 1;
-  opts.shards = 2;
+  opts.shards = 3;
   workload::ScenarioRunner runner(opts);
   const std::vector<workload::ScenarioResult> results = {
       runner.run("acl-like")};
   const workload::ScenarioResult& r = results[0];
   ASSERT_TRUE(r.ok()) << r.error;
-  ASSERT_EQ(r.shard_reports.size(), 2u);
+  ASSERT_EQ(r.shard_reports.size(), 3u);
   ASSERT_FALSE(r.timeseries.empty());
   CounterSet r_series;
   for (const auto& s : r.timeseries) r_series.merge(s.counters);
   EXPECT_TRUE(dataplane::merge_reports(0, r.shard_reports).counters ==
-              r.counters);
-  EXPECT_TRUE(r_series == r.counters);
+              r.engine.counters);
+  EXPECT_TRUE(r_series == r.engine.counters);
   std::ostringstream json;
   workload::write_json_report(json, opts, results);
-  expect_counter_rows(json.str(), "\"cache_hit_rate\":", r.counters);
+  expect_counter_rows(json.str(), "\"cache_hit_rate\":", r.engine.counters);
   expect_counter_rows(json.str(), "\"shards\":[",
                       r.shard_reports[0].counters);
   expect_counter_rows(json.str(), "\"timeseries\":[",

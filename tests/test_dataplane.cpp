@@ -340,7 +340,7 @@ TEST(RuleProgram, EngineObservesMonotonicVersionsDuringUpdateStorm) {
   }
   const EngineReport rep = engine.stop();
 
-  EXPECT_TRUE(rep.versions_monotonic());
+  EXPECT_TRUE(merge_reports(0, rep.workers).version_monotonic);
   EXPECT_GT(rep.packets(), 0u);
   for (const auto& w : rep.workers) {
     EXPECT_GE(w.counters[Counter::snapshot_version], w.min_version);
@@ -406,7 +406,7 @@ TEST(Engine, MultiWorkerMatchesSingleThreadedOracle) {
 
   EXPECT_EQ(rep.packets(), trace.size());
   EXPECT_EQ(rep.matched(), want_matched);
-  EXPECT_TRUE(rep.versions_monotonic());
+  EXPECT_TRUE(merge_reports(0, rep.workers).version_monotonic);
   // Work was actually spread over the workers.
   usize active_workers = 0;
   for (const auto& w : rep.workers) {
@@ -415,7 +415,7 @@ TEST(Engine, MultiWorkerMatchesSingleThreadedOracle) {
   }
   EXPECT_GE(active_workers, 2u);
   // Latency percentiles come out ordered.
-  const auto lat = rep.merged_latency();
+  const auto lat = merge_reports(0, rep.workers).latency;
   EXPECT_LE(lat.percentile(50), lat.percentile(99));
   EXPECT_GE(lat.max(), lat.min());
 }
@@ -485,5 +485,6 @@ TEST(Engine, RawPacketPathParsesOnWorkers) {
   Engine engine({.workers = 2, .batch_size = 16}, programs);
   const EngineReport rep = engine.run(pool);
   EXPECT_EQ(rep.packets(), 300u);
-  EXPECT_EQ(rep.totals()[Counter::classifier_lookups], 300u);  // no flow cache: every packet classified
+  EXPECT_EQ(merge_reports(0, rep.workers).counters[Counter::classifier_lookups],
+            300u);  // no flow cache: every packet classified
 }

@@ -147,10 +147,11 @@ TEST(ReplicaEngine, SumOfShardsEqualsEngineTotals) {
   EXPECT_EQ(rep.matched(), want_matched);
 
   // Every counter row: merged shards == merged per-thread rows.
-  EXPECT_TRUE(merge_reports(0, rep.shards).counters == rep.totals());
+  const WorkerReport all = merge_reports(0, rep.workers);
+  EXPECT_TRUE(merge_reports(0, rep.shards).counters == all.counters);
 
   // The steering invariant end-to-end: merged latency count == packets.
-  EXPECT_EQ(rep.merged_latency().count(), trace.size());
+  EXPECT_EQ(all.latency.count(), trace.size());
 }
 
 TEST(ReplicaEngine, CaptureStreamsHonorSteering) {

@@ -276,7 +276,7 @@ TEST(StatsSampler, IntervalDeltasSumToEndOfRunTotals) {
   // Every counter row: the merged interval rows are the totals.
   telemetry::CounterSet merged;
   for (const StatsSample& s : rep.timeseries) merged.merge(s.counters);
-  EXPECT_TRUE(merged == rep.totals());
+  EXPECT_TRUE(merged == dataplane::merge_reports(0, rep.workers).counters);
 
   // The collected spans are plausible and attributed to real workers.
   EXPECT_GT(rep.trace_events.size(), 0u);
@@ -302,7 +302,8 @@ TEST(UpdateVisibility, MeasuredOnDeterministicUpdateStorm) {
   }
   const dataplane::EngineReport rep = engine.stop();
 
-  const UpdateVisibility vis = rep.totals().update_visibility();
+  const UpdateVisibility vis =
+      dataplane::merge_reports(0, rep.workers).counters.update_visibility();
   EXPECT_GT(vis.samples, 0u);
   EXPECT_GT(vis.mean_ns, 0.0);
   EXPECT_TRUE(std::isfinite(vis.mean_ns));

@@ -335,7 +335,7 @@ TEST(Scenario, SmokeRunOracleClean) {
     const ScenarioResult r = runner.run(name);
     EXPECT_TRUE(r.ok()) << name << ": " << r.error << " (mismatches "
                         << r.oracle_mismatches << ")";
-    EXPECT_GT(r.counters[Counter::packets], 0u) << name;
+    EXPECT_GT(r.engine.counters[Counter::packets], 0u) << name;
     EXPECT_GT(r.oracle_checked, 0u) << name;
     EXPECT_EQ(r.oracle_mismatches, 0u) << name;
     if (std::string(name) == "update-storm") {
@@ -350,13 +350,13 @@ TEST(Scenario, MultiWriterStormOracleCleanUnderContention) {
   EXPECT_TRUE(r.ok()) << r.error << " (mismatches " << r.oracle_mismatches
                       << ")";
   EXPECT_GT(r.updates_applied, 0u);
-  EXPECT_GT(r.counters[Counter::packets], 0u);
+  EXPECT_GT(r.engine.counters[Counter::packets], 0u);
   EXPECT_EQ(r.oracle_mismatches, 0u);
   // 4 writers x >= 256 paced messages each actually went through.
   EXPECT_GE(r.updates_applied, 1024u);
   // The swap churn forced the workers' persistent memos to rebind many
   // times mid-trace (each publish rotates the replica under them).
-  EXPECT_GT(r.counters[Counter::probe_memo_invalidations], 2u);
+  EXPECT_GT(r.engine.counters[Counter::probe_memo_invalidations], 2u);
 }
 
 TEST(Scenario, RunManyParallelMatchesSequentialOrder) {
@@ -380,8 +380,9 @@ TEST(Scenario, RunManyParallelMatchesSequentialOrder) {
     EXPECT_EQ(a[i].rules, b[i].rules);
     EXPECT_EQ(a[i].trace_packets, b[i].trace_packets);
     EXPECT_EQ(a[i].oracle_checked, b[i].oracle_checked);
-    EXPECT_EQ(a[i].counters[Counter::packets], b[i].counters[Counter::packets]);
-    EXPECT_EQ(a[i].counters[Counter::matched], b[i].counters[Counter::matched]);
+    for (const auto c : {Counter::packets, Counter::matched}) {
+      EXPECT_EQ(a[i].engine.counters[c], b[i].engine.counters[c]);
+    }
   }
   EXPECT_THROW((void)par.run_many({"acl-like", "nope"}), ConfigError);
 }
@@ -399,7 +400,7 @@ TEST(Scenario, WorkerBudgetCapsConcurrentEngineWorkers) {
   const auto results = runner.run_many(names);
   for (const auto& r : results) {
     EXPECT_TRUE(r.ok()) << r.name << ": " << r.error;
-    EXPECT_GT(r.counters[Counter::packets], 0u) << r.name;
+    EXPECT_GT(r.engine.counters[Counter::packets], 0u) << r.name;
   }
   EXPECT_GT(runner.budget().peak_in_use(), 0u);
   EXPECT_LE(runner.budget().peak_in_use(), 3u);
@@ -463,10 +464,10 @@ TEST(Scenario, CacheThrashDefeatsCacheAndZipfFeedsIt) {
   const ScenarioResult zipf = runner.run("zipf-locality");
   ASSERT_TRUE(thrash.ok()) << thrash.error;
   ASSERT_TRUE(zipf.ok()) << zipf.error;
-  EXPECT_LT(thrash.counters.cache_hit_rate(), 0.05);
-  EXPECT_GT(zipf.counters.cache_hit_rate(), 0.5);
+  EXPECT_LT(thrash.engine.counters.cache_hit_rate(), 0.05);
+  EXPECT_GT(zipf.engine.counters.cache_hit_rate(), 0.5);
   // Per-worker recorder plumbing delivers the access totals.
-  EXPECT_GT(thrash.counters[Counter::memory_accesses], 0u);
+  EXPECT_GT(thrash.engine.counters[Counter::memory_accesses], 0u);
 }
 
 TEST(Scenario, JsonReportIsWellFormedish) {

@@ -14,9 +14,9 @@ raises AssertionError and the exit status is nonzero:
   check_report.py --self-test    # every gate must catch a violation
 
 STORM_*/ZIPF_* are best-of-3 prefixes (PREFIX_1.json .. PREFIX_3.json);
-the SCRAPEs are in time order, the last taken after drain. Counter rows
-are not listed here: each report carries its counter table (`counters`:
-name -> kind/merge/unit) and the gates fold every row by its merge rule.
+the SCRAPEs are in time order, the last taken after drain. Each report
+carries its counter table (`counters`: name -> kind/merge/unit); the
+gates require it to be COUNTER_ROWS and fold every row by its merge rule.
 """
 
 import copy
@@ -37,6 +37,18 @@ SCENARIO_KEYS = (
     "conservation", "conserved", "shed", "lost_in_flight", "lookup_cycles",
     "oracle", "all_ok")
 SERVE_KEYS = ("supervisor", "worker_restarts", "errors")
+# The rows of PCLASS_WORKER_COUNTERS (src/telemetry/counters.hpp) and
+# their merge rules, pinned so that a row deleted or renamed there fails
+# the gates instead of leaving the table and every surface together.
+COUNTER_ROWS = {
+    "packets": "sum", "batches": "sum", "matched": "sum", "dropped": "sum",
+    "parse_errors": "sum", "cache_hits": "sum", "cache_misses": "sum",
+    "classifier_lookups": "sum", "memory_accesses": "sum",
+    "probe_memo_hits": "sum", "probe_memo_invalidations": "sum",
+    "probe_memo_conflict_evictions": "sum", "path_scalar_loop_batches": "sum",
+    "path_phase2_batches": "sum", "path_phase2_memo_batches": "sum",
+    "snapshot_version": "max", "update_visibility_samples": "sum",
+    "update_visibility_total_ns": "sum", "update_visibility_max_ns": "max"}
 
 
 def load(path):
@@ -50,6 +62,15 @@ def best_of_3(prefix):
 
 def by_name(rep):
     return {s["name"]: s for s in rep["scenarios"]}
+
+
+def counter_table(rep, what):
+    """The report's counter table, checked against COUNTER_ROWS."""
+    table = rep["counters"]
+    got = {name: spec["merge"] for name, spec in table.items()}
+    assert got == COUNTER_ROWS, f"schema drift: {what} counter table " \
+        f"differs from COUNTER_ROWS on {sorted(got.items() ^ COUNTER_ROWS.items())}"
+    return table
 
 
 def fold(table, rows):
@@ -138,7 +159,7 @@ def gate_shards(u_rep, r_rep, zipf_unsharded, zipf_replica):
                 vals = (u[name][key], r[name][key])
                 assert len(set(vals)) == 1, \
                     f"{name}: {key} differs across legs: {vals}"
-        expect_fold(r_rep["counters"], r[name]["shards"], r[name],
+        expect_fold(counter_table(r_rep, "replica"), r[name]["shards"], r[name],
                     f"{name}: shards")
         print(f"{name}: ok ({'verdict-identical' if finite else 'loop-mode'})")
     zu = max(rep["scenarios"][0]["throughput_mpps"] for rep in zipf_unsharded)
@@ -166,7 +187,8 @@ def gate_telemetry(rep, trace, metrics):
     for s in rep["scenarios"]:
         tel = s["telemetry"]
         assert tel["timeseries"], f"{s['name']}: empty timeseries with sampler on"
-        expect_fold(rep["counters"], tel["timeseries"], s, f"{s['name']}: deltas")
+        expect_fold(counter_table(rep, "telemetry"), tel["timeseries"], s,
+                    f"{s['name']}: deltas")
         if s["updates"]["applied"] > 0:
             vis = tel["update_visibility"]
             assert vis["samples"] > 0, f"{s['name']}: no visibility samples"
@@ -228,7 +250,7 @@ def gate_serve(rep, live, verify, sub_lines, trace, scrapes):
     assert rep["meta"]["build"]["version"]
     totals = rep["totals"]
     assert live["drained"] is True
-    table = rep["counters"]
+    table = counter_table(rep, "serve")
     for name in table:
         assert live["totals"][name] == totals[name], \
             f"post-drain scrape {name}={live['totals'][name]} != report {totals[name]}"
@@ -257,19 +279,20 @@ def gate_serve(rep, live, verify, sub_lines, trace, scrapes):
 
 
 def gate_schema(serve_text, scenario_texts):
-    """Schema ids and documented keys present; every row of a scenario
-    report's counter table on every scenario, shard and timeseries row."""
+    """Schema ids and documented keys present; every report's counter
+    table is COUNTER_ROWS, each row on every scenario, shard and
+    timeseries row of a scenario report."""
     for key in SERVE_KEYS:
         assert f'"{key}"' in serve_text, \
             f"schema drift: {key} missing from the serve report"
+    counter_table(json.loads(serve_text), "serve")
     for path, text in scenario_texts:
         assert f'"schema":"{SCENARIO_SCHEMA}"' in text, \
             f"schema drift: {SCENARIO_SCHEMA} missing from {path}"
         for key in SCENARIO_KEYS:
             assert f'"{key}"' in text, f"schema drift: {key} missing from {path}"
         rep = json.loads(text)
-        table = rep["counters"]
-        assert table, f"schema drift: empty counter table in {path}"
+        table = counter_table(rep, path)
         for s in rep["scenarios"]:
             for row in [s] + s["shards"] + s["telemetry"]["timeseries"]:
                 missing = [n for n in table if n not in row]
@@ -304,16 +327,20 @@ COMMANDS = {
 
 # ---- self-test --------------------------------------------------------------
 
-TABLE = {"packets": {"kind": "counter", "merge": "sum", "unit": "packets"},
-         "snapshot_version": {"kind": "gauge", "merge": "max",
-                              "unit": "version"}}
+TABLE = {name: {"kind": "counter", "merge": merge, "unit": "x"}
+         for name, merge in COUNTER_ROWS.items()}
+
+
+def counters(packets, version):
+    return dict(dict.fromkeys(COUNTER_ROWS, 0), packets=packets,
+                snapshot_version=version)
 
 
 def scenario(name, mpps=1.0, packets=10, version=3, shards=(), ts=(),
              ups=0.0, applied=0):
-    return {"name": name, "ok": True, "error": "", "throughput_mpps": mpps,
-            "packets_processed": packets, "matched": 4, "packets": packets,
-            "snapshot_version": version,
+    return {**counters(packets, version),
+            "name": name, "ok": True, "error": "", "throughput_mpps": mpps,
+            "packets_processed": packets,
             "oracle": {"mismatches": 0, "checked": packets},
             "updates": {"applied": applied, "per_second": ups},
             "shards": list(shards),
@@ -327,11 +354,11 @@ def report(alg, *scenarios):
 
 
 def rows(*pairs):
-    return [{"packets": p, "snapshot_version": v} for p, v in pairs]
+    return [counters(p, v) for p, v in pairs]
 
 
 def self_test():
-    """Each gate passes its fixture and fails one violation of it."""
+    """Each gate passes its fixture and fails every violation of it."""
     def storm(mpps, ups):
         return [report("X", scenario("update-storm", mpps, ups=ups),
                        scenario("update-storm-multi", mpps))] * 3
@@ -377,19 +404,16 @@ def self_test():
                         lambda a: a[0]["supervisor"].update(workers_failed=1)),
         "serve": (({"schema": SERVE_SCHEMA, "counters": TABLE,
                     "meta": {"build": {"version": "1"}},
-                    "totals": {"packets": 10, "snapshot_version": 3},
-                    "timeseries": [{"interval_ns": 1, "packets": 6,
-                                    "snapshot_version": 2},
-                                   {"interval_ns": 1, "packets": 4,
-                                    "snapshot_version": 3}],
+                    "totals": counters(10, 3),
+                    "timeseries": [dict(counters(6, 2), interval_ns=1),
+                                   dict(counters(4, 3), interval_ns=1)],
                     "socket": {"updates_accepted": 40, "visibility": {
                         "samples": 39, "unresolved": 1, "pending": 0,
                         "cmd_to_first_mean_ns": 1.0,
                         "cmd_to_all_mean_ns": 2.0,
                         "publish_to_first_mean_ns": 1.0,
                         "cmd_to_first_max_ns": 1, "cmd_to_all_max_ns": 2}}},
-                   {"drained": True,
-                    "totals": {"packets": 10, "snapshot_version": 3}},
+                   {"drained": True, "totals": counters(10, 3)},
                    {"mismatches": 0, "checked": 5, "rules": 41},
                    ['{"interval_ns": 5, "packets": 1}', '{"terminal": true}'],
                    {"traceEvents": [{}]},
@@ -402,25 +426,32 @@ def self_test():
     good["documented"] = dict.fromkeys(SCENARIO_KEYS, 0)
     bad = copy.deepcopy(good)
     del bad["scenarios"][0]["shards"][0]["snapshot_version"]
+    serve = json.dumps({"supervisor": {"worker_restarts": 0}, "errors": [],
+                        "counters": TABLE})
 
     def text(rep):
         return [("r.json", json.dumps(rep, separators=(",", ":")))]
 
-    cases["schema"] = (('{"supervisor":{"worker_restarts":0},"errors":[]}',
-                        text(good)),
-                       lambda a: a.__setitem__(1, text(bad)))
+    unpinned = copy.deepcopy(good)
+    del unpinned["counters"]["probe_memo_hits"]  # a row left the table
+    cases["schema"] = (
+        (serve, text(good)),
+        lambda a: a.__setitem__(1, text(bad)),
+        lambda a: a.__setitem__(1, text(unpinned)),
+        lambda a: a.__setitem__(0, serve.replace('"cache_misses"', '"x"')))
     assert cases.keys() == COMMANDS.keys()
-    for name, (args, violate) in cases.items():
+    for name, (args, *violations) in cases.items():
         gate = globals()["gate_" + name.replace("-", "_")]
         gate(*copy.deepcopy(args))
-        broken = list(copy.deepcopy(args))
-        violate(broken)
-        try:
-            gate(*broken)
-        except AssertionError as e:
-            print(f"self-test {name}: violation caught ({e})")
-        else:
-            raise AssertionError(f"self-test {name}: violation not caught")
+        for violate in violations:
+            broken = list(copy.deepcopy(args))
+            violate(broken)
+            try:
+                gate(*broken)
+            except AssertionError as e:
+                print(f"self-test {name}: violation caught ({e})")
+            else:
+                raise AssertionError(f"self-test {name}: violation not caught")
     print(f"self-test: {len(cases)} gates ok")
 
 

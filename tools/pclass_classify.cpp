@@ -147,8 +147,9 @@ int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
   print_rows("worker", rep.workers);
   if (!rep.shards.empty()) print_rows("shard", rep.shards);
 
-  const auto lat = rep.merged_latency();
-  const telemetry::CounterSet totals = rep.totals();
+  const dataplane::WorkerReport all = dataplane::merge_reports(0, rep.workers);
+  const auto& lat = all.latency;
+  const telemetry::CounterSet& totals = all.counters;
   TextTable a({"metric", "value"});
   a.add_row({"engine", std::to_string(workers) + " workers x batch " +
                            std::to_string(batch) + " (" +
@@ -158,17 +159,12 @@ int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
                              (steer_symmetric ? " (symmetric steering)"
                                               : "")});
   }
-  // The memo and path-controller rows of the counter table.
-  for (usize i = 0; i < telemetry::kNumCounters; ++i) {
-    const std::string_view name = telemetry::kCounters[i].name;
-    if (name.starts_with("probe_memo_") || name.starts_with("path_")) {
-      a.add_row({std::string(name), std::to_string(totals.v[i])});
-    }
-  }
   a.add_row({"load cost", std::to_string(load.cycles) + " bus cycles (1 "
                           "coalesced snapshot)"});
-  a.add_row({"packets", std::to_string(rep.packets())});
-  a.add_row({"matched", std::to_string(rep.matched())});
+  for (usize i = 0; i < telemetry::kNumCounters; ++i) {
+    a.add_row({std::string(telemetry::kCounters[i].name),
+               std::to_string(totals.v[i])});
+  }
   a.add_row({"aggregate throughput",
              TextTable::num(rep.aggregate_mpps(), 3) + " Mpps (host)"});
   a.add_row({"lookup cycles p50/p99/max",
@@ -176,16 +172,16 @@ int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
                  std::to_string(lat.percentile(99)) + " / " +
                  std::to_string(lat.max())});
   a.add_row({"snapshot versions monotonic",
-             rep.versions_monotonic() ? "yes" : "NO"});
+             all.version_monotonic ? "yes" : "NO"});
   if (tout.stats_interval_ms > 0) {
     a.add_row({"timeseries samples", std::to_string(rep.timeseries.size()) +
                                          " (every " +
                                          std::to_string(tout.stats_interval_ms) +
                                          " ms)"});
   }
-  if (rep.trace_events_dropped() > 0) {
+  if (all.trace_events_dropped > 0) {
     a.add_row({"trace events dropped",
-               std::to_string(rep.trace_events_dropped())});
+               std::to_string(all.trace_events_dropped)});
   }
   a.print(std::cout);
 
@@ -218,7 +214,7 @@ int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
             static_cast<double>(lat.percentile(99)));
     m.counter("pclass_trace_events_dropped_total",
               "Trace-ring events lost to overwrite", ls,
-              static_cast<double>(rep.trace_events_dropped()));
+              static_cast<double>(all.trace_events_dropped));
     const auto vis = totals.update_visibility();
     m.gauge("pclass_update_visibility_mean_ns",
             "Mean publish->worker-visible latency", ls, vis.mean_ns);
@@ -242,7 +238,7 @@ int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
       return 1;
     }
   }
-  return rep.versions_monotonic() ? 0 : 1;
+  return all.version_monotonic ? 0 : 1;
 }
 
 }  // namespace

@@ -101,23 +101,24 @@ void write_metrics(std::ostream& os,
   }
   for (const auto& r : results) {
     const std::array<Label, 1> ls = {Label{"scenario", r.name}};
-    telemetry::write_counter_metrics(m, "pclass_", ls, r.counters);
+    const dataplane::WorkerReport& e = r.engine;
+    telemetry::write_counter_metrics(m, "pclass_", ls, e.counters);
     m.gauge("pclass_throughput_mpps", "End-of-run aggregate Mpps", ls,
             r.mpps);
     m.gauge("pclass_cache_hit_rate", "Flow-cache hit rate", ls,
-            r.counters.cache_hit_rate());
+            e.counters.cache_hit_rate());
     m.gauge("pclass_lookup_cycles_p50", "Modelled lookup cycles, p50", ls,
-            static_cast<double>(r.p50_cycles));
+            static_cast<double>(e.latency.percentile(50)));
     m.gauge("pclass_lookup_cycles_p99", "Modelled lookup cycles, p99", ls,
-            static_cast<double>(r.p99_cycles));
+            static_cast<double>(e.latency.percentile(99)));
     m.counter("pclass_updates_applied_total", "Southbound updates applied",
               ls, static_cast<double>(r.updates_applied));
     m.counter("pclass_trace_events_dropped_total",
               "Trace-ring events lost to overwrite", ls,
-              static_cast<double>(r.trace_events_dropped));
+              static_cast<double>(e.trace_events_dropped));
     m.gauge("pclass_update_visibility_mean_ns",
             "Mean publish->worker-visible latency", ls,
-            r.counters.update_visibility().mean_ns);
+            e.counters.update_visibility().mean_ns);
     m.counter("pclass_oracle_mismatches_total",
               "Oracle verification mismatches", ls,
               static_cast<double>(r.oracle_mismatches));
@@ -244,27 +245,29 @@ int main(int argc, char** argv) {
     // Human-readable progress on stderr; the JSON report is the output.
     using telemetry::Counter;
     for (const auto& r : results) {
+      const dataplane::WorkerReport& e = r.engine;
       std::cerr << (r.ok() ? "ok   " : "FAIL ") << r.name << ": "
-                << r.counters[Counter::packets] << " pkts, "
-                << r.rules << " rules, p50/p99 " << r.p50_cycles << "/"
-                << r.p99_cycles << " cyc, cache "
-                << static_cast<int>(r.counters.cache_hit_rate() * 100) << "%, oracle "
+                << e.counters[Counter::packets] << " pkts, " << r.rules
+                << " rules, p50/p99 " << e.latency.percentile(50) << "/"
+                << e.latency.percentile(99) << " cyc, cache "
+                << static_cast<int>(e.counters.cache_hit_rate() * 100)
+                << "%, oracle "
                 << (r.oracle_checked - r.oracle_mismatches) << "/"
                 << r.oracle_checked;
-      if (r.counters[Counter::probe_memo_hits] > 0) {
-        std::cerr << ", memo " << r.counters[Counter::probe_memo_hits]
-                  << " (inval " << r.counters[Counter::probe_memo_invalidations]
+      if (e.counters[Counter::probe_memo_hits] > 0) {
+        std::cerr << ", memo " << e.counters[Counter::probe_memo_hits]
+                  << " (inval " << e.counters[Counter::probe_memo_invalidations]
                   << ")";
       }
       if (r.updates_applied > 0) {
         std::cerr << ", " << r.updates_applied << " updates";
       }
-      if (const auto vis = r.counters.update_visibility(); vis.samples > 0) {
+      if (const auto vis = e.counters.update_visibility(); vis.samples > 0) {
         std::cerr << ", upd-vis " << static_cast<u64>(vis.mean_ns) / 1000
                   << "us mean";
       }
-      if (r.trace_events_dropped > 0) {
-        std::cerr << ", trace-drop " << r.trace_events_dropped;
+      if (e.trace_events_dropped > 0) {
+        std::cerr << ", trace-drop " << e.trace_events_dropped;
       }
       for (const auto& we : r.worker_errors) {
         std::cerr << " [" << we << "]";
