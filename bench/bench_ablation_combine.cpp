@@ -1,6 +1,6 @@
 /// \file bench_ablation_combine.cpp
 /// Ablation A (DESIGN.md §1.1) — the paper's first-label combination vs
-/// the exact cross-product combination, across all nine calibrated
+/// the exact (pruned cross-product) combination, across all nine calibrated
 /// workloads: HPMR agreement with the linear-search oracle, hash probes
 /// and cycles per lookup. This quantifies the soundness gap the paper
 /// does not evaluate: a single first-label probe is fast but rarely
@@ -62,9 +62,14 @@ int main() {
   t.print(std::cout);
   std::cout
       << "\nreading: CrossProduct is exact by construction (100 % "
-         "agreement, provable); FirstLabel returns only valid matching "
-         "rules when it hits, but misses / under-prioritizes on "
-         "overlapping sets — the cost of the paper's single-probe "
-         "phase 3.\n";
+         "agreement, provable). It does not probe the whole cross "
+         "product: a search prunes every combination whose label "
+         "priority bound cannot beat the best hit or whose label prefix "
+         "is in no installed rule, so it probes a handful of "
+         "combinations per packet instead of the whole product; its "
+         "extra cycles are the prefix-table checks. "
+         "FirstLabel returns only valid matching rules when it hits, but "
+         "misses / under-prioritizes on overlapping sets — the cost of "
+         "the paper's single-probe phase 3.\n";
   return 0;
 }

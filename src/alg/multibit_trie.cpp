@@ -139,14 +139,21 @@ i64 MultiBitTrie::alloc_node(usize level, i64 parent, u32 parent_entry,
   n.parent_entry = parent_entry;
   n.live = true;
 
-  // Leaf-push: new entries inherit the parent entry's list.
+  // Leaf-push: new entries inherit the parent entry's list. A throw
+  // part-way gives back the list references taken and the node.
   const std::vector<Label>& inherited =
       pool_[level - 1][static_cast<usize>(parent)].entries[parent_entry].list;
-  for (u32 e = 0; e < n.entries.size(); ++e) {
-    SwEntry& entry = n.entries[e];
-    entry.list = inherited;
-    entry.ref = inherited.empty() ? ListRef{} : lists_.acquire(inherited, log);
-    write_entry(level, id, e, log);
+  try {
+    for (u32 e = 0; e < n.entries.size(); ++e) {
+      SwEntry& entry = n.entries[e];
+      entry.list = inherited;
+      entry.ref =
+          inherited.empty() ? ListRef{} : lists_.acquire(inherited, log);
+      write_entry(level, id, e, log);
+    }
+  } catch (...) {
+    free_node(level, id);
+    throw;
   }
   return id;
 }
@@ -274,9 +281,23 @@ void MultiBitTrie::insert(ruleset::SegmentPrefix p, Label label,
   }
   const usize level = anchor_level(p.length);
   const i64 node = walk_to_anchor(p, /*create=*/true, log);
-  pool_[level][static_cast<usize>(node)].anchored.emplace(p, label);
+  SwNode& anchor = pool_[level][static_cast<usize>(node)];
+  anchor.anchored.emplace(p, label);
   prefix_anchor_.emplace(p, std::make_pair(level, node));
-  recompute_span(p, log, /*force=*/false);
+  try {
+    recompute_span(p, log, /*force=*/false);
+  } catch (const CapacityError&) {
+    // The label-list store filled part-way through the leaf push. Without
+    // the prefix, a second pass gives every entry the first pass reached
+    // its old list back (lists the store held before this call) and
+    // stops at the entries it never reached; then the nodes the walk
+    // created go.
+    anchor.anchored.erase(p);
+    recompute_span(p, log, /*force=*/false);
+    prefix_anchor_.erase(p);
+    prune_upwards(level, node, log);
+    throw;
+  }
 }
 
 void MultiBitTrie::remove(ruleset::SegmentPrefix p, hw::CommandLog& log) {

@@ -66,7 +66,9 @@ class MultiBitTrie {
   // ---- controller-side update path (emits device writes via log) ----
 
   /// Teach the trie that segment prefix \p p carries \p label.
-  /// \throws CapacityError when a level node pool or list store is full.
+  /// \throws CapacityError when a level node pool or list store is full;
+  ///         the node pools, the store and every lookup are then as
+  ///         before the call.
   void insert(ruleset::SegmentPrefix p, Label label, hw::CommandLog& log);
 
   /// Remove prefix \p p (its label is dropped from all covered lists;

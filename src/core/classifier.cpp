@@ -9,6 +9,7 @@
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "common/small_vec.hpp"
 
 namespace pclass::core {
 
@@ -36,6 +37,33 @@ constexpr unsigned kSharedWordBits = 33;  // max(MBT entry 29, BST node 33)
 u64 next_device_id() {
   static std::atomic<u64> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+/// Dimension order of the exact combine's search and of its prefix
+/// tables: destination before source and IP before ports, the order
+/// whose prefixes prune best on ClassBench-like sets. Fixed, because the
+/// tables are keyed by it.
+constexpr std::array<Dimension, kNumDimensions> kCombineOrder = {
+    Dimension::kDstIpHi, Dimension::kDstIpLo, Dimension::kSrcIpHi,
+    Dimension::kSrcIpLo, Dimension::kProtocol, Dimension::kDstPort,
+    Dimension::kSrcPort};
+
+/// Width of a packed depth-\p k prefix: the labels of kCombineOrder[0..k]
+/// (61 bits at depth 5, so every stored prefix fits a u64).
+constexpr unsigned prefix_bits(usize k) {
+  unsigned bits = 0;
+  for (usize j = 0; j <= k; ++j) bits += label_bits(kCombineOrder[j]);
+  return bits;
+}
+
+/// The packed prefix one search step deeper: \p prefix with dimension
+/// \p d's label \p l appended as its least significant field.
+constexpr u64 extend_prefix(u64 prefix, Dimension d, Label l) {
+  return (prefix << label_bits(d)) | l.value;
+}
+
+std::string prefix_table_name(usize k) {
+  return "combine.prefix" + std::to_string(k);
 }
 
 /// Reject an entry whose id/priority/action overflow the Rule Filter's
@@ -127,6 +155,33 @@ ruleset::SegmentPrefix ConfigurableClassifier::ip_segment(
   }
 }
 
+void ConfigurableClassifier::reserve_prefixes(usize rules) {
+  // Each rule adds at most one entry per table; sizing by the table's
+  // own count keeps the shallow tables, which hold far fewer prefixes
+  // than there are rules, small on the one-rule update path.
+  for (PrefixSet& t : prefixes_) t.reserve(t.size() + rules);
+}
+
+void ConfigurableClassifier::update_prefixes(
+    const std::array<Label, kNumDimensions>& labels, bool add,
+    hw::CommandLog& log) {
+  std::array<u64, kPrefixDepths + 1> key{};
+  key[0] = labels[index_of(kCombineOrder[0])].value;
+  for (usize k = 1; k <= kPrefixDepths; ++k) {
+    const Dimension d = kCombineOrder[k];
+    key[k] = extend_prefix(key[k - 1], d, labels[index_of(d)]);
+  }
+  // A deepest entry counts its rules and every shallower entry its
+  // present children, so an update climbs from the deepest table only
+  // while entries flip, stopping at the first ancestor whose presence
+  // holds.
+  for (usize k = kPrefixDepths; k >= 1; --k) {
+    PrefixSet& t = prefixes_[k - 1];
+    if (!(add ? t.add(key[k]) : t.remove(key[k]))) break;
+    log.prefix_entry();
+  }
+}
+
 hw::UpdateStats ConfigurableClassifier::apply(hw::CommandLog& log) {
   // Every update-path mutation funnels through here, so bumping the
   // epoch exactly here is what makes a persistent ProbeMemo safe: the
@@ -137,6 +192,8 @@ hw::UpdateStats ConfigurableClassifier::apply(hw::CommandLog& log) {
     bus_.charge(cmd);
     batch.charge(cmd);
   }
+  bus_.charge_prefix_writes(log.prefix_entries());
+  batch.charge_prefix_writes(log.prefix_entries());
   return batch.stats();
 }
 
@@ -315,16 +372,20 @@ hw::UpdateStats ConfigurableClassifier::add_rule(const ruleset::Rule& r) {
 void ConfigurableClassifier::install_rule(const ruleset::Rule& r, u64 fp,
                                           hw::CommandLog& log,
                                           BstStaging* bst_bulk) {
-  const Key68 key = Key68::merge(acquire_labels(r, log, bst_bulk));
+  const std::array<Label, kNumDimensions> labels =
+      acquire_labels(r, log, bst_bulk);
   log.hash_compute("rule_filter.hash");
   try {
-    filter_insert_with_reseed(
-        key, RuleEntry{r.id, r.priority, r.action.token}, log);
+    reserve_prefixes(1);  // so the prefix update below cannot throw
+    filter_insert_with_reseed(Key68::merge(labels),
+                              RuleEntry{r.id, r.priority, r.action.token},
+                              log);
   } catch (...) {
     release_labels(r, log, bst_bulk);  // e.g. the Rule Filter is full
     throw;
   }
-  installed_.emplace(r.id, InstalledRule{r, key});
+  update_prefixes(labels, /*add=*/true, log);
+  installed_.emplace(r.id, InstalledRule{r, labels});
   match_index_.emplace(fp, r.id);
 }
 
@@ -341,6 +402,7 @@ hw::UpdateStats ConfigurableClassifier::add_rules(
     check_entry_word("add_rules",
                      RuleEntry{r.id, r.priority, r.action.token});
   }
+  reserve_prefixes(rules.size());
   const auto flush_staged = [&] {
     if (bulk == nullptr) return;
     for (usize i = 0; i < 4; ++i) {
@@ -378,7 +440,8 @@ hw::UpdateStats ConfigurableClassifier::remove_rule(RuleId id) {
                       " is not installed");
   }
   hw::CommandLog log;
-  rule_filter_->remove(it->second.key, log);
+  rule_filter_->remove(Key68::merge(it->second.labels), log);
+  update_prefixes(it->second.labels, /*add=*/false, log);
   release_labels(it->second.rule, log);
   match_index_.erase(ruleset::match_fingerprint(it->second.rule));
   installed_.erase(it);
@@ -431,7 +494,7 @@ hw::UpdateStats ConfigurableClassifier::modify_rule(RuleId id,
   hw::CommandLog log;
   rule.action = action;
   log.hash_compute("rule_filter.hash");
-  rule_filter_->modify(it->second.key, entry, log);
+  rule_filter_->modify(Key68::merge(it->second.labels), entry, log);
   return apply(log);
 }
 
@@ -542,8 +605,7 @@ ClassifyResult ConfigurableClassifier::classify(
       out.match = rule_filter_->lookup(Key68::merge(first), &tail);
     }
   } else {
-    // CrossProduct: enumerate the product of the (short) label lists and
-    // keep the highest-priority hit — exact by construction.
+    // CrossProduct: the exact HPMR over the (short) label lists.
     std::array<LabelVec, kNumDimensions> lists;
     bool miss = false;
     for (usize i = 0; i < 4; ++i) {
@@ -567,35 +629,13 @@ ClassifyResult ConfigurableClassifier::classify(
     }
 
     if (!miss) {
-      std::array<usize, kNumDimensions> idx{};
-      std::array<Label, kNumDimensions> combo{};
-      std::optional<RuleEntry> best;
-      while (true) {
-        for (usize d = 0; d < kNumDimensions; ++d) {
-          combo[d] = lists[d][idx[d]];
-        }
-        ++out.crossproduct_probes;
-        if (out.crossproduct_probes > cfg_.max_crossproduct_probes) {
-          throw InternalError("classify: cross-product probe bound "
-                              "exceeded — label lists pathologically "
-                              "long");
-        }
-        const std::optional<RuleEntry> hit =
-            rule_filter_->lookup(Key68::merge(combo), &tail);
-        if (hit && (!best || hit->priority < best->priority ||
-                    (hit->priority == best->priority &&
-                     hit->rule < best->rule))) {
-          best = hit;
-        }
-        // Odometer increment over the 7 lists.
-        usize d = 0;
-        for (; d < kNumDimensions; ++d) {
-          if (++idx[d] < lists[d].size()) break;
-          idx[d] = 0;
-        }
-        if (d == kNumDimensions) break;
+      std::array<std::span<const Label>, kNumDimensions> spans;
+      for (usize d = 0; d < kNumDimensions; ++d) {
+        spans[d] = {lists[d].begin(), lists[d].size()};
       }
-      out.match = best;
+      const CombineOutcome c = combine_exact(spans, tail, nullptr);
+      out.match = c.match;
+      out.crossproduct_probes = c.probes;
     }
   }
 
@@ -607,6 +647,77 @@ ClassifyResult ConfigurableClassifier::classify(
   out.cycles = 1 /*split*/ + phase2_cycles + tail.cycles();
   out.memory_accesses += tail.memory_accesses();
   return out;
+}
+
+ConfigurableClassifier::CombineOutcome ConfigurableClassifier::combine_exact(
+    const std::array<std::span<const Label>, kNumDimensions>& lists,
+    hw::CycleRecorder& tail, ProbeMemo* memo) const {
+  // Each list in search order, best bound first. Ties go by label value,
+  // so the walk (and every charge it makes) depends only on the lists'
+  // contents, never on their order.
+  struct Ranked {
+    Priority bound;
+    Label label;
+  };
+  std::array<SmallVec<Ranked, 16>, kNumDimensions> ranked;
+  for (usize j = 0; j < kNumDimensions; ++j) {
+    const usize d = index_of(kCombineOrder[j]);
+    SmallVec<Ranked, 16>& out = ranked[j];
+    for (const Label l : lists[d]) {
+      const Ranked r{label_prio_[d][l.value], l};
+      out.push_back(r);
+      usize i = out.size() - 1;
+      for (; i > 0 && (out[i - 1].bound > r.bound ||
+                       (out[i - 1].bound == r.bound &&
+                        out[i - 1].label.value > r.label.value));
+           --i) {
+        out[i] = out[i - 1];
+      }
+      out[i] = r;
+    }
+  }
+
+  // A rule carries each of its labels, so its priority is no better than
+  // the worst bound on the path to it. Once that is strictly worse than
+  // the best hit, no later label of the list can win either; an equal
+  // bound is still walked, for the lower-id tie-break.
+  CombineOutcome res;
+  std::array<Label, kNumDimensions> combo{};
+  const auto walk = [&](const auto& self, usize j, u64 prefix,
+                        Priority bound) -> void {
+    const Dimension dim = kCombineOrder[j];
+    for (const Ranked& r : ranked[j]) {
+      const Priority b = std::max(bound, r.bound);
+      if (res.match && b > res.match->priority) break;
+      combo[index_of(dim)] = r.label;
+      if (j + 1 == kNumDimensions) {
+        if (++res.probes > cfg_.max_crossproduct_probes) {
+          throw InternalError("combine: probe bound exceeded — label "
+                              "lists pathologically long");
+        }
+        const Key68 key = Key68::merge(combo);
+        const std::optional<RuleEntry> hit =
+            memo != nullptr
+                ? rule_filter_->lookup_memo(key, &tail, *memo, res.memo_hits)
+                : rule_filter_->lookup(key, &tail);
+        if (hit && (!res.match || hit->priority < res.match->priority ||
+                    (hit->priority == res.match->priority &&
+                     hit->rule < res.match->rule))) {
+          res.match = hit;
+        }
+        continue;
+      }
+      const u64 next = extend_prefix(prefix, dim, r.label);
+      if (j > 0) {
+        tail.charge(1, 1);  // prefix-table read
+        ++res.prefix_checks;
+        if (!prefixes_[j - 1].contains(next)) continue;
+      }
+      self(self, j + 1, next, b);
+    }
+  };
+  walk(walk, 0, 0, 0);
+  return res;
 }
 
 ClassifyResult ConfigurableClassifier::classify_packet(
@@ -953,7 +1064,7 @@ void ConfigurableClassifier::classify_batch_phase2(
       tail_accesses = tail.memory_accesses();
     } else {
       // Combine-level dedup: packets whose 7 label lists have identical
-      // *contents* run an identical odometer — run it once per distinct
+      // *contents* run an identical search — run it once per distinct
       // list set and replay verdict + tail cost. The signature is a
       // per-dimension content hash (span identity would under-group:
       // distinct port keys with identical lists get distinct pool
@@ -984,51 +1095,18 @@ void ConfigurableClassifier::classify_batch_phase2(
         hw::CycleRecorder tail;
         tail.charge(1, 0);  // label merge network
         bool miss = false;
-        // Hoist the label lists into local pointer/length pairs: the
-        // probe loop below calls into the rule filter, so without this
-        // the compiler must reload the pool vectors' data pointers on
-        // every probe (and probes dominate the cross-product path).
-        std::array<const Label*, kNumDimensions> list_ptr{};
-        std::array<usize, kNumDimensions> list_len{};
+        std::array<std::span<const Label>, kNumDimensions> lists;
         for (usize d = 0; d < kNumDimensions; ++d) {
           const alg::LabelSpan sp = s.spans[d][p];
-          list_ptr[d] = s.pools[d].data() + sp.off;
-          list_len[d] = sp.len;
+          lists[d] = {s.pools[d].data() + sp.off, sp.len};
           if (sp.len == 0) miss = true;
         }
         if (!miss) {
-          std::array<usize, kNumDimensions> idx{};
-          std::array<Label, kNumDimensions> combo{};
-          std::optional<RuleEntry> best;
-          while (true) {
-            for (usize d = 0; d < kNumDimensions; ++d) {
-              combo[d] = list_ptr[d][idx[d]];
-            }
-            ++fresh.probes;
-            if (fresh.probes > cfg_.max_crossproduct_probes) {
-              throw InternalError("classify_batch: cross-product probe "
-                                  "bound exceeded — label lists "
-                                  "pathologically long");
-            }
-            const Key68 key = Key68::merge(combo);
-            const std::optional<RuleEntry> hit =
-                memo != nullptr
-                    ? rule_filter_->lookup_memo(key, &tail, *memo,
-                                                fresh.memo_hits)
-                    : rule_filter_->lookup(key, &tail);
-            if (hit && (!best || hit->priority < best->priority ||
-                        (hit->priority == best->priority &&
-                         hit->rule < best->rule))) {
-              best = hit;
-            }
-            usize d = 0;
-            for (; d < kNumDimensions; ++d) {
-              if (++idx[d] < list_len[d]) break;
-              idx[d] = 0;
-            }
-            if (d == kNumDimensions) break;
-          }
-          fresh.match = best;
+          const CombineOutcome c = combine_exact(lists, tail, memo);
+          fresh.match = c.match;
+          fresh.probes = c.probes;
+          fresh.prefix_checks = c.prefix_checks;
+          fresh.memo_hits = c.memo_hits;
         }
         fresh.tail_cycles = tail.cycles();
         fresh.tail_accesses = tail.memory_accesses();
@@ -1043,13 +1121,14 @@ void ConfigurableClassifier::classify_batch_phase2(
         // Repeat list set. With the combination memo active, every
         // probe of this packet was just cached by its leader: each is
         // served in one cycle, still charging the replaced probe's
-        // reads. With the memo off (nothing was cached), replay the
+        // reads (the prefix checks are not memoized and cost their
+        // cycle). With the memo off (nothing was cached), replay the
         // leader's full tail — cycle-exact with the scalar path.
         res.match = cm->match;
         res.crossproduct_probes = cm->probes;
         if (memo != nullptr) {
           res.memo_hits = cm->probes;
-          tail_cycles = 1 + cm->probes;
+          tail_cycles = 1 + cm->prefix_checks + cm->probes;
         } else {
           res.memo_hits = 0;
           tail_cycles = cm->tail_cycles;
@@ -1157,6 +1236,16 @@ MemoryReport ConfigurableClassifier::memory_report() const {
   add(rule_filter_->memory().name(),
       rule_filter_->memory().capacity_bits(),
       u64{rule_filter_->size()} * rule_filter_->memory().word_bits());
+  if (cfg_.combine_mode == CombineMode::kCrossProduct) {
+    // The exact combine's prefix tables (kept current in every mode, but
+    // only the exact combine reads them): a valid bit plus the packed
+    // prefix per entry, at most one entry per rule the filter can hold.
+    for (usize k = 1; k <= kPrefixDepths; ++k) {
+      const u64 word = prefix_bits(k) + 1;
+      add(prefix_table_name(k), u64{cfg_.rule_filter_depth} * word,
+          u64{prefixes_[k - 1].size()} * word);
+    }
+  }
 
   rep.register_bits = sport_regs_->registers().total_bits() +
                       dport_regs_->registers().total_bits() +
@@ -1178,6 +1267,11 @@ hw::SynthesisReport ConfigurableClassifier::synthesis_report() const {
   }
   sm.add_memory(proto_lut_->memory());
   sm.add_memory(rule_filter_->memory());
+  if (cfg_.combine_mode == CombineMode::kCrossProduct) {
+    for (usize k = 1; k <= kPrefixDepths; ++k) {
+      sm.add_block(u64{cfg_.rule_filter_depth} * (prefix_bits(k) + 1));
+    }
+  }
   sm.add_register_file(sport_regs_->registers());
   sm.add_register_file(dport_regs_->registers());
   sm.add_register_file(proto_lut_->wildcard_register());

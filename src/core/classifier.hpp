@@ -31,6 +31,7 @@
 #include "alg/protocol_lut.hpp"
 #include "core/config.hpp"
 #include "core/path_controller.hpp"
+#include "core/prefix_set.hpp"
 #include "core/rule_filter.hpp"
 #include "hwsim/pipeline.hpp"
 #include "hwsim/shared_memory.hpp"
@@ -61,7 +62,12 @@ struct ClassifyResult {
   std::optional<RuleEntry> match;
   u64 cycles = 0;            ///< end-to-end latency of this lookup
   u64 memory_accesses = 0;   ///< total block-memory reads
-  u64 crossproduct_probes = 0;  ///< hash probes issued in phase 3
+  /// Rule Filter probes issued in phase 3: 1 under FirstLabel; under
+  /// CrossProduct, the label combinations the pruned search reached (a
+  /// combination is probed only if every prefix of it occurs in an
+  /// installed rule and its labels' priority bound can still beat the
+  /// best hit so far).
+  u64 crossproduct_probes = 0;
   /// Probes served by the snapshot-keyed combination memo (0 on the
   /// scalar path; each hit is also counted in crossproduct_probes).
   u64 memo_hits = 0;
@@ -107,11 +113,11 @@ struct BatchScratch {
   };
   std::array<std::vector<ListReadMemo>, 4> list_memo;
 
-  /// One cross-product combine per distinct label-list *set* per batch:
+  /// One exact combine per distinct label-list *set* per batch:
   /// packets whose 7 label lists have identical contents (duplicate
   /// flows; distinct keys whose matching ranges coincide — e.g. two
   /// dports falling only into the same wildcard range; fw-like sets
-  /// where wildcard labels dominate every list) share one odometer run
+  /// where wildcard labels dominate every list) share one pruned search
   /// and replay its verdict and modeled tail cost. The signature is a
   /// per-dimension *content hash* of the pooled list (span identity
   /// under-groups: two distinct port keys with identical lists get
@@ -126,6 +132,7 @@ struct BatchScratch {
     std::array<alg::LabelSpan, kNumDimensions> spans{};
     std::optional<RuleEntry> match;
     u64 probes = 0;
+    u64 prefix_checks = 0;
     u64 memo_hits = 0;
     u64 tail_cycles = 0;
     u64 tail_accesses = 0;
@@ -306,7 +313,20 @@ class ConfigurableClassifier {
  private:
   struct InstalledRule {
     ruleset::Rule rule;
-    Key68 key;
+    std::array<Label, kNumDimensions> labels;
+  };
+
+  /// Search depths with a prefix table: depth k holds the prefixes
+  /// (l0..lk) of kCombineOrder, k = 1..5 (depth 0 is a single live label;
+  /// depth 6 is the Rule Filter probe itself).
+  static constexpr usize kPrefixDepths = 5;
+
+  /// Verdict and tail counts of one exact combine.
+  struct CombineOutcome {
+    std::optional<RuleEntry> match;
+    u64 probes = 0;
+    u64 prefix_checks = 0;
+    u64 memo_hits = 0;
   };
 
   // The four IP dimensions in engine-array order.
@@ -346,12 +366,33 @@ class ConfigurableClassifier {
                       BstStaging* bst_bulk = nullptr,
                       usize steps = kNumDimensions, bool last_written = true);
 
+  /// Make room for \p rules more rules in every prefix table, so the
+  /// prefix update that follows a Rule Filter insert cannot throw.
+  void reserve_prefixes(usize rules);
+
+  /// Add (\p add) or drop the prefixes of one rule's \p labels,
+  /// metering on \p log every entry that flips present/absent.
+  void update_prefixes(const std::array<Label, kNumDimensions>& labels,
+                       bool add, hw::CommandLog& log);
+
   /// Charge a command batch on the update bus; returns the batch stats.
   hw::UpdateStats apply(hw::CommandLog& log);
 
   /// Phase-2 lookup of one IP dimension through the active engine.
   [[nodiscard]] alg::ListRef ip_lookup(usize ip_dim_index, u16 key,
                                        hw::CycleRecorder* rec) const;
+
+  /// Phases 3+4 of CrossProduct, shared by classify() and the batch
+  /// engine: a depth-first search over the 7 label lists (\p lists,
+  /// indexed by dimension) that returns the exact HPMR. Labels are
+  /// walked best bound first; a list is abandoned once its bound is
+  /// strictly worse than the best hit, and a subtree whose label prefix
+  /// no installed rule has is skipped. Every prefix check charges one
+  /// cycle and one access to \p tail, every probe its Rule Filter walk
+  /// (or a \p memo hit, when non-null).
+  [[nodiscard]] CombineOutcome combine_exact(
+      const std::array<std::span<const Label>, kNumDimensions>& lists,
+      hw::CycleRecorder& tail, ProbeMemo* memo) const;
 
   /// The phase-2 batch engine behind classify_batch(). \p use_memo
   /// engages the combination-probe memo (the path controller or a
@@ -382,6 +423,8 @@ class ConfigurableClassifier {
   alg::LabelTable<ruleset::PortRange> dport_table_;
   alg::LabelTable<ruleset::ProtoMatch> proto_table_;
   std::array<std::vector<Priority>, kNumDimensions> label_prio_;
+  /// Label-prefix tables of the exact combine, depths 1..kPrefixDepths.
+  std::array<PrefixSet, kPrefixDepths> prefixes_;
 
   // Device-side blocks.
   std::array<std::unique_ptr<alg::LabelListStore>, 4> lists_;

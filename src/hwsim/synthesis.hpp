@@ -74,8 +74,10 @@ class SynthesisModel {
                           DeviceLimits limits = {})
       : coeff_(coeff), limits_(limits) {}
 
-  void add_memory(const Memory& m) {
-    memory_bits_ += m.capacity_bits();
+  void add_memory(const Memory& m) { add_block(m.capacity_bits()); }
+  /// A block memory modelled by its size alone.
+  void add_block(u64 capacity_bits) {
+    memory_bits_ += capacity_bits;
     ++memory_ports_;
   }
   void add_register_file(const RegisterFile& rf) {

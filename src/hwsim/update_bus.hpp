@@ -45,6 +45,9 @@ struct UpdateStats {
   u64 register_writes = 0;
   u64 hash_computes = 0;
   u64 config_toggles = 0;
+  /// Combine prefix-table entries flipped present/absent (no cycles:
+  /// see CommandLog::prefix_entry).
+  u64 prefix_writes = 0;
 
   UpdateStats& operator+=(const UpdateStats& o) {
     commands += o.commands;
@@ -53,6 +56,7 @@ struct UpdateStats {
     register_writes += o.register_writes;
     hash_computes += o.hash_computes;
     config_toggles += o.config_toggles;
+    prefix_writes += o.prefix_writes;
     return *this;
   }
 };
@@ -89,10 +93,17 @@ class CommandLog {
                      Word{value, 0}});
   }
 
+  /// Count one combine prefix-table entry flipping present/absent. The
+  /// device derives the prefix from the rule key it is storing or
+  /// tombstoning, so the write rides that upload's beats: metered, but
+  /// no command and no bus cycle of its own.
+  void prefix_entry() { ++prefix_entries_; }
+
   [[nodiscard]] const std::vector<UpdateCommand>& commands() const {
     return cmds_;
   }
   [[nodiscard]] usize size() const { return cmds_.size(); }
+  [[nodiscard]] u64 prefix_entries() const { return prefix_entries_; }
 
   /// Move the batch out (the device then meters it on the UpdateBus).
   [[nodiscard]] std::vector<UpdateCommand> take() {
@@ -101,6 +112,7 @@ class CommandLog {
 
  private:
   std::vector<UpdateCommand> cmds_;
+  u64 prefix_entries_ = 0;
 };
 
 /// The bus itself only meters cost; actual routing of commands to memories
@@ -121,6 +133,9 @@ class UpdateBus {
       case UpdateTarget::kConfigSignal: ++stats_.config_toggles; break;
     }
   }
+
+  /// Meter \p n prefix-table entry flips (free; see CommandLog).
+  void charge_prefix_writes(u64 n) { stats_.prefix_writes += n; }
 
   [[nodiscard]] const UpdateStats& stats() const { return stats_; }
   void reset_stats() { stats_ = UpdateStats{}; }

@@ -420,7 +420,7 @@ TEST(BatchPhase2, ContentHashDedupGroupsIdenticalLists) {
   clf.classify_batch(in, out, scratch);
   // All 16 packets: identical IP lists (same ips) and identical
   // *contents* of the port/proto lists (only the wildcard label), so
-  // one odometer run serves the whole batch.
+  // one combine search serves the whole batch.
   EXPECT_EQ(scratch.combine_memo.size(), 1u);
   const ScalarRef ref = scalar_reference(clf, in);
   for (usize i = 0; i < in.size(); ++i) {

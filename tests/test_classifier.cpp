@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "baseline/linear_search.hpp"
+#include "common/random.hpp"
 #include "core/classifier.hpp"
 #include "ruleset/generator.hpp"
 #include "ruleset/stats.hpp"
@@ -537,4 +541,167 @@ TEST(Classifier, ModesAgreeOnDisjointRules) {
   baseline::LinearSearch oracle(rs);
   const auto trace = trace_for(rs, 500, 123);
   EXPECT_EQ(count_mismatches(clf, oracle, trace), 0u);
+}
+
+TEST(Classifier, PrunedCombineKeepsEqualPriorityTieBreak) {
+  // Two rules match the header at priority 10; the lower id must win.
+  // A non-matching rule at priority 1 shares the 20.0.0.0/8 destination
+  // label, so that label (bound 1) is walked first and its priority-10
+  // rule becomes the best hit. The wildcard destination label's bound
+  // then *equals* the best priority: it must still be walked, or the
+  // other rule is never probed.
+  const net::FiveTuple h{ipv4(10, 1, 1, 1), ipv4(20, 1, 1, 1), 1234, 80,
+                         net::kProtoTcp};
+  for (const IpAlgorithm alg :
+       {IpAlgorithm::kMbt, IpAlgorithm::kBst, IpAlgorithm::kRvh}) {
+    for (const bool first_found_wins : {false, true}) {
+      SCOPED_TRACE(std::string(to_string(alg)) +
+                   (first_found_wins ? " first-found wins"
+                                     : " later-found wins"));
+      Rule under_dst;  // found first, under the bound-1 label
+      under_dst.dst_ip = ruleset::IpPrefix::make(ipv4(20, 0, 0, 0), 8);
+      under_dst.priority = 10;
+      under_dst.id = RuleId{first_found_wins ? 3u : 7u};
+      Rule under_wildcard;  // reached only through the equal bound
+      under_wildcard.src_ip = ruleset::IpPrefix::make(ipv4(10, 0, 0, 0), 8);
+      under_wildcard.priority = 10;
+      under_wildcard.id = RuleId{first_found_wins ? 7u : 3u};
+      Rule bound_setter;  // shares under_dst's label, never matches h
+      bound_setter.src_ip = ruleset::IpPrefix::make(ipv4(99, 0, 0, 0), 8);
+      bound_setter.dst_ip = under_dst.dst_ip;
+      bound_setter.priority = 1;
+      bound_setter.id = RuleId{9};
+      RuleSet rs("ties");
+      for (const Rule& r : {under_dst, under_wildcard, bound_setter}) {
+        rs.add_verbatim(r);
+      }
+
+      ClassifierConfig cfg = ClassifierConfig::for_scale(16);
+      cfg.combine_mode = CombineMode::kCrossProduct;
+      cfg.ip_algorithm = alg;
+      ConfigurableClassifier clf(cfg);
+      clf.add_rules(rs);
+
+      const ClassifyResult scalar = clf.classify(h);
+      ASSERT_TRUE(scalar.match.has_value());
+      EXPECT_EQ(scalar.match->rule, RuleId{3});
+      // One probe per matching rule; every other combination is pruned.
+      EXPECT_EQ(scalar.crossproduct_probes, 2u);
+      const baseline::LinearSearch oracle(rs);
+      EXPECT_EQ(oracle.classify(h, nullptr)->id, RuleId{3});
+
+      clf.set_batch_path_policy(PathPolicy::kForcePhase2);
+      for (const bool memo : {false, true}) {
+        clf.set_batch_probe_memo(memo);
+        const std::array<net::FiveTuple, 3> in = {
+            h, h, net::FiveTuple{ipv4(10, 2, 2, 2), ipv4(30, 0, 0, 1), 1, 2,
+                                 net::kProtoUdp}};
+        std::array<ClassifyResult, 3> out;
+        clf.classify_batch(in, out);
+        for (usize i = 0; i < in.size(); ++i) {
+          const ClassifyResult want = clf.classify(in[i]);
+          ASSERT_EQ(out[i].match.has_value(), want.match.has_value()) << i;
+          if (want.match) EXPECT_EQ(out[i].match->rule, want.match->rule);
+          EXPECT_EQ(out[i].crossproduct_probes, want.crossproduct_probes);
+          EXPECT_EQ(out[i].memory_accesses, want.memory_accesses);
+        }
+      }
+    }
+  }
+}
+
+TEST(Classifier, PrefixTablesStayExactAcrossUpdates) {
+  // The combine's prefix tables are refcounted by the update path. After
+  // a seeded mix of adds, removes and modifies, a CapacityError part-way
+  // through an add and a failing add_rules batch, they must hold exactly
+  // the prefixes of the installed rules (the rows of a device built fresh
+  // from installed_rules()), and the pruned search must stay exact.
+  const RuleSet rs = small_set();
+  const auto prefix_rows = [](const ConfigurableClassifier& c) {
+    std::vector<std::tuple<std::string, u64, u64>> rows;
+    for (const MemoryBlockReport& b : c.memory_report().blocks) {
+      if (b.name.starts_with("combine.prefix")) {
+        rows.emplace_back(b.name, b.capacity_bits, b.used_bits);
+      }
+    }
+    return rows;
+  };
+  for (const IpAlgorithm alg :
+       {IpAlgorithm::kMbt, IpAlgorithm::kBst, IpAlgorithm::kRvh}) {
+    SCOPED_TRACE(to_string(alg));
+    const ClassifierConfig cfg =
+        cfg_for(rs, CombineMode::kCrossProduct, alg);
+    ConfigurableClassifier clf(cfg);
+    RuleSet base("base");
+    for (usize i = 0; i < rs.size() / 2; ++i) base.add_verbatim(rs[i]);
+    clf.add_rules(base);
+
+    Rng rng(17);
+    for (usize step = 0; step < 600; ++step) {
+      const std::vector<Rule> live = clf.installed_rules();
+      const u64 op = rng.below(3);
+      if (op == 0 || live.empty()) {
+        const Rule& r = rs[rng.below(rs.size())];
+        if (!clf.installed_rule(r.id)) clf.add_rule(r);
+      } else if (op == 1) {
+        clf.remove_rule(live[rng.below(live.size())].id);
+      } else {
+        clf.modify_rule(live[rng.below(live.size())].id,
+                        ruleset::Action{static_cast<u32>(rng.below(100))});
+      }
+    }
+
+    // The set uses three protocol labels; a fourth fits, a fifth throws
+    // after the IP and port labels were taken.
+    Rule fourth;
+    fourth.src_ip = ruleset::IpPrefix::make(ipv4(99, 99, 99, 0), 24);
+    fourth.dst_ip = ruleset::IpPrefix::make(ipv4(98, 0, 0, 0), 8);
+    fourth.dst_port = ruleset::PortRange::exact(4343);
+    fourth.proto = ruleset::ProtoMatch::exact(50);
+    fourth.priority = 5;
+    fourth.id = RuleId{60000};
+    // Its source labels are new, so are its deeper prefixes: each flips
+    // an entry on add and back on remove.
+    const hw::UpdateStats on = clf.add_rule(fourth);
+    const hw::UpdateStats off = clf.remove_rule(fourth.id);
+    EXPECT_GT(on.prefix_writes, 0u);
+    EXPECT_EQ(on.prefix_writes, off.prefix_writes);
+    clf.add_rule(fourth);
+    Rule fifth = fourth;
+    fifth.proto = ruleset::ProtoMatch::exact(51);
+    fifth.id = RuleId{60001};
+    EXPECT_THROW(clf.add_rule(fifth), CapacityError);
+    // A batch whose last rule fails keeps the rules before it.
+    Rule earlier = fourth;
+    earlier.src_ip = ruleset::IpPrefix::make(ipv4(97, 97, 97, 0), 24);
+    earlier.id = RuleId{60002};
+    RuleSet bulk("bulk");
+    bulk.add_verbatim(earlier);
+    bulk.add_verbatim(fifth);
+    EXPECT_THROW(clf.add_rules(bulk), CapacityError);
+    ASSERT_TRUE(clf.installed_rule(earlier.id).has_value());
+
+    RuleSet installed("installed");
+    for (const Rule& r : clf.installed_rules()) installed.add_verbatim(r);
+    ConfigurableClassifier fresh(cfg);
+    fresh.add_rules(installed);
+    const auto rows = prefix_rows(clf);
+    EXPECT_EQ(rows.size(), 5u);
+    EXPECT_EQ(rows, prefix_rows(fresh));
+
+    const baseline::LinearSearch oracle(installed);
+    const net::Trace trace = trace_for(installed, 1000, 5);
+    EXPECT_EQ(count_mismatches(clf, oracle, trace), 0u);
+    std::vector<net::FiveTuple> in;
+    for (const auto& e : trace) in.push_back(e.header);
+    std::vector<ClassifyResult> out(in.size());
+    clf.set_batch_path_policy(PathPolicy::kForcePhase2);
+    clf.classify_batch(in, out);
+    for (usize i = 0; i < in.size(); ++i) {
+      const ClassifyResult want = clf.classify(in[i]);
+      ASSERT_EQ(out[i].match, want.match) << i;
+      EXPECT_EQ(out[i].crossproduct_probes, want.crossproduct_probes) << i;
+      EXPECT_EQ(out[i].memory_accesses, want.memory_accesses) << i;
+    }
+  }
 }

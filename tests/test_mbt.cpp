@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
+#include <vector>
 
 #include "alg/multibit_trie.hpp"
 #include "common/error.hpp"
@@ -232,6 +234,46 @@ TEST(Mbt, FailedInsertFreesTheNodesItsWalkCreated) {
   EXPECT_EQ(rig.trie->node_count(1), 2u);
   EXPECT_EQ(rig.lookup(0xF812), std::vector<u16>{20});
   EXPECT_EQ(rig.lookup(0x0100), std::vector<u16>{1});
+}
+
+TEST(Mbt, StoreFullMidLeafPushLeavesTrieAsItWas) {
+  // A label-list store that fills part-way through an insert's leaf push
+  // must leave the node pools, the store and every lookup as they were,
+  // so the same prefix goes in once there is room.
+  std::map<u16, Priority> prio{{1, 5}, {2, 0}, {3, 0}};
+  LabelListStore lists("lists", 4, kIpLabelBits);
+  MultiBitTrie trie("t", MbtConfig{}, lists,
+                    [&prio](Label l) { return prio.at(l.value); });
+  hw::CommandLog log;
+  const auto lookup = [&](u16 key) {
+    std::vector<u16> out;
+    for (Label l : lists.read_list(trie.lookup(key, nullptr), nullptr)) {
+      out.push_back(l.value);
+    }
+    return out;
+  };
+  trie.insert(SegmentPrefix::make(0x0000, 4), Label{1}, log);   // [1]
+  trie.insert(SegmentPrefix::make(0x0100, 16), Label{2}, log);  // [2 1]
+  ASSERT_EQ(lists.live_words(), 3u);
+  const auto occupancy = [&] {
+    return std::array<u64, 5>{trie.node_count(1), trie.node_count(2),
+                              trie.prefix_count(), lists.live_words(),
+                              lists.total_references()};
+  };
+  const auto before = occupancy();
+
+  // A /16 under a fresh level-1 entry: its walk leaf-pushes [1] into a
+  // new level-2 node, then [3 1] needs two words where one is left.
+  EXPECT_THROW(trie.insert(SegmentPrefix::make(0x0200, 16), Label{3}, log),
+               CapacityError);
+  EXPECT_EQ(occupancy(), before);
+  EXPECT_EQ(lookup(0x0200), std::vector<u16>{1});
+  EXPECT_EQ(lookup(0x0100), (std::vector<u16>{2, 1}));
+
+  trie.remove(SegmentPrefix::make(0x0100, 16), log);
+  trie.insert(SegmentPrefix::make(0x0200, 16), Label{3}, log);
+  EXPECT_EQ(lookup(0x0200), (std::vector<u16>{3, 1}));
+  EXPECT_EQ(lookup(0x0100), std::vector<u16>{1});
 }
 
 TEST(Mbt, MemoryAccounting) {
