@@ -226,30 +226,6 @@ ListRef BinarySearchTree::lookup(u16 key, hw::CycleRecorder* rec) const {
   return ListRef{best};
 }
 
-void BinarySearchTree::lookup_batch_into(
-    std::span<const BatchKey> sorted, std::span<ListRef> refs,
-    std::span<hw::CycleRecorder> recs) const {
-  // One real predecessor search per distinct key; duplicates within the
-  // sorted run replay the representative's result and modeled cost.
-  bool have_prev = false;
-  u32 prev_key = 0;
-  ListRef prev_ref{};
-  u64 prev_cycles = 0;
-  u64 prev_accesses = 0;
-  for (const BatchKey& lane : sorted) {
-    if (!have_prev || lane.key != prev_key) {
-      hw::CycleRecorder probe;
-      prev_ref = lookup(static_cast<u16>(lane.key), &probe);
-      prev_cycles = probe.cycles();
-      prev_accesses = probe.memory_accesses();
-      prev_key = lane.key;
-      have_prev = true;
-    }
-    refs[lane.slot] = prev_ref;
-    recs[lane.slot].charge(prev_cycles, prev_accesses);
-  }
-}
-
 unsigned BinarySearchTree::depth() const {
   return ceil_log2(u64{live_nodes_} + 1);
 }

@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "alg/batch_keys.hpp"
 #include "alg/label_list_store.hpp"
 #include "common/types.hpp"
 #include "hwsim/memory.hpp"
@@ -83,15 +82,6 @@ class BinarySearchTree {
   /// Predecessor search for \p key; returns the matched interval's label
   /// list (empty ref = no covering prefix).
   [[nodiscard]] ListRef lookup(u16 key, hw::CycleRecorder* rec) const;
-
-  /// Phase-2 batch search over \p sorted lanes (ascending by key). One
-  /// host binary search per *distinct* key; duplicate keys replay the
-  /// representative's result and modeled cost, so recs[lane.slot] is
-  /// charged exactly what the scalar lookup of that key charges
-  /// (ceil(log2 n) node reads). Requires refs/recs to cover every slot.
-  void lookup_batch_into(std::span<const BatchKey> sorted,
-                         std::span<ListRef> refs,
-                         std::span<hw::CycleRecorder> recs) const;
 
   // ---- introspection ----
 

@@ -391,72 +391,6 @@ ListRef MultiBitTrie::lookup(u16 key, hw::CycleRecorder* rec) const {
   return ListRef{static_cast<u32>(result)};
 }
 
-void MultiBitTrie::lookup_batch_into(std::span<const BatchKey> sorted,
-                                     std::span<ListRef> refs,
-                                     std::span<hw::CycleRecorder> recs) const {
-  // Path cache of the previous distinct key's walk: the decoded entry
-  // word at each visited level. Two sorted neighbours agree on levels
-  // 0..d-1 exactly when their top cum_[d-1] bits agree, so the cached
-  // words stay valid for the shared prefix of the next walk.
-  struct LevelVisit {
-    u64 list_addr = ListRef::kNull;
-    bool child_valid = false;
-    u64 child = 0;
-  };
-  constexpr usize kMaxLevels = 16;  // strides sum to 16, >= 1 bit each
-  std::array<LevelVisit, kMaxLevels> path{};
-  usize cached_depth = 0;  // levels of `path` that are valid
-  u16 cached_key = 0;
-  const usize levels = cfg_.strides.size();
-
-  for (const BatchKey& lane : sorted) {
-    const u16 key = static_cast<u16>(lane.key);
-    hw::CycleRecorder& rec = recs[lane.slot];
-    u64 node = 0;
-    u64 result = ListRef::kNull;
-    usize k = 0;
-    bool terminated = false;
-    // 1. Reuse the shared prefix of the previous walk (host-free; the
-    //    modeled per-level fetch is still charged per packet).
-    for (; k < cached_depth && entry_index(key, k) == entry_index(cached_key, k);
-         ++k) {
-      rec.charge(mem_[k]->read_cycles(), 1);
-      const LevelVisit& v = path[k];
-      if (v.list_addr != ListRef::kNull) result = v.list_addr;
-      if (!v.child_valid) {
-        terminated = true;
-        ++k;
-        break;
-      }
-      node = v.child;
-    }
-    // 2. Continue with real reads from the divergence level, refreshing
-    //    the path cache from there down.
-    if (!terminated) {
-      for (; k < levels; ++k) {
-        const u32 addr = static_cast<u32>(node) *
-                             (u32{1} << cfg_.strides[k]) +
-                         entry_index(key, k);
-        hw::WordUnpacker u(mem_[k]->read(addr, &rec));
-        LevelVisit v;
-        v.child_valid = u.pull(1) != 0;
-        v.child = u.pull(kChildBits);
-        v.list_addr = u.pull(kAddrBits);
-        path[k] = v;
-        if (v.list_addr != ListRef::kNull) result = v.list_addr;
-        if (!v.child_valid) {
-          ++k;
-          break;
-        }
-        node = v.child;
-      }
-      cached_depth = k;
-      cached_key = key;
-    }
-    refs[lane.slot] = ListRef{static_cast<u32>(result)};
-  }
-}
-
 u64 MultiBitTrie::live_node_bits() const {
   u64 bits = 0;
   for (usize k = 0; k < pool_.size(); ++k) {

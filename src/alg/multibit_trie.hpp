@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "alg/batch_keys.hpp"
 #include "alg/label_list_store.hpp"
 #include "common/types.hpp"
 #include "hwsim/memory.hpp"
@@ -87,21 +86,6 @@ class MultiBitTrie {
   /// Walk the levels for \p key; returns the deepest label-list pointer
   /// (empty ref = no matching prefix). Charges level reads into \p rec.
   [[nodiscard]] ListRef lookup(u16 key, hw::CycleRecorder* rec) const;
-
-  /// Phase-2 batch walk: one call resolves every lane of \p sorted
-  /// (ascending by key — see sort_batch_keys). Consecutive keys sharing
-  /// a stride-prefix reuse the already-fetched node words of the
-  /// previous walk, so shared trie nodes are touched once per run
-  /// instead of once per packet; duplicate keys reuse the whole walk.
-  ///
-  /// Cycle contract: refs[lane.slot] and recs[lane.slot] receive exactly
-  /// what lookup(lane.key, &recs[lane.slot]) would have produced — a
-  /// reused level still charges that level's read cycles and one memory
-  /// access (the modeled hardware fetches it per packet; only the *host*
-  /// walk is amortized). Requires refs/recs to cover every slot.
-  void lookup_batch_into(std::span<const BatchKey> sorted,
-                         std::span<ListRef> refs,
-                         std::span<hw::CycleRecorder> recs) const;
 
   // ---- introspection ----
 

@@ -120,51 +120,6 @@ void PortRegisterFile::lookup_into(u16 port, hw::CycleRecorder* rec,
   }
 }
 
-void PortRegisterFile::lookup_batch_into(std::span<const BatchKey> sorted,
-                                         std::span<hw::CycleRecorder> recs,
-                                         std::vector<Label>& pool,
-                                         std::span<LabelSpan> spans) const {
-  bool have_prev = false;
-  u32 prev_key = 0;
-  LabelSpan prev_span{};
-  LabelVec scratch;
-  for (const BatchKey& lane : sorted) {
-    if (!have_prev || lane.key != prev_key) {
-      scratch.clear();
-      // Decode/sort the priority network once per distinct port; the
-      // per-lane modeled cost is charged below.
-      lookup_into(static_cast<u16>(lane.key), nullptr, scratch);
-      prev_span.off = static_cast<u32>(pool.size());
-      prev_span.len = static_cast<u32>(scratch.size());
-      pool.insert(pool.end(), scratch.begin(), scratch.end());
-      prev_key = lane.key;
-      have_prev = true;
-    }
-    regs_.charge_lookup(recs[lane.slot]);
-    spans[lane.slot] = prev_span;
-  }
-}
-
-void PortRegisterFile::lookup_first_batch_into(
-    std::span<const BatchKey> sorted, std::span<hw::CycleRecorder> recs,
-    std::vector<Label>& pool, std::span<LabelSpan> spans) const {
-  bool have_prev = false;
-  u32 prev_key = 0;
-  LabelSpan prev_span{};
-  for (const BatchKey& lane : sorted) {
-    if (!have_prev || lane.key != prev_key) {
-      const Label first = lookup_first(static_cast<u16>(lane.key), nullptr);
-      prev_span.off = static_cast<u32>(pool.size());
-      prev_span.len = first.valid() ? 1 : 0;
-      if (first.valid()) pool.push_back(first);
-      prev_key = lane.key;
-      have_prev = true;
-    }
-    regs_.charge_lookup(recs[lane.slot]);
-    spans[lane.slot] = prev_span;
-  }
-}
-
 Label PortRegisterFile::lookup_first(u16 port,
                                      hw::CycleRecorder* rec) const {
   if (rec != nullptr) {

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "alg/batch_keys.hpp"
 #include "common/small_vec.hpp"
 #include "common/types.hpp"
 #include "hwsim/register_file.hpp"
@@ -66,28 +65,6 @@ class PortRegisterFile {
   /// First (highest-priority) matching label only — what the FirstLabel
   /// combiner consumes. Same cost as lookup(); no allocation.
   [[nodiscard]] Label lookup_first(u16 port, hw::CycleRecorder* rec) const;
-
-  /// Phase-2 batch lookup over \p sorted lanes (ascending by key). The
-  /// parallel compare + priority network is evaluated once per
-  /// *distinct* port; its Table IV-ordered labels are appended to
-  /// \p pool once and every lane of the run points at that range via
-  /// spans[lane.slot]. Each lane's recorder is charged the fixed
-  /// parallel-compare cost (identical to the scalar lookup — register
-  /// reads are never memory accesses). Requires spans/recs to cover
-  /// every slot.
-  void lookup_batch_into(std::span<const BatchKey> sorted,
-                         std::span<hw::CycleRecorder> recs,
-                         std::vector<Label>& pool,
-                         std::span<LabelSpan> spans) const;
-
-  /// FirstLabel batch variant: one winner min-scan per distinct port
-  /// (no list materialization or sort), pooled as a 1-label span —
-  /// empty span when no register matches. Same per-lane modeled cost
-  /// as lookup_first.
-  void lookup_first_batch_into(std::span<const BatchKey> sorted,
-                               std::span<hw::CycleRecorder> recs,
-                               std::vector<Label>& pool,
-                               std::span<LabelSpan> spans) const;
 
   // ---- introspection ----
 

@@ -84,51 +84,6 @@ void ProtocolLut::lookup_into(u8 proto, hw::CycleRecorder* rec,
   }
 }
 
-void ProtocolLut::lookup_batch_into(std::span<const BatchKey> sorted,
-                                    std::span<hw::CycleRecorder> recs,
-                                    std::vector<Label>& pool,
-                                    std::span<LabelSpan> spans) const {
-  bool have_prev = false;
-  u32 prev_key = 0;
-  LabelSpan prev_span{};
-  LabelVec scratch;
-  for (const BatchKey& lane : sorted) {
-    if (!have_prev || lane.key != prev_key) {
-      scratch.clear();
-      lookup_into(static_cast<u8>(lane.key), nullptr, scratch);
-      prev_span.off = static_cast<u32>(pool.size());
-      prev_span.len = static_cast<u32>(scratch.size());
-      pool.insert(pool.end(), scratch.begin(), scratch.end());
-      prev_key = lane.key;
-      have_prev = true;
-    }
-    // Scalar cost: one LUT read (the wildcard register is free).
-    recs[lane.slot].charge(lut_.read_cycles(), 1);
-    spans[lane.slot] = prev_span;
-  }
-}
-
-void ProtocolLut::lookup_first_batch_into(std::span<const BatchKey> sorted,
-                                          std::span<hw::CycleRecorder> recs,
-                                          std::vector<Label>& pool,
-                                          std::span<LabelSpan> spans) const {
-  bool have_prev = false;
-  u32 prev_key = 0;
-  LabelSpan prev_span{};
-  for (const BatchKey& lane : sorted) {
-    if (!have_prev || lane.key != prev_key) {
-      const Label first = lookup_first(static_cast<u8>(lane.key), nullptr);
-      prev_span.off = static_cast<u32>(pool.size());
-      prev_span.len = first.valid() ? 1 : 0;
-      if (first.valid()) pool.push_back(first);
-      prev_key = lane.key;
-      have_prev = true;
-    }
-    recs[lane.slot].charge(lut_.read_cycles(), 1);
-    spans[lane.slot] = prev_span;
-  }
-}
-
 Label ProtocolLut::lookup_first(u8 proto, hw::CycleRecorder* rec) const {
   hw::WordUnpacker u(lut_.read(proto, rec));
   if (u.pull(1) != 0) {

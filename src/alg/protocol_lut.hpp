@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "alg/batch_keys.hpp"
 #include "common/small_vec.hpp"
 #include "common/types.hpp"
 #include "hwsim/memory.hpp"
@@ -54,24 +53,6 @@ class ProtocolLut {
   void lookup_into(u8 proto, hw::CycleRecorder* rec, LabelVec& out) const;
 
   [[nodiscard]] Label lookup_first(u8 proto, hw::CycleRecorder* rec) const;
-
-  /// Phase-2 batch lookup over \p sorted lanes (ascending by key). The
-  /// LUT word of each *distinct* protocol is fetched once; every lane
-  /// of the run shares its pool range and is charged the scalar cost
-  /// (one LUT read; the wildcard register rides for free). Requires
-  /// spans/recs to cover every slot.
-  void lookup_batch_into(std::span<const BatchKey> sorted,
-                         std::span<hw::CycleRecorder> recs,
-                         std::vector<Label>& pool,
-                         std::span<LabelSpan> spans) const;
-
-  /// FirstLabel batch variant: pools only the winning label (exact
-  /// else wildcard) per distinct protocol; empty span = no match.
-  /// Same per-lane modeled cost as lookup_first (one LUT read).
-  void lookup_first_batch_into(std::span<const BatchKey> sorted,
-                               std::span<hw::CycleRecorder> recs,
-                               std::vector<Label>& pool,
-                               std::span<LabelSpan> spans) const;
 
   // ---- introspection ----
 

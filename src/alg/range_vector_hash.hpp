@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "alg/batch_keys.hpp"
 #include "alg/label_list_store.hpp"
 #include "common/types.hpp"
 #include "hwsim/memory.hpp"
@@ -78,14 +77,6 @@ class RangeVectorHash {
   /// Longest-match lookup: probe live lengths longest-first; the first
   /// hit's list is the complete covering set (leaf-pushed on update).
   [[nodiscard]] ListRef lookup(u16 key, hw::CycleRecorder* rec) const;
-
-  /// Phase-2 batch search over \p sorted lanes (ascending by key). One
-  /// real probe sequence per *distinct* key; duplicate keys replay the
-  /// representative's result and modeled cost, so recs[lane.slot] is
-  /// charged exactly what the scalar lookup of that key charges.
-  void lookup_batch_into(std::span<const BatchKey> sorted,
-                         std::span<ListRef> refs,
-                         std::span<hw::CycleRecorder> recs) const;
 
   // ---- introspection ----
 

@@ -664,6 +664,7 @@ std::string ControlPlane::metrics_text() {
            "Socket updates not yet seen by every worker.", {},
            static_cast<double>(sv.pending));
 
+  mw.flush();
   return os.str();
 }
 

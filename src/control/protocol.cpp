@@ -163,23 +163,11 @@ sdn::Message parse_rule_command(std::span<const std::string> args) {
 
 sdn::Message parse_set_command(std::span<const std::string> args) {
   if (args.size() != 2) {
-    throw ParseError("set: expected <path-policy|ip-alg> <value>");
+    throw ParseError("set: expected <ip-alg> <value>");
   }
   const std::string& knob = args[0];
   const std::string& value = args[1];
   sdn::ConfigMod cm;
-  if (knob == "path-policy") {
-    if (value == "adaptive") {
-      cm.path_policy = core::PathPolicy::kAdaptive;
-    } else if (value == "phase2") {
-      cm.path_policy = core::PathPolicy::kForcePhase2;
-    } else if (value == "scalar-loop") {
-      cm.path_policy = core::PathPolicy::kForceScalarLoop;
-    } else {
-      throw ParseError("set path-policy: expected adaptive|phase2|scalar-loop");
-    }
-    return cm;
-  }
   if (knob == "ip-alg") {
     if (value == "mbt") {
       cm.ip_algorithm = core::IpAlgorithm::kMbt;

@@ -95,7 +95,6 @@ struct HandlerResult {
     std::span<const std::string> args);
 
 /// Args after the `set` handler name:
-///   path-policy adaptive|phase2|scalar-loop
 ///   ip-alg mbt|bst|rvh
 /// -> a single-knob ConfigMod. \throws ParseError.
 [[nodiscard]] sdn::Message parse_set_command(std::span<const std::string> args);

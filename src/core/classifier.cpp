@@ -1,12 +1,8 @@
 #include "core/classifier.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <functional>
 #include <utility>
 
-#include "common/bits.hpp"
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/small_vec.hpp"
@@ -32,12 +28,6 @@ u64 ipalg_signal(IpAlgorithm a) {
 }
 
 constexpr unsigned kSharedWordBits = 33;  // max(MBT entry 29, BST node 33)
-
-/// Process-unique device ids (start at 1; 0 is ProbeMemo's "unbound").
-u64 next_device_id() {
-  static std::atomic<u64> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
 
 /// Dimension order of the exact combine's search and of its prefix
 /// tables: destination before source and IP before ports, the order
@@ -81,7 +71,6 @@ void check_entry_word(const char* who, const RuleEntry& e) {
 
 ConfigurableClassifier::ConfigurableClassifier(ClassifierConfig cfg)
     : cfg_(std::move(cfg)),
-      device_id_(next_device_id()),
       ip_tables_{alg::LabelTable<ruleset::SegmentPrefix>(Dimension::kSrcIpHi),
                  alg::LabelTable<ruleset::SegmentPrefix>(Dimension::kSrcIpLo),
                  alg::LabelTable<ruleset::SegmentPrefix>(Dimension::kDstIpHi),
@@ -183,10 +172,6 @@ void ConfigurableClassifier::update_prefixes(
 }
 
 hw::UpdateStats ConfigurableClassifier::apply(hw::CommandLog& log) {
-  // Every update-path mutation funnels through here, so bumping the
-  // epoch exactly here is what makes a persistent ProbeMemo safe: the
-  // next bind() sees a new epoch and drops every cached verdict.
-  ++device_epoch_;
   hw::UpdateBus batch;
   for (const hw::UpdateCommand& cmd : log.take()) {
     bus_.charge(cmd);
@@ -424,7 +409,7 @@ hw::UpdateStats ConfigurableClassifier::add_rules(
     }
   } catch (...) {
     // The rules before the failing one stay installed: hand the BST
-    // their staged prefixes and publish the new epoch, then rethrow.
+    // their staged prefixes and charge their commands, then rethrow.
     flush_staged();
     apply(log);
     throw;
@@ -633,7 +618,7 @@ ClassifyResult ConfigurableClassifier::classify(
       for (usize d = 0; d < kNumDimensions; ++d) {
         spans[d] = {lists[d].begin(), lists[d].size()};
       }
-      const CombineOutcome c = combine_exact(spans, tail, nullptr);
+      const CombineOutcome c = combine_exact(spans, tail);
       out.match = c.match;
       out.crossproduct_probes = c.probes;
     }
@@ -651,7 +636,7 @@ ClassifyResult ConfigurableClassifier::classify(
 
 ConfigurableClassifier::CombineOutcome ConfigurableClassifier::combine_exact(
     const std::array<std::span<const Label>, kNumDimensions>& lists,
-    hw::CycleRecorder& tail, ProbeMemo* memo) const {
+    hw::CycleRecorder& tail) const {
   // Each list in search order, best bound first. Ties go by label value,
   // so the walk (and every charge it makes) depends only on the lists'
   // contents, never on their order.
@@ -695,11 +680,8 @@ ConfigurableClassifier::CombineOutcome ConfigurableClassifier::combine_exact(
           throw InternalError("combine: probe bound exceeded — label "
                               "lists pathologically long");
         }
-        const Key68 key = Key68::merge(combo);
         const std::optional<RuleEntry> hit =
-            memo != nullptr
-                ? rule_filter_->lookup_memo(key, &tail, *memo, res.memo_hits)
-                : rule_filter_->lookup(key, &tail);
+            rule_filter_->lookup(Key68::merge(combo), &tail);
         if (hit && (!res.match || hit->priority < res.match->priority ||
                     (hit->priority == res.match->priority &&
                      hit->rule < res.match->rule))) {
@@ -710,7 +692,6 @@ ConfigurableClassifier::CombineOutcome ConfigurableClassifier::combine_exact(
       const u64 next = extend_prefix(prefix, dim, r.label);
       if (j > 0) {
         tail.charge(1, 1);  // prefix-table read
-        ++res.prefix_checks;
         if (!prefixes_[j - 1].contains(next)) continue;
       }
       self(self, j + 1, next, b);
@@ -734,416 +715,11 @@ ClassifyResult ConfigurableClassifier::classify_packet(
 void ConfigurableClassifier::classify_batch(
     std::span<const net::FiveTuple> in,
     std::span<ClassifyResult> out) const {
-  BatchScratch scratch;
-  classify_batch(in, out, scratch);
-}
-
-void ConfigurableClassifier::classify_batch(
-    std::span<const net::FiveTuple> in, std::span<ClassifyResult> out,
-    BatchScratch& scratch) const {
   if (out.size() < in.size()) {
     throw ConfigError("classify_batch: output span smaller than input");
   }
-  if (in.size() <= 1) {
-    // Single-packet batches have nothing to share; the scalar path is
-    // the phase-2 engine's exact cost model without its scaffolding.
-    for (usize i = 0; i < in.size(); ++i) {
-      out[i] = classify(in[i]);
-    }
-    scratch.last_batch_path = BatchPath::kScalarLoop;
-    scratch.last_batch_distinct = 0;
-    return;
-  }
-
-  // Pick the execution path: forced by policy, or by the per-scratch
-  // controller's cost model evaluated at this batch's (packets,
-  // distinct_keys) point. Every path yields identical verdicts and
-  // per-packet memory accesses, so this only moves host work. The
-  // distinct count is only computed when the controller consumes it —
-  // forced policies skip the fingerprint pass entirely.
-  const bool memo_eligible = cfg_.batch_probe_memo;
-  const bool adaptive = cfg_.batch_path_policy == PathPolicy::kAdaptive;
-  usize distinct = in.size();
-  if (adaptive) {
-    // Streaming distinct count: one pass over the same header
-    // fingerprints the former sort+unique consumed, deduplicated
-    // through an open-addressed presence table (load factor <= 1/2),
-    // so the count is value-identical without the per-batch O(n log n)
-    // sort. A fingerprint of 0 would collide with the empty-slot
-    // sentinel, so it is tracked out-of-band.
-    auto& tab = scratch.distinct_fp;
-    const usize cap =
-        static_cast<usize>(next_pow2(std::max<u64>(16, u64{in.size()} * 2)));
-    if (tab.size() != cap) {
-      tab.assign(cap, 0);
-    } else {
-      std::fill(tab.begin(), tab.end(), 0);
-    }
-    const usize mask = cap - 1;
-    bool seen_zero = false;
-    usize count = 0;
-    for (const net::FiveTuple& t : in) {
-      const u64 fp = std::hash<net::FiveTuple>{}(t);
-      if (fp == 0) {
-        count += !seen_zero;
-        seen_zero = true;
-        continue;
-      }
-      usize slot = static_cast<usize>(mix64(fp)) & mask;
-      while (tab[slot] != fp) {
-        if (tab[slot] == 0) {
-          tab[slot] = fp;
-          ++count;
-          break;
-        }
-        slot = (slot + 1) & mask;
-      }
-    }
-    distinct = count;
-  }
-  BatchPath path = BatchPath::kPhase2;
-  switch (cfg_.batch_path_policy) {
-    case PathPolicy::kForceScalarLoop:
-      path = BatchPath::kScalarLoop;
-      break;
-    case PathPolicy::kForcePhase2:
-      path = memo_eligible ? BatchPath::kPhase2Memo : BatchPath::kPhase2;
-      break;
-    case PathPolicy::kAdaptive:
-      path = scratch.controller.choose(memo_eligible, in.size(), distinct);
-      break;
-  }
-
-  // Host timing only when the controller consumes it: forced policies
-  // skip the two clock reads per batch so forced ablation rows carry no
-  // overhead the scalar baseline doesn't (observe() with a negative
-  // cost still keeps the per-path batch counters truthful).
-  std::chrono::steady_clock::time_point t0;
-  if (adaptive) t0 = std::chrono::steady_clock::now();
-  if (path == BatchPath::kScalarLoop) {
-    for (usize i = 0; i < in.size(); ++i) {
-      out[i] = classify(in[i]);
-    }
-  } else {
-    classify_batch_phase2(in, out, scratch,
-                          path == BatchPath::kPhase2Memo);
-  }
-  double ns = -1.0;
-  if (adaptive) {
-    ns = std::chrono::duration<double, std::nano>(
-             std::chrono::steady_clock::now() - t0)
-             .count();
-  }
-  scratch.controller.observe(path, ns, in.size(), distinct);
-  scratch.last_batch_path = path;
-  scratch.last_batch_distinct = adaptive ? distinct : 0;
-}
-
-namespace {
-
-/// Linear search of the per-batch list-read memo (distinct refs per
-/// batch are few; a flat scan beats hashing at these sizes).
-BatchScratch::ListReadMemo* find_list_memo(
-    std::vector<BatchScratch::ListReadMemo>& memo, u32 ref_addr) {
-  for (auto& m : memo) {
-    if (m.ref_addr == ref_addr) return &m;
-  }
-  return nullptr;
-}
-
-/// Content hash of one dimension's pooled label list, cached per
-/// distinct (off, len) span per batch (identical spans share a pool
-/// range by construction, so the packed span is a perfect cache key).
-u64 span_content_hash(BatchScratch& s, usize d, alg::LabelSpan sp) {
-  const u64 packed = (u64{sp.off} << 32) | sp.len;
-  for (const BatchScratch::SpanHash& c : s.span_hashes[d]) {
-    if (c.packed == packed) return c.hash;
-  }
-  u64 h = mix64(0x5349474E00000000ULL ^ sp.len);
-  for (u32 k = 0; k < sp.len; ++k) {
-    h = mix64(h ^ s.pools[d][sp.off + k].value);
-  }
-  s.span_hashes[d].push_back({packed, h});
-  return h;
-}
-
-/// Exact content equality of two spans of the same dimension pool (the
-/// collision-proof confirm behind a combine-signature match).
-bool span_content_equal(const std::vector<Label>& pool, alg::LabelSpan a,
-                        alg::LabelSpan b) {
-  if (a.off == b.off && a.len == b.len) return true;
-  if (a.len != b.len) return false;
-  for (u32 k = 0; k < a.len; ++k) {
-    if (pool[a.off + k].value != pool[b.off + k].value) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-void ConfigurableClassifier::classify_batch_phase2(
-    std::span<const net::FiveTuple> in, std::span<ClassifyResult> out,
-    BatchScratch& s, bool use_memo) const {
-  const usize n = in.size();
-  for (usize d = 0; d < kNumDimensions; ++d) {
-    s.keys[d].resize(n);
-    s.recs[d].assign(n, hw::CycleRecorder{});
-    s.pools[d].clear();
-    s.spans[d].assign(n, alg::LabelSpan{});
-    s.span_hashes[d].clear();
-  }
-  for (usize i = 0; i < 4; ++i) {
-    s.ip_refs[i].assign(n, alg::ListRef{});
-    s.list_memo[i].clear();
-  }
-  s.combine_memo.clear();
-
-  // Gather + sort the per-dimension key lanes for the whole batch.
-  for (usize p = 0; p < n; ++p) {
-    for (Dimension d : kAllDimensions) {
-      s.keys[index_of(d)][p] =
-          alg::BatchKey{net::dimension_key(in[p], d) & 0xFFFFu,
-                        static_cast<u32>(p)};
-    }
-  }
-  for (usize d = 0; d < kNumDimensions; ++d) {
-    alg::sort_batch_keys(s.keys[d]);
-  }
-
-  // Phase 2, batched: each engine resolves its sorted run once.
-  for (usize i = 0; i < 4; ++i) {
-    const usize d = index_of(kIpDims[i]);
-    switch (cfg_.ip_algorithm) {
-      case IpAlgorithm::kMbt:
-        mbt_[i]->lookup_batch_into(s.keys[d], s.ip_refs[i], s.recs[d]);
-        break;
-      case IpAlgorithm::kBst:
-        bst_[i]->lookup_batch_into(s.keys[d], s.ip_refs[i], s.recs[d]);
-        break;
-      case IpAlgorithm::kRvh:
-        rvh_[i]->lookup_batch_into(s.keys[d], s.ip_refs[i], s.recs[d]);
-        break;
-    }
-  }
-  const bool cross = cfg_.combine_mode == CombineMode::kCrossProduct;
-  // FirstLabel needs only each dimension's winner: the first-label
-  // variants skip list materialization and the priority-network sort
-  // (mirroring the scalar path's lookup_first), at identical cost.
-  if (cross) {
-    sport_regs_->lookup_batch_into(s.keys[index_of(Dimension::kSrcPort)],
-                                   s.recs[index_of(Dimension::kSrcPort)],
-                                   s.pools[index_of(Dimension::kSrcPort)],
-                                   s.spans[index_of(Dimension::kSrcPort)]);
-    dport_regs_->lookup_batch_into(s.keys[index_of(Dimension::kDstPort)],
-                                   s.recs[index_of(Dimension::kDstPort)],
-                                   s.pools[index_of(Dimension::kDstPort)],
-                                   s.spans[index_of(Dimension::kDstPort)]);
-    proto_lut_->lookup_batch_into(s.keys[index_of(Dimension::kProtocol)],
-                                  s.recs[index_of(Dimension::kProtocol)],
-                                  s.pools[index_of(Dimension::kProtocol)],
-                                  s.spans[index_of(Dimension::kProtocol)]);
-  } else {
-    sport_regs_->lookup_first_batch_into(
-        s.keys[index_of(Dimension::kSrcPort)],
-        s.recs[index_of(Dimension::kSrcPort)],
-        s.pools[index_of(Dimension::kSrcPort)],
-        s.spans[index_of(Dimension::kSrcPort)]);
-    dport_regs_->lookup_first_batch_into(
-        s.keys[index_of(Dimension::kDstPort)],
-        s.recs[index_of(Dimension::kDstPort)],
-        s.pools[index_of(Dimension::kDstPort)],
-        s.spans[index_of(Dimension::kDstPort)]);
-    proto_lut_->lookup_first_batch_into(
-        s.keys[index_of(Dimension::kProtocol)],
-        s.recs[index_of(Dimension::kProtocol)],
-        s.pools[index_of(Dimension::kProtocol)],
-        s.spans[index_of(Dimension::kProtocol)]);
-  }
-  if (cross) {
-    // IP label-list reads, one per distinct ref per batch; every packet
-    // sharing the ref replays the recorded cost (same list, same
-    // walk). Iterating in sorted-key order keeps equal refs adjacent.
-    for (usize i = 0; i < 4; ++i) {
-      const usize d = index_of(kIpDims[i]);
-      for (const alg::BatchKey& lane : s.keys[d]) {
-        const alg::ListRef ref = s.ip_refs[i][lane.slot];
-        BatchScratch::ListReadMemo* m =
-            find_list_memo(s.list_memo[i], ref.addr);
-        if (m == nullptr) {
-          hw::CycleRecorder rc;
-          LabelVec tmp;
-          lists_[i]->read_list_into(ref, &rc, tmp);
-          BatchScratch::ListReadMemo fresh;
-          fresh.ref_addr = ref.addr;
-          fresh.span.off = static_cast<u32>(s.pools[d].size());
-          fresh.span.len = static_cast<u32>(tmp.size());
-          fresh.cycles = rc.cycles();
-          fresh.accesses = rc.memory_accesses();
-          s.pools[d].insert(s.pools[d].end(), tmp.begin(), tmp.end());
-          s.list_memo[i].push_back(fresh);
-          m = &s.list_memo[i].back();
-        }
-        s.recs[d][lane.slot].charge(m->cycles, m->accesses);
-        s.spans[d][lane.slot] = m->span;
-      }
-    }
-  }
-
-  // The combination-probe memo: bind to this device's (id, epoch) —
-  // carried over unchanged, cached combinations from earlier batches of
-  // the same program keep serving; any device change (snapshot swap
-  // rotates the worker onto a different replica, or an in-place update
-  // bumped the epoch) drops every entry before a stale verdict could
-  // serve.
-  ProbeMemo* memo = nullptr;
-  if (use_memo) {
-    // Rebuild on any size mismatch — including shrinks: a config
-    // asking for a 16-slot memo must actually get one (the fuzz
-    // harness's set-pressure dimension depends on it), not silently
-    // keep the scratch's larger default.
-    if (s.memo.slots() != ProbeMemo::normalized_slots(cfg_.batch_memo_slots)) {
-      s.memo = ProbeMemo(cfg_.batch_memo_slots);
-    }
-    if (s.memo.bind(device_id_, device_epoch_)) ++s.memo_invalidations;
-    memo = &s.memo;
-  }
-
-  // Phases 3 + 4 per packet, combining the batch-shared phase-2 results.
-  for (usize p = 0; p < n; ++p) {
-    ClassifyResult& res = out[p];
-    res = ClassifyResult{};
-    u64 tail_cycles = 0;
-    u64 tail_accesses = 0;
-
-    if (!cross) {
-      hw::CycleRecorder tail;
-      tail.charge(1, 0);  // label merge network
-      // FirstLabel: same control flow (and therefore the same charges)
-      // as the scalar path — ports/proto first, then the IP refs until
-      // the first empty one.
-      std::array<Label, kNumDimensions> first{};
-      for (const Dimension d :
-           {Dimension::kSrcPort, Dimension::kDstPort, Dimension::kProtocol}) {
-        const alg::LabelSpan sp = s.spans[index_of(d)][p];
-        first[index_of(d)] =
-            sp.empty() ? Label{} : s.pools[index_of(d)][sp.off];
-      }
-      bool miss = !first[index_of(Dimension::kSrcPort)].valid() ||
-                  !first[index_of(Dimension::kDstPort)].valid() ||
-                  !first[index_of(Dimension::kProtocol)].valid();
-      for (usize i = 0; i < 4 && !miss; ++i) {
-        const alg::ListRef ref = s.ip_refs[i][p];
-        if (ref.empty()) {
-          miss = true;
-          break;
-        }
-        BatchScratch::ListReadMemo* m =
-            find_list_memo(s.list_memo[i], ref.addr);
-        if (m == nullptr) {
-          hw::CycleRecorder rc;
-          BatchScratch::ListReadMemo fresh;
-          fresh.ref_addr = ref.addr;
-          fresh.first = lists_[i]->read_first(ref, &rc);
-          fresh.cycles = rc.cycles();
-          fresh.accesses = rc.memory_accesses();
-          s.list_memo[i].push_back(fresh);
-          m = &s.list_memo[i].back();
-        }
-        s.recs[index_of(kIpDims[i])][p].charge(m->cycles, m->accesses);
-        first[index_of(kIpDims[i])] = m->first;
-      }
-      if (!miss) {
-        res.crossproduct_probes = 1;
-        const Key68 key = Key68::merge(first);
-        res.match = memo != nullptr
-                        ? rule_filter_->lookup_memo(key, &tail, *memo,
-                                                    res.memo_hits)
-                        : rule_filter_->lookup(key, &tail);
-      }
-      tail_cycles = tail.cycles();
-      tail_accesses = tail.memory_accesses();
-    } else {
-      // Combine-level dedup: packets whose 7 label lists have identical
-      // *contents* run an identical search — run it once per distinct
-      // list set and replay verdict + tail cost. The signature is a
-      // per-dimension content hash (span identity would under-group:
-      // distinct port keys with identical lists get distinct pool
-      // ranges); a signature match is confirmed by exact comparison
-      // against the leader's spans so a hash collision cannot share.
-      std::array<u64, kNumDimensions> sig;
-      for (usize d = 0; d < kNumDimensions; ++d) {
-        sig[d] = span_content_hash(s, d, s.spans[d][p]);
-      }
-      BatchScratch::CombineMemo* cm = nullptr;
-      for (auto& m : s.combine_memo) {
-        if (m.sig != sig) continue;
-        bool same = true;
-        for (usize d = 0; d < kNumDimensions && same; ++d) {
-          same = span_content_equal(s.pools[d], m.spans[d], s.spans[d][p]);
-        }
-        if (same) {
-          cm = &m;
-          break;
-        }
-      }
-      if (cm == nullptr) {
-        BatchScratch::CombineMemo fresh;
-        fresh.sig = sig;
-        for (usize d = 0; d < kNumDimensions; ++d) {
-          fresh.spans[d] = s.spans[d][p];
-        }
-        hw::CycleRecorder tail;
-        tail.charge(1, 0);  // label merge network
-        bool miss = false;
-        std::array<std::span<const Label>, kNumDimensions> lists;
-        for (usize d = 0; d < kNumDimensions; ++d) {
-          const alg::LabelSpan sp = s.spans[d][p];
-          lists[d] = {s.pools[d].data() + sp.off, sp.len};
-          if (sp.len == 0) miss = true;
-        }
-        if (!miss) {
-          const CombineOutcome c = combine_exact(lists, tail, memo);
-          fresh.match = c.match;
-          fresh.probes = c.probes;
-          fresh.prefix_checks = c.prefix_checks;
-          fresh.memo_hits = c.memo_hits;
-        }
-        fresh.tail_cycles = tail.cycles();
-        fresh.tail_accesses = tail.memory_accesses();
-        s.combine_memo.push_back(fresh);
-        cm = &s.combine_memo.back();
-        res.match = cm->match;
-        res.crossproduct_probes = cm->probes;
-        res.memo_hits = cm->memo_hits;
-        tail_cycles = cm->tail_cycles;
-        tail_accesses = cm->tail_accesses;
-      } else {
-        // Repeat list set. With the combination memo active, every
-        // probe of this packet was just cached by its leader: each is
-        // served in one cycle, still charging the replaced probe's
-        // reads (the prefix checks are not memoized and cost their
-        // cycle). With the memo off (nothing was cached), replay the
-        // leader's full tail — cycle-exact with the scalar path.
-        res.match = cm->match;
-        res.crossproduct_probes = cm->probes;
-        if (memo != nullptr) {
-          res.memo_hits = cm->probes;
-          tail_cycles = 1 + cm->prefix_checks + cm->probes;
-        } else {
-          res.memo_hits = 0;
-          tail_cycles = cm->tail_cycles;
-        }
-        tail_accesses = cm->tail_accesses;
-      }
-    }
-
-    u64 phase2_cycles = 0;
-    for (usize d = 0; d < kNumDimensions; ++d) {
-      phase2_cycles = std::max(phase2_cycles, s.recs[d][p].cycles());
-      res.memory_accesses += s.recs[d][p].memory_accesses();
-    }
-    res.cycles = 1 /*split*/ + phase2_cycles + tail_cycles;
-    res.memory_accesses += tail_accesses;
+  for (usize i = 0; i < in.size(); ++i) {
+    out[i] = classify(in[i]);
   }
 }
 

@@ -30,7 +30,6 @@
 #include "alg/port_registers.hpp"
 #include "alg/protocol_lut.hpp"
 #include "core/config.hpp"
-#include "core/path_controller.hpp"
 #include "core/prefix_set.hpp"
 #include "core/rule_filter.hpp"
 #include "hwsim/pipeline.hpp"
@@ -44,18 +43,13 @@ namespace pclass::core {
 
 /// Outcome and measured cost of classifying one header.
 ///
-/// Cycle-charging contract (what every lookup entry point guarantees,
-/// and what the phase-2 batch path must preserve):
+/// Cycle-charging contract (what every lookup entry point guarantees):
 ///   cycles = 1 (header split) + max over the 7 dimension recorders
 ///            (phase 2 runs in parallel; the phase costs the slowest
-///            engine) + the tail recorder (label merge + every Rule
-///            Filter probe, serial);
+///            engine) + the tail recorder (label merge + every prefix
+///            check and Rule Filter probe, serial);
 ///   memory_accesses = the *sum* of all recorders' block-memory reads.
-/// The batch engine replays, per packet, exactly the charges the scalar
-/// path would make; the probe memo may lower `cycles` (a hit costs one
-/// cycle instead of hash + probe walk) but never changes
-/// `memory_accesses` or `crossproduct_probes` (a memoized probe still
-/// charges the reads it replaces — see core::ProbeMemo).
+/// classify_batch() charges every packet exactly what classify() does.
 struct ClassifyResult {
   /// The matched rule (HPMR under CrossProduct; under FirstLabel, the
   /// rule owning the first-label combination, when present).
@@ -68,9 +62,6 @@ struct ClassifyResult {
   /// installed rule and its labels' priority bound can still beat the
   /// best hit so far).
   u64 crossproduct_probes = 0;
-  /// Probes served by the snapshot-keyed combination memo (0 on the
-  /// scalar path; each hit is also counted in crossproduct_probes).
-  u64 memo_hits = 0;
 };
 
 /// Per-block memory occupancy snapshot.
@@ -86,100 +77,6 @@ struct MemoryReport {
   u64 total_capacity_bits = 0;
   u64 total_used_bits = 0;
   u64 register_bits = 0;
-};
-
-/// Reusable scratch of the phase-2 batch engine: per-dimension key
-/// lanes, per-packet recorders, batch-shared label pools and the
-/// combination-probe memo. Callers that classify batches continuously
-/// (one dataplane worker = one scratch) reuse it so the steady-state
-/// batch path performs no heap allocation; the convenience
-/// classify_batch(in, out) overload creates a throwaway one.
-struct BatchScratch {
-  std::array<std::vector<alg::BatchKey>, kNumDimensions> keys;
-  std::array<std::vector<hw::CycleRecorder>, kNumDimensions> recs;
-  std::array<std::vector<Label>, kNumDimensions> pools;
-  std::array<std::vector<alg::LabelSpan>, kNumDimensions> spans;
-  std::array<std::vector<alg::ListRef>, 4> ip_refs;
-
-  /// One label-list read per distinct ListRef per batch: the cached
-  /// pool range, the first label (FirstLabel mode) and the modeled cost
-  /// to replay for every packet sharing the ref.
-  struct ListReadMemo {
-    u32 ref_addr = 0;
-    alg::LabelSpan span{};
-    Label first{};
-    u64 cycles = 0;
-    u64 accesses = 0;
-  };
-  std::array<std::vector<ListReadMemo>, 4> list_memo;
-
-  /// One exact combine per distinct label-list *set* per batch:
-  /// packets whose 7 label lists have identical contents (duplicate
-  /// flows; distinct keys whose matching ranges coincide — e.g. two
-  /// dports falling only into the same wildcard range; fw-like sets
-  /// where wildcard labels dominate every list) share one pruned search
-  /// and replay its verdict and modeled tail cost. The signature is a
-  /// per-dimension *content hash* of the pooled list (span identity
-  /// under-groups: two distinct port keys with identical lists get
-  /// distinct pool ranges); the leader's spans are kept so a signature
-  /// match is confirmed by exact content comparison before sharing —
-  /// a hash collision can never corrupt a verdict. With the probe memo
-  /// on, a repeat packet's probes are modeled as memo hits (one cycle +
-  /// the replaced probe's reads each); with it off the leader's full
-  /// tail is replayed, keeping cycles scalar-exact.
-  struct CombineMemo {
-    std::array<u64, kNumDimensions> sig{};
-    std::array<alg::LabelSpan, kNumDimensions> spans{};
-    std::optional<RuleEntry> match;
-    u64 probes = 0;
-    u64 prefix_checks = 0;
-    u64 memo_hits = 0;
-    u64 tail_cycles = 0;
-    u64 tail_accesses = 0;
-  };
-  std::vector<CombineMemo> combine_memo;
-
-  /// Per-batch cache of span content hashes: one hash computation per
-  /// distinct (off, len) span per dimension per batch (identical spans
-  /// trivially share; the pools are rebuilt every batch, so this is
-  /// cleared with them).
-  struct SpanHash {
-    u64 packed = 0;  ///< (off << 32) | len
-    u64 hash = 0;
-  };
-  std::array<std::vector<SpanHash>, kNumDimensions> span_hashes;
-
-  /// The snapshot-keyed combination-probe memo (see ProbeMemo's
-  /// lifetime contract): persists across batches, invalidated when the
-  /// device binding changes — never reset at a batch boundary.
-  ProbeMemo memo{ProbeMemo::kDefaultSlots};
-  /// Times the memo dropped its entries (initial bind, snapshot swap or
-  /// in-place update); surfaced per dataplane worker as
-  /// probe_memo_invalidations.
-  u64 memo_invalidations = 0;
-
-  /// The online path controller (PathPolicy::kAdaptive): a per-path
-  /// linear cost model ns = a*packets + b*distinct_keys fitted from
-  /// measured host time, argmin-picked per batch at the batch's own
-  /// (packets, distinct) point. Replaces the hand-tuned 2%/5%
-  /// window-threshold bypass gates of earlier revisions. Also the
-  /// authoritative per-path batch counters (forced policies count here
-  /// too).
-  PathController controller;
-  /// Open-addressed presence table for the controller's streaming
-  /// distinct-header count (slot = mix64 of the header fingerprint; 0 is
-  /// the empty sentinel, a fingerprint of 0 is tracked out-of-band).
-  /// Reused across batches so the count allocates nothing in steady
-  /// state and replaces the former per-batch fingerprint sort.
-  std::vector<u64> distinct_fp;
-
-  /// Telemetry taps, written by every classify_batch() call: the
-  /// execution path that served the last batch and the distinct-header
-  /// count the controller consumed for it (0 when the count was
-  /// skipped — forced policies and single-packet batches never pay the
-  /// fingerprint pass, and telemetry must not reintroduce it).
-  BatchPath last_batch_path = BatchPath::kScalarLoop;
-  usize last_batch_distinct = 0;
 };
 
 /// The configurable classification device plus its controller shadow.
@@ -222,15 +119,6 @@ class ConfigurableClassifier {
   /// Phase-3 policy (software decision; free).
   void set_combine_mode(CombineMode mode) { cfg_.combine_mode = mode; }
 
-  /// Toggle combination-probe memo eligibility (phase-2 only; free).
-  void set_batch_probe_memo(bool on) { cfg_.batch_probe_memo = on; }
-
-  /// Per-batch execution-path policy (adaptive controller vs forced
-  /// path; software decision, free).
-  void set_batch_path_policy(PathPolicy policy) {
-    cfg_.batch_path_policy = policy;
-  }
-
   // ---- data-plane API (lookup path) ----
 
   /// Classify a parsed 5-tuple. Charges per the ClassifyResult
@@ -242,40 +130,19 @@ class ConfigurableClassifier {
   [[nodiscard]] ClassifyResult classify_packet(
       std::span<const u8> bytes) const;
 
-  /// Batched lookup: classify `in[i]` into `out[i]` for the whole span.
-  /// This is the entry point the dataplane engine drives per worker
-  /// batch; `out.size()` must be >= `in.size()`.
-  ///
-  /// Unless PathPolicy::kForceScalarLoop pins the packet-at-a-time
-  /// loop, this is a true batch engine: per-dimension keys are gathered
-  /// and sorted across the whole span, each engine resolves one sorted
-  /// run per batch (shared trie levels and duplicate keys are walked
-  /// once on the host), and the combiner memoizes repeated label
-  /// combinations. Results and
-  /// per-packet memory_accesses are *identical* to the scalar path
-  /// (asserted by tests/test_batch_phase2.cpp); per-packet cycles are
-  /// identical with the probe memo off and <= with it on.
+  /// Batched lookup: classify `in[i]` into `out[i]` for the whole span,
+  /// one classify() per header, so every result (cycles included) is
+  /// the scalar one. This is the entry point the dataplane engine
+  /// drives per worker batch; `out.size()` must be >= `in.size()`.
   ///
   /// Thread-safe against other concurrent const lookups (the update
   /// path is not — the dataplane publishes immutable snapshots instead).
   void classify_batch(std::span<const net::FiveTuple> in,
                       std::span<ClassifyResult> out) const;
 
-  /// Same, reusing caller-owned scratch so continuous batch callers
-  /// (one dataplane worker = one scratch) allocate nothing per batch.
-  void classify_batch(std::span<const net::FiveTuple> in,
-                      std::span<ClassifyResult> out,
-                      BatchScratch& scratch) const;
-
   // ---- introspection ----
 
   [[nodiscard]] const ClassifierConfig& config() const { return cfg_; }
-
-  /// Update epoch of this device: bumped by every update-path mutation
-  /// (rule add/remove/modify, algorithm switch, reseed). Together with
-  /// the process-unique device id this is what a persistent ProbeMemo
-  /// binds cached verdicts to — see ProbeMemo::bind().
-  [[nodiscard]] u64 device_epoch() const { return device_epoch_; }
 
   [[nodiscard]] IpAlgorithm ip_algorithm() const { return cfg_.ip_algorithm; }
   [[nodiscard]] CombineMode combine_mode() const { return cfg_.combine_mode; }
@@ -321,12 +188,10 @@ class ConfigurableClassifier {
   /// depth 6 is the Rule Filter probe itself).
   static constexpr usize kPrefixDepths = 5;
 
-  /// Verdict and tail counts of one exact combine.
+  /// Verdict and probe count of one exact combine.
   struct CombineOutcome {
     std::optional<RuleEntry> match;
     u64 probes = 0;
-    u64 prefix_checks = 0;
-    u64 memo_hits = 0;
   };
 
   // The four IP dimensions in engine-array order.
@@ -382,24 +247,16 @@ class ConfigurableClassifier {
   [[nodiscard]] alg::ListRef ip_lookup(usize ip_dim_index, u16 key,
                                        hw::CycleRecorder* rec) const;
 
-  /// Phases 3+4 of CrossProduct, shared by classify() and the batch
-  /// engine: a depth-first search over the 7 label lists (\p lists,
-  /// indexed by dimension) that returns the exact HPMR. Labels are
-  /// walked best bound first; a list is abandoned once its bound is
-  /// strictly worse than the best hit, and a subtree whose label prefix
-  /// no installed rule has is skipped. Every prefix check charges one
-  /// cycle and one access to \p tail, every probe its Rule Filter walk
-  /// (or a \p memo hit, when non-null).
+  /// Phases 3+4 of CrossProduct: a depth-first search over the 7 label
+  /// lists (\p lists, indexed by dimension) that returns the exact HPMR.
+  /// Labels are walked best bound first; a list is abandoned once its
+  /// bound is strictly worse than the best hit, and a subtree whose
+  /// label prefix no installed rule has is skipped. Every prefix check
+  /// charges one cycle and one access to \p tail, every probe its Rule
+  /// Filter walk.
   [[nodiscard]] CombineOutcome combine_exact(
       const std::array<std::span<const Label>, kNumDimensions>& lists,
-      hw::CycleRecorder& tail, ProbeMemo* memo) const;
-
-  /// The phase-2 batch engine behind classify_batch(). \p use_memo
-  /// engages the combination-probe memo (the path controller or a
-  /// forced policy already folded eligibility in).
-  void classify_batch_phase2(std::span<const net::FiveTuple> in,
-                             std::span<ClassifyResult> out,
-                             BatchScratch& scratch, bool use_memo) const;
+      hw::CycleRecorder& tail) const;
 
   void rebuild_active_ip_engines(hw::CommandLog& log);
 
@@ -411,12 +268,6 @@ class ConfigurableClassifier {
 
   ClassifierConfig cfg_;
   u32 reseed_attempts_ = 0;
-  /// Process-unique device id (from a global counter, so a destroyed
-  /// classifier's id is never reused the way its address could be) and
-  /// the update epoch — the persistent ProbeMemo's binding key.
-  u64 device_id_;
-  u64 device_epoch_ = 0;
-
   // Controller-side label bookkeeping.
   std::array<alg::LabelTable<ruleset::SegmentPrefix>, 4> ip_tables_;
   alg::LabelTable<ruleset::PortRange> sport_table_;

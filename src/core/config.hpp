@@ -52,47 +52,10 @@ enum class CombineMode : u8 {
   return m == CombineMode::kFirstLabel ? "first-label" : "cross-product";
 }
 
-/// How classify_batch() picks its per-batch execution path (a software
-/// decision; free). All paths produce identical verdicts and per-packet
-/// memory accesses (cycles may only drop when the probe memo engages),
-/// so the policy is purely a host-performance decision.
-enum class PathPolicy : u8 {
-  /// The per-scratch EWMA controller (core/path_controller.hpp) picks
-  /// scalar-loop vs batch engine and memo-on vs memo-off online, from
-  /// measured host ns/packet. The default.
-  kAdaptive,
-  /// Always the batch engine; the probe memo follows batch_probe_memo.
-  /// The deterministic choice tests and ablations force.
-  kForcePhase2,
-  /// Always the packet-at-a-time loop: classify() per header (the
-  /// phase-2 cost model without its scaffolding).
-  kForceScalarLoop,
-};
-
-[[nodiscard]] constexpr const char* to_string(PathPolicy p) {
-  switch (p) {
-    case PathPolicy::kAdaptive: return "adaptive";
-    case PathPolicy::kForcePhase2: return "phase2";
-    case PathPolicy::kForceScalarLoop: return "scalar-loop";
-  }
-  return "?";
-}
-
 /// Full device configuration.
 struct ClassifierConfig {
   IpAlgorithm ip_algorithm = IpAlgorithm::kMbt;
   CombineMode combine_mode = CombineMode::kFirstLabel;
-  /// Combination-probe memo in the combiner (phase-2 only): when true
-  /// the memo is *eligible*; under PathPolicy::kAdaptive the controller
-  /// still decides per batch whether engaging it pays.
-  bool batch_probe_memo = true;
-  /// Slots of that memo (rounded up to a power of two; two tagged ways
-  /// per set, entries persist across batches until the device changes —
-  /// see core::ProbeMemo).
-  u32 batch_memo_slots = 512;
-  /// Per-batch execution-path policy of classify_batch().
-  PathPolicy batch_path_policy = PathPolicy::kAdaptive;
-
   /// Geometry of each of the four IP-segment MBT engines.
   alg::MbtConfig mbt{};
   /// Geometry of each of the four IP-segment BST engines.

@@ -4,20 +4,14 @@
 /// pipelined MBT lookup sustains 133.51 M lookups/s, i.e. 42.7 Gbps of
 /// 40-byte packets or >100 Gbps of 100-byte packets.
 ///
-/// Cycle-charging contract these conversions rest on (and which every
-/// lookup entry point — scalar or phase-2 batch — must preserve):
-/// `cycles_per_packet` is the end-to-end latency of one lookup as
-/// accumulated by hw::CycleRecorder charges — 1 cycle of header split,
-/// plus the *maximum* over the 7 parallel dimension engines (each
-/// memory read charges its block's read_cycles and one access), plus
-/// the serial tail (1 cycle label merge, then per Rule Filter probe:
-/// one hash cycle and one read per slot walked — or, on a
-/// combination-memo hit, one cycle plus the replaced probe's reads;
-/// see core::ProbeMemo, whose entries persist across batches of an
-/// unchanged device and are dropped the instant the device changes).
-/// The batch engine may lower cycles via memo hits but never changes
-/// memory-access counts, so rates derived here stay comparable across
-/// execution paths, memo on/off and controller path choices.
+/// Cycle-charging contract these conversions rest on (see
+/// core::ClassifyResult): `cycles_per_packet` is the end-to-end latency
+/// of one lookup as accumulated by hw::CycleRecorder charges — 1 cycle
+/// of header split, plus the *maximum* over the 7 parallel dimension
+/// engines (each memory read charges its block's read_cycles and one
+/// access), plus the serial tail (1 cycle label merge, one cycle and
+/// one read per combine prefix check, then per Rule Filter probe: one
+/// hash cycle and one read per slot walked).
 #pragma once
 
 #include "common/types.hpp"

@@ -1,21 +1,8 @@
 #include "core/rule_filter.hpp"
 
-#include <bit>
-
 #include "common/error.hpp"
 
 namespace pclass::core {
-
-u32 ProbeMemo::normalized_slots(u32 slots) {
-  return std::bit_ceil(std::max<u32>(slots, 16));
-}
-
-ProbeMemo::ProbeMemo(u32 slots) {
-  const u32 n = normalized_slots(slots);
-  entries_.resize(n);
-  lru_.assign(n / kWays, 0);
-  set_mask_ = n / kWays - 1;
-}
 
 RuleFilter::RuleFilter(const std::string& name, u32 depth, u32 max_probes,
                        u64 hash_seed)
@@ -201,59 +188,6 @@ std::optional<RuleEntry> RuleFilter::lookup(const Key68& key,
     }
   }
   return std::nullopt;
-}
-
-std::optional<RuleEntry> RuleFilter::lookup_memo(const Key68& key,
-                                                 hw::CycleRecorder* rec,
-                                                 ProbeMemo& memo,
-                                                 u64& memo_hits) const {
-  // Cheap multiply-shift set hash: the memo sits on every probe of the
-  // batch path, so the miss cost must stay at two compares + one store.
-  const u64 x = (key.lo64() ^ (u64{key.hi4()} << 60)) *
-                0x9E3779B97F4A7C15ULL;
-  const u32 set = static_cast<u32>(x >> 40) & memo.set_mask_;
-  ProbeMemo::Entry* const base = &memo.entries_[set * ProbeMemo::kWays];
-  for (u32 w = 0; w < ProbeMemo::kWays; ++w) {
-    ProbeMemo::Entry& e = base[w];
-    if (e.gen == memo.gen_ && e.key == key) {
-      // Combination-cache hit: one cycle (the ways tag-compare in
-      // parallel), plus the memory reads of the probe it replaces
-      // (access calibration — see the ProbeMemo contract).
-      if (rec != nullptr) {
-        rec->charge(1, e.probe_accesses);
-      }
-      ++memo_hits;
-      memo.lru_[set] = static_cast<u8>(w ^ 1);  // the other way is LRU
-      return e.matched ? std::optional<RuleEntry>(e.entry) : std::nullopt;
-    }
-  }
-  hw::CycleRecorder probe;
-  const std::optional<RuleEntry> verdict = lookup(key, &probe);
-  if (rec != nullptr) {
-    rec->charge(probe.cycles(), probe.memory_accesses());
-  }
-  // Victim: an invalid way if the set has one (covers every entry right
-  // after an O(1) invalidation), else the set's LRU way — replacing a
-  // live entry of another key is the conflict eviction the 2-way
-  // geometry exists to reduce, so count it.
-  u32 victim = memo.lru_[set];
-  for (u32 w = 0; w < ProbeMemo::kWays; ++w) {
-    if (base[w].gen != memo.gen_) {
-      victim = w;
-      break;
-    }
-  }
-  ProbeMemo::Entry& e = base[victim];
-  if (e.gen == memo.gen_ && !(e.key == key)) {
-    ++memo.conflict_evictions_;
-  }
-  e.key = key;
-  e.gen = memo.gen_;
-  e.matched = verdict.has_value();
-  e.entry = verdict.value_or(RuleEntry{});
-  e.probe_accesses = static_cast<u32>(probe.memory_accesses());
-  memo.lru_[set] = static_cast<u8>(victim ^ 1);
-  return verdict;
 }
 
 }  // namespace pclass::core

@@ -39,108 +39,6 @@ struct RuleEntry {
                                     const RuleEntry&) = default;
 };
 
-/// Combination-probe memo for the phase-3/4 combiner: a small 2-way
-/// set-associative map from a 68-bit label combination to its cached
-/// verdict. Models a tiny combination cache in front of the Rule
-/// Filter: repeated label combinations (fw-like traffic) resolve in one
-/// cycle instead of re-walking hash + probe chain.
-///
-/// Geometry: each set index pairs two tagged ways with a one-bit LRU,
-/// so two hot cross-batch combinations that collide on the same set
-/// coexist instead of evicting each other on every alternation — the
-/// conflict-miss pathology of a direct map (cf. RVH: hash-structure
-/// conflict behavior dominates online classification tail latency). A
-/// replacement that overwrites a *live* entry of a different key is
-/// counted in conflict_evictions().
-///
-/// Lifetime: the memo is *persistent* — entries are tagged with the
-/// device state they were cached against (a (device id, update epoch)
-/// binding, see bind()) and survive batch boundaries, so flow locality
-/// spanning batches keeps compounding hits. They are invalidated, in
-/// O(1), exactly when that binding changes: the scratch is pointed at a
-/// different classifier (a published RuleProgram snapshot swap rotates
-/// the replica the worker classifies against) or the same classifier
-/// absorbed an update (every update-path mutation bumps the device
-/// epoch). A stale entry can therefore never serve across a version
-/// boundary.
-///
-/// Cycle-charging contract (preserved by RuleFilter::lookup_memo): a
-/// memo hit returns the identical verdict and charges the identical
-/// modeled *memory accesses* as the probe it replaces — so the paper's
-/// access-count tables stay calibrated and per-packet memory_accesses
-/// are invariant under the memo — but only one cycle of latency (the
-/// ways of a set are tag-compared in parallel, like a set-associative
-/// cache, so associativity does not change the hit cost). Per-packet
-/// cycles are therefore <= the scalar path's, never different in
-/// accesses.
-class ProbeMemo {
- public:
-  static constexpr u32 kDefaultSlots = 512;
-  static constexpr u32 kWays = 2;  // the one-bit LRU (w ^ 1) assumes 2
-
-  /// \p slots is the total entry count, rounded up to a power of two
-  /// (>= 16) and divided into sets of kWays. An overflowing cluster
-  /// simply stops memoizing (correctness is unaffected; the probe runs
-  /// for real).
-  explicit ProbeMemo(u32 slots = kDefaultSlots);
-
-  /// The entry count a memo built with \p slots actually has (the
-  /// constructor's rounding rule). Callers that cache a ProbeMemo and
-  /// rebuild on geometry change compare against this — one shared
-  /// definition, so the check can never desync from the constructor.
-  [[nodiscard]] static u32 normalized_slots(u32 slots);
-
-  /// Bind the memo to a device state before a batch: \p device_id is a
-  /// process-unique classifier id (never reused, unlike an address) and
-  /// \p epoch that device's update epoch. Returns true when the binding
-  /// changed — every cached combination was just invalidated (O(1)
-  /// generation bump); false when the memo carried over and hits may
-  /// compound across batches.
-  bool bind(u64 device_id, u64 epoch) {
-    if (device_id == bound_device_ && epoch == bound_epoch_) return false;
-    bound_device_ = device_id;
-    bound_epoch_ = epoch;
-    ++gen_;
-    return true;
-  }
-
-  [[nodiscard]] u32 slots() const { return static_cast<u32>(entries_.size()); }
-
-  /// Replacements that overwrote a *live* entry holding a different key
-  /// (a conflict miss made visible). Cumulative over the memo's
-  /// lifetime; invalidations do not reset it. Surfaced per dataplane
-  /// worker as probe_memo_conflict_evictions.
-  [[nodiscard]] u64 conflict_evictions() const { return conflict_evictions_; }
-
- private:
-  friend class RuleFilter;
-
-  struct Entry {
-    Key68 key{};
-    u64 gen = 0;  ///< live iff == ProbeMemo::gen_
-    bool matched = false;
-    RuleEntry entry{};
-    u32 probe_accesses = 0;  ///< reads the memoized probe performed
-  };
-
-  // Small associativity on purpose: a memo miss must stay at two tag
-  // compares and one overwrite, because low-reuse workloads (acl-like
-  // cross-products, where nearly every combination is fresh) pay it on
-  // every probe. A colliding hot combination merely re-probes —
-  // correctness never depends on the memo's hit rate. Entries of set s
-  // live at entries_[s * kWays .. s * kWays + kWays - 1]; lru_[s] names
-  // the way to replace next. Invalidation stays O(1): the generation
-  // bump makes every entry invalid, and replacement prefers invalid
-  // ways, so stale LRU bits are harmless.
-  std::vector<Entry> entries_;
-  std::vector<u8> lru_;
-  u64 gen_ = 1;
-  u32 set_mask_ = 0;
-  u64 conflict_evictions_ = 0;
-  u64 bound_device_ = 0;  ///< 0 = unbound (classifier ids start at 1)
-  u64 bound_epoch_ = 0;
-};
-
 /// Hashed rule memory.
 class RuleFilter {
  public:
@@ -186,24 +84,9 @@ class RuleFilter {
   /// then one memory read (1 cycle + 1 access) per slot walked along
   /// the linear-probe chain, all charged into \p rec (nullptr = an
   /// uncounted controller-side peek). The cost of probing a given key
-  /// is deterministic while the table is unchanged — which is what
-  /// makes the ProbeMemo's cost replay exact.
+  /// is deterministic while the table is unchanged.
   [[nodiscard]] std::optional<RuleEntry> lookup(const Key68& key,
                                                 hw::CycleRecorder* rec) const;
-
-  /// Memoizing probe (the batch combiner's entry point): consult
-  /// \p memo first; on a hit charge one cycle plus the replaced probe's
-  /// memory accesses (see ProbeMemo's contract) and bump \p memo_hits;
-  /// on a miss run the real probe, charge its true cost, and memoize
-  /// the (verdict, access-count) pair for as long as the memo's device
-  /// binding holds. The table must not be mutated while entries are
-  /// live — guaranteed because every update-path mutation bumps the
-  /// device epoch (so bind() drops the entries) and the dataplane
-  /// classifies against frozen snapshots.
-  [[nodiscard]] std::optional<RuleEntry> lookup_memo(const Key68& key,
-                                                     hw::CycleRecorder* rec,
-                                                     ProbeMemo& memo,
-                                                     u64& memo_hits) const;
 
   // ---- introspection ----
 

@@ -134,13 +134,13 @@ void ClassifierElement::push_batch(net::PacketBatch& batch) {
     }
   }
   res_.assign(keys_.size(), core::ClassifyResult{});
-  snap->classifier().classify_batch(keys_, res_, scratch_);
+  snap->classifier().classify_batch(keys_, res_);
   lookups_ += keys_.size();
+  if (!keys_.empty()) ++batches_;
 
   for (usize k = 0; k < slots_.size(); ++k) {
     net::PacketMeta& m = batch.meta(slots_[k]);
     const core::ClassifyResult& r = res_[k];
-    memo_hits_ += r.memo_hits;
     m.resolved = true;
     m.lookup_cycles += r.cycles;
     m.memory_accesses += r.memory_accesses;
@@ -184,7 +184,6 @@ void ClassifierElement::publish_telemetry(const net::PacketBatch& batch,
   // Publish the running totals (totals, not deltas: the sampler's
   // interval differences then sum exactly to the end-of-run report).
   fill_counters(tel_->live);
-  const u64 conflicts = scratch_.memo.conflict_evictions();
 
   // One span event per batch into the SPSC ring.
   telemetry::TraceEvent ev;
@@ -193,14 +192,8 @@ void ClassifierElement::publish_telemetry(const net::PacketBatch& batch,
   ev.worker = tel_->worker;
   ev.packets = static_cast<u32>(batch.size());
   ev.lookups = static_cast<u32>(keys_.size());
-  ev.distinct_keys = static_cast<u32>(scratch_.last_batch_distinct);
-  ev.path = scratch_.last_batch_path;
-  ev.memo_hits = static_cast<u32>(memo_hits_ - last_memo_hits_);
-  ev.memo_conflicts = static_cast<u32>(conflicts - last_memo_conflicts_);
   ev.snapshot_version = version;
   tel_->ring.push(ev);
-  last_memo_hits_ = memo_hits_;
-  last_memo_conflicts_ = conflicts;
 }
 
 // ---- ActionSink -----------------------------------------------------------

@@ -198,16 +198,24 @@ class FlowCacheElement : public Element {
   telemetry::WorkerTelemetry* tel_;
 };
 
+}  // namespace pclass::dataplane
+
+namespace pclass::core {
+
+/// Execution paths perfbench's ungated core.path.* metrics are indexed
+/// by (ClassifierElement::path_batches); only kScalarLoop is served.
+/// Kept until a benchmark change drops those metrics.
+enum class BatchPath : u8 { kScalarLoop = 0, kPhase2 = 1, kPhase2Memo = 2 };
+inline constexpr usize kNumBatchPaths = 3;
+
+}  // namespace pclass::core
+
+namespace pclass::dataplane {
+
 /// Phases 2-4: acquire the current RuleProgram (one atomic load per
-/// batch), feed every unresolved packet through the classifier's batch
-/// entry point in one call (the sorted-key batch engine unless the path
-/// policy picks the scalar loop; the element owns the reusable BatchScratch,
-/// so steady-state batches allocate nothing *and* the scratch's
-/// snapshot-keyed probe memo and EWMA path controller persist across
-/// this worker's batches — hits compound while the published program
-/// stays put, and every publisher swap rotates the worker onto a
-/// different replica, which the memo's device binding detects and
-/// invalidates on), and stamp the batch with the snapshot version.
+/// batch), classify every unresolved packet through the classifier's
+/// batch entry point in one call, and stamp the batch with the snapshot
+/// version.
 class ClassifierElement : public Element {
  public:
   explicit ClassifierElement(const RuleProgramPublisher* programs,
@@ -219,25 +227,17 @@ class ClassifierElement : public Element {
   void push_batch(net::PacketBatch& batch) override;
 
   [[nodiscard]] u64 lookups() const { return lookups_; }
-  /// Rule Filter probes served by the combination memo.
-  [[nodiscard]] u64 probe_memo_hits() const { return memo_hits_; }
-  /// Times the persistent memo dropped its entries (initial bind +
-  /// one per snapshot swap this worker classified across).
-  [[nodiscard]] u64 probe_memo_invalidations() const {
-    return scratch_.memo_invalidations;
-  }
-  /// Batches this worker served via each execution path (the
-  /// controller's choices, or the forced policy's).
+  /// Always 0; feeds perfbench's ungated core.probe_memo.* metrics
+  /// until a benchmark change drops them.
+  [[nodiscard]] u64 probe_memo_hits() const { return 0; }
+  /// Always 0; feeds perfbench's ungated core.probe_memo.* metrics
+  /// until a benchmark change drops them.
+  [[nodiscard]] u64 probe_memo_invalidations() const { return 0; }
+  /// Batches served (kScalarLoop; every other path 0); feeds
+  /// perfbench's ungated core.path.* metrics until a benchmark change
+  /// drops them.
   [[nodiscard]] u64 path_batches(core::BatchPath p) const {
-    return scratch_.controller.batches(p);
-  }
-  /// The controller's fitted cost model for \p p (zeros under forced
-  /// policies: no timed observations).
-  [[nodiscard]] core::PathCostModel controller_model(core::BatchPath p) const {
-    return scratch_.controller.cost_model(p);
-  }
-  [[nodiscard]] u64 controller_observations(core::BatchPath p) const {
-    return scratch_.controller.observations(p);
+    return p == core::BatchPath::kScalarLoop ? batches_ : 0;
   }
   /// Lowest/highest snapshot version observed; both 0 when the worker
   /// never processed a batch (the sentinel must not leak into reports).
@@ -250,16 +250,6 @@ class ClassifierElement : public Element {
   void fill_counters(auto& out) const {
     using telemetry::Counter;
     out.set(Counter::classifier_lookups, lookups_);
-    out.set(Counter::probe_memo_hits, memo_hits_);
-    out.set(Counter::probe_memo_invalidations, probe_memo_invalidations());
-    out.set(Counter::probe_memo_conflict_evictions,
-            scratch_.memo.conflict_evictions());
-    out.set(Counter::path_scalar_loop_batches,
-            path_batches(core::BatchPath::kScalarLoop));
-    out.set(Counter::path_phase2_batches,
-            path_batches(core::BatchPath::kPhase2));
-    out.set(Counter::path_phase2_memo_batches,
-            path_batches(core::BatchPath::kPhase2Memo));
     out.set(Counter::snapshot_version, max_version_);
     out.set(Counter::update_visibility_samples, vis_samples_);
     out.set(Counter::update_visibility_total_ns, vis_total_ns_);
@@ -280,11 +270,8 @@ class ClassifierElement : public Element {
   std::vector<net::FiveTuple> keys_;       // scratch, reused per batch
   std::vector<core::ClassifyResult> res_;  // scratch, reused per batch
   std::vector<usize> slots_;               // scratch, reused per batch
-  core::BatchScratch scratch_;             // phase-2 engine scratch
   u64 lookups_ = 0;
-  u64 memo_hits_ = 0;
-  u64 last_memo_hits_ = 0;       // per-batch delta base for the ring event
-  u64 last_memo_conflicts_ = 0;  // per-batch delta base for the ring event
+  u64 batches_ = 0;  ///< classify_batch calls with at least one lookup
   u64 min_version_ = std::numeric_limits<u64>::max();
   u64 max_version_ = 0;
   bool monotonic_ = true;

@@ -574,11 +574,6 @@ WorkerReport Engine::shard_report(const Shard& s) const {
   if (s.cache != nullptr) s.cache->fill_counters(r.counters);
   s.classifier->fill_counters(r.counters);
   s.sink->fill_counters(r.counters);
-  for (usize p = 0; p < core::kNumBatchPaths; ++p) {
-    const auto path = static_cast<core::BatchPath>(p);
-    r.controller_models[p] = s.classifier->controller_model(path);
-    r.controller_observations[p] = s.classifier->controller_observations(path);
-  }
   r.min_version = s.classifier->min_version();
   r.version_monotonic = s.classifier->version_monotonic();
   if (s.index < tel_.size() && tel_[s.index] != nullptr) {

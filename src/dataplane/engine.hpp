@@ -120,8 +120,8 @@ struct EngineConfig {
   WorkerBudget* budget = nullptr;
   /// Master telemetry switch: per-worker live counters + trace rings +
   /// update-visibility sampling. Always on by default (the contract is
-  /// near-zero cost — the overhead gate in bench_batch_ablation holds
-  /// it under 3% Mpps); false is the gate's baseline leg.
+  /// near-zero cost — the overhead gate in bench_dataplane holds it
+  /// under 3% Mpps); false is the gate's baseline leg.
   bool telemetry = true;
   /// Run a background StatsSampler snapshotting all workers every this
   /// many ms onto EngineReport::timeseries. 0 = no sampler thread
@@ -143,11 +143,11 @@ struct EngineConfig {
   /// RSS-style sharding (0 = unsharded: the legacy geometry where every
   /// worker thread drains the shared pool). With shards = S > 0 the
   /// engine builds S shards — each owning its classifier subscription,
-  /// flow cache, probe memo, path controller, batch scratch and
-  /// telemetry block — pinned shard s -> worker thread s % workers
-  /// (workers is clamped to S). Every shard holds the full ruleset and
-  /// drains its own steered slice of the pool: steering only buys cache
-  /// locality, so verdicts are identical to the unsharded engine's.
+  /// flow cache and telemetry block — pinned shard s -> worker thread
+  /// s % workers (workers is clamped to S). Every shard holds the full
+  /// ruleset and drains its own steered slice of the pool: steering only
+  /// buys cache locality, so verdicts are identical to the unsharded
+  /// engine's.
   usize shards = 0;
   /// Symmetric steering hash: both directions of a flow land on the
   /// same shard.
@@ -236,11 +236,10 @@ class Engine {
 
  private:
   /// One pipeline's worth of state. The shard is the unit of ownership:
-  /// classifier subscription, flow cache, scratch (probe memo + path
-  /// controller), telemetry block and (when capturing) the verdict log
-  /// all live here, on the shard's own allocations. Unsharded engines
-  /// are the degenerate geometry of one shard per worker over a shared
-  /// pool.
+  /// classifier subscription, flow cache, telemetry block and (when
+  /// capturing) the verdict log all live here, on the shard's own
+  /// allocations. Unsharded engines are the degenerate geometry of one
+  /// shard per worker over a shared pool.
   struct Shard {
     usize index = 0;   ///< shard id (== worker id when unsharded)
     usize owner = 0;   ///< owning worker thread (index % thread count)

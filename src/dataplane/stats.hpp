@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "core/path_controller.hpp"
 #include "net/five_tuple.hpp"
 #include "telemetry/counters.hpp"
 #include "telemetry/sample.hpp"
@@ -43,8 +42,8 @@ struct CapturedVerdict {
 /// device cycles): four sub-buckets per power of two (HDR-histogram
 /// style, 2 mantissa bits), so percentiles resolve to within ~12.5%
 /// instead of the 2x a pure log2 bucketing gives — fine enough that a
-/// 25% p99 shift (e.g. the batch engine's probe memo on fw-like sets)
-/// is visible in the scenario reports. Constant memory, O(1) record.
+/// 25% p99 shift is visible in the scenario reports. Constant memory,
+/// O(1) record.
 class LatencyHistogram {
  public:
   static constexpr usize kBuckets = 256;
@@ -156,12 +155,6 @@ struct WorkerReport {
   /// shard's elements through the same fill_counters() that publishes
   /// the live block.
   telemetry::CounterSet counters;
-  /// The controller's fitted per-path cost model
-  /// (ns = a*packets + b*distinct_keys), indexed by core::BatchPath,
-  /// plus the timed observation count behind each fit (0 under forced
-  /// policies, which skip the clock — the models stay zero there).
-  std::array<core::PathCostModel, core::kNumBatchPaths> controller_models{};
-  std::array<u64, core::kNumBatchPaths> controller_observations{};
   /// Lowest rule-program version observed (the highest is
   /// counters[snapshot_version]).
   u64 min_version = 0;
@@ -196,27 +189,15 @@ struct WorkerReport {
 
 /// Merge \p rows into one row labelled \p worker: counters by their
 /// merge rules, the version range over the rows that saw a batch, the
-/// latency histograms, the first error, and the fitted cost models
-/// averaged over the rows that have timed observations (per-row fits
-/// are not additive). A sharded worker's row merges its shards; the
-/// scenario totals merge the worker rows.
+/// latency histograms and the first error. A sharded worker's row
+/// merges its shards; the scenario totals merge the worker rows.
 [[nodiscard]] inline WorkerReport merge_reports(
     usize worker, std::span<const WorkerReport> rows) {
   WorkerReport m;
   m.worker = worker;
-  std::array<usize, core::kNumBatchPaths> fitted{};
   bool first_version = true;
   for (const WorkerReport& r : rows) {
     m.counters.merge(r.counters);
-    for (usize p = 0; p < core::kNumBatchPaths; ++p) {
-      m.controller_observations[p] += r.controller_observations[p];
-      if (r.controller_observations[p] == 0) continue;
-      m.controller_models[p].ns_per_packet +=
-          r.controller_models[p].ns_per_packet;
-      m.controller_models[p].ns_per_distinct_key +=
-          r.controller_models[p].ns_per_distinct_key;
-      ++fitted[p];
-    }
     if (r.counters[telemetry::Counter::packets] > 0 ||
         r.counters[telemetry::Counter::snapshot_version] > 0 ||
         r.min_version > 0) {
@@ -229,12 +210,6 @@ struct WorkerReport {
     m.latency.merge(r.latency);
     m.wall_seconds = std::max(m.wall_seconds, r.wall_seconds);
     if (m.error.empty()) m.error = r.error;
-  }
-  for (usize p = 0; p < core::kNumBatchPaths; ++p) {
-    if (fitted[p] == 0) continue;
-    m.controller_models[p].ns_per_packet /= static_cast<double>(fitted[p]);
-    m.controller_models[p].ns_per_distinct_key /=
-        static_cast<double>(fitted[p]);
   }
   return m;
 }

@@ -54,17 +54,14 @@ struct FlowMod {
   ActionSpec action{};     ///< kAdd / kModify
 };
 
-/// Algorithm (re)configuration — the programmability knob of Fig. 2,
-/// widened (PR 7) to carry any subset of the runtime-tunable knobs so
-/// the control plane's `set` handler rides the same southbound path
-/// (and replica replay) as rule updates. Absent fields leave the
+/// Algorithm (re)configuration — the programmability knob of Fig. 2.
+/// The control plane's `set` handler rides the same southbound path
+/// (and replica replay) as rule updates. An absent field leaves the
 /// device's current setting untouched; `ConfigMod{core::IpAlgorithm::
 /// kBst}` means "drive IPalg_s to BST" (the former use_bst bool grew a
 /// third value with the RVH backend).
 struct ConfigMod {
   std::optional<core::IpAlgorithm> ip_algorithm;  ///< IPalg_s value
-  /// classify_batch() execution-path policy (adaptive / forced).
-  std::optional<core::PathPolicy> path_policy;
 };
 
 /// Device -> controller notification.

@@ -20,16 +20,11 @@ hw::UpdateStats apply_message(core::ConfigurableClassifier& clf,
     }
     return {};
   }
-  // ConfigMod: apply every knob present. Only the IP-algorithm switch
-  // touches device memories (a rebuild, costed); the path policy steers
-  // host-side execution strategy and is free by the cost model.
+  // ConfigMod: the IP-algorithm switch touches device memories (a
+  // rebuild, costed).
   const auto& cm = std::get<ConfigMod>(msg);
-  hw::UpdateStats cost;
-  if (cm.path_policy) clf.set_batch_path_policy(*cm.path_policy);
-  if (cm.ip_algorithm) {
-    cost += clf.set_ip_algorithm(*cm.ip_algorithm);
-  }
-  return cost;
+  if (cm.ip_algorithm) return clf.set_ip_algorithm(*cm.ip_algorithm);
+  return {};
 }
 
 }  // namespace pclass::sdn

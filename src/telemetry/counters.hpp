@@ -38,14 +38,6 @@ enum class CounterMerge : u8 { kSum, kMax };
   X(cache_misses, kCounter, kSum, "packets", "Flow-cache misses.")          \
   X(classifier_lookups, kCounter, kSum, "lookups", "Full lookups.")         \
   X(memory_accesses, kCounter, kSum, "reads", "Modelled memory reads.")     \
-  X(probe_memo_hits, kCounter, kSum, "probes", "Probes served by memo.")    \
-  X(probe_memo_invalidations, kCounter, kSum, "flushes", "Memo flushes.")   \
-  X(probe_memo_conflict_evictions, kCounter, kSum, "entries",               \
-    "Memo evictions of another key's live entry.")                          \
-  X(path_scalar_loop_batches, kCounter, kSum, "batches", "Scalar batches.") \
-  X(path_phase2_batches, kCounter, kSum, "batches", "Phase-2 batches.")     \
-  X(path_phase2_memo_batches, kCounter, kSum, "batches",                    \
-    "Phase-2 batches with the probe memo.")                                 \
   X(snapshot_version, kGauge, kMax, "version",                              \
     "Highest rule-program version classified against.")                     \
   X(update_visibility_samples, kCounter, kSum, "updates",                   \

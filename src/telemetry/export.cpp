@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <limits>
 #include <ostream>
+#include <set>
 
 #include "workload/json_writer.hpp"
 
@@ -67,10 +68,6 @@ void write_chrome_trace(std::ostream& os,
       j.key("args").begin_object();
       j.key("packets").value(e.packets);
       j.key("lookups").value(e.lookups);
-      j.key("distinct_keys").value(e.distinct_keys);
-      j.key("path").value(std::string(core::to_string(e.path)));
-      j.key("memo_hits").value(e.memo_hits);
-      j.key("memo_conflicts").value(e.memo_conflicts);
       j.key("snapshot_version").value(e.snapshot_version);
       j.end_object();
       j.end_object();
@@ -84,34 +81,44 @@ void write_chrome_trace(std::ostream& os,
 void MetricsWriter::sample(std::string_view name, std::string_view type,
                            std::string_view help,
                            std::span<const Label> labels, double value) {
-  if (declared_.find(name) == declared_.end()) {
-    os_ << "# HELP " << name << " " << help << "\n";
-    os_ << "# TYPE " << name << " " << type << "\n";
-    declared_.emplace(name);
+  auto it = index_.find(name);
+  if (it == index_.end()) {
+    it = index_.emplace(std::string(name), families_.size()).first;
+    std::string& head = families_.emplace_back();
+    head.append("# HELP ").append(name).append(" ").append(help);
+    head.append("\n# TYPE ").append(name).append(" ").append(type);
+    head.append("\n");
   }
-  os_ << name;
+  std::string& out = families_[it->second];
+  out.append(name);
   if (!labels.empty()) {
-    os_ << "{";
+    out.append("{");
     bool first = true;
     for (const Label& l : labels) {
-      if (!first) os_ << ",";
+      if (!first) out.append(",");
       first = false;
-      os_ << l.key << "=\"";
+      out.append(l.key).append("=\"");
       for (const char c : l.value) {
         switch (c) {
-          case '\\': os_ << "\\\\"; break;
-          case '"': os_ << "\\\""; break;
-          case '\n': os_ << "\\n"; break;
-          default: os_ << c;
+          case '\\': out.append("\\\\"); break;
+          case '"': out.append("\\\""); break;
+          case '\n': out.append("\\n"); break;
+          default: out.push_back(c);
         }
       }
-      os_ << "\"";
+      out.append("\"");
     }
-    os_ << "}";
+    out.append("}");
   }
   char buf[48];
-  std::snprintf(buf, sizeof buf, "%.9g", value);
-  os_ << " " << buf << "\n";
+  std::snprintf(buf, sizeof buf, " %.9g\n", value);
+  out.append(buf);
+}
+
+void MetricsWriter::flush() {
+  for (const std::string& f : families_) os_ << f;
+  families_.clear();
+  index_.clear();
 }
 
 void write_counter_metrics(MetricsWriter& mw, std::string_view prefix,

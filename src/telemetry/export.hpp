@@ -7,7 +7,7 @@
 #pragma once
 
 #include <iosfwd>
-#include <set>
+#include <map>
 #include <span>
 #include <string>
 #include <string_view>
@@ -30,9 +30,13 @@ struct TraceProcess {
 void write_chrome_trace(std::ostream& os,
                         std::span<const TraceProcess> processes);
 
-/// Prometheus text exposition writer: emits `# HELP`/`# TYPE` once per
-/// metric name (first use wins) and one sample line per call. Label
-/// values are escaped per the exposition format.
+/// Prometheus text exposition writer: `# HELP`/`# TYPE` once per metric
+/// name (first use wins) and one sample line per call. The exposition
+/// format requires each family's lines as one group, while callers
+/// write row by row (one label block per worker or scenario), so samples
+/// are buffered per family and written out, families in first-use
+/// order, by flush() or the destructor. Label values are escaped per
+/// the exposition format.
 class MetricsWriter {
  public:
   struct Label {
@@ -41,6 +45,14 @@ class MetricsWriter {
   };
 
   explicit MetricsWriter(std::ostream& os) : os_(os) {}
+  ~MetricsWriter() { flush(); }
+
+  MetricsWriter(const MetricsWriter&) = delete;
+  MetricsWriter& operator=(const MetricsWriter&) = delete;
+
+  /// Write every buffered family to the stream. Call it before reading
+  /// the stream while the writer is still alive.
+  void flush();
 
   void counter(std::string_view name, std::string_view help,
                std::span<const Label> labels, double value) {
@@ -57,7 +69,10 @@ class MetricsWriter {
               double value);
 
   std::ostream& os_;
-  std::set<std::string, std::less<>> declared_;
+  /// Family name -> index into families_ (its first-use position).
+  std::map<std::string, usize, std::less<>> index_;
+  /// Each family's text: HELP and TYPE lines, then its samples.
+  std::vector<std::string> families_;
 };
 
 /// One sample per registry row of \p c, with the row's help text:

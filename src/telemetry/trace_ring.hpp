@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "core/path_controller.hpp"
 
 namespace pclass::telemetry {
 
@@ -43,34 +42,26 @@ namespace pclass::telemetry {
 }
 
 /// One classified batch, as seen by the worker's ClassifierElement:
-/// when it started, how long the span took on the host, what the batch
-/// looked like and which execution path served it. Packs into
-/// kWords x 64 bits so a ring slot is a handful of relaxed stores.
+/// when it started, how long the span took on the host and what the
+/// batch looked like. Packs into kWords x 64 bits so a ring slot is a
+/// handful of relaxed stores.
 struct TraceEvent {
   u64 t_start_ns = 0;   ///< steady_now_ns() at batch start
   u64 duration_ns = 0;  ///< host ns for the classifier span
   u32 worker = 0;
-  u32 packets = 0;        ///< batch size entering the classifier
-  u32 lookups = 0;        ///< full 4-phase lookups (cache misses)
-  u32 distinct_keys = 0;  ///< 0 = not computed (forced path policy)
-  core::BatchPath path = core::BatchPath::kScalarLoop;
-  u32 memo_hits = 0;       ///< probe-memo hits in this batch
-  u32 memo_conflicts = 0;  ///< conflict evictions in this batch
+  u32 packets = 0;  ///< batch size entering the classifier
+  u32 lookups = 0;  ///< full 4-phase lookups (cache misses)
   u64 snapshot_version = 0;
 
-  static constexpr usize kWords = 5;
+  static constexpr usize kWords = 4;
 
   [[nodiscard]] std::array<u64, kWords> pack() const {
     std::array<u64, kWords> w{};
     w[0] = t_start_ns;
     w[1] = duration_ns;
     w[2] = (u64{worker} & 0xFFFF) | ((u64{packets} & 0xFFFF) << 16) |
-           ((u64{lookups} & 0xFFFF) << 32) |
-           ((u64{distinct_keys} & 0xFFFF) << 48);
-    w[3] = (u64{memo_hits} & 0xFFFFFFFF) |
-           ((u64{memo_conflicts} & 0xFFFFFF) << 32) |
-           (u64{static_cast<u8>(path)} << 56);
-    w[4] = snapshot_version;
+           ((u64{lookups} & 0xFFFF) << 32);
+    w[3] = snapshot_version;
     return w;
   }
 
@@ -81,11 +72,7 @@ struct TraceEvent {
     e.worker = static_cast<u32>(w[2] & 0xFFFF);
     e.packets = static_cast<u32>((w[2] >> 16) & 0xFFFF);
     e.lookups = static_cast<u32>((w[2] >> 32) & 0xFFFF);
-    e.distinct_keys = static_cast<u32>((w[2] >> 48) & 0xFFFF);
-    e.memo_hits = static_cast<u32>(w[3] & 0xFFFFFFFF);
-    e.memo_conflicts = static_cast<u32>((w[3] >> 32) & 0xFFFFFF);
-    e.path = static_cast<core::BatchPath>((w[3] >> 56) & 0xFF);
-    e.snapshot_version = w[4];
+    e.snapshot_version = w[3];
     return e;
   }
 };

@@ -153,7 +153,6 @@ core::ClassifierConfig scenario_config(const ruleset::RuleSet& rules,
       core::ClassifierConfig::for_scale(rules.size() + extra_headroom);
   cfg.combine_mode = core::CombineMode::kCrossProduct;  // exact lookups
   cfg.ip_algorithm = opts.ip_algorithm;
-  cfg.batch_path_policy = opts.path_policy;
   return cfg;
 }
 
@@ -328,12 +327,10 @@ ScenarioResult run_update_storm(const ScenarioOptions& opts,
 
 /// Multi-writer storm: N controller threads push paced add/delete churn
 /// through the publisher's writer mutex while workers classify — the
-/// writer-side contention the single-writer storm cannot produce, and
-/// the natural stress test for the persistent probe memo's
-/// invalidate-on-swap path (every publish rotates the workers onto the
-/// other replica, so each worker's memo must drop and rebind hundreds
-/// of times mid-trace without ever serving a stale verdict; the oracle
-/// check below would catch one).
+/// writer-side contention the single-writer storm cannot produce. Every
+/// publish rotates the workers onto the other replica hundreds of times
+/// mid-trace; the oracle check below catches a verdict served from a
+/// stale snapshot or flow cache.
 ScenarioResult run_update_storm_multi(const ScenarioOptions& opts,
                                       WorkerBudget* budget,
                                       const std::string& name) {
@@ -653,7 +650,7 @@ const std::vector<ScenarioSpec>& ScenarioRunner::catalog() {
        "concurrent lookups"},
       {"update-storm-multi",
        "paced 4-writer churn contending on the publisher's writer mutex "
-       "— snapshot swaps stress memo invalidation mid-trace"},
+       "— snapshot swaps stress flow-cache invalidation mid-trace"},
       {"chaos",
        "fw-like workload in sharded replica mode under a seeded "
        "FaultPlan: worker kills, a stall and a failed publisher apply — "
@@ -781,7 +778,7 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
                        const std::vector<ScenarioResult>& results) {
   JsonWriter j(os);
   j.begin_object();
-  j.key("schema").value("pclass-scenarios-v4");
+  j.key("schema").value("pclass-scenarios-v5");
   const auto& build = common::build_info();
   j.key("meta").begin_object();
   j.key("build").begin_object();
@@ -798,7 +795,6 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
   j.key("scale").value(opts.scale);
   j.key("seed").value(u64{opts.seed});
   j.key("ip_algorithm").value(std::string(to_string(opts.ip_algorithm)));
-  j.key("path_policy").value(std::string(to_string(opts.path_policy)));
   j.key("parallel").value(opts.parallel);
   j.key("max_workers").value(opts.max_workers);
   j.key("stats_interval_ms").value(u64{opts.stats_interval_ms});
@@ -829,22 +825,6 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
     j.end_object();
     j.key("cache_hit_rate").value(e.counters.cache_hit_rate());
     telemetry::write_counters(j, e.counters);
-    j.key("controller").begin_object();
-    j.key("cost_model").begin_object();
-    for (usize p = 0; p < core::kNumBatchPaths; ++p) {
-      const auto path = static_cast<core::BatchPath>(p);
-      std::string key = to_string(path);  // e.g. "scalar-loop"
-      for (char& c : key) {
-        if (c == '-' || c == '+') c = '_';
-      }
-      j.key(key).begin_object();
-      j.key("ns_per_packet").value(e.controller_models[p].ns_per_packet);
-      j.key("ns_per_distinct_key")
-          .value(e.controller_models[p].ns_per_distinct_key);
-      j.end_object();
-    }
-    j.end_object();
-    j.end_object();
     j.key("snapshot").begin_object();
     const u64 max_v = e.counters[telemetry::Counter::snapshot_version];
     j.key("min_version").value(e.min_version);

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/path_controller.hpp"
 #include "dataplane/flow_steer.hpp"
 #include "dataplane/stats.hpp"
 #include "net/packet_batch.hpp"
@@ -43,12 +42,6 @@ struct ScenarioOptions {
   /// per-family win/loss axis of the catalog (MBT/BST trie family vs
   /// the incremental-update RVH).
   core::IpAlgorithm ip_algorithm = core::IpAlgorithm::kMbt;
-  /// classify_batch() execution-path policy. kAdaptive (default) lets
-  /// each worker's cost-model controller pick per batch; kForcePhase2
-  /// pins the batch engine (+memo), making memo hit counts
-  /// deterministic; kForceScalarLoop pins the packet-at-a-time loop
-  /// (modeled results are identical, host throughput is not).
-  core::PathPolicy path_policy = core::PathPolicy::kAdaptive;
   /// Scenarios run concurrently by run_all()/run_many() (results are
   /// independent; report order stays catalog order). 0 = auto: as many
   /// as the worker budget can serve at full width (max_workers /
@@ -100,8 +93,8 @@ struct ScenarioResult {
 
   // Engine measurement.
   /// The worker rows merged into one (dataplane::merge_reports): every
-  /// counter row, lookup cycles, the version range and monotonicity,
-  /// the fitted per-path cost models and the trace-ring drops.
+  /// counter row, lookup cycles, the version range and monotonicity
+  /// and the trace-ring drops.
   dataplane::WorkerReport engine;
   double wall_seconds = 0;
   double mpps = 0;
@@ -204,7 +197,7 @@ class ScenarioRunner {
 };
 
 /// Emit the single JSON report CI archives (schema
-/// "pclass-scenarios-v4"): options, per-scenario results and the
+/// "pclass-scenarios-v5"): options, per-scenario results and the
 /// aggregate all_ok verdict.
 void write_json_report(std::ostream& os, const ScenarioOptions& opts,
                        const std::vector<ScenarioResult>& results);

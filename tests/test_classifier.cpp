@@ -582,30 +582,13 @@ TEST(Classifier, PrunedCombineKeepsEqualPriorityTieBreak) {
       ConfigurableClassifier clf(cfg);
       clf.add_rules(rs);
 
-      const ClassifyResult scalar = clf.classify(h);
-      ASSERT_TRUE(scalar.match.has_value());
-      EXPECT_EQ(scalar.match->rule, RuleId{3});
+      const ClassifyResult got = clf.classify(h);
+      ASSERT_TRUE(got.match.has_value());
+      EXPECT_EQ(got.match->rule, RuleId{3});
       // One probe per matching rule; every other combination is pruned.
-      EXPECT_EQ(scalar.crossproduct_probes, 2u);
+      EXPECT_EQ(got.crossproduct_probes, 2u);
       const baseline::LinearSearch oracle(rs);
       EXPECT_EQ(oracle.classify(h, nullptr)->id, RuleId{3});
-
-      clf.set_batch_path_policy(PathPolicy::kForcePhase2);
-      for (const bool memo : {false, true}) {
-        clf.set_batch_probe_memo(memo);
-        const std::array<net::FiveTuple, 3> in = {
-            h, h, net::FiveTuple{ipv4(10, 2, 2, 2), ipv4(30, 0, 0, 1), 1, 2,
-                                 net::kProtoUdp}};
-        std::array<ClassifyResult, 3> out;
-        clf.classify_batch(in, out);
-        for (usize i = 0; i < in.size(); ++i) {
-          const ClassifyResult want = clf.classify(in[i]);
-          ASSERT_EQ(out[i].match.has_value(), want.match.has_value()) << i;
-          if (want.match) EXPECT_EQ(out[i].match->rule, want.match->rule);
-          EXPECT_EQ(out[i].crossproduct_probes, want.crossproduct_probes);
-          EXPECT_EQ(out[i].memory_accesses, want.memory_accesses);
-        }
-      }
     }
   }
 }
@@ -692,16 +675,5 @@ TEST(Classifier, PrefixTablesStayExactAcrossUpdates) {
     const baseline::LinearSearch oracle(installed);
     const net::Trace trace = trace_for(installed, 1000, 5);
     EXPECT_EQ(count_mismatches(clf, oracle, trace), 0u);
-    std::vector<net::FiveTuple> in;
-    for (const auto& e : trace) in.push_back(e.header);
-    std::vector<ClassifyResult> out(in.size());
-    clf.set_batch_path_policy(PathPolicy::kForcePhase2);
-    clf.classify_batch(in, out);
-    for (usize i = 0; i < in.size(); ++i) {
-      const ClassifyResult want = clf.classify(in[i]);
-      ASSERT_EQ(out[i].match, want.match) << i;
-      EXPECT_EQ(out[i].crossproduct_probes, want.crossproduct_probes) << i;
-      EXPECT_EQ(out[i].memory_accesses, want.memory_accesses) << i;
-    }
   }
 }

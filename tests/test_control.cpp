@@ -109,11 +109,6 @@ TEST(ControlProtocol, ParsesRuleCommands) {
 }
 
 TEST(ControlProtocol, ParsesSetCommands) {
-  const std::vector<std::string> pp = {"path-policy", "scalar-loop"};
-  const auto cm = std::get<sdn::ConfigMod>(control::parse_set_command(pp));
-  ASSERT_TRUE(cm.path_policy.has_value());
-  EXPECT_EQ(*cm.path_policy, core::PathPolicy::kForceScalarLoop);
-
   const std::vector<std::string> alg = {"ip-alg", "rvh"};
   EXPECT_EQ(
       *std::get<sdn::ConfigMod>(control::parse_set_command(alg)).ip_algorithm,
@@ -121,8 +116,11 @@ TEST(ControlProtocol, ParsesSetCommands) {
 
   const std::vector<std::string> bad_knob = {"turbo", "on"};
   EXPECT_THROW(control::parse_set_command(bad_knob), ParseError);
-  const std::vector<std::string> bad_value = {"path-policy", "warp"};
+  const std::vector<std::string> bad_value = {"ip-alg", "warp"};
   EXPECT_THROW(control::parse_set_command(bad_value), ParseError);
+  // A retired knob is an unknown knob.
+  const std::vector<std::string> retired = {"path-policy", "scalar-loop"};
+  EXPECT_THROW(control::parse_set_command(retired), ParseError);
 }
 
 // ---- harness ---------------------------------------------------------------
@@ -362,8 +360,9 @@ TEST(ControlServer, RejectsMalformedUnknownAndOversizedLines) {
     EXPECT_EQ(c.request("frobnicate now").code, 400);
     EXPECT_EQ(c.request("write rule add 1 2").code, 400);  // bad arity
     EXPECT_EQ(c.request("write rule add x 2 * * * * 6 drop").code, 400);
-    EXPECT_EQ(c.request("write set path-policy warp").code, 400);
+    EXPECT_EQ(c.request("write set ip-alg warp").code, 400);
     // Retired knobs are unknown knobs.
+    EXPECT_EQ(c.request("write set path-policy phase2").code, 400);
     EXPECT_EQ(c.request("write set batch-mode scalar").code, 400);
     EXPECT_EQ(c.request("write set memo-ways 2").code, 400);
     // Above the Rule Filter's 16-bit id field: refused at parse time.
@@ -488,9 +487,8 @@ TEST(ControlPlane, ScriptedUpdatesAreOracleCleanWithVisibilityLatency) {
   EXPECT_LT(sv.cmd_to_all_max_ns, u64{60} * 1'000'000'000);
 
   // Config knobs land through the same southbound path.
-  EXPECT_EQ(c.request("write set path-policy phase2").code, 200);
-  EXPECT_EQ(c.request("write set path-policy scalar-loop").code, 200);
-  EXPECT_EQ(c.request("write set path-policy adaptive").code, 200);
+  EXPECT_EQ(c.request("write set ip-alg rvh").code, 200);
+  EXPECT_EQ(c.request("write set ip-alg mbt").code, 200);
 }
 
 // ---- streaming subscriptions ----------------------------------------------
@@ -599,7 +597,7 @@ TEST(ControlPlane, DrainReconcilesEveryCounterRowOnEverySurface) {
   EXPECT_EQ(c.request("write rule add 62001 62001 10.0.1.2/32 * * * 6 drop")
                 .code,
             409);
-  EXPECT_EQ(c.request("write set path-policy phase2").code, 409);
+  EXPECT_EQ(c.request("write set ip-alg bst").code, 409);
   EXPECT_EQ(c.read_request("read timeseries").code, 200);
   const std::string metrics = c.read_request("read metrics").payload;
   std::ostringstream serve;

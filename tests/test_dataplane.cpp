@@ -348,37 +348,6 @@ TEST(RuleProgram, EngineObservesMonotonicVersionsDuringUpdateStorm) {
   }
 }
 
-// ---- batched classification ----------------------------------------------
-
-TEST(ClassifyBatch, AgreesWithScalarClassify) {
-  auto rules = ruleset::make_classbench_like(ruleset::FilterType::kAcl, 1000);
-  core::ClassifierConfig cfg = core::ClassifierConfig::for_scale(rules.size());
-  cfg.combine_mode = core::CombineMode::kCrossProduct;
-  // Memo off pins the strict contract: per-packet cycles (not just
-  // results/accesses) identical to the scalar path. The full matrix —
-  // memo on/off, both engines, random batch sizes — lives in
-  // tests/test_batch_phase2.cpp.
-  cfg.batch_probe_memo = false;
-  core::ConfigurableClassifier clf(cfg);
-  clf.add_rules(rules);
-
-  ruleset::TraceGenerator tg(rules, {.headers = 256, .seed = 11});
-  const auto trace = tg.generate();
-  std::vector<net::FiveTuple> in;
-  for (const auto& e : trace) in.push_back(e.header);
-  std::vector<core::ClassifyResult> out(in.size());
-  clf.classify_batch(in, out);
-
-  for (usize i = 0; i < in.size(); ++i) {
-    const auto want = clf.classify(in[i]);
-    EXPECT_EQ(out[i].match.has_value(), want.match.has_value());
-    if (out[i].match && want.match) {
-      EXPECT_EQ(out[i].match->rule, want.match->rule);
-    }
-    EXPECT_EQ(out[i].cycles, want.cycles);
-  }
-}
-
 // ---- engine end-to-end ----------------------------------------------------
 
 TEST(Engine, MultiWorkerMatchesSingleThreadedOracle) {

@@ -173,13 +173,3 @@ TEST(RuleFilter, ConstructionValidation) {
   EXPECT_THROW(RuleFilter("f", 8, 0, 1), ConfigError);
   EXPECT_THROW(RuleFilter("f", 8, 9, 1), ConfigError);
 }
-
-TEST(ProbeMemo, SlotNormalization) {
-  // Slot rounding is the constructor's rule, exposed so geometry checks
-  // elsewhere (the scratch rebuild in classify_batch) cannot desync.
-  for (const u32 want : {0u, 1u, 15u, 16u, 17u, 500u, 512u, 513u}) {
-    EXPECT_EQ(ProbeMemo(want).slots(), ProbeMemo::normalized_slots(want));
-  }
-  EXPECT_EQ(ProbeMemo::normalized_slots(0), 16u);
-  EXPECT_EQ(ProbeMemo::normalized_slots(17), 32u);
-}

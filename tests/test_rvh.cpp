@@ -1,22 +1,16 @@
 // Unit + property tests for the range-vector hash engine (the
 // incremental-update IP backend): signature bucketing, leaf-pushed
 // covering lists, in-place add/remove/modify, cluster repair under
-// collisions, batch/scalar identity and the classifier-level epoch
-// contract (an RVH bucket update must never let the probe memo serve a
-// stale verdict).
+// collisions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 
 #include "alg/range_vector_hash.hpp"
-#include "baseline/linear_search.hpp"
 #include "common/error.hpp"
 #include "common/random.hpp"
-#include "core/classifier.hpp"
-#include "workload/profile.hpp"
-#include "workload/ruleset_synth.hpp"
-#include "workload/trace_synth.hpp"
+#include "common/bits.hpp"
 
 using namespace pclass;
 using namespace pclass::alg;
@@ -222,41 +216,6 @@ TEST(Rvh, LookupCostScalesWithLiveLengths) {
   EXPECT_LE(hit.memory_accesses(), rec.memory_accesses());
 }
 
-TEST(Rvh, BatchMatchesScalarVerdictAndCost) {
-  Rig rig;
-  Rng rng(77);
-  std::vector<SegmentPrefix> inserted;
-  for (u16 i = 0; i < 30; ++i) {
-    const u8 len = static_cast<u8>(rng.below(17));
-    const auto p = SegmentPrefix::make(static_cast<u16>(rng.next()), len);
-    bool dup = false;
-    for (const SegmentPrefix& q : inserted) dup |= q == p;
-    if (dup) continue;
-    rig.insert(p.value, p.length, i, static_cast<Priority>(rng.below(40)));
-    inserted.push_back(p);
-  }
-  // Batch with duplicate keys: replayed lanes must charge exactly the
-  // scalar cost and return the same list.
-  std::vector<BatchKey> keys;
-  for (u32 slot = 0; slot < 64; ++slot) {
-    keys.push_back({static_cast<u32>(rng.next() & 0xFFFF) & ~u32{3}, slot});
-  }
-  sort_batch_keys(keys);
-  std::vector<ListRef> refs(keys.size());
-  std::vector<hw::CycleRecorder> recs(keys.size());
-  rig.rvh->lookup_batch_into(keys, refs, recs);
-  for (const BatchKey& lane : keys) {
-    hw::CycleRecorder ref_rec;
-    const ListRef want =
-        rig.rvh->lookup(static_cast<u16>(lane.key), &ref_rec);
-    EXPECT_EQ(refs[lane.slot].addr, want.addr) << "key=" << lane.key;
-    EXPECT_EQ(recs[lane.slot].memory_accesses(), ref_rec.memory_accesses())
-        << "key=" << lane.key;
-    EXPECT_EQ(recs[lane.slot].cycles(), ref_rec.cycles())
-        << "key=" << lane.key;
-  }
-}
-
 class RvhProperty : public ::testing::TestWithParam<u64> {};
 
 TEST_P(RvhProperty, MatchesCoveringOracleWithChurn) {
@@ -296,73 +255,3 @@ TEST_P(RvhProperty, MatchesCoveringOracleWithChurn) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RvhProperty,
                          ::testing::Values(21, 22, 23, 24, 25, 26));
-
-// ---- classifier-level epoch contract (the satellite-3 audit's test) ------
-
-// Every RVH mutation is an in-place bucket update, not a rebuild — if
-// any of them skipped the device-epoch bump, a persistent probe memo
-// would keep serving the pre-update combination. Classify with a
-// persistent memo, mutate, classify the same headers again: verdicts
-// must track a freshly built LinearSearch oracle and the epoch must
-// move on every mutation.
-TEST(RvhEpoch, InPlaceBucketUpdateNeverServesStaleMemoEntry) {
-  workload::RulesetProfile rp = workload::RulesetProfile::by_family(
-      "fw", 64, /*seed=*/0xE50C);
-  ruleset::RuleSet rules = workload::synthesize(rp);
-  net::Trace trace;
-  {
-    workload::TraceSynthesizer ts(
-        rules, workload::TraceProfile::zipf_heavy(256, 0xE50C ^ 1));
-    trace = ts.generate();
-  }
-
-  core::ClassifierConfig cfg =
-      core::ClassifierConfig::for_scale(rules.size() + 64);
-  cfg.combine_mode = core::CombineMode::kCrossProduct;
-  cfg.ip_algorithm = core::IpAlgorithm::kRvh;
-  cfg.batch_probe_memo = true;
-  cfg.batch_memo_slots = 16;  // maximal collision pressure
-  cfg.batch_path_policy = core::PathPolicy::kForcePhase2;
-  core::ConfigurableClassifier clf(cfg);
-  clf.add_rules(rules);
-
-  core::BatchScratch scratch;
-  std::vector<net::FiveTuple> in;
-  std::vector<core::ClassifyResult> out;
-  for (const net::TraceEntry& e : trace) in.push_back(e.header);
-  out.assign(in.size(), {});
-
-  const auto check_against_oracle = [&]() {
-    ruleset::RuleSet rs("oracle");
-    for (const ruleset::Rule& r : clf.installed_rules()) rs.add_verbatim(r);
-    const baseline::LinearSearch oracle(rs);
-    clf.classify_batch(in, out, scratch);
-    for (usize k = 0; k < in.size(); ++k) {
-      const ruleset::Rule* want = oracle.classify(in[k], nullptr);
-      ASSERT_EQ(out[k].match.has_value(), want != nullptr) << "pkt " << k;
-      if (want != nullptr) {
-        ASSERT_EQ(out[k].match->rule, want->id) << "pkt " << k;
-      }
-    }
-  };
-
-  check_against_oracle();  // warm the memo
-  Rng rng(0xE50C ^ 2);
-  u64 epoch = clf.device_epoch();
-  for (int round = 0; round < 8; ++round) {
-    const auto installed = clf.installed_rules();
-    ASSERT_GT(installed.size(), 8u);
-    const ruleset::Rule victim = installed[rng.below(installed.size())];
-    if (round % 2 == 0) {
-      clf.remove_rule(victim.id);
-    } else {
-      clf.modify_rule(victim.id,
-                      ruleset::Action{static_cast<u32>(rng.below(0xFFFF))});
-    }
-    // The audit's pin: an RVH in-place update bumps the epoch exactly
-    // like the trie paths do.
-    ASSERT_GT(clf.device_epoch(), epoch) << "round " << round;
-    epoch = clf.device_epoch();
-    check_against_oracle();
-  }
-}

@@ -31,10 +31,6 @@ TraceEvent make_event(u64 i) {
   e.worker = static_cast<u32>(i % 7);
   e.packets = static_cast<u32>(i % 33);
   e.lookups = static_cast<u32>(i % 17);
-  e.distinct_keys = static_cast<u32>(i % 13);
-  e.path = static_cast<core::BatchPath>(i % core::kNumBatchPaths);
-  e.memo_hits = static_cast<u32>(i % 101);
-  e.memo_conflicts = static_cast<u32>(i % 59);
   e.snapshot_version = i;
   return e;
 }
@@ -48,10 +44,6 @@ void expect_consistent(const TraceEvent& e) {
   EXPECT_EQ(e.worker, i % 7);
   EXPECT_EQ(e.packets, i % 33);
   EXPECT_EQ(e.lookups, i % 17);
-  EXPECT_EQ(e.distinct_keys, i % 13);
-  EXPECT_EQ(static_cast<u64>(e.path), i % core::kNumBatchPaths);
-  EXPECT_EQ(e.memo_hits, i % 101);
-  EXPECT_EQ(e.memo_conflicts, i % 59);
 }
 
 TEST(TraceEvent, PackUnpackRoundTrips) {
@@ -63,10 +55,6 @@ TEST(TraceEvent, PackUnpackRoundTrips) {
     EXPECT_EQ(r.worker, e.worker);
     EXPECT_EQ(r.packets, e.packets);
     EXPECT_EQ(r.lookups, e.lookups);
-    EXPECT_EQ(r.distinct_keys, e.distinct_keys);
-    EXPECT_EQ(r.path, e.path);
-    EXPECT_EQ(r.memo_hits, e.memo_hits);
-    EXPECT_EQ(r.memo_conflicts, e.memo_conflicts);
     EXPECT_EQ(r.snapshot_version, e.snapshot_version);
   }
 }
@@ -398,13 +386,35 @@ TEST(ChromeTrace, WritesParseableTracksPerWorker) {
 
 TEST(MetricsWriter, DeclaresEachMetricOnceAndEscapesLabels) {
   std::ostringstream os;
-  MetricsWriter m(os);
-  using Label = MetricsWriter::Label;
-  const std::array<Label, 1> a = {Label{"scenario", "acl-like"}};
-  const std::array<Label, 1> b = {Label{"scenario", "weird\"name\\x\n"}};
-  m.counter("pclass_packets_total", "Packets processed", a, 100);
-  m.counter("pclass_packets_total", "Packets processed", b, 50);
+  {
+    MetricsWriter m(os);
+    using Label = MetricsWriter::Label;
+    const std::array<Label, 1> a = {Label{"scenario", "acl-like"}};
+    const std::array<Label, 1> b = {Label{"scenario", "weird\"name\\x\n"}};
+    // Two families written across two label blocks, rows-inner as the
+    // per-worker and per-scenario dumps do.
+    m.counter("pclass_packets_total", "Packets processed", a, 100);
+    m.gauge("pclass_mpps", "Throughput", a, 1.5);
+    m.counter("pclass_packets_total", "Packets processed", b, 50);
+    m.gauge("pclass_mpps", "Throughput", b, 2.5);
+  }  // the writer's destructor writes the buffered families out
   const std::string text = os.str();
+  // Each family is one contiguous group: its HELP, TYPE and samples,
+  // with no line of the other family in between.
+  for (const std::string family : {"pclass_packets_total", "pclass_mpps"}) {
+    std::istringstream lines(text);
+    std::string line;
+    int groups = 0;
+    bool in_family = false;
+    while (std::getline(lines, line)) {
+      const bool mine = line.starts_with(family + "{") ||
+                        line.starts_with("# HELP " + family + " ") ||
+                        line.starts_with("# TYPE " + family + " ");
+      if (mine && !in_family) ++groups;
+      in_family = mine;
+    }
+    EXPECT_EQ(groups, 1) << family << " is split:\n" << text;
+  }
   // HELP/TYPE once, two samples.
   EXPECT_EQ(text.find("# HELP pclass_packets_total"),
             text.rfind("# HELP pclass_packets_total"));

@@ -4,7 +4,7 @@
 One subcommand per gate (see each gate_* docstring); a broken invariant
 raises AssertionError and the exit status is nonzero:
 
-  check_report.py backends PINNED RVH STORM_MBT STORM_RVH
+  check_report.py backends MBT RVH STORM_MBT STORM_RVH
   check_report.py shards UNSHARDED REPLICA ZIPF_UNSHARDED ZIPF_REPLICA
   check_report.py telemetry REPORT TRACE METRICS
   check_report.py chaos REPORT
@@ -24,14 +24,13 @@ import json
 import math
 import sys
 
-SCENARIO_SCHEMA = "pclass-scenarios-v4"
+SCENARIO_SCHEMA = "pclass-scenarios-v5"
 SERVE_SCHEMA = "pclass-serve-v1"
 # Documented scenario-report keys besides the counter rows.
 SCENARIO_KEYS = (
-    "ip_algorithm", "max_workers", "path_policy", "stats_interval_ms",
-    "controller", "cost_model", "ns_per_packet", "ns_per_distinct_key",
-    "update-storm-multi", "telemetry", "timeseries", "update_visibility",
-    "trace_events_dropped", "errors", "shards", "steer_hash",
+    "ip_algorithm", "max_workers", "stats_interval_ms", "update-storm-multi",
+    "telemetry", "timeseries", "update_visibility", "trace_events_dropped",
+    "errors", "shards", "steer_hash",
     "steer_symmetric", "fault_plan", "fault", "worker_restarts",
     "stall_detections", "shards_reassigned", "workers_failed", "injected",
     "conservation", "conserved", "shed", "lost_in_flight", "lookup_cycles",
@@ -44,9 +43,6 @@ COUNTER_ROWS = {
     "packets": "sum", "batches": "sum", "matched": "sum", "dropped": "sum",
     "parse_errors": "sum", "cache_hits": "sum", "cache_misses": "sum",
     "classifier_lookups": "sum", "memory_accesses": "sum",
-    "probe_memo_hits": "sum", "probe_memo_invalidations": "sum",
-    "probe_memo_conflict_evictions": "sum", "path_scalar_loop_batches": "sum",
-    "path_phase2_batches": "sum", "path_phase2_memo_batches": "sum",
     "snapshot_version": "max", "update_visibility_samples": "sum",
     "update_visibility_total_ns": "sum", "update_visibility_max_ns": "max"}
 
@@ -170,10 +166,27 @@ def gate_shards(u_rep, r_rep, zipf_unsharded, zipf_replica):
         f"replica zipf Mpps {zr:.2f} < unsharded {zu:.2f} at equal workers"
 
 
+def metric_families(metrics):
+    """Prometheus family names in the order their line groups appear;
+    a family split into two groups appears twice."""
+    order = []
+    for line in metrics.splitlines():
+        if line.startswith("# "):
+            name = line.split(" ")[2]
+        elif line:
+            name = line.split("{")[0].split(" ")[0]
+        else:
+            continue
+        if not order or order[-1] != name:
+            order.append(name)
+    return order
+
+
 def gate_telemetry(rep, trace, metrics):
     """One trace process per scenario with per-worker tracks; every
     scenario's timeseries merges to its totals on every counter row;
-    update-storm scenarios report finite nonzero visibility latency."""
+    update-storm scenarios report finite nonzero visibility latency;
+    each metrics family is one contiguous group of lines."""
     events = trace["traceEvents"]
     procs = {e["pid"]: e["args"]["name"]
              for e in events if e.get("name") == "process_name"}
@@ -200,6 +213,9 @@ def gate_telemetry(rep, trace, metrics):
     for m in ("pclass_packets_total", "pclass_update_visibility_mean_ns",
               "pclass_trace_events_dropped_total"):
         assert m in metrics, f"{m} missing from the metrics dump"
+    families = metric_families(metrics)
+    split = sorted({f for f in families if families.count(f) > 1})
+    assert not split, f"metrics families not contiguous: {split}"
     print(f"trace: {len(spans)} spans, {len(procs)} processes, "
           f"{len(tracks)} tracks — all delta sums exact")
 
@@ -385,7 +401,9 @@ def self_test():
                        "pclass_update_visibility_mean_ns 1\n"
                        "pclass_trace_events_dropped_total 0\n"),
                       lambda a: a[0]["scenarios"][0]["telemetry"][
-                          "timeseries"][1].update(snapshot_version=4)),
+                          "timeseries"][1].update(snapshot_version=4),
+                      lambda a: a.__setitem__(
+                          2, a[2] + "pclass_packets_total 2\n")),
         "chaos": ((report("MBT", {
                       "ok": True, "error": "",
                       "oracle": {"mismatches": 0, "checked": 5},
@@ -433,7 +451,7 @@ def self_test():
         return [("r.json", json.dumps(rep, separators=(",", ":")))]
 
     unpinned = copy.deepcopy(good)
-    del unpinned["counters"]["probe_memo_hits"]  # a row left the table
+    del unpinned["counters"]["cache_misses"]  # a row left the table
     cases["schema"] = (
         (serve, text(good)),
         lambda a: a.__setitem__(1, text(bad)),

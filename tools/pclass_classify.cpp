@@ -6,7 +6,6 @@
 ///
 ///   pclass_classify <rules_file> <trace_file> [--alg mbt|bst|rvh]
 ///                   [--mode first|cross] [--verify]
-///                   [--path-policy adaptive|phase2|scalar-loop]
 ///                   [--workers N] [--batch B] [--cache DEPTH]
 ///                   [--shards N] [--steer-symmetric]
 ///                   [--stats-interval-ms N] [--trace-out FILE]
@@ -23,13 +22,6 @@
 /// RSS-style shards by 5-tuple flow hash, each with the full ruleset
 /// (--steer-symmetric canonicalizes endpoint order so both flow
 /// directions co-locate).
-///
-/// --path-policy pins how batches run instead of letting the per-worker
-/// cost-model controller pick per batch: phase2 = sorted-key batch
-/// engine, scalar-loop = packet-at-a-time. It applies to the engine
-/// path and to the single-threaded loop (which then classifies in
-/// batches of --batch and reports host throughput, so the paths can be
-/// compared directly). Default: adaptive.
 #include <array>
 #include <chrono>
 #include <fstream>
@@ -57,8 +49,6 @@ namespace {
 int usage() {
   std::cerr << "usage: pclass_classify <rules_file> <trace_file> "
                "[--alg mbt|bst|rvh] [--mode first|cross] [--verify]\n"
-               "                       [--path-policy "
-               "adaptive|phase2|scalar-loop]\n"
                "                       [--workers N [--batch B] "
                "[--cache DEPTH]\n"
                "                        [--shards N] [--steer-symmetric]\n"
@@ -152,8 +142,7 @@ int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
   const telemetry::CounterSet& totals = all.counters;
   TextTable a({"metric", "value"});
   a.add_row({"engine", std::to_string(workers) + " workers x batch " +
-                           std::to_string(batch) + " (" +
-                           to_string(cfg.batch_path_policy) + ")"});
+                           std::to_string(batch)});
   if (shards > 0) {
     a.add_row({"shards", std::to_string(shards) +
                              (steer_symmetric ? " (symmetric steering)"
@@ -253,7 +242,6 @@ int main(int argc, char** argv) {
   }
   core::IpAlgorithm alg = core::IpAlgorithm::kMbt;
   core::CombineMode mode = core::CombineMode::kCrossProduct;
-  core::PathPolicy path_policy = core::PathPolicy::kAdaptive;
   bool verify = false;
   usize workers = 0;  // 0 = classic single-threaded loop
   usize batch = net::kDefaultBatchCapacity;
@@ -293,15 +281,6 @@ int main(int argc, char** argv) {
       if (v == "first") mode = core::CombineMode::kFirstLabel;
       else if (v == "cross") mode = core::CombineMode::kCrossProduct;
       else return usage();
-    } else if (flag == "--path-policy" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "adaptive") path_policy = core::PathPolicy::kAdaptive;
-      else if (v == "phase2") path_policy = core::PathPolicy::kForcePhase2;
-      else if (v == "scalar-loop") {
-        path_policy = core::PathPolicy::kForceScalarLoop;
-      } else {
-        return usage();
-      }
     } else if (flag == "--stats-interval-ms" && i + 1 < argc) {
       if (!parse_count(argv[++i], n) || n > 3'600'000) return usage();
       tout.stats_interval_ms = n;
@@ -342,7 +321,6 @@ int main(int argc, char** argv) {
         core::ClassifierConfig::for_scale(rules.size());
     cfg.ip_algorithm = alg;
     cfg.combine_mode = mode;
-    cfg.batch_path_policy = path_policy;
 
     if (workers > 0) {
       return run_engine(rules, trace, cfg, workers, batch, cache_depth,
@@ -356,21 +334,13 @@ int main(int argc, char** argv) {
     core::ConfigurableClassifier clf(cfg);
     const auto load = clf.add_rules(rules);
 
-    // Single-threaded loop, batched: every --path-policy runs over the
-    // same headers with host wall time measured around the batch calls.
+    // Single-threaded loop, host wall time measured around the lookups.
     hw::CycleAggregate agg;
     usize hits = 0;
-    u64 memo_hits = 0;
-    std::vector<net::FiveTuple> headers;
-    headers.reserve(trace.size());
-    for (const auto& e : trace) headers.push_back(e.header);
-    std::vector<core::ClassifyResult> results(headers.size());
-    core::BatchScratch scratch;
+    std::vector<core::ClassifyResult> results(trace.size());
     const auto t0 = std::chrono::steady_clock::now();
-    for (usize off = 0; off < headers.size(); off += batch) {
-      const usize len = std::min(batch, headers.size() - off);
-      clf.classify_batch(std::span(headers).subspan(off, len),
-                         std::span(results).subspan(off, len), scratch);
+    for (usize i = 0; i < trace.size(); ++i) {
+      results[i] = clf.classify(trace[i].header);
     }
     const double host_secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -380,7 +350,6 @@ int main(int argc, char** argv) {
       rec.charge(res.cycles, res.memory_accesses);
       agg.add(rec);
       if (res.match) ++hits;
-      memo_hits += res.memo_hits;
     }
 
     const core::ThroughputModel rate{cfg.fmax_mhz};
@@ -388,33 +357,14 @@ int main(int argc, char** argv) {
         clf.lookup_pipeline().initiation_interval());
     TextTable t({"metric", "value"});
     t.add_row({"configuration", std::string(to_string(alg)) + " / " +
-                                    to_string(mode) + " / path " +
-                                    to_string(path_policy)});
+                                    to_string(mode)});
     t.add_row({"host throughput",
                TextTable::num(host_secs <= 0
                                   ? 0.0
-                                  : static_cast<double>(headers.size()) /
+                                  : static_cast<double>(trace.size()) /
                                         1e6 / host_secs,
                               3) +
-                   " Mpps (1 thread, batch " + std::to_string(batch) + ")"});
-    if (memo_hits > 0) {
-      t.add_row({"probe memo hits",
-                 std::to_string(memo_hits) + " (" +
-                     std::to_string(scratch.memo_invalidations) +
-                     " invalidations)"});
-    }
-    t.add_row(
-        {"controller paths",
-         "scalar-loop " +
-             std::to_string(
-                 scratch.controller.batches(core::BatchPath::kScalarLoop)) +
-             " / phase2 " +
-             std::to_string(
-                 scratch.controller.batches(core::BatchPath::kPhase2)) +
-             " / phase2+memo " +
-             std::to_string(
-                 scratch.controller.batches(core::BatchPath::kPhase2Memo)) +
-             " batches"});
+                   " Mpps (1 thread)"});
     t.add_row({"load cost", std::to_string(load.cycles) + " bus cycles (" +
                                 TextTable::num(
                                     static_cast<double>(load.cycles) /

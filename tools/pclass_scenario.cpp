@@ -12,7 +12,6 @@
 ///                   [--scale F] [--out FILE] [--parallel N]
 ///                   [--max-workers N]
 ///                   [--ip-alg mbt|bst|rvh]
-///                   [--path-policy adaptive|phase2|scalar-loop]
 ///                   [--shards N] [--steer-symmetric]
 ///                   [--fault-plan SPEC]
 ///                   [--save-workloads DIR] [--load-workloads DIR]
@@ -41,7 +40,7 @@
 /// the per-family win/loss axis CI sweeps over saved workloads.
 ///
 /// --shards N runs every scenario's engine as N RSS-style shards, each
-/// owning its classifier replica, flow cache and probe memo; the trace
+/// owning its classifier replica and flow cache; the trace
 /// is steered per-flow across the full-ruleset replicas.
 /// --steer-symmetric makes both directions of a flow land on the same
 /// shard.
@@ -53,8 +52,8 @@
 ///
 /// --save-workloads writes each scenario's synthesized ruleset/trace as
 /// versioned PCR1/PCT1 binaries; --load-workloads replays them instead
-/// of re-synthesizing, so two runs (e.g. --path-policy scalar-loop vs
-/// phase2, two backends, or two PRs) measure byte-identical workloads.
+/// of re-synthesizing, so two runs (e.g. two backends or two commits)
+/// measure byte-identical workloads.
 #include <array>
 #include <fstream>
 #include <iostream>
@@ -77,7 +76,6 @@ int usage() {
                "[--smoke] [--workers N] [--cache-depth N] [--seed N] "
                "[--scale F] [--out FILE] [--parallel N] [--max-workers N] "
                "[--ip-alg mbt|bst|rvh] "
-               "[--path-policy adaptive|phase2|scalar-loop] "
                "[--shards N] "
                "[--steer-symmetric] [--fault-plan SPEC] "
                "[--save-workloads DIR] [--load-workloads DIR] "
@@ -189,15 +187,6 @@ int main(int argc, char** argv) {
       else if (v == "bst") opts.ip_algorithm = core::IpAlgorithm::kBst;
       else if (v == "rvh") opts.ip_algorithm = core::IpAlgorithm::kRvh;
       else return usage();
-    } else if (flag == "--path-policy" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "adaptive") opts.path_policy = core::PathPolicy::kAdaptive;
-      else if (v == "phase2") opts.path_policy = core::PathPolicy::kForcePhase2;
-      else if (v == "scalar-loop") {
-        opts.path_policy = core::PathPolicy::kForceScalarLoop;
-      } else {
-        return usage();
-      }
     } else if (flag == "--shards" && i + 1 < argc) {
       // 0 = unsharded (the default geometry).
       if (!parse_count(argv[++i], n) || n > 256) return usage();
@@ -254,11 +243,6 @@ int main(int argc, char** argv) {
                 << "%, oracle "
                 << (r.oracle_checked - r.oracle_mismatches) << "/"
                 << r.oracle_checked;
-      if (e.counters[Counter::probe_memo_hits] > 0) {
-        std::cerr << ", memo " << e.counters[Counter::probe_memo_hits]
-                  << " (inval " << e.counters[Counter::probe_memo_invalidations]
-                  << ")";
-      }
       if (r.updates_applied > 0) {
         std::cerr << ", " << r.updates_applied << " updates";
       }

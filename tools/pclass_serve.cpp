@@ -12,13 +12,12 @@
 ///                [--listen tcp:PORT | tcp:HOST:PORT | unix:PATH]
 ///                [--workers N] [--batch B] [--cache-depth N]
 ///                [--stats-interval-ms N] [--ip-alg mbt|bst|rvh]
-///                [--path-policy adaptive|phase2|scalar-loop]
 ///                [--shards N] [--steer-symmetric]
 ///                [--fault-plan SPEC] [--report FILE] [--version]
 ///
 /// --shards N serves the loop with N RSS-style replica shards (per-flow
-/// steered slices, one classifier replica + flow cache + probe memo
-/// per shard); `read stats` then reports one row per shard.
+/// steered slices, one classifier replica + flow cache per shard);
+/// `read stats` then reports one row per shard.
 ///
 /// The engine runs supervised: a watchdog thread restarts workers that
 /// die (bounded retries with backoff), detects heartbeat stalls, and in
@@ -74,7 +73,6 @@ int usage() {
          "                    [--workers N] [--batch B] [--cache-depth N]\n"
          "                    [--stats-interval-ms N] "
          "[--ip-alg mbt|bst|rvh]\n"
-         "                    [--path-policy adaptive|phase2|scalar-loop]\n"
          "                    [--shards N] [--steer-symmetric]\n"
          "                    [--fault-plan SPEC] [--report FILE] "
          "[--version]\n"
@@ -151,7 +149,6 @@ int main(int argc, char** argv) {
   u32 cache_depth = 0;
   u64 stats_interval_ms = 100;
   core::IpAlgorithm ip_algorithm = core::IpAlgorithm::kMbt;
-  core::PathPolicy path_policy = core::PathPolicy::kAdaptive;
   usize shards = 0;
   bool steer_symmetric = false;
   std::string fault_plan_spec;
@@ -196,15 +193,6 @@ int main(int argc, char** argv) {
       steer_symmetric = true;
     } else if (flag == "--fault-plan" && i + 1 < argc) {
       fault_plan_spec = argv[++i];
-    } else if (flag == "--path-policy" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "adaptive") path_policy = core::PathPolicy::kAdaptive;
-      else if (v == "phase2") path_policy = core::PathPolicy::kForcePhase2;
-      else if (v == "scalar-loop") {
-        path_policy = core::PathPolicy::kForceScalarLoop;
-      } else {
-        return usage();
-      }
     } else {
       return usage();
     }
@@ -225,7 +213,6 @@ int main(int argc, char** argv) {
         core::ClassifierConfig::for_scale(rules.size() + 1024);
     cfg.combine_mode = core::CombineMode::kCrossProduct;
     cfg.ip_algorithm = ip_algorithm;
-    cfg.batch_path_policy = path_policy;
 
     dataplane::RuleProgramPublisher programs(cfg);
     programs.install_ruleset(rules);
