@@ -1,9 +1,10 @@
 /// \file build_info.hpp
 /// Build/version metadata surfaced end-to-end: `--version` on every
-/// CLI, the `meta.build` block of the pclass-scenarios-v3 report, the
-/// `pclass_build_info` Prometheus gauge and the daemon's `read version`
-/// handler. One source of truth so a scraped metric, a report artifact
-/// and a CLI banner can always be traced to the same binary.
+/// CLI, the `build` block of the scenario, serve and live-stats
+/// reports, the `pclass_build_info` Prometheus gauge and the daemon's
+/// `read version` handler. One source of truth so a scraped metric, a
+/// report artifact and a CLI banner can always be traced to the same
+/// binary.
 #pragma once
 
 #include <string>
@@ -25,6 +26,17 @@ struct BuildInfo {
 
 /// The metadata baked into this binary.
 [[nodiscard]] const BuildInfo& build_info();
+
+/// Write version, git_sha, compiler and build_type as keys of the open
+/// JSON object of \p w (a workload::JsonWriter).
+template <class JsonWriter>
+void write_build_fields(JsonWriter& w) {
+  const BuildInfo& b = build_info();
+  w.key("version").value(b.version);
+  w.key("git_sha").value(b.git_sha);
+  w.key("compiler").value(b.compiler);
+  w.key("build_type").value(b.build_type);
+}
 
 /// One-line banner: "<tool> <version> (<sha>, <build_type>, <compiler>)".
 /// What every CLI prints for `--version`.

@@ -14,9 +14,23 @@
 
 namespace pclass::control {
 
-using common::build_info;
-
 namespace {
+
+/// The socket-to-dataplane visibility rollup as one JSON object.
+void write_socket_visibility(workload::JsonWriter& w,
+                             const SocketVisibility& sv) {
+  w.begin_object();
+  w.key("samples").value(sv.samples);
+  w.key("cmd_to_first_mean_ns").value(sv.cmd_to_first_mean_ns);
+  w.key("cmd_to_first_max_ns").value(sv.cmd_to_first_max_ns);
+  w.key("cmd_to_all_mean_ns").value(sv.cmd_to_all_mean_ns);
+  w.key("cmd_to_all_max_ns").value(sv.cmd_to_all_max_ns);
+  w.key("publish_to_first_mean_ns").value(sv.publish_to_first_mean_ns);
+  w.key("publish_to_first_max_ns").value(sv.publish_to_first_max_ns);
+  w.key("pending").value(sv.pending);
+  w.key("unresolved").value(sv.unresolved);
+  w.end_object();
+}
 
 /// How often the visibility watcher re-reads the workers'
 /// snapshot_version counters while updates are in flight. Latency
@@ -139,14 +153,10 @@ SubscribeHooks ControlPlane::subscribe_hooks() {
 
 void ControlPlane::build_registry() {
   registry_.add_read("version", [](std::span<const std::string>) {
-    const auto& b = build_info();
     std::ostringstream os;
     workload::JsonWriter w(os);
     w.begin_object();
-    w.key("version").value(b.version);
-    w.key("git_sha").value(b.git_sha);
-    w.key("compiler").value(b.compiler);
-    w.key("build_type").value(b.build_type);
+    common::write_build_fields(w);
     w.end_object();
     os << '\n';
     return HandlerResult::with_payload(os.str());
@@ -494,22 +504,17 @@ dataplane::EngineReport ControlPlane::drain() {
 std::string ControlPlane::stats_json() {
   std::lock_guard<std::mutex> lk(engine_mu_);
   const u64 now = telemetry::steady_now_ns();
-  const auto& b = build_info();
   const auto& pstats = publisher_.stats();
-  const SocketVisibility sv = socket_visibility();
 
   std::ostringstream os;
   workload::JsonWriter w(os);
   w.begin_object();
-  w.key("schema").value("pclass-live-stats-v1");
+  w.key("schema").value("pclass-live-stats-v2");
   w.key("uptime_ns").value(now - t_attach_ns_);
   w.key("engine_running").value(engine_.running());
   w.key("drained").value(drained_);
   w.key("build").begin_object();
-  w.key("version").value(b.version);
-  w.key("git_sha").value(b.git_sha);
-  w.key("compiler").value(b.compiler);
-  w.key("build_type").value(b.build_type);
+  common::write_build_fields(w);
   w.end_object();
 
   w.key("publisher").begin_object();
@@ -520,25 +525,17 @@ std::string ControlPlane::stats_json() {
   w.key("grace_spins").value(pstats.grace_spins);
   w.end_object();
 
-  // Engine geometry: with shards > 0 the rows below are per *shard*
-  // (telemetry blocks are per shard — a worker thread may drive
-  // several), with `worker` carrying the shard index.
+  // Engine geometry and every engine row, live (the supervisor rows
+  // stay zero when the supervisor is off). With shards > 0 the worker
+  // rows below are per *shard* (telemetry blocks are per shard — a
+  // worker thread may drive several), with `worker` carrying the shard
+  // index.
   const dataplane::EngineConfig& ecfg = engine_.config();
   w.key("engine").begin_object();
   w.key("workers").value(ecfg.workers);
   w.key("shards").value(ecfg.shards);
-  w.key("steer_symmetric").value(ecfg.steer_symmetric);
-  w.end_object();
-
-  // Supervisor rollup (all-zero when the supervisor is off): live reads
-  // of the watchdog's counters, scrapeable mid-run.
-  const dataplane::SupervisorStatus ss = engine_.supervisor_status();
-  w.key("supervisor").begin_object();
-  w.key("enabled").value(ss.enabled);
-  w.key("worker_restarts").value(ss.worker_restarts);
-  w.key("stall_detections").value(ss.stall_detections);
-  w.key("shards_reassigned").value(ss.shards_reassigned);
-  w.key("workers_failed").value(ss.workers_failed);
+  w.key("supervisor").value(ecfg.supervisor.enabled);
+  telemetry::write_counters(w, engine_.counters());
   w.end_object();
 
   // Per-worker running totals straight off the live atomics, plus the
@@ -561,17 +558,8 @@ std::string ControlPlane::stats_json() {
 
   telemetry::write_update_visibility(w, totals);
 
-  w.key("socket_visibility").begin_object();
-  w.key("samples").value(sv.samples);
-  w.key("cmd_to_first_mean_ns").value(sv.cmd_to_first_mean_ns);
-  w.key("cmd_to_first_max_ns").value(sv.cmd_to_first_max_ns);
-  w.key("cmd_to_all_mean_ns").value(sv.cmd_to_all_mean_ns);
-  w.key("cmd_to_all_max_ns").value(sv.cmd_to_all_max_ns);
-  w.key("publish_to_first_mean_ns").value(sv.publish_to_first_mean_ns);
-  w.key("publish_to_first_max_ns").value(sv.publish_to_first_max_ns);
-  w.key("pending").value(sv.pending);
-  w.key("unresolved").value(sv.unresolved);
-  w.end_object();
+  w.key("socket_visibility");
+  write_socket_visibility(w, socket_visibility());
 
   w.key("updates_accepted")
       .value(updates_accepted_.load(std::memory_order_relaxed));
@@ -583,7 +571,6 @@ std::string ControlPlane::stats_json() {
 std::string ControlPlane::metrics_text() {
   std::lock_guard<std::mutex> lk(engine_mu_);
   const u64 now = telemetry::steady_now_ns();
-  const auto& b = build_info();
   const auto& pstats = publisher_.stats();
   const SocketVisibility sv = socket_visibility();
 
@@ -591,13 +578,7 @@ std::string ControlPlane::metrics_text() {
   telemetry::MetricsWriter mw(os);
   using Label = telemetry::MetricsWriter::Label;
 
-  {
-    const Label labels[] = {{"version", b.version},
-                            {"git_sha", b.git_sha},
-                            {"build_type", b.build_type}};
-    mw.gauge("pclass_build_info",
-             "Build metadata as labels; value is always 1.", labels, 1.0);
-  }
+  telemetry::write_build_info(mw);
   mw.gauge("pclass_serve_uptime_seconds",
            "Seconds since the control plane attached.", {},
            static_cast<double>(now - t_attach_ns_) / 1e9);
@@ -625,24 +606,10 @@ std::string ControlPlane::metrics_text() {
              "Yields spent waiting for readers to drain.", {},
              static_cast<double>(pstats.grace_spins));
 
-  {
-    const dataplane::SupervisorStatus ss = engine_.supervisor_status();
-    mw.gauge("pclass_supervisor_enabled",
-             "1 when the engine watchdog supervises workers.", {},
-             ss.enabled ? 1.0 : 0.0);
-    mw.counter("pclass_supervisor_worker_restarts_total",
-               "Dead workers respawned by the watchdog.", {},
-               static_cast<double>(ss.worker_restarts));
-    mw.counter("pclass_supervisor_stall_detections_total",
-               "Heartbeat-stall episodes the watchdog observed.", {},
-               static_cast<double>(ss.stall_detections));
-    mw.counter("pclass_supervisor_shards_reassigned_total",
-               "Shards taken over from permanently failed workers.", {},
-               static_cast<double>(ss.shards_reassigned));
-    mw.gauge("pclass_supervisor_workers_failed",
-             "Workers permanently failed (restart budget spent).", {},
-             static_cast<double>(ss.workers_failed));
-  }
+  mw.gauge("pclass_supervisor_enabled",
+           "1 when the engine watchdog supervises workers.", {},
+           engine_.config().supervisor.enabled ? 1.0 : 0.0);
+  telemetry::write_counter_metrics(mw, "pclass_", {}, engine_.counters());
 
   mw.counter("pclass_socket_updates_accepted_total",
              "Rule/set updates accepted over the control socket.", {},
@@ -691,26 +658,22 @@ std::string ControlPlane::timeseries_json() {
 
 void write_serve_report(std::ostream& os, const dataplane::EngineReport& rep,
                         const ControlPlane& cp, const ControlServer& server) {
-  const auto& build = build_info();
-  const SocketVisibility sv = cp.socket_visibility();
   const telemetry::CounterSet totals =
       dataplane::merge_reports(0, rep.workers).counters;
   workload::JsonWriter j(os);
   j.begin_object();
-  j.key("schema").value("pclass-serve-v1");
+  j.key("schema").value("pclass-serve-v2");
   j.key("meta").begin_object();
   j.key("build").begin_object();
-  j.key("version").value(build.version);
-  j.key("git_sha").value(build.git_sha);
-  j.key("compiler").value(build.compiler);
-  j.key("build_type").value(build.build_type);
+  common::write_build_fields(j);
   j.end_object();
   j.end_object();
   j.key("endpoint").value(server.endpoint());
   j.key("wall_seconds").value(rep.wall_seconds);
 
-  j.key("counters");
-  telemetry::write_counter_table(j);
+  telemetry::write_counter_table(j.key("counters"), telemetry::kCounters);
+  telemetry::write_counter_table(j.key("engine_counters"),
+                                 telemetry::kEngineCounters);
 
   j.key("workers").begin_array();
   for (const auto& w : rep.workers) {
@@ -727,16 +690,7 @@ void write_serve_report(std::ostream& os, const dataplane::EngineReport& rep,
 
   // Raw per-shard rows (empty unsharded); workers[] above stays the
   // authoritative double-count-free view.
-  j.key("shards").begin_array();
-  for (const auto& s : rep.shards) {
-    j.begin_object();
-    j.key("shard").value(static_cast<u64>(s.worker));
-    telemetry::write_counters(j, s.counters);
-    j.key("p50_cycles").value(s.latency.percentile(50));
-    j.key("p99_cycles").value(s.latency.percentile(99));
-    j.end_object();
-  }
-  j.end_array();
+  dataplane::write_shard_rows(j, rep.shards);
 
   j.key("totals").begin_object();
   telemetry::write_counters(j, totals);
@@ -750,35 +704,16 @@ void write_serve_report(std::ostream& os, const dataplane::EngineReport& rep,
   j.key("connections_accepted").value(server.connections_accepted());
   j.key("connections_rejected").value(server.connections_rejected());
   j.key("requests_served").value(server.requests_served());
-  j.key("visibility").begin_object();
-  j.key("samples").value(sv.samples);
-  j.key("cmd_to_first_mean_ns").value(sv.cmd_to_first_mean_ns);
-  j.key("cmd_to_first_max_ns").value(sv.cmd_to_first_max_ns);
-  j.key("cmd_to_all_mean_ns").value(sv.cmd_to_all_mean_ns);
-  j.key("cmd_to_all_max_ns").value(sv.cmd_to_all_max_ns);
-  j.key("publish_to_first_mean_ns").value(sv.publish_to_first_mean_ns);
-  j.key("publish_to_first_max_ns").value(sv.publish_to_first_max_ns);
-  j.key("pending").value(sv.pending);
-  j.key("unresolved").value(sv.unresolved);
-  j.end_object();
+  j.key("visibility");
+  write_socket_visibility(j, cp.socket_visibility());
   j.end_object();
 
-  j.key("supervisor").begin_object();
-  j.key("worker_restarts").value(rep.worker_restarts);
-  j.key("stall_detections").value(rep.stall_detections);
-  j.key("shards_reassigned").value(rep.shards_reassigned);
-  j.key("workers_failed").value(rep.workers_failed);
+  j.key("engine").begin_object();
+  telemetry::write_counters(j, rep.counters);
   j.end_object();
 
   j.key("errors").begin_array();
-  for (const auto& d : rep.error_log) {
-    j.begin_object();
-    j.key("worker").value(static_cast<u64>(d.worker));
-    j.key("restarts").value(d.restarts);
-    j.key("permanent").value(d.permanent);
-    j.key("message").value(d.message);
-    j.end_object();
-  }
+  for (const auto& d : rep.error_log) j.value(d.line());
   j.end_array();
 
   j.key("timeseries").begin_array();

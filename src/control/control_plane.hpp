@@ -180,9 +180,10 @@ class ControlPlane {
   bool has_capture_ = false;
 };
 
-/// The daemon's end-of-run JSON report (schema pclass-serve-v1): the
-/// counter table, per-worker / per-shard rows and totals, the
-/// timeseries, the socket counters and the update-visibility rollups.
+/// The daemon's end-of-run JSON report (schema pclass-serve-v2): both
+/// counter tables, per-worker / per-shard rows and totals, the engine
+/// rows, the timeseries, the socket counters and the update-visibility
+/// rollups.
 void write_serve_report(std::ostream& os, const dataplane::EngineReport& rep,
                         const ControlPlane& cp, const ControlServer& server);
 

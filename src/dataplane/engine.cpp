@@ -5,6 +5,8 @@
 
 namespace pclass::dataplane {
 
+using telemetry::EngineCounter;
+
 namespace {
 using Clock = std::chrono::steady_clock;
 
@@ -97,15 +99,11 @@ void Engine::start(TrafficPool& pool) {
   sampler_.reset();
   timeseries_.clear();
   trace_events_.clear();
-  trace_truncated_ = 0;
   final_drained_ = false;
   watchdog_stop_.store(false, std::memory_order_relaxed);
   run_concluded_.store(false, std::memory_order_relaxed);
-  worker_restarts_.store(0, std::memory_order_relaxed);
-  stall_detections_.store(0, std::memory_order_relaxed);
-  shards_reassigned_.store(0, std::memory_order_relaxed);
+  counters_.clear();
   caller_pool_ = &pool;
-  offered_ = delivered_ = shed_ = lost_ = 0;
   conservation_checked_ = false;
   if (cfg_.fault_injector != nullptr) {
     // Injected stalls must not outlive a drain: abort them on stop_.
@@ -130,7 +128,7 @@ void Engine::start(TrafficPool& pool) {
   // hashing into receive queues).
   std::vector<TrafficPool> steered;
   if (sharded) {
-    steered = steer_split(pool, nshards, cfg_.steer_symmetric);
+    steered = steer_split(pool, nshards);
   }
 
   for (usize s = 0; s < nshards; ++s) {
@@ -322,7 +320,7 @@ void Engine::take_over_shards(WorkerThread& w) {
       survivor->shards.push_back(sh);
     }
   }
-  shards_reassigned_.fetch_add(undrained.size(), std::memory_order_relaxed);
+  counters_.add(EngineCounter::shards_reassigned, undrained.size());
   // A survivor that already finished its own shards has exited cleanly
   // and will never see the handover — bounce it. (If it exits in the
   // instant between the handover and this check, the watchdog's
@@ -381,8 +379,7 @@ void Engine::watchdog_main() {
           t.in_stall = false;
         } else if (!t.in_stall && now - t.last_change >= stall_deadline) {
           t.in_stall = true;
-          w.stalls.fetch_add(1, std::memory_order_relaxed);
-          stall_detections_.fetch_add(1, std::memory_order_relaxed);
+          counters_.add(EngineCounter::stall_detections, 1);
         }
         continue;
       }
@@ -408,7 +405,7 @@ void Engine::watchdog_main() {
       w.error.clear();
       if (stop_.load(std::memory_order_relaxed)) {
         // Shutting down: no point restarting into the stop flag.
-        w.failed_permanently.store(true, std::memory_order_release);
+        fail_permanently(w);
         continue;
       }
       if (prior < cfg_.supervisor.max_restarts) {
@@ -416,11 +413,11 @@ void Engine::watchdog_main() {
                                       << prior));
         if (stop_.load(std::memory_order_relaxed) ||
             watchdog_stop_.load(std::memory_order_relaxed)) {
-          w.failed_permanently.store(true, std::memory_order_release);
+          fail_permanently(w);
           continue;
         }
         w.restarts.fetch_add(1, std::memory_order_relaxed);
-        worker_restarts_.fetch_add(1, std::memory_order_relaxed);
+        counters_.add(EngineCounter::worker_restarts, 1);
         track[i] = {w.heartbeat.load(std::memory_order_relaxed),
                     Clock::now(), false};
         spawn_worker(w);
@@ -428,7 +425,7 @@ void Engine::watchdog_main() {
         // Order matters for wait(): reassign first, flag last, so a
         // permanently-failed worker is never observed mid-takeover.
         take_over_shards(w);
-        w.failed_permanently.store(true, std::memory_order_release);
+        fail_permanently(w);
       }
     }
     if (concluded) {
@@ -448,18 +445,22 @@ EngineReport Engine::wait() {
   return finish(/*signal_stop=*/false);
 }
 
-SupervisorStatus Engine::supervisor_status() const {
-  SupervisorStatus st;
-  st.enabled = cfg_.supervisor.enabled;
-  st.worker_restarts = worker_restarts_.load(std::memory_order_relaxed);
-  st.stall_detections = stall_detections_.load(std::memory_order_relaxed);
-  st.shards_reassigned = shards_reassigned_.load(std::memory_order_relaxed);
-  for (const auto& w : threads_) {
-    if (w->failed_permanently.load(std::memory_order_relaxed)) {
-      ++st.workers_failed;
-    }
+void Engine::fail_permanently(WorkerThread& w) {
+  w.failed_permanently.store(true, std::memory_order_release);
+  counters_.add(EngineCounter::workers_failed, 1);
+}
+
+telemetry::EngineCounterSet Engine::counters() const {
+  telemetry::EngineCounterSet c = counters_.snapshot();
+  // Trace loss is counted where the rings drain: each ring counts its
+  // overwritten slots, a running sampler its spans past the cap.
+  for (const auto& t : tel_) {
+    c[EngineCounter::trace_events_dropped] += t->ring.dropped();
   }
-  return st;
+  if (sampler_ != nullptr) {
+    c[EngineCounter::trace_events_truncated] = sampler_->truncated();
+  }
+  return c;
 }
 
 EngineReport Engine::finish(bool signal_stop) {
@@ -508,10 +509,10 @@ EngineReport Engine::finish(bool signal_stop) {
           delivered += sh->sink->packets();
         }
       }
-      offered_ = offered;
-      delivered_ = delivered;
-      shed_ = offered - claimed;
-      lost_ = claimed - delivered;
+      counters_.set(EngineCounter::offered_packets, offered);
+      counters_.set(EngineCounter::delivered_packets, delivered);
+      counters_.set(EngineCounter::shed_packets, offered - claimed);
+      counters_.set(EngineCounter::lost_packets, claimed - delivered);
     }
   }
   // Telemetry epilogue, after every worker joined (so totals are
@@ -523,24 +524,26 @@ EngineReport Engine::finish(bool signal_stop) {
     sampler_->stop();
     timeseries_ = sampler_->take_samples();
     trace_events_ = sampler_->take_events();
-    trace_truncated_ = sampler_->truncated();
+    counters_.set(EngineCounter::trace_events_truncated, sampler_->truncated());
     sampler_.reset();
     final_drained_ = true;
   } else if (!final_drained_) {
     const usize keep = trace_keep();
+    u64 truncated = 0;
     for (const auto& t : tel_) {
       if (keep == 0) {
         t->ring.drain(nullptr);
       } else if (trace_events_.size() < keep) {
         t->ring.drain(&trace_events_);
       } else {
-        trace_truncated_ += t->ring.drain(nullptr);
+        truncated += t->ring.drain(nullptr);
       }
     }
     if (keep > 0 && trace_events_.size() > keep) {
-      trace_truncated_ += trace_events_.size() - keep;
+      truncated += trace_events_.size() - keep;
       trace_events_.resize(keep);
     }
+    counters_.add(EngineCounter::trace_events_truncated, truncated);
     final_drained_ = true;
   }
   if (budget_granted_ > 0) {
@@ -576,9 +579,6 @@ WorkerReport Engine::shard_report(const Shard& s) const {
   s.sink->fill_counters(r.counters);
   r.min_version = s.classifier->min_version();
   r.version_monotonic = s.classifier->version_monotonic();
-  if (s.index < tel_.size() && tel_[s.index] != nullptr) {
-    r.trace_events_dropped = tel_[s.index]->ring.dropped();
-  }
   r.latency = s.sink->latency();
   r.wall_seconds = threads_[s.owner]->wall_seconds;
   r.error = threads_[s.owner]->error;
@@ -588,18 +588,14 @@ WorkerReport Engine::shard_report(const Shard& s) const {
 EngineReport Engine::collect() const {
   EngineReport rep;
   rep.wall_seconds = wall_seconds_;
-  // Per-worker supervisor accounting + the healed-vs-fatal error rule:
-  // under the supervisor, a death the watchdog healed (restart, or a
-  // takeover that saved every shard) keeps the row's error empty — the
-  // run delivered its packets; the messages live in rep.error_log. A
-  // permanent failure that lost shards IS fatal and surfaces.
+  // The healed-vs-fatal error rule: under the supervisor, a death the
+  // watchdog healed (restart, or a takeover that saved every shard)
+  // keeps the row's error empty — the run delivered its packets; the
+  // messages live in rep.error_log. A permanent failure that lost
+  // shards IS fatal and surfaces.
   const auto apply_status = [&](WorkerReport& r, const WorkerThread& th) {
-    r.restarts = th.restarts.load(std::memory_order_relaxed);
-    r.stalls = th.stalls.load(std::memory_order_relaxed);
-    r.failed_permanently =
-        th.failed_permanently.load(std::memory_order_relaxed);
-    r.shards_lost = th.shards_lost;
-    if (r.failed_permanently && th.shards_lost > 0 && r.error.empty()) {
+    if (th.failed_permanently.load(std::memory_order_relaxed) &&
+        th.shards_lost > 0 && r.error.empty()) {
       r.error = th.all_errors.empty()
                     ? std::string("worker failed permanently")
                     : th.all_errors.back();
@@ -640,19 +636,10 @@ EngineReport Engine::collect() const {
   }
   rep.timeseries = timeseries_;
   rep.trace_events = trace_events_;
-  rep.trace_events_truncated = trace_truncated_;
-  // Supervisor rollup + conservation ledger + the full error log.
-  rep.worker_restarts = worker_restarts_.load(std::memory_order_relaxed);
-  rep.stall_detections = stall_detections_.load(std::memory_order_relaxed);
-  rep.shards_reassigned = shards_reassigned_.load(std::memory_order_relaxed);
+  rep.counters = counters();
   rep.conservation_checked = conservation_checked_;
-  rep.offered_packets = offered_;
-  rep.delivered_packets = delivered_;
-  rep.shed_packets = shed_;
-  rep.lost_packets = lost_;
   for (const auto& th : threads_) {
     const bool failed = th->failed_permanently.load(std::memory_order_relaxed);
-    if (failed) ++rep.workers_failed;
     for (usize k = 0; k < th->all_errors.size(); ++k) {
       rep.error_log.push_back(
           {th->index, static_cast<u64>(k),

@@ -138,7 +138,7 @@ struct EngineConfig {
   /// export — a loop-mode run can produce millions, and chrome://tracing
   /// chokes far earlier. Spans past the limit still drain (drop
   /// accounting stays exact) and are counted in
-  /// EngineReport::trace_events_truncated. 0 = unlimited.
+  /// the trace_events_truncated engine row. 0 = unlimited.
   usize trace_keep_limit = usize{1} << 15;
   /// RSS-style sharding (0 = unsharded: the legacy geometry where every
   /// worker thread drains the shared pool). With shards = S > 0 the
@@ -149,9 +149,6 @@ struct EngineConfig {
   /// buys cache locality, so verdicts are identical to the unsharded
   /// engine's.
   usize shards = 0;
-  /// Symmetric steering hash: both directions of a flow land on the
-  /// same shard.
-  bool steer_symmetric = false;
   /// Record every packet's verdict (arrival order, per shard) into
   /// EngineReport::captured — the sharded differential fuzzer's hook.
   /// Finite runs only.
@@ -170,15 +167,6 @@ struct EngineConfig {
   /// Self-healing supervisor (heartbeats + watchdog + bounded restarts
   /// + sharded-engine shard takeover). See SupervisorConfig.
   SupervisorConfig supervisor;
-};
-
-/// Live view of the supervisor's counters (readable while running).
-struct SupervisorStatus {
-  bool enabled = false;
-  u64 worker_restarts = 0;
-  u64 stall_detections = 0;
-  u64 shards_reassigned = 0;
-  u64 workers_failed = 0;  ///< permanently failed (post-retry)
 };
 
 /// Multi-worker batched dataplane runtime.
@@ -210,8 +198,9 @@ class Engine {
   [[nodiscard]] bool running() const { return running_; }
   [[nodiscard]] const EngineConfig& config() const { return cfg_; }
 
-  /// Supervisor counters, live (relaxed atomics; safe while running).
-  [[nodiscard]] SupervisorStatus supervisor_status() const;
+  /// Every engine row (telemetry/counters.hpp), live: relaxed reads,
+  /// safe while running; final once the run was stopped or waited for.
+  [[nodiscard]] telemetry::EngineCounterSet counters() const;
 
   // ---- control-surface attach points (PR 7) ----
   // The live-introspection plane reads the running engine without
@@ -276,7 +265,6 @@ class Engine {
     std::atomic<u64> sweeps{0};     ///< persistent sweep counter (injector)
     std::atomic<bool> exited{false};  ///< thread function returned
     std::atomic<u64> restarts{0};   ///< respawns performed by the watchdog
-    std::atomic<u64> stalls{0};     ///< stall episodes detected
     std::atomic<bool> failed_permanently{false};
     u64 shards_lost = 0;  ///< undrained shards with no survivor to take them
     /// Every incarnation's death message, in order (watchdog-written
@@ -299,6 +287,8 @@ class Engine {
   void take_over_shards(WorkerThread& w);
   /// Does w still own a shard whose pool is not fully delivered?
   [[nodiscard]] static bool has_undrained(const WorkerThread& w);
+  /// Flag w dead for good and count it in the workers_failed row.
+  void fail_permanently(WorkerThread& w);
   EngineReport finish(bool signal_stop);
   [[nodiscard]] EngineReport collect() const;
   /// WorkerReport for one shard's elements (worker = shard index).
@@ -321,7 +311,6 @@ class Engine {
   std::unique_ptr<telemetry::StatsSampler> sampler_;
   std::vector<telemetry::StatsSample> timeseries_;
   std::vector<telemetry::TraceEvent> trace_events_;
-  u64 trace_truncated_ = 0;  ///< drained past trace_keep_limit
   bool final_drained_ = false;  ///< rings flushed after the last join
   std::atomic<bool> stop_{false};
   bool running_ = false;
@@ -334,17 +323,13 @@ class Engine {
   /// Every worker concluded: exited clean, or permanently failed with
   /// its shards reassigned/accounted. What wait() blocks on.
   std::atomic<bool> run_concluded_{false};
-  std::atomic<u64> worker_restarts_{0};
-  std::atomic<u64> stall_detections_{0};
-  std::atomic<u64> shards_reassigned_{0};
+  /// The engine rows. Supervisor rows count as the watchdog acts; the
+  /// ledger rows are taken once at the first finish();
+  /// trace_events_dropped is read off the rings by counters().
+  telemetry::LiveCounters<telemetry::EngineCounterSet> counters_;
   /// The caller's pool (unsharded geometry drains it directly);
-  /// borrowed during the run for the conservation ledger, which is
-  /// computed once at first finish() and cached below.
+  /// borrowed during the run for the conservation ledger.
   TrafficPool* caller_pool_ = nullptr;
-  u64 offered_ = 0;
-  u64 delivered_ = 0;
-  u64 shed_ = 0;
-  u64 lost_ = 0;
   bool conservation_checked_ = false;
 };
 

@@ -12,7 +12,6 @@
 /// unsharded engine's.
 #pragma once
 
-#include <utility>
 #include <vector>
 
 #include "common/bits.hpp"
@@ -22,33 +21,18 @@
 
 namespace pclass::dataplane {
 
-/// The steering hash: mix64 avalanche over the 5-tuple. With
-/// \p symmetric the (ip, port) endpoint pairs are canonically ordered
-/// first, so both directions of a bidirectional flow produce the same
-/// hash (the RSS "symmetric Toeplitz" option) — at the cost of mixing
-/// forward and reverse flows onto one shard.
-[[nodiscard]] inline u64 steer_hash(const net::FiveTuple& t,
-                                    bool symmetric = false) {
-  u32 a_ip = t.src_ip;
-  u32 b_ip = t.dst_ip;
-  u16 a_port = t.src_port;
-  u16 b_port = t.dst_port;
-  if (symmetric &&
-      (a_ip > b_ip || (a_ip == b_ip && a_port > b_port))) {
-    std::swap(a_ip, b_ip);
-    std::swap(a_port, b_port);
-  }
-  const u64 h = mix64((u64{a_ip} << 32) | b_ip);
-  return mix64(h ^ ((u64{a_port} << 32) | (u64{b_port} << 8) |
+/// The steering hash: mix64 avalanche over the 5-tuple.
+[[nodiscard]] inline u64 steer_hash(const net::FiveTuple& t) {
+  const u64 h = mix64((u64{t.src_ip} << 32) | t.dst_ip);
+  return mix64(h ^ ((u64{t.src_port} << 32) | (u64{t.dst_port} << 8) |
                     t.protocol));
 }
 
 /// Shard index for one header: multiply-high range reduction of the
 /// steering hash (uniform for any shard count, no modulo bias).
-[[nodiscard]] inline usize shard_of(const net::FiveTuple& t, usize nshards,
-                                    bool symmetric = false) {
+[[nodiscard]] inline usize shard_of(const net::FiveTuple& t, usize nshards) {
   if (nshards <= 1) return 0;
-  return static_cast<usize>(mul_high_u64(steer_hash(t, symmetric), nshards));
+  return static_cast<usize>(mul_high_u64(steer_hash(t), nshards));
 }
 
 /// Split \p pool into \p nshards per-shard pools by steering hash
@@ -57,7 +41,6 @@ namespace pclass::dataplane {
 /// identically anyway — are spread round-robin.
 /// \throws ConfigError when nshards == 0.
 [[nodiscard]] std::vector<TrafficPool> steer_split(const TrafficPool& pool,
-                                                   usize nshards,
-                                                   bool symmetric = false);
+                                                   usize nshards);
 
 }  // namespace pclass::dataplane

@@ -159,9 +159,6 @@ struct WorkerReport {
   /// counters[snapshot_version]).
   u64 min_version = 0;
   bool version_monotonic = true;  ///< versions never went backwards
-  /// TraceRing events lost to overwrite before a drain reached them
-  /// (0 when telemetry is off or the ring kept up).
-  u64 trace_events_dropped = 0;
   LatencyHistogram latency;       ///< per-packet lookup cycles
   double wall_seconds = 0;
   /// Non-empty if the worker died on an exception (exceptions must not
@@ -169,15 +166,8 @@ struct WorkerReport {
   /// Under the supervisor, healed workers (died but restarted, run
   /// concluded) report empty here — their death messages live in
   /// EngineReport::error_log; only a permanent failure that actually
-  /// lost traffic (shards_lost > 0) is fatal enough to surface here.
+  /// lost traffic (undrained shards with no survivor) surfaces here.
   std::string error;
-  // ---- supervisor accounting (zero when the supervisor is off) ----
-  u64 restarts = 0;  ///< watchdog respawns of this worker
-  u64 stalls = 0;    ///< heartbeat-stagnation episodes detected
-  bool failed_permanently = false;  ///< dead post-retry (max_restarts spent)
-  /// Undrained shards this worker took to the grave (no survivor to
-  /// reassign them to — their remaining packets are shed).
-  u64 shards_lost = 0;
 
   [[nodiscard]] double mpps() const {
     return wall_seconds <= 0.0
@@ -206,12 +196,28 @@ struct WorkerReport {
       first_version = false;
     }
     m.version_monotonic = m.version_monotonic && r.version_monotonic;
-    m.trace_events_dropped += r.trace_events_dropped;
     m.latency.merge(r.latency);
     m.wall_seconds = std::max(m.wall_seconds, r.wall_seconds);
     if (m.error.empty()) m.error = r.error;
   }
   return m;
+}
+
+/// Write \p shards as the reports' `shards` array: per shard its index,
+/// every counter row, its lowest version and p50/p99 lookup cycles.
+template <class JsonWriter>
+void write_shard_rows(JsonWriter& j, std::span<const WorkerReport> shards) {
+  j.key("shards").begin_array();
+  for (const WorkerReport& s : shards) {
+    j.begin_object();
+    j.key("shard").value(static_cast<u64>(s.worker));
+    telemetry::write_counters(j, s.counters);
+    j.key("min_version").value(s.min_version);
+    j.key("p50_cycles").value(s.latency.percentile(50));
+    j.key("p99_cycles").value(s.latency.percentile(99));
+    j.end_object();
+  }
+  j.end_array();
 }
 
 /// One worker death, with enough context to tell a healed incarnation
@@ -226,6 +232,14 @@ struct WorkerErrorDetail {
   /// the supervisor was off).
   bool permanent = false;
   std::string message;
+
+  /// "worker N [restarts=R, healed|permanent]: message" — how every
+  /// report and log line shows a death.
+  [[nodiscard]] std::string line() const {
+    return "worker " + std::to_string(worker) + " [restarts=" +
+           std::to_string(restarts) +
+           (permanent ? ", permanent" : ", healed") + "]: " + message;
+  }
 };
 
 /// Whole-engine rollup.
@@ -251,27 +265,12 @@ struct EngineReport {
   std::vector<telemetry::StatsSample> timeseries;
   /// Drained TraceRing events (EngineConfig::collect_trace).
   std::vector<telemetry::TraceEvent> trace_events;
-  /// Spans drained past EngineConfig::trace_keep_limit — measured but
-  /// not retained for the export (distinct from the workers'
-  /// trace_events_dropped, which is ring-overwrite loss).
-  u64 trace_events_truncated = 0;
-  // ---- conservation ledger (finite runs; see docs/ROBUSTNESS.md) ----
-  /// True when the engine computed the ledger (finite pool; loop-mode
-  /// runs have no "offered" total to conserve against).
+  /// Every engine row (telemetry/counters.hpp): the supervisor rollup,
+  /// the conservation ledger and trace-span loss.
+  telemetry::EngineCounterSet counters;
+  /// True when the engine computed the ledger rows (finite pool;
+  /// loop-mode runs have no "offered" total to conserve against).
   bool conservation_checked = false;
-  u64 offered_packets = 0;    ///< packets the run was asked to deliver
-  u64 delivered_packets = 0;  ///< packets that reached an ActionSink
-  /// Offered but never claimed by any source (their owner died
-  /// unrecoverably with no survivor to take the shard).
-  u64 shed_packets = 0;
-  /// Claimed off a pool but never delivered — in flight inside a worker
-  /// that died (at most one batch per death).
-  u64 lost_packets = 0;
-  // ---- supervisor rollup ----
-  u64 worker_restarts = 0;
-  u64 stall_detections = 0;
-  u64 shards_reassigned = 0;
-  u64 workers_failed = 0;  ///< permanently failed workers (post-retry)
   /// Every worker death in order of (worker, incarnation) — healed and
   /// permanent alike. Empty when nothing died.
   std::vector<WorkerErrorDetail> error_log;
@@ -280,19 +279,20 @@ struct EngineReport {
   /// shed, or accounted lost in flight — exactly. Vacuously true when
   /// the ledger was not computed (loop mode).
   [[nodiscard]] bool conserved() const {
+    using telemetry::EngineCounter;
+    const auto& c = counters;
     return !conservation_checked ||
-           delivered_packets + shed_packets + lost_packets == offered_packets;
+           c[EngineCounter::delivered_packets] +
+                   c[EngineCounter::shed_packets] +
+                   c[EngineCounter::lost_packets] ==
+               c[EngineCounter::offered_packets];
   }
 
   [[nodiscard]] u64 packets() const {
-    u64 n = 0;
-    for (const auto& w : workers) n += w.counters[telemetry::Counter::packets];
-    return n;
+    return merge_reports(0, workers).counters[telemetry::Counter::packets];
   }
   [[nodiscard]] u64 matched() const {
-    u64 n = 0;
-    for (const auto& w : workers) n += w.counters[telemetry::Counter::matched];
-    return n;
+    return merge_reports(0, workers).counters[telemetry::Counter::matched];
   }
   [[nodiscard]] double aggregate_mpps() const {
     return wall_seconds <= 0.0 ? 0.0

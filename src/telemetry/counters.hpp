@@ -1,20 +1,24 @@
 /// \file counters.hpp
-/// The per-worker counter registry: every counter a pipeline worker
-/// keeps is one row of PCLASS_WORKER_COUNTERS, and every surface that
-/// shows counters — the live block, WorkerReport, the sampler's
-/// interval rows, `read stats`, `read metrics`, `subscribe` rows, the
-/// scenario and `pclass_serve` reports and the CLIs' Prometheus dumps —
-/// loops over this table instead of naming fields.
+/// The counter registry: every counter a pipeline worker keeps is one
+/// row of PCLASS_WORKER_COUNTERS, every engine-level counter (the
+/// supervisor rollup, the conservation ledger, trace-span loss) one row
+/// of PCLASS_ENGINE_COUNTERS. Every surface that shows counters — the
+/// live block, WorkerReport, EngineReport, the sampler's interval rows,
+/// `read stats`, `read metrics`, `subscribe` rows, the scenario and
+/// `pclass_serve` reports and the CLIs' Prometheus dumps — loops over
+/// the tables instead of naming fields.
 ///
 /// Adding a counter: add one row here, then one `out.set(...)` line in
-/// the `fill_counters` of the element that owns the value. Every
+/// the `fill_counters` of the element that owns the value (an engine
+/// row: one `counters_.add(...)` or `set(...)` in the Engine). Every
 /// surface picks it up under the row's name. tools/check_report.py
-/// pins the row names (COUNTER_ROWS), so a row that is renamed or
-/// dropped here fails CI's report gates.
+/// pins the row names (COUNTER_ROWS, ENGINE_ROWS), so a row that is
+/// renamed or dropped here fails CI's report gates.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <span>
 #include <string_view>
 
 #include "common/types.hpp"
@@ -47,12 +51,37 @@ enum class CounterMerge : u8 { kSum, kMax };
   X(update_visibility_max_ns, kGauge, kMax, "ns",                           \
     "Worst publish-to-visible latency.")
 
-/// One enumerator per row, in table order.
-enum class Counter : usize {
+// X(name, kind, merge, unit, help)
+#define PCLASS_ENGINE_COUNTERS(X)                                          \
+  X(worker_restarts, kCounter, kSum, "restarts",                           \
+    "Dead workers respawned by the watchdog.")                             \
+  X(stall_detections, kCounter, kSum, "stalls",                            \
+    "Heartbeat-stall episodes the watchdog observed.")                     \
+  X(shards_reassigned, kCounter, kSum, "shards",                           \
+    "Shards taken over from permanently failed workers.")                  \
+  X(workers_failed, kGauge, kSum, "workers",                               \
+    "Workers permanently failed (restart budget spent).")                  \
+  X(offered_packets, kCounter, kSum, "packets",                            \
+    "Packets a finite run was asked to deliver.")                          \
+  X(delivered_packets, kCounter, kSum, "packets",                          \
+    "Offered packets that reached an ActionSink.")                         \
+  X(shed_packets, kCounter, kSum, "packets",                               \
+    "Offered packets never claimed (owner died, no survivor).")            \
+  X(lost_packets, kCounter, kSum, "packets",                               \
+    "Claimed packets lost in flight inside a dead worker.")                \
+  X(trace_events_dropped, kCounter, kSum, "events",                        \
+    "Trace-ring events lost to overwrite or torn reads.")                  \
+  X(trace_events_truncated, kCounter, kSum, "events",                      \
+    "Drained trace spans past the retention cap.")
+
 #define PCLASS_COUNTER_ENUM(name, kind, merge, unit, help) name,
-  PCLASS_WORKER_COUNTERS(PCLASS_COUNTER_ENUM)
-#undef PCLASS_COUNTER_ENUM
+/// One enumerator per worker row, in table order.
+enum class Counter : usize { PCLASS_WORKER_COUNTERS(PCLASS_COUNTER_ENUM) };
+/// One enumerator per engine row, in table order.
+enum class EngineCounter : usize {
+  PCLASS_ENGINE_COUNTERS(PCLASS_COUNTER_ENUM)
 };
+#undef PCLASS_COUNTER_ENUM
 
 struct CounterDef {
   std::string_view name;
@@ -62,18 +91,15 @@ struct CounterDef {
   std::string_view help;
 };
 
-inline constexpr std::array kCounters = {
 #define PCLASS_COUNTER_DEF(name, kind, merge, unit, help) \
   CounterDef{#name, CounterKind::kind, CounterMerge::merge, unit, help},
-    PCLASS_WORKER_COUNTERS(PCLASS_COUNTER_DEF)
+inline constexpr std::array kCounters = {
+    PCLASS_WORKER_COUNTERS(PCLASS_COUNTER_DEF)};
+inline constexpr std::array kEngineCounters = {
+    PCLASS_ENGINE_COUNTERS(PCLASS_COUNTER_DEF)};
 #undef PCLASS_COUNTER_DEF
-};
 
 inline constexpr usize kNumCounters = kCounters.size();
-
-[[nodiscard]] constexpr usize index_of(Counter c) {
-  return static_cast<usize>(c);
-}
 
 /// Publish-to-visible latency of rule updates, from the
 /// update_visibility_* rows.
@@ -83,32 +109,40 @@ struct UpdateVisibility {
   u64 max_ns = 0;
 };
 
-/// One value per registry row: a worker's totals, a merged rollup or
-/// one sampler interval.
-struct CounterSet {
-  std::array<u64, kNumCounters> v{};
+/// One value per row of the table \p kTable (enumerated by \p Id):
+/// a worker's totals, a merged rollup, one sampler interval or the
+/// engine-level rows.
+template <class Id, const auto& kTable>
+struct BasicCounterSet {
+  using Row = Id;
+  static constexpr std::span<const CounterDef> kDefs{kTable};
+  static constexpr usize kSize = kTable.size();
 
-  [[nodiscard]] u64& operator[](Counter c) { return v[index_of(c)]; }
-  [[nodiscard]] u64 operator[](Counter c) const { return v[index_of(c)]; }
+  std::array<u64, kSize> v{};
+
+  [[nodiscard]] u64& operator[](Id c) { return v[static_cast<usize>(c)]; }
+  [[nodiscard]] u64 operator[](Id c) const {
+    return v[static_cast<usize>(c)];
+  }
 
   /// Fill target of the elements' fill_counters().
-  void set(Counter c, u64 x) { v[index_of(c)] = x; }
+  void set(Id c, u64 x) { (*this)[c] = x; }
 
   /// Fold \p o in, row by row, by each row's merge rule.
-  void merge(const CounterSet& o) {
-    for (usize i = 0; i < kNumCounters; ++i) {
-      v[i] = kCounters[i].merge == CounterMerge::kSum ? v[i] + o.v[i]
-                                                      : std::max(v[i], o.v[i]);
+  void merge(const BasicCounterSet& o) {
+    for (usize i = 0; i < v.size(); ++i) {
+      v[i] = kTable[i].merge == CounterMerge::kSum ? v[i] + o.v[i]
+                                                   : std::max(v[i], o.v[i]);
     }
   }
 
   /// The interval since \p prev: sum rows difference, max rows keep
   /// their current value. Merging the intervals of a run gives back its
   /// totals exactly.
-  [[nodiscard]] CounterSet minus(const CounterSet& prev) const {
-    CounterSet d = *this;
-    for (usize i = 0; i < kNumCounters; ++i) {
-      if (kCounters[i].merge == CounterMerge::kSum) d.v[i] -= prev.v[i];
+  [[nodiscard]] BasicCounterSet minus(const BasicCounterSet& prev) const {
+    BasicCounterSet d = *this;
+    for (usize i = 0; i < v.size(); ++i) {
+      if (kTable[i].merge == CounterMerge::kSum) d.v[i] -= prev.v[i];
     }
     return d;
   }
@@ -130,15 +164,18 @@ struct CounterSet {
             (*this)[Counter::update_visibility_max_ns]};
   }
 
-  bool operator==(const CounterSet&) const = default;
+  bool operator==(const BasicCounterSet&) const = default;
 };
+
+using CounterSet = BasicCounterSet<Counter, kCounters>;
+using EngineCounterSet = BasicCounterSet<EngineCounter, kEngineCounters>;
 
 /// Write every row as `"name": value` into the open JSON object of \p w
 /// (a workload::JsonWriter).
-template <class JsonWriter>
-void write_counters(JsonWriter& w, const CounterSet& c) {
-  for (usize i = 0; i < kNumCounters; ++i) {
-    w.key(kCounters[i].name).value(c.v[i]);
+template <class JsonWriter, class Set>
+void write_counters(JsonWriter& w, const Set& c) {
+  for (usize i = 0; i < c.v.size(); ++i) {
+    w.key(Set::kDefs[i].name).value(c.v[i]);
   }
 }
 
@@ -153,12 +190,12 @@ void write_update_visibility(JsonWriter& w, const CounterSet& c) {
   w.end_object();
 }
 
-/// Write the table itself as `"name": {"kind", "merge", "unit"}`, so a
-/// report says how its counter rows combine.
+/// Write a table itself as `"name": {"kind", "merge", "unit"}`, so a
+/// report says how its rows combine.
 template <class JsonWriter>
-void write_counter_table(JsonWriter& w) {
+void write_counter_table(JsonWriter& w, std::span<const CounterDef> table) {
   w.begin_object();
-  for (const CounterDef& d : kCounters) {
+  for (const CounterDef& d : table) {
     w.key(d.name).begin_object();
     w.key("kind").value(d.kind == CounterKind::kCounter ? "counter" : "gauge");
     w.key("merge").value(d.merge == CounterMerge::kSum ? "sum" : "max");

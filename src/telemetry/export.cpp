@@ -6,6 +6,7 @@
 #include <ostream>
 #include <set>
 
+#include "common/build_info.hpp"
 #include "workload/json_writer.hpp"
 
 namespace pclass::telemetry {
@@ -121,20 +122,31 @@ void MetricsWriter::flush() {
   index_.clear();
 }
 
-void write_counter_metrics(MetricsWriter& mw, std::string_view prefix,
-                           std::span<const MetricsWriter::Label> labels,
-                           const CounterSet& c) {
-  for (usize i = 0; i < kNumCounters; ++i) {
-    const CounterDef& d = kCounters[i];
-    std::string name(prefix);
-    name += d.name;
-    const auto value = static_cast<double>(c.v[i]);
-    if (d.kind == CounterKind::kCounter) {
-      mw.counter(name + "_total", d.help, labels, value);
-    } else {
-      mw.gauge(name, d.help, labels, value);
-    }
-  }
+void write_build_info(MetricsWriter& mw) {
+  const common::BuildInfo& b = common::build_info();
+  const MetricsWriter::Label labels[] = {{"version", b.version},
+                                         {"git_sha", b.git_sha},
+                                         {"build_type", b.build_type}};
+  mw.gauge("pclass_build_info", "Build metadata as labels; value is always 1.",
+           labels, 1.0);
+}
+
+void write_run_metrics(MetricsWriter& mw,
+                       std::span<const MetricsWriter::Label> labels,
+                       const CounterSet& workers,
+                       const EngineCounterSet& engine, double mpps,
+                       u64 cycles_p50, u64 cycles_p99) {
+  write_counter_metrics(mw, "pclass_", labels, workers);
+  write_counter_metrics(mw, "pclass_", labels, engine);
+  mw.gauge("pclass_throughput_mpps", "End-of-run aggregate Mpps", labels,
+           mpps);
+  mw.gauge("pclass_lookup_cycles_p50", "Modelled lookup cycles, p50", labels,
+           static_cast<double>(cycles_p50));
+  mw.gauge("pclass_lookup_cycles_p99", "Modelled lookup cycles, p99", labels,
+           static_cast<double>(cycles_p99));
+  mw.gauge("pclass_update_visibility_mean_ns",
+           "Mean publish->worker-visible latency", labels,
+           workers.update_visibility().mean_ns);
 }
 
 }  // namespace pclass::telemetry

@@ -75,10 +75,34 @@ class MetricsWriter {
   std::vector<std::string> families_;
 };
 
-/// One sample per registry row of \p c, with the row's help text:
+/// One sample per row of \p c's table, with the row's help text:
 /// `<prefix><name>_total` for counter rows, `<prefix><name>` for gauges.
+template <class Set>
 void write_counter_metrics(MetricsWriter& mw, std::string_view prefix,
                            std::span<const MetricsWriter::Label> labels,
-                           const CounterSet& c);
+                           const Set& c) {
+  for (usize i = 0; i < c.v.size(); ++i) {
+    const CounterDef& d = Set::kDefs[i];
+    const std::string name = std::string(prefix) + std::string(d.name);
+    const auto value = static_cast<double>(c.v[i]);
+    if (d.kind == CounterKind::kCounter) {
+      mw.counter(name + "_total", d.help, labels, value);
+    } else {
+      mw.gauge(name, d.help, labels, value);
+    }
+  }
+}
+
+/// The `pclass_build_info` gauge: build metadata as labels, value 1.
+void write_build_info(MetricsWriter& mw);
+
+/// The end-of-run block of the CLIs' --metrics-out dumps: every worker
+/// and engine row (`pclass_<name>`), the aggregate Mpps, p50/p99
+/// modelled lookup cycles and the mean update visibility.
+void write_run_metrics(MetricsWriter& mw,
+                       std::span<const MetricsWriter::Label> labels,
+                       const CounterSet& workers,
+                       const EngineCounterSet& engine, double mpps,
+                       u64 cycles_p50, u64 cycles_p99);
 
 }  // namespace pclass::telemetry

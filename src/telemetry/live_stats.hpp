@@ -1,7 +1,7 @@
 /// \file live_stats.hpp
-/// Per-worker live counters: the mid-run-readable mirror of the
-/// end-of-run WorkerReport counters (one atomic per row of the
-/// telemetry/counters.hpp registry).
+/// Live counters: the mid-run-readable mirror of a counter set (one
+/// atomic per row of a telemetry/counters.hpp table) — per worker for
+/// the worker rows, once per Engine for the engine rows.
 ///
 /// Ownership/ordering model: every counter is a single-writer relaxed
 /// atomic — the owning worker publishes its running totals once per
@@ -56,26 +56,40 @@ class AtomicHistogram {
   std::array<std::atomic<u64>, kBuckets> buckets_{};
 };
 
-/// One worker's live counter block: one single-writer atomic per
-/// registry row, each a running total the worker's pipeline elements
-/// store through their fill_counters().
-struct WorkerLive {
-  std::array<std::atomic<u64>, kNumCounters> counters{};
-  AtomicHistogram latency;
+/// One relaxed atomic per row of the table of \p Set, each a running
+/// total.
+template <class Set>
+struct LiveCounters {
+  using Row = typename Set::Row;
+  std::array<std::atomic<u64>, Set::kSize> counters{};
 
   /// Fill target of the elements' fill_counters(): store one row.
-  void set(Counter c, u64 v) { counter_store(counters[index_of(c)], v); }
-  [[nodiscard]] u64 get(Counter c) const {
-    return counter_load(counters[index_of(c)]);
+  void set(Row c, u64 v) { counter_store(counters[index(c)], v); }
+  void add(Row c, u64 n) {
+    counters[index(c)].fetch_add(n, std::memory_order_relaxed);
+  }
+  [[nodiscard]] u64 get(Row c) const {
+    return counter_load(counters[index(c)]);
+  }
+  void clear() {
+    for (auto& a : counters) counter_store(a, 0);
   }
   /// Relaxed copy of every row.
-  [[nodiscard]] CounterSet snapshot() const {
-    CounterSet out;
-    for (usize i = 0; i < kNumCounters; ++i) {
+  [[nodiscard]] Set snapshot() const {
+    Set out;
+    for (usize i = 0; i < Set::kSize; ++i) {
       out.v[i] = counter_load(counters[i]);
     }
     return out;
   }
+  static constexpr usize index(Row c) { return static_cast<usize>(c); }
+};
+
+/// One worker's live counter block: the worker rows, stored by the
+/// worker's pipeline elements through their fill_counters(), and the
+/// latency histogram.
+struct WorkerLive : LiveCounters<CounterSet> {
+  AtomicHistogram latency;
 };
 
 /// Coherent-enough merge of the workers' WorkerLive blocks, taken with

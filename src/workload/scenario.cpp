@@ -74,38 +74,12 @@ void fill_engine_stats(ScenarioResult& r, EngineReport rep) {
   r.engine = dataplane::merge_reports(0, rep.workers);
   r.wall_seconds = rep.wall_seconds;
   r.mpps = rep.aggregate_mpps();
-  r.trace_events_truncated = rep.trace_events_truncated;
-  // Surface ALL worker deaths (healed incarnations included), each with
-  // its worker index + restart count; then any remaining fatal error the
-  // log does not already carry.
-  std::vector<std::string> logged;
-  for (const auto& d : rep.error_log) {
-    r.worker_errors.push_back(
-        "worker " + std::to_string(d.worker) + " [restarts=" +
-        std::to_string(d.restarts) + (d.permanent ? ", permanent" : ", healed") +
-        "]: " + d.message);
-    logged.push_back(d.message);
-  }
-  for (const auto& w : rep.workers) {
-    if (w.error.empty()) continue;
-    if (std::find(logged.begin(), logged.end(), w.error) != logged.end()) {
-      continue;
-    }
-    r.worker_errors.push_back("worker " + std::to_string(w.worker) + ": " +
-                              w.error);
-  }
-  // Supervisor rollup + the conservation ledger (finite runs only; the
-  // engine skips the ledger in loop mode).
-  r.worker_restarts = rep.worker_restarts;
-  r.stall_detections = rep.stall_detections;
-  r.shards_reassigned = rep.shards_reassigned;
-  r.workers_failed = rep.workers_failed;
+  r.engine_counters = rep.counters;
   r.conservation_checked = rep.conservation_checked;
-  r.offered_packets = rep.offered_packets;
-  r.delivered_packets = rep.delivered_packets;
-  r.shed_packets = rep.shed_packets;
-  r.lost_packets = rep.lost_packets;
   r.conserved = rep.conserved();
+  // Surface ALL worker deaths (healed incarnations included; a fatal
+  // worker error is always the log's last entry for that worker).
+  for (const auto& d : rep.error_log) r.worker_errors.push_back(d.line());
   r.timeseries = std::move(rep.timeseries);
   r.trace_events = std::move(rep.trace_events);
   r.shard_reports = std::move(rep.shards);
@@ -113,11 +87,8 @@ void fill_engine_stats(ScenarioResult& r, EngineReport rep) {
     r.error = rep.first_error();
   }
   if (r.error.empty() && !r.conserved) {
-    r.error = "conservation violated: delivered " +
-              std::to_string(r.delivered_packets) + " + shed " +
-              std::to_string(r.shed_packets) + " + lost " +
-              std::to_string(r.lost_packets) + " != offered " +
-              std::to_string(r.offered_packets);
+    r.error = "conservation violated: delivered + shed + lost != offered "
+              "(see the engine rows)";
   }
 }
 
@@ -166,8 +137,7 @@ EngineConfig engine_config(const ScenarioOptions& opts, WorkerBudget* budget,
           .budget = budget,
           .stats_interval_ms = opts.stats_interval_ms,
           .collect_trace = opts.collect_trace,
-          .shards = shards,
-          .steer_symmetric = opts.steer_symmetric};
+          .shards = shards};
 }
 
 /// Drain the trace once through the engine and collect stats + oracle.
@@ -575,11 +545,7 @@ ScenarioResult run_chaos(const ScenarioOptions& opts, WorkerBudget* budget,
           ? 0.0
           : static_cast<double>(storm.schedule.size()) / storm_secs;
   r.grace_spins = programs.stats().grace_spins;
-  const fault::FaultCounters& fc = injector.counters();
-  r.injected_worker_throws = fc.worker_throws;
-  r.injected_worker_stalls = fc.worker_stalls;
-  r.injected_publish_failures = fc.publish_failures;
-  r.injected_conn_drops = fc.conn_drops;
+  r.injected = injector.counters();
 
   if (r.error.empty() &&
       programs.version() != version_before + storm.schedule.size()) {
@@ -589,10 +555,13 @@ ScenarioResult run_chaos(const ScenarioOptions& opts, WorkerBudget* budget,
   if (opts.fault_plan.empty()) {
     // The built-in plan's effects are deterministic; their absence means
     // the fault plane or the supervisor silently did nothing.
-    if (r.error.empty() && r.worker_restarts < 1) {
+    using telemetry::EngineCounter;
+    if (r.error.empty() &&
+        r.engine_counters[EngineCounter::worker_restarts] < 1) {
       r.error = "chaos: expected >= 1 worker restart under the default plan";
     }
-    if (r.error.empty() && r.shards_reassigned < 1) {
+    if (r.error.empty() &&
+        r.engine_counters[EngineCounter::shards_reassigned] < 1) {
       r.error = "chaos: expected >= 1 shard reassignment under the default "
                 "plan";
     }
@@ -778,14 +747,10 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
                        const std::vector<ScenarioResult>& results) {
   JsonWriter j(os);
   j.begin_object();
-  j.key("schema").value("pclass-scenarios-v5");
-  const auto& build = common::build_info();
+  j.key("schema").value("pclass-scenarios-v6");
   j.key("meta").begin_object();
   j.key("build").begin_object();
-  j.key("version").value(build.version);
-  j.key("git_sha").value(build.git_sha);
-  j.key("compiler").value(build.compiler);
-  j.key("build_type").value(build.build_type);
+  common::write_build_fields(j);
   j.end_object();
   j.end_object();
   j.key("options").begin_object();
@@ -799,12 +764,11 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
   j.key("max_workers").value(opts.max_workers);
   j.key("stats_interval_ms").value(u64{opts.stats_interval_ms});
   j.key("shards").value(opts.shards);
-  j.key("steer_symmetric").value(opts.steer_symmetric);
-  j.key("steer_hash").value("mix64-5tuple");
   j.key("fault_plan").value(opts.fault_plan);
   j.end_object();
-  j.key("counters");
-  telemetry::write_counter_table(j);
+  telemetry::write_counter_table(j.key("counters"), telemetry::kCounters);
+  telemetry::write_counter_table(j.key("engine_counters"),
+                                 telemetry::kEngineCounters);
   j.key("scenarios").begin_array();
   for (const ScenarioResult& r : results) {
     j.begin_object();
@@ -841,30 +805,23 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
     j.key("checked").value(r.oracle_checked);
     j.key("mismatches").value(r.oracle_mismatches);
     j.end_object();
-    j.key("fault").begin_object();
-    j.key("plan").value(r.fault_plan);
-    j.key("worker_restarts").value(r.worker_restarts);
-    j.key("stall_detections").value(r.stall_detections);
-    j.key("shards_reassigned").value(r.shards_reassigned);
-    j.key("workers_failed").value(r.workers_failed);
-    j.key("injected").begin_object();
-    j.key("worker_throws").value(r.injected_worker_throws);
-    j.key("worker_stalls").value(r.injected_worker_stalls);
-    j.key("publish_failures").value(r.injected_publish_failures);
-    j.key("conn_drops").value(r.injected_conn_drops);
-    j.end_object();
+    j.key("engine").begin_object();
+    telemetry::write_counters(j, r.engine_counters);
     j.end_object();
     j.key("conservation").begin_object();
     j.key("checked").value(r.conservation_checked);
-    j.key("offered").value(r.offered_packets);
-    j.key("delivered").value(r.delivered_packets);
-    j.key("shed").value(r.shed_packets);
-    j.key("lost_in_flight").value(r.lost_packets);
     j.key("conserved").value(r.conserved);
     j.end_object();
+    j.key("fault").begin_object();
+    j.key("plan").value(r.fault_plan);
+    j.key("injected").begin_object();
+    j.key("worker_throws").value(r.injected.worker_throws);
+    j.key("worker_stalls").value(r.injected.worker_stalls);
+    j.key("publish_failures").value(r.injected.publish_failures);
+    j.key("conn_drops").value(r.injected.conn_drops);
+    j.end_object();
+    j.end_object();
     j.key("telemetry").begin_object();
-    j.key("trace_events_dropped").value(e.trace_events_dropped);
-    j.key("trace_events_truncated").value(r.trace_events_truncated);
     telemetry::write_update_visibility(j, e.counters);
     j.key("timeseries").begin_array();
     for (const telemetry::StatsSample& s : r.timeseries) {
@@ -872,18 +829,7 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
     }
     j.end_array();
     j.end_object();
-    j.key("shards").begin_array();
-    for (const dataplane::WorkerReport& s : r.shard_reports) {
-      j.begin_object();
-      j.key("shard").value(s.worker);
-      telemetry::write_counters(j, s.counters);
-      j.key("min_version").value(s.min_version);
-      j.key("max_version")
-          .value(s.counters[telemetry::Counter::snapshot_version]);
-      j.key("p99_cycles").value(s.latency.percentile(99));
-      j.end_object();
-    }
-    j.end_array();
+    dataplane::write_shard_rows(j, r.shard_reports);
     j.key("errors").begin_array();
     for (const std::string& e : r.worker_errors) {
       j.value(e);

@@ -20,6 +20,7 @@
 #include "core/config.hpp"
 #include "dataplane/flow_steer.hpp"
 #include "dataplane/stats.hpp"
+#include "fault/fault.hpp"
 #include "net/packet_batch.hpp"
 #include "telemetry/sample.hpp"
 #include "telemetry/trace_ring.hpp"
@@ -73,8 +74,6 @@ struct ScenarioOptions {
   /// geometry: every worker thread drains the shared pool).
   /// Each shard drains a steered per-flow slice with the full ruleset.
   usize shards = 0;
-  /// Symmetric steering hash: both flow directions land on one shard.
-  bool steer_symmetric = false;
   /// Fault-injection plan for the chaos scenario (--fault-plan), in
   /// fault::FaultPlan spec grammar. Empty = the chaos scenario's
   /// built-in seeded plan (one worker killed past its retry budget,
@@ -93,9 +92,16 @@ struct ScenarioResult {
 
   // Engine measurement.
   /// The worker rows merged into one (dataplane::merge_reports): every
-  /// counter row, lookup cycles, the version range and monotonicity
-  /// and the trace-ring drops.
+  /// counter row, lookup cycles, the version range and monotonicity.
   dataplane::WorkerReport engine;
+  /// Every engine row (EngineReport::counters): the supervisor rollup
+  /// (zero outside the chaos scenario unless a worker actually died),
+  /// the conservation ledger and trace-span loss.
+  telemetry::EngineCounterSet engine_counters;
+  /// The engine computed the ledger rows (every finite run does), and
+  /// they conserve (EngineReport::conserved()).
+  bool conservation_checked = false;
+  bool conserved = true;
   double wall_seconds = 0;
   double mpps = 0;
 
@@ -108,38 +114,19 @@ struct ScenarioResult {
   usize oracle_checked = 0;
   usize oracle_mismatches = 0;
 
-  // Telemetry (PR 6): the sampler's interval series, ring-drop
-  // accounting, update-visibility latency and the raw span events the
-  // chrome trace export consumes.
+  // Telemetry: the sampler's interval series and the raw span events
+  // the chrome trace export consumes.
   std::vector<telemetry::StatsSample> timeseries;
   std::vector<telemetry::TraceEvent> trace_events;
-  /// Spans measured but not retained (per-engine trace_keep_limit).
-  u64 trace_events_truncated = 0;
-  /// Every worker error, surfaced as the report's `errors` array with
-  /// worker index + restart count ("worker N [restarts=R, healed|
-  /// permanent]: what"); r.error carries the first *fatal* one for
-  /// ok() — healed deaths (supervisor restarted the worker and the run
-  /// concluded) are informational.
+  /// Every worker error, surfaced as the report's `errors` array
+  /// (WorkerErrorDetail::line()); r.error carries the first *fatal* one
+  /// for ok() — healed deaths (supervisor restarted the worker and the
+  /// run concluded) are informational.
   std::vector<std::string> worker_errors;
 
-  // Robustness (PR 9): supervisor + fault accounting (zero outside the
-  // chaos scenario unless a worker actually died) and the conservation
-  // ledger the engine computes for every finite run.
+  // Fault injection (chaos scenario).
   std::string fault_plan;  ///< round-tripped plan actually injected
-  u64 worker_restarts = 0;
-  u64 stall_detections = 0;
-  u64 shards_reassigned = 0;
-  u64 workers_failed = 0;
-  u64 injected_worker_throws = 0;
-  u64 injected_worker_stalls = 0;
-  u64 injected_publish_failures = 0;
-  u64 injected_conn_drops = 0;
-  bool conservation_checked = false;
-  u64 offered_packets = 0;
-  u64 delivered_packets = 0;
-  u64 shed_packets = 0;    ///< offered but never claimed (owner died)
-  u64 lost_packets = 0;    ///< claimed but in flight inside a dead worker
-  bool conserved = true;   ///< delivered + shed + lost == offered
+  fault::FaultCounters injected;  ///< fired events
   /// Raw per-shard rows (EngineReport::shards; empty when the scenario
   /// ran unsharded) — the report's `shards` array. Invariant:
   /// per-counter sums equal the engine totals above.
@@ -197,7 +184,7 @@ class ScenarioRunner {
 };
 
 /// Emit the single JSON report CI archives (schema
-/// "pclass-scenarios-v5"): options, per-scenario results and the
+/// "pclass-scenarios-v6"): options, per-scenario results and the
 /// aggregate all_ok verdict.
 void write_json_report(std::ostream& os, const ScenarioOptions& opts,
                        const std::vector<ScenarioResult>& results);

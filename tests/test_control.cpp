@@ -31,6 +31,7 @@
 #include "control/server.hpp"
 #include "dataplane/engine.hpp"
 #include "fault/fault.hpp"
+#include "telemetry/export.hpp"
 #include "workload/scenario.hpp"
 
 using namespace pclass;
@@ -329,7 +330,7 @@ TEST(ControlServer, ReadHandlersServeFramedPayloads) {
 
   const auto stats = c.read_request("read stats");
   EXPECT_EQ(stats.code, 200);
-  EXPECT_NE(stats.payload.find("pclass-live-stats-v1"), std::string::npos);
+  EXPECT_NE(stats.payload.find("pclass-live-stats-v2"), std::string::npos);
   EXPECT_NE(stats.payload.find("\"socket_visibility\""), std::string::npos);
 
   const auto metrics = c.read_request("read metrics");
@@ -413,7 +414,7 @@ TEST(ControlServer, ReassemblesPartialLinesAcrossChunks) {
   ASSERT_TRUE(frame.starts_with("DATA "));
   const std::string stats = c.read_exact(
       static_cast<usize>(std::atoll(frame.substr(5).c_str())));
-  EXPECT_NE(stats.find("pclass-live-stats-v1"), std::string::npos);
+  EXPECT_NE(stats.find("pclass-live-stats-v2"), std::string::npos);
 }
 
 TEST(ControlServer, ServesConcurrentClients) {
@@ -550,16 +551,18 @@ TEST(ControlPlane, SubscribeWithoutSamplerGetsTerminalRecord) {
 
 // ---- drain & reconcile -----------------------------------------------------
 
-/// Every counter row of \p want appears as `"name":value` in the first
-/// JSON object at or after \p anchor in \p json.
+/// Every row of \p want (a worker or engine counter set) appears as
+/// `"name":value` in the first JSON object at or after \p anchor in
+/// \p json.
+template <class Set>
 void expect_counter_rows(const std::string& json, const std::string& anchor,
-                         const telemetry::CounterSet& want) {
+                         const Set& want) {
   SCOPED_TRACE(anchor);
   const usize at = json.find(anchor);
   ASSERT_NE(at, std::string::npos) << json;
   const std::string obj = json.substr(at, json.find('}', at) + 1 - at);
-  for (usize i = 0; i < telemetry::kNumCounters; ++i) {
-    const std::string kv = "\"" + std::string(telemetry::kCounters[i].name) +
+  for (usize i = 0; i < want.v.size(); ++i) {
+    const std::string kv = "\"" + std::string(Set::kDefs[i].name) +
                            "\":" + std::to_string(want.v[i]);
     EXPECT_TRUE(obj.find(kv + ",") != std::string::npos ||
                 obj.find(kv + "}") != std::string::npos)
@@ -655,6 +658,89 @@ TEST(ControlPlane, DrainReconcilesEveryCounterRowOnEverySurface) {
                       r.timeseries[0].counters);
 }
 
+/// Every engine row of \p want is a family of the row's kind in \p prom
+/// (`pclass_<name>_total` counter, `pclass_<name>` gauge), sampled as
+/// `<family><labels> <value>`.
+void expect_engine_metrics(const std::string& prom, const std::string& labels,
+                           const telemetry::EngineCounterSet& want) {
+  for (usize i = 0; i < want.v.size(); ++i) {
+    const telemetry::CounterDef& d = telemetry::kEngineCounters[i];
+    const bool gauge = d.kind == telemetry::CounterKind::kGauge;
+    const std::string fam = "pclass_" + std::string(d.name) +
+                            (gauge ? "" : "_total");
+    const std::string type = gauge ? " gauge\n" : " counter\n";
+    EXPECT_NE(prom.find("# TYPE " + fam + type), std::string::npos) << fam;
+    EXPECT_NE(prom.find("\n" + fam + labels + " " +
+                        std::to_string(want.v[i]) + "\n"),
+              std::string::npos)
+        << fam << " in\n" << prom;
+  }
+}
+
+/// The engine table's promise, under faults that make the supervisor
+/// rows nonzero: every engine row has one value in the EngineReport,
+/// the post-drain engine, `read stats`, `read metrics` and the daemon
+/// report; and, for a finite chaos run with the ledger rows filled, in
+/// the scenario JSON and the --metrics-out block.
+TEST(ControlPlane, DrainReconcilesEveryEngineRowOnEverySurface) {
+  using telemetry::EngineCounter;
+  // Worker 1 dies past its restart budget (two restarts, then its
+  // shard moves to worker 0); worker 0 stalls past the deadline.
+  fault::FaultInjector inj(fault::FaultPlan::parse(
+      "throw:w=1@1,throw:w=1@2,throw:w=1@3,stall:w=0@2:ms=80"));
+  ServeHarness h(/*stats_interval_ms=*/5, nullptr, &inj,
+                 {.enabled = true,
+                  .watchdog_interval_ms = 2,
+                  .stall_deadline_ms = 20,
+                  .restart_backoff_ms = 1},
+                 /*shards=*/2);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((h.engine->counters()[EngineCounter::workers_failed] < 1 ||
+          h.engine->counters()[EngineCounter::stall_detections] < 1) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  TestClient c(h.port());
+  ASSERT_EQ(c.request("write drain").code, 200);
+  const dataplane::EngineReport rep = h.cp->drain();
+  const telemetry::EngineCounterSet& want = rep.counters;
+  EXPECT_EQ(want[EngineCounter::worker_restarts], 2u);
+  EXPECT_EQ(want[EngineCounter::workers_failed], 1u);
+  EXPECT_EQ(want[EngineCounter::shards_reassigned], 1u);
+  EXPECT_GE(want[EngineCounter::stall_detections], 1u);
+  EXPECT_FALSE(rep.conservation_checked);  // loop mode: no ledger
+  EXPECT_TRUE(h.engine->counters() == want);
+  expect_counter_rows(c.read_request("read stats").payload, "\"engine\":{",
+                      want);
+  expect_engine_metrics(c.read_request("read metrics").payload, "", want);
+  std::ostringstream serve;
+  control::write_serve_report(serve, rep, *h.cp, *h.server);
+  expect_counter_rows(serve.str(), "\"engine\":{", want);
+
+  workload::ScenarioOptions opts;
+  opts.workers = 3;
+  opts.scale = 0.05;
+  workload::ScenarioRunner runner(opts);
+  const std::vector<workload::ScenarioResult> results = {runner.run("chaos")};
+  const workload::ScenarioResult& r = results[0];
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(r.engine_counters[EngineCounter::delivered_packets],
+            r.engine.counters[telemetry::Counter::packets]);
+  std::ostringstream json;
+  workload::write_json_report(json, opts, results);
+  expect_counter_rows(json.str(), "\"engine\":{", r.engine_counters);
+  std::ostringstream prom;
+  {
+    telemetry::MetricsWriter mw(prom);
+    const telemetry::MetricsWriter::Label labels[] = {{"scenario", r.name}};
+    telemetry::write_run_metrics(mw, labels, r.engine.counters,
+                                 r.engine_counters, r.mpps, 0, 0);
+  }
+  expect_engine_metrics(prom.str(), "{scenario=\"chaos\"}",
+                        r.engine_counters);
+}
+
 // ---- trace capture ---------------------------------------------------------
 
 TEST(ControlPlane, TraceCaptureStartStopDump) {
@@ -724,7 +810,7 @@ TEST(ControlFault, ConnDropClosesCleanlyAndReconnectRecovers) {
   TestClient c2(h.port());
   const auto r = c2.read_request("read stats");
   EXPECT_EQ(r.code, 200);
-  EXPECT_NE(r.payload.find("pclass-live-stats-v1"), std::string::npos);
+  EXPECT_NE(r.payload.find("pclass-live-stats-v2"), std::string::npos);
 }
 
 TEST(ControlFault, DrainDuringInjectedStallCompletesWithinDeadline) {
@@ -743,13 +829,14 @@ TEST(ControlFault, DrainDuringInjectedStallCompletesWithinDeadline) {
   // watchdog time to flag the episode.
   const auto armed = std::chrono::steady_clock::now() +
                      std::chrono::milliseconds(500);
+  using telemetry::EngineCounter;
   while ((inj.counters().worker_stalls < 1 ||
-          h.engine->supervisor_status().stall_detections < 1) &&
+          h.engine->counters()[EngineCounter::stall_detections] < 1) &&
          std::chrono::steady_clock::now() < armed) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   ASSERT_EQ(inj.counters().worker_stalls, 1u) << "stall never fired";
-  EXPECT_GE(h.engine->supervisor_status().stall_detections, 1u);
+  EXPECT_GE(h.engine->counters()[EngineCounter::stall_detections], 1u);
 
   TestClient c(h.port());
   const auto t0 = std::chrono::steady_clock::now();
@@ -765,14 +852,13 @@ TEST(ControlFault, DrainDuringInjectedStallCompletesWithinDeadline) {
   // and the stalled worker neither died nor lost anything.
   const dataplane::EngineReport rep = h.cp->drain();
   EXPECT_TRUE(rep.first_error().empty()) << rep.first_error();
-  EXPECT_GE(rep.stall_detections, 1u);
-  EXPECT_EQ(rep.worker_restarts, 0u);
-  EXPECT_EQ(rep.workers_failed, 0u);
+  EXPECT_GE(rep.counters[EngineCounter::stall_detections], 1u);
+  EXPECT_EQ(rep.counters[EngineCounter::worker_restarts], 0u);
+  EXPECT_EQ(rep.counters[EngineCounter::workers_failed], 0u);
   EXPECT_EQ(rep.packets(), h.cp->drain().packets());
   const auto stats = c.read_request("read stats");
   ASSERT_EQ(stats.code, 200);
   EXPECT_NE(stats.payload.find("\"drained\":true"), std::string::npos);
-  EXPECT_NE(stats.payload.find("\"stall_detections\":"), std::string::npos);
 }
 
 }  // namespace

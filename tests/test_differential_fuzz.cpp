@@ -238,7 +238,6 @@ struct ShardFuzzConfig {
   usize shards = 2;
   usize workers = 1;   ///< worker threads (may be < shards: multi-shard threads)
   usize batch = 32;
-  bool symmetric = false;
   bool mutations = false;   ///< concurrent publisher mutator
   u32 cache_depth = 0;
   u64 seed = 0;
@@ -251,7 +250,6 @@ struct ShardFuzzConfig {
            " shards=" + std::to_string(shards) +
            " workers=" + std::to_string(workers) +
            " batch=" + std::to_string(batch) +
-           (symmetric ? " steer=symmetric" : " steer=plain") +
            (mutations ? " mutations=yes" : " mutations=no") +
            " cache=" + std::to_string(cache_depth) +
            " seed=" + std::to_string(seed);
@@ -270,7 +268,6 @@ ShardFuzzConfig draw_shard_config(Rng& rng, u64 seed) {
   c.shards = 2 + static_cast<usize>(rng.below(3));           // 2..4
   c.workers = 1 + static_cast<usize>(rng.below(c.shards));   // 1..S
   c.batch = std::array<usize, 3>{8, 32, 64}[rng.below(3)];
-  c.symmetric = rng.below(2) == 0;
   c.mutations = rng.below(2) == 0;
   // The flow cache's one-batch stale window is by design; the
   // per-version oracle check demands exact verdicts, so the cache stays
@@ -408,7 +405,6 @@ void run_shard_config(const ShardFuzzConfig& c) {
       .flow_cache_depth = c.cache_depth,
       .telemetry = false,
       .shards = c.shards,
-      .steer_symmetric = c.symmetric,
       .capture_verdicts = true};
   if (c.mutations) {
     ecfg.worker_fault_hook = [&batches_seen, &mutations_done, n_mut,
@@ -462,7 +458,7 @@ void run_shard_config(const ShardFuzzConfig& c) {
       ASSERT_FALSE(cv.parse_error) << c.describe() << " shard " << s;
       // Steering invariant: the verdict's flow hashes to the shard that
       // logged it.
-      ASSERT_EQ(dataplane::shard_of(cv.tuple, c.shards, c.symmetric), s)
+      ASSERT_EQ(dataplane::shard_of(cv.tuple, c.shards), s)
           << c.describe() << " pkt " << k;
       const baseline::LinearSearch* oracle = oracles.at(cv.version);
       ASSERT_NE(oracle, nullptr)
@@ -526,22 +522,19 @@ TEST(ShardedDifferentialFuzz, UpdateStormAcrossShardsNeverServesStaleVerdict) {
   // multi-worker RCU path, not just the single-thread harness above.
   for (const core::IpAlgorithm alg :
        {core::IpAlgorithm::kMbt, core::IpAlgorithm::kRvh}) {
-    for (const bool symmetric : {false, true}) {
-      ShardFuzzConfig c;
-      c.seed = meta.next();
-      c.family = "fw";  // wildcard-heavy: verdicts shift under mutation
-      c.rules_n = 96;
-      c.packets = 2048;
-      c.zipf_trace = true;
-      c.alg = alg;
-      c.shards = 4;
-      c.workers = 4;
-      c.batch = 16;  // many snapshot acquisitions per run
-      c.symmetric = symmetric;
-      c.mutations = true;
-      c.cache_depth = 0;
-      SCOPED_TRACE(c.describe());
-      run_shard_config(c);
-    }
+    ShardFuzzConfig c;
+    c.seed = meta.next();
+    c.family = "fw";  // wildcard-heavy: verdicts shift under mutation
+    c.rules_n = 96;
+    c.packets = 2048;
+    c.zipf_trace = true;
+    c.alg = alg;
+    c.shards = 4;
+    c.workers = 4;
+    c.batch = 16;  // many snapshot acquisitions per run
+    c.mutations = true;
+    c.cache_depth = 0;
+    SCOPED_TRACE(c.describe());
+    run_shard_config(c);
   }
 }

@@ -32,6 +32,7 @@ using pclass::fault::FaultInjector;
 using pclass::fault::FaultKind;
 using pclass::fault::FaultPlan;
 using pclass::fault::InjectedFault;
+using pclass::telemetry::EngineCounter;
 
 namespace {
 
@@ -241,14 +242,25 @@ TEST(WorkerBudgetFifo, GrantsFollowArrivalOrderStrictly) {
 
 namespace {
 
-SupervisorConfig fast_supervisor() {
-  SupervisorConfig sup;
-  sup.enabled = true;
-  sup.watchdog_interval_ms = 2;
-  sup.stall_deadline_ms = 500;
-  sup.max_restarts = 2;
-  sup.restart_backoff_ms = 1;
-  return sup;
+/// Two workers under a fast watchdog, faults from \p inj (optional).
+EngineConfig supervised(FaultInjector* inj = nullptr) {
+  EngineConfig cfg{.workers = 2, .batch_size = 32, .fault_injector = inj};
+  cfg.supervisor = {.enabled = true,
+                    .watchdog_interval_ms = 2,
+                    .stall_deadline_ms = 500,
+                    .max_restarts = 2,
+                    .restart_backoff_ms = 1};
+  return cfg;
+}
+
+/// The ledger of a finite run that delivered all \p n offered packets.
+void expect_all_delivered(const EngineReport& rep, u64 n) {
+  ASSERT_TRUE(rep.conservation_checked);
+  EXPECT_TRUE(rep.conserved());
+  EXPECT_EQ(rep.counters[EngineCounter::offered_packets], n);
+  EXPECT_EQ(rep.counters[EngineCounter::delivered_packets], n);
+  EXPECT_EQ(rep.counters[EngineCounter::shed_packets], 0u);
+  EXPECT_EQ(rep.counters[EngineCounter::lost_packets], 0u);
 }
 
 }  // namespace
@@ -256,11 +268,7 @@ SupervisorConfig fast_supervisor() {
 TEST(Supervisor, RestartsDeadWorkerAndHealsTheRun) {
   Fixture fx;
   FaultInjector inj(FaultPlan::parse("throw:w=0@0"));
-  EngineConfig cfg;
-  cfg.workers = 2;
-  cfg.batch_size = 32;
-  cfg.fault_injector = &inj;
-  cfg.supervisor = fast_supervisor();
+  const EngineConfig cfg = supervised(&inj);
 
   TrafficPool pool = fx.pool();
   Engine engine(cfg, fx.programs);
@@ -268,8 +276,8 @@ TEST(Supervisor, RestartsDeadWorkerAndHealsTheRun) {
 
   // Healed: the death is in the log, not in the compat error field.
   EXPECT_TRUE(rep.first_error().empty()) << rep.first_error();
-  EXPECT_GE(rep.worker_restarts, 1u);
-  EXPECT_EQ(rep.workers_failed, 0u);
+  EXPECT_GE(rep.counters[EngineCounter::worker_restarts], 1u);
+  EXPECT_EQ(rep.counters[EngineCounter::workers_failed], 0u);
   ASSERT_GE(rep.error_log.size(), 1u);
   EXPECT_EQ(rep.error_log[0].worker, 0u);
   EXPECT_FALSE(rep.error_log[0].permanent);
@@ -277,12 +285,7 @@ TEST(Supervisor, RestartsDeadWorkerAndHealsTheRun) {
 
   // Conservation: the injected throw fires before a batch is claimed,
   // so nothing is lost and every offered packet is delivered.
-  ASSERT_TRUE(rep.conservation_checked);
-  EXPECT_TRUE(rep.conserved());
-  EXPECT_EQ(rep.offered_packets, fx.trace.size());
-  EXPECT_EQ(rep.delivered_packets, fx.trace.size());
-  EXPECT_EQ(rep.shed_packets, 0u);
-  EXPECT_EQ(rep.lost_packets, 0u);
+  expect_all_delivered(rep, fx.trace.size());
   EXPECT_EQ(rep.packets(), fx.trace.size());
 }
 
@@ -292,30 +295,22 @@ TEST(Supervisor, PermanentFailureHandsShardsToSurvivors) {
   // and the watchdog must reassign its undrained shards.
   FaultInjector inj(
       FaultPlan::parse("throw:w=1@0,throw:w=1@1,throw:w=1@2"));
-  EngineConfig cfg;
-  cfg.workers = 2;
-  cfg.batch_size = 32;
+  EngineConfig cfg = supervised(&inj);
   cfg.shards = 4;
-  cfg.fault_injector = &inj;
-  cfg.supervisor = fast_supervisor();
 
   TrafficPool pool = fx.pool();
   Engine engine(cfg, fx.programs);
   const EngineReport rep = engine.run(pool);
 
-  EXPECT_EQ(rep.worker_restarts, 2u);
-  EXPECT_EQ(rep.workers_failed, 1u);
-  EXPECT_GE(rep.shards_reassigned, 1u);
+  EXPECT_EQ(rep.counters[EngineCounter::worker_restarts], 2u);
+  EXPECT_EQ(rep.counters[EngineCounter::workers_failed], 1u);
+  EXPECT_GE(rep.counters[EngineCounter::shards_reassigned], 1u);
   EXPECT_EQ(inj.counters().worker_throws, 3u);
 
   // Taken-over shards mean nothing was shed or lost: the run still
   // delivers every packet, so the permanent failure is informational.
   EXPECT_TRUE(rep.first_error().empty()) << rep.first_error();
-  ASSERT_TRUE(rep.conservation_checked);
-  EXPECT_TRUE(rep.conserved());
-  EXPECT_EQ(rep.delivered_packets, fx.trace.size());
-  EXPECT_EQ(rep.shed_packets, 0u);
-  EXPECT_EQ(rep.lost_packets, 0u);
+  expect_all_delivered(rep, fx.trace.size());
 
   // All three deaths surfaced, in incarnation order, only the last
   // permanent.
@@ -330,11 +325,7 @@ TEST(Supervisor, PermanentFailureHandsShardsToSurvivors) {
 TEST(Supervisor, DetectsStallEpisodeAndRunStillConcludes) {
   Fixture fx;
   FaultInjector inj(FaultPlan::parse("stall:w=0@1:ms=150"));
-  EngineConfig cfg;
-  cfg.workers = 2;
-  cfg.batch_size = 32;
-  cfg.fault_injector = &inj;
-  cfg.supervisor = fast_supervisor();
+  EngineConfig cfg = supervised(&inj);
   cfg.supervisor.stall_deadline_ms = 25;  // well inside the 150ms stall
 
   TrafficPool pool = fx.pool();
@@ -342,38 +333,29 @@ TEST(Supervisor, DetectsStallEpisodeAndRunStillConcludes) {
   const EngineReport rep = engine.run(pool);
 
   EXPECT_TRUE(rep.first_error().empty()) << rep.first_error();
-  EXPECT_GE(rep.stall_detections, 1u);
-  EXPECT_EQ(rep.worker_restarts, 0u);  // stalled, not dead
-  EXPECT_EQ(rep.workers_failed, 0u);
+  EXPECT_GE(rep.counters[EngineCounter::stall_detections], 1u);
+  // Stalled, not dead.
+  EXPECT_EQ(rep.counters[EngineCounter::worker_restarts], 0u);
+  EXPECT_EQ(rep.counters[EngineCounter::workers_failed], 0u);
   EXPECT_EQ(inj.counters().worker_stalls, 1u);
-  ASSERT_TRUE(rep.conservation_checked);
-  EXPECT_TRUE(rep.conserved());
-  EXPECT_EQ(rep.delivered_packets, fx.trace.size());
+  expect_all_delivered(rep, fx.trace.size());
 }
 
 TEST(Supervisor, CleanRunLedgerIsExactAndQuiet) {
   Fixture fx;
-  EngineConfig cfg;
-  cfg.workers = 2;
-  cfg.batch_size = 32;
-  cfg.supervisor = fast_supervisor();
+  const EngineConfig cfg = supervised();
 
   TrafficPool pool = fx.pool();
   Engine engine(cfg, fx.programs);
   const EngineReport rep = engine.run(pool);
 
   EXPECT_TRUE(rep.first_error().empty()) << rep.first_error();
-  EXPECT_EQ(rep.worker_restarts, 0u);
-  EXPECT_EQ(rep.stall_detections, 0u);
-  EXPECT_EQ(rep.shards_reassigned, 0u);
-  EXPECT_EQ(rep.workers_failed, 0u);
+  EXPECT_EQ(rep.counters[EngineCounter::worker_restarts], 0u);
+  EXPECT_EQ(rep.counters[EngineCounter::stall_detections], 0u);
+  EXPECT_EQ(rep.counters[EngineCounter::shards_reassigned], 0u);
+  EXPECT_EQ(rep.counters[EngineCounter::workers_failed], 0u);
   EXPECT_TRUE(rep.error_log.empty());
-  ASSERT_TRUE(rep.conservation_checked);
-  EXPECT_TRUE(rep.conserved());
-  EXPECT_EQ(rep.offered_packets, fx.trace.size());
-  EXPECT_EQ(rep.delivered_packets, fx.trace.size());
-  EXPECT_EQ(rep.shed_packets, 0u);
-  EXPECT_EQ(rep.lost_packets, 0u);
+  expect_all_delivered(rep, fx.trace.size());
 }
 
 // ---- the chaos scenario, scaled down --------------------------------------
@@ -389,13 +371,15 @@ TEST(ChaosScenario, OracleCleanConservedAndSelfHealing) {
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_EQ(r.oracle_mismatches, 0u);
   EXPECT_GT(r.oracle_checked, 0u);
-  EXPECT_GE(r.worker_restarts, 1u);
-  EXPECT_GE(r.shards_reassigned, 1u);
-  EXPECT_GE(r.injected_worker_throws, 1u);
-  EXPECT_GE(r.injected_publish_failures, 1u);
+  const telemetry::EngineCounterSet& c = r.engine_counters;
+  EXPECT_GE(c[EngineCounter::worker_restarts], 1u);
+  EXPECT_GE(c[EngineCounter::shards_reassigned], 1u);
+  EXPECT_GE(r.injected.worker_throws, 1u);
+  EXPECT_GE(r.injected.publish_failures, 1u);
   ASSERT_TRUE(r.conservation_checked);
   EXPECT_TRUE(r.conserved);
-  EXPECT_EQ(r.delivered_packets + r.shed_packets + r.lost_packets,
-            r.offered_packets);
+  EXPECT_EQ(c[EngineCounter::delivered_packets] +
+                c[EngineCounter::shed_packets] + c[EngineCounter::lost_packets],
+            c[EngineCounter::offered_packets]);
   EXPECT_FALSE(r.fault_plan.empty());
 }

@@ -54,26 +54,6 @@ TEST(FlowSteer, SameTupleAlwaysSameShard) {
   }
 }
 
-TEST(FlowSteer, SymmetricHashSteersBothDirectionsTogether) {
-  Rng rng(13);
-  usize differed_asymmetric = 0;
-  for (int i = 0; i < 400; ++i) {
-    const net::FiveTuple fwd =
-        tuple_of(static_cast<u32>(rng.next()), static_cast<u32>(rng.next()),
-                 static_cast<u16>(rng.next()),
-                 static_cast<u16>(rng.next()), net::kProtoTcp);
-    net::FiveTuple rev = fwd;
-    std::swap(rev.src_ip, rev.dst_ip);
-    std::swap(rev.src_port, rev.dst_port);
-    EXPECT_EQ(shard_of(fwd, 8, /*symmetric=*/true),
-              shard_of(rev, 8, /*symmetric=*/true));
-    if (shard_of(fwd, 8) != shard_of(rev, 8)) ++differed_asymmetric;
-  }
-  // The plain hash must NOT be accidentally symmetric (that would hide
-  // a broken canonicalization path): most reversed flows land elsewhere.
-  EXPECT_GT(differed_asymmetric, 200u);
-}
-
 TEST(FlowSteer, ShardHistogramRoughlyUniformOverFlows) {
   // Steering is per-flow, so uniformity is a property of distinct
   // tuples (packet counts follow flow popularity, which may be skewed).

@@ -330,15 +330,16 @@ TEST(WorkerErrors, FaultHookSurfacesInReportAndScenarioJson) {
 
   // The scenario report surfaces per-worker errors as a non-empty
   // `errors` array (exercised here through the JSON writer).
+  ASSERT_EQ(rep.error_log.size(), 1u);
   workload::ScenarioResult r;
   r.name = "fault-injection";
-  r.worker_errors.push_back("worker 0: injected telemetry-test fault");
+  r.worker_errors.push_back(rep.error_log[0].line());
   r.error = r.worker_errors.front();
   std::ostringstream os;
   workload::write_json_report(os, {}, {r});
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"errors\""), std::string::npos);
-  EXPECT_NE(json.find("injected telemetry-test fault"), std::string::npos);
+  EXPECT_NE(os.str().find("\"errors\":[\"worker 0 [restarts=0, permanent]: "
+                          "injected telemetry-test fault\"]"),
+            std::string::npos);
 }
 
 // ---- Exporters -------------------------------------------------------------

@@ -474,7 +474,11 @@ TEST(Scenario, JsonReportIsWellFormedish) {
   std::ostringstream os;
   write_json_report(os, runner.options(), results);
   const std::string s = os.str();
-  EXPECT_NE(s.find("\"schema\":\"pclass-scenarios-v5\""), std::string::npos);
+  EXPECT_NE(s.find("\"schema\":\"pclass-scenarios-v6\""), std::string::npos);
+  // v6 moved the supervisor, ledger and trace-loss rows to `engine`
+  // and dropped the steering options.
+  EXPECT_NE(s.find("\"engine\":{\"worker_restarts\":0,"), std::string::npos);
+  EXPECT_EQ(s.find("\"steer_symmetric\""), std::string::npos);
   // v5 dropped the path controller's rows, cost models and option.
   EXPECT_EQ(s.find("\"path_scalar_loop_batches\""), std::string::npos);
   EXPECT_EQ(s.find("\"controller\""), std::string::npos);

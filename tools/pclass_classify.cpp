@@ -7,7 +7,7 @@
 ///   pclass_classify <rules_file> <trace_file> [--alg mbt|bst|rvh]
 ///                   [--mode first|cross] [--verify]
 ///                   [--workers N] [--batch B] [--cache DEPTH]
-///                   [--shards N] [--steer-symmetric]
+///                   [--shards N]
 ///                   [--stats-interval-ms N] [--trace-out FILE]
 ///                   [--metrics-out FILE]
 ///
@@ -19,9 +19,7 @@
 /// chrome://tracing JSON (one track per worker) and --metrics-out dumps
 /// end-of-run counters in Prometheus text format. All three require
 /// --workers, as do the sharding knobs: --shards N steers packets to N
-/// RSS-style shards by 5-tuple flow hash, each with the full ruleset
-/// (--steer-symmetric canonicalizes endpoint order so both flow
-/// directions co-locate).
+/// RSS-style shards by 5-tuple flow hash, each with the full ruleset.
 #include <array>
 #include <chrono>
 #include <fstream>
@@ -51,7 +49,7 @@ int usage() {
                "[--alg mbt|bst|rvh] [--mode first|cross] [--verify]\n"
                "                       [--workers N [--batch B] "
                "[--cache DEPTH]\n"
-               "                        [--shards N] [--steer-symmetric]\n"
+               "                        [--shards N]\n"
                "                        [--stats-interval-ms N] "
                "[--trace-out FILE] [--metrics-out FILE]]\n"
                "(--batch/--cache, the shard knobs and the telemetry flags "
@@ -92,8 +90,8 @@ struct TelemetryOut {
 /// Dataplane-engine path: the whole trace, batched, across N workers.
 int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
                core::ClassifierConfig cfg, usize workers, usize batch,
-               u32 cache_depth, usize shards, bool steer_symmetric,
-               bool verify, const TelemetryOut& tout) {
+               u32 cache_depth, usize shards, bool verify,
+               const TelemetryOut& tout) {
   dataplane::RuleProgramPublisher programs(cfg);
   const hw::UpdateStats load = programs.install_ruleset(rules);
   dataplane::TrafficPool pool =
@@ -105,8 +103,7 @@ int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
       .flow_cache_depth = cache_depth,
       .stats_interval_ms = tout.stats_interval_ms,
       .collect_trace = !tout.trace_path.empty(),
-      .shards = shards,
-      .steer_symmetric = steer_symmetric};
+      .shards = shards};
   dataplane::Engine engine(ecfg, programs);
   // The engine clamps degenerate values (0 workers/batch); report the
   // effective geometry, not the requested one.
@@ -143,17 +140,16 @@ int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
   TextTable a({"metric", "value"});
   a.add_row({"engine", std::to_string(workers) + " workers x batch " +
                            std::to_string(batch)});
-  if (shards > 0) {
-    a.add_row({"shards", std::to_string(shards) +
-                             (steer_symmetric ? " (symmetric steering)"
-                                              : "")});
-  }
+  if (shards > 0) a.add_row({"shards", std::to_string(shards)});
   a.add_row({"load cost", std::to_string(load.cycles) + " bus cycles (1 "
                           "coalesced snapshot)"});
-  for (usize i = 0; i < telemetry::kNumCounters; ++i) {
-    a.add_row({std::string(telemetry::kCounters[i].name),
-               std::to_string(totals.v[i])});
-  }
+  const auto add_rows = [&a](const auto& set) {
+    for (usize i = 0; i < set.v.size(); ++i) {
+      a.add_row({std::string(set.kDefs[i].name), std::to_string(set.v[i])});
+    }
+  };
+  add_rows(totals);
+  add_rows(rep.counters);
   a.add_row({"aggregate throughput",
              TextTable::num(rep.aggregate_mpps(), 3) + " Mpps (host)"});
   a.add_row({"lookup cycles p50/p99/max",
@@ -167,10 +163,6 @@ int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
                                          " (every " +
                                          std::to_string(tout.stats_interval_ms) +
                                          " ms)"});
-  }
-  if (all.trace_events_dropped > 0) {
-    a.add_row({"trace events dropped",
-               std::to_string(all.trace_events_dropped)});
   }
   a.print(std::cout);
 
@@ -194,19 +186,9 @@ int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
     telemetry::MetricsWriter m(os);
     using Label = telemetry::MetricsWriter::Label;
     const std::array<Label, 1> ls = {Label{"tool", "pclass_classify"}};
-    telemetry::write_counter_metrics(m, "pclass_", ls, totals);
-    m.gauge("pclass_throughput_mpps", "End-of-run aggregate Mpps", ls,
-            rep.aggregate_mpps());
-    m.gauge("pclass_lookup_cycles_p50", "Modelled lookup cycles, p50", ls,
-            static_cast<double>(lat.percentile(50)));
-    m.gauge("pclass_lookup_cycles_p99", "Modelled lookup cycles, p99", ls,
-            static_cast<double>(lat.percentile(99)));
-    m.counter("pclass_trace_events_dropped_total",
-              "Trace-ring events lost to overwrite", ls,
-              static_cast<double>(all.trace_events_dropped));
-    const auto vis = totals.update_visibility();
-    m.gauge("pclass_update_visibility_mean_ns",
-            "Mean publish->worker-visible latency", ls, vis.mean_ns);
+    telemetry::write_run_metrics(m, ls, totals, rep.counters,
+                                 rep.aggregate_mpps(), lat.percentile(50),
+                                 lat.percentile(99));
     std::cerr << "wrote " << tout.metrics_path << "\n";
   }
 
@@ -247,7 +229,6 @@ int main(int argc, char** argv) {
   usize batch = net::kDefaultBatchCapacity;
   u32 cache_depth = 0;
   usize shards = 0;
-  bool steer_symmetric = false;
   TelemetryOut tout;
   u64 n = 0;
   for (int i = 3; i < argc; ++i) {
@@ -268,8 +249,6 @@ int main(int argc, char** argv) {
     } else if (flag == "--shards" && i + 1 < argc) {
       if (!parse_count(argv[++i], n)) return usage();
       shards = static_cast<usize>(n);
-    } else if (flag == "--steer-symmetric") {
-      steer_symmetric = true;
     } else if ((flag == "--alg" || flag == "--ip-alg") && i + 1 < argc) {
       const std::string v = argv[++i];
       if (v == "mbt") alg = core::IpAlgorithm::kMbt;
@@ -301,8 +280,8 @@ int main(int argc, char** argv) {
                  "require the dataplane engine (--workers N)\n";
     return usage();
   }
-  if (workers == 0 && (shards > 0 || steer_symmetric)) {
-    std::cerr << "error: --shards/--steer-symmetric require "
+  if (workers == 0 && shards > 0) {
+    std::cerr << "error: --shards requires "
                  "the dataplane engine (--workers N)\n";
     return usage();
   }
@@ -324,7 +303,7 @@ int main(int argc, char** argv) {
 
     if (workers > 0) {
       return run_engine(rules, trace, cfg, workers, batch, cache_depth,
-                        shards, steer_symmetric, verify, tout);
+                        shards, verify, tout);
     }
     if (cache_depth != 0) {
       std::cerr << "note: --cache configures the dataplane engine "

@@ -12,8 +12,7 @@
 ///                   [--scale F] [--out FILE] [--parallel N]
 ///                   [--max-workers N]
 ///                   [--ip-alg mbt|bst|rvh]
-///                   [--shards N] [--steer-symmetric]
-///                   [--fault-plan SPEC]
+///                   [--shards N] [--fault-plan SPEC]
 ///                   [--save-workloads DIR] [--load-workloads DIR]
 ///                   [--stats-interval-ms N] [--trace-out FILE]
 ///                   [--metrics-out FILE]
@@ -42,8 +41,6 @@
 /// --shards N runs every scenario's engine as N RSS-style shards, each
 /// owning its classifier replica and flow cache; the trace
 /// is steered per-flow across the full-ruleset replicas.
-/// --steer-symmetric makes both directions of a flow land on the same
-/// shard.
 ///
 /// --fault-plan SPEC overrides the chaos scenario's built-in seeded
 /// fault plan (grammar: throw:w=W@S, stall:w=W@S:ms=D, pubfail:u=K,
@@ -76,8 +73,7 @@ int usage() {
                "[--smoke] [--workers N] [--cache-depth N] [--seed N] "
                "[--scale F] [--out FILE] [--parallel N] [--max-workers N] "
                "[--ip-alg mbt|bst|rvh] "
-               "[--shards N] "
-               "[--steer-symmetric] [--fault-plan SPEC] "
+               "[--shards N] [--fault-plan SPEC] "
                "[--save-workloads DIR] [--load-workloads DIR] "
                "[--stats-interval-ms N] [--trace-out FILE] "
                "[--metrics-out FILE]\n";
@@ -89,55 +85,20 @@ void write_metrics(std::ostream& os,
                    const std::vector<workload::ScenarioResult>& results) {
   telemetry::MetricsWriter m(os);
   using Label = telemetry::MetricsWriter::Label;
-  const auto& build = common::build_info();
-  {
-    const std::array<Label, 3> ls = {Label{"version", build.version},
-                                     Label{"git_sha", build.git_sha},
-                                     Label{"build_type", build.build_type}};
-    m.gauge("pclass_build_info",
-            "Build metadata as labels; value is always 1.", ls, 1.0);
-  }
+  telemetry::write_build_info(m);
   for (const auto& r : results) {
     const std::array<Label, 1> ls = {Label{"scenario", r.name}};
     const dataplane::WorkerReport& e = r.engine;
-    telemetry::write_counter_metrics(m, "pclass_", ls, e.counters);
-    m.gauge("pclass_throughput_mpps", "End-of-run aggregate Mpps", ls,
-            r.mpps);
+    telemetry::write_run_metrics(m, ls, e.counters, r.engine_counters, r.mpps,
+                                 e.latency.percentile(50),
+                                 e.latency.percentile(99));
     m.gauge("pclass_cache_hit_rate", "Flow-cache hit rate", ls,
             e.counters.cache_hit_rate());
-    m.gauge("pclass_lookup_cycles_p50", "Modelled lookup cycles, p50", ls,
-            static_cast<double>(e.latency.percentile(50)));
-    m.gauge("pclass_lookup_cycles_p99", "Modelled lookup cycles, p99", ls,
-            static_cast<double>(e.latency.percentile(99)));
     m.counter("pclass_updates_applied_total", "Southbound updates applied",
               ls, static_cast<double>(r.updates_applied));
-    m.counter("pclass_trace_events_dropped_total",
-              "Trace-ring events lost to overwrite", ls,
-              static_cast<double>(e.trace_events_dropped));
-    m.gauge("pclass_update_visibility_mean_ns",
-            "Mean publish->worker-visible latency", ls,
-            e.counters.update_visibility().mean_ns);
     m.counter("pclass_oracle_mismatches_total",
               "Oracle verification mismatches", ls,
               static_cast<double>(r.oracle_mismatches));
-    m.counter("pclass_worker_restarts_total",
-              "Supervisor restarts of dead workers", ls,
-              static_cast<double>(r.worker_restarts));
-    m.counter("pclass_stall_detections_total",
-              "Watchdog heartbeat-stall episodes", ls,
-              static_cast<double>(r.stall_detections));
-    m.counter("pclass_shards_reassigned_total",
-              "Shards taken over from permanently failed workers", ls,
-              static_cast<double>(r.shards_reassigned));
-    m.counter("pclass_workers_failed_total",
-              "Workers that ended permanently failed (post-retry)", ls,
-              static_cast<double>(r.workers_failed));
-    m.counter("pclass_shed_packets_total",
-              "Offered packets never claimed (owner died, no survivor)",
-              ls, static_cast<double>(r.shed_packets));
-    m.counter("pclass_lost_packets_total",
-              "Packets in flight inside a dead worker", ls,
-              static_cast<double>(r.lost_packets));
   }
 }
 
@@ -191,8 +152,6 @@ int main(int argc, char** argv) {
       // 0 = unsharded (the default geometry).
       if (!parse_count(argv[++i], n) || n > 256) return usage();
       opts.shards = static_cast<usize>(n);
-    } else if (flag == "--steer-symmetric") {
-      opts.steer_symmetric = true;
     } else if (flag == "--fault-plan" && i + 1 < argc) {
       opts.fault_plan = argv[++i];
     } else if (flag == "--parallel" && i + 1 < argc) {
@@ -250,8 +209,10 @@ int main(int argc, char** argv) {
         std::cerr << ", upd-vis " << static_cast<u64>(vis.mean_ns) / 1000
                   << "us mean";
       }
-      if (e.trace_events_dropped > 0) {
-        std::cerr << ", trace-drop " << e.trace_events_dropped;
+      if (const u64 drops = r.engine_counters
+              [telemetry::EngineCounter::trace_events_dropped];
+          drops > 0) {
+        std::cerr << ", trace-drop " << drops;
       }
       for (const auto& we : r.worker_errors) {
         std::cerr << " [" << we << "]";

@@ -12,7 +12,7 @@
 ///                [--listen tcp:PORT | tcp:HOST:PORT | unix:PATH]
 ///                [--workers N] [--batch B] [--cache-depth N]
 ///                [--stats-interval-ms N] [--ip-alg mbt|bst|rvh]
-///                [--shards N] [--steer-symmetric]
+///                [--shards N]
 ///                [--fault-plan SPEC] [--report FILE] [--version]
 ///
 /// --shards N serves the loop with N RSS-style replica shards (per-flow
@@ -39,8 +39,8 @@
 /// Shutdown: SIGINT/SIGTERM or a `write shutdown` request drains the
 /// workers (final telemetry flush included), closes every subscriber
 /// with a terminal record, writes the JSON report (--report, schema
-/// pclass-serve-v1: totals, timeseries, server counters and the
-/// socket-to-dataplane update-visibility rollup) and exits 0.
+/// pclass-serve-v2: totals, engine rows, timeseries, server counters
+/// and the socket-to-dataplane update-visibility rollup) and exits 0.
 #include <unistd.h>
 
 #include <atomic>
@@ -73,7 +73,7 @@ int usage() {
          "                    [--workers N] [--batch B] [--cache-depth N]\n"
          "                    [--stats-interval-ms N] "
          "[--ip-alg mbt|bst|rvh]\n"
-         "                    [--shards N] [--steer-symmetric]\n"
+         "                    [--shards N]\n"
          "                    [--fault-plan SPEC] [--report FILE] "
          "[--version]\n"
          "(rules/trace: ClassBench text or PCR1/PCT1 binaries, sniffed)\n";
@@ -150,7 +150,6 @@ int main(int argc, char** argv) {
   u64 stats_interval_ms = 100;
   core::IpAlgorithm ip_algorithm = core::IpAlgorithm::kMbt;
   usize shards = 0;
-  bool steer_symmetric = false;
   std::string fault_plan_spec;
 
   u64 n = 0;
@@ -189,8 +188,6 @@ int main(int argc, char** argv) {
       // 0 = unsharded.
       if (!parse_count(argv[++i], n) || n > 256) return usage();
       shards = static_cast<usize>(n);
-    } else if (flag == "--steer-symmetric") {
-      steer_symmetric = true;
     } else if (flag == "--fault-plan" && i + 1 < argc) {
       fault_plan_spec = argv[++i];
     } else {
@@ -236,8 +233,7 @@ int main(int argc, char** argv) {
                                  .flow_cache_depth = cache_depth,
                                  .loop = true,
                                  .stats_interval_ms = stats_interval_ms,
-                                 .shards = shards,
-                                 .steer_symmetric = steer_symmetric};
+                                 .shards = shards};
     // The daemon always runs supervised: workers that die restart with
     // bounded retries, stalls are detected, and a permanently failed
     // worker's shards move to survivors instead of wedging the loop.
@@ -305,22 +301,20 @@ int main(int argc, char** argv) {
               << "processed " << rep.packets() << " packets ("
               << rep.aggregate_mpps() << " Mpps aggregate)\n";
     // Surface every worker death — healed incarnations and permanent
-    // failures alike — then fail the run iff a worker ended permanently
-    // failed (post-retry). A restart the supervisor healed is news, not
-    // an error.
-    for (const auto& d : rep.error_log) {
-      std::cerr << "worker " << d.worker << " [restarts=" << d.restarts
-                << (d.permanent ? ", permanent" : ", healed") << "]: "
-                << d.message << "\n";
+    // failures alike — and every nonzero engine row, then fail the run
+    // iff a worker ended permanently failed (post-retry). A restart the
+    // supervisor healed is news, not an error.
+    for (const auto& d : rep.error_log) std::cerr << d.line() << "\n";
+    for (usize i = 0; i < rep.counters.v.size(); ++i) {
+      if (rep.counters.v[i] > 0) {
+        std::cerr << "engine: " << rep.counters.kDefs[i].name << "="
+                  << rep.counters.v[i] << "\n";
+      }
     }
-    if (rep.worker_restarts > 0 || rep.stall_detections > 0 ||
-        rep.shards_reassigned > 0) {
-      std::cerr << "supervisor: restarts=" << rep.worker_restarts
-                << " stalls=" << rep.stall_detections
-                << " shards_reassigned=" << rep.shards_reassigned << "\n";
-    }
-    if (rep.workers_failed > 0) {
-      std::cerr << "error: " << rep.workers_failed
+    if (const u64 failed =
+            rep.counters[telemetry::EngineCounter::workers_failed];
+        failed > 0) {
+      std::cerr << "error: " << failed
                 << " worker(s) ended permanently failed (post-retry)\n";
       return 1;
     }
