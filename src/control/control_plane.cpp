@@ -5,7 +5,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "baseline/linear_search.hpp"
 #include "common/build_info.hpp"
 #include "common/error.hpp"
 #include "common/parse.hpp"
@@ -192,31 +191,16 @@ void ControlPlane::build_registry() {
     // read side, no engine lock — a slow verify must not block stats
     // scrapes or updates.
     const auto snap = publisher_.acquire();
-    const auto installed = snap->classifier().installed_rules();
-    ruleset::RuleSet oracle_rules("oracle");
-    for (const ruleset::Rule& rule : installed) {
-      oracle_rules.add_verbatim(rule);
-    }
-    const baseline::LinearSearch oracle(oracle_rules);
-    u64 checked = 0;
-    u64 mismatches = 0;
-    for (const auto& e : *opts_.verify_trace) {
-      const auto res = snap->classifier().classify(e.header);
-      const ruleset::Rule* want = oracle.classify(e.header, nullptr);
-      const bool agree = want == nullptr
-                             ? !res.match.has_value()
-                             : res.match && res.match->rule == want->id;
-      ++checked;
-      if (!agree) ++mismatches;
-    }
+    const dataplane::OracleCheck c = dataplane::check_against_oracle(
+        snap->classifier(), *opts_.verify_trace);
     std::ostringstream os;
     workload::JsonWriter w(os);
     w.begin_object();
     w.key("schema").value("pclass-verify-v1");
     w.key("snapshot_version").value(snap->version());
     w.key("rules").value(static_cast<u64>(snap->rule_count()));
-    w.key("checked").value(checked);
-    w.key("mismatches").value(mismatches);
+    w.key("checked").value(c.checked);
+    w.key("mismatches").value(c.mismatches);
     w.end_object();
     os << '\n';
     return HandlerResult::with_payload(os.str());

@@ -15,62 +15,6 @@ double seconds_since(Clock::time_point t0) {
 }
 }  // namespace
 
-// ---- WorkerBudget ---------------------------------------------------------
-
-WorkerBudget::WorkerBudget(usize capacity) : capacity_(capacity) {
-  if (capacity == 0) {
-    throw ConfigError("WorkerBudget: capacity must be >= 1");
-  }
-}
-
-usize WorkerBudget::acquire(usize want) {
-  const usize grant = std::max<usize>(1, std::min(want, capacity_));
-  std::unique_lock<std::mutex> lock(mu_);
-  // Ticketed FIFO: grants go strictly in arrival order. Only the head
-  // ticket may take capacity, so a burst of releases can never let a
-  // late small request leapfrog an early large one (the
-  // condition-variable free-for-all this replaces was wakeup-order
-  // unfair under contention).
-  const u64 ticket = next_ticket_++;
-  cv_.wait(lock, [&] {
-    return ticket == serving_ && capacity_ - in_use_ >= grant;
-  });
-  ++serving_;
-  in_use_ += grant;
-  peak_ = std::max(peak_, in_use_);
-  // The new head may already be satisfiable (e.g. it wants fewer slots
-  // than remain) — hand the baton on.
-  cv_.notify_all();
-  return grant;
-}
-
-void WorkerBudget::release(usize granted) {
-  if (granted == 0) return;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (granted > in_use_) {
-      throw InternalError("WorkerBudget: release of more slots than held");
-    }
-    in_use_ -= granted;
-  }
-  cv_.notify_all();
-}
-
-usize WorkerBudget::in_use() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return in_use_;
-}
-
-usize WorkerBudget::peak_in_use() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return peak_;
-}
-
-usize WorkerBudget::waiting() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<usize>(next_ticket_ - serving_);
-}
-
 // ---- Engine ---------------------------------------------------------------
 
 Engine::Engine(EngineConfig cfg, const RuleProgramPublisher& programs)
@@ -92,6 +36,25 @@ void Engine::start(TrafficPool& pool) {
   if (cfg_.capture_verdicts && cfg_.loop) {
     throw ConfigError("Engine: capture_verdicts requires a finite pool");
   }
+  const bool sharded = cfg_.shards > 0;
+  // A sharded engine never runs more threads than shards — extra
+  // threads would idle.
+  const usize thread_count =
+      sharded ? std::min(cfg_.workers, cfg_.shards) : cfg_.workers;
+  const usize nshards = sharded ? cfg_.shards : thread_count;
+  if (cfg_.fault_injector != nullptr) {
+    // A worker event aimed past the last thread would never fire.
+    for (const fault::FaultEvent& e : cfg_.fault_injector->plan().events) {
+      const bool worker_event = e.kind == fault::FaultKind::kWorkerThrow ||
+                                e.kind == fault::FaultKind::kWorkerStall;
+      if (worker_event && e.worker >= thread_count) {
+        throw ConfigError("Engine: fault event " + e.to_string() +
+                          " targets worker " + std::to_string(e.worker) +
+                          ", but the engine runs " +
+                          std::to_string(thread_count) + " worker threads");
+      }
+    }
+  }
   stop_.store(false, std::memory_order_relaxed);
   shards_.clear();
   threads_.clear();
@@ -109,19 +72,6 @@ void Engine::start(TrafficPool& pool) {
     // Injected stalls must not outlive a drain: abort them on stop_.
     cfg_.fault_injector->set_abort_flag(&stop_);
   }
-  const bool sharded = cfg_.shards > 0;
-  // Draw this engine's worker threads from the shared budget (blocking
-  // until the whole grant is free), so concurrent engines never exceed
-  // the budget's capacity in total. A sharded engine never asks for
-  // more threads than shards — extra threads would idle.
-  usize thread_count =
-      sharded ? std::min(cfg_.workers, cfg_.shards) : cfg_.workers;
-  if (cfg_.budget != nullptr) {
-    budget_granted_ = cfg_.budget->acquire(thread_count);
-    thread_count = budget_granted_;
-  }
-  const usize nshards = sharded ? cfg_.shards : thread_count;
-  thread_count = std::min(thread_count, nshards);
 
   // The RSS stage: split the caller's pool into per-flow consistent
   // slices before any worker starts (the software analogue of the NIC
@@ -197,10 +147,6 @@ void Engine::start(TrafficPool& pool) {
     }
     threads_.clear();
     shards_.clear();
-    if (budget_granted_ > 0) {
-      cfg_.budget->release(budget_granted_);
-      budget_granted_ = 0;
-    }
     throw;
   }
   running_ = true;
@@ -545,10 +491,6 @@ EngineReport Engine::finish(bool signal_stop) {
     }
     counters_.add(EngineCounter::trace_events_truncated, truncated);
     final_drained_ = true;
-  }
-  if (budget_granted_ > 0) {
-    cfg_.budget->release(budget_granted_);
-    budget_granted_ = 0;
   }
   return collect();
 }

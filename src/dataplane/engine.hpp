@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -27,59 +26,6 @@
 #include "telemetry/sampler.hpp"
 
 namespace pclass::dataplane {
-
-/// Shared, semaphore-style budget of engine worker threads. Concurrent
-/// engines (e.g. scenarios run by ScenarioRunner::run_many --parallel)
-/// draw their workers from one budget, so total concurrent engine
-/// worker threads never exceed the capacity — the scenarios x workers
-/// oversubscription a parallel catalog run would otherwise inflict on a
-/// small CI runner.
-///
-/// Grants are all-or-nothing: acquire() blocks until the full request
-/// is free and takes it in one step, so an engine always runs with the
-/// same worker count whether the budget is contended or not — which is
-/// what keeps a capped parallel run's reports identical to the
-/// sequential run's. A request larger than the capacity is clamped to
-/// it (the engine runs at the cap instead of deadlocking).
-///
-/// Grants are FIFO by arrival: each acquire() takes a ticket and is
-/// served strictly in ticket order (head-of-line blocking is the
-/// point — a large request at the head is never starved by a stream of
-/// small ones slipping past it), so many-scenario runs are
-/// starvation-free by construction.
-///
-/// Thread-safe. An engine holds its grant from start() until the last
-/// worker joined, so peak_in_use() is a high-water mark of concurrent
-/// engine worker threads.
-class WorkerBudget {
- public:
-  /// \throws ConfigError when \p capacity == 0.
-  explicit WorkerBudget(usize capacity);
-
-  /// Block until min(want, capacity) slots are free, take them all, and
-  /// return the granted count (>= 1).
-  [[nodiscard]] usize acquire(usize want);
-
-  /// Return \p granted slots (the exact count acquire() returned).
-  void release(usize granted);
-
-  [[nodiscard]] usize capacity() const { return capacity_; }
-  [[nodiscard]] usize in_use() const;
-  /// High-water mark of concurrently-granted slots since construction.
-  [[nodiscard]] usize peak_in_use() const;
-  /// Acquirers whose ticket has not been served yet (the queue depth,
-  /// including the head waiting for capacity).
-  [[nodiscard]] usize waiting() const;
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  usize capacity_;
-  usize in_use_ = 0;
-  usize peak_ = 0;
-  u64 next_ticket_ = 0;  ///< next ticket to hand out
-  u64 serving_ = 0;      ///< lowest ticket not yet granted
-};
 
 /// Engine self-healing policy (the watchdog; see docs/ROBUSTNESS.md).
 /// Every worker runs the same sweep loop, heartbeat included; `enabled`
@@ -113,11 +59,6 @@ struct EngineConfig {
   /// false: drain the pool once and return (run()).
   /// true: wrap the pool endlessly until stop() (start()/stop()).
   bool loop = false;
-  /// When set, start() acquires `workers` slots from this budget
-  /// (blocking; clamped to its capacity) and runs with the granted
-  /// count; the grant is released once every worker joined. nullptr =
-  /// unbudgeted.
-  WorkerBudget* budget = nullptr;
   /// Master telemetry switch: per-worker live counters + trace rings +
   /// update-visibility sampling. Always on by default (the contract is
   /// near-zero cost — the overhead gate in bench_dataplane holds it
@@ -162,7 +103,9 @@ struct EngineConfig {
   /// Seeded fault-injection plane: consulted once per worker sweep
   /// (throw/stall events). Borrowed — must outlive the run. start()
   /// wires the injector's abort flag to the engine stop signal so
-  /// injected stalls cancel on drain/shutdown. nullptr in production.
+  /// injected stalls cancel on drain/shutdown, and throws ConfigError
+  /// when a throw/stall event targets a worker the engine does not run.
+  /// nullptr in production.
   fault::FaultInjector* fault_injector = nullptr;
   /// Self-healing supervisor (heartbeats + watchdog + bounded restarts
   /// + sharded-engine shard takeover). See SupervisorConfig.
@@ -183,6 +126,7 @@ class Engine {
   EngineReport run(TrafficPool& pool);
 
   /// Launch the workers without blocking (loop mode's entry point).
+  /// \throws ConfigError for a fault plan the engine cannot run.
   void start(TrafficPool& pool);
 
   /// Signal, join and report. Idempotent once stopped.
@@ -315,7 +259,6 @@ class Engine {
   std::atomic<bool> stop_{false};
   bool running_ = false;
   double wall_seconds_ = 0;
-  usize budget_granted_ = 0;  ///< slots held from cfg_.budget, 0 = none
   // ---- supervisor + conservation state (PR 9) ----
   std::chrono::steady_clock::time_point start_time_;
   std::thread watchdog_;

@@ -2,9 +2,35 @@
 
 #include <thread>
 
+#include "baseline/linear_search.hpp"
 #include "telemetry/trace_ring.hpp"
 
 namespace pclass::dataplane {
+
+ruleset::RuleSet installed_ruleset(const core::ConfigurableClassifier& clf) {
+  ruleset::RuleSet rules("installed");
+  for (const ruleset::Rule& rule : clf.installed_rules()) {
+    rules.add_verbatim(rule);
+  }
+  return rules;
+}
+
+OracleCheck check_against_oracle(const core::ConfigurableClassifier& clf,
+                                 const net::Trace& trace) {
+  const baseline::LinearSearch oracle(installed_ruleset(clf));
+  OracleCheck c;
+  for (const auto& e : trace) {
+    const auto got = clf.classify(e.header);
+    const ruleset::Rule* want = oracle.classify(e.header, nullptr);
+    if (want != nullptr) ++c.oracle_matched;
+    const bool agree = want == nullptr
+                           ? !got.match.has_value()
+                           : got.match && got.match->rule == want->id;
+    ++c.checked;
+    if (!agree) ++c.mismatches;
+  }
+  return c;
+}
 
 RuleProgramPublisher::RuleProgramPublisher(core::ClassifierConfig cfg)
     : cfg_(cfg) {

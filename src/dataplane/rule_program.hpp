@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "core/classifier.hpp"
+#include "net/trace.hpp"
 #include "sdn/southbound.hpp"
 #include "telemetry/publish_clock.hpp"
 
@@ -59,6 +60,25 @@ class RuleProgram {
   core::ConfigurableClassifier clf_;
   u64 version_ = 0;
 };
+
+/// The rules installed in \p clf, added verbatim: the installed
+/// priorities are authoritative (baseline::LinearSearch orders by them
+/// itself), so no back-fill may run.
+[[nodiscard]] ruleset::RuleSet installed_ruleset(
+    const core::ConfigurableClassifier& clf);
+
+/// Per-header agreement of a classifier with the linear-search oracle.
+struct OracleCheck {
+  usize checked = 0;         ///< headers re-classified
+  usize mismatches = 0;      ///< headers where the two verdicts differ
+  usize oracle_matched = 0;  ///< headers the oracle matches
+};
+
+/// Re-classify every \p trace header with \p clf and compare the rule
+/// with baseline::LinearSearch over clf's own installed rules. Exact
+/// only in CombineMode::kCrossProduct.
+[[nodiscard]] OracleCheck check_against_oracle(
+    const core::ConfigurableClassifier& clf, const net::Trace& trace);
 
 /// Counters of the publisher's write side.
 struct PublisherStats {

@@ -174,10 +174,11 @@ void FaultInjector::on_worker_batch(usize worker, u64 sweep) {
   }
   if (stall_ms > 0) {
     // Abort-aware stall: 1 ms slices so an engine stop (drain/shutdown)
-    // issued mid-stall is honoured within the watchdog deadline.
-    const auto until =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(stall_ms);
-    while (std::chrono::steady_clock::now() < until) {
+    // issued mid-stall is honoured within the watchdog deadline. The
+    // slices are counted, not timed against the wall clock: a pause of
+    // the whole process (a sanitizer's stop-the-world, a debugger) then
+    // swallows one slice instead of the stall the watchdog must see.
+    for (u64 slept = 0; slept < stall_ms; ++slept) {
       if (abort_ != nullptr && abort_->load(std::memory_order_relaxed)) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }

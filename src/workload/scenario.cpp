@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <functional>
 #include <map>
 #include <ostream>
 #include <thread>
@@ -42,15 +40,17 @@ struct ScenarioWorkload {
   net::Trace trace;
 };
 
+using WorkloadSynth = std::function<ScenarioWorkload(const ScenarioOptions&)>;
+
 /// Resolve a scenario's workload: load the versioned PCR1/PCT1 files
 /// when --load-workloads is set, synthesize otherwise, and save when
 /// --save-workloads is set (loading + saving round-trips the bytes).
-ScenarioWorkload obtain_workload(
-    const ScenarioOptions& opts, const std::string& name,
-    const std::function<ScenarioWorkload()>& synth) {
+ScenarioWorkload obtain_workload(const ScenarioOptions& opts,
+                                 const std::string& name,
+                                 const WorkloadSynth& synth) {
   ScenarioWorkload w =
       opts.load_workloads_dir.empty()
-          ? synth()
+          ? synth(opts)
           : ScenarioWorkload{
                 binio::load_ruleset_file(opts.load_workloads_dir + "/" +
                                          name + ".rules.pcr1"),
@@ -66,7 +66,63 @@ ScenarioWorkload obtain_workload(
   return w;
 }
 
-using dataplane::WorkerBudget;
+// ---- workloads ------------------------------------------------------------
+
+/// Rules from \p rp and a standard-profile trace of \p packets over them.
+ScenarioWorkload with_standard_trace(const RulesetProfile& rp, usize packets,
+                                     u64 trace_seed) {
+  ruleset::RuleSet rules = synthesize(rp);
+  TraceSynthesizer ts(rules, TraceProfile::standard(packets, trace_seed));
+  net::Trace trace = ts.generate();
+  return ScenarioWorkload{std::move(rules), std::move(trace)};
+}
+
+ScenarioWorkload family_workload(const ScenarioOptions& opts,
+                                 const std::string& family, u64 trace_salt) {
+  const usize rules_n = scaled(family == "fw" ? 1500 : 2000, opts.scale, 96);
+  return with_standard_trace(
+      RulesetProfile::by_family(family, rules_n, opts.seed),
+      scaled(60'000, opts.scale, 2048), opts.seed ^ trace_salt);
+}
+
+ScenarioWorkload zipf_locality_workload(const ScenarioOptions& opts) {
+  ruleset::RuleSet rules = synthesize(
+      RulesetProfile::acl(scaled(1200, opts.scale, 96), opts.seed));
+  TraceSynthesizer ts(rules,
+                      TraceProfile::zipf_heavy(scaled(80'000, opts.scale, 2048),
+                                               opts.seed ^ 0x21BF));
+  net::Trace trace = ts.generate();
+  return ScenarioWorkload{std::move(rules), std::move(trace)};
+}
+
+ScenarioWorkload cache_thrash_workload(const ScenarioOptions& opts) {
+  ruleset::RuleSet rules = synthesize(
+      RulesetProfile::acl(scaled(1200, opts.scale, 96), opts.seed));
+  // 8x more concurrently-active flows than cache lines: worker-local
+  // repeat distance exceeds the cache even when N workers partition
+  // the stream, so hits stay near zero.
+  const usize flows = std::max<usize>(usize{opts.flow_cache_depth} * 8, 64);
+  net::Trace trace = make_cache_thrash_trace(
+      rules, scaled(60'000, opts.scale, 2048), flows, opts.seed ^ 0x7447);
+  return ScenarioWorkload{std::move(rules), std::move(trace)};
+}
+
+ScenarioWorkload trie_depth_workload(const ScenarioOptions& opts) {
+  ruleset::RuleSet rules = synthesize(
+      RulesetProfile::acl(scaled(1600, opts.scale, 96), opts.seed));
+  net::Trace trace = make_trie_depth_trace(
+      rules, scaled(60'000, opts.scale, 2048), opts.seed ^ 0xDEEF);
+  return ScenarioWorkload{std::move(rules), std::move(trace)};
+}
+
+/// Both storm scenarios churn over the same base workload.
+ScenarioWorkload storm_workload(const ScenarioOptions& opts) {
+  return with_standard_trace(
+      RulesetProfile::acl(scaled(1000, opts.scale, 96), opts.seed),
+      scaled(40'000, opts.scale, 2048), opts.seed ^ 0xABCD);
+}
+
+// ---- measurement ----------------------------------------------------------
 
 /// Copy the engine-side measurement into the result (by value: the
 /// telemetry series and trace events are moved out of the report).
@@ -96,24 +152,10 @@ void fill_engine_stats(ScenarioResult& r, EngineReport rep) {
 /// compare with the linear-search ground truth over the same rules.
 void verify_oracle(ScenarioResult& r, const RuleProgramPublisher& programs,
                    const net::Trace& trace) {
-  const auto snap = programs.acquire();
-  const auto installed = snap->classifier().installed_rules();
-  // Reconstruct verbatim: the installed priorities are authoritative
-  // (LinearSearch orders by them itself), so no back-fill may run.
-  ruleset::RuleSet oracle_rules("oracle");
-  for (const ruleset::Rule& rule : installed) {
-    oracle_rules.add_verbatim(rule);
-  }
-  const baseline::LinearSearch oracle(oracle_rules);
-  for (const auto& e : trace) {
-    const auto res = snap->classifier().classify(e.header);
-    const ruleset::Rule* want = oracle.classify(e.header, nullptr);
-    const bool agree = want == nullptr
-                           ? !res.match.has_value()
-                           : res.match && res.match->rule == want->id;
-    ++r.oracle_checked;
-    if (!agree) ++r.oracle_mismatches;
-  }
+  const dataplane::OracleCheck c =
+      dataplane::check_against_oracle(programs.acquire()->classifier(), trace);
+  r.oracle_checked = c.checked;
+  r.oracle_mismatches = c.mismatches;
 }
 
 /// Device configuration sized for the scenario (exact lookup mode).
@@ -128,124 +170,50 @@ core::ClassifierConfig scenario_config(const ruleset::RuleSet& rules,
 }
 
 /// Engine geometry for a scenario (loop/shards vary per call site).
-EngineConfig engine_config(const ScenarioOptions& opts, WorkerBudget* budget,
-                           bool loop, usize shards) {
+EngineConfig engine_config(const ScenarioOptions& opts, bool loop,
+                           usize shards) {
   return {.workers = opts.workers,
           .batch_size = opts.batch_size,
           .flow_cache_depth = opts.flow_cache_depth,
           .loop = loop,
-          .budget = budget,
           .stats_interval_ms = opts.stats_interval_ms,
           .collect_trace = opts.collect_trace,
           .shards = shards};
 }
 
-/// Drain the trace once through the engine and collect stats + oracle.
-void run_finite(ScenarioResult& r, const ScenarioOptions& opts,
-                WorkerBudget* budget, const ruleset::RuleSet& rules,
-                const net::Trace& trace) {
-  r.rules = rules.size();
-  r.trace_packets = trace.size();
-  TrafficPool pool =
-      TrafficPool::from_trace(trace, /*materialize_packets=*/false);
-  const EngineConfig ecfg =
-      engine_config(opts, budget, /*loop=*/false, opts.shards);
-  RuleProgramPublisher programs(scenario_config(rules, 0, opts));
-  programs.install_ruleset(rules);
-  Engine engine(ecfg, programs);
-  EngineReport rep = engine.run(pool);
-  fill_engine_stats(r, std::move(rep));
-  verify_oracle(r, programs, trace);
-}
-
 // ---- scenario bodies ------------------------------------------------------
 
-ScenarioResult run_family(const ScenarioOptions& opts, WorkerBudget* budget,
-                          const std::string& name,
-                          const std::string& family) {
-  ScenarioResult r;
-  const ScenarioWorkload w = obtain_workload(opts, name, [&] {
-    const usize rules_n =
-        scaled(family == "fw" ? 1500 : 2000, opts.scale, 96);
-    const usize packets = scaled(60'000, opts.scale, 2048);
-    RulesetProfile rp = RulesetProfile::by_family(family, rules_n, opts.seed);
-    ruleset::RuleSet rules = synthesize(rp);
-    TraceSynthesizer ts(rules,
-                        TraceProfile::standard(packets, opts.seed ^ 0xABCD));
-    net::Trace trace = ts.generate();
-    return ScenarioWorkload{std::move(rules), std::move(trace)};
-  });
-  run_finite(r, opts, budget, w.rules, w.trace);
-  return r;
+/// A body that drains its workload once through the engine, then checks
+/// every header against the oracle.
+ScenarioBody finite(WorkloadSynth synth) {
+  return [synth = std::move(synth)](const ScenarioOptions& opts,
+                                    const std::string& name) {
+    const ScenarioWorkload w = obtain_workload(opts, name, synth);
+    ScenarioResult r;
+    r.rules = w.rules.size();
+    r.trace_packets = w.trace.size();
+    TrafficPool pool =
+        TrafficPool::from_trace(w.trace, /*materialize_packets=*/false);
+    RuleProgramPublisher programs(scenario_config(w.rules, 0, opts));
+    programs.install_ruleset(w.rules);
+    Engine engine(engine_config(opts, /*loop=*/false, opts.shards), programs);
+    fill_engine_stats(r, engine.run(pool));
+    verify_oracle(r, programs, w.trace);
+    return r;
+  };
 }
 
-ScenarioResult run_zipf_locality(const ScenarioOptions& opts,
-                                 WorkerBudget* budget,
-                                 const std::string& name) {
-  ScenarioResult r;
-  const ScenarioWorkload w = obtain_workload(opts, name, [&] {
-    ruleset::RuleSet rules = synthesize(
-        RulesetProfile::acl(scaled(1200, opts.scale, 96), opts.seed));
-    TraceSynthesizer ts(rules,
-                        TraceProfile::zipf_heavy(
-                            scaled(80'000, opts.scale, 2048),
-                            opts.seed ^ 0x21BF));
-    net::Trace trace = ts.generate();
-    return ScenarioWorkload{std::move(rules), std::move(trace)};
+/// A finite body over a ClassBench-family ruleset with standard traffic.
+ScenarioBody family(std::string name) {
+  return finite([name = std::move(name)](const ScenarioOptions& opts) {
+    return family_workload(opts, name, 0xABCD);
   });
-  run_finite(r, opts, budget, w.rules, w.trace);
-  return r;
-}
-
-ScenarioResult run_cache_thrash(const ScenarioOptions& opts,
-                                WorkerBudget* budget,
-                                const std::string& name) {
-  ScenarioResult r;
-  const ScenarioWorkload w = obtain_workload(opts, name, [&] {
-    ruleset::RuleSet rules = synthesize(
-        RulesetProfile::acl(scaled(1200, opts.scale, 96), opts.seed));
-    // 8x more concurrently-active flows than cache lines: worker-local
-    // repeat distance exceeds the cache even when N workers partition
-    // the stream, so hits stay near zero.
-    const usize flows =
-        std::max<usize>(usize{opts.flow_cache_depth} * 8, 64);
-    net::Trace trace = make_cache_thrash_trace(
-        rules, scaled(60'000, opts.scale, 2048), flows, opts.seed ^ 0x7447);
-    return ScenarioWorkload{std::move(rules), std::move(trace)};
-  });
-  run_finite(r, opts, budget, w.rules, w.trace);
-  return r;
-}
-
-ScenarioResult run_trie_depth(const ScenarioOptions& opts,
-                              WorkerBudget* budget,
-                              const std::string& name) {
-  ScenarioResult r;
-  const ScenarioWorkload w = obtain_workload(opts, name, [&] {
-    ruleset::RuleSet rules = synthesize(
-        RulesetProfile::acl(scaled(1600, opts.scale, 96), opts.seed));
-    net::Trace trace = make_trie_depth_trace(
-        rules, scaled(60'000, opts.scale, 2048), opts.seed ^ 0xDEEF);
-    return ScenarioWorkload{std::move(rules), std::move(trace)};
-  });
-  run_finite(r, opts, budget, w.rules, w.trace);
-  return r;
 }
 
 ScenarioResult run_update_storm(const ScenarioOptions& opts,
-                                WorkerBudget* budget,
                                 const std::string& name) {
   ScenarioResult r;
-  const ScenarioWorkload w = obtain_workload(opts, name, [&] {
-    ruleset::RuleSet rules = synthesize(
-        RulesetProfile::acl(scaled(1000, opts.scale, 96), opts.seed));
-    TraceSynthesizer ts(rules,
-                        TraceProfile::standard(
-                            scaled(40'000, opts.scale, 2048),
-                            opts.seed ^ 0xABCD));
-    net::Trace trace = ts.generate();
-    return ScenarioWorkload{std::move(rules), std::move(trace)};
-  });
+  const ScenarioWorkload w = obtain_workload(opts, name, storm_workload);
   const ruleset::RuleSet& rules = w.rules;
   const net::Trace& trace = w.trace;
   r.rules = rules.size();
@@ -266,8 +234,7 @@ ScenarioResult run_update_storm(const ScenarioOptions& opts,
   const u64 version_before = programs.version();
   TrafficPool pool =
       TrafficPool::from_trace(trace, /*materialize_packets=*/false);
-  Engine engine(engine_config(opts, budget, /*loop=*/true, opts.shards),
-                programs);
+  Engine engine(engine_config(opts, /*loop=*/true, opts.shards), programs);
   engine.start(pool);
   const auto t0 = std::chrono::steady_clock::now();
   for (const sdn::Message& msg : storm.schedule) {
@@ -276,10 +243,7 @@ ScenarioResult run_update_storm(const ScenarioOptions& opts,
   const double storm_secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  {
-    EngineReport rep = engine.stop();
-    fill_engine_stats(r, std::move(rep));
-  }
+  fill_engine_stats(r, engine.stop());
 
   r.updates_applied = storm.schedule.size();
   r.updates_per_sec =
@@ -302,22 +266,11 @@ ScenarioResult run_update_storm(const ScenarioOptions& opts,
 /// mid-trace; the oracle check below catches a verdict served from a
 /// stale snapshot or flow cache.
 ScenarioResult run_update_storm_multi(const ScenarioOptions& opts,
-                                      WorkerBudget* budget,
                                       const std::string& name) {
   ScenarioResult r;
-  const ScenarioWorkload w = obtain_workload(opts, name, [&] {
-    ruleset::RuleSet rules = synthesize(
-        RulesetProfile::acl(scaled(1000, opts.scale, 96), opts.seed));
-    TraceSynthesizer ts(rules,
-                        TraceProfile::standard(
-                            scaled(40'000, opts.scale, 2048),
-                            opts.seed ^ 0xABCD));
-    net::Trace trace = ts.generate();
-    return ScenarioWorkload{std::move(rules), std::move(trace)};
-  });
+  const ScenarioWorkload w = obtain_workload(opts, name, storm_workload);
   r.rules = w.rules.size();
   r.trace_packets = w.trace.size();
-
   constexpr usize kWriters = 4;
   // Even count per writer: each schedule ends on a delete, so the storm
   // leaves exactly the base set installed for the oracle comparison.
@@ -341,8 +294,7 @@ ScenarioResult run_update_storm_multi(const ScenarioOptions& opts,
   const u64 version_before = programs.version();
   TrafficPool pool =
       TrafficPool::from_trace(w.trace, /*materialize_packets=*/false);
-  Engine engine(engine_config(opts, budget, /*loop=*/true, opts.shards),
-                programs);
+  Engine engine(engine_config(opts, /*loop=*/true, opts.shards), programs);
   engine.start(pool);
 
   std::array<std::string, kWriters> writer_errors;
@@ -376,10 +328,7 @@ ScenarioResult run_update_storm_multi(const ScenarioOptions& opts,
   const double storm_secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  {
-    EngineReport rep = engine.stop();
-    fill_engine_stats(r, std::move(rep));
-  }
+  fill_engine_stats(r, engine.stop());
 
   r.updates_applied = total_updates;
   r.updates_per_sec =
@@ -408,11 +357,8 @@ class ChaosOracles {
  public:
   void record(const RuleProgramPublisher& pub) {
     const std::shared_ptr<const dataplane::RuleProgram> prog = pub.acquire();
-    ruleset::RuleSet rs("v" + std::to_string(prog->version()));
-    for (const ruleset::Rule& rule : prog->classifier().installed_rules()) {
-      rs.add_verbatim(rule);
-    }
-    rules_.insert_or_assign(prog->version(), std::move(rs));
+    rules_.insert_or_assign(prog->version(),
+                            dataplane::installed_ruleset(prog->classifier()));
   }
 
   [[nodiscard]] const baseline::LinearSearch* at(u64 version) {
@@ -443,19 +389,13 @@ constexpr const char* kDefaultChaosPlan =
 /// checked against the LinearSearch oracle at its snapshot version, and
 /// the run must conserve packets exactly: delivered + shed + lost ==
 /// offered.
-ScenarioResult run_chaos(const ScenarioOptions& opts, WorkerBudget* budget,
+ScenarioResult run_chaos(const ScenarioOptions& opts,
                          const std::string& name) {
   ScenarioResult r;
-  const ScenarioWorkload w = obtain_workload(opts, name, [&] {
-    const usize rules_n = scaled(1500, opts.scale, 96);
-    const usize packets = scaled(60'000, opts.scale, 2048);
-    RulesetProfile rp = RulesetProfile::by_family("fw", rules_n, opts.seed);
-    ruleset::RuleSet rules = synthesize(rp);
-    TraceSynthesizer ts(rules,
-                        TraceProfile::standard(packets, opts.seed ^ 0xC4A0));
-    net::Trace trace = ts.generate();
-    return ScenarioWorkload{std::move(rules), std::move(trace)};
-  });
+  const ScenarioWorkload w =
+      obtain_workload(opts, name, [](const ScenarioOptions& o) {
+        return family_workload(o, "fw", 0xC4A0);
+      });
   r.rules = w.rules.size();
   r.trace_packets = w.trace.size();
 
@@ -472,7 +412,7 @@ ScenarioResult run_chaos(const ScenarioOptions& opts, WorkerBudget* budget,
   copts.flow_cache_depth = 0;
   const usize shards =
       std::max<usize>(opts.shards == 0 ? 4 : opts.shards, copts.workers);
-  EngineConfig ecfg = engine_config(copts, budget, /*loop=*/false, shards);
+  EngineConfig ecfg = engine_config(copts, /*loop=*/false, shards);
   ecfg.capture_verdicts = true;
   ecfg.fault_injector = &injector;
   ecfg.supervisor.enabled = true;
@@ -580,152 +520,87 @@ ScenarioRunner::ScenarioRunner(ScenarioOptions opts) : opts_(opts) {
   if (opts_.scale <= 0) {
     throw ConfigError("ScenarioRunner: scale must be > 0");
   }
-  // The shared engine-worker budget: every scenario this runner starts
-  // draws its worker threads from it, so concurrent scenarios can never
-  // hold more than max_workers threads in total. Auto (0) = the
-  // hardware thread count — parallelism without oversubscription.
-  usize capacity = opts_.max_workers;
-  if (capacity == 0) {
-    // Auto must never cut a single scenario below its requested width
-    // (that would make per-worker-partitioned metrics depend on the
-    // host's core count even in sequential runs); it only caps how many
-    // scenarios run at full width concurrently.
-    const usize hw = std::thread::hardware_concurrency();
-    capacity = std::max<usize>(hw, opts_.workers);
-  }
-  budget_ = std::make_unique<WorkerBudget>(std::max<usize>(capacity, 1));
 }
-
-ScenarioRunner::~ScenarioRunner() = default;
 
 const std::vector<ScenarioSpec>& ScenarioRunner::catalog() {
   static const std::vector<ScenarioSpec> kCatalog = {
       {"acl-like",
-       "ACL-shaped ruleset (host-heavy, exact dports), standard trace"},
+       "ACL-shaped ruleset (host-heavy, exact dports), standard trace",
+       family("acl")},
       {"fw-like",
        "FW-shaped ruleset (wildcards, port ranges, nesting), standard "
-       "trace"},
+       "trace",
+       family("fw")},
       {"ipc-like",
-       "IPC-shaped ruleset (correlated endpoint pairs), standard trace"},
+       "IPC-shaped ruleset (correlated endpoint pairs), standard trace",
+       family("ipc")},
       {"zipf-locality",
-       "heavy-head Zipf flows with bursts — the flow cache's best case"},
+       "heavy-head Zipf flows with bursts — the flow cache's best case",
+       finite(zipf_locality_workload)},
       {"cache-thrash",
-       "8x more active flows than cache lines, maximal repeat distance"},
+       "8x more active flows than cache lines, maximal repeat distance",
+       finite(cache_thrash_workload)},
       {"trie-depth",
        "headers walking the longest installed prefixes (worst-case "
-       "lookup depth)"},
+       "lookup depth)",
+       finite(trie_depth_workload)},
       {"update-storm",
        "southbound add/delete churn through the RCU publisher under "
-       "concurrent lookups"},
+       "concurrent lookups",
+       run_update_storm},
       {"update-storm-multi",
        "paced 4-writer churn contending on the publisher's writer mutex "
-       "— snapshot swaps stress flow-cache invalidation mid-trace"},
+       "— snapshot swaps stress flow-cache invalidation mid-trace",
+       run_update_storm_multi},
       {"chaos",
        "fw-like workload in sharded replica mode under a seeded "
        "FaultPlan: worker kills, a stall and a failed publisher apply — "
-       "supervised, oracle-clean and packet-conserving"},
+       "supervised, oracle-clean and packet-conserving",
+       run_chaos},
   };
   return kCatalog;
 }
 
-ScenarioResult ScenarioRunner::run(const std::string& name) {
-  const auto& specs = catalog();
+namespace {
+
+/// The catalog entry called \p name. \throws ConfigError if none is.
+const ScenarioSpec& find_spec(const std::string& name) {
+  const auto& specs = ScenarioRunner::catalog();
   const auto it =
       std::find_if(specs.begin(), specs.end(),
                    [&](const ScenarioSpec& s) { return s.name == name; });
-  if (it == specs.end()) {
-    std::string known;
-    for (const auto& s : specs) {
-      known += (known.empty() ? "" : ", ") + s.name;
-    }
-    throw ConfigError("unknown scenario '" + name + "' (catalog: " + known +
-                      ")");
+  if (it != specs.end()) return *it;
+  std::string known;
+  for (const auto& s : specs) {
+    known += (known.empty() ? "" : ", ") + s.name;
   }
+  throw ConfigError("unknown scenario '" + name + "' (catalog: " + known +
+                    ")");
+}
 
+}  // namespace
+
+ScenarioResult ScenarioRunner::run(const std::string& name) {
+  const ScenarioSpec& spec = find_spec(name);
   ScenarioResult r;
   try {
-    WorkerBudget* const b = budget_.get();
-    if (name == "acl-like") r = run_family(opts_, b, name, "acl");
-    else if (name == "fw-like") r = run_family(opts_, b, name, "fw");
-    else if (name == "ipc-like") r = run_family(opts_, b, name, "ipc");
-    else if (name == "zipf-locality") r = run_zipf_locality(opts_, b, name);
-    else if (name == "cache-thrash") r = run_cache_thrash(opts_, b, name);
-    else if (name == "trie-depth") r = run_trie_depth(opts_, b, name);
-    else if (name == "update-storm") r = run_update_storm(opts_, b, name);
-    else if (name == "update-storm-multi") {
-      r = run_update_storm_multi(opts_, b, name);
-    }
-    else if (name == "chaos") r = run_chaos(opts_, b, name);
+    r = spec.body(opts_, spec.name);
   } catch (const std::exception& e) {
     r.error = e.what();
   }
-  r.name = it->name;
-  r.description = it->description;
+  r.name = spec.name;
+  r.description = spec.description;
   return r;
 }
 
 std::vector<ScenarioResult> ScenarioRunner::run_many(
     const std::vector<std::string>& names) {
   // Validate every name up front so an unknown one throws before any
-  // scenario (or thread) starts.
-  const auto& specs = catalog();
-  for (const std::string& name : names) {
-    if (std::none_of(specs.begin(), specs.end(),
-                     [&](const ScenarioSpec& s) { return s.name == name; })) {
-      std::string known;
-      for (const auto& s : specs) {
-        known += (known.empty() ? "" : ", ") + s.name;
-      }
-      throw ConfigError("unknown scenario '" + name + "' (catalog: " +
-                        known + ")");
-    }
-  }
-  usize pool = opts_.parallel;
-  if (pool == 0) {
-    // Auto-size from the worker budget: as many scenarios as can run at
-    // their full worker width simultaneously. The budget is the actual
-    // gate (engines block in acquire() when the pool over-claims), so
-    // this is purely the no-queueing sweet spot — not a second cap.
-    const usize per =
-        std::max<usize>(1, std::min(opts_.workers, budget_->capacity()));
-    pool = std::max<usize>(1, budget_->capacity() / per);
-  }
-  pool = std::min(pool, names.size());
-  // A repeated name would race two writers on the same --save-workloads
-  // files (and measure itself against itself); run such lists
-  // sequentially — last write wins, as it always did.
-  std::vector<std::string> sorted_names = names;
-  std::sort(sorted_names.begin(), sorted_names.end());
-  if (std::adjacent_find(sorted_names.begin(), sorted_names.end()) !=
-      sorted_names.end()) {
-    pool = 1;
-  }
-
-  std::vector<ScenarioResult> out(names.size());
-  if (pool <= 1) {
-    for (usize i = 0; i < names.size(); ++i) {
-      out[i] = run(names[i]);
-    }
-    return out;
-  }
-  // Scenarios are independent (each builds its own publisher, engine
-  // and workload; run() is thread-safe), so a claim cursor over the
-  // name list is all the scheduling needed. Results land at their list
-  // index, keeping the report deterministic regardless of completion
-  // order.
-  std::atomic<usize> next{0};
-  std::vector<std::thread> threads;
-  threads.reserve(pool);
-  for (usize t = 0; t < pool; ++t) {
-    threads.emplace_back([&] {
-      while (true) {
-        const usize i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= names.size()) break;
-        out[i] = run(names[i]);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
+  // scenario runs.
+  for (const std::string& name : names) (void)find_spec(name);
+  std::vector<ScenarioResult> out;
+  out.reserve(names.size());
+  for (const std::string& name : names) out.push_back(run(name));
   return out;
 }
 
@@ -747,7 +622,7 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
                        const std::vector<ScenarioResult>& results) {
   JsonWriter j(os);
   j.begin_object();
-  j.key("schema").value("pclass-scenarios-v6");
+  j.key("schema").value("pclass-scenarios-v7");
   j.key("meta").begin_object();
   j.key("build").begin_object();
   common::write_build_fields(j);
@@ -760,8 +635,6 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
   j.key("scale").value(opts.scale);
   j.key("seed").value(u64{opts.seed});
   j.key("ip_algorithm").value(std::string(to_string(opts.ip_algorithm)));
-  j.key("parallel").value(opts.parallel);
-  j.key("max_workers").value(opts.max_workers);
   j.key("stats_interval_ms").value(u64{opts.stats_interval_ms});
   j.key("shards").value(opts.shards);
   j.key("fault_plan").value(opts.fault_plan);

@@ -12,8 +12,8 @@
 /// exit for CI.
 #pragma once
 
+#include <functional>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,10 +24,6 @@
 #include "net/packet_batch.hpp"
 #include "telemetry/sample.hpp"
 #include "telemetry/trace_ring.hpp"
-
-namespace pclass::dataplane {
-class WorkerBudget;
-}
 
 namespace pclass::workload {
 
@@ -43,17 +39,6 @@ struct ScenarioOptions {
   /// per-family win/loss axis of the catalog (MBT/BST trie family vs
   /// the incremental-update RVH).
   core::IpAlgorithm ip_algorithm = core::IpAlgorithm::kMbt;
-  /// Scenarios run concurrently by run_all()/run_many() (results are
-  /// independent; report order stays catalog order). 0 = auto: as many
-  /// as the worker budget can serve at full width (max_workers /
-  /// workers-per-scenario); 1 = sequential.
-  usize parallel = 0;
-  /// Capacity of the runner's shared dataplane::WorkerBudget: total
-  /// engine worker threads across *all* concurrently-running scenarios
-  /// (--max-workers). 0 = auto (the hardware thread count), so a
-  /// parallel catalog run can never oversubscribe the host with
-  /// scenarios x workers threads.
-  usize max_workers = 0;
   /// When non-empty, write each scenario's synthesized workload to
   /// DIR/<scenario>.rules.pcr1 + DIR/<scenario>.trace.pct1 (versioned
   /// binio formats, byte-stable across hosts).
@@ -140,30 +125,34 @@ struct ScenarioResult {
   }
 };
 
-/// Catalog entry: a name the CLI accepts plus a one-line description.
+/// A scenario's body: builds its workload (obtaining it under \p name
+/// when --save-/--load-workloads is set), runs it and verifies it.
+using ScenarioBody =
+    std::function<ScenarioResult(const ScenarioOptions&, const std::string&)>;
+
+/// Catalog entry: a name the CLI accepts, a one-line description and
+/// the body that runs it.
 struct ScenarioSpec {
   std::string name;
   std::string description;
+  ScenarioBody body;
 };
 
-/// Runs scenarios from the built-in catalog.
+/// Runs scenarios from the built-in catalog, one at a time.
 class ScenarioRunner {
  public:
   explicit ScenarioRunner(ScenarioOptions opts = {});
-  ~ScenarioRunner();
 
   /// The built-in catalog (stable order; >= 6 scenarios).
   [[nodiscard]] static const std::vector<ScenarioSpec>& catalog();
 
   /// Run one scenario by name. Never throws for scenario-internal
   /// failures — those land in result.error; unknown names throw
-  /// ConfigError. Thread-safe: scenarios share nothing but the
-  /// (read-only) options, which is what run_many() exploits.
+  /// ConfigError.
   [[nodiscard]] ScenarioResult run(const std::string& name);
 
-  /// Run a list of scenarios on a small thread pool
-  /// (ScenarioOptions::parallel), preserving the list's order in the
-  /// results. Unknown names throw ConfigError before anything runs.
+  /// Run a list of scenarios in order; results keep the list's order.
+  /// Unknown names throw ConfigError before anything runs.
   [[nodiscard]] std::vector<ScenarioResult> run_many(
       const std::vector<std::string>& names);
 
@@ -172,19 +161,12 @@ class ScenarioRunner {
 
   [[nodiscard]] const ScenarioOptions& options() const { return opts_; }
 
-  /// The shared worker budget every scenario's engine draws from
-  /// (capacity = resolved max_workers). Its peak_in_use() is the
-  /// high-water mark of concurrent engine worker threads across the
-  /// runner's lifetime — what the cap tests assert on.
-  [[nodiscard]] dataplane::WorkerBudget& budget() { return *budget_; }
-
  private:
   ScenarioOptions opts_;
-  std::unique_ptr<dataplane::WorkerBudget> budget_;
 };
 
 /// Emit the single JSON report CI archives (schema
-/// "pclass-scenarios-v6"): options, per-scenario results and the
+/// "pclass-scenarios-v7"): options, per-scenario results and the
 /// aggregate all_ok verdict.
 void write_json_report(std::ostream& os, const ScenarioOptions& opts,
                        const std::vector<ScenarioResult>& results);

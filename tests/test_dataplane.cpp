@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <thread>
 
 #include "baseline/linear_search.hpp"
@@ -202,51 +201,6 @@ TEST(BatchBoundaries, EmptyBatchOfOneAndOverCapacity) {
 }
 
 // ---- rule-program snapshots ----------------------------------------------
-
-// ---- WorkerBudget ---------------------------------------------------------
-
-TEST(WorkerBudget, AcquireClampsBlocksAndTracksPeak) {
-  EXPECT_THROW(WorkerBudget{0}, ConfigError);
-  WorkerBudget b(2);
-  EXPECT_EQ(b.capacity(), 2u);
-  // Over-asks are clamped to the capacity, never deadlocked.
-  EXPECT_EQ(b.acquire(5), 2u);
-  EXPECT_EQ(b.in_use(), 2u);
-
-  // A second acquire must block until the grant comes back.
-  std::atomic<bool> got{false};
-  std::thread waiter([&] {
-    const usize g = b.acquire(1);
-    got.store(true);
-    b.release(g);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(got.load());
-  b.release(2);
-  waiter.join();
-  EXPECT_TRUE(got.load());
-  EXPECT_EQ(b.in_use(), 0u);
-  EXPECT_EQ(b.peak_in_use(), 2u);  // never above capacity
-  // Releasing more than held is a bug, not a no-op.
-  EXPECT_THROW(b.release(1), InternalError);
-}
-
-TEST(WorkerBudget, EngineRunsWithTheGrantedWorkerCount) {
-  RuleProgramPublisher programs(small_config());
-  for (u32 i = 0; i < 64; ++i) programs.apply(add_msg(i));
-  TrafficPool pool;
-  for (u32 i = 0; i < 512; ++i) pool.add(probe_tuple(i % 64));
-
-  WorkerBudget budget(2);
-  Engine engine({.workers = 4, .batch_size = 16, .budget = &budget},
-                programs);
-  const EngineReport rep = engine.run(pool);
-  // The budget clamped the engine to 2 workers, all packets still flowed.
-  EXPECT_EQ(rep.workers.size(), 2u);
-  EXPECT_EQ(rep.packets(), 512u);
-  EXPECT_EQ(budget.in_use(), 0u);      // released after the run
-  EXPECT_EQ(budget.peak_in_use(), 2u);
-}
 
 TEST(RuleProgram, VersionsCountUpdatesAndFailedBatchesRollBack) {
   RuleProgramPublisher programs(small_config());

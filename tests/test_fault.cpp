@@ -2,19 +2,16 @@
 /// round-tripping, FaultInjector fire-exactly-once semantics (worker
 /// throw/stall, publisher apply failure, control-connection drop), the
 /// publisher's all-or-nothing restore under an injected apply failure,
-/// the ticketed FIFO WorkerBudget (grants in strict arrival order, no
-/// small-request queue-jumping), and the engine supervisor: dead-worker
-/// restart with a healed (error-free) report, permanent failure with
-/// replica-mode shard takeover, stall-episode detection, and the
-/// conservation ledger (delivered + shed + lost == offered, exactly)
-/// on clean and faulted runs alike — capped by a scaled-down run of
-/// the chaos scenario itself.
+/// the engine's rejection of worker events it cannot fire, and the
+/// engine supervisor: dead-worker restart with a healed (error-free)
+/// report, permanent failure with replica-mode shard takeover,
+/// stall-episode detection, and the conservation ledger (delivered +
+/// shed + lost == offered, exactly) on clean and faulted runs alike —
+/// capped by a scaled-down run of the chaos scenario itself.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -189,55 +186,6 @@ TEST(PublisherFault, FailedApplyRestoresStateAndRetrySucceeds) {
   EXPECT_EQ(inj.counters().publish_failures, 1u);
 }
 
-// ---- ticketed FIFO WorkerBudget -------------------------------------------
-
-TEST(WorkerBudgetFifo, GrantsFollowArrivalOrderStrictly) {
-  // Hold 3 of 4 slots, then queue three full-capacity requests one at a
-  // time (arrival pinned via waiting()). FIFO means the head request —
-  // too big for the single free slot — blocks everyone behind it, and
-  // once capacity frees the grants land in exact arrival order. The
-  // pre-ticket CV free-for-all would happily serve a later small
-  // request first.
-  WorkerBudget budget(4);
-  ASSERT_EQ(budget.acquire(3), 3u);
-
-  std::mutex mu;
-  std::vector<int> order;
-  std::vector<std::thread> threads;
-  for (int id = 0; id < 3; ++id) {
-    threads.emplace_back([&, id] {
-      const usize got = budget.acquire(4);  // full capacity: serialized
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        order.push_back(id);
-      }
-      budget.release(got);
-    });
-    // Pin arrival order: don't launch the next acquirer until this one
-    // is ticketed and waiting.
-    while (budget.waiting() < static_cast<usize>(id) + 1) {
-      std::this_thread::yield();
-    }
-  }
-
-  // Head-of-line: one slot is free, but nobody may take it — the head
-  // wants four.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    EXPECT_TRUE(order.empty()) << "a queued request jumped the head";
-  }
-  EXPECT_EQ(budget.waiting(), 3u);
-
-  budget.release(3);
-  for (auto& t : threads) t.join();
-
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(budget.in_use(), 0u);
-  EXPECT_EQ(budget.waiting(), 0u);
-  EXPECT_EQ(budget.peak_in_use(), 4u);
-}
-
 // ---- supervisor -----------------------------------------------------------
 
 namespace {
@@ -341,6 +289,34 @@ TEST(Supervisor, DetectsStallEpisodeAndRunStillConcludes) {
   expect_all_delivered(rep, fx.trace.size());
 }
 
+TEST(Supervisor, RejectsWorkerEventsPastTheThreadCount) {
+  Fixture fx;
+  // A two-thread engine has no worker 2; a sharded engine runs
+  // min(workers, shards) threads, so four workers over two shards have
+  // no worker 3. Either event would silently never fire.
+  struct Case {
+    const char* spec;
+    usize workers;
+    usize shards;
+  };
+  for (const Case& c : {Case{"throw:w=2@0", 2, 0},
+                        Case{"stall:w=3@1:ms=5", 4, 2}}) {
+    FaultInjector inj(FaultPlan::parse(c.spec));
+    EngineConfig cfg = supervised(&inj);
+    cfg.workers = c.workers;
+    cfg.shards = c.shards;
+    TrafficPool pool = fx.pool();
+    Engine engine(cfg, fx.programs);
+    EXPECT_THROW(engine.start(pool), ConfigError) << c.spec;
+    EXPECT_FALSE(engine.running()) << c.spec;
+  }
+  // Pubfail and conndrop name no worker, so any engine accepts them.
+  FaultInjector inj(FaultPlan::parse("pubfail:u=0,conndrop:r=0"));
+  TrafficPool pool = fx.pool();
+  Engine engine(supervised(&inj), fx.programs);
+  EXPECT_NO_THROW((void)engine.run(pool));
+}
+
 TEST(Supervisor, CleanRunLedgerIsExactAndQuiet) {
   Fixture fx;
   const EngineConfig cfg = supervised();
@@ -362,7 +338,7 @@ TEST(Supervisor, CleanRunLedgerIsExactAndQuiet) {
 
 TEST(ChaosScenario, OracleCleanConservedAndSelfHealing) {
   workload::ScenarioOptions opts;
-  opts.workers = 3;
+  opts.workers = 1;  // the scenario still runs its three workers
   opts.scale = 0.05;  // trace floor: the default plan targets it
   opts.seed = 2026;
   workload::ScenarioRunner runner(opts);
@@ -376,10 +352,26 @@ TEST(ChaosScenario, OracleCleanConservedAndSelfHealing) {
   EXPECT_GE(c[EngineCounter::shards_reassigned], 1u);
   EXPECT_GE(r.injected.worker_throws, 1u);
   EXPECT_GE(r.injected.publish_failures, 1u);
+  // The default plan's stall targets worker 2: it fired and was seen.
+  EXPECT_EQ(r.injected.worker_stalls, 1u);
+  EXPECT_GE(c[EngineCounter::stall_detections], 1u);
   ASSERT_TRUE(r.conservation_checked);
   EXPECT_TRUE(r.conserved);
   EXPECT_EQ(c[EngineCounter::delivered_packets] +
                 c[EngineCounter::shed_packets] + c[EngineCounter::lost_packets],
             c[EngineCounter::offered_packets]);
   EXPECT_FALSE(r.fault_plan.empty());
+}
+
+TEST(ChaosScenario, PlanAimedPastTheLastWorkerFailsTheRun) {
+  workload::ScenarioOptions opts;
+  opts.workers = 1;
+  opts.scale = 0.05;
+  opts.fault_plan = "stall:w=9@1:ms=10";
+  workload::ScenarioRunner runner(opts);
+  const workload::ScenarioResult r = runner.run("chaos");
+
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.error.find("worker 9"), std::string::npos) << r.error;
+  EXPECT_EQ(r.injected.worker_stalls, 0u);
 }

@@ -7,12 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <sstream>
 #include <variant>
 
 #include "common/error.hpp"
-#include "dataplane/engine.hpp"
 #include "workload/binio.hpp"
 #include "workload/json_writer.hpp"
 #include "workload/profile.hpp"
@@ -359,107 +359,23 @@ TEST(Scenario, MultiWriterStormOracleCleanUnderContention) {
   EXPECT_GT(r.engine.counters[Counter::update_visibility_samples], 2u);
 }
 
-TEST(Scenario, RunManyParallelMatchesSequentialOrder) {
-  const std::vector<std::string> names = {"acl-like", "cache-thrash",
-                                          "zipf-locality"};
-  ScenarioRunner seq({.workers = 1, .scale = 0.04, .seed = 7,
-                      .parallel = 1});
-  ScenarioRunner par({.workers = 1, .scale = 0.04, .seed = 7,
-                      .parallel = 3});
-  const auto a = seq.run_many(names);
-  const auto b = par.run_many(names);
-  ASSERT_EQ(a.size(), names.size());
-  ASSERT_EQ(b.size(), names.size());
-  for (usize i = 0; i < names.size(); ++i) {
-    // Report order follows the request list regardless of completion
-    // order, and the deterministic (non-wall-clock) outputs agree.
-    EXPECT_EQ(a[i].name, names[i]);
-    EXPECT_EQ(b[i].name, names[i]);
-    EXPECT_TRUE(a[i].ok()) << a[i].error;
-    EXPECT_TRUE(b[i].ok()) << b[i].error;
-    EXPECT_EQ(a[i].rules, b[i].rules);
-    EXPECT_EQ(a[i].trace_packets, b[i].trace_packets);
-    EXPECT_EQ(a[i].oracle_checked, b[i].oracle_checked);
-    for (const auto c : {Counter::packets, Counter::matched}) {
-      EXPECT_EQ(a[i].engine.counters[c], b[i].engine.counters[c]);
-    }
-  }
-  EXPECT_THROW((void)par.run_many({"acl-like", "nope"}), ConfigError);
-}
-
-TEST(Scenario, WorkerBudgetCapsConcurrentEngineWorkers) {
-  // 4 scenarios x 2 workers each on a 4-thread pool would hold 8 engine
-  // worker threads at once; a --max-workers 3 budget must keep the
-  // high-water mark of concurrently-granted workers at <= 3, while every
-  // scenario still runs (engines block in acquire() until slots free).
-  const std::vector<std::string> names = {"acl-like", "cache-thrash",
-                                          "zipf-locality", "fw-like"};
-  ScenarioRunner runner({.workers = 2, .scale = 0.04, .seed = 7,
-                         .parallel = 4, .max_workers = 3});
-  EXPECT_EQ(runner.budget().capacity(), 3u);
-  const auto results = runner.run_many(names);
-  for (const auto& r : results) {
-    EXPECT_TRUE(r.ok()) << r.name << ": " << r.error;
-    EXPECT_GT(r.engine.counters[Counter::packets], 0u) << r.name;
-  }
-  EXPECT_GT(runner.budget().peak_in_use(), 0u);
-  EXPECT_LE(runner.budget().peak_in_use(), 3u);
-  EXPECT_EQ(runner.budget().in_use(), 0u);  // every grant returned
-}
-
-TEST(Scenario, CappedParallelReportsByteIdenticalToSequential) {
-  // With one worker per scenario (deterministic pool partitioning), a
-  // budget-capped parallel run must reproduce the sequential run's
-  // report byte for byte once the wall-clock-only fields are zeroed.
-  const std::vector<std::string> names = {"acl-like", "fw-like",
-                                          "zipf-locality", "cache-thrash"};
-  const ScenarioOptions base{.workers = 1, .scale = 0.04, .seed = 13,
-                             .max_workers = 2};
-  ScenarioOptions seq_opts = base;
-  seq_opts.parallel = 1;
-  ScenarioOptions par_opts = base;
-  par_opts.parallel = 4;
-  ScenarioRunner seq(seq_opts);
-  ScenarioRunner par(par_opts);
-  auto a = seq.run_many(names);
-  auto b = par.run_many(names);
-  EXPECT_LE(par.budget().peak_in_use(), 2u);
-  auto strip_wall_clock = [](std::vector<ScenarioResult>& rs) {
-    for (auto& r : rs) {
-      r.wall_seconds = 0;
-      r.mpps = 0;
-      r.updates_per_sec = 0;
-    }
-  };
-  strip_wall_clock(a);
-  strip_wall_clock(b);
-  std::ostringstream ja, jb;
-  // Same options header for both legs: the comparison is about the
-  // measured scenarios, not the parallelism knob that produced them.
-  write_json_report(ja, seq_opts, a);
-  write_json_report(jb, seq_opts, b);
-  EXPECT_EQ(ja.str(), jb.str());
-}
-
-TEST(Scenario, RunManyAutoPoolDerivesFromBudget) {
-  // The old auto-size was a magic clamp to [1, 4] regardless of
-  // --workers; it now derives from the budget, so a cap equal to one
-  // scenario's width serializes the catalog (pool = 1) without any
-  // second knob. Observable: peak concurrent workers == the cap even
-  // with parallel=0 (auto) and multiple scenarios.
-  ScenarioRunner runner({.workers = 2, .scale = 0.04, .seed = 9,
-                         .parallel = 0, .max_workers = 2});
-  const auto results = runner.run_many({"acl-like", "cache-thrash"});
-  for (const auto& r : results) {
-    EXPECT_TRUE(r.ok()) << r.name << ": " << r.error;
-  }
-  EXPECT_LE(runner.budget().peak_in_use(), 2u);
-}
-
 TEST(Scenario, CacheThrashDefeatsCacheAndZipfFeedsIt) {
-  ScenarioRunner runner({.workers = 1, .scale = 0.04, .seed = 8});
-  const ScenarioResult thrash = runner.run("cache-thrash");
-  const ScenarioResult zipf = runner.run("zipf-locality");
+  const std::string dir = testing::TempDir() + "pclass_run_many";
+  std::filesystem::remove_all(dir);
+  ScenarioRunner runner({.workers = 1, .scale = 0.04, .seed = 8,
+                         .save_workloads_dir = dir});
+  // An unknown name anywhere in the list throws before any scenario
+  // runs: nothing was saved.
+  EXPECT_THROW((void)runner.run_many({"cache-thrash", "nope"}), ConfigError);
+  EXPECT_FALSE(std::filesystem::exists(dir));
+  // Results keep the request order, not the catalog's.
+  const auto results = runner.run_many({"cache-thrash", "zipf-locality"});
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].name, "cache-thrash");
+  EXPECT_EQ(results[1].name, "zipf-locality");
+  const ScenarioResult& thrash = results[0];
+  const ScenarioResult& zipf = results[1];
   ASSERT_TRUE(thrash.ok()) << thrash.error;
   ASSERT_TRUE(zipf.ok()) << zipf.error;
   EXPECT_LT(thrash.engine.counters.cache_hit_rate(), 0.05);
@@ -474,7 +390,9 @@ TEST(Scenario, JsonReportIsWellFormedish) {
   std::ostringstream os;
   write_json_report(os, runner.options(), results);
   const std::string s = os.str();
-  EXPECT_NE(s.find("\"schema\":\"pclass-scenarios-v6\""), std::string::npos);
+  EXPECT_NE(s.find("\"schema\":\"pclass-scenarios-v7\""), std::string::npos);
+  // v7 dropped the parallel catalog run's options.
+  EXPECT_EQ(s.find("\"parallel\""), std::string::npos);
   // v6 moved the supervisor, ledger and trace-loss rows to `engine`
   // and dropped the steering options.
   EXPECT_NE(s.find("\"engine\":{\"worker_restarts\":0,"), std::string::npos);

@@ -26,12 +26,12 @@ import json
 import math
 import sys
 
-SCENARIO_SCHEMA = "pclass-scenarios-v6"
+SCENARIO_SCHEMA = "pclass-scenarios-v7"
 SERVE_SCHEMA = "pclass-serve-v2"
 LIVE_STATS_SCHEMA = "pclass-live-stats-v2"
 # Documented scenario-report keys besides the counter rows.
 SCENARIO_KEYS = (
-    "ip_algorithm", "max_workers", "stats_interval_ms", "update-storm-multi",
+    "ip_algorithm", "stats_interval_ms", "update-storm-multi",
     "telemetry", "timeseries", "update_visibility", "errors", "shards",
     "fault_plan", "fault", "injected", "engine", "conservation", "conserved",
     "lookup_cycles", "oracle", "all_ok")
@@ -247,7 +247,8 @@ def gate_telemetry(rep, trace, metrics):
 
 
 def gate_chaos(rep):
-    """Oracle-clean, exact conservation, and the seeded faults healed."""
+    """Oracle-clean, exact conservation, the seeded faults healed, and
+    the seeded stall fired and was detected."""
     s = rep["scenarios"][0]
     assert s["ok"], f"chaos not ok: {s['error']}"
     assert s["oracle"]["mismatches"] == 0 and s["oracle"]["checked"] > 0
@@ -259,8 +260,10 @@ def gate_chaos(rep):
     assert e["worker_restarts"] >= 1, e
     assert e["shards_reassigned"] >= 1, e
     assert e["workers_failed"] >= 1, e
+    assert e["stall_detections"] >= 1, e
     f = s["fault"]
     assert f["injected"]["worker_throws"] >= 1, f
+    assert f["injected"]["worker_stalls"] >= 1, f
     assert f["injected"]["publish_failures"] >= 1, f
     print(f"chaos: conservation {c}, engine {e}, oracle {s['oracle']}, "
           f"fault {f}")
@@ -476,13 +479,18 @@ def self_test():
                       "oracle": {"mismatches": 0, "checked": 5},
                       "conservation": {"checked": True, "conserved": True},
                       "engine": engine(worker_restarts=1, shards_reassigned=1,
-                                       workers_failed=1, offered_packets=9,
-                                       delivered_packets=7, shed_packets=1,
-                                       lost_packets=1),
+                                       workers_failed=1, stall_detections=1,
+                                       offered_packets=9, delivered_packets=7,
+                                       shed_packets=1, lost_packets=1),
                       "fault": {"injected": {"worker_throws": 1,
+                                             "worker_stalls": 1,
                                              "publish_failures": 1}}}),),
                   lambda a: a[0]["scenarios"][0]["engine"].update(
-                      shed_packets=2)),
+                      shed_packets=2),
+                  lambda a: a[0]["scenarios"][0]["engine"].update(
+                      stall_detections=0),
+                  lambda a: a[0]["scenarios"][0]["fault"]["injected"].update(
+                      worker_stalls=0)),
         "serve-fault": (({"schema": LIVE_STATS_SCHEMA,
                           "engine": engine(supervisor=True,
                                            worker_restarts=1)},),

@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "baseline/linear_search.hpp"
 #include "common/build_info.hpp"
 #include "common/parse.hpp"
 #include "common/table.hpp"
@@ -55,29 +54,6 @@ int usage() {
                "(--batch/--cache, the shard knobs and the telemetry flags "
                "configure the dataplane engine and require --workers)\n";
   return 2;
-}
-
-/// Per-packet agreement of \p clf with the linear-search oracle.
-struct OracleVerify {
-  usize agree = 0;  ///< headers where clf and oracle return the same rule
-  usize want = 0;   ///< headers the oracle matches
-};
-
-OracleVerify verify_against_oracle(const core::ConfigurableClassifier& clf,
-                                   const ruleset::RuleSet& rules,
-                                   const net::Trace& trace) {
-  baseline::LinearSearch oracle(rules);
-  OracleVerify v;
-  for (const auto& e : trace) {
-    const auto got = clf.classify(e.header);
-    const auto* w = oracle.classify(e.header, nullptr);
-    if (w != nullptr) ++v.want;
-    if (w == nullptr ? !got.match.has_value()
-                     : got.match && got.match->rule == w->id) {
-      ++v.agree;
-    }
-  }
-  return v;
 }
 
 /// Telemetry export options for the engine path.
@@ -199,13 +175,15 @@ int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
     // aggregate match total against the oracle's, which catches
     // batching/claiming bugs that per-packet replay cannot.
     const auto snap = programs.acquire();
-    const OracleVerify v =
-        verify_against_oracle(snap->classifier(), rules, trace);
-    std::cout << "verify: " << v.agree << "/" << trace.size()
+    const dataplane::OracleCheck v =
+        dataplane::check_against_oracle(snap->classifier(), trace);
+    std::cout << "verify: " << v.checked - v.mismatches << "/"
+              << trace.size()
               << " per-packet agree with the oracle; engine matched "
-              << rep.matched() << ", oracle matched " << v.want << "\n";
+              << rep.matched() << ", oracle matched " << v.oracle_matched
+              << "\n";
     if (cfg.combine_mode == core::CombineMode::kCrossProduct &&
-        (v.agree != trace.size() || rep.matched() != v.want)) {
+        (v.mismatches != 0 || rep.matched() != v.oracle_matched)) {
       return 1;
     }
   }
@@ -369,11 +347,11 @@ int main(int argc, char** argv) {
     t.print(std::cout);
 
     if (verify) {
-      const OracleVerify v = verify_against_oracle(clf, rules, trace);
-      std::cout << "verify: " << v.agree << "/" << trace.size()
-                << " agree with the linear-search oracle\n";
-      if (mode == core::CombineMode::kCrossProduct &&
-          v.agree != trace.size()) {
+      const dataplane::OracleCheck v =
+          dataplane::check_against_oracle(clf, trace);
+      std::cout << "verify: " << v.checked - v.mismatches << "/"
+                << trace.size() << " agree with the linear-search oracle\n";
+      if (mode == core::CombineMode::kCrossProduct && v.mismatches != 0) {
         return 1;
       }
     }

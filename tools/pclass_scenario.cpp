@@ -9,8 +9,7 @@
 ///
 ///   pclass_scenario [--list] [--scenario NAME]... [--smoke]
 ///                   [--workers N] [--cache-depth N] [--seed N]
-///                   [--scale F] [--out FILE] [--parallel N]
-///                   [--max-workers N]
+///                   [--scale F] [--out FILE]
 ///                   [--ip-alg mbt|bst|rvh]
 ///                   [--shards N] [--fault-plan SPEC]
 ///                   [--save-workloads DIR] [--load-workloads DIR]
@@ -28,15 +27,11 @@
 /// Prometheus text-exposition dump of the per-scenario end-of-run
 /// counters.
 ///
-/// The catalog runs on a small thread pool (scenarios are independent;
-/// the report keeps catalog order) — --parallel 1 restores sequential
-/// runs, --parallel N sets the pool size, default is auto. Concurrent
-/// scenarios draw engine worker threads from one shared WorkerBudget
-/// capped at --max-workers (default: the hardware thread count), so a
-/// parallel run never oversubscribes the host with scenarios x workers
-/// threads. --ip-alg selects the IP lookup backend every scenario's
-/// device is built with (mbt/bst trie family, rvh range-vector hash) —
-/// the per-family win/loss axis CI sweeps over saved workloads.
+/// Scenarios run one at a time, in catalog order (or the order of the
+/// --scenario flags). --ip-alg selects the IP lookup backend every
+/// scenario's device is built with (mbt/bst trie family, rvh
+/// range-vector hash) — the per-family win/loss axis CI sweeps over
+/// saved workloads.
 ///
 /// --shards N runs every scenario's engine as N RSS-style shards, each
 /// owning its classifier replica and flow cache; the trace
@@ -44,8 +39,9 @@
 ///
 /// --fault-plan SPEC overrides the chaos scenario's built-in seeded
 /// fault plan (grammar: throw:w=W@S, stall:w=W@S:ms=D, pubfail:u=K,
-/// conndrop:r=K, comma-separated; see docs/ROBUSTNESS.md). Other
-/// scenarios ignore it.
+/// conndrop:r=K, comma-separated; see docs/ROBUSTNESS.md). A throw or
+/// stall aimed at a worker the chaos engine does not run fails the
+/// scenario. Other scenarios ignore it.
 ///
 /// --save-workloads writes each scenario's synthesized ruleset/trace as
 /// versioned PCR1/PCT1 binaries; --load-workloads replays them instead
@@ -71,7 +67,7 @@ int usage() {
   std::cerr << "usage: pclass_scenario [--version] [--list] "
                "[--scenario NAME]... "
                "[--smoke] [--workers N] [--cache-depth N] [--seed N] "
-               "[--scale F] [--out FILE] [--parallel N] [--max-workers N] "
+               "[--scale F] [--out FILE] "
                "[--ip-alg mbt|bst|rvh] "
                "[--shards N] [--fault-plan SPEC] "
                "[--save-workloads DIR] [--load-workloads DIR] "
@@ -154,13 +150,6 @@ int main(int argc, char** argv) {
       opts.shards = static_cast<usize>(n);
     } else if (flag == "--fault-plan" && i + 1 < argc) {
       opts.fault_plan = argv[++i];
-    } else if (flag == "--parallel" && i + 1 < argc) {
-      if (!parse_count(argv[++i], n) || n > 64) return usage();
-      opts.parallel = static_cast<usize>(n);
-    } else if (flag == "--max-workers" && i + 1 < argc) {
-      // 0 = auto (documented): the runner sizes the budget itself.
-      if (!parse_count(argv[++i], n) || n > 1024) return usage();
-      opts.max_workers = static_cast<usize>(n);
     } else if (flag == "--save-workloads" && i + 1 < argc) {
       opts.save_workloads_dir = argv[++i];
     } else if (flag == "--load-workloads" && i + 1 < argc) {
