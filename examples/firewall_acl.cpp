@@ -7,16 +7,16 @@
 ///
 ///   $ ./firewall_acl [nominal_size=1000]
 #include <iostream>
+#include <map>
 
-#include "baseline/linear_search.hpp"
 #include "common/table.hpp"
 #include "core/classifier.hpp"
 #include "core/cycle_model.hpp"
+#include "dataplane/engine.hpp"
 #include "ruleset/generator.hpp"
 #include "ruleset/stats.hpp"
 #include "ruleset/trace_gen.hpp"
 #include "sdn/controller.hpp"
-#include "sdn/switch_device.hpp"
 
 using namespace pclass;
 
@@ -41,11 +41,13 @@ int main(int argc, char** argv) {
   // verdict is a security hole).
   core::ClassifierConfig cfg = core::ClassifierConfig::for_scale(acl.size());
   cfg.combine_mode = core::CombineMode::kCrossProduct;
-  sdn::SwitchDevice fw("firewall0", cfg);
+  dataplane::RuleProgramPublisher fw(cfg);
   sdn::Controller ctl("controller0");
   ctl.attach(fw);
   ctl.install_ruleset(acl);
-  std::cout << "installed " << fw.flow_count() << " flows in "
+  const auto program = fw.acquire();
+  const core::ConfigurableClassifier& clf = program->classifier();
+  std::cout << "installed " << program->rule_count() << " flows in "
             << ctl.stats().update_cycles_total << " update-bus cycles ("
             << TextTable::num(static_cast<double>(
                                   ctl.stats().update_cycles_total) /
@@ -53,36 +55,41 @@ int main(int argc, char** argv) {
                               1)
             << " cycles/rule bulk)\n\n";
 
-  // Replay a skewed trace (heavy hitters first, 10% scan noise).
+  // Replay a skewed trace (heavy hitters first, 10% scan noise)
+  // through one dataplane worker, recording every verdict.
   ruleset::TraceGenerator tg(acl, {.headers = 20000,
                                    .rule_skew = 1.0,
                                    .random_fraction = 0.10,
                                    .seed = 7});
   const net::Trace trace = tg.generate();
-  hw::CycleAggregate agg;
-  for (const auto& e : trace) {
-    const auto res = fw.process_header(e.header, 64);
-    hw::CycleRecorder rec;
-    rec.charge(res.lookup_cycles, 0);
-    agg.add(rec);
+  dataplane::TrafficPool pool = dataplane::TrafficPool::from_trace(
+      trace, /*materialize_packets=*/false);
+  dataplane::EngineConfig one_worker;
+  one_worker.capture_verdicts = true;
+  dataplane::Engine engine(one_worker, fw);
+  const dataplane::EngineReport rep = engine.run(pool);
+  const dataplane::WorkerReport& w = rep.workers.at(0);
+
+  using telemetry::Counter;
+  std::cout << "traffic:   " << w.counters[Counter::packets] << " packets, "
+            << w.counters[Counter::matched] << " matched, "
+            << w.counters[Counter::dropped] << " dropped (miss or deny)\n";
+  std::cout << "lookup:    " << TextTable::num(w.latency.mean(), 2)
+            << " cycles/packet mean, " << w.latency.max() << " worst\n";
+
+  // Top-3 hottest flows, from the captured verdicts.
+  std::map<RuleId, u64> hits;
+  for (const dataplane::CapturedVerdict& v : rep.captured.at(0)) {
+    if (v.matched) ++hits[v.rule];
   }
-
-  const auto& s = fw.stats();
-  std::cout << "traffic:   " << s.packets_in << " packets, "
-            << s.packets_matched << " matched, " << s.packets_dropped
-            << " dropped (miss or deny)\n";
-  std::cout << "lookup:    " << TextTable::num(agg.mean_cycles(), 2)
-            << " cycles/packet mean, " << agg.max_cycles() << " worst\n";
-
-  // Top-3 hottest flows, from the flow-table counters.
   struct Hot {
     RuleId id;
     u64 packets;
   };
   std::vector<Hot> hot;
   for (const auto& r : acl) {
-    if (const auto fs = fw.flow_stats(r.id); fs && fs->packets > 0) {
-      hot.push_back({r.id, fs->packets});
+    if (const auto it = hits.find(r.id); it != hits.end()) {
+      hot.push_back({r.id, it->second});
     }
   }
   std::sort(hot.begin(), hot.end(),
@@ -94,29 +101,22 @@ int main(int argc, char** argv) {
   std::cout << "\n\n";
 
   // Device-level view (what the paper's Tables V/VI report).
-  const auto mem = fw.classifier().memory_report();
+  const auto mem = clf.memory_report();
   std::cout << "device:    " << mem.total_used_bits / 1024 << " Kbit live / "
             << mem.total_capacity_bits / 1024 << " Kbit allocated, "
             << mem.register_bits << " register bits\n";
   const core::ThroughputModel rate{cfg.fmax_mhz};
   const double cpp =
-      fw.classifier().lookup_pipeline().run(1'000'000).cycles_per_packet;
+      clf.lookup_pipeline().run(1'000'000).cycles_per_packet;
   std::cout << "line rate: " << TextTable::num(rate.gbps(cpp, 40), 2)
-            << " Gbps @40B (" << to_string(fw.classifier().ip_algorithm())
+            << " Gbps @40B (" << to_string(clf.ip_algorithm())
             << " configuration)\n";
 
   // Sanity: the device agrees with a linear-search oracle.
-  baseline::LinearSearch oracle(acl);
-  usize mismatches = 0;
-  for (usize i = 0; i < 2000; ++i) {
-    const auto& h = trace[i].header;
-    const auto got = fw.classifier().classify(h);
-    const auto* want = oracle.classify(h, nullptr);
-    const bool ok = want == nullptr ? !got.match.has_value()
-                                    : got.match && got.match->rule == want->id;
-    if (!ok) ++mismatches;
-  }
-  std::cout << "verify:    " << (2000 - mismatches)
-            << "/2000 headers agree with the linear-search oracle\n";
-  return mismatches == 0 ? 0 : 1;
+  const dataplane::OracleCheck check =
+      dataplane::check_against_oracle(clf, trace);
+  std::cout << "verify:    " << check.checked - check.mismatches << "/"
+            << check.checked
+            << " headers agree with the linear-search oracle\n";
+  return check.mismatches == 0 ? 0 : 1;
 }

@@ -9,30 +9,38 @@
 #include <iostream>
 
 #include "common/table.hpp"
+#include "dataplane/rule_program.hpp"
 #include "ruleset/generator.hpp"
 #include "ruleset/trace_gen.hpp"
 #include "sdn/controller.hpp"
-#include "sdn/switch_device.hpp"
 
 using namespace pclass;
 
 namespace {
 
-void show(const char* phase, const sdn::SwitchDevice& sw) {
-  const auto& clf = sw.classifier();
-  std::cout << "  [" << sw.name() << "] " << phase << ": "
-            << sw.flow_count() << " flows, IP algorithm "
-            << to_string(clf.ip_algorithm()) << ", update bus total "
-            << clf.update_stats().cycles << " cycles\n";
+void show(const char* phase, const dataplane::RuleProgramPublisher& edge) {
+  const auto snap = edge.acquire();
+  const auto& clf = snap->classifier();
+  std::cout << "  [edge0] " << phase << ": " << snap->rule_count()
+            << " flows, IP algorithm " << to_string(clf.ip_algorithm())
+            << ", update bus total " << clf.update_stats().cycles
+            << " cycles\n";
+}
+
+/// The output port \p sw forwards \p t to (0 when no rule matches).
+u16 port_of(const dataplane::RuleProgramPublisher& sw,
+            const net::FiveTuple& t) {
+  const auto res = sw.acquire()->classifier().classify(t);
+  return res.match ? sdn::ActionSpec::decode(res.match->action).arg : 0;
 }
 
 }  // namespace
 
 int main() {
-  sdn::SwitchDevice edge("edge0",
-                         core::ClassifierConfig::for_scale(5000));
-  sdn::SwitchDevice core_sw("core0",
-                            core::ClassifierConfig::for_scale(5000));
+  dataplane::RuleProgramPublisher edge(
+      core::ClassifierConfig::for_scale(5000));
+  dataplane::RuleProgramPublisher core_sw(
+      core::ClassifierConfig::for_scale(5000));
   sdn::Controller ctl("controller0");
   ctl.attach(edge);
   ctl.attach(core_sw);
@@ -41,8 +49,8 @@ int main() {
   // selects the fast MBT configuration (§III.A's example) and installs
   // media-session pinning rules one by one as sessions arrive.
   const usize mbt_capacity = 8000;  // Table VI MBT working point
-  ctl.configure({.realtime = true, .expected_rules = 500}, mbt_capacity);
-  show("after realtime config", edge);
+  ctl.configure({.expected_rules = 500}, mbt_capacity);
+  show("after real-time config", edge);
 
   // Sessions share the RTP port range and are pinned per destination
   // host — unique field values stay within the 7-bit port label budget
@@ -71,21 +79,20 @@ int main() {
   const net::FiveTuple rtp{ipv4(172, 16, 9, 9), ipv4(203, 0, 5, 21), 9000,
                            20000, net::kProtoUdp};
   std::cout << "  RTP " << net::to_string(rtp) << " -> edge port "
-            << edge.process_header(rtp, 1200).action.arg << ", core port "
-            << core_sw.process_header(rtp, 1200).action.arg << "\n\n";
+            << port_of(edge, rtp) << ", core port "
+            << port_of(core_sw, rtp) << "\n\n";
 
   // Phase 2 — a tenant pushes a 5K-rule policy: beyond the MBT capacity
   // budget, so the controller re-configures to the compact BST and bulk
   // loads (IPalg_s flip + Fig. 5 shared-memory re-binding happen inside).
   const ruleset::RuleSet policy =
       ruleset::make_classbench_like(ruleset::FilterType::kIpc, 5000);
-  ctl.configure({.realtime = false, .expected_rules = 12000},
-                mbt_capacity);
+  ctl.configure({.expected_rules = 12000}, mbt_capacity);
   show("after capacity reconfig", edge);
 
   // Sessions from phase 1 still forward after the algorithm switch.
   std::cout << "  RTP after reconfig -> edge port "
-            << edge.process_header(rtp, 1200).action.arg << "\n";
+            << port_of(edge, rtp) << "\n";
 
   u64 before = ctl.stats().update_cycles_total;
   // Offset ids so tenant rules do not collide with the session rules.

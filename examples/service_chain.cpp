@@ -15,9 +15,8 @@
 
 #include "common/random.hpp"
 #include "common/table.hpp"
+#include "dataplane/rule_program.hpp"
 #include "ruleset/trace_gen.hpp"
-#include "sdn/controller.hpp"
-#include "sdn/switch_device.hpp"
 
 using namespace pclass;
 
@@ -43,10 +42,10 @@ ruleset::Rule classify_rule(u32 id, ruleset::PortRange dport, u8 proto,
 
 int main() {
   // One classifier-backed switch per chain position (constructed in
-  // place: a SwitchDevice owns its hardware model and cannot be moved).
-  std::map<std::string, sdn::SwitchDevice> chain;
+  // place: a publisher owns its hardware model and cannot be moved).
+  std::map<std::string, dataplane::RuleProgramPublisher> chain;
   for (const char* name : {"ingress", "dpi", "nat"}) {
-    chain.try_emplace(name, name, core::ClassifierConfig::for_scale(100));
+    chain.try_emplace(name, core::ClassifierConfig::for_scale(100));
   }
 
   // Per-switch chaining policy: the same traffic classes, but each
@@ -62,7 +61,7 @@ int main() {
       fm.cookie = r.id;
       fm.match = r;
       fm.action = sdn::ActionSpec::decode(r.action.token);
-      chain.at(sw).handle(fm);
+      chain.at(sw).apply(fm);
     };
     push(classify_rule(0, ruleset::PortRange::exact(80), net::kProtoTcp,
                        web_hop));
@@ -80,6 +79,11 @@ int main() {
   // Walk packets through the chain, following group actions.
   Rng rng(99);
   std::map<std::string, u64> path_count;
+  struct Totals {
+    u64 classified = 0;
+    u64 matched = 0;
+  };
+  std::map<std::string, Totals> totals;
   for (int i = 0; i < 30000; ++i) {
     net::FiveTuple h;
     h.src_ip = static_cast<u32>(rng.next());
@@ -99,13 +103,18 @@ int main() {
     std::string at = "ingress";
     // Follow the chain (at most 3 classification hops).
     for (int hop = 0; hop < 3; ++hop) {
-      const auto res = chain.at(at).process_header(h, 64);
-      if (!res.rule || res.action.kind != sdn::ActionSpec::Kind::kGroup) {
+      const auto res = chain.at(at).acquire()->classifier().classify(h);
+      ++totals[at].classified;
+      if (res.match) ++totals[at].matched;
+      const sdn::ActionSpec action =
+          res.match ? sdn::ActionSpec::decode(res.match->action)
+                    : sdn::ActionSpec::drop();
+      if (action.kind != sdn::ActionSpec::Kind::kGroup) {
         path += " -> drop";
         break;
       }
-      if (res.action.arg == kToDpi) at = "dpi";
-      else if (res.action.arg == kToNat) at = "nat";
+      if (action.arg == kToDpi) at = "dpi";
+      else if (action.arg == kToNat) at = "nat";
       else { path += " -> egress"; break; }
       path += " -> " + at;
     }
@@ -120,10 +129,9 @@ int main() {
   t.print(std::cout);
 
   std::cout << "\nper-service lookup totals:\n";
-  for (const auto& [name, sw] : chain) {
-    std::cout << "  " << name << ": " << sw.stats().packets_in
-              << " packets classified, " << sw.stats().packets_matched
-              << " matched\n";
+  for (const auto& [name, count] : totals) {
+    std::cout << "  " << name << ": " << count.classified
+              << " packets classified, " << count.matched << " matched\n";
   }
   return 0;
 }

@@ -81,11 +81,7 @@ void Parser::push_batch(net::PacketBatch& batch) {
 // ---- FlowCacheElement -----------------------------------------------------
 
 void FlowCacheElement::push_batch(net::PacketBatch& batch) {
-  const u64 v = programs_->version();
-  if (v != seen_version_) {
-    cache_.invalidate_all();
-    seen_version_ = v;
-  }
+  sync(programs_->version());
   for (usize i = 0; i < batch.size(); ++i) {
     net::PacketMeta& m = batch.meta(i);
     if (m.resolved || !m.tuple) continue;

@@ -149,8 +149,8 @@ class Parser : public Element {
 };
 
 /// Per-worker exact-match fast path. The cache is flushed whenever the
-/// published rule-program version moves (the conservative invalidation
-/// the seed's SwitchDevice uses); the one-batch window during which a
+/// published rule-program version moves (conservative: any rule change
+/// may change any cached verdict); the one-batch window during which a
 /// worker may still serve a verdict cached from the previous version is
 /// the usual update-propagation delay of a distributed dataplane.
 class FlowCacheElement : public Element {
@@ -174,10 +174,7 @@ class FlowCacheElement : public Element {
   void fill_verdict(const net::FiveTuple& t,
                     const std::optional<core::RuleEntry>& verdict,
                     u64 version) {
-    if (version != seen_version_) {
-      cache_.invalidate_all();
-      seen_version_ = version;
-    }
+    sync(version);
     cache_.fill(t, verdict);
   }
 
@@ -192,6 +189,15 @@ class FlowCacheElement : public Element {
   }
 
  private:
+  /// The cache's one flush site: every cached verdict was made at
+  /// seen_version_, so a different \p version drops them all.
+  void sync(u64 version) {
+    if (version != seen_version_) {
+      cache_.invalidate_all();
+      seen_version_ = version;
+    }
+  }
+
   const RuleProgramPublisher* programs_;
   core::FlowCache cache_;
   u64 seen_version_ = 0;

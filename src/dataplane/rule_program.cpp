@@ -61,8 +61,8 @@ hw::UpdateStats RuleProgramPublisher::replay(RuleProgram& p,
   // The standby first catches up on entries the other replica already
   // absorbed in earlier calls; those must not be charged again, or a
   // publisher-attached controller would account ~2x the cost of the
-  // same messages sent to a SwitchDevice. Only entries >= charge_from
-  // (this call's batch) contribute to the returned cost.
+  // same messages applied once to one classifier. Only entries >=
+  // charge_from (this call's batch) contribute to the returned cost.
   hw::UpdateStats cost;
   while (p.version_ < log_base_ + log_.size()) {
     const hw::UpdateStats c =

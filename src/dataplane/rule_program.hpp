@@ -92,7 +92,7 @@ struct PublisherStats {
 
 /// Single-writer, many-reader snapshot publisher (RCU by shared_ptr:
 /// the reference count of the retired snapshot *is* the grace period).
-/// As an sdn::UpdateSink it attaches to a Controller like a switch.
+/// As an sdn::UpdateSink it is what a Controller programs.
 class RuleProgramPublisher : public sdn::UpdateSink {
  public:
   explicit RuleProgramPublisher(core::ClassifierConfig cfg = {});

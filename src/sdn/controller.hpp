@@ -18,8 +18,6 @@ namespace pclass::sdn {
 
 /// What a network application asks of the classification service.
 struct AppRequirement {
-  /// Real-time flows (videoconferencing, VoIP): latency/throughput wins.
-  bool realtime = false;
   /// Expected flow-table size; beyond the MBT capacity the controller
   /// must fall back to the compact algorithm.
   usize expected_rules = 1000;
@@ -39,20 +37,18 @@ class Controller {
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
-  /// Attach any southbound consumer: a live SwitchDevice, or the
-  /// dataplane's RuleProgramPublisher (snapshot build-and-swap off the
-  /// hot path instead of mutating a device under the lookup path).
+  /// Attach any southbound consumer, e.g. the dataplane's
+  /// RuleProgramPublisher (snapshot build-and-swap off the hot path
+  /// instead of mutating a device under the lookup path).
   void attach(UpdateSink& sink) { sinks_.push_back(&sink); }
 
-  /// Algorithm-selection policy (§III.A): fast MBT for real-time
-  /// applications that fit, compact BST for large tables.
+  /// Algorithm-selection policy (§III.A): fast MBT for applications
+  /// whose table fits, compact BST for large tables.
   /// \param mbt_capacity  rules the MBT configuration can hold.
   [[nodiscard]] static core::IpAlgorithm select_algorithm(
       const AppRequirement& app, usize mbt_capacity) {
-    if (app.expected_rules > mbt_capacity) {
-      return core::IpAlgorithm::kBst;
-    }
-    return app.realtime ? core::IpAlgorithm::kMbt : core::IpAlgorithm::kMbt;
+    return app.expected_rules > mbt_capacity ? core::IpAlgorithm::kBst
+                                             : core::IpAlgorithm::kMbt;
   }
 
   /// Push a configuration for \p app to every attached switch.

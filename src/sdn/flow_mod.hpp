@@ -8,7 +8,6 @@
 #pragma once
 
 #include <optional>
-#include <string>
 #include <variant>
 
 #include "common/types.hpp"
@@ -62,12 +61,6 @@ struct FlowMod {
 /// third value with the RVH backend).
 struct ConfigMod {
   std::optional<core::IpAlgorithm> ip_algorithm;  ///< IPalg_s value
-};
-
-/// Device -> controller notification.
-struct FlowRemoved {
-  RuleId cookie{};
-  std::string reason;
 };
 
 /// Southbound message.

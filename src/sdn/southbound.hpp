@@ -1,8 +1,8 @@
 /// \file southbound.hpp
 /// The controller's southbound edge: anything that consumes Messages
-/// (a live switch, the dataplane's snapshot publisher) implements
-/// UpdateSink, and the canonical message -> classifier mapping lives in
-/// apply_message so every consumer programs a device identically.
+/// (the dataplane's snapshot publisher) implements UpdateSink, and the
+/// canonical message -> classifier mapping lives in apply_message so
+/// every consumer programs a device identically.
 #pragma once
 
 #include "core/classifier.hpp"
@@ -22,7 +22,8 @@ class UpdateSink {
 /// Apply \p msg to \p clf: FlowMod add/modify/delete (cookie becomes the
 /// rule id, the ActionSpec is packed into the rule's action token) or
 /// ConfigMod (IPalg_s select). The single source of truth for the
-/// message semantics — shared by SwitchDevice and RuleProgramPublisher.
+/// message semantics: every RuleProgramPublisher replica replays the
+/// log through it.
 hw::UpdateStats apply_message(core::ConfigurableClassifier& clf,
                               const Message& msg);
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <thread>
 
 #include "baseline/linear_search.hpp"
@@ -58,6 +59,42 @@ class CountingElement : public Element {
   u64 batches = 0;
   u64 packets = 0;
 };
+
+/// Publishes \p msg the first time a batch passes through it, so the
+/// classifier downstream acquires a newer version than the one the
+/// flow cache upstream saw at batch start.
+class PublishingElement : public Element {
+ public:
+  PublishingElement(RuleProgramPublisher* programs, sdn::Message msg)
+      : Element("publishing"), programs_(programs), msg_(std::move(msg)) {}
+  void push_batch(net::PacketBatch& b) override {
+    if (msg_) {
+      programs_->apply(*msg_);
+      msg_.reset();
+    }
+    forward(b);
+  }
+
+ private:
+  RuleProgramPublisher* programs_;
+  std::optional<sdn::Message> msg_;
+};
+
+/// A TCP rule on dst port 80; \p narrow restricts it to src ports
+/// 0-32767.
+sdn::FlowMod port80_add(u32 id, Priority priority, bool narrow,
+                        sdn::ActionSpec action) {
+  sdn::FlowMod fm;
+  fm.command = sdn::FlowMod::Command::kAdd;
+  fm.cookie = RuleId{id};
+  fm.match.id = RuleId{id};
+  fm.match.priority = priority;
+  fm.match.dst_port = ruleset::PortRange::exact(80);
+  if (narrow) fm.match.src_port = ruleset::PortRange::make(0, 32767);
+  fm.match.proto = ruleset::ProtoMatch::exact(net::kProtoTcp);
+  fm.action = action;
+  return fm;
+}
 
 core::ClassifierConfig small_config() {
   core::ClassifierConfig cfg = core::ClassifierConfig::for_scale(1000);
@@ -375,6 +412,84 @@ TEST(FlowCacheElement, ServesRepeatsAndFlushesOnVersionBump) {
   EXPECT_EQ(cache->stats().hits, 1u);  // not served from the stale line
   EXPECT_EQ(sink->matched(), 2u);      // rule is gone: miss
   EXPECT_EQ(b.rule_version, 2u);
+}
+
+TEST(FlowCacheElement, HigherPriorityAddEvictsCachedVerdict) {
+  RuleProgramPublisher programs;
+  programs.apply(port80_add(1, 1, false, sdn::ActionSpec::output(4)));
+
+  Pipeline p;
+  auto* cache = p.emplace<FlowCacheElement>(&programs, 1024);
+  p.emplace<ClassifierElement>(&programs, cache);
+  auto* sink = p.emplace<ActionSink>();
+
+  const net::FiveTuple h{ipv4(1, 2, 3, 4), ipv4(5, 6, 7, 8), 1000, 80,
+                         net::kProtoTcp};
+  net::PacketBatch b(4);
+  for (int i = 0; i < 2; ++i) {
+    b.clear();
+    b.push(h);
+    p.push_batch(b);
+    EXPECT_EQ(b.meta(0).rule, RuleId{1});
+  }
+  EXPECT_EQ(cache->stats().hits, 1u);  // the second one was cached
+
+  // A higher-priority drop rule arrives; the cached "output 4" verdict
+  // must not survive.
+  programs.apply(port80_add(0, 0, true, sdn::ActionSpec::drop()));
+  b.clear();
+  b.push(h);
+  p.push_batch(b);
+  EXPECT_FALSE(b.meta(0).from_cache);
+  ASSERT_TRUE(b.meta(0).matched);
+  EXPECT_EQ(b.meta(0).rule, RuleId{0});  // the deny rule, not the stale line
+  EXPECT_EQ(sdn::ActionSpec::decode(b.meta(0).action_token).kind,
+            sdn::ActionSpec::Kind::kDrop);
+  EXPECT_EQ(sink->dropped(), 1u);
+}
+
+TEST(FlowCacheElement, VerdictFilledAtRacedVersionServesNextBatch) {
+  RuleProgramPublisher programs(small_config());
+  programs.apply(add_msg(5));
+
+  // The update lands between the cache's version check and the
+  // classifier's snapshot acquire.
+  Pipeline p;
+  auto* cache = p.emplace<FlowCacheElement>(&programs, 256);
+  p.emplace<PublishingElement>(&programs, add_msg(6));
+  auto* clf = p.emplace<ClassifierElement>(&programs, cache);
+  auto* sink = p.emplace<ActionSink>();
+
+  net::PacketBatch b(4);
+  b.push(probe_tuple(5));
+  p.push_batch(b);  // cache saw v1, classifier filled at v2
+  EXPECT_EQ(b.rule_version, 2u);
+  EXPECT_EQ(cache->stats().invalidations, 1u);
+
+  b.clear();
+  b.push(probe_tuple(5));
+  p.push_batch(b);  // the v2 verdict is still in the cache
+  EXPECT_TRUE(b.meta(0).from_cache);
+  EXPECT_EQ(cache->stats().hits, 1u);
+  EXPECT_EQ(cache->stats().invalidations, 1u);
+  EXPECT_EQ(clf->lookups(), 1u);
+  EXPECT_EQ(sink->matched(), 2u);
+}
+
+TEST(ActionSink, ExplicitDropActionCountsMatchedAndDropped) {
+  RuleProgramPublisher programs;
+  programs.apply(port80_add(1, 1, false, sdn::ActionSpec::drop()));
+
+  Pipeline p;
+  p.emplace<ClassifierElement>(&programs);
+  auto* sink = p.emplace<ActionSink>();
+
+  net::PacketBatch b(4);
+  b.push(net::FiveTuple{ipv4(1, 2, 3, 4), ipv4(5, 6, 7, 8), 1000, 80,
+                        net::kProtoTcp});
+  p.push_batch(b);
+  EXPECT_EQ(sink->matched(), 1u);  // matched...
+  EXPECT_EQ(sink->dropped(), 1u);  // ...and dropped by its action
 }
 
 TEST(Engine, SingleWorkerCacheHitsOnRepeatedFlows) {

@@ -5,9 +5,9 @@
 #include "baseline/linear_search.hpp"
 #include "core/classifier.hpp"
 #include "core/rule_filter.hpp"
+#include "dataplane/rule_program.hpp"
 #include "ruleset/generator.hpp"
 #include "ruleset/trace_gen.hpp"
-#include "sdn/switch_device.hpp"
 
 using namespace pclass;
 using namespace pclass::core;
@@ -68,20 +68,24 @@ TEST(ModifyRule, RemoveAfterModifyStillClean) {
 }
 
 TEST(ModifyRule, ViaFlowMod) {
-  sdn::SwitchDevice sw("s1");
+  dataplane::RuleProgramPublisher sw;
   sdn::FlowMod add;
   add.command = sdn::FlowMod::Command::kAdd;
   add.cookie = RuleId{5};
   add.match = port_rule(5, 443, 0);
   add.action = sdn::ActionSpec::output(3);
-  sw.handle(add);
+  sw.apply(add);
   sdn::FlowMod mod;
   mod.command = sdn::FlowMod::Command::kModify;
   mod.cookie = RuleId{5};
   mod.action = sdn::ActionSpec::output(9);
-  sw.handle(mod);
-  EXPECT_EQ(sw.process_header(header_for_port(443), 64).action.arg, 9u);
-  EXPECT_EQ(sw.flow_count(), 1u);  // modify does not duplicate flows
+  sw.apply(mod);
+  const auto snap = sw.acquire();
+  const auto res = snap->classifier().classify(header_for_port(443));
+  ASSERT_TRUE(res.match.has_value());
+  EXPECT_EQ(sdn::ActionSpec::decode(res.match->action),
+            sdn::ActionSpec::output(9));
+  EXPECT_EQ(snap->rule_count(), 1u);  // modify does not duplicate rules
 }
 
 TEST(Reseed, RecoversFromProbeBoundAndStaysCorrect) {

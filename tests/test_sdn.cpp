@@ -1,12 +1,13 @@
-// SDN layer: FlowMod handling, flow statistics, action dispatch and the
-// controller's algorithm-selection policy.
+// SDN layer: action encoding, ConfigMod handling, and the controller's
+// algorithm-selection policy and broadcast to the publishers it programs.
 #include <gtest/gtest.h>
 
+#include "dataplane/rule_program.hpp"
 #include "sdn/controller.hpp"
-#include "sdn/switch_device.hpp"
 
 using namespace pclass;
 using namespace pclass::sdn;
+using pclass::dataplane::RuleProgramPublisher;
 using pclass::ruleset::IpPrefix;
 using pclass::ruleset::PortRange;
 using pclass::ruleset::ProtoMatch;
@@ -37,6 +38,18 @@ FlowMod add_mod(const Rule& r, ActionSpec a) {
   return fm;
 }
 
+/// The action \p sw's current snapshot takes on \p h (drop on a miss).
+ActionSpec action_for(const RuleProgramPublisher& sw,
+                      const net::FiveTuple& h) {
+  const auto res = sw.acquire()->classifier().classify(h);
+  return res.match ? ActionSpec::decode(res.match->action)
+                   : ActionSpec::drop();
+}
+
+usize rule_count(const RuleProgramPublisher& sw) {
+  return sw.acquire()->rule_count();
+}
+
 }  // namespace
 
 TEST(ActionSpecTest, EncodeDecodeRoundTrip) {
@@ -46,131 +59,67 @@ TEST(ActionSpecTest, EncodeDecodeRoundTrip) {
   }
 }
 
-TEST(SwitchDevice, FlowModAddAndForward) {
-  SwitchDevice sw("s1");
-  const auto cost = sw.handle(add_mod(web_rule(1), ActionSpec::output(3)));
-  EXPECT_GT(cost.cycles, 0u);
-  EXPECT_EQ(sw.flow_count(), 1u);
-
-  const auto res = sw.process_header(web_header(), 64);
-  EXPECT_EQ(res.action.kind, ActionSpec::Kind::kOutput);
-  EXPECT_EQ(res.action.arg, 3u);
-  ASSERT_TRUE(res.rule.has_value());
-  EXPECT_EQ(res.rule->value, 1u);
-  EXPECT_GT(res.lookup_cycles, 0u);
-  EXPECT_EQ(sw.stats().packets_matched, 1u);
-}
-
-TEST(SwitchDevice, TableMissDrops) {
-  SwitchDevice sw("s1");
-  sw.handle(add_mod(web_rule(1), ActionSpec::output(3)));
-  net::FiveTuple other = web_header();
-  other.dst_port = 443;
-  const auto res = sw.process_header(other, 64);
-  EXPECT_EQ(res.action.kind, ActionSpec::Kind::kDrop);
-  EXPECT_FALSE(res.rule.has_value());
-  EXPECT_EQ(sw.stats().packets_dropped, 1u);
-}
-
-TEST(SwitchDevice, ExplicitDropActionCounted) {
-  SwitchDevice sw("s1");
-  sw.handle(add_mod(web_rule(1), ActionSpec::drop()));
-  const auto res = sw.process_header(web_header(), 64);
-  ASSERT_TRUE(res.rule.has_value());  // matched...
-  EXPECT_EQ(sw.stats().packets_matched, 1u);
-  EXPECT_EQ(sw.stats().packets_dropped, 1u);  // ...and dropped by action
-}
-
-TEST(SwitchDevice, FlowStatsAccumulate) {
-  SwitchDevice sw("s1");
-  sw.handle(add_mod(web_rule(1), ActionSpec::output(1)));
-  sw.process_header(web_header(), 100);
-  sw.process_header(web_header(), 60);
-  const auto fs = sw.flow_stats(RuleId{1});
-  ASSERT_TRUE(fs.has_value());
-  EXPECT_EQ(fs->packets, 2u);
-  EXPECT_EQ(fs->bytes, 160u);
-}
-
-TEST(SwitchDevice, FlowModDelete) {
-  SwitchDevice sw("s1");
-  sw.handle(add_mod(web_rule(1), ActionSpec::output(1)));
-  FlowMod del;
-  del.command = FlowMod::Command::kDelete;
-  del.cookie = RuleId{1};
-  sw.handle(del);
-  EXPECT_EQ(sw.flow_count(), 0u);
-  EXPECT_FALSE(sw.process_header(web_header(), 64).rule.has_value());
-}
-
-TEST(SwitchDevice, RawPacketPath) {
-  SwitchDevice sw("s1");
-  sw.handle(add_mod(web_rule(1), ActionSpec::output(7)));
-  const auto pkt = net::make_packet(web_header(), 32);
-  const auto res = sw.process_packet(pkt.bytes);
-  EXPECT_EQ(res.action.arg, 7u);
-  // Garbage is a parse error.
-  const std::vector<u8> junk(6, 0xAB);
-  sw.process_packet(junk);
-  EXPECT_EQ(sw.stats().parse_errors, 1u);
-}
-
-TEST(SwitchDevice, ConfigModSwitchesAlgorithm) {
-  SwitchDevice sw("s1");
-  sw.handle(add_mod(web_rule(1), ActionSpec::output(1)));
-  EXPECT_EQ(sw.classifier().ip_algorithm(), core::IpAlgorithm::kMbt);
-  const auto cost = sw.handle(ConfigMod{core::IpAlgorithm::kBst});
+TEST(ConfigMod, SwitchesAlgorithmThroughPublisher) {
+  RuleProgramPublisher sw;
+  sw.apply(add_mod(web_rule(1), ActionSpec::output(1)));
+  EXPECT_EQ(sw.acquire()->classifier().ip_algorithm(),
+            core::IpAlgorithm::kMbt);
+  const auto cost = sw.apply(ConfigMod{core::IpAlgorithm::kBst});
   EXPECT_GT(cost.config_toggles, 0u);
-  EXPECT_EQ(sw.classifier().ip_algorithm(), core::IpAlgorithm::kBst);
+  EXPECT_EQ(sw.acquire()->classifier().ip_algorithm(),
+            core::IpAlgorithm::kBst);
   // Still forwards correctly after the switch.
-  EXPECT_TRUE(sw.process_header(web_header(), 64).rule.has_value());
+  EXPECT_EQ(action_for(sw, web_header()), ActionSpec::output(1));
   // And the third backend family rides the same ConfigMod.
-  const auto cost2 = sw.handle(ConfigMod{core::IpAlgorithm::kRvh});
+  const auto cost2 = sw.apply(ConfigMod{core::IpAlgorithm::kRvh});
   EXPECT_GT(cost2.config_toggles, 0u);
-  EXPECT_EQ(sw.classifier().ip_algorithm(), core::IpAlgorithm::kRvh);
-  EXPECT_TRUE(sw.process_header(web_header(), 64).rule.has_value());
+  EXPECT_EQ(sw.acquire()->classifier().ip_algorithm(),
+            core::IpAlgorithm::kRvh);
+  EXPECT_EQ(action_for(sw, web_header()), ActionSpec::output(1));
 }
 
 TEST(Controller, PolicyPicksBstForLargeTables) {
-  EXPECT_EQ(Controller::select_algorithm({.realtime = true,
-                                          .expected_rules = 500},
-                                         8000),
+  EXPECT_EQ(Controller::select_algorithm({.expected_rules = 500}, 8000),
             core::IpAlgorithm::kMbt);
-  EXPECT_EQ(Controller::select_algorithm({.realtime = false,
-                                          .expected_rules = 12000},
-                                         8000),
+  EXPECT_EQ(Controller::select_algorithm({.expected_rules = 12000}, 8000),
             core::IpAlgorithm::kBst);
 }
 
 TEST(Controller, BroadcastsToAllSwitches) {
-  SwitchDevice s1("s1"), s2("s2");
+  RuleProgramPublisher s1, s2;
   Controller ctl("c0");
   ctl.attach(s1);
   ctl.attach(s2);
   ctl.install(web_rule(1), ActionSpec::output(2));
-  EXPECT_EQ(s1.flow_count(), 1u);
-  EXPECT_EQ(s2.flow_count(), 1u);
+  EXPECT_EQ(rule_count(s1), 1u);
+  EXPECT_EQ(rule_count(s2), 1u);
   EXPECT_EQ(ctl.stats().flow_mods_sent, 1u);
   EXPECT_GT(ctl.stats().update_cycles_total, 0u);
+  EXPECT_EQ(action_for(s2, web_header()), ActionSpec::output(2));
 
   ctl.remove(RuleId{1});
-  EXPECT_EQ(s1.flow_count(), 0u);
-  EXPECT_EQ(s2.flow_count(), 0u);
+  EXPECT_EQ(rule_count(s1), 0u);
+  EXPECT_EQ(rule_count(s2), 0u);
 }
 
 TEST(Controller, ConfigureDrivesIpAlgS) {
-  SwitchDevice sw("s1");
+  RuleProgramPublisher s1, s2;
   Controller ctl("c0");
-  ctl.attach(sw);
-  ctl.configure({.realtime = false, .expected_rules = 20000}, 8000);
-  EXPECT_EQ(sw.classifier().ip_algorithm(), core::IpAlgorithm::kBst);
+  ctl.attach(s1);
+  ctl.attach(s2);
+  ctl.configure({.expected_rules = 20000}, 8000);
+  EXPECT_EQ(s1.acquire()->classifier().ip_algorithm(),
+            core::IpAlgorithm::kBst);
+  EXPECT_EQ(s2.acquire()->classifier().ip_algorithm(),
+            core::IpAlgorithm::kBst);
   EXPECT_EQ(ctl.stats().config_mods_sent, 1u);
 }
 
 TEST(Controller, InstallRuleset) {
-  SwitchDevice sw("s1");
+  RuleProgramPublisher s1, s2;
   Controller ctl("c0");
-  ctl.attach(sw);
+  ctl.attach(s1);
+  ctl.attach(s2);
   ruleset::RuleSet rs;
   for (u32 i = 0; i < 10; ++i) {
     Rule r = web_rule(i);
@@ -180,8 +129,10 @@ TEST(Controller, InstallRuleset) {
     rs.add(r);
   }
   ctl.install_ruleset(rs);
-  EXPECT_EQ(sw.flow_count(), 10u);
   net::FiveTuple h = web_header();
   h.dst_port = 8004;
-  EXPECT_EQ(sw.process_header(h, 64).action.arg, 4u);
+  for (const RuleProgramPublisher* sw : {&s1, &s2}) {
+    EXPECT_EQ(rule_count(*sw), 10u);
+    EXPECT_EQ(action_for(*sw, h), ActionSpec::output(4));
+  }
 }
