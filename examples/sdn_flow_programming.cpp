@@ -94,15 +94,19 @@ int main() {
   std::cout << "  RTP after reconfig -> edge port "
             << port_of(edge, rtp) << "\n";
 
-  u64 before = ctl.stats().update_cycles_total;
   // Offset ids so tenant rules do not collide with the session rules.
+  ruleset::RuleSet tenant("tenant");
   for (const auto& r : policy) {
     ruleset::Rule copy = r;
     copy.id = RuleId{1000 + r.id.value};
     copy.priority = 1000 + r.priority;
-    ctl.install(copy, sdn::ActionSpec::group(static_cast<u16>(
-                          r.action.token % 32)));
+    copy.action = ruleset::Action{
+        sdn::ActionSpec::group(static_cast<u16>(r.action.token % 32))
+            .encode()};
+    tenant.add_verbatim(copy);
   }
+  u64 before = ctl.stats().update_cycles_total;
+  ctl.install_ruleset(tenant);  // one batch: one publish per switch
   std::cout << "  5K-rule tenant policy installed, "
             << (ctl.stats().update_cycles_total - before) / 2
             << " bus cycles per switch\n";

@@ -1,6 +1,7 @@
 #include "alg/port_registers.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/error.hpp"
 
@@ -43,6 +44,7 @@ void PortRegisterFile::insert(ruleset::PortRange range, Label label,
   }
   slot_of_.emplace(range, slot);
   log.register_write(regs_, slot, encode(true, range, label));
+  compile();
 }
 
 void PortRegisterFile::remove(ruleset::PortRange range,
@@ -55,6 +57,7 @@ void PortRegisterFile::remove(ruleset::PortRange range,
   slot_of_.erase(it);
   free_slots_.push_back(slot);
   log.register_write(regs_, slot, encode(false, {}, {}));
+  compile();
 }
 
 void PortRegisterFile::clear(hw::CommandLog& log) {
@@ -64,31 +67,106 @@ void PortRegisterFile::clear(hw::CommandLog& log) {
   slot_of_.clear();
   free_slots_.clear();
   next_slot_ = 0;
+  compile();
 }
 
 namespace {
 
-/// One decoded matching register, ordered per Table IV: exact match
-/// first, then tightest range, label value as a deterministic tiebreak.
+/// One decoded valid register, ordered per Table IV: exact match first,
+/// then tightest range, label value as a deterministic tiebreak.
 struct PortMatch {
-  u32 width;
-  bool exact;
+  u32 lo;
+  u32 hi;
   Label label;
 
+  [[nodiscard]] bool exact() const { return lo == hi; }
+  [[nodiscard]] u32 width() const { return hi - lo + 1; }
   [[nodiscard]] bool before(const PortMatch& o) const {
-    if (exact != o.exact) return exact;
-    if (width != o.width) return width < o.width;
+    if (exact() != o.exact()) return exact();
+    if (width() != o.width()) return width() < o.width();
     return label.value < o.label.value;
   }
 };
 
+/// Range \p rank of the Table IV order opens or closes at port \p at
+/// (its lo, or its hi + 1).
+struct Boundary {
+  u32 at;
+  u32 rank;
+};
+
 }  // namespace
+
+void PortRegisterFile::compile() {
+  // Decode what is programmed, not the controller's slot map, so the
+  // program is a pure function of the register words.
+  std::vector<PortMatch> ranges;
+  for (u32 i = 0; i < regs_.used_count(); ++i) {
+    hw::WordUnpacker u(regs_.reg(i));
+    if (u.pull(1) == 0) {
+      continue;
+    }
+    const u32 lo = static_cast<u32>(u.pull(16));
+    const u32 hi = static_cast<u32>(u.pull(16));
+    const Label label{static_cast<u16>(u.pull(kPortLabelBits))};
+    ranges.push_back({lo, hi, label});
+  }
+  std::sort(ranges.begin(), ranges.end(),
+            [](const PortMatch& a, const PortMatch& b) {
+              return a.before(b);
+            });
+
+  std::vector<Boundary> bounds;
+  bounds.reserve(2 * ranges.size());
+  for (u32 k = 0; k < ranges.size(); ++k) {
+    bounds.push_back({ranges[k].lo, k});
+    bounds.push_back({ranges[k].hi + 1, k});
+  }
+  std::sort(bounds.begin(), bounds.end(),
+            [](const Boundary& a, const Boundary& b) { return a.at < b.at; });
+
+  // Sweep the boundaries left to right. The open ranges are a bitset
+  // over ranks (a range's two bounds toggle its bit), so reading it low
+  // bit first gives the interval's labels in Table IV order.
+  starts_.clear();
+  offsets_.assign(1, 0);
+  labels_.clear();
+  std::vector<u64> open((ranges.size() + 63) / 64);
+  usize b = 0;
+  u32 at = 0;
+  while (true) {
+    for (; b < bounds.size() && bounds[b].at == at; ++b) {
+      open[bounds[b].rank / 64] ^= u64{1} << (bounds[b].rank % 64);
+    }
+    starts_.push_back(at);
+    for (usize w = 0; w < open.size(); ++w) {
+      for (u64 bits = open[w]; bits != 0; bits &= bits - 1) {
+        labels_.push_back(ranges[w * 64 + std::countr_zero(bits)].label);
+      }
+    }
+    offsets_.push_back(static_cast<u32>(labels_.size()));
+    if (b == bounds.size() || bounds[b].at > 0xFFFFu) {
+      break;
+    }
+    at = bounds[b].at;
+  }
+}
+
+std::span<const Label> PortRegisterFile::match(u16 port) const {
+  const auto k = static_cast<usize>(
+      std::upper_bound(starts_.begin(), starts_.end(), u32{port}) -
+      starts_.begin() - 1);
+  return std::span<const Label>(labels_).subspan(
+      offsets_[k], offsets_[k + 1] - offsets_[k]);
+}
 
 std::vector<Label> PortRegisterFile::lookup(u16 port,
                                             hw::CycleRecorder* rec) const {
-  LabelVec scratch;
-  lookup_into(port, rec, scratch);
-  return std::vector<Label>(scratch.begin(), scratch.end());
+  if (rec != nullptr) {
+    regs_.charge_lookup(*rec);
+  }
+  const std::span<const Label> m = match(port);
+  return std::vector<Label>(m.begin(), m.end());
 }
 
 void PortRegisterFile::lookup_into(u16 port, hw::CycleRecorder* rec,
@@ -96,27 +174,8 @@ void PortRegisterFile::lookup_into(u16 port, hw::CycleRecorder* rec,
   if (rec != nullptr) {
     regs_.charge_lookup(*rec);
   }
-  // Model of the parallel compare + priority network: decode every valid
-  // register word (hardware does this combinationally).
-  SmallVec<PortMatch, 16> matches;
-  for (u32 i = 0; i < regs_.used_count(); ++i) {
-    hw::WordUnpacker u(regs_.reg(i));
-    if (u.pull(1) == 0) {
-      continue;
-    }
-    const u16 lo = static_cast<u16>(u.pull(16));
-    const u16 hi = static_cast<u16>(u.pull(16));
-    const Label label{static_cast<u16>(u.pull(kPortLabelBits))};
-    if (lo <= port && port <= hi) {
-      matches.push_back({u32{hi} - lo + 1, lo == hi, label});
-    }
-  }
-  std::sort(matches.begin(), matches.end(),
-            [](const PortMatch& a, const PortMatch& b) {
-              return a.before(b);
-            });
-  for (const PortMatch& m : matches) {
-    out.push_back(m.label);
+  for (const Label l : match(port)) {
+    out.push_back(l);
   }
 }
 
@@ -125,26 +184,8 @@ Label PortRegisterFile::lookup_first(u16 port,
   if (rec != nullptr) {
     regs_.charge_lookup(*rec);
   }
-  // Same priority network as lookup_into, tracking only the winner.
-  bool found = false;
-  PortMatch best{};
-  for (u32 i = 0; i < regs_.used_count(); ++i) {
-    hw::WordUnpacker u(regs_.reg(i));
-    if (u.pull(1) == 0) {
-      continue;
-    }
-    const u16 lo = static_cast<u16>(u.pull(16));
-    const u16 hi = static_cast<u16>(u.pull(16));
-    const Label label{static_cast<u16>(u.pull(kPortLabelBits))};
-    if (lo <= port && port <= hi) {
-      const PortMatch m{u32{hi} - lo + 1, lo == hi, label};
-      if (!found || m.before(best)) {
-        best = m;
-        found = true;
-      }
-    }
-  }
-  return found ? best.label : Label{};
+  const std::span<const Label> m = match(port);
+  return m.empty() ? Label{} : m.front();
 }
 
 }  // namespace pclass::alg

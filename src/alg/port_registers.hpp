@@ -7,6 +7,17 @@
 /// widest ("The priority of Port labels is given by exact matching label
 /// following by the tightest range matching label") — Table IV's example
 /// orders B (exact 7812), C ([7810,7820]), A (full range) for port 7812.
+///
+/// The model charges, the host computes. The register words are the
+/// modelled device: they are what the update bus writes, what synthesis
+/// counts and what registers() shows. The host cannot compare 128
+/// registers in parallel, so it answers from a compiled view of them:
+/// the elementary intervals the range bounds cut [0, 65535] into, each
+/// mapped to its span of labels already in Table IV order. The view is
+/// recompiled from the register words after every write (insert, remove,
+/// clear), so it can never disagree with what is programmed, and a lookup
+/// is one binary search. The cost of a lookup comes only from
+/// RegisterFile::charge_lookup, exactly as if every register were read.
 #pragma once
 
 #include <map>
@@ -75,10 +86,23 @@ class PortRegisterFile {
   /// Register word layout (LSB first): valid(1) lo(16) hi(16) label(7).
   static hw::Word encode(bool valid, ruleset::PortRange r, Label l);
 
+  /// Rebuild the interval program from the register words.
+  void compile();
+
+  /// The Table IV-ordered labels of every range containing \p port.
+  [[nodiscard]] std::span<const Label> match(u16 port) const;
+
   hw::RegisterFile regs_;
   std::map<ruleset::PortRange, u32> slot_of_;
   std::vector<u32> free_slots_;
   u32 next_slot_ = 0;
+
+  // The host's compiled view: elementary interval k covers ports
+  // [starts_[k], starts_[k + 1]) and matches
+  // labels_[offsets_[k], offsets_[k + 1]). starts_[0] is always 0.
+  std::vector<u32> starts_{0};
+  std::vector<u32> offsets_{0, 0};
+  std::vector<Label> labels_;
 };
 
 }  // namespace pclass::alg

@@ -1,6 +1,7 @@
 #include "core/classifier.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "common/error.hpp"
@@ -637,29 +638,41 @@ ClassifyResult ConfigurableClassifier::classify(
 ConfigurableClassifier::CombineOutcome ConfigurableClassifier::combine_exact(
     const std::array<std::span<const Label>, kNumDimensions>& lists,
     hw::CycleRecorder& tail) const {
-  // Each list in search order, best bound first. Ties go by label value,
-  // so the walk (and every charge it makes) depends only on the lists'
-  // contents, never on their order.
-  struct Ranked {
-    Priority bound;
-    Label label;
+  // Each list in search order, best bound first; ties go by label
+  // value, so the walk (and every charge it makes) depends only on the
+  // lists' contents. The four IP lists come out of the label-list store
+  // in that order already (every IP engine composes its lists by label
+  // priority, then value), so only the port and protocol lists are
+  // ranked here.
+  const auto before = [&](usize d, Label a, Label b) {
+    const Priority pa = label_prio_[d][a.value];
+    const Priority pb = label_prio_[d][b.value];
+    return pa != pb ? pa < pb : a.value < b.value;
   };
-  std::array<SmallVec<Ranked, 16>, kNumDimensions> ranked;
+  static_assert(std::is_permutation(kCombineOrder.begin(),
+                                    kCombineOrder.begin() + 4,
+                                    kIpDims.begin()));
+  std::array<std::span<const Label>, kNumDimensions> ordered;
+  std::array<SmallVec<Label, 16>, kNumDimensions - 4> ranked;
   for (usize j = 0; j < kNumDimensions; ++j) {
     const usize d = index_of(kCombineOrder[j]);
-    SmallVec<Ranked, 16>& out = ranked[j];
+    if (j < 4) {
+      ordered[j] = lists[d];
+      assert(std::is_sorted(
+          lists[d].begin(), lists[d].end(),
+          [&](Label a, Label b) { return before(d, a, b); }));
+      continue;
+    }
+    SmallVec<Label, 16>& out = ranked[j - 4];
     for (const Label l : lists[d]) {
-      const Ranked r{label_prio_[d][l.value], l};
-      out.push_back(r);
+      out.push_back(l);
       usize i = out.size() - 1;
-      for (; i > 0 && (out[i - 1].bound > r.bound ||
-                       (out[i - 1].bound == r.bound &&
-                        out[i - 1].label.value > r.label.value));
-           --i) {
+      for (; i > 0 && before(d, l, out[i - 1]); --i) {
         out[i] = out[i - 1];
       }
-      out[i] = r;
+      out[i] = l;
     }
+    ordered[j] = {out.begin(), out.size()};
   }
 
   // A rule carries each of its labels, so its priority is no better than
@@ -671,10 +684,11 @@ ConfigurableClassifier::CombineOutcome ConfigurableClassifier::combine_exact(
   const auto walk = [&](const auto& self, usize j, u64 prefix,
                         Priority bound) -> void {
     const Dimension dim = kCombineOrder[j];
-    for (const Ranked& r : ranked[j]) {
-      const Priority b = std::max(bound, r.bound);
+    const auto& prio = label_prio_[index_of(dim)];
+    for (const Label l : ordered[j]) {
+      const Priority b = std::max(bound, prio[l.value]);
       if (res.match && b > res.match->priority) break;
-      combo[index_of(dim)] = r.label;
+      combo[index_of(dim)] = l;
       if (j + 1 == kNumDimensions) {
         if (++res.probes > cfg_.max_crossproduct_probes) {
           throw InternalError("combine: probe bound exceeded — label "
@@ -689,7 +703,7 @@ ConfigurableClassifier::CombineOutcome ConfigurableClassifier::combine_exact(
         }
         continue;
       }
-      const u64 next = extend_prefix(prefix, dim, r.label);
+      const u64 next = extend_prefix(prefix, dim, l);
       if (j > 0) {
         tail.charge(1, 1);  // prefix-table read
         if (!prefixes_[j - 1].contains(next)) continue;

@@ -147,12 +147,8 @@ hw::UpdateStats RuleProgramPublisher::install_ruleset(
   std::vector<sdn::Message> msgs;
   msgs.reserve(rules.size());
   for (const ruleset::Rule& r : rules) {
-    sdn::FlowMod fm;
-    fm.command = sdn::FlowMod::Command::kAdd;
-    fm.cookie = r.id;
-    fm.match = r;
-    fm.action = sdn::ActionSpec::decode(r.action.token);
-    msgs.emplace_back(fm);
+    msgs.emplace_back(
+        sdn::FlowMod::add(r, sdn::ActionSpec::decode(r.action.token)));
   }
   return apply_batch(msgs);
 }

@@ -117,9 +117,10 @@ class RuleProgramPublisher : public sdn::UpdateSink {
   ///         both replicas are restored to the pre-call state.
   hw::UpdateStats apply(const sdn::Message& msg);
 
-  /// sdn::UpdateSink: a Controller broadcast lands here.
-  hw::UpdateStats handle(const sdn::Message& msg) override {
-    return apply(msg);
+  /// sdn::UpdateSink: a Controller broadcast lands here, one publish
+  /// per broadcast.
+  hw::UpdateStats handle(std::span<const sdn::Message> msgs) override {
+    return apply_batch(msgs);
   }
 
   /// Apply a batch of messages and publish *once* (update coalescing —

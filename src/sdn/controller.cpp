@@ -2,15 +2,17 @@
 
 namespace pclass::sdn {
 
-void Controller::broadcast(const Message& msg) {
+void Controller::broadcast(std::span<const Message> msgs) {
   for (UpdateSink* sink : sinks_) {
-    const hw::UpdateStats cost = sink->handle(msg);
+    const hw::UpdateStats cost = sink->handle(msgs);
     stats_.update_cycles_total += cost.cycles;
   }
-  if (std::holds_alternative<FlowMod>(msg)) {
-    ++stats_.flow_mods_sent;
-  } else {
-    ++stats_.config_mods_sent;
+  for (const Message& msg : msgs) {
+    if (std::holds_alternative<FlowMod>(msg)) {
+      ++stats_.flow_mods_sent;
+    } else {
+      ++stats_.config_mods_sent;
+    }
   }
 }
 
@@ -20,18 +22,16 @@ void Controller::configure(const AppRequirement& app, usize mbt_capacity) {
 }
 
 void Controller::install(const ruleset::Rule& rule, ActionSpec action) {
-  FlowMod fm;
-  fm.command = FlowMod::Command::kAdd;
-  fm.cookie = rule.id;
-  fm.match = rule;
-  fm.action = action;
-  broadcast(fm);
+  broadcast(FlowMod::add(rule, action));
 }
 
 void Controller::install_ruleset(const ruleset::RuleSet& rules) {
+  std::vector<Message> msgs;
+  msgs.reserve(rules.size());
   for (const ruleset::Rule& r : rules) {
-    install(r, ActionSpec::decode(r.action.token));
+    msgs.emplace_back(FlowMod::add(r, ActionSpec::decode(r.action.token)));
   }
+  broadcast(msgs);
 }
 
 void Controller::remove(RuleId id) {

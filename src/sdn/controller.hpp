@@ -8,6 +8,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,8 @@ class Controller {
   /// Install one rule on every attached switch.
   void install(const ruleset::Rule& rule, ActionSpec action);
 
-  /// Install a whole filter set (actions taken from each rule's token).
+  /// Install a whole filter set (actions taken from each rule's token)
+  /// as one batch.
   void install_ruleset(const ruleset::RuleSet& rules);
 
   /// Remove a rule everywhere.
@@ -66,7 +68,8 @@ class Controller {
   [[nodiscard]] const ControllerStats& stats() const { return stats_; }
 
  private:
-  void broadcast(const Message& msg);
+  void broadcast(std::span<const Message> msgs);
+  void broadcast(const Message& msg) { broadcast({&msg, 1}); }
 
   std::string name_;
   std::vector<UpdateSink*> sinks_;

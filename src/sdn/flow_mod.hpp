@@ -51,6 +51,12 @@ struct FlowMod {
   RuleId cookie{};         ///< rule identity (OpenFlow cookie)
   ruleset::Rule match{};   ///< match part + priority (kAdd only)
   ActionSpec action{};     ///< kAdd / kModify
+
+  /// The add message that installs \p rule with \p action.
+  [[nodiscard]] static FlowMod add(const ruleset::Rule& rule,
+                                   ActionSpec action) {
+    return FlowMod{Command::kAdd, rule.id, rule, action};
+  }
 };
 
 /// Algorithm (re)configuration — the programmability knob of Fig. 2.

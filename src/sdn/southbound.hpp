@@ -5,6 +5,8 @@
 /// every consumer programs a device identically.
 #pragma once
 
+#include <span>
+
 #include "core/classifier.hpp"
 #include "sdn/flow_mod.hpp"
 
@@ -15,8 +17,8 @@ class UpdateSink {
  public:
   virtual ~UpdateSink() = default;
 
-  /// Apply one message; returns the measured device update cost.
-  virtual hw::UpdateStats handle(const Message& msg) = 0;
+  /// Apply a batch of messages; returns the measured device update cost.
+  virtual hw::UpdateStats handle(std::span<const Message> msgs) = 0;
 };
 
 /// Apply \p msg to \p clf: FlowMod add/modify/delete (cookie becomes the

@@ -172,13 +172,15 @@ core::ClassifierConfig scenario_config(const ruleset::RuleSet& rules,
 /// Engine geometry for a scenario (loop/shards vary per call site).
 EngineConfig engine_config(const ScenarioOptions& opts, bool loop,
                            usize shards) {
-  return {.workers = opts.workers,
-          .batch_size = opts.batch_size,
-          .flow_cache_depth = opts.flow_cache_depth,
-          .loop = loop,
-          .stats_interval_ms = opts.stats_interval_ms,
-          .collect_trace = opts.collect_trace,
-          .shards = shards};
+  EngineConfig cfg;
+  cfg.workers = opts.workers;
+  cfg.batch_size = opts.batch_size;
+  cfg.flow_cache_depth = opts.flow_cache_depth;
+  cfg.loop = loop;
+  cfg.stats_interval_ms = opts.stats_interval_ms;
+  cfg.collect_trace = opts.collect_trace;
+  cfg.shards = shards;
+  return cfg;
 }
 
 // ---- scenario bodies ------------------------------------------------------

@@ -220,12 +220,8 @@ UpdateStorm make_update_storm(const ruleset::RuleSet& base_rules,
     r.priority = 0;  // in front of the whole installed set
     r.action = ruleset::Action{sdn::ActionSpec::output(7).encode()};
 
-    sdn::FlowMod add;
-    add.command = sdn::FlowMod::Command::kAdd;
-    add.cookie = r.id;
-    add.match = r;
-    add.action = sdn::ActionSpec::decode(r.action.token);
-    storm.schedule.emplace_back(add);
+    storm.schedule.emplace_back(
+        sdn::FlowMod::add(r, sdn::ActionSpec::decode(r.action.token)));
     ++storm.add_count;
     if (storm.schedule.size() >= updates) break;
 

@@ -57,20 +57,20 @@ TEST(ControlProtocol, ParsesFieldGrammars) {
   const auto p = control::parse_ip_prefix("10.1.2.0/24");
   EXPECT_EQ(p.length, 24);
   EXPECT_TRUE(control::parse_ip_prefix("*").matches(0x12345678u));
-  EXPECT_THROW(control::parse_ip_prefix("10.1.2.0"), ParseError);
-  EXPECT_THROW(control::parse_ip_prefix("10.1.299.0/24"), ParseError);
-  EXPECT_THROW(control::parse_ip_prefix("10.1.2.0/33"), ParseError);
+  EXPECT_THROW((void)control::parse_ip_prefix("10.1.2.0"), ParseError);
+  EXPECT_THROW((void)control::parse_ip_prefix("10.1.299.0/24"), ParseError);
+  EXPECT_THROW((void)control::parse_ip_prefix("10.1.2.0/33"), ParseError);
 
   const auto r = control::parse_port_range("80-443");
   EXPECT_EQ(r.lo, 80);
   EXPECT_EQ(r.hi, 443);
   EXPECT_EQ(control::parse_port_range("80").hi, 80);
   EXPECT_EQ(control::parse_port_range("*").lo, 0);
-  EXPECT_THROW(control::parse_port_range("443-80"), ParseError);
-  EXPECT_THROW(control::parse_port_range("99999"), ParseError);
+  EXPECT_THROW((void)control::parse_port_range("443-80"), ParseError);
+  EXPECT_THROW((void)control::parse_port_range("99999"), ParseError);
 
-  EXPECT_THROW(control::parse_proto("256"), ParseError);
-  EXPECT_THROW(control::parse_action("teleport:3"), ParseError);
+  EXPECT_THROW((void)control::parse_proto("256"), ParseError);
+  EXPECT_THROW((void)control::parse_action("teleport:3"), ParseError);
 }
 
 TEST(ControlProtocol, ParsesRuleCommands) {
@@ -88,25 +88,25 @@ TEST(ControlProtocol, ParsesRuleCommands) {
             sdn::FlowMod::Command::kDelete);
 
   const std::vector<std::string> bad_arity = {"add", "7", "10"};
-  EXPECT_THROW(control::parse_rule_command(bad_arity), ParseError);
+  EXPECT_THROW((void)control::parse_rule_command(bad_arity), ParseError);
   const std::vector<std::string> bad_id = {"remove", "not-a-number"};
-  EXPECT_THROW(control::parse_rule_command(bad_id), ParseError);
+  EXPECT_THROW((void)control::parse_rule_command(bad_id), ParseError);
   // Rule ids and priorities are the Rule Filter's 16-bit fields.
   std::vector<std::string> wide = add;
   wide[1] = "65535";
   wide[2] = "65535";
   EXPECT_NO_THROW((void)control::parse_rule_command(wide));
   wide[1] = "65536";
-  EXPECT_THROW(control::parse_rule_command(wide), ParseError);
+  EXPECT_THROW((void)control::parse_rule_command(wide), ParseError);
   wide[1] = "7";
   wide[2] = "70000";
-  EXPECT_THROW(control::parse_rule_command(wide), ParseError);
+  EXPECT_THROW((void)control::parse_rule_command(wide), ParseError);
   const std::vector<std::string> wide_rm = {"remove", "70000"};
-  EXPECT_THROW(control::parse_rule_command(wide_rm), ParseError);
+  EXPECT_THROW((void)control::parse_rule_command(wide_rm), ParseError);
   const std::vector<std::string> wide_mod = {"modify", "70000", "drop"};
-  EXPECT_THROW(control::parse_rule_command(wide_mod), ParseError);
+  EXPECT_THROW((void)control::parse_rule_command(wide_mod), ParseError);
   const std::vector<std::string> bad_verb = {"upsert", "7"};
-  EXPECT_THROW(control::parse_rule_command(bad_verb), ParseError);
+  EXPECT_THROW((void)control::parse_rule_command(bad_verb), ParseError);
 }
 
 TEST(ControlProtocol, ParsesSetCommands) {
@@ -116,12 +116,12 @@ TEST(ControlProtocol, ParsesSetCommands) {
       core::IpAlgorithm::kRvh);
 
   const std::vector<std::string> bad_knob = {"turbo", "on"};
-  EXPECT_THROW(control::parse_set_command(bad_knob), ParseError);
+  EXPECT_THROW((void)control::parse_set_command(bad_knob), ParseError);
   const std::vector<std::string> bad_value = {"ip-alg", "warp"};
-  EXPECT_THROW(control::parse_set_command(bad_value), ParseError);
+  EXPECT_THROW((void)control::parse_set_command(bad_value), ParseError);
   // A retired knob is an unknown knob.
   const std::vector<std::string> retired = {"path-policy", "scalar-loop"};
-  EXPECT_THROW(control::parse_set_command(retired), ParseError);
+  EXPECT_THROW((void)control::parse_set_command(retired), ParseError);
 }
 
 // ---- harness ---------------------------------------------------------------

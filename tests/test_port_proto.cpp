@@ -2,9 +2,14 @@
 // protocol LUT.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <map>
+
 #include "alg/port_registers.hpp"
 #include "alg/protocol_lut.hpp"
 #include "common/error.hpp"
+#include "common/random.hpp"
 
 using namespace pclass;
 using namespace pclass::alg;
@@ -111,6 +116,133 @@ TEST(PortRegisters, WildcardAlwaysLast) {
   rig.add(1024, 65535, 3);
   rig.add(8080, 8080, 4);
   EXPECT_EQ(rig.find(8080), (std::vector<u16>{4, 3, 9}));
+}
+
+namespace {
+
+/// Brute-force reference: decode every programmed register word (layout
+/// valid(1) lo(16) hi(16) label(7)) and order the ranges containing
+/// \p port exact-first, then tightest, then by label value.
+std::vector<Label> scan_registers(const hw::RegisterFile& rf, u16 port) {
+  struct Hit {
+    bool exact;
+    u32 width;
+    Label label;
+  };
+  std::vector<Hit> hits;
+  for (u32 i = 0; i < rf.used_count(); ++i) {
+    hw::WordUnpacker u(rf.reg(i));
+    if (u.pull(1) == 0) continue;
+    const auto lo = static_cast<u32>(u.pull(16));
+    const auto hi = static_cast<u32>(u.pull(16));
+    const Label label{static_cast<u16>(u.pull(kPortLabelBits))};
+    if (lo <= port && port <= hi) {
+      hits.push_back({lo == hi, hi - lo + 1, label});
+    }
+  }
+  std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) {
+    if (a.exact != b.exact) return a.exact;
+    if (a.width != b.width) return a.width < b.width;
+    return a.label.value < b.label.value;
+  });
+  std::vector<Label> out;
+  for (const Hit& h : hits) out.push_back(h.label);
+  return out;
+}
+
+/// Every port's lookup(), lookup_into() and lookup_first() equal the
+/// register scan, and each charges the fixed compare cost only.
+void expect_matches_scan(const PortRegisterFile& regs) {
+  const unsigned cycles = regs.registers().compare_cycles();
+  for (u32 p = 0; p <= 0xFFFF; ++p) {
+    const auto port = static_cast<u16>(p);
+    const std::vector<Label> want = scan_registers(regs.registers(), port);
+    std::array<hw::CycleRecorder, 3> recs;
+    ASSERT_EQ(regs.lookup(port, &recs[0]), want) << "port " << p;
+    LabelVec into;
+    regs.lookup_into(port, &recs[1], into);
+    ASSERT_TRUE(std::equal(into.begin(), into.end(), want.begin(),
+                           want.end()))
+        << "port " << p;
+    ASSERT_EQ(regs.lookup_first(port, &recs[2]),
+              want.empty() ? Label{} : want.front())
+        << "port " << p;
+    for (const hw::CycleRecorder& rec : recs) {
+      ASSERT_EQ(rec.cycles(), cycles) << "port " << p;
+      ASSERT_EQ(rec.memory_accesses(), 0u) << "port " << p;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(PortRegisters, CompiledProgramMatchesRegisterScan) {
+  PortRegisterFile regs("p", {});
+  hw::CommandLog log;
+  expect_matches_scan(regs);  // empty bank
+
+  for (const u64 seed : {1u, 2u}) {
+    Rng rng(seed);
+    std::map<PortRange, Label> live;
+    u16 next_label = 0;
+    const auto random_range = [&]() -> PortRange {
+      switch (rng.below(6)) {
+        case 0: return PortRange::wildcard();
+        case 1: return PortRange::exact(static_cast<u16>(rng.below(65536)));
+        case 2: {  // ends at 65535
+          return PortRange::make(static_cast<u16>(rng.below(65536)), 0xFFFF);
+        }
+        case 3:  // nested in (or overlapping) a live range
+          if (!live.empty()) {
+            auto it = live.begin();
+            std::advance(it, static_cast<long>(rng.below(live.size())));
+            const u32 lo = it->first.lo + rng.below(u32{it->first.width()});
+            const u32 hi = std::min<u32>(0xFFFF, lo + rng.below(2000));
+            return PortRange::make(static_cast<u16>(lo),
+                                   static_cast<u16>(hi));
+          }
+          [[fallthrough]];
+        default: {
+          const auto lo = static_cast<u16>(rng.below(65536));
+          const u32 hi = std::min<u32>(0xFFFF, lo + rng.below(20000));
+          return PortRange::make(lo, static_cast<u16>(hi));
+        }
+      }
+    };
+    for (int step = 0; step < 40; ++step) {
+      if (!live.empty() && (live.size() >= 24 || rng.chance(0.35))) {
+        auto it = live.begin();
+        std::advance(it, static_cast<long>(rng.below(live.size())));
+        regs.remove(it->first, log);
+        live.erase(it);
+      } else {
+        const PortRange r = random_range();
+        if (live.contains(r)) continue;
+        const Label l{static_cast<u16>(next_label++ % 128)};
+        regs.insert(r, l, log);
+        live.emplace(r, l);
+      }
+      expect_matches_scan(regs);
+      if (HasFatalFailure()) return;
+    }
+    // Emptied by remove, then refilled and emptied by clear.
+    while (!live.empty()) {
+      regs.remove(live.begin()->first, log);
+      live.erase(live.begin());
+    }
+    expect_matches_scan(regs);
+    regs.insert(PortRange::make(10, 20), Label{1}, log);
+    regs.insert(PortRange::wildcard(), Label{2}, log);
+    regs.insert(PortRange::exact(15), Label{3}, log);
+    // Bounds at both ends of the port space.
+    regs.insert(PortRange::exact(0), Label{4}, log);
+    regs.insert(PortRange::exact(0xFFFF), Label{5}, log);
+    regs.insert(PortRange::make(40000, 0xFFFE), Label{6}, log);
+    expect_matches_scan(regs);
+    regs.clear(log);
+    expect_matches_scan(regs);
+    if (HasFatalFailure()) return;
+  }
 }
 
 // ---- Protocol LUT ----

@@ -129,10 +129,14 @@ TEST(Controller, InstallRuleset) {
     rs.add(r);
   }
   ctl.install_ruleset(rs);
+  EXPECT_EQ(ctl.stats().flow_mods_sent, 10u);
   net::FiveTuple h = web_header();
   h.dst_port = 8004;
   for (const RuleProgramPublisher* sw : {&s1, &s2}) {
     EXPECT_EQ(rule_count(*sw), 10u);
     EXPECT_EQ(action_for(*sw, h), ActionSpec::output(4));
+    // The whole set is one batch: one publish per publisher.
+    EXPECT_EQ(sw->stats().publishes, 1u);
+    EXPECT_EQ(sw->stats().updates_applied, 10u);
   }
 }
