@@ -1,15 +1,29 @@
 #include "core/flow_cache.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace pclass::core {
 
 namespace {
 constexpr unsigned kLineBits = 1 + 1 + 64 + 16 + 16 + 16;
+
+/// Network mask of an IP prefix of \p length bits.
+constexpr u32 prefix_mask(u8 length) {
+  return length == 0 ? 0u : ~0u << (32 - length);
 }
+}  // namespace
 
 FlowCache::FlowCache(std::string name, u32 depth, u64 seed)
-    : mem_(std::move(name), depth, kLineBits), seed_(seed) {}
+    : mem_(std::move(name), depth, kLineBits),
+      seed_(seed),
+      src_ip_(depth),
+      dst_ip_(depth),
+      ports_(depth),
+      verdict_(depth),
+      meta_(depth, kInvalid << 8),
+      drop_(depth) {}
 
 u64 FlowCache::fingerprint(const net::FiveTuple& t) const {
   const u64 a = (u64{t.src_ip} << 32) | t.dst_ip;
@@ -51,19 +65,95 @@ std::optional<std::optional<RuleEntry>> FlowCache::lookup(
 
 void FlowCache::fill(const net::FiveTuple& t,
                      const std::optional<RuleEntry>& verdict) {
+  const u32 rule = verdict ? (verdict->rule.value & 0xFFFFu) : 0;
+  const u32 prio = verdict ? (verdict->priority & 0xFFFFu) : 0;
   hw::WordPacker p;
   p.push(1, 1);
   p.push(verdict.has_value() ? 1 : 0, 1);
   p.push(fingerprint(t), 64);
-  p.push(verdict ? (verdict->rule.value & 0xFFFFu) : 0, 16);
-  p.push(verdict ? (verdict->priority & 0xFFFFu) : 0, 16);
+  p.push(rule, 16);
+  p.push(prio, 16);
   p.push(verdict ? (verdict->action & 0xFFFFu) : 0, 16);
-  mem_.write(index(t), p.word());
+  const u32 i = index(t);
+  mem_.write(i, p.word());
+  src_ip_[i] = t.src_ip;
+  dst_ip_[i] = t.dst_ip;
+  ports_[i] = u32{t.src_port} << 16 | t.dst_port;
+  verdict_[i] = prio << 16 | rule;
+  meta_[i] = (verdict ? kCachedHit : kCachedMiss) << 8 | t.protocol;
   ++stats_.fills;
+}
+
+usize FlowCache::invalidate_matching(const ruleset::Rule& r) {
+  const u32 src_mask = prefix_mask(r.src_ip.length);
+  const u32 dst_mask = prefix_mask(r.dst_ip.length);
+  const u32 src_val = r.src_ip.value;
+  const u32 dst_val = r.dst_ip.value;
+  const u32 sp_lo = r.src_port.lo;
+  const u32 dp_lo = r.dst_port.lo;
+  const u32 sp_span = u32{r.src_port.hi} - sp_lo;
+  const u32 dp_span = u32{r.dst_port.hi} - dp_lo;
+  const u32 proto = r.proto.wildcard ? 0 : r.proto.value;
+  const u32 proto_mask = r.proto.wildcard ? 0 : 0xFF;
+  // The cached verdict beats r iff its (priority, rule) key is lower.
+  const u32 key = (r.priority & 0xFFFFu) << 16 | (r.id.value & 0xFFFFu);
+  // Branch-free over raw pointers to u32 columns, so the compiler
+  // vectorizes it without widening (a store through a vector's
+  // operator[] may alias the vectors' own data pointers).
+  const u32* src_ip = src_ip_.data();
+  const u32* dst_ip = dst_ip_.data();
+  const u32* ports = ports_.data();
+  const u32* verdict = verdict_.data();
+  const u32* meta = meta_.data();
+  u8* drop = drop_.data();
+  const usize n = meta_.size();
+  u32 marked = 0;
+  for (usize i = 0; i < n; ++i) {
+    const u32 state = meta[i] >> 8;
+    const bool match =
+        ((src_ip[i] & src_mask) == src_val) &
+        ((dst_ip[i] & dst_mask) == dst_val) &
+        ((ports[i] >> 16) - sp_lo <= sp_span) &
+        ((ports[i] & 0xFFFFu) - dp_lo <= dp_span) &
+        ((meta[i] & proto_mask) == proto);
+    const bool keep = (state == kCachedHit) & (verdict[i] < key);
+    drop[i] = static_cast<u8>((state != kInvalid) & match & !keep);
+    marked += drop[i];
+  }
+  stats_.scan_compares += n;
+  return drop_marked(marked);
+}
+
+usize FlowCache::invalidate_rule(RuleId id) {
+  const u32 rule_id = id.value;
+  const u32* verdict = verdict_.data();
+  const u32* meta = meta_.data();
+  u8* drop = drop_.data();
+  const usize n = meta_.size();
+  u32 marked = 0;
+  for (usize i = 0; i < n; ++i) {
+    drop[i] = static_cast<u8>((meta[i] >> 8 == kCachedHit) &
+                              ((verdict[i] & 0xFFFFu) == rule_id));
+    marked += drop[i];
+  }
+  stats_.scan_compares += n;
+  return drop_marked(marked);
+}
+
+usize FlowCache::drop_marked(usize marked) {
+  for (u32 i = 0, left = static_cast<u32>(marked); left > 0; ++i) {
+    if (drop_[i] == 0) continue;
+    mem_.write(i, hw::Word{});  // valid bit cleared
+    meta_[i] = kInvalid << 8;
+    --left;
+  }
+  stats_.lines_invalidated += marked;
+  return marked;
 }
 
 void FlowCache::invalidate_all() {
   mem_.clear();
+  std::fill(meta_.begin(), meta_.end(), kInvalid << 8);
   ++stats_.invalidations;
 }
 

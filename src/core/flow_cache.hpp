@@ -5,20 +5,36 @@
 /// hit an exact 5-tuple table in one memory access; only flow-opening
 /// packets pay the full 4-phase lookup. This block models that fast
 /// path: a direct-mapped (1-way) hash table over the 104-bit 5-tuple,
-/// filled by the data plane on classification results and invalidated by
-/// the controller on any rule change (a conservative, correct policy —
-/// per-rule invalidation would need reverse maps the paper does not
-/// describe).
+/// filled by the data plane on classification results.
+///
+/// A rule update drops only the lines whose verdict it can change (an
+/// exact classifier returns the best matching rule, lowest priority
+/// value then lowest id):
+///   * an add of rule R drops the lines whose tuple R matches, unless
+///     the cached verdict beats R; a cached miss that R matches is
+///     dropped too (invalidate_matching);
+///   * a delete or modify of R drops the lines whose verdict is R
+///     (invalidate_rule);
+///   * anything else flushes the whole cache (invalidate_all, a
+///     single-cycle valid-bit clear in hardware).
+/// The modelled line keeps only a fingerprint of the tuple, so matching
+/// a rule against the cached flows needs the tuple itself: the host
+/// keeps it, with the cached rule and priority, in column arrays beside
+/// the line memory. A device would store the full 104-bit tuple in the
+/// line to do the same. The scan is charged as modelled cost: one
+/// compare per line scanned, one write per line dropped.
 #pragma once
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/hash.hpp"
 #include "common/types.hpp"
 #include "core/rule_filter.hpp"
 #include "hwsim/memory.hpp"
 #include "net/five_tuple.hpp"
+#include "ruleset/rule.hpp"
 
 namespace pclass::core {
 
@@ -27,7 +43,10 @@ struct FlowCacheStats {
   u64 hits = 0;
   u64 misses = 0;
   u64 fills = 0;
-  u64 invalidations = 0;  ///< full flushes (rule-table generation bumps)
+  u64 invalidations = 0;      ///< full flushes (invalidate_all)
+  u64 lines_invalidated = 0;  ///< lines dropped by a per-update scan (one
+                              ///< write each)
+  u64 scan_compares = 0;      ///< lines compared by per-update scans
 
   [[nodiscard]] double hit_rate() const {
     const u64 total = hits + misses;
@@ -53,9 +72,16 @@ class FlowCache {
   /// write, not metered on the update bus — it is not a controller op).
   void fill(const net::FiveTuple& t, const std::optional<RuleEntry>& verdict);
 
-  /// Controller-side invalidation: any rule add/modify/delete can change
-  /// any cached verdict, so the whole cache is flushed (single-cycle
-  /// valid-bit clear in hardware).
+  /// Rule \p r was added: drop every valid line whose tuple \p r
+  /// matches, unless its cached verdict beats \p r (lower priority
+  /// value, then lower rule id). Returns the lines dropped.
+  usize invalidate_matching(const ruleset::Rule& r);
+
+  /// Rule \p id was deleted or modified: drop every line whose cached
+  /// verdict is \p id. Returns the lines dropped.
+  usize invalidate_rule(RuleId id);
+
+  /// Flush every line (the fallback when no per-update scan applies).
   void invalidate_all();
 
   [[nodiscard]] const FlowCacheStats& stats() const { return stats_; }
@@ -70,9 +96,28 @@ class FlowCache {
   [[nodiscard]] u64 fingerprint(const net::FiveTuple& t) const;
   [[nodiscard]] u32 index(const net::FiveTuple& t) const;
 
+  /// Clear the \p marked lines marked in drop_ (one write each);
+  /// returns \p marked.
+  usize drop_marked(usize marked);
+
+  /// Line states (meta_ >> 8).
+  static constexpr u32 kInvalid = 0;
+  static constexpr u32 kCachedMiss = 1;
+  static constexpr u32 kCachedHit = 2;
+
   hw::Memory mem_;
   u64 seed_;
   FlowCacheStats stats_;
+
+  // Host-side columns, one u32 per line so the scans vectorize without
+  // widening: fill() writes them all; the invalidations clear the state
+  // in meta_ only.
+  std::vector<u32> src_ip_;
+  std::vector<u32> dst_ip_;
+  std::vector<u32> ports_;    ///< src_port << 16 | dst_port
+  std::vector<u32> verdict_;  ///< priority << 16 | rule (cached hits)
+  std::vector<u32> meta_;     ///< state << 8 | protocol
+  std::vector<u8> drop_;  ///< scan scratch: 1 = drop this line
 };
 
 }  // namespace pclass::core

@@ -80,8 +80,34 @@ void Parser::push_batch(net::PacketBatch& batch) {
 
 // ---- FlowCacheElement -----------------------------------------------------
 
+void FlowCacheElement::catch_up(const RuleProgram& snap) {
+  const auto updates = snap.updates_since(seen_version_);
+  seen_version_ = snap.version();
+  if (!updates) {
+    cache_.invalidate_all();
+  } else {
+    for (const sdn::Message& msg : *updates) {
+      const auto* fm = std::get_if<sdn::FlowMod>(&msg);
+      if (fm == nullptr) {  // ConfigMod: a backend switch, flush
+        cache_.invalidate_all();
+        break;
+      }
+      if (fm->command == sdn::FlowMod::Command::kAdd) {
+        ruleset::Rule r = fm->match;
+        r.id = fm->cookie;  // as sdn::apply_message installs it
+        cache_.invalidate_matching(r);
+      } else {
+        cache_.invalidate_rule(fm->cookie);
+      }
+    }
+  }
+  if (tel_ != nullptr) fill_counters(tel_->live);
+}
+
 void FlowCacheElement::push_batch(net::PacketBatch& batch) {
-  sync(programs_->version());
+  if (programs_->version() != seen_version_) {
+    sync(*programs_->acquire());  // the acquired version may equal ours
+  }
   for (usize i = 0; i < batch.size(); ++i) {
     net::PacketMeta& m = batch.meta(i);
     if (m.resolved || !m.tuple) continue;
@@ -147,7 +173,7 @@ void ClassifierElement::push_batch(net::PacketBatch& batch) {
       m.action_token = r.match->action;
     }
     if (cache_ != nullptr) {
-      cache_->fill_verdict(keys_[k], r.match, v);
+      cache_->fill_verdict(keys_[k], r.match, *snap);
     }
   }
   if (tel_ != nullptr) {

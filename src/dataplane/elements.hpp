@@ -148,10 +148,12 @@ class Parser : public Element {
   u64 errors_ = 0;
 };
 
-/// Per-worker exact-match fast path. The cache is flushed whenever the
-/// published rule-program version moves (conservative: any rule change
-/// may change any cached verdict); the one-batch window during which a
-/// worker may still serve a verdict cached from the previous version is
+/// Per-worker exact-match fast path. When the published rule-program
+/// version moves, the cache drops only the lines the updates in between
+/// can change (RuleProgram::updates_since; see core::FlowCache for the
+/// rules), and flushes whole when the snapshot does not carry them all
+/// or one of them is a ConfigMod. The one-batch window during which a
+/// worker may still serve a verdict cached at the previous version is
 /// the usual update-propagation delay of a distributed dataplane.
 class FlowCacheElement : public Element {
  public:
@@ -167,14 +169,14 @@ class FlowCacheElement : public Element {
   void push_batch(net::PacketBatch& batch) override;
 
   /// Classifier back-fill: install the verdict of a full lookup made
-  /// against snapshot \p version. If the classifier raced ahead of the
-  /// version this element saw at batch start, the older entries are
-  /// flushed once here — so fresh verdicts are never discarded by the
-  /// next batch's version check.
+  /// against snapshot \p snap. If the classifier raced ahead of the
+  /// version this element saw at batch start, the cache is brought to
+  /// \p snap's version here first — so fresh verdicts are never
+  /// discarded by the next batch's version check.
   void fill_verdict(const net::FiveTuple& t,
                     const std::optional<core::RuleEntry>& verdict,
-                    u64 version) {
-    sync(version);
+                    const RuleProgram& snap) {
+    sync(snap);
     cache_.fill(t, verdict);
   }
 
@@ -184,19 +186,23 @@ class FlowCacheElement : public Element {
 
   /// This element's counter rows into \p out (see Parser).
   void fill_counters(auto& out) const {
-    out.set(telemetry::Counter::cache_hits, cache_.stats().hits);
-    out.set(telemetry::Counter::cache_misses, cache_.stats().misses);
+    using telemetry::Counter;
+    const core::FlowCacheStats& s = cache_.stats();
+    out.set(Counter::cache_hits, s.hits);
+    out.set(Counter::cache_misses, s.misses);
+    out.set(Counter::cache_flushes, s.invalidations);
+    out.set(Counter::cache_lines_invalidated, s.lines_invalidated);
   }
 
  private:
-  /// The cache's one flush site: every cached verdict was made at
-  /// seen_version_, so a different \p version drops them all.
-  void sync(u64 version) {
-    if (version != seen_version_) {
-      cache_.invalidate_all();
-      seen_version_ = version;
-    }
+  /// Every cached verdict was made at seen_version_; bring them to
+  /// \p snap's version (inline: the fill path calls it per verdict).
+  void sync(const RuleProgram& snap) {
+    if (snap.version() != seen_version_) catch_up(snap);
   }
+
+  /// The cache's one invalidation site (see sync).
+  void catch_up(const RuleProgram& snap);
 
   const RuleProgramPublisher* programs_;
   core::FlowCache cache_;

@@ -1,5 +1,6 @@
 #include "dataplane/rule_program.hpp"
 
+#include <algorithm>
 #include <thread>
 
 #include "baseline/linear_search.hpp"
@@ -64,6 +65,7 @@ hw::UpdateStats RuleProgramPublisher::replay(RuleProgram& p,
   // same messages applied once to one classifier. Only entries >=
   // charge_from (this call's batch) contribute to the returned cost.
   hw::UpdateStats cost;
+  const u64 from = p.version_;
   while (p.version_ < log_base_ + log_.size()) {
     const hw::UpdateStats c =
         sdn::apply_message(p.clf_, log_[p.version_ - log_base_]);
@@ -72,6 +74,25 @@ hw::UpdateStats RuleProgramPublisher::replay(RuleProgram& p,
     }
     ++p.version_;
   }
+  if (p.rebuilt_ ||
+      p.clf_.combine_mode() != core::CombineMode::kCrossProduct) {
+    p.replayed_.clear();
+  } else {
+    // p.replayed_ ends at `from`, this replica's previous version:
+    // extend it by this replay, keeping the newest entries only (after a
+    // bulk install, the next catch-up replay is long).
+    const auto keep = static_cast<std::ptrdiff_t>(std::min<u64>(
+        p.version_ - from, RuleProgram::kMaxRecordedUpdates));
+    p.replayed_.insert(p.replayed_.end(), log_.end() - keep, log_.end());
+    const usize excess =
+        p.replayed_.size() -
+        std::min(p.replayed_.size(), RuleProgram::kMaxRecordedUpdates);
+    p.replayed_.erase(p.replayed_.begin(),
+                      p.replayed_.begin() +
+                          static_cast<std::ptrdiff_t>(excess));
+  }
+  p.replayed_from_ = p.version_ - p.replayed_.size();
+  p.rebuilt_ = false;
   return cost;
 }
 
@@ -98,6 +119,8 @@ void RuleProgramPublisher::rebuild_standby(std::shared_ptr<RuleProgram>& p) {
     fresh->clf_.add_rule(r);
   }
   fresh->version_ = good->version_;
+  fresh->replayed_from_ = good->version_;
+  fresh->rebuilt_ = true;
   p = std::move(fresh);
 }
 

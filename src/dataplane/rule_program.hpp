@@ -20,6 +20,11 @@
 ///     every reader reference to it is gone;
 ///   * monotonic versions — acquire() observes non-decreasing versions,
 ///     and version v contains exactly the first v updates of the log.
+///
+/// A snapshot also carries the last updates before its version, so a
+/// worker holding per-flow state made at an older version (its flow
+/// cache) can drop only what those updates change, without touching
+/// the writer side.
 #pragma once
 
 #include <array>
@@ -27,6 +32,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -54,11 +60,38 @@ class RuleProgram {
     return clf_;
   }
 
+  /// The updates that took version \p from to version(), in log order,
+  /// or nullopt when this snapshot does not carry all of them. Each
+  /// replay appends what it replayed, so a snapshot carries the last
+  /// (at most kMaxRecordedUpdates) updates before its version. It
+  /// carries none after its replica was rebuilt (until the next
+  /// replay) or when its combine mode is not exact: a first-label
+  /// verdict can change under an update that neither matches its
+  /// packet nor names its rule.
+  [[nodiscard]] std::optional<std::span<const sdn::Message>> updates_since(
+      u64 from) const {
+    if (from < replayed_from_ || from > version_) return std::nullopt;
+    return std::span<const sdn::Message>(replayed_).subspan(
+        from - replayed_from_);
+  }
+
+  /// Most updates a snapshot records for updates_since(); a worker
+  /// further behind flushes instead of scanning once per update.
+  static constexpr usize kMaxRecordedUpdates = 64;
+
  private:
   friend class RuleProgramPublisher;
 
   core::ConfigurableClassifier clf_;
   u64 version_ = 0;
+  /// The updates from version replayed_from_ to version_ (empty, with
+  /// replayed_from_ == version_, when none are recorded).
+  std::vector<sdn::Message> replayed_;
+  u64 replayed_from_ = 0;
+  /// Set by a rebuild (the fault path): the next replay records
+  /// nothing, so every worker flushes once after a failed publish
+  /// instead of trusting a history across it.
+  bool rebuilt_ = false;
 };
 
 /// The rules installed in \p clf, added verbatim: the installed
@@ -154,8 +187,10 @@ class RuleProgramPublisher : public sdn::UpdateSink {
   /// The unpublished replica, after waiting for readers to drain off it.
   [[nodiscard]] std::shared_ptr<RuleProgram>& standby();
 
-  /// Bring \p p to the log head; only entries >= \p charge_from count
-  /// toward the returned cost (catch-up re-applications are free).
+  /// Bring \p p to the log head and append the replayed entries to its
+  /// recorded updates;
+  /// only entries >= \p charge_from count toward the returned cost
+  /// (catch-up re-applications are free).
   hw::UpdateStats replay(RuleProgram& p, u64 charge_from);
 
   /// Publish \p next (stamped at the current log head) with one swap.

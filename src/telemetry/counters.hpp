@@ -40,6 +40,10 @@ enum class CounterMerge : u8 { kSum, kMax };
   X(parse_errors, kCounter, kSum, "packets", "Packets failing the parser.") \
   X(cache_hits, kCounter, kSum, "packets", "Flow-cache hits.")              \
   X(cache_misses, kCounter, kSum, "packets", "Flow-cache misses.")          \
+  X(cache_flushes, kCounter, kSum, "flushes",                               \
+    "Whole flow-cache flushes (updates the per-line scan cannot cover).")   \
+  X(cache_lines_invalidated, kCounter, kSum, "lines",                       \
+    "Flow-cache lines dropped by per-update invalidation.")                 \
   X(classifier_lookups, kCounter, kSum, "lookups", "Full lookups.")         \
   X(memory_accesses, kCounter, kSum, "reads", "Modelled memory reads.")     \
   X(snapshot_version, kGauge, kMax, "version",                              \

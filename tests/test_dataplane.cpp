@@ -60,15 +60,19 @@ class CountingElement : public Element {
   u64 packets = 0;
 };
 
-/// Publishes \p msg the first time a batch passes through it, so the
-/// classifier downstream acquires a newer version than the one the
+/// Publishes \p msg when the (after + 1)-th batch passes through it, so
+/// the classifier downstream acquires a newer version than the one the
 /// flow cache upstream saw at batch start.
 class PublishingElement : public Element {
  public:
-  PublishingElement(RuleProgramPublisher* programs, sdn::Message msg)
-      : Element("publishing"), programs_(programs), msg_(std::move(msg)) {}
+  PublishingElement(RuleProgramPublisher* programs, sdn::Message msg,
+                    usize after = 0)
+      : Element("publishing"),
+        programs_(programs),
+        msg_(std::move(msg)),
+        after_(after) {}
   void push_batch(net::PacketBatch& b) override {
-    if (msg_) {
+    if (msg_ && after_-- == 0) {
       programs_->apply(*msg_);
       msg_.reset();
     }
@@ -78,6 +82,7 @@ class PublishingElement : public Element {
  private:
   RuleProgramPublisher* programs_;
   std::optional<sdn::Message> msg_;
+  usize after_;  ///< batches to let pass before publishing
 };
 
 /// A TCP rule on dst port 80; \p narrow restricts it to src ports
@@ -102,6 +107,43 @@ core::ClassifierConfig small_config() {
   // /16; the compact BST holds them comfortably at this scale.
   cfg.ip_algorithm = core::IpAlgorithm::kBst;
   return cfg;
+}
+
+/// small_config() with the exact combine: the flow cache then drops only
+/// the lines an update can change.
+core::ClassifierConfig exact_config() {
+  core::ClassifierConfig cfg = small_config();
+  cfg.combine_mode = core::CombineMode::kCrossProduct;
+  return cfg;
+}
+
+/// Cache -> classifier -> sink, without a source: push() sends one
+/// batch.
+struct CacheChain {
+  explicit CacheChain(RuleProgramPublisher* programs, u32 depth = 1024) {
+    cache = p.emplace<FlowCacheElement>(programs, depth);
+    p.emplace<ClassifierElement>(programs, cache);
+    p.emplace<ActionSink>();
+  }
+
+  /// Push \p flows as one batch; the batch is left for inspection.
+  net::PacketBatch& push(std::initializer_list<net::FiveTuple> flows) {
+    b.clear();
+    for (const net::FiveTuple& t : flows) b.push(t);
+    p.push_batch(b);
+    return b;
+  }
+
+  Pipeline p;
+  FlowCacheElement* cache = nullptr;
+  net::PacketBatch b{16};
+};
+
+sdn::Message delete_msg(u32 id) {
+  sdn::FlowMod fm;
+  fm.command = sdn::FlowMod::Command::kDelete;
+  fm.cookie = RuleId{id};
+  return fm;
 }
 
 }  // namespace
@@ -380,8 +422,8 @@ TEST(Engine, MultiWorkerMatchesSingleThreadedOracle) {
   EXPECT_GE(lat.max(), lat.min());
 }
 
-TEST(FlowCacheElement, ServesRepeatsAndFlushesOnVersionBump) {
-  RuleProgramPublisher programs(small_config());
+TEST(FlowCacheElement, ServesRepeatsAndDropsTheLineOfADeletedRule) {
+  RuleProgramPublisher programs(exact_config());
   programs.apply(add_msg(5));
 
   Pipeline p;
@@ -398,8 +440,8 @@ TEST(FlowCacheElement, ServesRepeatsAndFlushesOnVersionBump) {
   EXPECT_EQ(sink->matched(), 2u);
   EXPECT_EQ(cache->stats().hits, 1u);
 
-  // A rule update bumps the version; the stale verdict must not outlive
-  // the flush.
+  // Deleting the cached verdict's rule bumps the version; the stale
+  // verdict must not outlive it.
   sdn::FlowMod del;
   del.command = sdn::FlowMod::Command::kDelete;
   del.cookie = RuleId{5};
@@ -408,7 +450,8 @@ TEST(FlowCacheElement, ServesRepeatsAndFlushesOnVersionBump) {
   b.clear();
   b.push(probe_tuple(5));
   p.push_batch(b);
-  EXPECT_EQ(cache->stats().invalidations, 1u);
+  EXPECT_EQ(cache->stats().invalidations, 0u);      // no full flush...
+  EXPECT_EQ(cache->stats().lines_invalidated, 1u);  // ...the line dropped
   EXPECT_EQ(cache->stats().hits, 1u);  // not served from the stale line
   EXPECT_EQ(sink->matched(), 2u);      // rule is gone: miss
   EXPECT_EQ(b.rule_version, 2u);
@@ -474,6 +517,197 @@ TEST(FlowCacheElement, VerdictFilledAtRacedVersionServesNextBatch) {
   EXPECT_EQ(cache->stats().invalidations, 1u);
   EXPECT_EQ(clf->lookups(), 1u);
   EXPECT_EQ(sink->matched(), 2u);
+}
+
+// ---- per-update flow-cache invalidation: one test per contract rule ------
+
+TEST(FlowCacheElement, LineAnUpdateCannotChangeIsStillServed) {
+  RuleProgramPublisher programs(exact_config());
+  programs.apply_batch(std::vector<sdn::Message>{add_msg(5), add_msg(6)});
+  CacheChain c(&programs);
+  c.push({probe_tuple(5), probe_tuple(6)});  // fill both
+
+  // Neither update can change flow 5's verdict: rule 7 does not match
+  // it, and rule 6 is not its verdict.
+  programs.apply(add_msg(7));
+  programs.apply(delete_msg(6));
+  const net::PacketBatch& b = c.push({probe_tuple(5), probe_tuple(6)});
+  EXPECT_TRUE(b.meta(0).from_cache);
+  EXPECT_EQ(b.meta(0).rule, RuleId{5});
+  EXPECT_FALSE(b.meta(1).from_cache);  // its rule is gone
+  EXPECT_FALSE(b.meta(1).matched);
+  EXPECT_EQ(c.cache->stats().invalidations, 0u);
+  EXPECT_EQ(c.cache->stats().lines_invalidated, 1u);
+}
+
+TEST(FlowCacheElement, EqualPriorityAddFollowsTheLowerRuleId) {
+  RuleProgramPublisher programs(exact_config());
+  programs.apply(add_msg(100));  // priority 100
+  CacheChain c(&programs);
+  c.push({probe_tuple(100)});
+
+  // Same priority as the cached verdict, higher id: rule 100 still wins.
+  ruleset::Rule higher = probe_rule(100);
+  higher.id = RuleId{150};
+  higher.proto = ruleset::ProtoMatch::exact(net::kProtoTcp);
+  programs.apply(sdn::FlowMod::add(higher, sdn::ActionSpec::output(2)));
+  const net::PacketBatch& b1 = c.push({probe_tuple(100)});
+  EXPECT_TRUE(b1.meta(0).from_cache);
+  EXPECT_EQ(b1.meta(0).rule, RuleId{100});
+
+  // Same priority, lower id: the new rule wins, so the line goes.
+  ruleset::Rule lower = probe_rule(100);
+  lower.id = RuleId{50};
+  lower.dst_ip = ruleset::IpPrefix::make(probe_tuple(100).dst_ip, 32);
+  programs.apply(sdn::FlowMod::add(lower, sdn::ActionSpec::output(3)));
+  const net::PacketBatch& b2 = c.push({probe_tuple(100)});
+  EXPECT_FALSE(b2.meta(0).from_cache);
+  EXPECT_EQ(b2.meta(0).rule, RuleId{50});
+  EXPECT_EQ(c.cache->stats().lines_invalidated, 1u);
+}
+
+TEST(FlowCacheElement, MatchingAddDropsACachedMiss) {
+  RuleProgramPublisher programs(exact_config());
+  programs.apply(add_msg(5));
+  CacheChain c(&programs);
+  c.push({probe_tuple(9), probe_tuple(11)});  // two cached misses
+
+  programs.apply(add_msg(9));
+  const net::PacketBatch& b = c.push({probe_tuple(9), probe_tuple(11)});
+  EXPECT_FALSE(b.meta(0).from_cache);  // rule 9 matches: miss dropped
+  EXPECT_TRUE(b.meta(0).matched);
+  EXPECT_EQ(b.meta(0).rule, RuleId{9});
+  EXPECT_TRUE(b.meta(1).from_cache);  // rule 9 does not match flow 11
+  EXPECT_FALSE(b.meta(1).matched);
+}
+
+TEST(FlowCacheElement, ModifyServesTheNewAction) {
+  RuleProgramPublisher programs(exact_config());
+  programs.apply(add_msg(5));  // output(1)
+  CacheChain c(&programs);
+  c.push({probe_tuple(5)});
+
+  sdn::FlowMod mod;
+  mod.command = sdn::FlowMod::Command::kModify;
+  mod.cookie = RuleId{5};
+  mod.action = sdn::ActionSpec::output(7);
+  programs.apply(mod);
+  for (const bool cached : {false, true}) {
+    const net::PacketBatch& b = c.push({probe_tuple(5)});
+    EXPECT_EQ(b.meta(0).from_cache, cached);
+    EXPECT_EQ(b.meta(0).action_token, sdn::ActionSpec::output(7).encode());
+  }
+  EXPECT_EQ(c.cache->stats().invalidations, 0u);
+}
+
+TEST(FlowCacheElement, ConfigModFlushesWhole) {
+  RuleProgramPublisher programs(exact_config());
+  programs.apply(add_msg(5));
+  CacheChain c(&programs);
+  c.push({probe_tuple(5)});
+
+  programs.apply(sdn::ConfigMod{core::IpAlgorithm::kMbt});
+  const net::PacketBatch& b = c.push({probe_tuple(5)});
+  EXPECT_FALSE(b.meta(0).from_cache);
+  EXPECT_EQ(b.meta(0).rule, RuleId{5});
+  EXPECT_EQ(c.cache->stats().invalidations, 1u);
+}
+
+TEST(FlowCacheElement, GapBeyondTheRecordedUpdatesFlushesWhole) {
+  RuleProgramPublisher programs(exact_config());
+  programs.apply(add_msg(5));
+  CacheChain c(&programs);
+  c.push({probe_tuple(5)});
+
+  // A few publishes between two batches are within the recorded
+  // updates: the line survives.
+  for (u32 id = 20; id < 23; ++id) programs.apply(add_msg(id));
+  EXPECT_TRUE(c.push({probe_tuple(5)}).meta(0).from_cache);
+  EXPECT_EQ(c.cache->stats().invalidations, 0u);
+
+  // One more publish than a snapshot records leaves a gap...
+  for (u32 id = 100; id < 100 + RuleProgram::kMaxRecordedUpdates + 1; ++id) {
+    programs.apply(add_msg(id));
+  }
+  EXPECT_FALSE(c.push({probe_tuple(5)}).meta(0).from_cache);
+  EXPECT_EQ(c.cache->stats().invalidations, 1u);
+
+  // ...and so does one batch of that many.
+  std::vector<sdn::Message> many;
+  for (u32 id = 200; id < 200 + RuleProgram::kMaxRecordedUpdates + 1; ++id) {
+    many.push_back(add_msg(id));
+  }
+  programs.apply_batch(many);
+  EXPECT_FALSE(c.push({probe_tuple(5)}).meta(0).from_cache);
+  EXPECT_EQ(c.cache->stats().invalidations, 2u);
+  EXPECT_EQ(c.cache->stats().lines_invalidated, 0u);
+}
+
+TEST(FlowCacheElement, RebuiltStandbyFlushesWhole) {
+  RuleProgramPublisher programs(exact_config());
+  programs.apply(add_msg(5));
+  CacheChain c(&programs);
+  c.push({probe_tuple(5)});
+
+  // A failed publish rebuilds the standby from the installed rules; the
+  // replica it publishes next carries no updates.
+  programs.set_fault_hook([] { throw std::runtime_error("injected"); });
+  EXPECT_THROW(programs.apply(add_msg(6)), std::runtime_error);
+  programs.set_fault_hook(nullptr);
+  EXPECT_TRUE(c.push({probe_tuple(5)}).meta(0).from_cache);  // nothing new
+
+  programs.apply(add_msg(6));
+  EXPECT_FALSE(c.push({probe_tuple(5)}).meta(0).from_cache);
+  EXPECT_EQ(c.cache->stats().invalidations, 1u);
+}
+
+TEST(FlowCacheElement, FirstLabelCombineFlushesWhole) {
+  // A first-label verdict can change under an update that neither
+  // matches its flow nor names its rule, so only a flush is safe.
+  RuleProgramPublisher programs(small_config());
+  programs.apply(add_msg(5));
+  CacheChain c(&programs);
+  c.push({probe_tuple(5)});
+
+  programs.apply(add_msg(6));
+  EXPECT_FALSE(c.push({probe_tuple(5)}).meta(0).from_cache);
+  EXPECT_EQ(c.cache->stats().invalidations, 1u);
+}
+
+TEST(FlowCacheElement, RacedVersionDropsTheLinesOfItsUpdates) {
+  RuleProgramPublisher programs(exact_config());
+  programs.apply_batch(std::vector<sdn::Message>{add_msg(5), add_msg(6)});
+
+  // In the second batch rule 6 is deleted between the cache's version
+  // check and the classifier's snapshot acquire; the fill at the raced
+  // version drops flow 6's line and keeps flow 5's.
+  Pipeline p;
+  auto* cache = p.emplace<FlowCacheElement>(&programs, 256);
+  p.emplace<PublishingElement>(&programs, delete_msg(6), /*after=*/1);
+  p.emplace<ClassifierElement>(&programs, cache);
+  p.emplace<ActionSink>();
+
+  net::PacketBatch b(4);
+  b.push(probe_tuple(5));
+  b.push(probe_tuple(6));
+  p.push_batch(b);  // fills both at v2
+  b.clear();
+  b.push(probe_tuple(5));
+  b.push(probe_tuple(6));
+  b.push(probe_tuple(7));
+  p.push_batch(b);  // 5, 6 served at v2; flow 7 filled at v3
+  EXPECT_EQ(b.rule_version, 3u);
+
+  b.clear();
+  b.push(probe_tuple(5));
+  b.push(probe_tuple(6));
+  p.push_batch(b);
+  EXPECT_TRUE(b.meta(0).from_cache);
+  EXPECT_EQ(b.meta(0).rule, RuleId{5});
+  EXPECT_FALSE(b.meta(1).from_cache);
+  EXPECT_FALSE(b.meta(1).matched);
+  EXPECT_EQ(cache->stats().invalidations, 0u);
+  EXPECT_EQ(cache->stats().lines_invalidated, 1u);
 }
 
 TEST(ActionSink, ExplicitDropActionCountsMatchedAndDropped) {

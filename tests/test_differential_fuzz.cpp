@@ -28,16 +28,21 @@
 // (each verdict's tuple hashes to the shard that logged it).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <barrier>
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "baseline/linear_search.hpp"
+#include "common/error.hpp"
 #include "common/random.hpp"
 #include "core/classifier.hpp"
 #include "dataplane/engine.hpp"
@@ -310,40 +315,132 @@ class VersionedOracles {
   std::map<u64, std::unique_ptr<baseline::LinearSearch>> oracles_;
 };
 
-/// One random southbound mutation through the publisher — delete an
-/// installed rule, re-add a previously deleted one (verbatim, same id
-/// and priority), or rewrite an action in place — followed by a
-/// snapshot record at the new version.
-void mutate_publisher(dataplane::RuleProgramPublisher& pub, Rng& rng,
-                      std::vector<ruleset::Rule>& removed,
-                      VersionedOracles& oracles) {
-  const std::vector<ruleset::Rule> installed =
-      pub.acquire()->classifier().installed_rules();
-  sdn::FlowMod fm;
-  const u64 kind = rng.below(3);
-  if (kind == 0 && installed.size() > 8) {
-    const ruleset::Rule victim = installed[rng.below(installed.size())];
-    fm.command = sdn::FlowMod::Command::kDelete;
-    fm.cookie = victim.id;
-    pub.apply(fm);
-    removed.push_back(victim);
-  } else if (kind == 1 && !removed.empty()) {
-    const usize k = rng.below(removed.size());
-    fm.command = sdn::FlowMod::Command::kAdd;
-    fm.cookie = removed[k].id;
-    fm.match = removed[k];
-    fm.action = sdn::ActionSpec::decode(removed[k].action.token);
-    pub.apply(fm);
-    removed.erase(removed.begin() + static_cast<std::ptrdiff_t>(k));
-  } else if (!installed.empty()) {
-    fm.command = sdn::FlowMod::Command::kModify;
-    fm.cookie = installed[rng.below(installed.size())].id;
-    fm.action = sdn::ActionSpec::output(static_cast<u16>(1 + rng.below(1000)));
-    pub.apply(fm);
-  } else {
-    return;  // nothing to mutate (fully drained set)
+/// \p cv against the oracle at the version it was stamped with: match,
+/// rule, priority and action token (a verdict carrying the pre-modify
+/// action at a post-modify version is a stale serve).
+::testing::AssertionResult agrees_with_oracle(
+    const dataplane::CapturedVerdict& cv, VersionedOracles& oracles) {
+  const baseline::LinearSearch* oracle = oracles.at(cv.version);
+  if (oracle == nullptr) {
+    return ::testing::AssertionFailure()
+           << "verdict stamped with never-published version " << cv.version;
   }
-  oracles.record(pub);
+  const ruleset::Rule* want = oracle->classify(cv.tuple, nullptr);
+  if (cv.matched != (want != nullptr) ||
+      (want != nullptr &&
+       (cv.rule != want->id || cv.priority != want->priority ||
+        cv.action_token != want->action.token))) {
+    return ::testing::AssertionFailure()
+           << "version " << cv.version << ": got "
+           << (cv.matched ? "rule " + std::to_string(cv.rule.value) : "miss")
+           << ", oracle "
+           << (want != nullptr ? "rule " + std::to_string(want->id.value)
+                               : "miss");
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The update stream of one run: aimed adds, deletes, re-adds and
+/// modifies drawn against the publisher's installed rules.
+class UpdateStream {
+ public:
+  UpdateStream(u64 seed, std::vector<net::FiveTuple> flows)
+      : rng_(seed), flows_(std::move(flows)) {}
+
+  /// Apply one drawn update (if one applies) and record its version.
+  void step(dataplane::RuleProgramPublisher& pub, VersionedOracles& oracles) {
+    const std::optional<sdn::FlowMod> fm =
+        draw(pub.acquire()->classifier().installed_rules());
+    if (!fm) return;
+    try {
+      pub.apply(*fm);
+    } catch (const Error&) {
+      ++failed_;  // e.g. protocol labels run out: the publish rolls back
+      return;
+    }
+    if (fm->command == sdn::FlowMod::Command::kDelete) {
+      removed_.push_back(*deleted_);
+    }
+    oracles.record(pub);
+  }
+
+  [[nodiscard]] u64 failed() const { return failed_; }
+
+ private:
+  std::optional<sdn::FlowMod> draw(
+      const std::vector<ruleset::Rule>& installed) {
+    const u64 kind = rng_.below(4);
+    if (kind <= 1) return aimed_add(installed);
+    if (kind == 2 && installed.size() > 8) {
+      const ruleset::Rule& victim = installed[rng_.below(installed.size())];
+      sdn::FlowMod fm;
+      fm.command = sdn::FlowMod::Command::kDelete;
+      fm.cookie = victim.id;
+      deleted_ = victim;
+      return fm;
+    }
+    if (kind == 2 && !removed_.empty()) {
+      const usize k = rng_.below(removed_.size());
+      const ruleset::Rule r = removed_[k];
+      removed_.erase(removed_.begin() + static_cast<std::ptrdiff_t>(k));
+      for (const ruleset::Rule& o : installed) {
+        if (o.same_match(r)) return std::nullopt;
+      }
+      return sdn::FlowMod::add(r, sdn::ActionSpec::decode(r.action.token));
+    }
+    if (installed.empty()) return std::nullopt;
+    sdn::FlowMod fm;
+    fm.command = sdn::FlowMod::Command::kModify;
+    fm.cookie = installed[rng_.below(installed.size())].id;
+    fm.action = sdn::ActionSpec::output(static_cast<u16>(1 + rng_.below(1000)));
+    return fm;
+  }
+
+  /// A new rule matching one of the flows, with random wildcarding. Its
+  /// id is drawn at random, so a tie on a copied priority goes either way.
+  std::optional<sdn::FlowMod> aimed_add(
+      const std::vector<ruleset::Rule>& installed) {
+    const net::FiveTuple& t = flows_[rng_.below(flows_.size())];
+    constexpr std::array<u8, 5> kLens = {0, 8, 16, 24, 32};
+    ruleset::Rule r;
+    r.src_ip = ruleset::IpPrefix::make(t.src_ip, kLens[rng_.below(5)]);
+    r.dst_ip = ruleset::IpPrefix::make(t.dst_ip, kLens[rng_.below(5)]);
+    if (rng_.below(2) == 0) r.src_port = ruleset::PortRange::exact(t.src_port);
+    if (rng_.below(2) == 0) r.dst_port = ruleset::PortRange::exact(t.dst_port);
+    if (rng_.below(2) == 0) r.proto = ruleset::ProtoMatch::exact(t.protocol);
+    Priority top = 0;
+    for (const ruleset::Rule& o : installed) {
+      if (o.same_match(r)) return std::nullopt;
+      top = std::max(top, o.priority);
+    }
+    r.priority = !installed.empty() && rng_.below(2) == 0
+                     ? installed[rng_.below(installed.size())].priority
+                     : static_cast<Priority>(rng_.below(u64{top} + 2));
+    for (;;) {
+      r.id = RuleId{static_cast<u32>(30'000 + rng_.below(30'000))};
+      const bool taken =
+          std::any_of(installed.begin(), installed.end(),
+                      [&](const ruleset::Rule& o) { return o.id == r.id; }) ||
+          std::any_of(removed_.begin(), removed_.end(),
+                      [&](const ruleset::Rule& o) { return o.id == r.id; });
+      if (!taken) break;
+    }
+    return sdn::FlowMod::add(
+        r, sdn::ActionSpec::output(static_cast<u16>(1 + rng_.below(1000))));
+  }
+
+  Rng rng_;
+  std::vector<net::FiveTuple> flows_;
+  std::vector<ruleset::Rule> removed_;
+  std::optional<ruleset::Rule> deleted_;
+  u64 failed_ = 0;
+};
+
+/// The distinct tuples of \p trace: the flows the adds aim at.
+std::vector<net::FiveTuple> distinct_flows(const net::Trace& trace) {
+  std::set<net::FiveTuple> distinct;
+  for (const auto& e : trace) distinct.insert(e.header);
+  return {distinct.begin(), distinct.end()};
 }
 
 /// Drive one drawn configuration through a real Engine and check every
@@ -424,15 +521,17 @@ void run_shard_config(const ShardFuzzConfig& c) {
   std::thread mutator;
   if (c.mutations) {
     mutator = std::thread([&pub, &oracles, &batches_seen, &mutations_done,
-                           &drained, n_mut, expected_batches, mrng]() mutable {
-      std::vector<ruleset::Rule> removed;
+                           &drained, n_mut, expected_batches,
+                           updates = UpdateStream(mrng.next(),
+                                                  distinct_flows(trace))]()
+                              mutable {
       for (u64 m = 0; m < n_mut; ++m) {
         const u64 gate = (m + 1) * expected_batches / (n_mut + 1);
         while (batches_seen.load(std::memory_order_relaxed) < gate &&
                !drained.load(std::memory_order_relaxed)) {
           std::this_thread::yield();
         }
-        mutate_publisher(pub, mrng, removed, oracles);
+        updates.step(pub, oracles);
         mutations_done.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -460,26 +559,8 @@ void run_shard_config(const ShardFuzzConfig& c) {
       // logged it.
       ASSERT_EQ(dataplane::shard_of(cv.tuple, c.shards), s)
           << c.describe() << " pkt " << k;
-      const baseline::LinearSearch* oracle = oracles.at(cv.version);
-      ASSERT_NE(oracle, nullptr)
-          << c.describe() << " shard " << s << " pkt " << k
-          << ": verdict stamped with never-published version " << cv.version;
-      const ruleset::Rule* want = oracle->classify(cv.tuple, nullptr);
-      ASSERT_EQ(cv.matched, want != nullptr)
-          << c.describe() << " shard " << s << " pkt " << k << " version "
-          << cv.version;
-      if (want != nullptr) {
-        ASSERT_EQ(cv.rule, want->id)
-            << c.describe() << " shard " << s << " pkt " << k << " version "
-            << cv.version;
-        ASSERT_EQ(cv.priority, want->priority)
-            << c.describe() << " shard " << s << " pkt " << k;
-        // Action tokens pin kModify visibility: a verdict carrying the
-        // pre-modify action at a post-modify version is a stale serve.
-        ASSERT_EQ(cv.action_token, want->action.token)
-            << c.describe() << " shard " << s << " pkt " << k << " version "
-            << cv.version;
-      }
+      ASSERT_TRUE(agrees_with_oracle(cv, oracles))
+          << c.describe() << " shard " << s << " pkt " << k;
     }
   }
   EXPECT_EQ(total, trace.size()) << c.describe();
@@ -537,4 +618,262 @@ TEST(ShardedDifferentialFuzz, UpdateStormAcrossShardsNeverServesStaleVerdict) {
     SCOPED_TRACE(c.describe());
     run_shard_config(c);
   }
+}
+
+// ===========================================================================
+// Flow-cache differential fuzz: per-update invalidation against the
+// same per-version oracles. Seeded add/delete/modify streams run between
+// the batches of a cache-on element chain (and of a multi-worker Engine
+// in lockstep), over Zipf traffic whose flows repeat; the adds are aimed
+// at those flows, with priorities copied from installed rules so ties
+// are broken by rule id in both directions. Every verdict, cache hits
+// included, must equal LinearSearch at the verdict's version, and the
+// cache must serve enough hits that the check is not vacuous.
+// ===========================================================================
+
+namespace {
+
+/// Hit ratio the cache must reach over a whole fuzz run.
+constexpr double kMinCacheHitRatio = 0.5;
+
+struct CacheFuzzConfig {
+  std::string family;
+  usize rules_n = 0;
+  usize packets = 0;
+  core::IpAlgorithm alg = core::IpAlgorithm::kMbt;
+  usize batch = 16;
+  u32 cache_depth = 1024;
+  usize shards = 0;   ///< Engine variant only
+  usize workers = 1;  ///< Engine variant only
+  u64 seed = 0;
+
+  [[nodiscard]] std::string describe() const {
+    return "family=" + family + " rules=" + std::to_string(rules_n) +
+           " packets=" + std::to_string(packets) +
+           " alg=" + std::string(to_string(alg)) +
+           " batch=" + std::to_string(batch) +
+           " cache=" + std::to_string(cache_depth) +
+           " shards=" + std::to_string(shards) +
+           " workers=" + std::to_string(workers) +
+           " seed=" + std::to_string(seed);
+  }
+};
+
+CacheFuzzConfig draw_cache_config(Rng& rng, u64 seed, bool engine) {
+  CacheFuzzConfig c;
+  c.seed = seed;
+  c.family = std::array{"acl", "fw", "ipc"}[rng.below(3)];
+  c.rules_n = 40 + static_cast<usize>(rng.below(81));
+  c.packets = 512 + static_cast<usize>(rng.below(513));
+  c.alg = std::array{core::IpAlgorithm::kMbt, core::IpAlgorithm::kBst,
+                     core::IpAlgorithm::kRvh}[rng.below(3)];
+  c.batch = std::array<usize, 3>{8, 16, 32}[rng.below(3)];
+  c.cache_depth = rng.below(2) == 0 ? 256 : 1024;
+  if (engine) {
+    c.shards = 2 + static_cast<usize>(rng.below(3));                 // 2..4
+    c.workers = 2 + static_cast<usize>(rng.below(c.shards - 1));     // 2..S
+  }
+  return c;
+}
+
+/// What one run's caches did.
+struct CacheTally {
+  u64 hits = 0;
+  u64 misses = 0;
+  u64 flushes = 0;
+  u64 lines_invalidated = 0;
+  u64 failed_updates = 0;  ///< times caches that saw a failed update
+
+  void add(const telemetry::CounterSet& c, u64 failed) {
+    hits += c[telemetry::Counter::cache_hits];
+    misses += c[telemetry::Counter::cache_misses];
+    flushes += c[telemetry::Counter::cache_flushes];
+    lines_invalidated += c[telemetry::Counter::cache_lines_invalidated];
+    failed_updates += failed;
+  }
+  [[nodiscard]] double hit_ratio() const {
+    return hits + misses == 0 ? 0.0
+                              : static_cast<double>(hits) /
+                                    static_cast<double>(hits + misses);
+  }
+};
+
+/// The inputs of one run: the rule set's publisher and the traffic.
+struct CacheFuzzInputs {
+  std::unique_ptr<dataplane::RuleProgramPublisher> pub;
+  net::Trace trace;
+  std::vector<net::FiveTuple> flows;  ///< distinct tuples of the trace
+};
+
+CacheFuzzInputs make_cache_inputs(const CacheFuzzConfig& c) {
+  const ruleset::RuleSet rules = workload::synthesize(
+      workload::RulesetProfile::by_family(c.family, c.rules_n, c.seed));
+  CacheFuzzInputs in;
+  {
+    workload::TraceSynthesizer ts(
+        rules, workload::TraceProfile::zipf_heavy(c.packets, c.seed ^ 1));
+    in.trace = ts.generate();
+  }
+  in.flows = distinct_flows(in.trace);
+  core::ClassifierConfig cfg =
+      core::ClassifierConfig::for_scale(rules.size() + 64);
+  cfg.combine_mode = core::CombineMode::kCrossProduct;  // exact => oracle
+  cfg.ip_algorithm = c.alg;
+  in.pub = std::make_unique<dataplane::RuleProgramPublisher>(cfg);
+  in.pub->install_ruleset(rules);
+  return in;
+}
+
+/// One element-chain run: an update before about one batch in three.
+void run_cache_chain(const CacheFuzzConfig& c, CacheTally& tally) {
+  CacheFuzzInputs in = make_cache_inputs(c);
+  VersionedOracles oracles;
+  oracles.record(*in.pub);
+  UpdateStream updates(c.seed ^ 0xCAC4E, in.flows);
+  Rng rng(c.seed ^ 0xBA7C4);
+
+  std::vector<dataplane::CapturedVerdict> captured;
+  dataplane::Pipeline p;
+  auto* cache =
+      p.emplace<dataplane::FlowCacheElement>(in.pub.get(), c.cache_depth);
+  p.emplace<dataplane::ClassifierElement>(in.pub.get(), cache);
+  p.emplace<dataplane::ActionSink>(nullptr, &captured);
+
+  net::PacketBatch b(c.batch);
+  for (usize off = 0; off < in.trace.size(); off += c.batch) {
+    if (rng.below(3) == 0) updates.step(*in.pub, oracles);
+    b.clear();
+    for (usize k = off; k < std::min(off + c.batch, in.trace.size()); ++k) {
+      b.push(in.trace[k].header);
+    }
+    p.push_batch(b);
+  }
+  ASSERT_EQ(captured.size(), in.trace.size()) << c.describe();
+  for (usize k = 0; k < captured.size(); ++k) {
+    ASSERT_TRUE(agrees_with_oracle(captured[k], oracles))
+        << c.describe() << " pkt " << k;
+  }
+  telemetry::CounterSet counters;
+  cache->fill_counters(counters);
+  tally.add(counters, updates.failed());
+}
+
+/// One sharded multi-worker Engine run. The workers sweep in lockstep
+/// on a barrier whose completion applies the updates, so no batch is in
+/// flight during a publish and a cache hit is exact at its batch's
+/// version. Each worker thread sweeps once per batch of its largest
+/// shard, plus a last sweep that finds every pool dry; it leaves the
+/// barrier on that last one.
+void run_cache_engine(const CacheFuzzConfig& c, CacheTally& tally) {
+  CacheFuzzInputs in = make_cache_inputs(c);
+  VersionedOracles oracles;
+  oracles.record(*in.pub);
+  UpdateStream updates(c.seed ^ 0xCAC4E, in.flows);
+  Rng rng(c.seed ^ 0xBA7C4);
+
+  std::vector<usize> per_shard(c.shards);
+  for (const auto& e : in.trace) ++per_shard[dataplane::shard_of(e.header, c.shards)];
+  std::vector<u64> sweeps(c.workers);  // sweeps with work, per thread
+  for (usize s = 0; s < c.shards; ++s) {
+    sweeps[s % c.workers] = std::max<u64>(
+        sweeps[s % c.workers], (per_shard[s] + c.batch - 1) / c.batch);
+  }
+
+  std::atomic<bool> update_threw{false};
+  std::barrier lockstep(static_cast<std::ptrdiff_t>(c.workers), [&]() noexcept {
+    try {
+      // Fewer, longer phases than the chain's batches: update at half.
+      if (rng.below(2) == 0) updates.step(*in.pub, oracles);
+    } catch (...) {
+      update_threw.store(true);
+    }
+  });
+  std::vector<u64> calls(c.workers);  // calls[w]: worker w's thread only
+  dataplane::EngineConfig ecfg{.workers = c.workers,
+                               .batch_size = c.batch,
+                               .flow_cache_depth = c.cache_depth,
+                               .telemetry = false,
+                               .shards = c.shards,
+                               .capture_verdicts = true};
+  ecfg.worker_fault_hook = [&](usize w) {
+    const u64 k = calls[w]++;
+    if (k < sweeps[w]) {
+      lockstep.arrive_and_wait();
+    } else if (k == sweeps[w]) {
+      lockstep.arrive_and_drop();
+    }
+  };
+  dataplane::TrafficPool pool =
+      dataplane::TrafficPool::from_trace(in.trace, /*materialize=*/false);
+  dataplane::Engine engine(ecfg, *in.pub);
+  const dataplane::EngineReport rep = engine.run(pool);
+
+  ASSERT_FALSE(update_threw.load()) << c.describe();
+  ASSERT_TRUE(rep.first_error().empty())
+      << c.describe() << ": " << rep.first_error();
+  ASSERT_EQ(rep.packets(), in.trace.size()) << c.describe();
+  for (usize s = 0; s < rep.captured.size(); ++s) {
+    for (usize k = 0; k < rep.captured[s].size(); ++k) {
+      ASSERT_TRUE(agrees_with_oracle(rep.captured[s][k], oracles))
+          << c.describe() << " shard " << s << " pkt " << k;
+    }
+  }
+  // A failed update makes every shard's cache flush once.
+  tally.add(dataplane::merge_reports(0, rep.shards).counters,
+            updates.failed() * c.shards);
+}
+
+/// Drive \p iters drawn configurations through \p run; then the cache
+/// must have served hits, dropped lines one by one and flushed only
+/// after a failed update (a rebuilt standby carries no updates).
+template <class Run>
+void fuzz_cache(const char* tag, u64 seed, usize iters, bool engine,
+                Run run) {
+  std::cerr << "[" << tag << "] seed=" << seed << " iters=" << iters
+            << " (override via PCLASS_FUZZ_SEED / PCLASS_FUZZ_ITERS)\n";
+  Rng meta(seed);
+  CacheTally tally;
+  for (usize i = 0; i < iters; ++i) {
+    const u64 cseed = meta.next();
+    Rng rng(cseed);
+    const CacheFuzzConfig c = draw_cache_config(rng, cseed, engine);
+    SCOPED_TRACE("iter " + std::to_string(i) + ": " + c.describe());
+    run(c, tally);
+    if (::testing::Test::HasFatalFailure()) {
+      std::cerr << "[" << tag << "] FAILED at iter " << i << ": "
+                << c.describe() << "\n";
+      return;
+    }
+  }
+  std::cerr << "[" << tag << "] hit ratio " << tally.hit_ratio()
+            << ", lines invalidated " << tally.lines_invalidated
+            << ", flushes " << tally.flushes << ", failed updates "
+            << tally.failed_updates << "\n";
+  EXPECT_GE(tally.hit_ratio(), kMinCacheHitRatio);
+  EXPECT_GT(tally.lines_invalidated, 0u);
+  EXPECT_LE(tally.flushes, tally.failed_updates);
+}
+
+}  // namespace
+
+/// Fewest configurations a cache fuzz run draws, so its hit-ratio and
+/// invalidation checks have data under any PCLASS_FUZZ_ITERS.
+constexpr usize kMinCacheIters = 8;
+
+TEST(CacheDifferentialFuzz, SelectiveInvalidationAgreesWithVersionedOracles) {
+  const usize iters =
+      static_cast<usize>(env_u64("PCLASS_FUZZ_ITERS", kDefaultIters));
+  fuzz_cache("cache-fuzz", env_u64("PCLASS_FUZZ_SEED", kDefaultSeed) ^ 0xCAC4E,
+             std::max(kMinCacheIters, iters), /*engine=*/false,
+             run_cache_chain);
+}
+
+TEST(CacheDifferentialFuzz, LockstepEngineWorkersAgreeWithVersionedOracles) {
+  // Thread-heavy runs: a quarter of the iterations.
+  const usize iters =
+      static_cast<usize>(env_u64("PCLASS_FUZZ_ITERS", kDefaultIters));
+  fuzz_cache("cache-engine-fuzz",
+             env_u64("PCLASS_FUZZ_SEED", kDefaultSeed) ^ 0xE4C4E,
+             std::max(kMinCacheIters, iters / 4), /*engine=*/true,
+             run_cache_engine);
 }

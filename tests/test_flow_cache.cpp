@@ -1,7 +1,10 @@
 // Flow-cache fast path: exact-match semantics and the fill/invalidate
-// policy. The dataplane's use of it (a cached verdict must never outlive
-// a rule change) is tested through FlowCacheElement in test_dataplane.
+// policy (per-update scans and the full flush). The dataplane's use of
+// it (a cached verdict must never outlive a rule change) is tested
+// through FlowCacheElement in test_dataplane.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "core/flow_cache.hpp"
 #include "net/packet.hpp"
@@ -14,6 +17,21 @@ namespace {
 net::FiveTuple tuple(u32 a, u16 p) {
   return {a, a ^ 0xDEADBEEF, 1000, p, net::kProtoTcp};
 }
+
+/// A rule matching source address \p a exactly, everything else wild.
+ruleset::Rule src_rule(u32 a, u32 id, Priority prio) {
+  ruleset::Rule r;
+  r.src_ip = ruleset::IpPrefix::make(a, 32);
+  r.id = RuleId{id};
+  r.priority = prio;
+  return r;
+}
+
+bool cached(FlowCache& c, const net::FiveTuple& t) {
+  return c.lookup(t, nullptr).has_value();
+}
+
+constexpr u32 kDepth = 4096;
 
 }  // namespace
 
@@ -62,4 +80,86 @@ TEST(FlowCache, InvalidateAllFlushes) {
   c.invalidate_all();
   EXPECT_FALSE(c.lookup(tuple(1, 80), nullptr).has_value());
   EXPECT_EQ(c.stats().invalidations, 1u);
+}
+
+TEST(FlowCache, AddDropsMatchedLinesItBeatsAndMatchedMisses) {
+  FlowCache c("c", kDepth);
+  c.fill(tuple(1, 80), RuleEntry{RuleId{5}, 10, 0});  // loses to prio 5
+  c.fill(tuple(1, 81), std::nullopt);                  // cached miss
+  c.fill(tuple(1, 82), RuleEntry{RuleId{3}, 2, 0});   // beats prio 5
+  c.fill(tuple(2, 80), RuleEntry{RuleId{9}, 20, 0});  // not matched
+  c.fill(tuple(2, 81), std::nullopt);                  // not matched
+  for (const u16 p : {80, 81, 82}) ASSERT_TRUE(cached(c, tuple(1, p)));
+
+  EXPECT_EQ(c.invalidate_matching(src_rule(1, 7, 5)), 2u);
+  EXPECT_FALSE(cached(c, tuple(1, 80)));
+  EXPECT_FALSE(cached(c, tuple(1, 81)));
+  EXPECT_TRUE(cached(c, tuple(1, 82)));
+  EXPECT_TRUE(cached(c, tuple(2, 80)));
+  EXPECT_TRUE(cached(c, tuple(2, 81)));
+  EXPECT_EQ(c.stats().lines_invalidated, 2u);
+  EXPECT_EQ(c.stats().scan_compares, kDepth);  // one compare per line
+  EXPECT_EQ(c.stats().invalidations, 0u);      // not a flush
+}
+
+TEST(FlowCache, EqualPriorityAddFollowsTheLowerRuleId) {
+  FlowCache c("c", kDepth);
+  c.fill(tuple(1, 80), RuleEntry{RuleId{10}, 5, 0});
+  EXPECT_EQ(c.invalidate_matching(src_rule(1, 12, 5)), 0u);  // 10 wins
+  EXPECT_TRUE(cached(c, tuple(1, 80)));
+  EXPECT_EQ(c.invalidate_matching(src_rule(1, 8, 5)), 1u);  // 8 wins
+  EXPECT_FALSE(cached(c, tuple(1, 80)));
+}
+
+TEST(FlowCache, AddMatchesEveryField) {
+  FlowCache c("c", kDepth);
+  const net::FiveTuple t{0x0A010203, 0xC0A80001, 1234, 443, net::kProtoUdp};
+  ruleset::Rule r;
+  r.src_ip = ruleset::IpPrefix::make(0x0A000000, 8);
+  r.dst_ip = ruleset::IpPrefix::make(0xC0A80000, 16);
+  r.src_port = ruleset::PortRange::make(1024, 65535);
+  r.dst_port = ruleset::PortRange::exact(443);
+  r.proto = ruleset::ProtoMatch::exact(net::kProtoUdp);
+  r.id = RuleId{1};
+  ASSERT_TRUE(r.matches(t));
+  // Each variant misses the rule in exactly one field.
+  std::vector<net::FiveTuple> misses(5, t);
+  misses[0].src_ip = 0x0B010203;
+  misses[1].dst_ip = 0xC0A90001;
+  misses[2].src_port = 1023;
+  misses[3].dst_port = 444;
+  misses[4].protocol = net::kProtoTcp;
+  c.fill(t, std::nullopt);
+  for (const net::FiveTuple& m : misses) {
+    ASSERT_FALSE(r.matches(m));
+    c.fill(m, std::nullopt);
+    ASSERT_TRUE(cached(c, m));
+  }
+  EXPECT_EQ(c.invalidate_matching(r), 1u);
+  EXPECT_FALSE(cached(c, t));
+  for (const net::FiveTuple& m : misses) EXPECT_TRUE(cached(c, m));
+}
+
+TEST(FlowCache, InvalidateRuleDropsOnlyItsVerdicts) {
+  FlowCache c("c", kDepth);
+  c.fill(tuple(1, 80), RuleEntry{RuleId{5}, 1, 0});
+  c.fill(tuple(2, 80), RuleEntry{RuleId{5}, 1, 0});
+  c.fill(tuple(3, 80), RuleEntry{RuleId{6}, 1, 0});
+  c.fill(tuple(4, 80), std::nullopt);
+  EXPECT_EQ(c.invalidate_rule(RuleId{5}), 2u);
+  EXPECT_FALSE(cached(c, tuple(1, 80)));
+  EXPECT_FALSE(cached(c, tuple(2, 80)));
+  EXPECT_TRUE(cached(c, tuple(3, 80)));
+  EXPECT_TRUE(cached(c, tuple(4, 80)));
+  // A dropped line stays dropped: a second scan finds nothing.
+  EXPECT_EQ(c.invalidate_rule(RuleId{5}), 0u);
+  EXPECT_EQ(c.stats().lines_invalidated, 2u);
+}
+
+TEST(FlowCache, FlushedLinesAreNotScannedAgain) {
+  FlowCache c("c", kDepth);
+  c.fill(tuple(1, 80), RuleEntry{RuleId{5}, 9, 0});
+  c.invalidate_all();
+  EXPECT_EQ(c.invalidate_matching(src_rule(1, 7, 1)), 0u);
+  EXPECT_EQ(c.invalidate_rule(RuleId{5}), 0u);
 }

@@ -42,6 +42,7 @@ SERVE_KEYS = ("engine", "errors")
 COUNTER_ROWS = {
     "packets": "sum", "batches": "sum", "matched": "sum", "dropped": "sum",
     "parse_errors": "sum", "cache_hits": "sum", "cache_misses": "sum",
+    "cache_flushes": "sum", "cache_lines_invalidated": "sum",
     "classifier_lookups": "sum", "memory_accesses": "sum",
     "snapshot_version": "max", "update_visibility_samples": "sum",
     "update_visibility_total_ns": "sum", "update_visibility_max_ns": "max"}
