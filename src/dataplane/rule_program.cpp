@@ -74,8 +74,7 @@ hw::UpdateStats RuleProgramPublisher::replay(RuleProgram& p,
     }
     ++p.version_;
   }
-  if (p.rebuilt_ ||
-      p.clf_.combine_mode() != core::CombineMode::kCrossProduct) {
+  if (p.clf_.combine_mode() != core::CombineMode::kCrossProduct) {
     p.replayed_.clear();
   } else {
     // p.replayed_ ends at `from`, this replica's previous version:
@@ -92,7 +91,6 @@ hw::UpdateStats RuleProgramPublisher::replay(RuleProgram& p,
                           static_cast<std::ptrdiff_t>(excess));
   }
   p.replayed_from_ = p.version_ - p.replayed_.size();
-  p.rebuilt_ = false;
   return cost;
 }
 
@@ -118,9 +116,9 @@ void RuleProgramPublisher::rebuild_standby(std::shared_ptr<RuleProgram>& p) {
   for (const ruleset::Rule& r : good->clf_.installed_rules()) {
     fresh->clf_.add_rule(r);
   }
+  // No recorded updates: the record starts again at the rebuilt version.
   fresh->version_ = good->version_;
   fresh->replayed_from_ = good->version_;
-  fresh->rebuilt_ = true;
   p = std::move(fresh);
 }
 

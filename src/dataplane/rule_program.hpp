@@ -63,11 +63,11 @@ class RuleProgram {
   /// The updates that took version \p from to version(), in log order,
   /// or nullopt when this snapshot does not carry all of them. Each
   /// replay appends what it replayed, so a snapshot carries the last
-  /// (at most kMaxRecordedUpdates) updates before its version. It
-  /// carries none after its replica was rebuilt (until the next
-  /// replay) or when its combine mode is not exact: a first-label
-  /// verdict can change under an update that neither matches its
-  /// packet nor names its rule.
+  /// (at most kMaxRecordedUpdates) updates before its version. A replica
+  /// rebuilt after a failed apply carries none from before the version
+  /// it was rebuilt at. A snapshot whose combine mode is not exact
+  /// carries none: a first-label verdict can change under an update that
+  /// neither matches its packet nor names its rule.
   [[nodiscard]] std::optional<std::span<const sdn::Message>> updates_since(
       u64 from) const {
     if (from < replayed_from_ || from > version_) return std::nullopt;
@@ -76,7 +76,14 @@ class RuleProgram {
   }
 
   /// Most updates a snapshot records for updates_since(); a worker
-  /// further behind flushes instead of scanning once per update.
+  /// further behind flushes instead of scanning once per update. The
+  /// largest gaps measured were 33-64 versions on the update-storm
+  /// smoke runs, 17-32 at full scale and 1 on perfbench churn, so no
+  /// measured catch-up falls back. A cap of 8 (50-70 flushes per storm
+  /// run) and one of 512 gave storm throughput within run-to-run noise
+  /// of 64. The cap bounds a catch-up at 64 scans (~0.45 ms at 4096
+  /// lines), well below the refills after flushing a full cache of hot
+  /// lines (4096 lookups of ~1.7 us, ~7 ms).
   static constexpr usize kMaxRecordedUpdates = 64;
 
  private:
@@ -88,10 +95,6 @@ class RuleProgram {
   /// replayed_from_ == version_, when none are recorded).
   std::vector<sdn::Message> replayed_;
   u64 replayed_from_ = 0;
-  /// Set by a rebuild (the fault path): the next replay records
-  /// nothing, so every worker flushes once after a failed publish
-  /// instead of trusting a history across it.
-  bool rebuilt_ = false;
 };
 
 /// The rules installed in \p clf, added verbatim: the installed

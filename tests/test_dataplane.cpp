@@ -643,22 +643,36 @@ TEST(FlowCacheElement, GapBeyondTheRecordedUpdatesFlushesWhole) {
   EXPECT_EQ(c.cache->stats().lines_invalidated, 0u);
 }
 
-TEST(FlowCacheElement, RebuiltStandbyFlushesWhole) {
+TEST(FlowCacheElement, RebuiltStandbyServesItsVersionAndFlushesWorkersBehind) {
   RuleProgramPublisher programs(exact_config());
   programs.apply(add_msg(5));
-  CacheChain c(&programs);
-  c.push({probe_tuple(5)});
+  CacheChain behind(&programs);
+  behind.push({probe_tuple(5)});  // cached at v1
+  programs.apply(add_msg(7));
+  CacheChain at(&programs);
+  at.push({probe_tuple(5)});  // cached at v2
 
-  // A failed publish rebuilds the standby from the installed rules; the
-  // replica it publishes next carries no updates.
+  // A failed publish rebuilds the standby from the installed rules at
+  // v2; its record of updates starts again there.
   programs.set_fault_hook([] { throw std::runtime_error("injected"); });
   EXPECT_THROW(programs.apply(add_msg(6)), std::runtime_error);
   programs.set_fault_hook(nullptr);
-  EXPECT_TRUE(c.push({probe_tuple(5)}).meta(0).from_cache);  // nothing new
+  EXPECT_TRUE(at.push({probe_tuple(5)}).meta(0).from_cache);  // nothing new
 
+  // The rebuilt replica publishes v3 with the v2->v3 update: a worker
+  // at v2 drops only what it changes...
   programs.apply(add_msg(6));
-  EXPECT_FALSE(c.push({probe_tuple(5)}).meta(0).from_cache);
-  EXPECT_EQ(c.cache->stats().invalidations, 1u);
+  const net::PacketBatch& b_at = at.push({probe_tuple(5), probe_tuple(6)});
+  EXPECT_TRUE(b_at.meta(0).from_cache);
+  EXPECT_EQ(b_at.meta(0).rule, RuleId{5});
+  EXPECT_EQ(b_at.meta(1).rule, RuleId{6});
+  EXPECT_EQ(at.cache->stats().invalidations, 0u);
+
+  // ...and a worker still at v1 finds no record of v1->v2, so it flushes.
+  const net::PacketBatch& b_behind = behind.push({probe_tuple(5)});
+  EXPECT_FALSE(b_behind.meta(0).from_cache);
+  EXPECT_EQ(b_behind.meta(0).rule, RuleId{5});
+  EXPECT_EQ(behind.cache->stats().invalidations, 1u);
 }
 
 TEST(FlowCacheElement, FirstLabelCombineFlushesWhole) {

@@ -360,16 +360,24 @@ class UpdateStream {
     }
     if (fm->command == sdn::FlowMod::Command::kDelete) {
       removed_.push_back(*deleted_);
+    } else if (readd_) {
+      ++readds_;
     }
     oracles.record(pub);
   }
 
   [[nodiscard]] u64 failed() const { return failed_; }
+  /// Re-adds of deleted rules that were applied.
+  [[nodiscard]] u64 readds() const { return readds_; }
 
  private:
+  /// Two draws in five are aimed adds; delete, re-add and modify share
+  /// the rest equally (a delete from 8 or fewer rules, or a re-add with
+  /// none deleted, becomes a modify).
   std::optional<sdn::FlowMod> draw(
       const std::vector<ruleset::Rule>& installed) {
-    const u64 kind = rng_.below(4);
+    const u64 kind = rng_.below(5);
+    readd_ = false;
     if (kind <= 1) return aimed_add(installed);
     if (kind == 2 && installed.size() > 8) {
       const ruleset::Rule& victim = installed[rng_.below(installed.size())];
@@ -379,13 +387,14 @@ class UpdateStream {
       deleted_ = victim;
       return fm;
     }
-    if (kind == 2 && !removed_.empty()) {
+    if (kind == 3 && !removed_.empty()) {
       const usize k = rng_.below(removed_.size());
       const ruleset::Rule r = removed_[k];
       removed_.erase(removed_.begin() + static_cast<std::ptrdiff_t>(k));
       for (const ruleset::Rule& o : installed) {
         if (o.same_match(r)) return std::nullopt;
       }
+      readd_ = true;
       return sdn::FlowMod::add(r, sdn::ActionSpec::decode(r.action.token));
     }
     if (installed.empty()) return std::nullopt;
@@ -433,7 +442,9 @@ class UpdateStream {
   std::vector<net::FiveTuple> flows_;
   std::vector<ruleset::Rule> removed_;
   std::optional<ruleset::Rule> deleted_;
+  bool readd_ = false;  ///< the last draw is a re-add
   u64 failed_ = 0;
+  u64 readds_ = 0;
 };
 
 /// The distinct tuples of \p trace: the flows the adds aim at.
@@ -683,13 +694,15 @@ struct CacheTally {
   u64 flushes = 0;
   u64 lines_invalidated = 0;
   u64 failed_updates = 0;  ///< times caches that saw a failed update
+  u64 readds = 0;          ///< re-adds of deleted rules applied
 
-  void add(const telemetry::CounterSet& c, u64 failed) {
+  void add(const telemetry::CounterSet& c, u64 failed, u64 readded) {
     hits += c[telemetry::Counter::cache_hits];
     misses += c[telemetry::Counter::cache_misses];
     flushes += c[telemetry::Counter::cache_flushes];
     lines_invalidated += c[telemetry::Counter::cache_lines_invalidated];
     failed_updates += failed;
+    readds += readded;
   }
   [[nodiscard]] double hit_ratio() const {
     return hits + misses == 0 ? 0.0
@@ -755,7 +768,7 @@ void run_cache_chain(const CacheFuzzConfig& c, CacheTally& tally) {
   }
   telemetry::CounterSet counters;
   cache->fill_counters(counters);
-  tally.add(counters, updates.failed());
+  tally.add(counters, updates.failed(), updates.readds());
 }
 
 /// One sharded multi-worker Engine run. The workers sweep in lockstep
@@ -820,12 +833,14 @@ void run_cache_engine(const CacheFuzzConfig& c, CacheTally& tally) {
   }
   // A failed update makes every shard's cache flush once.
   tally.add(dataplane::merge_reports(0, rep.shards).counters,
-            updates.failed() * c.shards);
+            updates.failed() * c.shards, updates.readds());
 }
 
 /// Drive \p iters drawn configurations through \p run; then the cache
-/// must have served hits, dropped lines one by one and flushed only
-/// after a failed update (a rebuilt standby carries no updates).
+/// must have served hits, dropped lines one by one and flushed at most
+/// once per failed update (a standby rebuilt after one carries no
+/// updates from before its version), and the stream must have re-added
+/// deleted rules.
 template <class Run>
 void fuzz_cache(const char* tag, u64 seed, usize iters, bool engine,
                 Run run) {
@@ -848,10 +863,11 @@ void fuzz_cache(const char* tag, u64 seed, usize iters, bool engine,
   std::cerr << "[" << tag << "] hit ratio " << tally.hit_ratio()
             << ", lines invalidated " << tally.lines_invalidated
             << ", flushes " << tally.flushes << ", failed updates "
-            << tally.failed_updates << "\n";
+            << tally.failed_updates << ", re-adds " << tally.readds << "\n";
   EXPECT_GE(tally.hit_ratio(), kMinCacheHitRatio);
   EXPECT_GT(tally.lines_invalidated, 0u);
   EXPECT_LE(tally.flushes, tally.failed_updates);
+  EXPECT_GT(tally.readds, 0u);
 }
 
 }  // namespace
