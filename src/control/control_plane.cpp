@@ -510,14 +510,13 @@ std::string ControlPlane::stats_json() {
   w.end_object();
 
   // Engine geometry and every engine row, live (the supervisor rows
-  // stay zero when the supervisor is off). With shards > 0 the worker
-  // rows below are per *shard* (telemetry blocks are per shard — a
-  // worker thread may drive several), with `worker` carrying the shard
+  // stay zero when the supervisor is off). The worker rows below are
+  // per *shard* (telemetry blocks are per shard — after a takeover a
+  // worker thread drives several), with `worker` carrying the shard
   // index.
   const dataplane::EngineConfig& ecfg = engine_.config();
   w.key("engine").begin_object();
   w.key("workers").value(ecfg.workers);
-  w.key("shards").value(ecfg.shards);
   w.key("supervisor").value(ecfg.supervisor.enabled);
   telemetry::write_counters(w, engine_.counters());
   w.end_object();
@@ -672,8 +671,7 @@ void write_serve_report(std::ostream& os, const dataplane::EngineReport& rep,
   }
   j.end_array();
 
-  // Raw per-shard rows (empty unsharded); workers[] above stays the
-  // authoritative double-count-free view.
+  // Raw per-shard rows; workers[] above merges them per driving thread.
   dataplane::write_shard_rows(j, rep.shards);
 
   j.key("totals").begin_object();

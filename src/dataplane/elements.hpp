@@ -3,8 +3,9 @@
 ///
 ///   PacketSource -> Parser -> FlowCache -> Classifier -> ActionSink
 ///
-/// PacketSource pulls bursts from a shared TrafficPool (lock-free atomic
-/// cursor, so N workers partition one input stream without contention).
+/// PacketSource pulls bursts from its shard's TrafficPool (the Engine
+/// steers the input into one pool per shard; a one-worker engine's
+/// shard drains the caller's pool in place).
 /// Parser turns raw bytes into 5-tuples (phase 1 of Fig. 3 plus the
 /// pre-classifier drop path). FlowCache serves repeat flows from a
 /// per-worker exact-match table (the paper's first-packet-of-a-flow
@@ -29,9 +30,9 @@
 
 namespace pclass::dataplane {
 
-/// A shared, immutable-after-setup pool of input traffic with a
-/// lock-free claim cursor. Workers grab disjoint spans of it; in loop
-/// mode the cursor wraps, modelling an endless line-rate feed.
+/// An immutable-after-setup pool of input traffic with a claim cursor.
+/// A shard's source claims consecutive spans of it; in loop mode the
+/// cursor wraps, modelling an endless line-rate feed.
 class TrafficPool {
  public:
   TrafficPool() = default;

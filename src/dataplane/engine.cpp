@@ -18,9 +18,13 @@ double seconds_since(Clock::time_point t0) {
 // ---- Engine ---------------------------------------------------------------
 
 Engine::Engine(EngineConfig cfg, const RuleProgramPublisher& programs)
-    : cfg_(cfg), programs_(programs) {
-  if (cfg_.workers == 0) cfg_.workers = 1;
-  if (cfg_.batch_size == 0) cfg_.batch_size = net::kDefaultBatchCapacity;
+    : cfg_(std::move(cfg)), programs_(programs) {
+  if (cfg_.workers == 0) {
+    throw ConfigError("Engine: workers must be >= 1");
+  }
+  if (cfg_.batch_size == 0) {
+    throw ConfigError("Engine: batch_size must be >= 1");
+  }
 }
 
 Engine::~Engine() {
@@ -36,22 +40,17 @@ void Engine::start(TrafficPool& pool) {
   if (cfg_.capture_verdicts && cfg_.loop) {
     throw ConfigError("Engine: capture_verdicts requires a finite pool");
   }
-  const bool sharded = cfg_.shards > 0;
-  // A sharded engine never runs more threads than shards — extra
-  // threads would idle.
-  const usize thread_count =
-      sharded ? std::min(cfg_.workers, cfg_.shards) : cfg_.workers;
-  const usize nshards = sharded ? cfg_.shards : thread_count;
+  const usize nworkers = cfg_.workers;
   if (cfg_.fault_injector != nullptr) {
     // A worker event aimed past the last thread would never fire.
     for (const fault::FaultEvent& e : cfg_.fault_injector->plan().events) {
       const bool worker_event = e.kind == fault::FaultKind::kWorkerThrow ||
                                 e.kind == fault::FaultKind::kWorkerStall;
-      if (worker_event && e.worker >= thread_count) {
+      if (worker_event && e.worker >= nworkers) {
         throw ConfigError("Engine: fault event " + e.to_string() +
                           " targets worker " + std::to_string(e.worker) +
                           ", but the engine runs " +
-                          std::to_string(thread_count) + " worker threads");
+                          std::to_string(nworkers) + " worker threads");
       }
     }
   }
@@ -66,7 +65,6 @@ void Engine::start(TrafficPool& pool) {
   watchdog_stop_.store(false, std::memory_order_relaxed);
   run_concluded_.store(false, std::memory_order_relaxed);
   counters_.clear();
-  caller_pool_ = &pool;
   conservation_checked_ = false;
   if (cfg_.fault_injector != nullptr) {
     // Injected stalls must not outlive a drain: abort them on stop_.
@@ -75,13 +73,14 @@ void Engine::start(TrafficPool& pool) {
 
   // The RSS stage: split the caller's pool into per-flow consistent
   // slices before any worker starts (the software analogue of the NIC
-  // hashing into receive queues).
+  // hashing into receive queues). A split into one slice is the
+  // identity, so a one-worker engine drains the caller's pool in place.
   std::vector<TrafficPool> steered;
-  if (sharded) {
-    steered = steer_split(pool, nshards);
+  if (nworkers > 1) {
+    steered = steer_split(pool, nworkers);
   }
 
-  for (usize s = 0; s < nshards; ++s) {
+  for (usize s = 0; s < nworkers; ++s) {
     telemetry::WorkerTelemetry* tel = nullptr;
     if (cfg_.telemetry) {
       tel_.push_back(std::make_unique<telemetry::WorkerTelemetry>(
@@ -90,35 +89,30 @@ void Engine::start(TrafficPool& pool) {
     }
     auto sh = std::make_unique<Shard>();
     sh->index = s;
-    sh->owner = s % thread_count;
-    if (sharded) {
+    sh->owner = s;
+    if (steered.empty()) {
+      sh->active_pool = &pool;
+    } else {
       sh->pool = std::move(steered[s]);
       sh->active_pool = &sh->pool;
-    } else {
-      sh->active_pool = &pool;  // legacy geometry: shared claim cursor
     }
-    const std::string stem =
-        (sharded ? "shard" : "worker") + std::to_string(s);
     sh->source =
         sh->pipeline.emplace<PacketSource>(sh->active_pool, cfg_.loop);
     sh->parser = sh->pipeline.emplace<Parser>(tel);
     if (cfg_.flow_cache_depth > 0) {
       sh->cache = sh->pipeline.emplace<FlowCacheElement>(
-          &programs_, cfg_.flow_cache_depth, stem + ".flow_cache", tel);
+          &programs_, cfg_.flow_cache_depth,
+          "shard" + std::to_string(s) + ".flow_cache", tel);
     }
     sh->classifier =
         sh->pipeline.emplace<ClassifierElement>(&programs_, sh->cache, tel);
     sh->sink = sh->pipeline.emplace<ActionSink>(
         tel, cfg_.capture_verdicts ? &sh->captured : nullptr);
-    shards_.push_back(std::move(sh));
-  }
-  for (usize t = 0; t < thread_count; ++t) {
     auto w = std::make_unique<WorkerThread>();
-    w->index = t;
+    w->index = s;
+    w->shards.push_back(sh.get());
+    shards_.push_back(std::move(sh));
     threads_.push_back(std::move(w));
-  }
-  for (const auto& sh : shards_) {
-    threads_[sh->owner]->shards.push_back(sh.get());
   }
   if (cfg_.telemetry && cfg_.stats_interval_ms > 0) {
     std::vector<telemetry::WorkerTelemetry*> blocks;
@@ -171,9 +165,10 @@ void Engine::spawn_worker(WorkerThread& w) {
 
 void Engine::worker_main(WorkerThread& w) {
   net::PacketBatch batch(cfg_.batch_size);
-  // Round-robin over the thread's shards: one batch per live shard per
-  // sweep, so co-located shards progress at the same batch cadence; a
-  // shard whose (finite or empty) pool ran dry drops out of the sweep.
+  // Round-robin over the thread's shards (its own, plus any a takeover
+  // handed it): one batch per live shard per sweep, so co-located shards
+  // progress at the same batch cadence; a shard whose (finite or empty)
+  // pool ran dry drops out of the sweep.
   // The shard list can change under us (the supervisor's watchdog hands
   // a failed worker's shards over), so copy it per sweep under the
   // lock; progress ticks the heartbeat the watchdog's stall detector
@@ -234,29 +229,19 @@ void Engine::take_over_shards(WorkerThread& w) {
     }
   }
   if (undrained.empty()) return;
-  // Takeover is a sharded-engine capability: shards are independent
-  // steered slices, so any survivor can finish them. In the unsharded
-  // geometry the pool is shared — survivors' own sources claim the
-  // remaining packets without any handover.
+  // Shards are independent steered slices, so any survivor can finish
+  // them.
   WorkerThread* survivor = nullptr;
-  if (cfg_.shards > 0) {
-    for (auto& other : threads_) {
-      if (other.get() == &w) continue;
-      if (other->failed_permanently.load(std::memory_order_relaxed)) continue;
-      survivor = other.get();
-      break;
-    }
+  for (auto& other : threads_) {
+    if (other.get() == &w) continue;
+    if (other->failed_permanently.load(std::memory_order_relaxed)) continue;
+    survivor = other.get();
+    break;
   }
   if (survivor == nullptr) {
-    const bool shared_pool = cfg_.shards == 0;
-    {
-      std::lock_guard<std::mutex> lk(w.mu);
-      w.shards.insert(w.shards.end(), undrained.begin(), undrained.end());
-    }
-    // Shared-pool shards are not "lost" — the remaining packets stay
-    // claimable by every other worker; conservation attributes only the
-    // in-flight batch to this death.
-    if (!shared_pool) w.shards_lost = undrained.size();
+    std::lock_guard<std::mutex> lk(w.mu);
+    w.shards.insert(w.shards.end(), undrained.begin(), undrained.end());
+    w.shards_lost = undrained.size();
     return;
   }
   {
@@ -439,21 +424,15 @@ EngineReport Engine::finish(bool signal_stop) {
     // caller's pool is certainly still alive: every offered packet must
     // be delivered, still-unclaimed (shed), or claimed-but-undelivered
     // (lost in a dead worker's in-flight batch).
-    if (!cfg_.loop && !shards_.empty()) {
+    if (!cfg_.loop) {
       conservation_checked_ = true;
       u64 offered = 0;
       u64 claimed = 0;
       u64 delivered = 0;
-      if (cfg_.shards == 0) {
-        offered = caller_pool_->size();
-        claimed = caller_pool_->claimed();
-        for (const auto& sh : shards_) delivered += sh->sink->packets();
-      } else {
-        for (const auto& sh : shards_) {
-          offered += sh->pool.size();
-          claimed += sh->pool.claimed();
-          delivered += sh->sink->packets();
-        }
+      for (const auto& sh : shards_) {
+        offered += sh->active_pool->size();
+        claimed += sh->active_pool->claimed();
+        delivered += sh->sink->packets();
       }
       counters_.set(EngineCounter::offered_packets, offered);
       counters_.set(EngineCounter::delivered_packets, delivered);
@@ -530,46 +509,34 @@ WorkerReport Engine::shard_report(const Shard& s) const {
 EngineReport Engine::collect() const {
   EngineReport rep;
   rep.wall_seconds = wall_seconds_;
-  // The healed-vs-fatal error rule: under the supervisor, a death the
-  // watchdog healed (restart, or a takeover that saved every shard)
-  // keeps the row's error empty — the run delivered its packets; the
-  // messages live in rep.error_log. A permanent failure that lost
-  // shards IS fatal and surfaces.
-  const auto apply_status = [&](WorkerReport& r, const WorkerThread& th) {
-    if (th.failed_permanently.load(std::memory_order_relaxed) &&
-        th.shards_lost > 0 && r.error.empty()) {
-      r.error = th.all_errors.empty()
-                    ? std::string("worker failed permanently")
-                    : th.all_errors.back();
-    }
-  };
   std::vector<WorkerReport> shard_rows;
   shard_rows.reserve(shards_.size());
   for (const auto& sh : shards_) {
     shard_rows.push_back(shard_report(*sh));
   }
-  if (cfg_.shards == 0) {
-    // Legacy geometry: one shard per worker thread; the shard rows ARE
-    // the worker rows and `shards` stays empty.
-    rep.workers = std::move(shard_rows);
-    for (auto& r : rep.workers) {
-      apply_status(r, *threads_[r.worker % threads_.size()]);
+  for (const auto& th : threads_) {
+    std::vector<WorkerReport> rows;
+    rows.reserve(th->shards.size());
+    for (const Shard* sh : th->shards) {
+      rows.push_back(shard_rows[sh->index]);
     }
-  } else {
-    for (const auto& th : threads_) {
-      std::vector<WorkerReport> rows;
-      rows.reserve(th->shards.size());
-      for (const Shard* sh : th->shards) {
-        rows.push_back(shard_rows[sh->index]);
-      }
-      WorkerReport m = merge_reports(th->index, rows);
-      if (m.error.empty()) m.error = th->error;
-      m.wall_seconds = th->wall_seconds;
-      apply_status(m, *th);
-      rep.workers.push_back(std::move(m));
+    WorkerReport m = merge_reports(th->index, rows);
+    if (m.error.empty()) m.error = th->error;
+    m.wall_seconds = th->wall_seconds;
+    // The healed-vs-fatal error rule: under the supervisor, a death the
+    // watchdog healed (restart, or a takeover that saved every shard)
+    // keeps the row's error empty — the run delivered its packets; the
+    // messages live in rep.error_log. A permanent failure that lost
+    // shards IS fatal and surfaces.
+    if (m.error.empty() && th->shards_lost > 0 &&
+        th->failed_permanently.load(std::memory_order_relaxed)) {
+      m.error = th->all_errors.empty()
+                    ? std::string("worker failed permanently")
+                    : th->all_errors.back();
     }
-    rep.shards = std::move(shard_rows);
+    rep.workers.push_back(std::move(m));
   }
+  rep.shards = std::move(shard_rows);
   if (cfg_.capture_verdicts) {
     rep.captured.reserve(shards_.size());
     for (const auto& sh : shards_) {

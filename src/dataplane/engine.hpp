@@ -1,12 +1,17 @@
 /// \file engine.hpp
-/// The dataplane Engine: N worker threads, each driving its own
+/// The dataplane Engine: N worker threads over N flow-steered shards.
+/// Before the workers start, the caller's TrafficPool is split RSS-style
+/// into one per-flow consistent slice per shard (a one-worker engine's
+/// single shard drains the caller's pool in place); shard s starts on
+/// worker s, and a worker drives more than one shard only after the
+/// supervisor hands it a dead worker's shards. Each shard runs its own
 /// element pipeline (PacketSource -> Parser -> [FlowCache] ->
 /// Classifier -> ActionSink) over per-worker PacketBatches. Workers
-/// share exactly two things, both wait-free on the fast path: the
-/// TrafficPool claim cursor and the published RuleProgram pointer.
-/// Everything else — batches, flow caches, statistics — is worker-local,
-/// which is what lets the aggregate throughput scale with cores while a
-/// concurrent writer streams rule updates through the publisher.
+/// share exactly one thing on the fast path, wait-free: the published
+/// RuleProgram pointer. Everything else — pools, batches, flow caches,
+/// statistics — is per shard, which is what lets the aggregate
+/// throughput scale with cores while a concurrent writer streams rule
+/// updates through the publisher.
 #pragma once
 
 #include <atomic>
@@ -42,8 +47,7 @@ struct SupervisorConfig {
   /// be — they are expected to resume or exit.
   u64 stall_deadline_ms = 500;
   /// Times a dead worker is respawned before it is declared
-  /// permanently failed (and, in a sharded engine, its shards handed to a
-  /// survivor).
+  /// permanently failed and its undrained shards handed to a survivor.
   usize max_restarts = 2;
   /// First restart back-off; doubles per restart. Abort-aware (a
   /// stop()/drain cancels the wait).
@@ -52,8 +56,11 @@ struct SupervisorConfig {
 
 /// Engine geometry and policy.
 struct EngineConfig {
+  /// Worker threads, and as many flow-steered shards (>= 1). Every
+  /// shard holds the full ruleset, so steering only buys cache
+  /// locality: verdicts do not depend on the worker count.
   usize workers = 1;
-  usize batch_size = net::kDefaultBatchCapacity;
+  usize batch_size = net::kDefaultBatchCapacity;  ///< >= 1
   /// Per-worker exact-match flow-cache lines; 0 disables the cache.
   u32 flow_cache_depth = 0;
   /// false: drain the pool once and return (run()).
@@ -81,15 +88,6 @@ struct EngineConfig {
   /// accounting stays exact) and are counted in
   /// the trace_events_truncated engine row. 0 = unlimited.
   usize trace_keep_limit = usize{1} << 15;
-  /// RSS-style sharding (0 = unsharded: the legacy geometry where every
-  /// worker thread drains the shared pool). With shards = S > 0 the
-  /// engine builds S shards — each owning its classifier subscription,
-  /// flow cache and telemetry block — pinned shard s -> worker thread
-  /// s % workers (workers is clamped to S). Every shard holds the full
-  /// ruleset and drains its own steered slice of the pool: steering only
-  /// buys cache locality, so verdicts are identical to the unsharded
-  /// engine's.
-  usize shards = 0;
   /// Record every packet's verdict (arrival order, per shard) into
   /// EngineReport::captured — the sharded differential fuzzer's hook.
   /// Finite runs only.
@@ -108,13 +106,14 @@ struct EngineConfig {
   /// nullptr in production.
   fault::FaultInjector* fault_injector = nullptr;
   /// Self-healing supervisor (heartbeats + watchdog + bounded restarts
-  /// + sharded-engine shard takeover). See SupervisorConfig.
+  /// + shard takeover). See SupervisorConfig.
   SupervisorConfig supervisor;
 };
 
 /// Multi-worker batched dataplane runtime.
 class Engine {
  public:
+  /// \throws ConfigError for zero workers or a zero batch size.
   Engine(EngineConfig cfg, const RuleProgramPublisher& programs);
   ~Engine();
 
@@ -169,15 +168,14 @@ class Engine {
 
  private:
   /// One pipeline's worth of state. The shard is the unit of ownership:
-  /// classifier subscription, flow cache, telemetry block and (when
-  /// capturing) the verdict log all live here, on the shard's own
-  /// allocations. Unsharded engines are the degenerate geometry of one
-  /// shard per worker over a shared pool.
+  /// traffic slice, classifier subscription, flow cache, telemetry block
+  /// and (when capturing) the verdict log all live here, on the shard's
+  /// own allocations.
   struct Shard {
-    usize index = 0;   ///< shard id (== worker id when unsharded)
-    usize owner = 0;   ///< owning worker thread (index % thread count)
-    /// Owned per-shard pool (the steered slice). Unsharded shards drain
-    /// the caller's pool instead.
+    usize index = 0;   ///< shard id
+    usize owner = 0;   ///< driving worker thread (starts as index)
+    /// Owned steered slice; empty when the engine's one shard borrows
+    /// the caller's pool.
     TrafficPool pool;
     TrafficPool* active_pool = nullptr;  ///< what the source drains
     Pipeline pipeline;
@@ -194,7 +192,8 @@ class Engine {
     std::atomic<bool> drained{false};
   };
 
-  /// An OS thread driving one or more shards round-robin.
+  /// An OS thread driving its own shard and, after a takeover, a dead
+  /// worker's shards round-robin.
   struct WorkerThread {
     usize index = 0;
     /// Owned shards, guarded by mu: the watchdog reassigns shards on
@@ -223,11 +222,11 @@ class Engine {
   /// The watchdog: scans heartbeats every watchdog_interval_ms, joins
   /// and respawns dead workers (bounded, backed-off), counts stall
   /// episodes, and hands a permanently-failed worker's undrained
-  /// shards to a survivor (sharded engines). Exits once the run
-  /// concluded or the engine is stopping.
+  /// shards to a survivor. Exits once the run concluded or the engine
+  /// is stopping.
   void watchdog_main();
-  /// Move w's undrained shards to the first non-failed survivor
-  /// (sharded engines); otherwise record them as lost on w.
+  /// Move w's undrained shards to the first non-failed survivor;
+  /// without one, record them as lost on w.
   void take_over_shards(WorkerThread& w);
   /// Does w still own a shard whose pool is not fully delivered?
   [[nodiscard]] static bool has_undrained(const WorkerThread& w);
@@ -270,9 +269,6 @@ class Engine {
   /// ledger rows are taken once at the first finish();
   /// trace_events_dropped is read off the rings by counters().
   telemetry::LiveCounters<telemetry::EngineCounterSet> counters_;
-  /// The caller's pool (unsharded geometry drains it directly);
-  /// borrowed during the run for the conservation ledger.
-  TrafficPool* caller_pool_ = nullptr;
   bool conservation_checked_ = false;
 };
 

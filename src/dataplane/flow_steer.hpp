@@ -1,5 +1,5 @@
 /// \file flow_steer.hpp
-/// RSS-style flow steering for the sharded dataplane runtime.
+/// RSS-style flow steering for the dataplane Engine's shards.
 ///
 /// A NIC with receive-side scaling hashes the 5-tuple of every ingress
 /// packet and uses the hash to pick a receive queue; the software
@@ -7,9 +7,8 @@
 /// before the workers start, so every shard sees a disjoint, per-flow
 /// consistent slice of the traffic (all packets of one flow land on the
 /// same shard — the invariant the per-shard flow caches rely on for
-/// locality). Every shard holds the full ruleset, so
-/// steering only buys cache locality: verdicts are identical to the
-/// unsharded engine's.
+/// locality). Every shard holds the full ruleset, so steering only buys
+/// cache locality: verdicts do not depend on the shard count.
 #pragma once
 
 #include <vector>
@@ -36,7 +35,7 @@ namespace pclass::dataplane {
 }
 
 /// Split \p pool into \p nshards per-shard pools by steering hash
-/// (the sharded engine's ingress stage). Raw-packet pools are steered by their
+/// (the Engine's ingress stage). Raw-packet pools are steered by their
 /// parsed header; unparsable packets — which every shard would drop
 /// identically anyway — are spread round-robin.
 /// \throws ConfigError when nshards == 0.

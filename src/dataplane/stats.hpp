@@ -179,8 +179,8 @@ struct WorkerReport {
 
 /// Merge \p rows into one row labelled \p worker: counters by their
 /// merge rules, the version range over the rows that saw a batch, the
-/// latency histograms and the first error. A sharded worker's row
-/// merges its shards; the scenario totals merge the worker rows.
+/// latency histograms and the first error. A worker's row merges the
+/// shards it drove; the scenario totals merge the worker rows.
 [[nodiscard]] inline WorkerReport merge_reports(
     usize worker, std::span<const WorkerReport> rows) {
   WorkerReport m;
@@ -244,19 +244,17 @@ struct WorkerErrorDetail {
 
 /// Whole-engine rollup.
 ///
-/// `workers` is always the authoritative, double-count-free view: its
-/// per-counter sums are the engine totals whatever the shard geometry.
-/// Unsharded engines put one row per worker thread there (as always).
-/// Sharded engines put one *merged* row per worker thread (summing the
-/// disjoint shards that thread owns) and expose the raw per-shard rows
-/// in `shards`. merge_reports(0, workers) is the whole-engine row.
+/// `workers` holds one *merged* row per worker thread, summing the
+/// disjoint shards that thread drove (its own, plus any it took over);
+/// `shards` holds the raw per-shard rows. Both are double-count-free:
+/// merge_reports(0, workers) is the whole-engine row.
 struct EngineReport {
   std::vector<WorkerReport> workers;
-  /// Per-shard raw rows (WorkerReport::worker = shard index); empty for
-  /// unsharded engines. Invariant: sum(shards) == sum(workers).
+  /// Per-shard raw rows (WorkerReport::worker = shard index).
+  /// Invariant: sum(shards) == sum(workers).
   std::vector<WorkerReport> shards;
-  /// Per-shard (or per-worker when unsharded) verdict streams, arrival
-  /// order; filled when EngineConfig::capture_verdicts is set.
+  /// Per-shard verdict streams, arrival order; filled when
+  /// EngineConfig::capture_verdicts is set.
   std::vector<std::vector<CapturedVerdict>> captured;
   double wall_seconds = 0;
   /// The StatsSampler's interval series (empty when

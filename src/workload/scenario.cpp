@@ -169,9 +169,8 @@ core::ClassifierConfig scenario_config(const ruleset::RuleSet& rules,
   return cfg;
 }
 
-/// Engine geometry for a scenario (loop/shards vary per call site).
-EngineConfig engine_config(const ScenarioOptions& opts, bool loop,
-                           usize shards) {
+/// Engine geometry for a scenario (loop varies per call site).
+EngineConfig engine_config(const ScenarioOptions& opts, bool loop) {
   EngineConfig cfg;
   cfg.workers = opts.workers;
   cfg.batch_size = opts.batch_size;
@@ -179,7 +178,6 @@ EngineConfig engine_config(const ScenarioOptions& opts, bool loop,
   cfg.loop = loop;
   cfg.stats_interval_ms = opts.stats_interval_ms;
   cfg.collect_trace = opts.collect_trace;
-  cfg.shards = shards;
   return cfg;
 }
 
@@ -198,7 +196,7 @@ ScenarioBody finite(WorkloadSynth synth) {
         TrafficPool::from_trace(w.trace, /*materialize_packets=*/false);
     RuleProgramPublisher programs(scenario_config(w.rules, 0, opts));
     programs.install_ruleset(w.rules);
-    Engine engine(engine_config(opts, /*loop=*/false, opts.shards), programs);
+    Engine engine(engine_config(opts, /*loop=*/false), programs);
     fill_engine_stats(r, engine.run(pool));
     verify_oracle(r, programs, w.trace);
     return r;
@@ -236,7 +234,7 @@ ScenarioResult run_update_storm(const ScenarioOptions& opts,
   const u64 version_before = programs.version();
   TrafficPool pool =
       TrafficPool::from_trace(trace, /*materialize_packets=*/false);
-  Engine engine(engine_config(opts, /*loop=*/true, opts.shards), programs);
+  Engine engine(engine_config(opts, /*loop=*/true), programs);
   engine.start(pool);
   const auto t0 = std::chrono::steady_clock::now();
   for (const sdn::Message& msg : storm.schedule) {
@@ -296,7 +294,7 @@ ScenarioResult run_update_storm_multi(const ScenarioOptions& opts,
   const u64 version_before = programs.version();
   TrafficPool pool =
       TrafficPool::from_trace(w.trace, /*materialize_packets=*/false);
-  Engine engine(engine_config(opts, /*loop=*/true, opts.shards), programs);
+  Engine engine(engine_config(opts, /*loop=*/true), programs);
   engine.start(pool);
 
   std::array<std::string, kWriters> writer_errors;
@@ -386,7 +384,7 @@ class ChaosOracles {
 constexpr const char* kDefaultChaosPlan =
     "throw:w=1@1,throw:w=1@2,throw:w=1@3,stall:w=2@1:ms=250,pubfail:u=2";
 
-/// Chaos scenario: the fw-like workload in sharded replica mode under a
+/// Chaos scenario: the fw-like workload on flow-steered shards under a
 /// seeded FaultPlan with the supervisor on. Every delivered verdict is
 /// checked against the LinearSearch oracle at its snapshot version, and
 /// the run must conserve packets exactly: delivered + shed + lost ==
@@ -406,15 +404,13 @@ ScenarioResult run_chaos(const ScenarioOptions& opts,
   r.fault_plan = plan.to_string();
   fault::FaultInjector injector(std::move(plan));
 
-  // Takeover needs shards to reassign: force sharding, >= 3 workers
-  // (the default plan targets workers 1 and 2; worker 0 survives).
-  // Flow cache off — the per-version oracle demands exact verdicts.
+  // At least 3 workers: the default plan targets workers 1 and 2, and
+  // worker 0 survives to take over worker 1's shard. Flow cache off —
+  // the per-version oracle demands exact verdicts.
   ScenarioOptions copts = opts;
   copts.workers = std::max<usize>(opts.workers, 3);
   copts.flow_cache_depth = 0;
-  const usize shards =
-      std::max<usize>(opts.shards == 0 ? 4 : opts.shards, copts.workers);
-  EngineConfig ecfg = engine_config(copts, /*loop=*/false, shards);
+  EngineConfig ecfg = engine_config(copts, /*loop=*/false);
   ecfg.capture_verdicts = true;
   ecfg.fault_injector = &injector;
   ecfg.supervisor.enabled = true;
@@ -555,7 +551,7 @@ const std::vector<ScenarioSpec>& ScenarioRunner::catalog() {
        "— snapshot swaps stress flow-cache invalidation mid-trace",
        run_update_storm_multi},
       {"chaos",
-       "fw-like workload in sharded replica mode under a seeded "
+       "fw-like workload on flow-steered shards under a seeded "
        "FaultPlan: worker kills, a stall and a failed publisher apply — "
        "supervised, oracle-clean and packet-conserving",
        run_chaos},
@@ -624,7 +620,7 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
                        const std::vector<ScenarioResult>& results) {
   JsonWriter j(os);
   j.begin_object();
-  j.key("schema").value("pclass-scenarios-v7");
+  j.key("schema").value("pclass-scenarios-v8");
   j.key("meta").begin_object();
   j.key("build").begin_object();
   common::write_build_fields(j);
@@ -638,7 +634,6 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
   j.key("seed").value(u64{opts.seed});
   j.key("ip_algorithm").value(std::string(to_string(opts.ip_algorithm)));
   j.key("stats_interval_ms").value(u64{opts.stats_interval_ms});
-  j.key("shards").value(opts.shards);
   j.key("fault_plan").value(opts.fault_plan);
   j.end_object();
   telemetry::write_counter_table(j.key("counters"), telemetry::kCounters);

@@ -55,10 +55,6 @@ struct ScenarioOptions {
   /// (--trace-out sets this; the events feed the chrome://tracing
   /// export, they are not embedded in the JSON report).
   bool collect_trace = false;
-  /// RSS-style shard count (--shards). 0 = unsharded (the legacy
-  /// geometry: every worker thread drains the shared pool).
-  /// Each shard drains a steered per-flow slice with the full ruleset.
-  usize shards = 0;
   /// Fault-injection plan for the chaos scenario (--fault-plan), in
   /// fault::FaultPlan spec grammar. Empty = the chaos scenario's
   /// built-in seeded plan (one worker killed past its retry budget,
@@ -112,8 +108,8 @@ struct ScenarioResult {
   // Fault injection (chaos scenario).
   std::string fault_plan;  ///< round-tripped plan actually injected
   fault::FaultCounters injected;  ///< fired events
-  /// Raw per-shard rows (EngineReport::shards; empty when the scenario
-  /// ran unsharded) — the report's `shards` array. Invariant:
+  /// Raw per-shard rows (EngineReport::shards; one per worker) — the
+  /// report's `shards` array. Invariant:
   /// per-counter sums equal the engine totals above.
   std::vector<dataplane::WorkerReport> shard_reports;
 

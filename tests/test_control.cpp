@@ -173,8 +173,7 @@ struct ServeHarness {
   explicit ServeHarness(u64 stats_interval_ms = 5,
                         std::function<void(usize)> fault_hook = nullptr,
                         fault::FaultInjector* injector = nullptr,
-                        dataplane::SupervisorConfig sup = {},
-                        usize shards = 0)
+                        dataplane::SupervisorConfig sup = {})
       : programs(harness_config()) {
     for (u32 i = 1; i <= 64; ++i) programs.apply(add_msg(i));
     for (u32 i = 0; i < 512; ++i) {
@@ -187,7 +186,6 @@ struct ServeHarness {
                                 .batch_size = 16,
                                 .loop = true,
                                 .stats_interval_ms = stats_interval_ms,
-                                .shards = shards,
                                 .worker_fault_hook = std::move(fault_hook),
                                 .fault_injector = injector,
                                 .supervisor = sup},
@@ -577,8 +575,7 @@ void expect_counter_rows(const std::string& json, const std::string& anchor,
 /// `subscribe` rows, the daemon report and the scenario report.
 TEST(ControlPlane, DrainReconcilesEveryCounterRowOnEverySurface) {
   using telemetry::CounterSet;
-  ServeHarness h(/*stats_interval_ms=*/2, nullptr, nullptr, {},
-                 /*shards=*/2);
+  ServeHarness h(/*stats_interval_ms=*/2);
   TestClient c(h.port());
   TestClient sub(h.port());
   ASSERT_EQ(sub.request("subscribe stats 5").code, 200);
@@ -630,13 +627,11 @@ TEST(ControlPlane, DrainReconcilesEveryCounterRowOnEverySurface) {
   expect_counter_rows(serve.str(), "\"totals\":", workers);
   expect_counter_rows(serve.str(), "\"shards\":[", rep.shards[0].counters);
 
-  // The scenario report: same equalities, same rows, with shards that
-  // do not divide evenly over the worker threads.
+  // The scenario report: same equalities, same rows.
   workload::ScenarioOptions opts;
-  opts.workers = 2;
+  opts.workers = 3;
   opts.scale = 0.04;
   opts.stats_interval_ms = 1;
-  opts.shards = 3;
   workload::ScenarioRunner runner(opts);
   const std::vector<workload::ScenarioResult> results = {
       runner.run("acl-like")};
@@ -692,8 +687,7 @@ TEST(ControlPlane, DrainReconcilesEveryEngineRowOnEverySurface) {
                  {.enabled = true,
                   .watchdog_interval_ms = 2,
                   .stall_deadline_ms = 20,
-                  .restart_backoff_ms = 1},
-                 /*shards=*/2);
+                  .restart_backoff_ms = 1});
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while ((h.engine->counters()[EngineCounter::workers_failed] < 1 ||

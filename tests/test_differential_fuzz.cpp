@@ -19,7 +19,7 @@
 // reproducible by exporting the same value).
 //
 // The second half of the file is the *sharded-engine* differential
-// fuzzer: real multi-worker Engines (2-4 shards, 1..S threads) with
+// fuzzer: real Engines (1-4 workers, one steered shard each) with
 // verdict capture on, while a concurrent
 // mutator streams rule updates through the RuleProgramPublisher
 // mid-classification. Every captured verdict is checked against a
@@ -240,8 +240,7 @@ struct ShardFuzzConfig {
   usize packets = 0;
   bool zipf_trace = false;
   core::IpAlgorithm alg = core::IpAlgorithm::kMbt;
-  usize shards = 2;
-  usize workers = 1;   ///< worker threads (may be < shards: multi-shard threads)
+  usize workers = 1;  ///< worker threads, one steered shard each
   usize batch = 32;
   bool mutations = false;   ///< concurrent publisher mutator
   u32 cache_depth = 0;
@@ -252,7 +251,6 @@ struct ShardFuzzConfig {
            " packets=" + std::to_string(packets) +
            (zipf_trace ? " trace=zipf" : " trace=standard") +
            " alg=" + std::string(to_string(alg)) +
-           " shards=" + std::to_string(shards) +
            " workers=" + std::to_string(workers) +
            " batch=" + std::to_string(batch) +
            (mutations ? " mutations=yes" : " mutations=no") +
@@ -270,8 +268,7 @@ ShardFuzzConfig draw_shard_config(Rng& rng, u64 seed) {
   c.zipf_trace = rng.below(2) == 0;
   c.alg = std::array{core::IpAlgorithm::kMbt, core::IpAlgorithm::kBst,
                      core::IpAlgorithm::kRvh}[rng.below(3)];
-  c.shards = 2 + static_cast<usize>(rng.below(3));           // 2..4
-  c.workers = 1 + static_cast<usize>(rng.below(c.shards));   // 1..S
+  c.workers = 1 + static_cast<usize>(rng.below(4));  // 1..4
   c.batch = std::array<usize, 3>{8, 32, 64}[rng.below(3)];
   c.mutations = rng.below(2) == 0;
   // The flow cache's one-batch stale window is by design; the
@@ -512,7 +509,6 @@ void run_shard_config(const ShardFuzzConfig& c) {
       .batch_size = c.batch,
       .flow_cache_depth = c.cache_depth,
       .telemetry = false,
-      .shards = c.shards,
       .capture_verdicts = true};
   if (c.mutations) {
     ecfg.worker_fault_hook = [&batches_seen, &mutations_done, n_mut,
@@ -555,11 +551,11 @@ void run_shard_config(const ShardFuzzConfig& c) {
       << c.describe() << ": " << rep.first_error();
   EXPECT_TRUE(dataplane::merge_reports(0, rep.workers).version_monotonic)
       << c.describe();
-  ASSERT_EQ(rep.captured.size(), c.shards) << c.describe();
-  ASSERT_EQ(rep.shards.size(), c.shards) << c.describe();
+  ASSERT_EQ(rep.captured.size(), c.workers) << c.describe();
+  ASSERT_EQ(rep.shards.size(), c.workers) << c.describe();
 
   usize total = 0;
-  for (usize s = 0; s < c.shards; ++s) {
+  for (usize s = 0; s < c.workers; ++s) {
     total += rep.captured[s].size();
     EXPECT_EQ(rep.captured[s].size(), rep.shards[s].counters[telemetry::Counter::packets])
         << c.describe() << " shard " << s;
@@ -568,7 +564,7 @@ void run_shard_config(const ShardFuzzConfig& c) {
       ASSERT_FALSE(cv.parse_error) << c.describe() << " shard " << s;
       // Steering invariant: the verdict's flow hashes to the shard that
       // logged it.
-      ASSERT_EQ(dataplane::shard_of(cv.tuple, c.shards), s)
+      ASSERT_EQ(dataplane::shard_of(cv.tuple, c.workers), s)
           << c.describe() << " pkt " << k;
       ASSERT_TRUE(agrees_with_oracle(cv, oracles))
           << c.describe() << " shard " << s << " pkt " << k;
@@ -621,7 +617,6 @@ TEST(ShardedDifferentialFuzz, UpdateStormAcrossShardsNeverServesStaleVerdict) {
     c.packets = 2048;
     c.zipf_trace = true;
     c.alg = alg;
-    c.shards = 4;
     c.workers = 4;
     c.batch = 16;  // many snapshot acquisitions per run
     c.mutations = true;
@@ -654,7 +649,6 @@ struct CacheFuzzConfig {
   core::IpAlgorithm alg = core::IpAlgorithm::kMbt;
   usize batch = 16;
   u32 cache_depth = 1024;
-  usize shards = 0;   ///< Engine variant only
   usize workers = 1;  ///< Engine variant only
   u64 seed = 0;
 
@@ -664,7 +658,6 @@ struct CacheFuzzConfig {
            " alg=" + std::string(to_string(alg)) +
            " batch=" + std::to_string(batch) +
            " cache=" + std::to_string(cache_depth) +
-           " shards=" + std::to_string(shards) +
            " workers=" + std::to_string(workers) +
            " seed=" + std::to_string(seed);
   }
@@ -681,8 +674,7 @@ CacheFuzzConfig draw_cache_config(Rng& rng, u64 seed, bool engine) {
   c.batch = std::array<usize, 3>{8, 16, 32}[rng.below(3)];
   c.cache_depth = rng.below(2) == 0 ? 256 : 1024;
   if (engine) {
-    c.shards = 2 + static_cast<usize>(rng.below(3));                 // 2..4
-    c.workers = 2 + static_cast<usize>(rng.below(c.shards - 1));     // 2..S
+    c.workers = 2 + static_cast<usize>(rng.below(3));  // 2..4
   }
   return c;
 }
@@ -771,12 +763,12 @@ void run_cache_chain(const CacheFuzzConfig& c, CacheTally& tally) {
   tally.add(counters, updates.failed(), updates.readds());
 }
 
-/// One sharded multi-worker Engine run. The workers sweep in lockstep
-/// on a barrier whose completion applies the updates, so no batch is in
+/// One multi-worker Engine run. The workers sweep in lockstep on a
+/// barrier whose completion applies the updates, so no batch is in
 /// flight during a publish and a cache hit is exact at its batch's
-/// version. Each worker thread sweeps once per batch of its largest
-/// shard, plus a last sweep that finds every pool dry; it leaves the
-/// barrier on that last one.
+/// version. Each worker thread sweeps once per batch of its shard, plus
+/// a last sweep that finds its pool dry; it leaves the barrier on that
+/// last one.
 void run_cache_engine(const CacheFuzzConfig& c, CacheTally& tally) {
   CacheFuzzInputs in = make_cache_inputs(c);
   VersionedOracles oracles;
@@ -784,13 +776,11 @@ void run_cache_engine(const CacheFuzzConfig& c, CacheTally& tally) {
   UpdateStream updates(c.seed ^ 0xCAC4E, in.flows);
   Rng rng(c.seed ^ 0xBA7C4);
 
-  std::vector<usize> per_shard(c.shards);
-  for (const auto& e : in.trace) ++per_shard[dataplane::shard_of(e.header, c.shards)];
   std::vector<u64> sweeps(c.workers);  // sweeps with work, per thread
-  for (usize s = 0; s < c.shards; ++s) {
-    sweeps[s % c.workers] = std::max<u64>(
-        sweeps[s % c.workers], (per_shard[s] + c.batch - 1) / c.batch);
+  for (const auto& e : in.trace) {
+    ++sweeps[dataplane::shard_of(e.header, c.workers)];
   }
+  for (u64& n : sweeps) n = (n + c.batch - 1) / c.batch;
 
   std::atomic<bool> update_threw{false};
   std::barrier lockstep(static_cast<std::ptrdiff_t>(c.workers), [&]() noexcept {
@@ -806,7 +796,6 @@ void run_cache_engine(const CacheFuzzConfig& c, CacheTally& tally) {
                                .batch_size = c.batch,
                                .flow_cache_depth = c.cache_depth,
                                .telemetry = false,
-                               .shards = c.shards,
                                .capture_verdicts = true};
   ecfg.worker_fault_hook = [&](usize w) {
     const u64 k = calls[w]++;
@@ -833,7 +822,7 @@ void run_cache_engine(const CacheFuzzConfig& c, CacheTally& tally) {
   }
   // A failed update makes every shard's cache flush once.
   tally.add(dataplane::merge_reports(0, rep.shards).counters,
-            updates.failed() * c.shards, updates.readds());
+            updates.failed() * c.workers, updates.readds());
 }
 
 /// Drive \p iters drawn configurations through \p run; then the cache

@@ -4,7 +4,7 @@
 /// publisher's all-or-nothing restore under an injected apply failure,
 /// the engine's rejection of worker events it cannot fire, and the
 /// engine supervisor: dead-worker restart with a healed (error-free)
-/// report, permanent failure with replica-mode shard takeover,
+/// report, permanent failure with shard takeover,
 /// stall-episode detection, and the conservation ledger (delivered +
 /// shed + lost == offered, exactly) on clean and faulted runs alike —
 /// capped by a scaled-down run of the chaos scenario itself.
@@ -244,7 +244,7 @@ TEST(Supervisor, PermanentFailureHandsShardsToSurvivors) {
   FaultInjector inj(
       FaultPlan::parse("throw:w=1@0,throw:w=1@1,throw:w=1@2"));
   EngineConfig cfg = supervised(&inj);
-  cfg.shards = 4;
+  cfg.workers = 4;
 
   TrafficPool pool = fx.pool();
   Engine engine(cfg, fx.programs);
@@ -291,20 +291,16 @@ TEST(Supervisor, DetectsStallEpisodeAndRunStillConcludes) {
 
 TEST(Supervisor, RejectsWorkerEventsPastTheThreadCount) {
   Fixture fx;
-  // A two-thread engine has no worker 2; a sharded engine runs
-  // min(workers, shards) threads, so four workers over two shards have
-  // no worker 3. Either event would silently never fire.
+  // A two-thread engine has no worker 2, a three-thread engine no
+  // worker 3. Either event would silently never fire.
   struct Case {
     const char* spec;
     usize workers;
-    usize shards;
   };
-  for (const Case& c : {Case{"throw:w=2@0", 2, 0},
-                        Case{"stall:w=3@1:ms=5", 4, 2}}) {
+  for (const Case& c : {Case{"throw:w=2@0", 2}, Case{"stall:w=3@1:ms=5", 3}}) {
     FaultInjector inj(FaultPlan::parse(c.spec));
     EngineConfig cfg = supervised(&inj);
     cfg.workers = c.workers;
-    cfg.shards = c.shards;
     TrafficPool pool = fx.pool();
     Engine engine(cfg, fx.programs);
     EXPECT_THROW(engine.start(pool), ConfigError) << c.spec;

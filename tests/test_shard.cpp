@@ -1,6 +1,6 @@
 /// Tests for the RSS-style sharded runtime: steering determinism and
-/// uniformity, and the sum-of-shards == engine-totals invariant —
-/// including geometries where the shard count exceeds the worker count.
+/// uniformity, the invariant that the shard rows sum to the engine
+/// totals, and per-shard verdict capture.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -104,29 +104,25 @@ TEST(ReplicaEngine, SumOfShardsEqualsEngineTotals) {
   RuleProgramPublisher programs(exact_config(rules.size()));
   programs.install_ruleset(rules);
 
-  // Unsharded reference for the verdict totals.
+  // Single-threaded reference for the verdict totals.
   baseline::LinearSearch oracle(rules);
   usize want_matched = 0;
   for (const auto& e : trace) {
     if (oracle.classify(e.header, nullptr) != nullptr) ++want_matched;
   }
 
-  // Deliberately more shards than workers: shard 3 rides on thread 0.
   TrafficPool pool = TrafficPool::from_trace(trace, /*materialize=*/false);
-  Engine engine({.workers = 3,
-                 .batch_size = 32,
-                 .flow_cache_depth = 256,
-                 .shards = 4},
+  Engine engine({.workers = 4, .batch_size = 32, .flow_cache_depth = 256},
                 programs);
   const EngineReport rep = engine.run(pool);
 
   ASSERT_TRUE(rep.first_error().empty()) << rep.first_error();
-  ASSERT_EQ(rep.workers.size(), 3u);  // per-thread merged rows
+  ASSERT_EQ(rep.workers.size(), 4u);  // per-thread merged rows
   ASSERT_EQ(rep.shards.size(), 4u);   // raw per-shard rows
   EXPECT_EQ(rep.packets(), trace.size());
   EXPECT_EQ(rep.matched(), want_matched);
 
-  // Every counter row: merged shards == merged per-thread rows.
+  // Every counter row: merged shard rows equal merged per-thread rows.
   const WorkerReport all = merge_reports(0, rep.workers);
   EXPECT_TRUE(merge_reports(0, rep.shards).counters == all.counters);
 
@@ -142,10 +138,9 @@ TEST(ReplicaEngine, CaptureStreamsHonorSteering) {
   programs.install_ruleset(rules);
 
   TrafficPool pool = TrafficPool::from_trace(trace, /*materialize=*/false);
-  Engine engine({.workers = 2,
+  Engine engine({.workers = 4,
                  .batch_size = 16,
                  .telemetry = false,
-                 .shards = 4,
                  .capture_verdicts = true},
                 programs);
   const EngineReport rep = engine.run(pool);
@@ -161,7 +156,7 @@ TEST(ReplicaEngine, CaptureStreamsHonorSteering) {
 
   // Capture is finite-only: a loop-mode engine that cannot honour it is
   // rejected at start(), never run without the log.
-  Engine loopy({.loop = true, .shards = 2, .capture_verdicts = true},
+  Engine loopy({.workers = 2, .loop = true, .capture_verdicts = true},
                programs);
   TrafficPool loop_pool;
   loop_pool.add(tuple_of(1, 2, 3, 4, net::kProtoTcp));

@@ -310,7 +310,12 @@ TEST(WorkerErrors, FaultHookSurfacesInReportAndScenarioJson) {
   dataplane::RuleProgramPublisher programs(small_config());
   programs.apply(add_msg(1));
   dataplane::TrafficPool pool;
-  for (u32 i = 0; i < 64; ++i) pool.add(probe_tuple(1));
+  u64 worker0_share = 0;  // packets steered to worker 0's shard
+  for (u32 i = 0; i < 64; ++i) {
+    pool.add(probe_tuple(i % 8 + 1));
+    if (dataplane::shard_of(probe_tuple(i % 8 + 1), 2) == 0) ++worker0_share;
+  }
+  ASSERT_GT(worker0_share, 0u);
 
   std::atomic<bool> thrown{false};
   dataplane::Engine engine(
@@ -327,6 +332,12 @@ TEST(WorkerErrors, FaultHookSurfacesInReportAndScenarioJson) {
   ASSERT_EQ(rep.workers.size(), 2u);
   EXPECT_NE(rep.workers[0].error.find("injected"), std::string::npos);
   EXPECT_TRUE(rep.workers[1].error.empty());
+  // Unsupervised, nothing finishes the dead worker's shard: it died
+  // before its first claim, so its whole share is shed.
+  EXPECT_TRUE(rep.conserved());
+  EXPECT_EQ(rep.counters[EngineCounter::shed_packets], worker0_share);
+  EXPECT_EQ(rep.counters[EngineCounter::lost_packets], 0u);
+  EXPECT_EQ(rep.packets(), 64 - worker0_share);
 
   // The scenario report surfaces per-worker errors as a non-empty
   // `errors` array (exercised here through the JSON writer).

@@ -390,7 +390,13 @@ TEST(Scenario, JsonReportIsWellFormedish) {
   std::ostringstream os;
   write_json_report(os, runner.options(), results);
   const std::string s = os.str();
-  EXPECT_NE(s.find("\"schema\":\"pclass-scenarios-v7\""), std::string::npos);
+  EXPECT_NE(s.find("\"schema\":\"pclass-scenarios-v8\""), std::string::npos);
+  // v8 dropped the shards option; every scenario carries its shard rows.
+  const usize opts_at = s.find("\"options\":");
+  const std::string options =
+      s.substr(opts_at, s.find("\"counters\":") - opts_at);
+  EXPECT_EQ(options.find("\"shards\""), std::string::npos) << options;
+  EXPECT_NE(s.find("\"shards\":[{\"shard\":0,"), std::string::npos);
   // v7 dropped the parallel catalog run's options.
   EXPECT_EQ(s.find("\"parallel\""), std::string::npos);
   // v6 moved the supervisor, ledger and trace-loss rows to `engine`

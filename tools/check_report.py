@@ -5,7 +5,7 @@ One subcommand per gate (see each gate_* docstring); a broken invariant
 raises AssertionError and the exit status is nonzero:
 
   check_report.py backends MBT RVH STORM_MBT STORM_RVH
-  check_report.py shards UNSHARDED REPLICA ZIPF_UNSHARDED ZIPF_REPLICA
+  check_report.py shards REPORT
   check_report.py telemetry REPORT TRACE METRICS
   check_report.py chaos REPORT
   check_report.py serve-fault STATS
@@ -13,7 +13,7 @@ raises AssertionError and the exit status is nonzero:
   check_report.py schema SERVE_REPORT SCENARIO_REPORT...
   check_report.py --self-test    # every gate must catch a violation
 
-STORM_*/ZIPF_* are best-of-3 prefixes (PREFIX_1.json .. PREFIX_3.json);
+STORM_* are best-of-3 prefixes (PREFIX_1.json .. PREFIX_3.json);
 the SCRAPEs are in time order, the last taken after drain. Each report
 carries its two counter tables (name -> kind/merge/unit): `counters`,
 the worker rows, must be COUNTER_ROWS, and `engine_counters`, the engine
@@ -26,7 +26,7 @@ import json
 import math
 import sys
 
-SCENARIO_SCHEMA = "pclass-scenarios-v7"
+SCENARIO_SCHEMA = "pclass-scenarios-v8"
 SERVE_SCHEMA = "pclass-serve-v2"
 LIVE_STATS_SCHEMA = "pclass-live-stats-v2"
 # Documented scenario-report keys besides the counter rows.
@@ -158,36 +158,21 @@ def gate_backends(mbt_rep, rvh_rep, mbt_storm, rvh_storm):
         f"update-storm: RVH update rate {ub:.0f}/s lost to MBT {ua:.0f}/s"
 
 
-def gate_shards(u_rep, r_rep, zipf_unsharded, zipf_replica):
-    """Every leg ok and oracle-clean; finite scenarios verdict-identical
-    across legs; shard rows: none unsharded (chaos provisions its own 4),
-    4 under --shards 4, merging to the scenario's value on every counter
-    row; zipf-locality replica best-of-3 Mpps >= unsharded best-of-3."""
-    u, r = by_name(u_rep), by_name(r_rep)
-    assert u.keys() == r.keys()
-    for name in u:
-        for leg, s in (("unsharded", u[name]), ("replica", r[name])):
-            assert s["ok"], f"{name} ({leg}): not ok: {s['error']}"
-            assert s["oracle"]["mismatches"] == 0, \
-                f"{name} ({leg}): oracle mismatches"
-        assert len(u[name]["shards"]) == (4 if name == "chaos" else 0), \
-            f"{name}: unsharded leg has {len(u[name]['shards'])} shard rows"
-        assert len(r[name]["shards"]) == 4, f"{name}: replica shard rows missing"
-        finite = u[name]["updates"]["applied"] == 0
-        if finite:
-            for key in ("packets_processed", "matched"):
-                vals = (u[name][key], r[name][key])
-                assert len(set(vals)) == 1, \
-                    f"{name}: {key} differs across legs: {vals}"
-        expect_fold(counter_table(r_rep, "replica"), r[name]["shards"], r[name],
-                    f"{name}: shards")
-        print(f"{name}: ok ({'verdict-identical' if finite else 'loop-mode'})")
-    zu = max(rep["scenarios"][0]["throughput_mpps"] for rep in zipf_unsharded)
-    zr = max(rep["scenarios"][0]["throughput_mpps"] for rep in zipf_replica)
-    print(f"zipf-locality full scale: unsharded {zu:.2f} Mpps,"
-          f" replica {zr:.2f} Mpps")
-    assert zr >= zu, \
-        f"replica zipf Mpps {zr:.2f} < unsharded {zu:.2f} at equal workers"
+def gate_shards(rep):
+    """Every scenario ok and oracle-clean, with one shard row per worker
+    (chaos runs at least 3 workers), the rows merging to the scenario's
+    value on every counter row."""
+    workers = rep["options"]["workers"]
+    table = counter_table(rep, "shards")
+    for s in rep["scenarios"]:
+        name = s["name"]
+        assert s["ok"], f"{name}: not ok: {s['error']}"
+        assert s["oracle"]["mismatches"] == 0, f"{name}: oracle mismatches"
+        want = max(workers, 3) if name == "chaos" else workers
+        assert len(s["shards"]) == want, \
+            f"{name}: {len(s['shards'])} shard rows, want {want}"
+        expect_fold(table, s["shards"], s, f"{name}: shards")
+        print(f"{name}: {want} shard rows fold to the totals")
 
 
 def metric_families(metrics):
@@ -381,8 +366,7 @@ def read_text(path):
 COMMANDS = {
     "backends": lambda a: gate_backends(load(a[0]), load(a[1]),
                                         best_of_3(a[2]), best_of_3(a[3])),
-    "shards": lambda a: gate_shards(load(a[0]), load(a[1]),
-                                    best_of_3(a[2]), best_of_3(a[3])),
+    "shards": lambda a: gate_shards(load(a[0])),
     "telemetry": lambda a: gate_telemetry(load(a[0]), load(a[1]),
                                           read_text(a[2])),
     "chaos": lambda a: gate_chaos(load(a[0])),
@@ -431,10 +415,11 @@ def scenario(name, mpps=1.0, packets=10, version=3, shards=(), ts=(),
                           {"samples": 2, "mean_ns": 5.0, "max_ns": 9}}}
 
 
-def report(alg, *scenarios):
+def report(alg, *scenarios, workers=4):
     return {"schema": SCENARIO_SCHEMA, "counters": TABLE,
             "engine_counters": ETABLE, "all_ok": True,
-            "options": {"ip_algorithm": alg}, "scenarios": list(scenarios)}
+            "options": {"ip_algorithm": alg, "workers": workers},
+            "scenarios": list(scenarios)}
 
 
 def rows(*pairs):
@@ -453,12 +438,13 @@ def self_test():
                       report("RVH", scenario("fw-like", 1.0)),
                       storm(1.0, 100.0), storm(1.0, 120.0)),
                      lambda a: a.__setitem__(3, storm(1.0, 90.0))),
-        "shards": ((report("MBT", scenario("fw-like")),
-                    report("MBT", scenario("fw-like", shards=sharded)),
-                    [report("MBT", scenario("zipf-locality", 1.0))] * 3,
-                    [report("MBT", scenario("zipf-locality", 1.5))] * 3),
-                   lambda a: a[1]["scenarios"][0]["shards"][0].update(
-                       packets=7)),
+        "shards": ((report("MBT", scenario("fw-like", shards=sharded),
+                           scenario("chaos", shards=sharded)),),
+                   lambda a: a[0]["scenarios"][0]["shards"][0].update(
+                       packets=7),
+                   lambda a: a[0]["scenarios"][1]["shards"].pop(),
+                   lambda a: a[0]["scenarios"][0]["oracle"].update(
+                       mismatches=1)),
         "telemetry": ((report("MBT", scenario(
                           "fw-like", ts=rows((7, 2), (3, 3)))),
                        {"traceEvents": [

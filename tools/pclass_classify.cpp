@@ -7,19 +7,18 @@
 ///   pclass_classify <rules_file> <trace_file> [--alg mbt|bst|rvh]
 ///                   [--mode first|cross] [--verify]
 ///                   [--workers N] [--batch B] [--cache DEPTH]
-///                   [--shards N]
 ///                   [--stats-interval-ms N] [--trace-out FILE]
 ///                   [--metrics-out FILE]
 ///
 /// With --workers the trace runs through the batched dataplane engine
-/// (N worker threads, per-worker flow caches, lock-free rule snapshots)
-/// instead of the single-threaded classify loop. The engine path also
-/// exposes the telemetry exporters: --stats-interval-ms runs the
-/// background StatsSampler, --trace-out writes per-batch spans as
-/// chrome://tracing JSON (one track per worker) and --metrics-out dumps
-/// end-of-run counters in Prometheus text format. All three require
-/// --workers, as do the sharding knobs: --shards N steers packets to N
-/// RSS-style shards by 5-tuple flow hash, each with the full ruleset.
+/// (N worker threads over N RSS-style shards steered by 5-tuple flow
+/// hash, each with the full ruleset, its own flow cache and lock-free
+/// rule snapshots) instead of the single-threaded classify loop. The
+/// engine path also exposes the telemetry exporters: --stats-interval-ms
+/// runs the background StatsSampler, --trace-out writes per-batch spans
+/// as chrome://tracing JSON (one track per worker) and --metrics-out
+/// dumps end-of-run counters in Prometheus text format. All three
+/// require --workers.
 #include <array>
 #include <chrono>
 #include <fstream>
@@ -48,10 +47,9 @@ int usage() {
                "[--alg mbt|bst|rvh] [--mode first|cross] [--verify]\n"
                "                       [--workers N [--batch B] "
                "[--cache DEPTH]\n"
-               "                        [--shards N]\n"
                "                        [--stats-interval-ms N] "
                "[--trace-out FILE] [--metrics-out FILE]]\n"
-               "(--batch/--cache, the shard knobs and the telemetry flags "
+               "(--batch/--cache and the telemetry flags "
                "configure the dataplane engine and require --workers)\n";
   return 2;
 }
@@ -66,7 +64,7 @@ struct TelemetryOut {
 /// Dataplane-engine path: the whole trace, batched, across N workers.
 int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
                core::ClassifierConfig cfg, usize workers, usize batch,
-               u32 cache_depth, usize shards, bool verify,
+               u32 cache_depth, bool verify,
                const TelemetryOut& tout) {
   dataplane::RuleProgramPublisher programs(cfg);
   const hw::UpdateStats load = programs.install_ruleset(rules);
@@ -78,37 +76,27 @@ int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
       .batch_size = batch,
       .flow_cache_depth = cache_depth,
       .stats_interval_ms = tout.stats_interval_ms,
-      .collect_trace = !tout.trace_path.empty(),
-      .shards = shards};
+      .collect_trace = !tout.trace_path.empty()};
   dataplane::Engine engine(ecfg, programs);
-  // The engine clamps degenerate values (0 workers/batch); report the
-  // effective geometry, not the requested one.
-  workers = engine.config().workers;
-  batch = engine.config().batch_size;
   const dataplane::EngineReport rep = engine.run(pool);
   if (const std::string err = rep.first_error(); !err.empty()) {
     std::cerr << "error: dataplane worker failed: " << err << "\n";
     return 1;
   }
 
-  const auto print_rows = [](const std::string& label,
-                             const std::vector<dataplane::WorkerReport>& rows) {
-    using telemetry::Counter;
-    TextTable t({label, "packets", "matched", "cache hit%", "p50 cyc",
-                 "p99 cyc", "Mpps"});
-    for (const auto& w : rows) {
-      t.add_row({std::to_string(w.worker),
-                 std::to_string(w.counters[Counter::packets]),
-                 std::to_string(w.counters[Counter::matched]),
-                 TextTable::num(w.counters.cache_hit_rate() * 100.0, 1),
-                 std::to_string(w.latency.percentile(50)),
-                 std::to_string(w.latency.percentile(99)),
-                 TextTable::num(w.mpps(), 3)});
-    }
-    t.print(std::cout);
-  };
-  print_rows("worker", rep.workers);
-  if (!rep.shards.empty()) print_rows("shard", rep.shards);
+  using telemetry::Counter;
+  TextTable t({"worker", "packets", "matched", "cache hit%", "p50 cyc",
+               "p99 cyc", "Mpps"});
+  for (const auto& w : rep.workers) {
+    t.add_row({std::to_string(w.worker),
+               std::to_string(w.counters[Counter::packets]),
+               std::to_string(w.counters[Counter::matched]),
+               TextTable::num(w.counters.cache_hit_rate() * 100.0, 1),
+               std::to_string(w.latency.percentile(50)),
+               std::to_string(w.latency.percentile(99)),
+               TextTable::num(w.mpps(), 3)});
+  }
+  t.print(std::cout);
 
   const dataplane::WorkerReport all = dataplane::merge_reports(0, rep.workers);
   const auto& lat = all.latency;
@@ -116,7 +104,6 @@ int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
   TextTable a({"metric", "value"});
   a.add_row({"engine", std::to_string(workers) + " workers x batch " +
                            std::to_string(batch)});
-  if (shards > 0) a.add_row({"shards", std::to_string(shards)});
   a.add_row({"load cost", std::to_string(load.cycles) + " bus cycles (1 "
                           "coalesced snapshot)"});
   const auto add_rows = [&a](const auto& set) {
@@ -206,7 +193,6 @@ int main(int argc, char** argv) {
   usize workers = 0;  // 0 = classic single-threaded loop
   usize batch = net::kDefaultBatchCapacity;
   u32 cache_depth = 0;
-  usize shards = 0;
   TelemetryOut tout;
   u64 n = 0;
   for (int i = 3; i < argc; ++i) {
@@ -224,9 +210,6 @@ int main(int argc, char** argv) {
         return usage();
       }
       cache_depth = static_cast<u32>(n);
-    } else if (flag == "--shards" && i + 1 < argc) {
-      if (!parse_count(argv[++i], n)) return usage();
-      shards = static_cast<usize>(n);
     } else if ((flag == "--alg" || flag == "--ip-alg") && i + 1 < argc) {
       const std::string v = argv[++i];
       if (v == "mbt") alg = core::IpAlgorithm::kMbt;
@@ -258,11 +241,6 @@ int main(int argc, char** argv) {
                  "require the dataplane engine (--workers N)\n";
     return usage();
   }
-  if (workers == 0 && shards > 0) {
-    std::cerr << "error: --shards requires "
-                 "the dataplane engine (--workers N)\n";
-    return usage();
-  }
 
   try {
     std::ifstream rf(argv[1]);
@@ -281,7 +259,7 @@ int main(int argc, char** argv) {
 
     if (workers > 0) {
       return run_engine(rules, trace, cfg, workers, batch, cache_depth,
-                        shards, verify, tout);
+                        verify, tout);
     }
     if (cache_depth != 0) {
       std::cerr << "note: --cache configures the dataplane engine "

@@ -11,7 +11,7 @@
 ///                   [--workers N] [--cache-depth N] [--seed N]
 ///                   [--scale F] [--out FILE]
 ///                   [--ip-alg mbt|bst|rvh]
-///                   [--shards N] [--fault-plan SPEC]
+///                   [--fault-plan SPEC]
 ///                   [--save-workloads DIR] [--load-workloads DIR]
 ///                   [--stats-interval-ms N] [--trace-out FILE]
 ///                   [--metrics-out FILE]
@@ -33,9 +33,9 @@
 /// range-vector hash) — the per-family win/loss axis CI sweeps over
 /// saved workloads.
 ///
-/// --shards N runs every scenario's engine as N RSS-style shards, each
-/// owning its classifier replica and flow cache; the trace
-/// is steered per-flow across the full-ruleset replicas.
+/// --workers N runs every scenario's engine as N worker threads over N
+/// RSS-style shards, each owning its classifier replica and flow cache;
+/// the trace is steered per-flow across the full-ruleset replicas.
 ///
 /// --fault-plan SPEC overrides the chaos scenario's built-in seeded
 /// fault plan (grammar: throw:w=W@S, stall:w=W@S:ms=D, pubfail:u=K,
@@ -69,7 +69,7 @@ int usage() {
                "[--smoke] [--workers N] [--cache-depth N] [--seed N] "
                "[--scale F] [--out FILE] "
                "[--ip-alg mbt|bst|rvh] "
-               "[--shards N] [--fault-plan SPEC] "
+               "[--fault-plan SPEC] "
                "[--save-workloads DIR] [--load-workloads DIR] "
                "[--stats-interval-ms N] [--trace-out FILE] "
                "[--metrics-out FILE]\n";
@@ -144,10 +144,6 @@ int main(int argc, char** argv) {
       else if (v == "bst") opts.ip_algorithm = core::IpAlgorithm::kBst;
       else if (v == "rvh") opts.ip_algorithm = core::IpAlgorithm::kRvh;
       else return usage();
-    } else if (flag == "--shards" && i + 1 < argc) {
-      // 0 = unsharded (the default geometry).
-      if (!parse_count(argv[++i], n) || n > 256) return usage();
-      opts.shards = static_cast<usize>(n);
     } else if (flag == "--fault-plan" && i + 1 < argc) {
       opts.fault_plan = argv[++i];
     } else if (flag == "--save-workloads" && i + 1 < argc) {

@@ -12,17 +12,16 @@
 ///                [--listen tcp:PORT | tcp:HOST:PORT | unix:PATH]
 ///                [--workers N] [--batch B] [--cache-depth N]
 ///                [--stats-interval-ms N] [--ip-alg mbt|bst|rvh]
-///                [--shards N]
 ///                [--fault-plan SPEC] [--report FILE] [--version]
 ///
-/// --shards N serves the loop with N RSS-style replica shards (per-flow
-/// steered slices, one classifier replica + flow cache per shard);
-/// `read stats` then reports one row per shard.
+/// The --workers N threads serve the loop over N RSS-style shards
+/// (per-flow steered slices, one classifier replica + flow cache per
+/// shard); `read stats` reports one row per shard.
 ///
 /// The engine runs supervised: a watchdog thread restarts workers that
-/// die (bounded retries with backoff), detects heartbeat stalls, and in
-/// sharded mode reassigns an unrecoverable worker's shards to
-/// survivors. --fault-plan SPEC injects deterministic faults (grammar:
+/// die (bounded retries with backoff), detects heartbeat stalls, and
+/// reassigns an unrecoverable worker's shards to survivors.
+/// --fault-plan SPEC injects deterministic faults (grammar:
 /// throw:w=W@S, stall:w=W@S:ms=D, pubfail:u=K, conndrop:r=K — see
 /// docs/ROBUSTNESS.md) for chaos drills; conndrop events make the
 /// control server drop the matching request's connection mid-flight.
@@ -73,7 +72,6 @@ int usage() {
          "                    [--workers N] [--batch B] [--cache-depth N]\n"
          "                    [--stats-interval-ms N] "
          "[--ip-alg mbt|bst|rvh]\n"
-         "                    [--shards N]\n"
          "                    [--fault-plan SPEC] [--report FILE] "
          "[--version]\n"
          "(rules/trace: ClassBench text or PCR1/PCT1 binaries, sniffed)\n";
@@ -149,7 +147,6 @@ int main(int argc, char** argv) {
   u32 cache_depth = 0;
   u64 stats_interval_ms = 100;
   core::IpAlgorithm ip_algorithm = core::IpAlgorithm::kMbt;
-  usize shards = 0;
   std::string fault_plan_spec;
 
   u64 n = 0;
@@ -184,10 +181,6 @@ int main(int argc, char** argv) {
       else if (v == "bst") ip_algorithm = core::IpAlgorithm::kBst;
       else if (v == "rvh") ip_algorithm = core::IpAlgorithm::kRvh;
       else return usage();
-    } else if (flag == "--shards" && i + 1 < argc) {
-      // 0 = unsharded.
-      if (!parse_count(argv[++i], n) || n > 256) return usage();
-      shards = static_cast<usize>(n);
     } else if (flag == "--fault-plan" && i + 1 < argc) {
       fault_plan_spec = argv[++i];
     } else {
@@ -232,15 +225,13 @@ int main(int argc, char** argv) {
                                  .batch_size = batch,
                                  .flow_cache_depth = cache_depth,
                                  .loop = true,
-                                 .stats_interval_ms = stats_interval_ms,
-                                 .shards = shards};
+                                 .stats_interval_ms = stats_interval_ms};
     // The daemon always runs supervised: workers that die restart with
     // bounded retries, stalls are detected, and a permanently failed
     // worker's shards move to survivors instead of wedging the loop.
     ecfg.supervisor.enabled = true;
     ecfg.fault_injector = injector.get();
     dataplane::Engine engine(ecfg, programs);
-    workers = engine.config().workers;
 
     struct sigaction sa = {};
     sa.sa_handler = handle_signal;
@@ -268,7 +259,7 @@ int main(int argc, char** argv) {
     std::cout << "READY endpoint=" << server.endpoint()
               << " pid=" << ::getpid() << " version=" << programs.version()
               << " rules=" << programs.acquire()->rule_count()
-              << " workers=" << workers << " shards=" << shards << "\n"
+              << " workers=" << workers << "\n"
               << std::flush;
 
     while (!g_stop.load(std::memory_order_relaxed)) {
