@@ -15,22 +15,6 @@ namespace pclass::control {
 
 namespace {
 
-/// The socket-to-dataplane visibility rollup as one JSON object.
-void write_socket_visibility(workload::JsonWriter& w,
-                             const SocketVisibility& sv) {
-  w.begin_object();
-  w.key("samples").value(sv.samples);
-  w.key("cmd_to_first_mean_ns").value(sv.cmd_to_first_mean_ns);
-  w.key("cmd_to_first_max_ns").value(sv.cmd_to_first_max_ns);
-  w.key("cmd_to_all_mean_ns").value(sv.cmd_to_all_mean_ns);
-  w.key("cmd_to_all_max_ns").value(sv.cmd_to_all_max_ns);
-  w.key("publish_to_first_mean_ns").value(sv.publish_to_first_mean_ns);
-  w.key("publish_to_first_max_ns").value(sv.publish_to_first_max_ns);
-  w.key("pending").value(sv.pending);
-  w.key("unresolved").value(sv.unresolved);
-  w.end_object();
-}
-
 /// How often the visibility watcher re-reads the workers'
 /// snapshot_version counters while updates are in flight. Latency
 /// samples are upper bounds tight to this granularity.
@@ -215,7 +199,6 @@ void ControlPlane::build_registry() {
     publisher_.apply(msg);  // throws -> mapped by the dispatcher
     const u64 version = publisher_.version();
     note_socket_update(version, t_cmd_ns);
-    updates_accepted_.fetch_add(1, std::memory_order_relaxed);
     return HandlerResult::ok(
         "version=" + std::to_string(version) +
         " rules=" + std::to_string(publisher_.acquire()->rule_count()));
@@ -256,35 +239,25 @@ void ControlPlane::build_registry() {
       sampler->trace_capture_start(limit);
       return HandlerResult::ok("capturing limit=" + std::to_string(limit));
     }
-    if (verb == "stop") {
-      if (sampler == nullptr || !sampler->trace_capturing()) {
-        return HandlerResult::error(kConflict, "not capturing");
-      }
-      u64 truncated = 0;
-      auto events = sampler->trace_capture_stop(&truncated);
-      std::lock_guard<std::mutex> tlk(trace_mu_);
-      last_capture_ = std::move(events);
-      last_capture_truncated_ = truncated;
-      has_capture_ = true;
-      return HandlerResult::ok(
-          "events=" + std::to_string(last_capture_.size()) +
-          " truncated=" + std::to_string(truncated));
-    }
-    if (verb == "dump") {
-      if (args.size() != 2) {
+    if (verb == "stop" || verb == "dump") {
+      if (verb == "dump" && args.size() != 2) {
         throw ParseError("trace dump: expected <file>");
       }
       // Dump implies stop: a running capture is taken first so the file
       // always reflects everything captured up to this request.
-      if (sampler != nullptr && sampler->trace_capturing()) {
-        u64 truncated = 0;
-        auto events = sampler->trace_capture_stop(&truncated);
-        std::lock_guard<std::mutex> tlk(trace_mu_);
-        last_capture_ = std::move(events);
-        last_capture_truncated_ = truncated;
-        has_capture_ = true;
+      const bool capturing = sampler != nullptr && sampler->trace_capturing();
+      if (verb == "stop" && !capturing) {
+        return HandlerResult::error(kConflict, "not capturing");
       }
       std::lock_guard<std::mutex> tlk(trace_mu_);
+      if (capturing) {
+        last_capture_ = sampler->trace_capture_stop(&last_capture_truncated_);
+        has_capture_ = true;
+      }
+      const std::string counts =
+          "events=" + std::to_string(last_capture_.size()) +
+          " truncated=" + std::to_string(last_capture_truncated_);
+      if (verb == "stop") return HandlerResult::ok(counts);
       if (!has_capture_) {
         return HandlerResult::error(kConflict,
                                     "no capture (run `write trace start` "
@@ -304,10 +277,7 @@ void ControlPlane::build_registry() {
         return HandlerResult::error(kInternalError,
                                     "short write to " + args[1]);
       }
-      return HandlerResult::ok(
-          "events=" + std::to_string(last_capture_.size()) +
-          " truncated=" + std::to_string(last_capture_truncated_) +
-          " file=" + args[1]);
+      return HandlerResult::ok(counts + " file=" + args[1]);
     }
     throw ParseError("trace: unknown verb '" + verb + "'");
   });
@@ -346,6 +316,7 @@ void ControlPlane::note_socket_update(u64 version, u64 t_cmd_ns) {
   {
     std::lock_guard<std::mutex> lk(vis_mu_);
     pending_.push_back(p);
+    ++socket_[telemetry::SocketCounter::updates_accepted];
   }
   vis_cv_.notify_all();
 }
@@ -378,16 +349,20 @@ void ControlPlane::visibility_pass() {
     PendingUpdate p = pending_.front();
     pending_.pop_front();
     if (p.t_first_ns == 0) p.t_first_ns = now;
+    // One resolved update, folded in by the table's merge rules.
+    using telemetry::SocketCounter;
     const u64 cmd_first = elapsed_clamped(p.t_first_ns, p.t_cmd_ns);
     const u64 cmd_all = elapsed_clamped(now, p.t_cmd_ns);
     const u64 pub_first = elapsed_clamped(p.t_first_ns, p.t_publish_ns);
-    ++vis_samples_;
-    cmd_first_total_ns_ += cmd_first;
-    cmd_first_max_ns_ = std::max(cmd_first_max_ns_, cmd_first);
-    cmd_all_total_ns_ += cmd_all;
-    cmd_all_max_ns_ = std::max(cmd_all_max_ns_, cmd_all);
-    pub_first_total_ns_ += pub_first;
-    pub_first_max_ns_ = std::max(pub_first_max_ns_, pub_first);
+    telemetry::SocketCounterSet one;
+    one.set(SocketCounter::visibility_samples, 1);
+    one.set(SocketCounter::cmd_to_first_total_ns, cmd_first);
+    one.set(SocketCounter::cmd_to_first_max_ns, cmd_first);
+    one.set(SocketCounter::cmd_to_all_total_ns, cmd_all);
+    one.set(SocketCounter::cmd_to_all_max_ns, cmd_all);
+    one.set(SocketCounter::publish_to_first_total_ns, pub_first);
+    one.set(SocketCounter::publish_to_first_max_ns, pub_first);
+    socket_.merge(one);
   }
 }
 
@@ -405,22 +380,10 @@ void ControlPlane::visibility_loop() {
   }
 }
 
-SocketVisibility ControlPlane::socket_visibility() const {
+void ControlPlane::fill_counters(telemetry::SocketCounterSet& out) const {
   std::lock_guard<std::mutex> lk(vis_mu_);
-  SocketVisibility v;
-  v.samples = vis_samples_;
-  if (vis_samples_ > 0) {
-    const auto n = static_cast<double>(vis_samples_);
-    v.cmd_to_first_mean_ns = static_cast<double>(cmd_first_total_ns_) / n;
-    v.cmd_to_all_mean_ns = static_cast<double>(cmd_all_total_ns_) / n;
-    v.publish_to_first_mean_ns = static_cast<double>(pub_first_total_ns_) / n;
-  }
-  v.cmd_to_first_max_ns = cmd_first_max_ns_;
-  v.cmd_to_all_max_ns = cmd_all_max_ns_;
-  v.publish_to_first_max_ns = pub_first_max_ns_;
-  v.pending = pending_.size();
-  v.unresolved = vis_unresolved_;
-  return v;
+  out = socket_;
+  out.set(telemetry::SocketCounter::visibility_pending, pending_.size());
 }
 
 // ---- streaming subscriptions ----------------------------------------------
@@ -467,7 +430,8 @@ dataplane::EngineReport ControlPlane::drain() {
     visibility_pass();
     {
       std::lock_guard<std::mutex> vlk(vis_mu_);
-      vis_unresolved_ += pending_.size();
+      socket_[telemetry::SocketCounter::visibility_unresolved] +=
+          pending_.size();
       pending_.clear();
     }
     // Flush partial decimation windows so coarse subscribers' rows
@@ -488,12 +452,11 @@ dataplane::EngineReport ControlPlane::drain() {
 std::string ControlPlane::stats_json() {
   std::lock_guard<std::mutex> lk(engine_mu_);
   const u64 now = telemetry::steady_now_ns();
-  const auto& pstats = publisher_.stats();
 
   std::ostringstream os;
   workload::JsonWriter w(os);
   w.begin_object();
-  w.key("schema").value("pclass-live-stats-v2");
+  w.key("schema").value("pclass-live-stats-v3");
   w.key("uptime_ns").value(now - t_attach_ns_);
   w.key("engine_running").value(engine_.running());
   w.key("drained").value(drained_);
@@ -501,13 +464,9 @@ std::string ControlPlane::stats_json() {
   common::write_build_fields(w);
   w.end_object();
 
-  w.key("publisher").begin_object();
-  w.key("version").value(publisher_.version());
-  w.key("rules").value(static_cast<u64>(publisher_.acquire()->rule_count()));
-  w.key("updates_applied").value(pstats.updates_applied);
-  w.key("publishes").value(pstats.publishes);
-  w.key("grace_spins").value(pstats.grace_spins);
-  w.end_object();
+  telemetry::PublisherCounterSet pub;
+  publisher_.fill_counters(pub);
+  telemetry::write_counter_object(w, "publisher", pub);
 
   // Engine geometry and every engine row, live (the supervisor rows
   // stay zero when the supervisor is off). The worker rows below are
@@ -535,17 +494,13 @@ std::string ControlPlane::stats_json() {
   }
   w.end_array();
 
-  w.key("totals").begin_object();
-  telemetry::write_counters(w, totals);
-  w.end_object();
+  telemetry::write_counter_object(w, "totals", totals);
 
   telemetry::write_update_visibility(w, totals);
 
-  w.key("socket_visibility");
-  write_socket_visibility(w, socket_visibility());
-
-  w.key("updates_accepted")
-      .value(updates_accepted_.load(std::memory_order_relaxed));
+  telemetry::SocketCounterSet sock;
+  fill_counters(sock);
+  telemetry::write_counter_object(w, "socket", sock);
   w.end_object();
   os << '\n';
   return os.str();
@@ -554,8 +509,10 @@ std::string ControlPlane::stats_json() {
 std::string ControlPlane::metrics_text() {
   std::lock_guard<std::mutex> lk(engine_mu_);
   const u64 now = telemetry::steady_now_ns();
-  const auto& pstats = publisher_.stats();
-  const SocketVisibility sv = socket_visibility();
+  telemetry::PublisherCounterSet pub;
+  publisher_.fill_counters(pub);
+  telemetry::SocketCounterSet sock;
+  fill_counters(sock);
 
   std::ostringstream os;
   telemetry::MetricsWriter mw(os);
@@ -576,43 +533,14 @@ std::string ControlPlane::metrics_text() {
                                      t->live.snapshot());
   }
 
-  mw.gauge("pclass_publisher_version", "Published rule-program version.", {},
-           static_cast<double>(publisher_.version()));
-  mw.gauge("pclass_publisher_rules", "Rules in the published snapshot.", {},
-           static_cast<double>(publisher_.acquire()->rule_count()));
-  mw.counter("pclass_publisher_updates_applied_total",
-             "Southbound updates accepted into the log.", {},
-             static_cast<double>(pstats.updates_applied));
-  mw.counter("pclass_publisher_publishes_total", "Snapshot swaps.", {},
-             static_cast<double>(pstats.publishes));
-  mw.counter("pclass_publisher_grace_spins_total",
-             "Yields spent waiting for readers to drain.", {},
-             static_cast<double>(pstats.grace_spins));
+  telemetry::write_counter_metrics(mw, "pclass_publisher_", {}, pub);
 
   mw.gauge("pclass_supervisor_enabled",
            "1 when the engine watchdog supervises workers.", {},
            engine_.config().supervisor.enabled ? 1.0 : 0.0);
   telemetry::write_counter_metrics(mw, "pclass_", {}, engine_.counters());
 
-  mw.counter("pclass_socket_updates_accepted_total",
-             "Rule/set updates accepted over the control socket.", {},
-             static_cast<double>(
-                 updates_accepted_.load(std::memory_order_relaxed)));
-  mw.counter("pclass_socket_visibility_samples_total",
-             "Socket updates whose dataplane visibility fully resolved.", {},
-             static_cast<double>(sv.samples));
-  mw.gauge("pclass_socket_visibility_cmd_to_first_mean_ns",
-           "Mean ns from command parse to first worker on the new version.",
-           {}, sv.cmd_to_first_mean_ns);
-  mw.gauge("pclass_socket_visibility_cmd_to_all_mean_ns",
-           "Mean ns from command parse to every worker on the new version.",
-           {}, sv.cmd_to_all_mean_ns);
-  mw.gauge("pclass_socket_visibility_cmd_to_all_max_ns",
-           "Worst-case ns from command parse to every worker.", {},
-           static_cast<double>(sv.cmd_to_all_max_ns));
-  mw.gauge("pclass_socket_visibility_pending",
-           "Socket updates not yet seen by every worker.", {},
-           static_cast<double>(sv.pending));
+  telemetry::write_counter_metrics(mw, "pclass_socket_", {}, sock);
 
   mw.flush();
   return os.str();
@@ -645,7 +573,7 @@ void write_serve_report(std::ostream& os, const dataplane::EngineReport& rep,
       dataplane::merge_reports(0, rep.workers).counters;
   workload::JsonWriter j(os);
   j.begin_object();
-  j.key("schema").value("pclass-serve-v2");
+  j.key("schema").value("pclass-serve-v3");
   j.key("meta").begin_object();
   j.key("build").begin_object();
   common::write_build_fields(j);
@@ -657,6 +585,10 @@ void write_serve_report(std::ostream& os, const dataplane::EngineReport& rep,
   telemetry::write_counter_table(j.key("counters"), telemetry::kCounters);
   telemetry::write_counter_table(j.key("engine_counters"),
                                  telemetry::kEngineCounters);
+  telemetry::write_counter_table(j.key("publisher_counters"),
+                                 telemetry::kPublisherCounters);
+  telemetry::write_counter_table(j.key("socket_counters"),
+                                 telemetry::kSocketCounters);
 
   j.key("workers").begin_array();
   for (const auto& w : rep.workers) {
@@ -681,18 +613,20 @@ void write_serve_report(std::ostream& os, const dataplane::EngineReport& rep,
 
   telemetry::write_update_visibility(j, totals);
 
+  telemetry::PublisherCounterSet pub;
+  cp.publisher().fill_counters(pub);
+  telemetry::write_counter_object(j, "publisher", pub);
+
+  telemetry::SocketCounterSet sock;
+  cp.fill_counters(sock);
   j.key("socket").begin_object();
-  j.key("updates_accepted").value(cp.updates_accepted());
+  telemetry::write_counters(j, sock);
   j.key("connections_accepted").value(server.connections_accepted());
   j.key("connections_rejected").value(server.connections_rejected());
   j.key("requests_served").value(server.requests_served());
-  j.key("visibility");
-  write_socket_visibility(j, cp.socket_visibility());
   j.end_object();
 
-  j.key("engine").begin_object();
-  telemetry::write_counters(j, rep.counters);
-  j.end_object();
+  telemetry::write_counter_object(j, "engine", rep.counters);
 
   j.key("errors").begin_array();
   for (const auto& d : rep.error_log) j.value(d.line());

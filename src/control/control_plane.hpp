@@ -21,7 +21,6 @@
 ///     100ms sampler still sees deltas that sum to the totals.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -40,22 +39,6 @@
 #include "net/trace.hpp"
 
 namespace pclass::control {
-
-/// Socket-to-dataplane visibility rollup for socket-driven updates.
-/// "first" = the earliest worker classifying on the new version;
-/// "all" = every worker on (at least) it. Latencies are measured by a
-/// ~0.2ms poller, so they are upper bounds tight to that granularity.
-struct SocketVisibility {
-  u64 samples = 0;  ///< fully-resolved updates
-  double cmd_to_first_mean_ns = 0;
-  u64 cmd_to_first_max_ns = 0;
-  double cmd_to_all_mean_ns = 0;
-  u64 cmd_to_all_max_ns = 0;
-  double publish_to_first_mean_ns = 0;
-  u64 publish_to_first_max_ns = 0;
-  u64 pending = 0;     ///< in flight (not yet seen by every worker)
-  u64 unresolved = 0;  ///< abandoned (engine drained before visibility)
-};
 
 class ControlPlane {
  public:
@@ -97,16 +80,12 @@ class ControlPlane {
   /// answering reads afterwards (that is the CI reconcile moment).
   dataplane::EngineReport drain();
 
-  [[nodiscard]] bool drained() const {
-    std::lock_guard<std::mutex> lk(engine_mu_);
-    return drained_;
-  }
+  /// The control-socket rows (telemetry/counters.hpp) into \p out:
+  /// accepted updates and their socket-to-dataplane visibility.
+  void fill_counters(telemetry::SocketCounterSet& out) const;
 
-  [[nodiscard]] SocketVisibility socket_visibility() const;
-
-  /// Socket-driven updates accepted (rule + set commands).
-  [[nodiscard]] u64 updates_accepted() const {
-    return updates_accepted_.load(std::memory_order_relaxed);
+  [[nodiscard]] const dataplane::RuleProgramPublisher& publisher() const {
+    return publisher_;
   }
 
   // Payload builders, public so the daemon's final report and the tests
@@ -148,25 +127,17 @@ class ControlPlane {
 
   /// Serializes engine lifecycle (drain) against every handler that
   /// touches the engine or its sampler.
-  mutable std::mutex engine_mu_;
+  std::mutex engine_mu_;
   bool drained_ = false;
   dataplane::EngineReport final_report_;
-
-  std::atomic<u64> updates_accepted_{0};
 
   // Visibility watcher state.
   mutable std::mutex vis_mu_;
   std::condition_variable vis_cv_;
   bool vis_stop_ = false;
   std::deque<PendingUpdate> pending_;
-  u64 vis_samples_ = 0;
-  u64 cmd_first_total_ns_ = 0;
-  u64 cmd_first_max_ns_ = 0;
-  u64 cmd_all_total_ns_ = 0;
-  u64 cmd_all_max_ns_ = 0;
-  u64 pub_first_total_ns_ = 0;
-  u64 pub_first_max_ns_ = 0;
-  u64 vis_unresolved_ = 0;
+  /// The socket rows; visibility_pending is pending_.size() on read.
+  telemetry::SocketCounterSet socket_;
   std::thread vis_thread_;
 
   // Streaming subscribers (token -> decimating window state).
@@ -180,10 +151,10 @@ class ControlPlane {
   bool has_capture_ = false;
 };
 
-/// The daemon's end-of-run JSON report (schema pclass-serve-v2): both
-/// counter tables, per-worker / per-shard rows and totals, the engine
-/// rows, the timeseries, the socket counters and the update-visibility
-/// rollups.
+/// The daemon's end-of-run JSON report (schema pclass-serve-v3): all
+/// four counter tables, per-worker / per-shard rows and totals, the
+/// publisher, engine and socket rows (with the server's connection
+/// counters), the update-visibility rollup and the timeseries.
 void write_serve_report(std::ostream& os, const dataplane::EngineReport& rep,
                         const ControlPlane& cp, const ControlServer& server);
 

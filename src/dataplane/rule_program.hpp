@@ -39,6 +39,7 @@
 #include "core/classifier.hpp"
 #include "net/trace.hpp"
 #include "sdn/southbound.hpp"
+#include "telemetry/counters.hpp"
 #include "telemetry/publish_clock.hpp"
 
 namespace pclass::dataplane {
@@ -116,7 +117,7 @@ struct OracleCheck {
 [[nodiscard]] OracleCheck check_against_oracle(
     const core::ConfigurableClassifier& clf, const net::Trace& trace);
 
-/// Counters of the publisher's write side.
+/// Counters of the publisher's write side (see fill_counters).
 struct PublisherStats {
   u64 updates_applied = 0;   ///< log entries accepted (once per update)
   u64 publishes = 0;         ///< snapshot swaps
@@ -176,8 +177,22 @@ class RuleProgramPublisher : public sdn::UpdateSink {
   /// Convenience: install a whole rule set as one coalesced publish.
   hw::UpdateStats install_ruleset(const ruleset::RuleSet& rules);
 
+  /// Unsynchronised; a live reader uses fill_counters().
   [[nodiscard]] const PublisherStats& stats() const { return stats_; }
   [[nodiscard]] const core::ClassifierConfig& config() const { return cfg_; }
+
+  /// The publisher rows (telemetry/counters.hpp) into \p out, read
+  /// under the writer lock: race-free against concurrent applies.
+  void fill_counters(telemetry::PublisherCounterSet& out) const {
+    using telemetry::PublisherCounter;
+    std::lock_guard<std::mutex> lk(writer_mu_);
+    const RuleProgram& cur = *replicas_[published_slot_];
+    out.set(PublisherCounter::version, cur.version_);
+    out.set(PublisherCounter::rules, cur.rule_count());
+    out.set(PublisherCounter::updates_applied, stats_.updates_applied);
+    out.set(PublisherCounter::publishes, stats_.publishes);
+    out.set(PublisherCounter::grace_spins, stats_.grace_spins);
+  }
 
   /// Version -> publish-timestamp table (telemetry): note()d just
   /// before every snapshot swap, so workers can measure how long a

@@ -1,19 +1,21 @@
 /// \file counters.hpp
-/// The counter registry: every counter a pipeline worker keeps is one
-/// row of PCLASS_WORKER_COUNTERS, every engine-level counter (the
-/// supervisor rollup, the conservation ledger, trace-span loss) one row
-/// of PCLASS_ENGINE_COUNTERS. Every surface that shows counters — the
-/// live block, WorkerReport, EngineReport, the sampler's interval rows,
-/// `read stats`, `read metrics`, `subscribe` rows, the scenario and
-/// `pclass_serve` reports and the CLIs' Prometheus dumps — loops over
-/// the tables instead of naming fields.
+/// The counter registry: four tables, one owner each. A pipeline
+/// worker's counters are PCLASS_WORKER_COUNTERS; the engine's (the
+/// supervisor rollup, the conservation ledger, trace-span loss)
+/// PCLASS_ENGINE_COUNTERS; the rule-program publisher's
+/// PCLASS_PUBLISHER_COUNTERS; the control socket's update and
+/// visibility rollup PCLASS_SOCKET_COUNTERS. Every surface that shows
+/// counters — the live block, WorkerReport, EngineReport, the sampler's
+/// interval rows, `read stats`, `read metrics`, `subscribe` rows, the
+/// scenario and `pclass_serve` reports and the CLIs' Prometheus dumps —
+/// loops over the tables instead of naming fields.
 ///
 /// Adding a counter: add one row here, then one `out.set(...)` line in
-/// the `fill_counters` of the element that owns the value (an engine
-/// row: one `counters_.add(...)` or `set(...)` in the Engine). Every
-/// surface picks it up under the row's name. tools/check_report.py
-/// pins the row names (COUNTER_ROWS, ENGINE_ROWS), so a row that is
-/// renamed or dropped here fails CI's report gates.
+/// the owner's `fill_counters` (an engine row: one `counters_.add(...)`
+/// or `set(...)` in the Engine). Every surface picks it up under the
+/// row's name. tools/check_report.py pins the row names (COUNTER_ROWS,
+/// ENGINE_ROWS, PUBLISHER_ROWS, SOCKET_ROWS), so a row that is renamed
+/// or dropped here fails CI's report gates.
 #pragma once
 
 #include <algorithm>
@@ -78,12 +80,44 @@ enum class CounterMerge : u8 { kSum, kMax };
   X(trace_events_truncated, kCounter, kSum, "events",                      \
     "Drained trace spans past the retention cap.")
 
+// X(name, kind, merge, unit, help)
+#define PCLASS_PUBLISHER_COUNTERS(X)                                       \
+  X(version, kGauge, kMax, "version", "Published rule-program version.")   \
+  X(rules, kGauge, kMax, "rules", "Rules in the published snapshot.")      \
+  X(updates_applied, kCounter, kSum, "updates", "Updates accepted.")       \
+  X(publishes, kCounter, kSum, "publishes", "Snapshot swaps.")             \
+  X(grace_spins, kCounter, kSum, "yields", "Yields waiting on readers.")
+
+// X(name, kind, merge, unit, help). An update's latency runs from its
+// command's parse (cmd) or its snapshot swap (publish) to the first, or
+// every, worker on its version; a ~0.2 ms poller measures it, so each
+// is an upper bound tight to that grain.
+#define PCLASS_SOCKET_COUNTERS(X)                                          \
+  X(updates_accepted, kCounter, kSum, "updates", "Socket updates.")        \
+  X(visibility_samples, kCounter, kSum, "updates", "Resolved updates.")    \
+  X(visibility_unresolved, kCounter, kSum, "updates", "Unresolved at drain.") \
+  X(visibility_pending, kGauge, kSum, "updates", "Updates in flight.")     \
+  X(cmd_to_first_total_ns, kCounter, kSum, "ns", "Summed cmd-to-first.")   \
+  X(cmd_to_first_max_ns, kGauge, kMax, "ns", "Worst cmd-to-first.")        \
+  X(cmd_to_all_total_ns, kCounter, kSum, "ns", "Summed cmd-to-all.")       \
+  X(cmd_to_all_max_ns, kGauge, kMax, "ns", "Worst cmd-to-all.")            \
+  X(publish_to_first_total_ns, kCounter, kSum, "ns", "Summed pub-to-first.") \
+  X(publish_to_first_max_ns, kGauge, kMax, "ns", "Worst pub-to-first.")
+
 #define PCLASS_COUNTER_ENUM(name, kind, merge, unit, help) name,
 /// One enumerator per worker row, in table order.
 enum class Counter : usize { PCLASS_WORKER_COUNTERS(PCLASS_COUNTER_ENUM) };
 /// One enumerator per engine row, in table order.
 enum class EngineCounter : usize {
   PCLASS_ENGINE_COUNTERS(PCLASS_COUNTER_ENUM)
+};
+/// One enumerator per publisher row, in table order.
+enum class PublisherCounter : usize {
+  PCLASS_PUBLISHER_COUNTERS(PCLASS_COUNTER_ENUM)
+};
+/// One enumerator per control-socket row, in table order.
+enum class SocketCounter : usize {
+  PCLASS_SOCKET_COUNTERS(PCLASS_COUNTER_ENUM)
 };
 #undef PCLASS_COUNTER_ENUM
 
@@ -95,12 +129,16 @@ struct CounterDef {
   std::string_view help;
 };
 
-#define PCLASS_COUNTER_DEF(name, kind, merge, unit, help) \
+#define PCLASS_COUNTER_DEF(name, kind, merge, unit, help)                   \
   CounterDef{#name, CounterKind::kind, CounterMerge::merge, unit, help},
 inline constexpr std::array kCounters = {
     PCLASS_WORKER_COUNTERS(PCLASS_COUNTER_DEF)};
 inline constexpr std::array kEngineCounters = {
     PCLASS_ENGINE_COUNTERS(PCLASS_COUNTER_DEF)};
+inline constexpr std::array kPublisherCounters = {
+    PCLASS_PUBLISHER_COUNTERS(PCLASS_COUNTER_DEF)};
+inline constexpr std::array kSocketCounters = {
+    PCLASS_SOCKET_COUNTERS(PCLASS_COUNTER_DEF)};
 #undef PCLASS_COUNTER_DEF
 
 inline constexpr usize kNumCounters = kCounters.size();
@@ -114,8 +152,8 @@ struct UpdateVisibility {
 };
 
 /// One value per row of the table \p kTable (enumerated by \p Id):
-/// a worker's totals, a merged rollup, one sampler interval or the
-/// engine-level rows.
+/// a worker's totals, a merged rollup, one sampler interval, the
+/// engine-level rows, the publisher's or the control socket's.
 template <class Id, const auto& kTable>
 struct BasicCounterSet {
   using Row = Id;
@@ -173,6 +211,9 @@ struct BasicCounterSet {
 
 using CounterSet = BasicCounterSet<Counter, kCounters>;
 using EngineCounterSet = BasicCounterSet<EngineCounter, kEngineCounters>;
+using PublisherCounterSet =
+    BasicCounterSet<PublisherCounter, kPublisherCounters>;
+using SocketCounterSet = BasicCounterSet<SocketCounter, kSocketCounters>;
 
 /// Write every row as `"name": value` into the open JSON object of \p w
 /// (a workload::JsonWriter).
@@ -181,6 +222,14 @@ void write_counters(JsonWriter& w, const Set& c) {
   for (usize i = 0; i < c.v.size(); ++i) {
     w.key(Set::kDefs[i].name).value(c.v[i]);
   }
+}
+
+/// Write `"key": {every row}` from \p c.
+template <class JsonWriter, class Set>
+void write_counter_object(JsonWriter& w, std::string_view key, const Set& c) {
+  w.key(key).begin_object();
+  write_counters(w, c);
+  w.end_object();
 }
 
 /// Write `"update_visibility": {samples, mean_ns, max_ns}` from \p c.

@@ -124,9 +124,11 @@ ScenarioWorkload storm_workload(const ScenarioOptions& opts) {
 
 // ---- measurement ----------------------------------------------------------
 
-/// Copy the engine-side measurement into the result (by value: the
-/// telemetry series and trace events are moved out of the report).
-void fill_engine_stats(ScenarioResult& r, EngineReport rep) {
+/// Copy the engine-side measurement and the publisher rows into the
+/// result (the telemetry series and trace events move out of \p rep).
+void fill_engine_stats(ScenarioResult& r, EngineReport rep,
+                       const RuleProgramPublisher& programs) {
+  programs.fill_counters(r.publisher);
   r.engine = dataplane::merge_reports(0, rep.workers);
   r.wall_seconds = rep.wall_seconds;
   r.mpps = rep.aggregate_mpps();
@@ -145,6 +147,19 @@ void fill_engine_stats(ScenarioResult& r, EngineReport rep) {
   if (r.error.empty() && !r.conserved) {
     r.error = "conservation violated: delivered + shed + lost != offered "
               "(see the engine rows)";
+  }
+}
+
+/// The update schedule's length and rate into \p r, and an error unless
+/// the published version is the install's one update per rule plus
+/// exactly that many (a failed apply must restore, its retry land).
+/// Reads the publisher rows, so it runs after fill_engine_stats.
+void fill_schedule(ScenarioResult& r, u64 updates, double secs) {
+  r.updates_applied = updates;
+  r.updates_per_sec = secs <= 0 ? 0.0 : static_cast<double>(updates) / secs;
+  if (r.error.empty() &&
+      r.publisher[telemetry::PublisherCounter::version] != r.rules + updates) {
+    r.error = "published version did not advance by the schedule length";
   }
 }
 
@@ -197,7 +212,7 @@ ScenarioBody finite(WorkloadSynth synth) {
     RuleProgramPublisher programs(scenario_config(w.rules, 0, opts));
     programs.install_ruleset(w.rules);
     Engine engine(engine_config(opts, /*loop=*/false), programs);
-    fill_engine_stats(r, engine.run(pool));
+    fill_engine_stats(r, engine.run(pool), programs);
     verify_oracle(r, programs, w.trace);
     return r;
   };
@@ -231,7 +246,6 @@ ScenarioResult run_update_storm(const ScenarioOptions& opts,
 
   RuleProgramPublisher programs(scenario_config(rules, 512, opts));
   programs.install_ruleset(rules);
-  const u64 version_before = programs.version();
   TrafficPool pool =
       TrafficPool::from_trace(trace, /*materialize_packets=*/false);
   Engine engine(engine_config(opts, /*loop=*/true), programs);
@@ -243,18 +257,8 @@ ScenarioResult run_update_storm(const ScenarioOptions& opts,
   const double storm_secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  fill_engine_stats(r, engine.stop());
-
-  r.updates_applied = storm.schedule.size();
-  r.updates_per_sec =
-      storm_secs <= 0
-          ? 0.0
-          : static_cast<double>(storm.schedule.size()) / storm_secs;
-  r.grace_spins = programs.stats().grace_spins;
-  if (programs.version() != version_before + storm.schedule.size()) {
-    r.error = "update-storm: published version did not advance by the "
-              "schedule length";
-  }
+  fill_engine_stats(r, engine.stop(), programs);
+  fill_schedule(r, storm.schedule.size(), storm_secs);
   verify_oracle(r, programs, trace);
   return r;
 }
@@ -291,7 +295,6 @@ ScenarioResult run_update_storm_multi(const ScenarioOptions& opts,
   // Headroom: up to kWriters * 256 churn rules live at once.
   RuleProgramPublisher programs(scenario_config(w.rules, 1280, opts));
   programs.install_ruleset(w.rules);
-  const u64 version_before = programs.version();
   TrafficPool pool =
       TrafficPool::from_trace(w.trace, /*materialize_packets=*/false);
   Engine engine(engine_config(opts, /*loop=*/true), programs);
@@ -328,23 +331,13 @@ ScenarioResult run_update_storm_multi(const ScenarioOptions& opts,
   const double storm_secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  fill_engine_stats(r, engine.stop());
-
-  r.updates_applied = total_updates;
-  r.updates_per_sec =
-      storm_secs <= 0 ? 0.0
-                      : static_cast<double>(total_updates) / storm_secs;
-  r.grace_spins = programs.stats().grace_spins;
+  fill_engine_stats(r, engine.stop(), programs);
   for (const std::string& err : writer_errors) {
     if (!err.empty() && r.error.empty()) {
       r.error = "update-storm-multi writer: " + err;
     }
   }
-  if (r.error.empty() &&
-      programs.version() != version_before + total_updates) {
-    r.error = "update-storm-multi: published version did not advance by "
-              "the combined schedule length";
-  }
+  fill_schedule(r, total_updates, storm_secs);
   verify_oracle(r, programs, w.trace);
   return r;
 }
@@ -427,7 +420,6 @@ ScenarioResult run_chaos(const ScenarioOptions& opts,
   RuleProgramPublisher programs(scenario_config(w.rules, 512, opts));
   programs.install_ruleset(w.rules);
   programs.set_fault_hook([&injector] { injector.on_publisher_apply(); });
-  const u64 version_before = programs.version();
   ChaosOracles oracles;
   oracles.record(programs);
 
@@ -475,21 +467,9 @@ ScenarioResult run_chaos(const ScenarioOptions& opts,
       if (!agree) ++r.oracle_mismatches;
     }
   }
-  fill_engine_stats(r, std::move(rep));
-
-  r.updates_applied = storm.schedule.size();
-  r.updates_per_sec =
-      storm_secs <= 0
-          ? 0.0
-          : static_cast<double>(storm.schedule.size()) / storm_secs;
-  r.grace_spins = programs.stats().grace_spins;
+  fill_engine_stats(r, std::move(rep), programs);
+  fill_schedule(r, storm.schedule.size(), storm_secs);
   r.injected = injector.counters();
-
-  if (r.error.empty() &&
-      programs.version() != version_before + storm.schedule.size()) {
-    r.error = "chaos: published version did not advance by the schedule "
-              "length (failed applies must restore, retries must land)";
-  }
   if (opts.fault_plan.empty()) {
     // The built-in plan's effects are deterministic; their absence means
     // the fault plane or the supervisor silently did nothing.
@@ -514,7 +494,9 @@ ScenarioResult run_chaos(const ScenarioOptions& opts,
 }  // namespace
 
 ScenarioRunner::ScenarioRunner(ScenarioOptions opts) : opts_(opts) {
-  if (opts_.workers == 0) opts_.workers = 1;
+  if (opts_.workers == 0) {
+    throw ConfigError("ScenarioRunner: workers must be > 0");
+  }
   if (opts_.scale <= 0) {
     throw ConfigError("ScenarioRunner: scale must be > 0");
   }
@@ -620,7 +602,7 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
                        const std::vector<ScenarioResult>& results) {
   JsonWriter j(os);
   j.begin_object();
-  j.key("schema").value("pclass-scenarios-v8");
+  j.key("schema").value("pclass-scenarios-v9");
   j.key("meta").begin_object();
   j.key("build").begin_object();
   common::write_build_fields(j);
@@ -639,6 +621,8 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
   telemetry::write_counter_table(j.key("counters"), telemetry::kCounters);
   telemetry::write_counter_table(j.key("engine_counters"),
                                  telemetry::kEngineCounters);
+  telemetry::write_counter_table(j.key("publisher_counters"),
+                                 telemetry::kPublisherCounters);
   j.key("scenarios").begin_array();
   for (const ScenarioResult& r : results) {
     j.begin_object();
@@ -669,15 +653,13 @@ void write_json_report(std::ostream& os, const ScenarioOptions& opts,
     j.key("updates").begin_object();
     j.key("applied").value(r.updates_applied);
     j.key("per_second").value(r.updates_per_sec);
-    j.key("grace_spins").value(r.grace_spins);
     j.end_object();
+    telemetry::write_counter_object(j, "publisher", r.publisher);
     j.key("oracle").begin_object();
     j.key("checked").value(r.oracle_checked);
     j.key("mismatches").value(r.oracle_mismatches);
     j.end_object();
-    j.key("engine").begin_object();
-    telemetry::write_counters(j, r.engine_counters);
-    j.end_object();
+    telemetry::write_counter_object(j, "engine", r.engine_counters);
     j.key("conservation").begin_object();
     j.key("checked").value(r.conservation_checked);
     j.key("conserved").value(r.conserved);

@@ -86,10 +86,12 @@ struct ScenarioResult {
   double wall_seconds = 0;
   double mpps = 0;
 
-  // Update churn (update-storm scenario; zero elsewhere).
+  /// The publisher rows at the end of the run (install included).
+  telemetry::PublisherCounterSet publisher;
+
+  // The update schedule (the storm and chaos scenarios; zero elsewhere).
   u64 updates_applied = 0;
   double updates_per_sec = 0;
-  u64 grace_spins = 0;
 
   // Oracle verification vs baseline::LinearSearch.
   usize oracle_checked = 0;
@@ -162,8 +164,9 @@ class ScenarioRunner {
 };
 
 /// Emit the single JSON report CI archives (schema
-/// "pclass-scenarios-v7"): options, per-scenario results and the
-/// aggregate all_ok verdict.
+/// "pclass-scenarios-v9"): options, the worker, engine and publisher
+/// counter tables, per-scenario results and the aggregate all_ok
+/// verdict.
 void write_json_report(std::ostream& os, const ScenarioOptions& opts,
                        const std::vector<ScenarioResult>& results);
 

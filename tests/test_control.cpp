@@ -17,7 +17,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -328,8 +327,8 @@ TEST(ControlServer, ReadHandlersServeFramedPayloads) {
 
   const auto stats = c.read_request("read stats");
   EXPECT_EQ(stats.code, 200);
-  EXPECT_NE(stats.payload.find("pclass-live-stats-v2"), std::string::npos);
-  EXPECT_NE(stats.payload.find("\"socket_visibility\""), std::string::npos);
+  EXPECT_NE(stats.payload.find("pclass-live-stats-v3"), std::string::npos);
+  EXPECT_NE(stats.payload.find("\"socket\":{"), std::string::npos);
 
   const auto metrics = c.read_request("read metrics");
   EXPECT_EQ(metrics.code, 200);
@@ -412,7 +411,7 @@ TEST(ControlServer, ReassemblesPartialLinesAcrossChunks) {
   ASSERT_TRUE(frame.starts_with("DATA "));
   const std::string stats = c.read_exact(
       static_cast<usize>(std::atoll(frame.substr(5).c_str())));
-  EXPECT_NE(stats.find("pclass-live-stats-v2"), std::string::npos);
+  EXPECT_NE(stats.find("pclass-live-stats-v3"), std::string::npos);
 }
 
 TEST(ControlServer, ServesConcurrentClients) {
@@ -441,6 +440,22 @@ TEST(ControlServer, ServesConcurrentClients) {
 
 // ---- socket-driven updates: oracle + visibility ----------------------------
 
+/// The socket rows once \p n accepted updates resolved and none is
+/// pending, or as they stand after 5 s.
+telemetry::SocketCounterSet await_visibility(const ControlPlane& cp, u64 n) {
+  using S = telemetry::SocketCounter;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  telemetry::SocketCounterSet sv;
+  cp.fill_counters(sv);
+  while ((sv[S::visibility_samples] < n || sv[S::visibility_pending] > 0) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    cp.fill_counters(sv);
+  }
+  return sv;
+}
+
 TEST(ControlPlane, ScriptedUpdatesAreOracleCleanWithVisibilityLatency) {
   ServeHarness h;
   TestClient c(h.port());
@@ -465,25 +480,20 @@ TEST(ControlPlane, ScriptedUpdatesAreOracleCleanWithVisibilityLatency) {
 
   // Visibility fully resolves once every worker classified on (at
   // least) the last accepted version.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  control::SocketVisibility sv = h.cp->socket_visibility();
-  while ((sv.samples < kUpdates || sv.pending > 0) &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    sv = h.cp->socket_visibility();
-  }
-  EXPECT_EQ(sv.samples, kUpdates);
-  EXPECT_EQ(sv.pending, 0u);
-  EXPECT_EQ(sv.unresolved, 0u);
-  EXPECT_EQ(h.cp->updates_accepted(), kUpdates);
-  // Finite, nonzero latencies with sane ordering.
-  EXPECT_GT(sv.cmd_to_first_mean_ns, 0.0);
-  EXPECT_TRUE(std::isfinite(sv.cmd_to_first_mean_ns));
-  EXPECT_GT(sv.cmd_to_all_mean_ns, 0.0);
-  EXPECT_GE(sv.cmd_to_all_max_ns, sv.cmd_to_first_max_ns);
-  EXPECT_GT(sv.publish_to_first_mean_ns, 0.0);
-  EXPECT_LT(sv.cmd_to_all_max_ns, u64{60} * 1'000'000'000);
+  using S = telemetry::SocketCounter;
+  const telemetry::SocketCounterSet sv = await_visibility(*h.cp, kUpdates);
+  EXPECT_EQ(sv[S::visibility_samples], kUpdates);
+  EXPECT_EQ(sv[S::visibility_pending], 0u);
+  EXPECT_EQ(sv[S::visibility_unresolved], 0u);
+  EXPECT_EQ(sv[S::updates_accepted], kUpdates);
+  // Nonzero latencies with sane ordering: every update reaches all
+  // workers no sooner than the first, and a total bounds its maximum.
+  EXPECT_GT(sv[S::cmd_to_first_total_ns], 0u);
+  EXPECT_GT(sv[S::publish_to_first_total_ns], 0u);
+  EXPECT_GE(sv[S::cmd_to_all_total_ns], sv[S::cmd_to_first_total_ns]);
+  EXPECT_GE(sv[S::cmd_to_all_max_ns], sv[S::cmd_to_first_max_ns]);
+  EXPECT_GE(sv[S::cmd_to_first_total_ns], sv[S::cmd_to_first_max_ns]);
+  EXPECT_LT(sv[S::cmd_to_all_max_ns], u64{60} * 1'000'000'000);
 
   // Config knobs land through the same southbound path.
   EXPECT_EQ(c.request("write set ip-alg rvh").code, 200);
@@ -653,15 +663,16 @@ TEST(ControlPlane, DrainReconcilesEveryCounterRowOnEverySurface) {
                       r.timeseries[0].counters);
 }
 
-/// Every engine row of \p want is a family of the row's kind in \p prom
-/// (`pclass_<name>_total` counter, `pclass_<name>` gauge), sampled as
+/// Every row of \p want is a family of the row's kind in \p prom
+/// (`<prefix><name>_total` counter, `<prefix><name>` gauge), sampled as
 /// `<family><labels> <value>`.
-void expect_engine_metrics(const std::string& prom, const std::string& labels,
-                           const telemetry::EngineCounterSet& want) {
+template <class Set>
+void expect_row_metrics(const std::string& prom, const std::string& prefix,
+                        const std::string& labels, const Set& want) {
   for (usize i = 0; i < want.v.size(); ++i) {
-    const telemetry::CounterDef& d = telemetry::kEngineCounters[i];
+    const telemetry::CounterDef& d = Set::kDefs[i];
     const bool gauge = d.kind == telemetry::CounterKind::kGauge;
-    const std::string fam = "pclass_" + std::string(d.name) +
+    const std::string fam = prefix + std::string(d.name) +
                             (gauge ? "" : "_total");
     const std::string type = gauge ? " gauge\n" : " counter\n";
     EXPECT_NE(prom.find("# TYPE " + fam + type), std::string::npos) << fam;
@@ -707,7 +718,8 @@ TEST(ControlPlane, DrainReconcilesEveryEngineRowOnEverySurface) {
   EXPECT_TRUE(h.engine->counters() == want);
   expect_counter_rows(c.read_request("read stats").payload, "\"engine\":{",
                       want);
-  expect_engine_metrics(c.read_request("read metrics").payload, "", want);
+  expect_row_metrics(c.read_request("read metrics").payload, "pclass_", "",
+                     want);
   std::ostringstream serve;
   control::write_serve_report(serve, rep, *h.cp, *h.server);
   expect_counter_rows(serve.str(), "\"engine\":{", want);
@@ -731,8 +743,60 @@ TEST(ControlPlane, DrainReconcilesEveryEngineRowOnEverySurface) {
     telemetry::write_run_metrics(mw, labels, r.engine.counters,
                                  r.engine_counters, r.mpps, 0, 0);
   }
-  expect_engine_metrics(prom.str(), "{scenario=\"chaos\"}",
-                        r.engine_counters);
+  expect_row_metrics(prom.str(), "pclass_", "{scenario=\"chaos\"}",
+                     r.engine_counters);
+}
+
+/// The publisher and socket tables' promise: after socket updates and a
+/// drain, every row of both has one value in its owner's
+/// fill_counters, `read stats`, `read metrics` and the daemon report,
+/// and the report carries both tables.
+TEST(ControlPlane, DrainReconcilesEveryPublisherAndSocketRowOnEverySurface) {
+  using P = telemetry::PublisherCounter;
+  using S = telemetry::SocketCounter;
+  ServeHarness h;
+  TestClient c(h.port());
+  constexpr u64 kUpdates = 6;
+  for (u32 id = 62200; id < 62200 + kUpdates; ++id) {
+    std::ostringstream cmd;
+    cmd << "write rule add " << id << " " << id << " 10.0.0." << id % 64 + 1
+        << "/32 * * * 6 out:2";
+    ASSERT_EQ(c.request(cmd.str()).code, 200);
+  }
+  // Resolved first, so the latency rows are nonzero when compared.
+  (void)await_visibility(*h.cp, kUpdates);
+  ASSERT_EQ(c.request("write drain").code, 200);
+  const dataplane::EngineReport rep = h.cp->drain();
+
+  telemetry::PublisherCounterSet pub;
+  h.programs.fill_counters(pub);
+  telemetry::SocketCounterSet sock;
+  h.cp->fill_counters(sock);
+  // The harness installs 64 rules one publish each.
+  EXPECT_EQ(pub[P::updates_applied], 64 + kUpdates);
+  EXPECT_EQ(pub[P::publishes], 64 + kUpdates);
+  EXPECT_EQ(pub[P::version], 64 + kUpdates);
+  EXPECT_EQ(pub[P::rules], 64 + kUpdates);
+  EXPECT_EQ(sock[S::updates_accepted], kUpdates);
+  EXPECT_EQ(sock[S::visibility_samples], kUpdates);
+  EXPECT_EQ(sock[S::visibility_pending], 0u);
+  EXPECT_GT(sock[S::cmd_to_first_max_ns], 0u);
+  EXPECT_GT(sock[S::publish_to_first_max_ns], 0u);
+
+  const std::string stats = c.read_request("read stats").payload;
+  expect_counter_rows(stats, "\"publisher\":{", pub);
+  expect_counter_rows(stats, "\"socket\":{", sock);
+  const std::string metrics = c.read_request("read metrics").payload;
+  expect_row_metrics(metrics, "pclass_publisher_", "", pub);
+  expect_row_metrics(metrics, "pclass_socket_", "", sock);
+  std::ostringstream serve;
+  control::write_serve_report(serve, rep, *h.cp, *h.server);
+  expect_counter_rows(serve.str(), "\"publisher\":{", pub);
+  expect_counter_rows(serve.str(), "\"socket\":{", sock);
+  for (const auto* table : {"\"publisher_counters\":{\"version\":",
+                            "\"socket_counters\":{\"updates_accepted\":"}) {
+    EXPECT_NE(serve.str().find(table), std::string::npos) << table;
+  }
 }
 
 // ---- trace capture ---------------------------------------------------------
@@ -804,7 +868,7 @@ TEST(ControlFault, ConnDropClosesCleanlyAndReconnectRecovers) {
   TestClient c2(h.port());
   const auto r = c2.read_request("read stats");
   EXPECT_EQ(r.code, 200);
-  EXPECT_NE(r.payload.find("pclass-live-stats-v2"), std::string::npos);
+  EXPECT_NE(r.payload.find("pclass-live-stats-v3"), std::string::npos);
 }
 
 TEST(ControlFault, DrainDuringInjectedStallCompletesWithinDeadline) {

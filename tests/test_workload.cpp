@@ -327,6 +327,29 @@ TEST(Scenario, CatalogHasRequiredEntries) {
   EXPECT_THROW((void)runner.run("nope"), ConfigError);
 }
 
+TEST(ScenarioRunner, RejectsZeroWorkers) {
+  ScenarioOptions opts;
+  opts.workers = 0;
+  EXPECT_THROW((ScenarioRunner{opts}), ConfigError);
+}
+
+TEST(Scenario, EveryCatalogScenarioCarriesItsPublisherRows) {
+  using telemetry::PublisherCounter;
+  ScenarioRunner runner({.workers = 2, .scale = 0.04, .seed = 3});
+  for (const ScenarioResult& r : runner.run_all()) {
+    SCOPED_TRACE(r.name);
+    EXPECT_TRUE(r.ok()) << r.error;
+    const telemetry::PublisherCounterSet& p = r.publisher;
+    // The install is one publish of one update per rule; every
+    // scheduled update lands once on top.
+    EXPECT_GE(p[PublisherCounter::publishes], 1u);
+    EXPECT_EQ(p[PublisherCounter::updates_applied],
+              r.rules + r.updates_applied);
+    EXPECT_EQ(p[PublisherCounter::version],
+              p[PublisherCounter::updates_applied]);
+  }
+}
+
 TEST(Scenario, SmokeRunOracleClean) {
   // Tiny scale keeps this test fast while still exercising the whole
   // engine + oracle path for a representative subset.
@@ -390,7 +413,14 @@ TEST(Scenario, JsonReportIsWellFormedish) {
   std::ostringstream os;
   write_json_report(os, runner.options(), results);
   const std::string s = os.str();
-  EXPECT_NE(s.find("\"schema\":\"pclass-scenarios-v8\""), std::string::npos);
+  EXPECT_NE(s.find("\"schema\":\"pclass-scenarios-v9\""), std::string::npos);
+  // v9 moved grace_spins from `updates` to the publisher rows.
+  EXPECT_NE(s.find("\"publisher_counters\":{\"version\":"), std::string::npos);
+  EXPECT_NE(s.find("\"publisher\":{\"version\":"), std::string::npos);
+  const usize updates_at = s.find("\"updates\":{");
+  EXPECT_EQ(s.substr(updates_at, s.find('}', updates_at) - updates_at)
+                .find("grace_spins"),
+            std::string::npos);
   // v8 dropped the shards option; every scenario carries its shard rows.
   const usize opts_at = s.find("\"options\":");
   const std::string options =

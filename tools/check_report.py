@@ -15,10 +15,11 @@ raises AssertionError and the exit status is nonzero:
 
 STORM_* are best-of-3 prefixes (PREFIX_1.json .. PREFIX_3.json);
 the SCRAPEs are in time order, the last taken after drain. Each report
-carries its two counter tables (name -> kind/merge/unit): `counters`,
-the worker rows, must be COUNTER_ROWS, and `engine_counters`, the engine
-rows, must be ENGINE_ROWS. The gates fold worker rows by their merge
-rule and find every engine row, under one name, on every surface.
+carries its counter tables (name -> kind/merge/unit), pinned in TABLES:
+the worker rows `counters`, and `engine_counters`, `publisher_counters`
+and (serve report) `socket_counters`. The gates fold worker rows by
+their merge rule and find every other row, under one name, on every
+surface.
 """
 
 import copy
@@ -26,16 +27,15 @@ import json
 import math
 import sys
 
-SCENARIO_SCHEMA = "pclass-scenarios-v8"
-SERVE_SCHEMA = "pclass-serve-v2"
-LIVE_STATS_SCHEMA = "pclass-live-stats-v2"
+SCENARIO_SCHEMA = "pclass-scenarios-v9"
+SERVE_SCHEMA = "pclass-serve-v3"
+LIVE_STATS_SCHEMA = "pclass-live-stats-v3"
 # Documented scenario-report keys besides the counter rows.
 SCENARIO_KEYS = (
     "ip_algorithm", "stats_interval_ms", "update-storm-multi",
     "telemetry", "timeseries", "update_visibility", "errors", "shards",
     "fault_plan", "fault", "injected", "engine", "conservation", "conserved",
     "lookup_cycles", "oracle", "all_ok")
-SERVE_KEYS = ("engine", "errors")
 # The rows of PCLASS_WORKER_COUNTERS (src/telemetry/counters.hpp) and
 # their merge rules, pinned so that a row deleted or renamed there fails
 # the gates instead of leaving the table and every surface together.
@@ -51,6 +51,21 @@ ENGINE_ROWS = dict.fromkeys((
     "worker_restarts", "stall_detections", "shards_reassigned",
     "workers_failed", "offered_packets", "delivered_packets", "shed_packets",
     "lost_packets", "trace_events_dropped", "trace_events_truncated"), "sum")
+# The rows of PCLASS_PUBLISHER_COUNTERS and PCLASS_SOCKET_COUNTERS.
+PUBLISHER_ROWS = dict(version="max", rules="max", updates_applied="sum",
+                      publishes="sum", grace_spins="sum")
+SOCKET_ROWS = {
+    "updates_accepted": "sum", "visibility_samples": "sum",
+    "visibility_unresolved": "sum", "visibility_pending": "sum",
+    "cmd_to_first_total_ns": "sum", "cmd_to_first_max_ns": "max",
+    "cmd_to_all_total_ns": "sum", "cmd_to_all_max_ns": "max",
+    "publish_to_first_total_ns": "sum", "publish_to_first_max_ns": "max"}
+# Each report table's key -> its pinned rows and the serve report's
+# object that holds them (the worker rows: merged, as `totals`).
+TABLES = {"counters": (COUNTER_ROWS, "totals"),
+          "engine_counters": (ENGINE_ROWS, "engine"),
+          "publisher_counters": (PUBLISHER_ROWS, "publisher"),
+          "socket_counters": (SOCKET_ROWS, "socket")}
 
 
 def load(path):
@@ -69,24 +84,24 @@ def by_name(rep):
 def counter_table(rep, what, key="counters"):
     """The report's table under `key`, checked against its pinned rows."""
     table = rep[key]
-    pinned = ENGINE_ROWS if key == "engine_counters" else COUNTER_ROWS
+    pinned, _ = TABLES[key]
     got = {name: spec["merge"] for name, spec in table.items()}
     assert got == pinned, f"schema drift: {what} {key} table differs " \
         f"from the pinned rows on {sorted(got.items() ^ pinned.items())}"
     return table
 
 
-def family(name, spec):
-    """The Prometheus family of an engine row: one name, one kind."""
-    return f"pclass_{name}" + ("_total" if spec["kind"] == "counter" else "")
+def family(name, spec, prefix="pclass_"):
+    """The Prometheus family of a row: one name, one kind."""
+    return prefix + name + ("_total" if spec["kind"] == "counter" else "")
 
 
-def expect_engine_metrics(table, metrics, rows, labels, what):
-    """Every engine row is one family of its row's kind in `metrics`,
+def expect_metrics(table, metrics, rows, labels, what, prefix="pclass_"):
+    """Every row of `table` is one family of its row's kind in `metrics`,
     sampled as `<family><labels> <value>` with the value of `rows`."""
     lines = set(metrics.splitlines())
     for name, spec in table.items():
-        fam = family(name, spec)
+        fam = family(name, spec, prefix)
         assert f"# TYPE {fam} {spec['kind']}" in lines, \
             f"{what}: {fam} missing or not a {spec['kind']}"
         assert f"{fam}{labels} {rows[name]}" in lines, \
@@ -223,7 +238,7 @@ def gate_telemetry(rep, trace, metrics):
         assert m in metrics, f"{m} missing from the metrics dump"
     table = counter_table(rep, "telemetry", "engine_counters")
     for s in rep["scenarios"]:
-        expect_engine_metrics(table, metrics, s["engine"],
+        expect_metrics(table, metrics, s["engine"],
                               f'{{scenario="{s["name"]}"}}', s["name"])
     families = metric_families(metrics)
     split = sorted({f for f in families if families.count(f) > 1})
@@ -274,9 +289,9 @@ def live_total(scrape, family="pclass_live_packets_total"):
 def gate_serve(rep, live, verify, sub_lines, trace, scrapes):
     """Live packet scrapes monotone (the last after drain, equal to the
     report); post-drain `read stats` totals == report totals == merged
-    timeseries on every counter row; every engine row equal in the
-    report, the post-drain `read stats` and the final scrape; all 40
-    socket updates accounted, resolved ones with finite nonzero
+    timeseries on every counter row; every engine, publisher and socket
+    row equal in the report, the post-drain `read stats` and the final
+    scrape; all 40 socket updates accounted, resolved ones with nonzero
     visibility latency; verify clean; subscription rows and a trace
     capture present."""
     seen = [live_total(s) for s in scrapes]
@@ -288,29 +303,27 @@ def gate_serve(rep, live, verify, sub_lines, trace, scrapes):
     assert rep["meta"]["build"]["version"]
     totals = rep["totals"]
     assert live["drained"] is True
-    table = counter_table(rep, "serve")
-    for name in table:
-        assert live["totals"][name] == totals[name], \
-            f"post-drain scrape {name}={live['totals'][name]} != report {totals[name]}"
-    expect_fold(table, rep["timeseries"], totals, "report timeseries")
-    etable = counter_table(rep, "serve", "engine_counters")
-    for name in etable:
-        assert live["engine"][name] == rep["engine"][name], \
-            f"post-drain stats {name}={live['engine'][name]} != " \
-            f"report {rep['engine'][name]}"
-    expect_engine_metrics(etable, scrapes[-1], rep["engine"], "",
-                          "final scrape")
+    for key, (_, obj) in TABLES.items():
+        table = counter_table(rep, "serve", key)
+        for name in table:
+            assert live[obj][name] == rep[obj][name], \
+                f"post-drain stats {obj}.{name}={live[obj][name]} != " \
+                f"report {rep[obj][name]}"
+        if obj != "totals":  # the scrape has worker rows per worker
+            expect_metrics(table, scrapes[-1], rep[obj], "", "final scrape",
+                           "pclass_" if obj == "engine" else f"pclass_{obj}_")
+    expect_fold(counter_table(rep, "serve"), rep["timeseries"], totals,
+                "report timeseries")
     assert seen[-1] == totals["packets"], \
         "final Prometheus scrape disagrees with the report"
-    sock = rep["socket"]
-    assert sock["updates_accepted"] == 40, sock
-    vis = sock["visibility"]
-    assert vis["samples"] > 0 and vis["pending"] == 0, vis
-    assert vis["samples"] + vis["unresolved"] == 40, vis
-    for key in ("cmd_to_first_mean_ns", "cmd_to_all_mean_ns",
-                "publish_to_first_mean_ns"):
-        assert vis[key] > 0 and math.isfinite(vis[key]), (key, vis)
-    assert vis["cmd_to_all_max_ns"] >= vis["cmd_to_first_max_ns"]
+    vis = rep["socket"]
+    assert vis["updates_accepted"] == 40, vis
+    assert vis["visibility_samples"] > 0, vis
+    assert vis["visibility_pending"] == 0, vis
+    assert vis["visibility_samples"] + vis["visibility_unresolved"] == 40, vis
+    assert all(vis[f"{k}_total_ns"] > 0
+               for k in ("cmd_to_first", "cmd_to_all", "publish_to_first")), vis
+    assert vis["cmd_to_all_max_ns"] >= vis["cmd_to_first_max_ns"], vis
     assert verify["mismatches"] == 0 and verify["checked"] > 0, verify
     assert verify["rules"] >= 40, verify
     rows = [json.loads(line) for line in sub_lines if line.startswith("{")]
@@ -323,20 +336,22 @@ def gate_serve(rep, live, verify, sub_lines, trace, scrapes):
           f"visibility {vis}, {len(data_rows)} subscription rows")
 
 
+def expect_rows(table, row, what):
+    missing = [n for n in table if n not in row]
+    assert not missing, f"schema drift: {missing} missing from {what}"
+
+
 def gate_schema(serve_text, scenario_texts):
-    """Schema ids and documented keys present; every report's counter
-    table is COUNTER_ROWS, each row on every scenario, shard and
-    timeseries row of a scenario report; every report's engine table is
-    ENGINE_ROWS, each row in the serve report's and every scenario's
-    `engine` object."""
-    for key in SERVE_KEYS:
-        assert f'"{key}"' in serve_text, \
-            f"schema drift: {key} missing from the serve report"
+    """Schema ids and documented keys present; every report's tables are
+    the pinned rows (TABLES); every worker row on every scenario, shard
+    and timeseries row of a scenario report; every engine and publisher
+    row in every scenario's object of that name, and every row of each
+    table in the serve report's object for it."""
     serve = json.loads(serve_text)
-    counter_table(serve, "serve")
-    missing = [n for n in counter_table(serve, "serve", "engine_counters")
-               if n not in serve["engine"]]
-    assert not missing, f"schema drift: {missing} missing from serve engine rows"
+    assert "errors" in serve, "schema drift: no errors log in the serve report"
+    for key, (_, obj) in TABLES.items():
+        expect_rows(counter_table(serve, "serve", key), serve[obj],
+                    f"serve {obj} rows")
     for path, text in scenario_texts:
         assert f'"schema":"{SCENARIO_SCHEMA}"' in text, \
             f"schema drift: {SCENARIO_SCHEMA} missing from {path}"
@@ -344,15 +359,13 @@ def gate_schema(serve_text, scenario_texts):
             assert f'"{key}"' in text, f"schema drift: {key} missing from {path}"
         rep = json.loads(text)
         table = counter_table(rep, path)
-        etable = counter_table(rep, path, "engine_counters")
         for s in rep["scenarios"]:
             for row in [s] + s["shards"] + s["telemetry"]["timeseries"]:
-                missing = [n for n in table if n not in row]
-                assert not missing, \
-                    f"schema drift: {missing} missing from a {s['name']} row in {path}"
-            missing = [n for n in etable if n not in s["engine"]]
-            assert not missing, \
-                f"schema drift: {missing} missing from {s['name']} engine rows in {path}"
+                expect_rows(table, row, f"a {s['name']} row in {path}")
+            for key in ("engine_counters", "publisher_counters"):
+                obj = TABLES[key][1]
+                expect_rows(counter_table(rep, path, key), s[obj],
+                            f"{s['name']} {obj} rows in {path}")
     print(f"schema: {len(scenario_texts)} scenario reports + serve report ok")
 
 
@@ -381,11 +394,10 @@ COMMANDS = {
 
 # ---- self-test --------------------------------------------------------------
 
-TABLE = {name: {"kind": "counter", "merge": merge, "unit": "x"}
-         for name, merge in COUNTER_ROWS.items()}
-ETABLE = {name: {"kind": "gauge" if name == "workers_failed" else "counter",
-                 "merge": merge, "unit": "x"}
-          for name, merge in ENGINE_ROWS.items()}
+TABLE, ETABLE, PTABLE, STABLE = (
+    {name: {"kind": "gauge" if name == "workers_failed" else "counter",
+            "merge": merge, "unit": "x"} for name, merge in rows.items()}
+    for rows in (COUNTER_ROWS, ENGINE_ROWS, PUBLISHER_ROWS, SOCKET_ROWS))
 
 
 def counters(packets, version):
@@ -393,14 +405,26 @@ def counters(packets, version):
                 snapshot_version=version)
 
 
+def zeros(pinned, **rows):
+    return dict(dict.fromkeys(pinned, 0), **rows)
+
+
 def engine(**rows):
-    return dict(dict.fromkeys(ENGINE_ROWS, 0), **rows)
+    return zeros(ENGINE_ROWS, **rows)
 
 
-def engine_prom(rows, labels=""):
-    return "".join(f"# TYPE {family(n, s)} {s['kind']}\n"
-                   f"{family(n, s)}{labels} {rows[n]}\n"
-                   for n, s in ETABLE.items())
+SERVE_PUB = zeros(PUBLISHER_ROWS, version=70, publishes=70, grace_spins=3)
+SERVE_SOCK = zeros(
+    SOCKET_ROWS, updates_accepted=40, visibility_samples=39,
+    visibility_unresolved=1, cmd_to_first_total_ns=39, cmd_to_first_max_ns=1,
+    cmd_to_all_total_ns=78, cmd_to_all_max_ns=2,
+    publish_to_first_total_ns=39, publish_to_first_max_ns=1)
+
+
+def prom(rows, labels="", tab=ETABLE, prefix="pclass_"):
+    return "".join(f"# TYPE {family(n, s, prefix)} {s['kind']}\n"
+                   f"{family(n, s, prefix)}{labels} {rows[n]}\n"
+                   for n, s in tab.items())
 
 
 def scenario(name, mpps=1.0, packets=10, version=3, shards=(), ts=(),
@@ -411,13 +435,15 @@ def scenario(name, mpps=1.0, packets=10, version=3, shards=(), ts=(),
             "oracle": {"mismatches": 0, "checked": packets},
             "updates": {"applied": applied, "per_second": ups},
             "shards": list(shards), "engine": engine(offered_packets=packets),
+            "publisher": zeros(PUBLISHER_ROWS),
             "telemetry": {"timeseries": list(ts), "update_visibility":
                           {"samples": 2, "mean_ns": 5.0, "max_ns": 9}}}
 
 
 def report(alg, *scenarios, workers=4):
     return {"schema": SCENARIO_SCHEMA, "counters": TABLE,
-            "engine_counters": ETABLE, "all_ok": True,
+            "engine_counters": ETABLE, "publisher_counters": PTABLE,
+            "all_ok": True,
             "options": {"ip_algorithm": alg, "workers": workers},
             "scenarios": list(scenarios)}
 
@@ -453,8 +479,8 @@ def self_test():
                            {"ph": "X", "pid": 1, "tid": 0}]},
                        "pclass_packets_total 1\n"
                        "pclass_update_visibility_mean_ns 1\n" +
-                       engine_prom(engine(offered_packets=10),
-                                   '{scenario="fw-like"}')),
+                       prom(engine(offered_packets=10),
+                            '{scenario="fw-like"}')),
                       lambda a: a[0]["scenarios"][0]["telemetry"][
                           "timeseries"][1].update(snapshot_version=4),
                       lambda a: a.__setitem__(
@@ -483,32 +509,36 @@ def self_test():
                                            worker_restarts=1)},),
                         lambda a: a[0]["engine"].update(workers_failed=1)),
         "serve": (({"schema": SERVE_SCHEMA, "counters": TABLE,
-                    "engine_counters": ETABLE,
+                    "engine_counters": ETABLE, "publisher_counters": PTABLE,
+                    "socket_counters": STABLE,
                     "engine": engine(worker_restarts=2),
+                    "publisher": SERVE_PUB,
+                    "socket": dict(SERVE_SOCK, connections_accepted=3),
                     "meta": {"build": {"version": "1"}},
                     "totals": counters(10, 3),
                     "timeseries": [dict(counters(6, 2), interval_ns=1),
-                                   dict(counters(4, 3), interval_ns=1)],
-                    "socket": {"updates_accepted": 40, "visibility": {
-                        "samples": 39, "unresolved": 1, "pending": 0,
-                        "cmd_to_first_mean_ns": 1.0,
-                        "cmd_to_all_mean_ns": 2.0,
-                        "publish_to_first_mean_ns": 1.0,
-                        "cmd_to_first_max_ns": 1, "cmd_to_all_max_ns": 2}}},
+                                   dict(counters(4, 3), interval_ns=1)]},
                    {"schema": LIVE_STATS_SCHEMA, "drained": True,
                     "totals": counters(10, 3),
-                    "engine": engine(worker_restarts=2)},
+                    "engine": engine(worker_restarts=2),
+                    "publisher": dict(SERVE_PUB), "socket": dict(SERVE_SOCK)},
                    {"mismatches": 0, "checked": 5, "rules": 41},
                    ['{"interval_ns": 5, "packets": 1}', '{"terminal": true}'],
                    {"traceEvents": [{}]},
                    ['pclass_live_packets_total{worker="0"} 4\n',
                     'pclass_live_packets_total{worker="0"} 10\n' +
-                    engine_prom(engine(worker_restarts=2))]),
+                    prom(engine(worker_restarts=2)) +
+                    prom(SERVE_PUB, "", PTABLE, "pclass_publisher_") +
+                    prom(SERVE_SOCK, "", STABLE, "pclass_socket_")]),
                   lambda a: a[1]["totals"].update(snapshot_version=2),
                   lambda a: a[1]["engine"].update(worker_restarts=1),
                   lambda a: a[5].__setitem__(-1, a[5][-1].replace(
                       "# TYPE pclass_workers_failed gauge",
-                      "# TYPE pclass_workers_failed counter"))),
+                      "# TYPE pclass_workers_failed counter")),
+                  lambda a: a[1]["publisher"].update(grace_spins=4),
+                  lambda a: a[1]["socket"].update(cmd_to_first_max_ns=2),
+                  lambda a: a[5].__setitem__(-1, a[5][-1].replace(
+                      "pclass_socket_cmd_to_first_max_ns_total 1\n", ""))),
     }
     good = report("MBT", scenario("fw-like", shards=rows((1, 1)),
                                   ts=rows((1, 1))))
@@ -516,10 +546,15 @@ def self_test():
     bad = copy.deepcopy(good)
     del bad["scenarios"][0]["shards"][0]["snapshot_version"]
     serve_rep = {"engine": engine(), "errors": [], "counters": TABLE,
-                 "engine_counters": ETABLE}
+                 "engine_counters": ETABLE, "publisher_counters": PTABLE,
+                 "socket_counters": STABLE, "totals": counters(0, 0),
+                 "publisher": zeros(PUBLISHER_ROWS),
+                 "socket": zeros(SOCKET_ROWS)}
     serve = json.dumps(serve_rep)
     unrendered_serve = copy.deepcopy(serve_rep)
     del unrendered_serve["engine"]["stall_detections"]
+    unrendered_sock = copy.deepcopy(serve_rep)
+    del unrendered_sock["socket"]["cmd_to_first_max_ns"]
 
     def text(rep):
         return [("r.json", json.dumps(rep, separators=(",", ":")))]
@@ -530,14 +565,18 @@ def self_test():
     del dropped["engine_counters"]["lost_packets"]  # an engine row left
     unrendered = copy.deepcopy(good)
     del unrendered["scenarios"][0]["engine"]["shed_packets"]
+    unpublished = copy.deepcopy(good)
+    del unpublished["scenarios"][0]["publisher"]["grace_spins"]
     cases["schema"] = (
         (serve, text(good)),
         lambda a: a.__setitem__(1, text(bad)),
         lambda a: a.__setitem__(1, text(unpinned)),
         lambda a: a.__setitem__(1, text(dropped)),
         lambda a: a.__setitem__(1, text(unrendered)),
+        lambda a: a.__setitem__(1, text(unpublished)),
         lambda a: a.__setitem__(0, serve.replace('"cache_misses"', '"x"')),
-        lambda a: a.__setitem__(0, json.dumps(unrendered_serve)))
+        lambda a: a.__setitem__(0, json.dumps(unrendered_serve)),
+        lambda a: a.__setitem__(0, json.dumps(unrendered_sock)))
     assert cases.keys() == COMMANDS.keys()
     for name, (args, *violations) in cases.items():
         gate = globals()["gate_" + name.replace("-", "_")]

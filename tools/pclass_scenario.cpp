@@ -90,8 +90,7 @@ void write_metrics(std::ostream& os,
                                  e.latency.percentile(99));
     m.gauge("pclass_cache_hit_rate", "Flow-cache hit rate", ls,
             e.counters.cache_hit_rate());
-    m.counter("pclass_updates_applied_total", "Southbound updates applied",
-              ls, static_cast<double>(r.updates_applied));
+    telemetry::write_counter_metrics(m, "pclass_publisher_", ls, r.publisher);
     m.counter("pclass_oracle_mismatches_total",
               "Oracle verification mismatches", ls,
               static_cast<double>(r.oracle_mismatches));

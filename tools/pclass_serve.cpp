@@ -38,8 +38,8 @@
 /// Shutdown: SIGINT/SIGTERM or a `write shutdown` request drains the
 /// workers (final telemetry flush included), closes every subscriber
 /// with a terminal record, writes the JSON report (--report, schema
-/// pclass-serve-v2: totals, engine rows, timeseries, server counters
-/// and the socket-to-dataplane update-visibility rollup) and exits 0.
+/// pclass-serve-v3: totals, engine, publisher and socket rows, server
+/// counters and the timeseries) and exits 0.
 #include <unistd.h>
 
 #include <atomic>
@@ -281,27 +281,27 @@ int main(int argc, char** argv) {
       std::cerr << "wrote " << report_path << "\n";
     }
 
-    const control::SocketVisibility sv = cp.socket_visibility();
     std::cerr << "served " << server.requests_served() << " requests on "
-              << server.connections_accepted() << " connections; "
-              << cp.updates_accepted() << " socket updates ("
-              << sv.samples << " visibility samples, cmd->all mean "
-              << sv.cmd_to_all_mean_ns / 1e6 << " ms, max "
-              << static_cast<double>(sv.cmd_to_all_max_ns) / 1e6
-              << " ms)\n"
+              << server.connections_accepted() << " connections\n"
               << "processed " << rep.packets() << " packets ("
               << rep.aggregate_mpps() << " Mpps aggregate)\n";
     // Surface every worker death — healed incarnations and permanent
-    // failures alike — and every nonzero engine row, then fail the run
-    // iff a worker ended permanently failed (post-retry). A restart the
-    // supervisor healed is news, not an error.
+    // failures alike — and every nonzero socket and engine row, then
+    // fail the run iff a worker ended permanently failed (post-retry).
+    // A restart the supervisor healed is news, not an error.
     for (const auto& d : rep.error_log) std::cerr << d.line() << "\n";
-    for (usize i = 0; i < rep.counters.v.size(); ++i) {
-      if (rep.counters.v[i] > 0) {
-        std::cerr << "engine: " << rep.counters.kDefs[i].name << "="
-                  << rep.counters.v[i] << "\n";
+    const auto print_nonzero = [](const char* owner, const auto& c) {
+      for (usize i = 0; i < c.v.size(); ++i) {
+        if (c.v[i] > 0) {
+          std::cerr << owner << ": " << c.kDefs[i].name << "=" << c.v[i]
+                    << "\n";
+        }
       }
-    }
+    };
+    telemetry::SocketCounterSet sock;
+    cp.fill_counters(sock);
+    print_nonzero("socket", sock);
+    print_nonzero("engine", rep.counters);
     if (const u64 failed =
             rep.counters[telemetry::EngineCounter::workers_failed];
         failed > 0) {
