@@ -87,21 +87,44 @@ ListRef LabelListStore::acquire(const std::vector<Label>& list,
   return ListRef{addr};
 }
 
-void LabelListStore::release(ListRef ref) {
+void LabelListStore::retain(ListRef ref, u32 n) {
+  if (ref.empty()) {
+    return;
+  }
+  const auto it = by_addr_.find(ref.addr);
+  if (it == by_addr_.end() || it->second.refcount == 0) {
+    throw InternalError("LabelListStore: retain of unknown list");
+  }
+  it->second.refcount += n;
+}
+
+void LabelListStore::release(ListRef ref, u32 n) {
   if (ref.empty()) {
     return;
   }
   auto it = by_addr_.find(ref.addr);
-  if (it == by_addr_.end() || it->second.refcount == 0) {
+  if (it == by_addr_.end() || it->second.refcount < n) {
     throw InternalError("LabelListStore: release of unknown list");
   }
-  if (--it->second.refcount == 0) {
+  it->second.refcount -= n;
+  if (it->second.refcount == 0) {
     const auto len = static_cast<u32>(it->second.content.size());
     by_content_.erase(it->second.content);
     by_addr_.erase(it);
     free_block(ref.addr, len);
     live_words_ -= len;
   }
+}
+
+std::span<const Label> LabelListStore::content(ListRef ref) const {
+  if (ref.empty()) {
+    return {};
+  }
+  const auto it = by_addr_.find(ref.addr);
+  if (it == by_addr_.end()) {
+    throw InternalError("LabelListStore: content of unknown list");
+  }
+  return it->second.content;
 }
 
 Label LabelListStore::read_first(ListRef ref, hw::CycleRecorder* rec) const {

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,10 +48,19 @@ class LabelListStore {
   [[nodiscard]] ListRef acquire(const std::vector<Label>& list,
                                 hw::CommandLog& log);
 
-  /// Drop one reference to the list at \p ref; frees the block when the
+  /// Take \p n more references to the stored list at \p ref (no-op for
+  /// the null list): one lookup however many pointers the caller adds,
+  /// and no device write, since the words are already there.
+  void retain(ListRef ref, u32 n);
+
+  /// Drop \p n references to the list at \p ref; frees the block when the
   /// count reaches zero (no device writes needed — stale words are
   /// unreachable once no node points at them).
-  void release(ListRef ref);
+  void release(ListRef ref, u32 n = 1);
+
+  /// The stored content of \p ref (empty for the null list): the host's
+  /// copy, valid while the caller holds a reference to it.
+  [[nodiscard]] std::span<const Label> content(ListRef ref) const;
 
   /// Hardware path: read only the first (highest-priority) label —
   /// one memory access, the §V.B "one more cycle" of the lookup.

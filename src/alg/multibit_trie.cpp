@@ -132,38 +132,40 @@ i64 MultiBitTrie::alloc_node(usize level, i64 parent, u32 parent_entry,
     id = static_cast<i64>(pool_[level].size());
     pool_[level].emplace_back();
   }
+  // Leaf-push: every new entry points at the parent entry's list. The
+  // store already holds it, so the node takes all its references in one
+  // step and uploads nothing.
+  const ListRef inherited =
+      pool_[level - 1][static_cast<usize>(parent)].entries[parent_entry].ref;
   SwNode& n = pool_[level][static_cast<usize>(id)];
-  n = SwNode{};
-  n.entries.resize(usize{1} << cfg_.strides[level]);
+  n.entries.assign(usize{1} << cfg_.strides[level], SwEntry{-1, inherited});
   n.parent = parent;
   n.parent_entry = parent_entry;
   n.live = true;
-
-  // Leaf-push: new entries inherit the parent entry's list. A throw
-  // part-way gives back the list references taken and the node.
-  const std::vector<Label>& inherited =
-      pool_[level - 1][static_cast<usize>(parent)].entries[parent_entry].list;
-  try {
-    for (u32 e = 0; e < n.entries.size(); ++e) {
-      SwEntry& entry = n.entries[e];
-      entry.list = inherited;
-      entry.ref =
-          inherited.empty() ? ListRef{} : lists_.acquire(inherited, log);
-      write_entry(level, id, e, log);
-    }
-  } catch (...) {
-    free_node(level, id);
-    throw;
+  lists_.retain(inherited, static_cast<u32>(n.entries.size()));
+  for (u32 e = 0; e < n.entries.size(); ++e) {
+    write_entry(level, id, e, log);
   }
   return id;
 }
 
 void MultiBitTrie::free_node(usize level, i64 id) {
   SwNode& n = pool_[level][static_cast<usize>(id)];
-  for (SwEntry& e : n.entries) {
-    lists_.release(e.ref);
+  // One counted release per run of equal pointers: a node that only ever
+  // inherited is a single run.
+  for (usize e = 0; e < n.entries.size();) {
+    const ListRef ref = n.entries[e].ref;
+    u32 run = 1;
+    while (e + run < n.entries.size() && n.entries[e + run].ref == ref) {
+      ++run;
+    }
+    lists_.release(ref, run);
+    e += run;
   }
-  n = SwNode{};
+  // Keep the entry array's capacity for the node's next use.
+  n.entries.clear();
+  n.anchored.clear();
+  n.live = false;
   free_ids_[level].push_back(static_cast<u32>(id));
 }
 
@@ -206,20 +208,21 @@ i64 MultiBitTrie::walk_to_anchor(ruleset::SegmentPrefix p, bool create,
   return node;
 }
 
-std::vector<Label> MultiBitTrie::inherited_of(usize level, i64 node) const {
+std::span<const Label> MultiBitTrie::inherited_of(usize level,
+                                                  i64 node) const {
   const SwNode& n = pool_[level][static_cast<usize>(node)];
   if (n.parent < 0) {
     return {};
   }
-  return pool_[level - 1][static_cast<usize>(n.parent)]
-      .entries[n.parent_entry]
-      .list;
+  return lists_.content(
+      pool_[level - 1][static_cast<usize>(n.parent)].entries[n.parent_entry]
+          .ref);
 }
 
 std::vector<Label> MultiBitTrie::compose_list(
     const SwNode& node, usize level, u32 entry,
-    const std::vector<Label>& inherited) const {
-  std::vector<Label> out = inherited;
+    std::span<const Label> inherited) const {
+  std::vector<Label> out(inherited.begin(), inherited.end());
   for (const auto& [q, l] : node.anchored) {
     const Span s = covered_span(q, level);
     if (entry >= s.lo && entry <= s.hi) {
@@ -234,12 +237,12 @@ std::vector<Label> MultiBitTrie::compose_list(
 }
 
 void MultiBitTrie::recompute_entry(usize level, i64 node, u32 entry,
-                                   const std::vector<Label>& inherited,
+                                   std::span<const Label> inherited,
                                    hw::CommandLog& log, bool force) {
   SwNode& n = pool_[level][static_cast<usize>(node)];
-  std::vector<Label> fresh = compose_list(n, level, entry, inherited);
+  const std::vector<Label> fresh = compose_list(n, level, entry, inherited);
   SwEntry& e = n.entries[entry];
-  const bool changed = fresh != e.list;
+  const bool changed = !std::ranges::equal(fresh, lists_.content(e.ref));
   if (!changed && !force) {
     return;  // nothing below can have changed either (same inherited base)
   }
@@ -248,14 +251,16 @@ void MultiBitTrie::recompute_entry(usize level, i64 node, u32 entry,
         fresh.empty() ? ListRef{} : lists_.acquire(fresh, log);
     lists_.release(e.ref);
     e.ref = new_ref;
-    e.list = std::move(fresh);
     write_entry(level, node, entry, log);
   }
   if (e.child >= 0) {
+    // The entry holds a reference to its list, so the span stays valid
+    // while the children are recomputed.
     const i64 child = e.child;
+    const std::span<const Label> list = lists_.content(e.ref);
     const usize child_entries = usize{1} << cfg_.strides[level + 1];
     for (u32 ce = 0; ce < child_entries; ++ce) {
-      recompute_entry(level + 1, child, ce, e.list, log, force);
+      recompute_entry(level + 1, child, ce, list, log, force);
     }
   }
 }
@@ -268,7 +273,7 @@ void MultiBitTrie::recompute_span(ruleset::SegmentPrefix p,
   }
   const auto [level, node] = it->second;
   const Span s = covered_span(p, level);
-  const std::vector<Label> inherited = inherited_of(level, node);
+  const std::span<const Label> inherited = inherited_of(level, node);
   for (u32 e = s.lo; e <= s.hi; ++e) {
     recompute_entry(level, node, e, inherited, log, force);
   }
@@ -310,7 +315,7 @@ void MultiBitTrie::remove(ruleset::SegmentPrefix p, hw::CommandLog& log) {
   n.anchored.erase(p);
   // Recompute while the anchor entry still exists, then drop bookkeeping.
   const Span s = covered_span(p, level);
-  const std::vector<Label> inherited = inherited_of(level, node);
+  const std::span<const Label> inherited = inherited_of(level, node);
   for (u32 e = s.lo; e <= s.hi; ++e) {
     recompute_entry(level, node, e, inherited, log, /*force=*/false);
   }

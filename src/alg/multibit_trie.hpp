@@ -103,9 +103,8 @@ class MultiBitTrie {
 
  private:
   struct SwEntry {
-    i64 child = -1;           ///< node id at level+1, -1 = none
-    std::vector<Label> list;  ///< cached list content
-    ListRef ref;              ///< device pointer of the list
+    i64 child = -1;  ///< node id at level+1, -1 = none
+    ListRef ref;     ///< device pointer of the list (content: lists_)
   };
 
   struct SwNode {
@@ -141,17 +140,19 @@ class MultiBitTrie {
   /// list) but NOT for priority refreshes, where a descendant list can
   /// reorder while this entry's list is unchanged.
   void recompute_entry(usize level, i64 node, u32 entry,
-                       const std::vector<Label>& inherited,
+                       std::span<const Label> inherited,
                        hw::CommandLog& log, bool force);
   /// Recompute all entries covered by \p p at its anchor node.
   void recompute_span(ruleset::SegmentPrefix p, hw::CommandLog& log,
                       bool force);
   /// Prune empty nodes starting from \p node upward.
   void prune_upwards(usize level, i64 node, hw::CommandLog& log);
-  [[nodiscard]] std::vector<Label> inherited_of(usize level, i64 node) const;
+  /// The list of the parent entry holding \p node (empty at the root).
+  [[nodiscard]] std::span<const Label> inherited_of(usize level,
+                                                    i64 node) const;
   [[nodiscard]] std::vector<Label> compose_list(
       const SwNode& node, usize level, u32 entry,
-      const std::vector<Label>& inherited) const;
+      std::span<const Label> inherited) const;
 
   MbtConfig cfg_;
   std::vector<unsigned> cum_;  ///< cumulative stride sums

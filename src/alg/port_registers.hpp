@@ -11,13 +11,17 @@
 /// The model charges, the host computes. The register words are the
 /// modelled device: they are what the update bus writes, what synthesis
 /// counts and what registers() shows. The host cannot compare 128
-/// registers in parallel, so it answers from a compiled view of them:
-/// the elementary intervals the range bounds cut [0, 65535] into, each
-/// mapped to its span of labels already in Table IV order. The view is
-/// recompiled from the register words after every write (insert, remove,
-/// clear), so it can never disagree with what is programmed, and a lookup
-/// is one binary search. The cost of a lookup comes only from
-/// RegisterFile::charge_lookup, exactly as if every register were read.
+/// registers in parallel, so it answers from an interval program: the
+/// elementary intervals the range bounds cut [0, 65535] into, each
+/// mapped to its span of labels already in Table IV order. insert and
+/// remove patch the program in one pass beside their register write
+/// (split or merge at the range's two bounds, add or drop its label in
+/// the spans it covers); clear rebuilds it from the register words.
+/// Builds with assertions on (no NDEBUG) also rebuild it after every
+/// write and assert that the patched program is identical, bound counts
+/// included. A lookup is one
+/// binary search; its cost comes only from RegisterFile::charge_lookup,
+/// exactly as if every register were read.
 #pragma once
 
 #include <map>
@@ -82,12 +86,34 @@ class PortRegisterFile {
   [[nodiscard]] const hw::RegisterFile& registers() const { return regs_; }
   [[nodiscard]] usize range_count() const { return slot_of_.size(); }
 
+  /// True when the patched interval program equals a rebuild from the
+  /// register words (asserted after every write when NDEBUG is unset).
+  [[nodiscard]] bool program_matches_registers() const;
+
  private:
+  /// The host's view of the programmed registers: elementary interval k
+  /// covers ports [starts[k], starts[k + 1]) and matches
+  /// labels[offsets[k], offsets[k + 1]).
+  struct Program {
+    std::vector<u32> starts{0};  ///< ascending; starts[0] is always 0
+    /// Live ranges with a bound (lo, or hi + 1) at each start: a start
+    /// other than 0 exists while its count is positive.
+    std::vector<u32> bounds{0};
+    std::vector<u32> offsets{0, 0};
+    std::vector<Label> labels;  ///< each span in Table IV order
+    std::vector<u32> ranks;     ///< rank_key of each label
+    bool operator==(const Program&) const = default;
+  };
+
   /// Register word layout (LSB first): valid(1) lo(16) hi(16) label(7).
   static hw::Word encode(bool valid, ruleset::PortRange r, Label l);
 
-  /// Rebuild the interval program from the register words.
-  void compile();
+  /// Build the interval program from the register words into \p out.
+  void compile(Program& out) const;
+
+  /// Rewrite the program with range \p r and its \p label added (or
+  /// removed): one pass over the program, into the spare buffers.
+  void patch(ruleset::PortRange r, Label label, bool add);
 
   /// The Table IV-ordered labels of every range containing \p port.
   [[nodiscard]] std::span<const Label> match(u16 port) const;
@@ -97,12 +123,8 @@ class PortRegisterFile {
   std::vector<u32> free_slots_;
   u32 next_slot_ = 0;
 
-  // The host's compiled view: elementary interval k covers ports
-  // [starts_[k], starts_[k + 1]) and matches
-  // labels_[offsets_[k], offsets_[k + 1]). starts_[0] is always 0.
-  std::vector<u32> starts_{0};
-  std::vector<u32> offsets_{0, 0};
-  std::vector<Label> labels_;
+  Program program_;
+  Program spare_;  ///< patch's output, swapped in; keeps its capacity
 };
 
 }  // namespace pclass::alg

@@ -119,7 +119,7 @@ void RangeVectorHash::place_entry(ruleset::SegmentPrefix p,
   e.list = std::move(list);
   ++live_entries_;
   // §V.A: one hash-unit cycle to obtain the entry address, then the word.
-  log.hash_compute(mem_->name() + ".hash");
+  log.hash_compute();
   write_entry(slot, log);
 }
 

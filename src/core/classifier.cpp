@@ -19,15 +19,6 @@ hw::SharedRole role_of(IpAlgorithm a) {
                                 : hw::SharedRole::kBstNodes;
 }
 
-u64 ipalg_signal(IpAlgorithm a) {
-  switch (a) {
-    case IpAlgorithm::kMbt: return 0;
-    case IpAlgorithm::kBst: return 1;
-    case IpAlgorithm::kRvh: return 2;
-  }
-  return 0;
-}
-
 constexpr unsigned kSharedWordBits = 33;  // max(MBT entry 29, BST node 33)
 
 /// Dimension order of the exact combine's search and of its prefix
@@ -172,15 +163,9 @@ void ConfigurableClassifier::update_prefixes(
   }
 }
 
-hw::UpdateStats ConfigurableClassifier::apply(hw::CommandLog& log) {
-  hw::UpdateBus batch;
-  for (const hw::UpdateCommand& cmd : log.take()) {
-    bus_.charge(cmd);
-    batch.charge(cmd);
-  }
-  bus_.charge_prefix_writes(log.prefix_entries());
-  batch.charge_prefix_writes(log.prefix_entries());
-  return batch.stats();
+hw::UpdateStats ConfigurableClassifier::apply(const hw::CommandLog& log) {
+  update_stats_ += log.stats();
+  return log.stats();
 }
 
 std::array<Label, kNumDimensions> ConfigurableClassifier::acquire_labels(
@@ -360,7 +345,7 @@ void ConfigurableClassifier::install_rule(const ruleset::Rule& r, u64 fp,
                                           BstStaging* bst_bulk) {
   const std::array<Label, kNumDimensions> labels =
       acquire_labels(r, log, bst_bulk);
-  log.hash_compute("rule_filter.hash");
+  log.hash_compute();
   try {
     reserve_prefixes(1);  // so the prefix update below cannot throw
     filter_insert_with_reseed(Key68::merge(labels),
@@ -479,7 +464,7 @@ hw::UpdateStats ConfigurableClassifier::modify_rule(RuleId id,
   check_entry_word("modify_rule", entry);
   hw::CommandLog log;
   rule.action = action;
-  log.hash_compute("rule_filter.hash");
+  log.hash_compute();
   rule_filter_->modify(Key68::merge(it->second.labels), entry, log);
   return apply(log);
 }
@@ -505,8 +490,8 @@ hw::UpdateStats ConfigurableClassifier::set_ip_algorithm(IpAlgorithm alg) {
       shared_[i]->bind(role_of(alg));
     }
   }
-  // 3. Drive the select line.
-  log.config_toggle("IPalg_s", ipalg_signal(alg));
+  // 3. Drive the select line (IPalg_s).
+  log.config_toggle();
   cfg_.ip_algorithm = alg;
   // 4. Rebuild the newly selected engines from the label tables.
   rebuild_active_ip_engines(log);

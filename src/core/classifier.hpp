@@ -155,7 +155,7 @@ class ConfigurableClassifier {
 
   /// Cumulative update-bus statistics since construction.
   [[nodiscard]] const hw::UpdateStats& update_stats() const {
-    return bus_.stats();
+    return update_stats_;
   }
 
   /// Fig. 3 pipeline model for the current configuration.
@@ -240,8 +240,9 @@ class ConfigurableClassifier {
   void update_prefixes(const std::array<Label, kNumDimensions>& labels,
                        bool add, hw::CommandLog& log);
 
-  /// Charge a command batch on the update bus; returns the batch stats.
-  hw::UpdateStats apply(hw::CommandLog& log);
+  /// Add a metered command batch to the device's cumulative update
+  /// stats; returns the batch stats.
+  hw::UpdateStats apply(const hw::CommandLog& log);
 
   /// Phase-2 lookup of one IP dimension through the active engine.
   [[nodiscard]] alg::ListRef ip_lookup(usize ip_dim_index, u16 key,
@@ -288,7 +289,7 @@ class ConfigurableClassifier {
   std::unique_ptr<alg::ProtocolLut> proto_lut_;
   std::unique_ptr<RuleFilter> rule_filter_;
 
-  hw::UpdateBus bus_;
+  hw::UpdateStats update_stats_;  ///< every batch applied so far
   std::map<RuleId, InstalledRule> installed_;
   std::unordered_map<u64, RuleId> match_index_;  // fingerprint -> rule
 };

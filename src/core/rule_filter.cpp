@@ -145,7 +145,7 @@ void RuleFilter::reseed(u64 new_seed, hw::CommandLog& log) {
     clear(log);
     hasher_ = h;
     for (const auto& [key, entry] : live) {
-      log.hash_compute(mem_.name() + ".hash");
+      log.hash_compute();
       insert(key, entry, log);
     }
   };

@@ -5,37 +5,18 @@
 /// destination information", plus "an additional clock cycle ... to obtain
 /// the rule address using hash function".
 ///
-/// The UpdateCompiler (core/) emits UpdateCommand streams; this bus
-/// applies them to the device memories and charges cycles, giving a
-/// *measured* update cost that the Fig.4/§V.A bench reports.
+/// The controller-side builders apply every device write through a
+/// CommandLog, which meters each command on the bus as it is emitted:
+/// one bus cycle per command, counted by target. The update cost the
+/// Fig.4/§V.A bench reports is therefore the *measured* number of
+/// commands, with nothing recorded beyond the counts.
 #pragma once
-
-#include <string>
-#include <vector>
 
 #include "common/types.hpp"
 #include "hwsim/memory.hpp"
 #include "hwsim/register_file.hpp"
 
 namespace pclass::hw {
-
-/// What a command drives on the device.
-enum class UpdateTarget : u8 {
-  kMemoryWord,    ///< write one word of a block memory
-  kRegister,      ///< write one register of a register file
-  kHashCompute,   ///< run the hardware hash unit (1 cycle, no storage)
-  kConfigSignal,  ///< toggle a select line (IPalg_s); 1 cycle
-};
-
-/// One atomic device write, produced by the controller ("binary files"
-/// methodology of §IV.A).
-struct UpdateCommand {
-  UpdateTarget target = UpdateTarget::kMemoryWord;
-  /// Symbolic destination (memory/register-file name, or signal name).
-  std::string destination;
-  u32 address = 0;
-  Word data{};
-};
 
 /// Cost/statistics of applying a command batch.
 struct UpdateStats {
@@ -61,86 +42,52 @@ struct UpdateStats {
   }
 };
 
-/// Collects the command stream of one controller update batch while
-/// applying it to the device structures. The controller-side builders
-/// mutate hardware state exclusively through a CommandLog, so the cycle
-/// cost of an update is always the *measured* number of emitted commands
-/// (the paper's "binary files" of §IV.A, replayed over the pin-limited
-/// bus of §V.A).
+/// Applies the command stream of one controller update batch to the
+/// device structures and meters it. The controller-side builders mutate
+/// hardware state exclusively through a CommandLog, so the cycle cost of
+/// an update is always the measured number of emitted commands (the
+/// paper's "binary files" of §IV.A, replayed over the pin-limited bus of
+/// §V.A). Each command costs one bus cycle — the paper's
+/// two-cycles-per-rule follows from rules compiling to two memory words
+/// (source half + destination half).
 class CommandLog {
  public:
-  /// Write one memory word and log the command.
+  /// Write one memory word (one command).
   void memory_write(Memory& mem, u32 addr, Word w) {
     mem.write(addr, w);
-    cmds_.push_back(
-        {UpdateTarget::kMemoryWord, mem.name(), addr, w});
+    charge(stats_.memory_writes);
   }
 
-  /// Write one register and log the command.
+  /// Write one register (one command).
   void register_write(RegisterFile& rf, u32 idx, Word w) {
     rf.write(idx, w);
-    cmds_.push_back({UpdateTarget::kRegister, rf.name(), idx, w});
+    charge(stats_.register_writes);
   }
 
-  /// Log a hardware hash computation (address generation; 1 cycle).
-  void hash_compute(std::string unit) {
-    cmds_.push_back({UpdateTarget::kHashCompute, std::move(unit), 0, {}});
-  }
+  /// Run the hardware hash unit for address generation (one command).
+  void hash_compute() { charge(stats_.hash_computes); }
 
-  /// Log a configuration-signal toggle (IPalg_s).
-  void config_toggle(std::string signal, u64 value) {
-    cmds_.push_back({UpdateTarget::kConfigSignal, std::move(signal), 0,
-                     Word{value, 0}});
-  }
+  /// Toggle a configuration select line, e.g. IPalg_s (one command).
+  void config_toggle() { charge(stats_.config_toggles); }
 
   /// Count one combine prefix-table entry flipping present/absent. The
   /// device derives the prefix from the rule key it is storing or
   /// tombstoning, so the write rides that upload's beats: metered, but
   /// no command and no bus cycle of its own.
-  void prefix_entry() { ++prefix_entries_; }
+  void prefix_entry() { ++stats_.prefix_writes; }
 
-  [[nodiscard]] const std::vector<UpdateCommand>& commands() const {
-    return cmds_;
-  }
-  [[nodiscard]] usize size() const { return cmds_.size(); }
-  [[nodiscard]] u64 prefix_entries() const { return prefix_entries_; }
-
-  /// Move the batch out (the device then meters it on the UpdateBus).
-  [[nodiscard]] std::vector<UpdateCommand> take() {
-    return std::move(cmds_);
-  }
+  /// Everything emitted so far.
+  [[nodiscard]] const UpdateStats& stats() const { return stats_; }
+  /// Commands emitted so far.
+  [[nodiscard]] u64 size() const { return stats_.commands; }
 
  private:
-  std::vector<UpdateCommand> cmds_;
-  u64 prefix_entries_ = 0;
-};
-
-/// The bus itself only meters cost; actual routing of commands to memories
-/// is done by the device (core::ConfigurableClassifier), which owns the
-/// name->block mapping. Each command costs one bus cycle — the paper's
-/// two-cycles-per-rule follows from rules compiling to two memory words
-/// (source half + destination half).
-class UpdateBus {
- public:
-  /// Charge one command.
-  void charge(const UpdateCommand& cmd) {
+  void charge(u64& target) {
     ++stats_.commands;
     ++stats_.cycles;
-    switch (cmd.target) {
-      case UpdateTarget::kMemoryWord: ++stats_.memory_writes; break;
-      case UpdateTarget::kRegister: ++stats_.register_writes; break;
-      case UpdateTarget::kHashCompute: ++stats_.hash_computes; break;
-      case UpdateTarget::kConfigSignal: ++stats_.config_toggles; break;
-    }
+    ++target;
   }
 
-  /// Meter \p n prefix-table entry flips (free; see CommandLog).
-  void charge_prefix_writes(u64 n) { stats_.prefix_writes += n; }
-
-  [[nodiscard]] const UpdateStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = UpdateStats{}; }
-
- private:
   UpdateStats stats_;
 };
 

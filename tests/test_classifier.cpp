@@ -523,6 +523,80 @@ TEST(Classifier, UpdateStatsAccumulateOnBus) {
   EXPECT_EQ(clf.update_stats().cycles, c1.cycles + c2.cycles);
 }
 
+// The metered cost of a fixed update sequence, field for field: a bulk
+// install, single adds, a modify, removes and an algorithm switch, on each
+// IP engine. The expected rows are the counts the device charged before
+// the command log became a pure meter; any change to what an update
+// writes shows here.
+TEST(Classifier, UpdateStatsOfFixedSequenceAreExact) {
+  using Fields = std::array<u64, 7>;
+  const auto fields = [](const hw::UpdateStats& s) {
+    return Fields{s.commands,       s.cycles,         s.memory_writes,
+                  s.register_writes, s.hash_computes, s.config_toggles,
+                  s.prefix_writes};
+  };
+  struct Case {
+    IpAlgorithm alg;
+    IpAlgorithm switch_to;
+    std::array<Fields, 7> want;  // one row per step below
+  };
+  const std::array<Case, 3> cases{{
+      {IpAlgorithm::kMbt,
+       IpAlgorithm::kBst,
+       {{{21296, 21296, 20896, 100, 300, 0, 1497},
+         {3, 3, 2, 0, 1, 0, 4},
+         {3, 3, 2, 0, 1, 0, 4},
+         {3, 3, 2, 0, 1, 0, 0},
+         {7009, 7009, 7009, 0, 0, 0, 5},
+         {2, 2, 2, 0, 0, 0, 4},
+         {1809, 1809, 1808, 0, 0, 1, 0}}}},
+      {IpAlgorithm::kBst,
+       IpAlgorithm::kMbt,
+       {{{2817, 2817, 2417, 100, 300, 0, 1497},
+         {3, 3, 2, 0, 1, 0, 4},
+         {3, 3, 2, 0, 1, 0, 4},
+         {3, 3, 2, 0, 1, 0, 0},
+         {462, 462, 462, 0, 0, 0, 5},
+         {2, 2, 2, 0, 0, 0, 4},
+         {17941, 17941, 17940, 0, 0, 1, 0}}}},
+      {IpAlgorithm::kRvh,
+       IpAlgorithm::kMbt,
+       {{{3062, 3062, 2260, 100, 702, 0, 1497},
+         {3, 3, 2, 0, 1, 0, 4},
+         {3, 3, 2, 0, 1, 0, 4},
+         {3, 3, 2, 0, 1, 0, 0},
+         {336, 336, 336, 0, 0, 0, 5},
+         {2, 2, 2, 0, 0, 0, 4},
+         {17566, 17566, 17565, 0, 0, 1, 0}}}},
+  }};
+  const RuleSet rs = small_set();
+  RuleSet bulk(rs.name());
+  for (usize i = 0; i < 300; ++i) {
+    Rule copy = rs[i];
+    bulk.add(copy);
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(to_string(c.alg));
+    ConfigurableClassifier clf(
+        cfg_for(rs, CombineMode::kCrossProduct, c.alg));
+    hw::UpdateStats total;
+    usize step = 0;
+    const auto check = [&](const hw::UpdateStats& got) {
+      EXPECT_EQ(fields(got), c.want[step]) << "step " << step;
+      total += got;
+      ++step;
+    };
+    check(clf.add_rules(bulk));
+    check(clf.add_rule(rs[300]));
+    check(clf.add_rule(rs[301]));
+    check(clf.modify_rule(rs[300].id, ruleset::Action{42}));
+    check(clf.remove_rule(rs[0].id));
+    check(clf.remove_rule(rs[301].id));
+    check(clf.set_ip_algorithm(c.switch_to));
+    EXPECT_EQ(fields(clf.update_stats()), fields(total));
+  }
+}
+
 // FirstLabel and CrossProduct agree whenever the first-label combination
 // happens to own the HPMR — on a disjoint rule set they are identical.
 TEST(Classifier, ModesAgreeOnDisjointRules) {

@@ -87,13 +87,6 @@ TEST(Key68, HighBitsSpillIntoHi4) {
 }
 
 TEST(Key68, MergeUsesCanonicalDimensionOrder) {
-  std::array<Label, kNumDimensions> labels{};
-  for (usize d = 0; d < kNumDimensions; ++d) {
-    labels[d] = Label{static_cast<u16>(d + 1)};
-  }
-  const Key68 k = Key68::merge(labels);
-  // Protocol label (value 7, 2 bits... but 7 > 3) — use valid widths.
-  // Recompute with legal values:
   std::array<Label, kNumDimensions> ok{};
   ok[index_of(Dimension::kSrcIpHi)] = Label{0x1Au};
   ok[index_of(Dimension::kSrcIpLo)] = Label{0x2Bu};
@@ -114,7 +107,6 @@ TEST(Key68, MergeUsesCanonicalDimensionOrder) {
   expect = (expect << 2) | 0x2;
   EXPECT_EQ(k2.lo64(), static_cast<u64>(expect));
   EXPECT_EQ(k2.hi4(), static_cast<u8>(expect >> 64));
-  (void)k;
 }
 
 TEST(Key68, EqualityAndHash) {

@@ -196,21 +196,21 @@ TEST(UpdateBus, CommandLogAppliesAndMeters) {
   CommandLog log;
   log.memory_write(m, 3, Word{9, 0});
   log.register_write(rf, 1, Word{5, 0});
-  log.hash_compute("h");
-  log.config_toggle("IPalg_s", 1);
+  log.hash_compute();
+  log.config_toggle();
+  log.prefix_entry();
   EXPECT_EQ(m.read(3, nullptr).lo, 9u);
   EXPECT_EQ(rf.reg(1).lo, 5u);
   EXPECT_EQ(log.size(), 4u);
 
-  UpdateBus bus;
-  for (const auto& cmd : log.take()) {
-    bus.charge(cmd);
-  }
-  EXPECT_EQ(bus.stats().cycles, 4u);
-  EXPECT_EQ(bus.stats().memory_writes, 1u);
-  EXPECT_EQ(bus.stats().register_writes, 1u);
-  EXPECT_EQ(bus.stats().hash_computes, 1u);
-  EXPECT_EQ(bus.stats().config_toggles, 1u);
+  const UpdateStats& st = log.stats();
+  EXPECT_EQ(st.commands, 4u);
+  EXPECT_EQ(st.cycles, 4u);
+  EXPECT_EQ(st.memory_writes, 1u);
+  EXPECT_EQ(st.register_writes, 1u);
+  EXPECT_EQ(st.hash_computes, 1u);
+  EXPECT_EQ(st.config_toggles, 1u);
+  EXPECT_EQ(st.prefix_writes, 1u);  // metered, no command or cycle
 }
 
 TEST(UpdateBus, StatsAccumulate) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdlib>
+#include <iostream>
 #include <map>
 
 #include "alg/port_registers.hpp"
@@ -242,6 +244,102 @@ TEST(PortRegisters, CompiledProgramMatchesRegisterScan) {
     regs.clear(log);
     expect_matches_scan(regs);
     if (HasFatalFailure()) return;
+  }
+}
+
+// Seeded sequences of insert, remove and clear: after every write the
+// patched interval program equals a rebuild from the register words,
+// refcounts included, and lookups agree with the live ranges. Ranges are
+// drawn over a few shared bound values (both ends of the port space
+// among them), so writes split and merge at bounds other ranges hold;
+// labels and register slots are reused as soon as they are freed.
+TEST(PortRegisters, PatchedProgramEqualsRebuildAfterEveryWrite) {
+  const char* env = std::getenv("PCLASS_FUZZ_SEED");
+  const u64 base =
+      env != nullptr && *env != '\0' ? std::strtoull(env, nullptr, 0) : 1;
+  std::cerr << "[port-patch] seed=" << base
+            << " (override via PCLASS_FUZZ_SEED)\n";
+  constexpr std::array<u16, 10> kBounds{0,    1,    80,   81,    443,
+                                        1023, 1024, 8080, 65534, 65535};
+  for (u64 round = 0; round < 8; ++round) {
+    Rng rng(base * 1000003 + round);
+    PortRegisterFile regs("p", {});
+    hw::CommandLog log;
+    std::map<PortRange, Label> live;
+    std::vector<u16> free_labels;
+    for (u16 l = 128; l-- > 0;) free_labels.push_back(l);
+
+    const auto pick = [&]() -> u16 {
+      return rng.chance(0.7) ? kBounds[rng.below(kBounds.size())]
+                             : static_cast<u16>(rng.below(65536));
+    };
+    const auto random_range = [&]() -> PortRange {
+      switch (rng.below(5)) {
+        case 0: return PortRange::wildcard();
+        case 1: return PortRange::exact(pick());
+        case 2:
+          if (!live.empty()) {  // nested in, or overlapping, a live range
+            auto it = live.begin();
+            std::advance(it, static_cast<long>(rng.below(live.size())));
+            const u32 lo = it->first.lo + rng.below(u32{it->first.width()});
+            const u32 hi = rng.chance(0.5)
+                               ? lo + rng.below(u32{it->first.hi} - lo + 1)
+                               : std::max<u32>(lo, pick());
+            return PortRange::make(static_cast<u16>(lo),
+                                   static_cast<u16>(hi));
+          }
+          [[fallthrough]];
+        default: {
+          u16 a = pick(), b = pick();
+          if (a > b) std::swap(a, b);
+          return PortRange::make(a, b);
+        }
+      }
+    };
+    const auto check = [&](const char* what, usize step) {
+      ASSERT_TRUE(regs.program_matches_registers())
+          << what << " at step " << step << ", round " << round;
+      for (int probe = 0; probe < 8; ++probe) {
+        const u16 port = pick();
+        usize want = 0;
+        for (const auto& [r, l] : live) want += r.contains(port) ? 1 : 0;
+        ASSERT_EQ(regs.lookup(port, nullptr).size(), want)
+            << "port " << port << " after " << what << " at step " << step;
+      }
+    };
+    const auto remove_one = [&](usize step) {
+      auto it = live.begin();
+      std::advance(it, static_cast<long>(rng.below(live.size())));
+      regs.remove(it->first, log);
+      free_labels.push_back(it->second.value);
+      live.erase(it);
+      check("remove", step);
+    };
+
+    for (usize step = 0; step < 800; ++step) {
+      if (rng.chance(0.004)) {
+        regs.clear(log);
+        for (const auto& [r, l] : live) free_labels.push_back(l.value);
+        live.clear();
+        check("clear", step);
+      } else if (!live.empty() && (live.size() >= 100 || rng.chance(0.4))) {
+        remove_one(step);
+      } else {
+        const PortRange r = random_range();
+        if (live.contains(r)) continue;
+        const Label l{free_labels.back()};
+        free_labels.pop_back();
+        regs.insert(r, l, log);
+        live.emplace(r, l);
+        check("insert", step);
+      }
+      if (HasFatalFailure()) return;
+    }
+    while (!live.empty()) {  // down to the empty program
+      remove_one(800);
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_EQ(regs.lookup(0, nullptr).size(), 0u);
   }
 }
 
