@@ -1,10 +1,29 @@
 #include "alg/label_list_store.hpp"
 
+#include <algorithm>
+
+#include "common/hash.hpp"
+
 namespace pclass::alg {
+
+namespace {
+
+u64 hash_list(std::span<const Label> list) {
+  u64 h = list.size();
+  for (const Label l : list) {
+    h = mix64(h ^ l.value);
+  }
+  return h;
+}
+
+}  // namespace
 
 LabelListStore::LabelListStore(std::string name, u32 depth,
                                unsigned label_bits)
-    : mem_(std::move(name), depth, label_bits + 1), label_bits_(label_bits) {
+    : mem_(std::move(name), depth, label_bits + 1),
+      label_bits_(label_bits),
+      labels_(depth),
+      blocks_(depth) {
   if (label_bits == 0 || label_bits > 16) {
     throw ConfigError("LabelListStore: label_bits must be in [1, 16]");
   }
@@ -63,15 +82,27 @@ void LabelListStore::free_block(u32 addr, u32 len) {
   }
 }
 
+u32 LabelListStore::find(std::span<const Label> list, u64 hash) const {
+  const auto [first, last] = by_hash_.equal_range(hash);
+  for (auto it = first; it != last; ++it) {
+    const u32 addr = it->second;
+    if (std::ranges::equal(list, content(ListRef{addr}))) {
+      return addr;
+    }
+  }
+  return ListRef::kNull;
+}
+
 ListRef LabelListStore::acquire(const std::vector<Label>& list,
                                 hw::CommandLog& log) {
   if (list.empty()) {
     throw ConfigError("LabelListStore: cannot store an empty list "
                       "(use ListRef::kNull)");
   }
-  if (auto it = by_content_.find(list); it != by_content_.end()) {
-    ++by_addr_.at(it->second).refcount;
-    return ListRef{it->second};
+  const u64 hash = hash_list(list);
+  if (const u32 addr = find(list, hash); addr != ListRef::kNull) {
+    ++blocks_[addr].refcount;
+    return ListRef{addr};
   }
   const auto len = static_cast<u32>(list.size());
   const u32 addr = allocate(len);
@@ -80,9 +111,10 @@ ListRef LabelListStore::acquire(const std::vector<Label>& list,
     p.push(list[i].value, label_bits_);
     p.push(i + 1 == len ? 1 : 0, 1);  // end-of-list flag
     log.memory_write(mem_, addr + i, p.word());
+    labels_[addr + i] = list[i];
   }
-  by_content_.emplace(list, addr);
-  by_addr_.emplace(addr, BlockInfo{list, 1});
+  blocks_[addr] = Block{len, 1};
+  by_hash_.emplace(hash, addr);
   live_words_ += len;
   return ListRef{addr};
 }
@@ -91,26 +123,30 @@ void LabelListStore::retain(ListRef ref, u32 n) {
   if (ref.empty()) {
     return;
   }
-  const auto it = by_addr_.find(ref.addr);
-  if (it == by_addr_.end() || it->second.refcount == 0) {
+  if (ref.addr >= blocks_.size() || blocks_[ref.addr].refcount == 0) {
     throw InternalError("LabelListStore: retain of unknown list");
   }
-  it->second.refcount += n;
+  blocks_[ref.addr].refcount += n;
 }
 
 void LabelListStore::release(ListRef ref, u32 n) {
   if (ref.empty()) {
     return;
   }
-  auto it = by_addr_.find(ref.addr);
-  if (it == by_addr_.end() || it->second.refcount < n) {
+  if (ref.addr >= blocks_.size() || blocks_[ref.addr].refcount == 0 ||
+      blocks_[ref.addr].refcount < n) {
     throw InternalError("LabelListStore: release of unknown list");
   }
-  it->second.refcount -= n;
-  if (it->second.refcount == 0) {
-    const auto len = static_cast<u32>(it->second.content.size());
-    by_content_.erase(it->second.content);
-    by_addr_.erase(it);
+  Block& b = blocks_[ref.addr];
+  b.refcount -= n;
+  if (b.refcount == 0) {
+    const u32 len = b.len;
+    const auto [first, last] = by_hash_.equal_range(
+        hash_list({labels_.data() + ref.addr, len}));
+    by_hash_.erase(std::find_if(first, last, [&](const auto& e) {
+      return e.second == ref.addr;
+    }));
+    b = Block{};
     free_block(ref.addr, len);
     live_words_ -= len;
   }
@@ -120,42 +156,28 @@ std::span<const Label> LabelListStore::content(ListRef ref) const {
   if (ref.empty()) {
     return {};
   }
-  const auto it = by_addr_.find(ref.addr);
-  if (it == by_addr_.end()) {
+  if (ref.addr >= blocks_.size() || blocks_[ref.addr].refcount == 0) {
     throw InternalError("LabelListStore: content of unknown list");
   }
-  return it->second.content;
+  return {labels_.data() + ref.addr, blocks_[ref.addr].len};
 }
 
-Label LabelListStore::read_first(ListRef ref, hw::CycleRecorder* rec) const {
-  if (ref.empty()) {
-    return Label{};
-  }
-  const hw::Word w = mem_.read(ref.addr, rec);
-  return Label{static_cast<u16>(w.get(0, label_bits_))};
+void LabelListStore::throw_out_of_range(ListRef ref) const {
+  throw ConfigError("LabelListStore '" + mem_.name() + "': address " +
+                    std::to_string(ref.addr) + " out of range (depth " +
+                    std::to_string(mem_.depth()) + ")");
 }
 
-std::vector<Label> LabelListStore::read_list(ListRef ref,
-                                             hw::CycleRecorder* rec) const {
-  LabelVec scratch;
-  read_list_into(ref, rec, scratch);
-  return std::vector<Label>(scratch.begin(), scratch.end());
-}
-
-void LabelListStore::read_list_into(ListRef ref, hw::CycleRecorder* rec,
-                                    LabelVec& out) const {
-  if (ref.empty()) {
-    return;
-  }
-  u32 addr = ref.addr;
-  while (true) {
-    const hw::Word w = mem_.read(addr, rec);
-    out.push_back(Label{static_cast<u16>(w.get(0, label_bits_))});
-    if (w.get(label_bits_, 1) != 0) {
-      break;
+bool LabelListStore::matches_memory(ListRef ref) const {
+  const u32 len = blocks_[ref.addr].len;
+  for (u32 i = 0; i < len; ++i) {
+    const hw::Word w = mem_.read(ref.addr + i, nullptr);
+    if (w.get(0, label_bits_) != labels_[ref.addr + i].value ||
+        w.get(label_bits_, 1) != u64{i + 1 == len}) {
+      return false;
     }
-    ++addr;
   }
+  return len != 0;
 }
 
 }  // namespace pclass::alg

@@ -9,15 +9,25 @@
 /// (extremely common, because multi-bit-trie leaf pushing replicates
 /// ancestor lists across sibling entries) are stored once. This is the
 /// label method's memory saving made concrete.
+///
+/// The model charges, the host computes. The device words are what the
+/// update bus writes and what synthesis counts. The host keeps each
+/// stored list's labels once more, in a flat array indexed by word
+/// address (the label field of every live word), which is both the
+/// store's content index and what a lookup reads: read_list returns the
+/// list as a span of that array and charges one read per word, exactly
+/// what walking the words to the end flag costs. Builds with assertions
+/// on (no NDEBUG) check every read against the device words.
 #pragma once
 
+#include <cassert>
 #include <map>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/small_vec.hpp"
 #include "common/types.hpp"
 #include "hwsim/memory.hpp"
 #include "hwsim/update_bus.hpp"
@@ -64,17 +74,35 @@ class LabelListStore {
 
   /// Hardware path: read only the first (highest-priority) label —
   /// one memory access, the §V.B "one more cycle" of the lookup.
-  [[nodiscard]] Label read_first(ListRef ref, hw::CycleRecorder* rec) const;
+  [[nodiscard]] Label read_first(ListRef ref, hw::CycleRecorder* rec) const {
+    if (ref.empty()) {
+      return Label{};
+    }
+    if (ref.addr >= labels_.size()) [[unlikely]] {
+      throw_out_of_range(ref);
+    }
+    mem_.charge_reads(1, rec);
+    assert(matches_memory(ref));
+    return labels_[ref.addr];
+  }
 
-  /// Hardware path: walk the list until the end flag (CrossProduct
-  /// combining and the DCFL baseline need the full list).
-  [[nodiscard]] std::vector<Label> read_list(ListRef ref,
-                                             hw::CycleRecorder* rec) const;
-
-  /// Allocation-free read_list: appends into caller-owned scratch (the
-  /// classifier's per-lookup hot path — see common/small_vec.hpp).
-  void read_list_into(ListRef ref, hw::CycleRecorder* rec,
-                      LabelVec& out) const;
+  /// Hardware path: the whole list (CrossProduct combining and the DCFL
+  /// baseline), charged as the walk to the end flag, one read per word.
+  /// The span stays valid while the caller holds a reference to \p ref
+  /// and the store is not written.
+  [[nodiscard]] std::span<const Label> read_list(
+      ListRef ref, hw::CycleRecorder* rec) const {
+    if (ref.empty()) {
+      return {};
+    }
+    if (ref.addr >= labels_.size()) [[unlikely]] {
+      throw_out_of_range(ref);
+    }
+    const u32 len = blocks_[ref.addr].len;
+    mem_.charge_reads(len, rec);
+    assert(matches_memory(ref));
+    return {labels_.data() + ref.addr, len};
+  }
 
   [[nodiscard]] const hw::Memory& memory() const { return mem_; }
   [[nodiscard]] unsigned label_bits() const { return label_bits_; }
@@ -84,13 +112,13 @@ class LabelListStore {
   [[nodiscard]] u64 live_bits() const {
     return live_words_ * mem_.word_bits();
   }
-  [[nodiscard]] usize distinct_lists() const { return by_content_.size(); }
+  [[nodiscard]] usize distinct_lists() const { return by_hash_.size(); }
 
   /// Sum of references across all live lists.
   [[nodiscard]] u64 total_references() const {
     u64 refs = 0;
-    for (const auto& [addr, info] : by_addr_) {
-      refs += info.refcount;
+    for (const auto& [hash, addr] : by_hash_) {
+      refs += blocks_[addr].refcount;
     }
     return refs;
   }
@@ -99,26 +127,34 @@ class LabelListStore {
   /// own copy) — the denominator of the dedup factor.
   [[nodiscard]] u64 replicated_words() const {
     u64 words = 0;
-    for (const auto& [addr, info] : by_addr_) {
-      words += u64{info.refcount} * info.content.size();
+    for (const auto& [hash, addr] : by_hash_) {
+      words += u64{blocks_[addr].refcount} * blocks_[addr].len;
     }
     return words;
   }
 
  private:
-  struct BlockInfo {
-    std::vector<Label> content;
+  /// A stored list, kept at its first word's address (zero elsewhere).
+  struct Block {
+    u32 len = 0;
     u32 refcount = 0;
   };
 
   u32 allocate(u32 len);
   void free_block(u32 addr, u32 len);
+  /// The stored list equal to \p list, or ListRef::kNull.
+  [[nodiscard]] u32 find(std::span<const Label> list, u64 hash) const;
+  /// The read path's bounds failure, as hw::Memory::read reports it.
+  [[noreturn]] void throw_out_of_range(ListRef ref) const;
+  /// Whether the device words of \p ref hold exactly its host labels.
+  [[nodiscard]] bool matches_memory(ListRef ref) const;
 
   hw::Memory mem_;
   unsigned label_bits_;
-  std::map<std::vector<Label>, u32> by_content_;  // content -> addr
-  std::map<u32, BlockInfo> by_addr_;              // addr -> info
-  std::map<u32, u32> free_blocks_;                // addr -> len (coalesced)
+  std::vector<Label> labels_;  ///< label field of every word, by address
+  std::vector<Block> blocks_;  ///< by address
+  std::unordered_multimap<u64, u32> by_hash_;  ///< content hash -> addr
+  std::map<u32, u32> free_blocks_;             ///< addr -> len (coalesced)
   u32 bump_ = 1;  // address 0 reserved for the null list
   u64 live_words_ = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 
 namespace pclass::alg {
 
@@ -165,6 +166,7 @@ void MultiBitTrie::free_node(usize level, i64 id) {
   // Keep the entry array's capacity for the node's next use.
   n.entries.clear();
   n.anchored.clear();
+  n.children = 0;
   n.live = false;
   free_ids_[level].push_back(static_cast<u32>(id));
 }
@@ -194,6 +196,7 @@ i64 MultiBitTrie::walk_to_anchor(ruleset::SegmentPrefix p, bool create,
       }
       try {
         e.child = alloc_node(k + 1, node, idx, log);
+        ++pool_[k][static_cast<usize>(node)].children;
       } catch (const CapacityError&) {
         // Free the interior nodes this walk created before rethrowing:
         // they hold no prefix, so nothing else would ever reclaim them.
@@ -333,20 +336,18 @@ void MultiBitTrie::prune_upwards(usize level, i64 node,
                                  hw::CommandLog& log) {
   while (level > 0) {
     SwNode& n = pool_[level][static_cast<usize>(node)];
-    if (!n.anchored.empty()) {
+    assert(n.children ==
+           static_cast<u32>(std::ranges::count_if(
+               n.entries, [](const SwEntry& e) { return e.child >= 0; })));
+    if (!n.anchored.empty() || n.children != 0) {
       return;
-    }
-    for (const SwEntry& e : n.entries) {
-      if (e.child >= 0) {
-        return;
-      }
     }
     const i64 parent = n.parent;
     const u32 parent_entry = n.parent_entry;
     free_node(level, node);
-    SwEntry& pe =
-        pool_[level - 1][static_cast<usize>(parent)].entries[parent_entry];
-    pe.child = -1;
+    SwNode& pn = pool_[level - 1][static_cast<usize>(parent)];
+    pn.entries[parent_entry].child = -1;
+    --pn.children;
     write_entry(level - 1, parent, parent_entry, log);
     --level;
     node = parent;
@@ -366,6 +367,7 @@ void MultiBitTrie::clear(hw::CommandLog& log) {
   }
   SwNode& root = pool_[0][0];
   root.anchored.clear();
+  root.children = 0;
   for (u32 e = 0; e < root.entries.size(); ++e) {
     lists_.release(root.entries[e].ref);
     root.entries[e] = SwEntry{};

@@ -112,6 +112,7 @@ class MultiBitTrie {
     std::map<ruleset::SegmentPrefix, Label> anchored;
     i64 parent = -1;        ///< node id at level-1 (root: -1)
     u32 parent_entry = 0;   ///< entry index in the parent holding us
+    u32 children = 0;       ///< entries with a child node
     bool live = false;
   };
 

@@ -268,42 +268,4 @@ bool PortRegisterFile::program_matches_registers() const {
   return rebuilt == program_;
 }
 
-std::span<const Label> PortRegisterFile::match(u16 port) const {
-  const std::vector<u32>& starts = program_.starts;
-  const auto k = static_cast<usize>(
-      std::upper_bound(starts.begin(), starts.end(), u32{port}) -
-      starts.begin() - 1);
-  return std::span<const Label>(program_.labels)
-      .subspan(program_.offsets[k],
-               program_.offsets[k + 1] - program_.offsets[k]);
-}
-
-std::vector<Label> PortRegisterFile::lookup(u16 port,
-                                            hw::CycleRecorder* rec) const {
-  if (rec != nullptr) {
-    regs_.charge_lookup(*rec);
-  }
-  const std::span<const Label> m = match(port);
-  return std::vector<Label>(m.begin(), m.end());
-}
-
-void PortRegisterFile::lookup_into(u16 port, hw::CycleRecorder* rec,
-                                   LabelVec& out) const {
-  if (rec != nullptr) {
-    regs_.charge_lookup(*rec);
-  }
-  for (const Label l : match(port)) {
-    out.push_back(l);
-  }
-}
-
-Label PortRegisterFile::lookup_first(u16 port,
-                                     hw::CycleRecorder* rec) const {
-  if (rec != nullptr) {
-    regs_.charge_lookup(*rec);
-  }
-  const std::span<const Label> m = match(port);
-  return m.empty() ? Label{} : m.front();
-}
-
 }  // namespace pclass::alg

@@ -19,17 +19,17 @@
 /// the spans it covers); clear rebuilds it from the register words.
 /// Builds with assertions on (no NDEBUG) also rebuild it after every
 /// write and assert that the patched program is identical, bound counts
-/// included. A lookup is one
-/// binary search; its cost comes only from RegisterFile::charge_lookup,
-/// exactly as if every register were read.
+/// included. A lookup is one binary search returning its interval's span;
+/// its cost comes only from RegisterFile::charge_lookup, exactly as if
+/// every register were read.
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "common/small_vec.hpp"
 #include "common/types.hpp"
 #include "hwsim/register_file.hpp"
 #include "hwsim/update_bus.hpp"
@@ -68,18 +68,23 @@ class PortRegisterFile {
   // ---- hardware-side lookup path ----
 
   /// All labels whose range contains \p port, ordered exact-first then
-  /// ascending range width (Table IV order). Charges the fixed parallel
+  /// ascending range width (Table IV order): a span of the interval
+  /// program, valid until the next write. Charges the fixed parallel
   /// compare cost; register reads are not memory accesses.
-  [[nodiscard]] std::vector<Label> lookup(u16 port,
-                                          hw::CycleRecorder* rec) const;
-
-  /// Allocation-free lookup(): appends the Table IV-ordered labels into
-  /// caller-owned scratch (the classifier's per-packet hot path).
-  void lookup_into(u16 port, hw::CycleRecorder* rec, LabelVec& out) const;
+  [[nodiscard]] std::span<const Label> lookup(u16 port,
+                                              hw::CycleRecorder* rec) const {
+    if (rec != nullptr) {
+      regs_.charge_lookup(*rec);
+    }
+    return match(port);
+  }
 
   /// First (highest-priority) matching label only — what the FirstLabel
-  /// combiner consumes. Same cost as lookup(); no allocation.
-  [[nodiscard]] Label lookup_first(u16 port, hw::CycleRecorder* rec) const;
+  /// combiner consumes. Same cost as lookup().
+  [[nodiscard]] Label lookup_first(u16 port, hw::CycleRecorder* rec) const {
+    const std::span<const Label> m = lookup(port, rec);
+    return m.empty() ? Label{} : m.front();
+  }
 
   // ---- introspection ----
 
@@ -116,7 +121,15 @@ class PortRegisterFile {
   void patch(ruleset::PortRange r, Label label, bool add);
 
   /// The Table IV-ordered labels of every range containing \p port.
-  [[nodiscard]] std::span<const Label> match(u16 port) const;
+  [[nodiscard]] std::span<const Label> match(u16 port) const {
+    const std::vector<u32>& starts = program_.starts;
+    const auto k = static_cast<usize>(
+        std::upper_bound(starts.begin(), starts.end(), u32{port}) -
+        starts.begin() - 1);
+    return std::span<const Label>(program_.labels)
+        .subspan(program_.offsets[k],
+                 program_.offsets[k + 1] - program_.offsets[k]);
+  }
 
   hw::RegisterFile regs_;
   std::map<ruleset::PortRange, u32> slot_of_;

@@ -534,9 +534,8 @@ ClassifyResult ConfigurableClassifier::classify(
   ClassifyResult out;
 
   // Phase 2: the seven dimension lookups run in parallel; each gets its
-  // own recorder, the phase costs the slowest one. All label lists live
-  // in stack scratch (SmallVec) — the steady-state lookup path performs
-  // no heap allocation.
+  // own recorder, the phase costs the slowest one. The steady-state
+  // lookup path performs no heap allocation.
   std::array<hw::CycleRecorder, kNumDimensions> recs;
   std::array<alg::ListRef, 4> ip_refs;
   for (usize i = 0; i < 4; ++i) {
@@ -576,35 +575,27 @@ ClassifyResult ConfigurableClassifier::classify(
       out.match = rule_filter_->lookup(Key68::merge(first), &tail);
     }
   } else {
-    // CrossProduct: the exact HPMR over the (short) label lists.
-    std::array<LabelVec, kNumDimensions> lists;
-    bool miss = false;
+    // CrossProduct: the exact HPMR over the (short) label lists. The IP
+    // lists and the port intervals are read in place, as spans; only
+    // the protocol LUT composes its (at most two) labels into a stack
+    // buffer.
+    std::array<std::span<const Label>, kNumDimensions> lists;
     for (usize i = 0; i < 4; ++i) {
-      lists_[i]->read_list_into(ip_refs[i], &recs[index_of(kIpDims[i])],
-                                lists[index_of(kIpDims[i])]);
-      if (lists[index_of(kIpDims[i])].empty()) miss = true;
+      lists[index_of(kIpDims[i])] =
+          lists_[i]->read_list(ip_refs[i], &recs[index_of(kIpDims[i])]);
     }
-    sport_regs_->lookup_into(h.src_port,
-                             &recs[index_of(Dimension::kSrcPort)],
-                             lists[index_of(Dimension::kSrcPort)]);
-    dport_regs_->lookup_into(h.dst_port,
-                             &recs[index_of(Dimension::kDstPort)],
-                             lists[index_of(Dimension::kDstPort)]);
+    lists[index_of(Dimension::kSrcPort)] = sport_regs_->lookup(
+        h.src_port, &recs[index_of(Dimension::kSrcPort)]);
+    lists[index_of(Dimension::kDstPort)] = dport_regs_->lookup(
+        h.dst_port, &recs[index_of(Dimension::kDstPort)]);
+    LabelVec proto;
     proto_lut_->lookup_into(h.protocol,
-                            &recs[index_of(Dimension::kProtocol)],
-                            lists[index_of(Dimension::kProtocol)]);
-    if (lists[index_of(Dimension::kSrcPort)].empty() ||
-        lists[index_of(Dimension::kDstPort)].empty() ||
-        lists[index_of(Dimension::kProtocol)].empty()) {
-      miss = true;
-    }
+                            &recs[index_of(Dimension::kProtocol)], proto);
+    lists[index_of(Dimension::kProtocol)] = {proto.begin(), proto.size()};
 
-    if (!miss) {
-      std::array<std::span<const Label>, kNumDimensions> spans;
-      for (usize d = 0; d < kNumDimensions; ++d) {
-        spans[d] = {lists[d].begin(), lists[d].size()};
-      }
-      const CombineOutcome c = combine_exact(spans, tail);
+    if (std::ranges::none_of(
+            lists, [](std::span<const Label> l) { return l.empty(); })) {
+      const CombineOutcome c = combine_exact(lists, tail);
       out.match = c.match;
       out.crossproduct_probes = c.probes;
     }

@@ -13,11 +13,11 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
-#include "common/hash.hpp"
 #include "common/types.hpp"
 
 namespace pclass::core {
@@ -76,6 +76,7 @@ class PrefixSet {
     old_keys.swap(keys_);
     old_counts.swap(counts_);
     mask_ = want - 1;
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(want));
     for (usize i = 0; i < old_keys.size(); ++i) {
       if (old_keys[i] == kEmpty) continue;
       usize s = home(old_keys[i]);
@@ -100,14 +101,18 @@ class PrefixSet {
     }
   }
 
+  /// Fibonacci hashing: fold the key's high half onto its low half,
+  /// multiply by 2^64 / phi and keep the top log2(slots) bits.
   [[nodiscard]] usize home(u64 key) const {
-    return static_cast<usize>(mix64(key)) & mask_;
+    return static_cast<usize>(((key ^ (key >> 32)) * 0x9E3779B97F4A7C15ULL) >>
+                              shift_);
   }
 
   std::vector<u64> keys_;
   std::vector<u32> counts_;
   usize size_ = 0;
   usize mask_ = 0;
+  unsigned shift_ = 64;  ///< 64 - log2(slots)
 };
 
 }  // namespace pclass::core

@@ -3,6 +3,13 @@
 /// nodes, BST nodes, label lists, protocol LUT, rule filter) lives in a
 /// named hw::Memory so that the paper's "memory space" and "memory
 /// accesses" columns are *measured* quantities.
+///
+/// The host stores each word at its declared width: one u32 per word up
+/// to 32 bits (label-list words, MBT entries), one u64 up to 64 bits (the
+/// shared MBT/BST block), two u64 above that (the Rule Filter). read()
+/// and write() exchange the full hw::Word either way; write() rejects a
+/// value with bits at or above word_bits, so the narrower storage never
+/// truncates.
 #pragma once
 
 #include <string>
@@ -53,10 +60,32 @@ class Memory {
 
   /// Hardware-path read: charges cost into \p rec when non-null.
   /// \throws ConfigError on out-of-range address.
-  [[nodiscard]] Word read(u32 addr, CycleRecorder* rec) const;
+  [[nodiscard]] Word read(u32 addr, CycleRecorder* rec) const {
+    if (addr >= depth_) [[unlikely]] {
+      throw_out_of_range(addr);
+    }
+    charge_reads(1, rec);
+    switch (storage_) {
+      case Storage::kU32: return Word{narrow_[addr], 0};
+      case Storage::kU64: return Word{wide_[addr], 0};
+      case Storage::kU128: break;
+    }
+    return Word{wide_[2 * usize{addr}], wide_[2 * usize{addr} + 1]};
+  }
+
+  /// Charge what reading \p words words costs without reading them, for
+  /// a structure whose host index already holds what those words encode
+  /// (LabelListStore's label array).
+  void charge_reads(u64 words, CycleRecorder* rec) const {
+    if (rec != nullptr) {
+      rec->charge(words * read_cycles_, words);
+    }
+  }
 
   /// Hardware-path write (one cycle on the update bus is charged by the
   /// caller; the memory itself just stores and counts).
+  /// \throws ConfigError on out-of-range address or a value with bits at
+  ///         or above word_bits.
   void write(u32 addr, Word value);
 
   /// Clear contents and high-water mark (reconfiguration flush).
@@ -68,13 +97,19 @@ class Memory {
   void reset_stats() { writes_ = 0; }
 
  private:
-  void check_addr(u32 addr) const;
+  /// Host word width: the narrowest of u32, u64 and two u64 that holds
+  /// word_bits.
+  enum class Storage : u8 { kU32, kU64, kU128 };
+
+  [[noreturn]] void throw_out_of_range(u32 addr) const;
 
   std::string name_;
   u32 depth_;
   unsigned word_bits_;
   unsigned read_cycles_;
-  std::vector<Word> data_;
+  Storage storage_;
+  std::vector<u32> narrow_;  ///< kU32: word addr
+  std::vector<u64> wide_;    ///< kU64: word addr; kU128: lo, hi at 2 * addr
   u64 used_words_ = 0;
   // Plain counter: writes happen only on the serialized update path
   // (the publisher holds the writer lock; a replica is never written

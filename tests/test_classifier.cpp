@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "baseline/linear_search.hpp"
+#include "common/hash.hpp"
 #include "common/random.hpp"
 #include "core/classifier.hpp"
 #include "ruleset/generator.hpp"
@@ -594,6 +595,57 @@ TEST(Classifier, UpdateStatsOfFixedSequenceAreExact) {
     check(clf.remove_rule(rs[301].id));
     check(clf.set_ip_algorithm(c.switch_to));
     EXPECT_EQ(fields(clf.update_stats()), fields(total));
+  }
+}
+
+// The modelled cost of a fixed lookup workload, summed over the trace,
+// and a digest of its verdicts, on each IP engine under each combine
+// mode. The expected rows are what the device charged before the lookup
+// path read label lists as spans and stored words at their width: how the
+// host finds an answer may change, what the model charges may not.
+TEST(Classifier, LookupChargesOfFixedTraceAreExact) {
+  struct Case {
+    IpAlgorithm alg;
+    CombineMode mode;
+    u64 cycles;
+    u64 accesses;
+    u64 probes;
+    u64 digest;
+  };
+  const std::array<Case, 6> cases{{
+      {IpAlgorithm::kMbt, CombineMode::kFirstLabel, 20228, 32783, 1908,
+       16787584949414251032ULL},
+      {IpAlgorithm::kMbt, CombineMode::kCrossProduct, 71032, 88476, 3595,
+       3120297092062809154ULL},
+      {IpAlgorithm::kBst, CombineMode::kFirstLabel, 27760, 69553, 1908,
+       16787584949414251032ULL},
+      {IpAlgorithm::kBst, CombineMode::kCrossProduct, 77968, 125246, 3595,
+       3120297092062809154ULL},
+      {IpAlgorithm::kRvh, CombineMode::kFirstLabel, 23035, 28087, 1908,
+       16787584949414251032ULL},
+      {IpAlgorithm::kRvh, CombineMode::kCrossProduct, 71988, 83780, 3595,
+       3120297092062809154ULL},
+  }};
+  const RuleSet rs = small_set();
+  const auto trace = trace_for(rs, 2000);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(to_string(c.alg)) + " " + to_string(c.mode));
+    ConfigurableClassifier clf(cfg_for(rs, c.mode, c.alg));
+    clf.add_rules(rs);
+    u64 cycles = 0, accesses = 0, probes = 0, digest = 0;
+    for (const auto& e : trace) {
+      const ClassifyResult r = clf.classify(e.header);
+      cycles += r.cycles;
+      accesses += r.memory_accesses;
+      probes += r.crossproduct_probes;
+      digest = mix64(digest ^ (r.match ? u64{r.match->rule.value} << 32 |
+                                             r.match->action
+                                       : ~u64{0}));
+    }
+    EXPECT_EQ(cycles, c.cycles);
+    EXPECT_EQ(accesses, c.accesses);
+    EXPECT_EQ(probes, c.probes);
+    EXPECT_EQ(digest, c.digest);
   }
 }
 

@@ -101,6 +101,42 @@ TEST(Memory, CapacityBits) {
   EXPECT_EQ(m.capacity_bits(), 1024u * 33u);
 }
 
+// Each width class (one u32, one u64 or two u64 per word on the host)
+// stores every bit up to word_bits: the all-ones word and a pattern read
+// back unchanged, out-of-range addresses still throw, and a value with a
+// bit at or above word_bits is rejected rather than truncated.
+TEST(Memory, EveryWidthClassRoundTrips) {
+  for (const unsigned bits : {1u, 14u, 29u, 32u, 33u, 64u, 65u, 118u, 128u}) {
+    SCOPED_TRACE(bits);
+    Memory m("m", 8, bits, 3);
+    Word ones;
+    ones.lo = bits >= 64 ? ~u64{0} : mask_low(bits);
+    ones.hi = bits <= 64 ? 0 : bits == 128 ? ~u64{0} : mask_low(bits - 64);
+    const Word pattern{ones.lo & 0xA5A5A5A5A5A5A5A5ULL,
+                       ones.hi & 0x5A5A5A5A5A5A5A5AULL};
+    m.write(0, ones);
+    m.write(7, pattern);
+    CycleRecorder rec;
+    EXPECT_EQ(m.read(0, &rec), ones);
+    EXPECT_EQ(m.read(7, &rec), pattern);
+    EXPECT_EQ(m.read(3, &rec), Word{});
+    EXPECT_EQ(rec.cycles(), 9u);
+    EXPECT_EQ(rec.memory_accesses(), 3u);
+
+    EXPECT_THROW((void)m.read(8, &rec), ConfigError);
+    EXPECT_THROW(m.write(8, Word{}), ConfigError);
+    if (bits < 128) {
+      Word wide;
+      wide.set(bits, 1, 1);  // the first bit past the word
+      EXPECT_THROW(m.write(1, wide), ConfigError);
+      EXPECT_THROW(m.write(1, Word{0, u64{1} << 63}), ConfigError);
+      EXPECT_EQ(m.read(1, nullptr), Word{});
+    }
+    EXPECT_EQ(m.stats().writes, 2u);
+    EXPECT_EQ(m.used_words(), 8u);
+  }
+}
+
 TEST(RegisterFile, WriteReadAndBits) {
   RegisterFile rf("rf", 8, 40, 2);
   rf.write(2, Word{0x123, 0});
@@ -167,12 +203,18 @@ TEST(Pipeline, ZeroPackets) {
 }
 
 TEST(SharedMemory, BindFlushesOnRoleChange) {
+  // Bit 32 of the 33-bit word too, which the block's u64 storage keeps.
   SharedMemory sm("sh", 64, 33);
+  const Word top{(u64{1} << 32) | 42, 0};
   sm.bind(SharedRole::kMbtLevel2);
-  sm.as(SharedRole::kMbtLevel2).write(1, Word{42, 0});
-  EXPECT_EQ(sm.as(SharedRole::kMbtLevel2).read(1, nullptr).lo, 42u);
+  sm.as(SharedRole::kMbtLevel2).write(1, top);
+  EXPECT_EQ(sm.as(SharedRole::kMbtLevel2).read(1, nullptr), top);
   sm.bind(SharedRole::kBstNodes);
-  EXPECT_EQ(sm.as(SharedRole::kBstNodes).read(1, nullptr).lo, 0u);  // flushed
+  EXPECT_EQ(sm.as(SharedRole::kBstNodes).read(1, nullptr), Word{});  // flushed
+  EXPECT_EQ(sm.physical().used_words(), 0u);
+  sm.as(SharedRole::kBstNodes).write(63, top);
+  sm.bind(SharedRole::kMbtLevel2);
+  EXPECT_EQ(sm.as(SharedRole::kMbtLevel2).read(63, nullptr), Word{});
 }
 
 TEST(SharedMemory, RebindSameRoleKeepsContents) {

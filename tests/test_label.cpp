@@ -2,6 +2,8 @@
 // the content-addressed label-list store.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "alg/label_list_store.hpp"
 #include "alg/label_table.hpp"
 #include "common/error.hpp"
@@ -202,4 +204,33 @@ TEST(ListStore, WordLayoutHasEndFlag) {
   EXPECT_EQ(w0.get(13, 1), 0u);  // not last
   EXPECT_EQ(w1.get(0, 13), 9u);
   EXPECT_EQ(w1.get(13, 1), 1u);  // last
+}
+
+// The span a lookup reads is the stored list, charged one read per word,
+// and follows the device words when a freed block is reused; the content
+// index still finds each live list. An address past the memory throws.
+TEST(ListStore, SpanReadsFollowDeviceWordsAcrossReuse) {
+  LabelListStore s("s", 16, 13);
+  hw::CommandLog log;
+  const ListRef a = s.acquire(L({1, 2, 3}), log);
+  hw::CycleRecorder rec;
+  EXPECT_TRUE(std::ranges::equal(s.read_list(a, &rec), L({1, 2, 3})));
+  EXPECT_EQ(rec.memory_accesses(), 3u);
+  EXPECT_EQ(rec.cycles(), 3u);
+  s.release(a);
+
+  const ListRef b = s.acquire(L({4, 5}), log);
+  EXPECT_EQ(b, a);  // the freed block, rewritten
+  EXPECT_TRUE(std::ranges::equal(s.read_list(b, nullptr), L({4, 5})));
+  EXPECT_EQ(s.memory().read(b.addr + 1, nullptr).get(13, 1), 1u);
+  const ListRef c = s.acquire(L({1, 2, 3}), log);
+  EXPECT_NE(c, b);
+  EXPECT_TRUE(std::ranges::equal(s.read_list(c, nullptr), L({1, 2, 3})));
+  EXPECT_EQ(s.acquire(L({4, 5}), log), b);
+  EXPECT_EQ(s.distinct_lists(), 2u);
+  EXPECT_EQ(s.total_references(), 3u);
+  EXPECT_EQ(s.replicated_words(), 7u);
+
+  EXPECT_THROW((void)s.read_list(ListRef{16}, nullptr), ConfigError);
+  EXPECT_THROW((void)s.read_first(ListRef{16}, nullptr), ConfigError);
 }

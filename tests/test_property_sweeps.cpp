@@ -220,7 +220,8 @@ TEST(ListStoreProperty, RefcountNeverLeaksUnderChurn) {
     if (!live.empty() && rng.chance(0.5)) {
       const usize i = rng.below(live.size());
       // Content must still read back before release.
-      ASSERT_EQ(s.read_list(live[i].first, nullptr), live[i].second);
+      ASSERT_TRUE(std::ranges::equal(s.read_list(live[i].first, nullptr),
+                                     live[i].second));
       s.release(live[i].first);
       live.erase(live.begin() + static_cast<i64>(i));
     } else {
