@@ -24,24 +24,22 @@ int main() {
       for (const auto mode : {core::CombineMode::kFirstLabel,
                               core::CombineMode::kCrossProduct}) {
         auto clf = make_classifier(w.rules, core::IpAlgorithm::kMbt, mode);
-        baseline::LinearSearch oracle(w.rules);
-        usize agree = 0, hits = 0, valid_hits = 0;
+        const dataplane::SnapshotOracle oracle(w.rules);
+        dataplane::OracleCheck check;
+        usize hits = 0, valid_hits = 0;
         u64 probes = 0, cycles = 0;
         for (const auto& e : w.trace) {
           const auto res = clf->classify(e.header);
           probes += res.crossproduct_probes;
           cycles += res.cycles;
-          const auto* want = oracle.classify(e.header, nullptr);
+          oracle.judge(e.header, res.match, check);
           if (res.match) {
             ++hits;
             const auto rule = w.rules.find(res.match->rule);
             if (rule && rule->matches(e.header)) ++valid_hits;
           }
-          const bool ok = want == nullptr
-                              ? !res.match.has_value()
-                              : res.match && res.match->rule == want->id;
-          if (ok) ++agree;
         }
+        const usize agree = check.checked - check.mismatches;
         const auto n = static_cast<double>(w.trace.size());
         t.add_row({w.rules.name(), to_string(mode),
                    TextTable::num(100.0 * static_cast<double>(agree) / n,

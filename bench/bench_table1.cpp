@@ -13,6 +13,7 @@
 /// Option 1. See EXPERIMENTS.md for metric-definition caveats.
 #include "baseline/dcfl.hpp"
 #include "baseline/hypercuts.hpp"
+#include "baseline/linear_search.hpp"
 #include "baseline/option_trie.hpp"
 #include "baseline/rfc.hpp"
 #include "bench_util.hpp"

@@ -8,10 +8,10 @@
 #include <iostream>
 #include <string>
 
-#include "baseline/linear_search.hpp"
 #include "common/table.hpp"
 #include "core/classifier.hpp"
 #include "core/cycle_model.hpp"
+#include "dataplane/rule_program.hpp"
 #include "ruleset/generator.hpp"
 #include "ruleset/stats.hpp"
 #include "workload/profile.hpp"
@@ -73,13 +73,14 @@ struct SweepResult {
   u64 max_cycles = 0;
   u64 max_accesses = 0;
   usize hits = 0;
-  usize oracle_agreement = 0;  ///< matches vs LinearSearch
+  usize oracle_agreement = 0;  ///< verdicts the oracle agrees with
   usize headers = 0;
 };
 
 inline SweepResult sweep(const core::ConfigurableClassifier& clf,
                          const Workload& w) {
-  baseline::LinearSearch oracle(w.rules);
+  const dataplane::SnapshotOracle oracle(w.rules);
+  dataplane::OracleCheck check;
   SweepResult out;
   hw::CycleAggregate agg;
   for (const auto& e : w.trace) {
@@ -88,12 +89,9 @@ inline SweepResult sweep(const core::ConfigurableClassifier& clf,
     rec.charge(res.cycles, res.memory_accesses);
     agg.add(rec);
     if (res.match) ++out.hits;
-    const auto* want = oracle.classify(e.header, nullptr);
-    const bool agree = want == nullptr
-                           ? !res.match.has_value()
-                           : res.match && res.match->rule == want->id;
-    if (agree) ++out.oracle_agreement;
+    oracle.judge(e.header, res.match, check);
   }
+  out.oracle_agreement = check.checked - check.mismatches;
   out.mean_cycles = agg.mean_cycles();
   out.mean_accesses = agg.mean_accesses();
   out.max_cycles = agg.max_cycles();

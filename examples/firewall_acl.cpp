@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   // Top-3 hottest flows, from the captured verdicts.
   std::map<RuleId, u64> hits;
   for (const dataplane::CapturedVerdict& v : rep.captured.at(0)) {
-    if (v.matched) ++hits[v.rule];
+    if (v.match) ++hits[v.match->rule];
   }
   struct Hot {
     RuleId id;

@@ -127,31 +127,25 @@ void BinarySearchTree::rebuild(hw::CommandLog& log) {
                         " intervals exceed capacity " +
                         std::to_string(nodes_.size()));
   }
-  std::vector<SwNode> fresh(nodes_.size());
-  for (usize i = 0; i < intervals.size(); ++i) {
-    fresh[i].valid = true;
-    fresh[i].start = intervals[i].start;
-    fresh[i].list = std::move(intervals[i].list);
-  }
-
-  // 3. Diff against the current shadow; upload only changed words.
-  live_nodes_ = 0;
+  // 3. Diff against the current shadow (node i holds interval i, the
+  //    rest are invalid); upload only changed words.
+  live_nodes_ = static_cast<u32>(intervals.size());
   for (u32 i = 0; i < nodes_.size(); ++i) {
     SwNode& old = nodes_[i];
-    SwNode& nw = fresh[i];
-    if (nw.valid) ++live_nodes_;
-    const bool same = old.valid == nw.valid && old.start == nw.start &&
-                      old.list == nw.list;
-    if (same) {
+    const bool valid = i < intervals.size();
+    const u16 start = valid ? intervals[i].start : 0;
+    const std::span<const Label> list =
+        valid ? std::span<const Label>(intervals[i].list)
+              : std::span<const Label>();
+    if (old.valid == valid && old.start == start &&
+        std::ranges::equal(lists_.content(old.ref), list)) {
       continue;
     }
-    const ListRef new_ref = (nw.valid && !nw.list.empty())
-                                ? lists_.acquire(nw.list, log)
-                                : ListRef{};
+    const ListRef new_ref =
+        list.empty() ? ListRef{} : lists_.acquire(intervals[i].list, log);
     lists_.release(old.ref);
-    old.valid = nw.valid;
-    old.start = nw.start;
-    old.list = std::move(nw.list);
+    old.valid = valid;
+    old.start = start;
     old.ref = new_ref;
     write_node(i, log);
   }

@@ -98,8 +98,7 @@ class BinarySearchTree {
  private:
   struct SwNode {
     u16 start = 0;
-    std::vector<Label> list;
-    ListRef ref{};
+    ListRef ref{};  ///< the interval's covering labels (null when none)
     bool valid = false;
   };
 

@@ -61,7 +61,6 @@ class LabelTable {
     auto it = entries_.find(value);
     if (it != entries_.end()) {
       Entry& e = it->second;
-      ++e.refcount;
       e.priorities.insert(prio);
       return {e.label, false};
     }
@@ -72,7 +71,6 @@ class LabelTable {
     }
     Entry e;
     e.label = allocate();
-    e.refcount = 1;
     e.priorities.insert(prio);
     const Label out = e.label;
     entries_.emplace(value, std::move(e));
@@ -91,14 +89,13 @@ class LabelTable {
     }
     Entry& e = it->second;
     auto pit = e.priorities.find(prio);
-    if (pit == e.priorities.end() || e.refcount == 0) {
+    if (pit == e.priorities.end()) {
       throw InternalError(std::string("LabelTable[") + to_string(dim_) +
                           "]: refcount/priority underflow");
     }
     e.priorities.erase(pit);
-    --e.refcount;
     const Label label = e.label;
-    if (e.refcount == 0) {
+    if (e.priorities.empty()) {
       free_list_.push_back(label);
       entries_.erase(it);
       return {label, true};
@@ -112,15 +109,18 @@ class LabelTable {
     return it->second.label;
   }
 
+  /// Rules using \p value (the label's counter).
   [[nodiscard]] u32 refcount(const ValueT& value) const {
     auto it = entries_.find(value);
-    return it == entries_.end() ? 0 : it->second.refcount;
+    return it == entries_.end()
+               ? 0
+               : static_cast<u32>(it->second.priorities.size());
   }
 
   /// Best (minimum) priority of any live rule using \p value.
   [[nodiscard]] Priority best_priority(const ValueT& value) const {
     auto it = entries_.find(value);
-    if (it == entries_.end() || it->second.priorities.empty()) {
+    if (it == entries_.end()) {
       return kNoPriority;
     }
     return *it->second.priorities.begin();
@@ -130,17 +130,16 @@ class LabelTable {
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (const auto& [value, e] : entries_) {
-      fn(value, e.label,
-         e.priorities.empty() ? kNoPriority : *e.priorities.begin());
+      fn(value, e.label, *e.priorities.begin());
     }
   }
 
  private:
   struct Entry {
     Label label;
-    u32 refcount = 0;
-    /// Live rule priorities using this value (multiset: rules may share a
-    /// priority only transiently, but deletion needs exact bookkeeping).
+    /// Live rule priorities using this value, one per rule: its size is
+    /// the label's counter (multiset: rules may share a priority only
+    /// transiently, but deletion needs exact bookkeeping).
     std::multiset<Priority> priorities;
   };
 

@@ -64,13 +64,6 @@ void ProtocolLut::clear(hw::CommandLog& log) {
   }
 }
 
-std::vector<Label> ProtocolLut::lookup(u8 proto,
-                                       hw::CycleRecorder* rec) const {
-  LabelVec scratch;
-  lookup_into(proto, rec, scratch);
-  return std::vector<Label>(scratch.begin(), scratch.end());
-}
-
 void ProtocolLut::lookup_into(u8 proto, hw::CycleRecorder* rec,
                               LabelVec& out) const {
   hw::WordUnpacker u(lut_.read(proto, rec));

@@ -45,11 +45,8 @@ class ProtocolLut {
 
   // ---- hardware-side lookup path ----
 
-  /// Matching labels for protocol byte \p proto: [exact?, wildcard?].
-  [[nodiscard]] std::vector<Label> lookup(u8 proto,
-                                          hw::CycleRecorder* rec) const;
-
-  /// Allocation-free lookup() into caller-owned scratch.
+  /// Append the matching labels for protocol byte \p proto to \p out:
+  /// [exact?, wildcard?].
   void lookup_into(u8 proto, hw::CycleRecorder* rec, LabelVec& out) const;
 
   [[nodiscard]] Label lookup_first(u8 proto, hw::CycleRecorder* rec) const;

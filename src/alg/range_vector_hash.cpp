@@ -100,7 +100,7 @@ void RangeVectorHash::write_entry(u32 slot, hw::CommandLog& log) {
 }
 
 void RangeVectorHash::place_entry(ruleset::SegmentPrefix p,
-                                  std::vector<Label> list,
+                                  const std::vector<Label>& list,
                                   hw::CommandLog& log) {
   u32 slot = home_slot(p);
   for (u32 probes = 0;; ++probes) {
@@ -116,7 +116,6 @@ void RangeVectorHash::place_entry(ruleset::SegmentPrefix p,
   e.valid = true;
   e.prefix = p;
   e.ref = lists_.acquire(list, log);
-  e.list = std::move(list);
   ++live_entries_;
   // §V.A: one hash-unit cycle to obtain the entry address, then the word.
   log.hash_compute();
@@ -153,11 +152,10 @@ void RangeVectorHash::refresh_entry(ruleset::SegmentPrefix p,
                                     hw::CommandLog& log) {
   const u32 slot = find_slot(p);
   SwEntry& e = slots_[slot];
-  std::vector<Label> fresh = compute_list(p);
-  if (fresh == e.list) return;
+  const std::vector<Label> fresh = compute_list(p);
+  if (std::ranges::equal(fresh, lists_.content(e.ref))) return;
   const ListRef new_ref = lists_.acquire(fresh, log);
   lists_.release(e.ref);
-  e.list = std::move(fresh);
   e.ref = new_ref;
   write_entry(slot, log);
 }

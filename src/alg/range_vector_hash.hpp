@@ -95,8 +95,7 @@ class RangeVectorHash {
   struct SwEntry {
     bool valid = false;
     ruleset::SegmentPrefix prefix{};
-    std::vector<Label> list;  ///< covering labels, priority-ordered
-    ListRef ref{};
+    ListRef ref{};  ///< covering labels, priority-ordered
   };
 
   [[nodiscard]] u32 home_slot(ruleset::SegmentPrefix p) const;
@@ -105,7 +104,7 @@ class RangeVectorHash {
   [[nodiscard]] std::vector<Label> compute_list(
       ruleset::SegmentPrefix p) const;
   void write_entry(u32 slot, hw::CommandLog& log);
-  void place_entry(ruleset::SegmentPrefix p, std::vector<Label> list,
+  void place_entry(ruleset::SegmentPrefix p, const std::vector<Label>& list,
                    hw::CommandLog& log);
   void erase_entry(ruleset::SegmentPrefix p, hw::CommandLog& log);
   /// Recompute + re-upload the covering list of one live prefix if it

@@ -20,6 +20,8 @@ hw::SharedRole role_of(IpAlgorithm a) {
 }
 
 constexpr unsigned kSharedWordBits = 33;  // max(MBT entry 29, BST node 33)
+/// Safety bound on CrossProduct probes per packet.
+constexpr u64 kMaxCrossproductProbes = u64{1} << 20;
 
 /// Dimension order of the exact combine's search and of its prefix
 /// tables: destination before source and IP before ports, the order
@@ -120,7 +122,7 @@ ConfigurableClassifier::ConfigurableClassifier(ClassifierConfig cfg)
   proto_lut_ = std::make_unique<alg::ProtocolLut>("proto");
   rule_filter_ = std::make_unique<RuleFilter>(
       "rule_filter", cfg_.rule_filter_depth, cfg_.rule_filter_max_probes,
-      cfg_.hash_seed);
+      hash_seed_);
 }
 
 ConfigurableClassifier::~ConfigurableClassifier() = default;
@@ -437,9 +439,9 @@ void ConfigurableClassifier::filter_insert_with_reseed(
       bool reseeded = false;
       while (!reseeded && reseed_attempts_ < kMaxReseeds) {
         ++reseed_attempts_;
-        cfg_.hash_seed = mix64(cfg_.hash_seed + reseed_attempts_);
+        hash_seed_ = mix64(hash_seed_ + reseed_attempts_);
         try {
-          rule_filter_->reseed(cfg_.hash_seed, log);
+          rule_filter_->reseed(hash_seed_, log);
           reseeded = true;
         } catch (const CapacityError&) {
           // candidate seed also clusters; try the next one
@@ -666,7 +668,7 @@ ConfigurableClassifier::CombineOutcome ConfigurableClassifier::combine_exact(
       if (res.match && b > res.match->priority) break;
       combo[index_of(dim)] = l;
       if (j + 1 == kNumDimensions) {
-        if (++res.probes > cfg_.max_crossproduct_probes) {
+        if (++res.probes > kMaxCrossproductProbes) {
           throw InternalError("combine: probe bound exceeded — label "
                               "lists pathologically long");
         }

@@ -116,9 +116,6 @@ class ConfigurableClassifier {
   /// newly selected engines from the label tables. Returns the cost.
   hw::UpdateStats set_ip_algorithm(IpAlgorithm alg);
 
-  /// Phase-3 policy (software decision; free).
-  void set_combine_mode(CombineMode mode) { cfg_.combine_mode = mode; }
-
   // ---- data-plane API (lookup path) ----
 
   /// Classify a parsed 5-tuple. Charges per the ClassifyResult
@@ -268,6 +265,9 @@ class ConfigurableClassifier {
                                  hw::CommandLog& log);
 
   ClassifierConfig cfg_;
+  /// Rule Filter hash seed; each reseed steps it (the controller
+  /// re-seeds on pathological clustering).
+  u64 hash_seed_ = 0x9E3779B97F4A7C15ULL;
   u32 reseed_attempts_ = 0;
   // Controller-side label bookkeeping.
   std::array<alg::LabelTable<ruleset::SegmentPrefix>, 4> ip_tables_;

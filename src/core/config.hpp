@@ -70,10 +70,6 @@ struct ClassifierConfig {
   u32 rule_filter_depth = 8192;
   /// Linear-probe bound before the controller must intervene.
   u32 rule_filter_max_probes = 64;
-  /// Hash seed (the controller can re-seed on pathological clustering).
-  u64 hash_seed = 0x9E3779B97F4A7C15ULL;
-  /// Safety bound on CrossProduct probes per packet.
-  u32 max_crossproduct_probes = 1u << 20;
   /// Share one physical block per IP dimension between the MBT level-2
   /// and the BST nodes (Fig. 5). When false each engine owns its memory.
   bool share_ip_memory = true;

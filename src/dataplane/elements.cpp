@@ -232,10 +232,8 @@ void ActionSink::push_batch(net::PacketBatch& batch) {
       CapturedVerdict cv;
       if (m.tuple) cv.tuple = *m.tuple;
       cv.parse_error = m.parse_error;
-      cv.matched = m.matched;
-      cv.rule = m.rule;
-      cv.priority = m.priority;
-      cv.action_token = m.action_token;
+      if (m.matched) cv.match = core::RuleEntry{m.rule, m.priority,
+                                                m.action_token};
       cv.version = batch.rule_version;
       cv.cycles = m.lookup_cycles;
       cv.memory_accesses = m.memory_accesses;

@@ -1,7 +1,6 @@
 #include "dataplane/engine.hpp"
 
 #include <chrono>
-#include <limits>
 
 namespace pclass::dataplane {
 
@@ -13,6 +12,11 @@ using Clock = std::chrono::steady_clock;
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
+
+/// Drained spans kept for the export with collect_trace (a loop-mode run
+/// makes millions; chrome://tracing chokes far earlier). The rest still
+/// drain and count in the trace_events_truncated engine row.
+constexpr usize kTraceKeepLimit = usize{1} << 15;
 }  // namespace
 
 // ---- Engine ---------------------------------------------------------------
@@ -83,8 +87,8 @@ void Engine::start(TrafficPool& pool) {
   for (usize s = 0; s < nworkers; ++s) {
     telemetry::WorkerTelemetry* tel = nullptr;
     if (cfg_.telemetry) {
-      tel_.push_back(std::make_unique<telemetry::WorkerTelemetry>(
-          static_cast<u32>(s), cfg_.trace_ring_capacity));
+      tel_.push_back(
+          std::make_unique<telemetry::WorkerTelemetry>(static_cast<u32>(s)));
       tel = tel_.back().get();
     }
     auto sh = std::make_unique<Shard>();
@@ -475,9 +479,7 @@ EngineReport Engine::finish(bool signal_stop) {
 }
 
 usize Engine::trace_keep() const {
-  if (!cfg_.collect_trace) return 0;
-  return cfg_.trace_keep_limit == 0 ? std::numeric_limits<usize>::max()
-                                    : cfg_.trace_keep_limit;
+  return cfg_.collect_trace ? kTraceKeepLimit : 0;
 }
 
 EngineReport Engine::run(TrafficPool& pool) {

@@ -79,15 +79,6 @@ struct EngineConfig {
   /// chrome://tracing export). Off: rings are still written and drop
   /// accounting still works, but drains discard the payload.
   bool collect_trace = false;
-  /// Per-worker TraceRing capacity in events (rounded up to a power of
-  /// two). Sized so one sampler interval's batches fit comfortably.
-  usize trace_ring_capacity = telemetry::TraceRing::kDefaultCapacity;
-  /// With collect_trace, retain at most this many drained spans for the
-  /// export — a loop-mode run can produce millions, and chrome://tracing
-  /// chokes far earlier. Spans past the limit still drain (drop
-  /// accounting stays exact) and are counted in
-  /// the trace_events_truncated engine row. 0 = unlimited.
-  usize trace_keep_limit = usize{1} << 15;
   /// Record every packet's verdict (arrival order, per shard) into
   /// EngineReport::captured — the sharded differential fuzzer's hook.
   /// Finite runs only.
@@ -236,8 +227,8 @@ class Engine {
   [[nodiscard]] EngineReport collect() const;
   /// WorkerReport for one shard's elements (worker = shard index).
   [[nodiscard]] WorkerReport shard_report(const Shard& s) const;
-  /// Effective trace retention cap: 0 = not collecting, SIZE_MAX =
-  /// collecting without a limit.
+  /// How many drained spans the engine retains for the export (0 when
+  /// not collecting).
   [[nodiscard]] usize trace_keep() const;
 
   EngineConfig cfg_;

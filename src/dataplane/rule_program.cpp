@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <thread>
 
-#include "baseline/linear_search.hpp"
 #include "telemetry/trace_ring.hpp"
 
 namespace pclass::dataplane {
@@ -14,23 +13,6 @@ ruleset::RuleSet installed_ruleset(const core::ConfigurableClassifier& clf) {
     rules.add_verbatim(rule);
   }
   return rules;
-}
-
-OracleCheck check_against_oracle(const core::ConfigurableClassifier& clf,
-                                 const net::Trace& trace) {
-  const baseline::LinearSearch oracle(installed_ruleset(clf));
-  OracleCheck c;
-  for (const auto& e : trace) {
-    const auto got = clf.classify(e.header);
-    const ruleset::Rule* want = oracle.classify(e.header, nullptr);
-    if (want != nullptr) ++c.oracle_matched;
-    const bool agree = want == nullptr
-                           ? !got.match.has_value()
-                           : got.match && got.match->rule == want->id;
-    ++c.checked;
-    if (!agree) ++c.mismatches;
-  }
-  return c;
 }
 
 RuleProgramPublisher::RuleProgramPublisher(core::ClassifierConfig cfg)
@@ -172,6 +154,79 @@ hw::UpdateStats RuleProgramPublisher::install_ruleset(
         sdn::FlowMod::add(r, sdn::ActionSpec::decode(r.action.token)));
   }
   return apply_batch(msgs);
+}
+
+namespace {
+
+/// The oracle's verdict: \p want's entry, or nullopt on a miss.
+Verdict verdict_of(const ruleset::Rule* want) {
+  if (want == nullptr) return std::nullopt;
+  return core::RuleEntry{want->id, want->priority, want->action.token};
+}
+
+std::string to_string(const Verdict& v) {
+  if (!v) return "miss";
+  return "rule " + std::to_string(v->rule.value) + " (priority " +
+         std::to_string(v->priority) + ", action " +
+         std::to_string(v->action) + ")";
+}
+
+/// "version V, header H: " (no version for a snapshot check), the
+/// prefix of a disagreement's name.
+std::string where(std::optional<u64> version, const net::FiveTuple& h) {
+  return (version ? "version " + std::to_string(*version) + ", " : "") +
+         "header " + net::to_string(h) + ": ";
+}
+
+}  // namespace
+
+bool SnapshotOracle::judge(const net::FiveTuple& h, const Verdict& got,
+                           OracleCheck& c, std::optional<u64> version) const {
+  const Verdict want = verdict_of(oracle_.classify(h, nullptr));
+  ++c.checked;
+  if (want) ++c.oracle_matched;
+  if (got == want) return true;
+  if (c.mismatches++ == 0) {
+    c.first_mismatch = where(version, h) + "got " + to_string(got) +
+                       ", want " + to_string(want);
+  }
+  return false;
+}
+
+OracleCheck SnapshotOracle::check(const core::ConfigurableClassifier& clf,
+                                  const net::Trace& trace) const {
+  OracleCheck c;
+  for (const auto& e : trace) judge(e.header, clf.classify(e.header).match, c);
+  return c;
+}
+
+OracleCheck check_against_oracle(const core::ConfigurableClassifier& clf,
+                                 const net::Trace& trace) {
+  return SnapshotOracle(installed_ruleset(clf)).check(clf, trace);
+}
+
+void VersionedOracle::record(const RuleProgramPublisher& pub) {
+  const std::shared_ptr<const RuleProgram> prog = pub.acquire();
+  rules_.insert_or_assign(prog->version(),
+                          installed_ruleset(prog->classifier()));
+}
+
+bool VersionedOracle::judge(const CapturedVerdict& cv) {
+  const char* fault = cv.parse_error ? "parse error" : nullptr;
+  auto built = oracles_.find(cv.version);
+  if (fault == nullptr && built == oracles_.end()) {
+    const auto rules = rules_.find(cv.version);
+    if (rules == rules_.end()) fault = "version never published";
+    else built = oracles_.try_emplace(cv.version, rules->second).first;
+  }
+  if (fault == nullptr) {
+    return built->second.judge(cv.tuple, cv.match, check_, cv.version);
+  }
+  ++check_.checked;
+  if (check_.mismatches++ == 0) {
+    check_.first_mismatch = where(cv.version, cv.tuple) + fault;
+  }
+  return false;
 }
 
 }  // namespace pclass::dataplane

@@ -25,18 +25,31 @@
 /// worker holding per-flow state made at an older version (its flow
 /// cache) can drop only what those updates change, without touching
 /// the writer side.
+///
+/// The module also holds the one judge of every verdict:
+/// baseline::LinearSearch over the rules a device holds. The paper's
+/// phase 4 returns the highest-priority matching rule and its action, so
+/// a verdict agrees only when it and the oracle both miss, or both hit
+/// with the same rule id, priority and action token. SnapshotOracle
+/// judges against one rule set (a caller's expected set, or a device's
+/// installed rules); VersionedOracle judges captured verdicts, each
+/// against the rules of the snapshot version it was stamped with.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "baseline/linear_search.hpp"
 #include "core/classifier.hpp"
+#include "dataplane/stats.hpp"
 #include "net/trace.hpp"
 #include "sdn/southbound.hpp"
 #include "telemetry/counters.hpp"
@@ -97,25 +110,6 @@ class RuleProgram {
   std::vector<sdn::Message> replayed_;
   u64 replayed_from_ = 0;
 };
-
-/// The rules installed in \p clf, added verbatim: the installed
-/// priorities are authoritative (baseline::LinearSearch orders by them
-/// itself), so no back-fill may run.
-[[nodiscard]] ruleset::RuleSet installed_ruleset(
-    const core::ConfigurableClassifier& clf);
-
-/// Per-header agreement of a classifier with the linear-search oracle.
-struct OracleCheck {
-  usize checked = 0;         ///< headers re-classified
-  usize mismatches = 0;      ///< headers where the two verdicts differ
-  usize oracle_matched = 0;  ///< headers the oracle matches
-};
-
-/// Re-classify every \p trace header with \p clf and compare the rule
-/// with baseline::LinearSearch over clf's own installed rules. Exact
-/// only in CombineMode::kCrossProduct.
-[[nodiscard]] OracleCheck check_against_oracle(
-    const core::ConfigurableClassifier& clf, const net::Trace& trace);
 
 /// Counters of the publisher's write side (see fill_counters).
 struct PublisherStats {
@@ -232,6 +226,77 @@ class RuleProgramPublisher : public sdn::UpdateSink {
   PublisherStats stats_;
   telemetry::PublishClock publish_clock_;
   std::function<void()> fault_hook_;  ///< see set_fault_hook
+};
+
+/// The rules installed in \p clf, added verbatim: the installed
+/// priorities are authoritative (baseline::LinearSearch orders by them
+/// itself), so no back-fill may run.
+[[nodiscard]] ruleset::RuleSet installed_ruleset(
+    const core::ConfigurableClassifier& clf);
+
+/// A verdict: the matched rule's entry, or nullopt on a miss. A verdict
+/// agrees with the oracle's iff the two are equal: both miss, or both
+/// hit with the same rule id, priority and action token.
+using Verdict = std::optional<core::RuleEntry>;
+
+/// Tally of judged verdicts.
+struct OracleCheck {
+  usize checked = 0;         ///< verdicts judged
+  usize mismatches = 0;      ///< verdicts that disagree with the oracle
+  usize oracle_matched = 0;  ///< judged headers the oracle matches
+  /// The first disagreement (version, header, got, want); empty if none.
+  std::string first_mismatch;
+
+  [[nodiscard]] bool ok() const { return mismatches == 0; }
+};
+
+/// LinearSearch over one rule set.
+class SnapshotOracle {
+ public:
+  explicit SnapshotOracle(const ruleset::RuleSet& rules) : oracle_(rules) {}
+
+  /// Judge \p got as the verdict for header \p h into \p c; \p version,
+  /// when given, names the snapshot in a disagreement. True if it agreed.
+  bool judge(const net::FiveTuple& h, const Verdict& got, OracleCheck& c,
+             std::optional<u64> version = std::nullopt) const;
+
+  /// Re-classify every \p trace header with \p clf and judge it. Exact
+  /// only in CombineMode::kCrossProduct.
+  [[nodiscard]] OracleCheck check(const core::ConfigurableClassifier& clf,
+                                  const net::Trace& trace) const;
+
+ private:
+  baseline::LinearSearch oracle_;
+};
+
+/// \p clf re-classifying \p trace, judged against its own installed
+/// rules.
+[[nodiscard]] OracleCheck check_against_oracle(
+    const core::ConfigurableClassifier& clf, const net::Trace& trace);
+
+/// Version -> oracle over exactly the rules installed at that published
+/// version. One writer thread record()s; judging starts once it is done
+/// (no locking). Oracles build lazily: most versions see few verdicts.
+class VersionedOracle {
+ public:
+  /// Record \p pub's current snapshot: after the install and after
+  /// every publish.
+  void record(const RuleProgramPublisher& pub);
+
+  /// Judge \p cv at its stamped version. A verdict stamped with a
+  /// never-recorded version (a torn or fabricated snapshot) or carrying
+  /// a parse error is a mismatch.
+  bool judge(const CapturedVerdict& cv);
+  void judge(std::span<const CapturedVerdict> stream) {
+    for (const CapturedVerdict& cv : stream) judge(cv);
+  }
+
+  [[nodiscard]] const OracleCheck& result() const { return check_; }
+
+ private:
+  std::map<u64, ruleset::RuleSet> rules_;
+  std::map<u64, SnapshotOracle> oracles_;
+  OracleCheck check_;
 };
 
 }  // namespace pclass::dataplane

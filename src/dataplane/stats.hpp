@@ -9,11 +9,13 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
+#include "core/rule_filter.hpp"
 #include "net/five_tuple.hpp"
 #include "telemetry/counters.hpp"
 #include "telemetry/sample.hpp"
@@ -23,16 +25,13 @@ namespace pclass::dataplane {
 
 /// One packet's verdict as the ActionSink saw it, in arrival order
 /// (EngineConfig::capture_verdicts). `version` is the rule-program
-/// snapshot the batch was classified against, which is
-/// what lets the sharded differential fuzzer check every verdict
-/// against a LinearSearch oracle built at exactly that version.
+/// snapshot the batch was classified against, which is what lets a
+/// dataplane::VersionedOracle judge every verdict against the rules of
+/// exactly that version.
 struct CapturedVerdict {
   net::FiveTuple tuple{};
   bool parse_error = false;
-  bool matched = false;
-  RuleId rule{};
-  Priority priority = 0;
-  u32 action_token = 0;
+  std::optional<core::RuleEntry> match;  ///< nullopt on a miss
   u64 version = 0;        ///< batch's snapshot version
   u64 cycles = 0;         ///< modelled lookup cycles for this packet
   u64 memory_accesses = 0;

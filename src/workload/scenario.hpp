@@ -3,10 +3,11 @@
 /// combinations driven through the dataplane Engine with a
 /// machine-readable result per scenario.
 ///
-/// Every scenario is oracle-verified: each distinct header the engine
-/// classified is re-classified against the published RuleProgram
-/// snapshot and compared with baseline::LinearSearch ground truth
-/// (CrossProduct combine mode, so agreement must be exact). A scenario
+/// Every scenario is verified by the dataplane's verdict judge (rule id,
+/// priority and action must all equal baseline::LinearSearch's, in
+/// CrossProduct combine mode, so agreement must be exact): chaos judges
+/// every delivered verdict at its snapshot version, every other scenario
+/// re-classifies its trace on the final published snapshot. A scenario
 /// with any mismatch, worker error or non-monotonic snapshot version
 /// reports !ok(), which the pclass_scenario tool turns into a nonzero
 /// exit for CI.

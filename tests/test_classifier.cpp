@@ -8,10 +8,10 @@
 #include <tuple>
 #include <vector>
 
-#include "baseline/linear_search.hpp"
 #include "common/hash.hpp"
 #include "common/random.hpp"
 #include "core/classifier.hpp"
+#include "dataplane/rule_program.hpp"
 #include "ruleset/generator.hpp"
 #include "ruleset/stats.hpp"
 #include "ruleset/trace_gen.hpp"
@@ -41,21 +41,6 @@ net::Trace trace_for(const RuleSet& rs, usize n, u64 seed = 77) {
                              {.headers = n, .random_fraction = 0.1,
                               .seed = seed});
   return tg.generate();
-}
-
-usize count_mismatches(const ConfigurableClassifier& clf,
-                       const baseline::LinearSearch& oracle,
-                       const net::Trace& trace) {
-  usize mism = 0;
-  for (const auto& e : trace) {
-    const auto got = clf.classify(e.header);
-    const auto* want = oracle.classify(e.header, nullptr);
-    if (want == nullptr ? got.match.has_value()
-                        : (!got.match || got.match->rule != want->id)) {
-      ++mism;
-    }
-  }
-  return mism;
 }
 
 }  // namespace
@@ -92,9 +77,9 @@ TEST(Classifier, FirstLabelDisagreementIsMeasuredNotHidden) {
   ConfigurableClassifier clf(
       cfg_for(rs, CombineMode::kFirstLabel, IpAlgorithm::kMbt));
   clf.add_rules(rs);
-  baseline::LinearSearch oracle(rs);
+  dataplane::SnapshotOracle oracle(rs);
   const auto trace = trace_for(rs, 2000);
-  const usize mism = count_mismatches(clf, oracle, trace);
+  const usize mism = oracle.check(clf, trace).mismatches;
   const double agreement =
       1.0 - static_cast<double>(mism) / static_cast<double>(trace.size());
   fprintf(stderr, "[info] first-label agreement on %s: %.3f\n",
@@ -114,14 +99,9 @@ TEST(Classifier, IncrementalAddsEqualBulkLoad) {
     inc.add_rule(r);
   }
   const auto trace = trace_for(rs, 1000);
-  for (const auto& e : trace) {
-    const auto a = bulk.classify(e.header);
-    const auto b = inc.classify(e.header);
-    EXPECT_EQ(a.match.has_value(), b.match.has_value());
-    if (a.match && b.match) {
-      EXPECT_EQ(a.match->rule, b.match->rule);
-    }
-  }
+  const dataplane::SnapshotOracle oracle(rs);
+  EXPECT_EQ(oracle.check(bulk, trace).mismatches, 0u);
+  EXPECT_EQ(oracle.check(inc, trace).mismatches, 0u);
 }
 
 TEST(Classifier, RemovalRestoresOracleEquivalence) {
@@ -140,8 +120,8 @@ TEST(Classifier, RemovalRestoresOracleEquivalence) {
     }
   }
   EXPECT_EQ(clf.rule_count(), reduced.size());
-  baseline::LinearSearch oracle(reduced);
-  EXPECT_EQ(count_mismatches(clf, oracle, trace_for(rs, 1000)), 0u);
+  dataplane::SnapshotOracle oracle(reduced);
+  EXPECT_EQ(oracle.check(clf, trace_for(rs, 1000)).mismatches, 0u);
 }
 
 TEST(Classifier, RemoveAllLeavesEmptyDevice) {
@@ -165,19 +145,19 @@ TEST(Classifier, AlgorithmSwitchPreservesSemantics) {
   ConfigurableClassifier clf(
       cfg_for(rs, CombineMode::kCrossProduct, IpAlgorithm::kMbt));
   clf.add_rules(rs);
-  baseline::LinearSearch oracle(rs);
+  dataplane::SnapshotOracle oracle(rs);
   const auto trace = trace_for(rs, 500);
-  EXPECT_EQ(count_mismatches(clf, oracle, trace), 0u);
+  EXPECT_EQ(oracle.check(clf, trace).mismatches, 0u);
 
   const auto cost = clf.set_ip_algorithm(IpAlgorithm::kBst);
   EXPECT_GT(cost.cycles, 0u);
   EXPECT_GT(cost.config_toggles, 0u);
   EXPECT_EQ(clf.ip_algorithm(), IpAlgorithm::kBst);
-  EXPECT_EQ(count_mismatches(clf, oracle, trace), 0u);
+  EXPECT_EQ(oracle.check(clf, trace).mismatches, 0u);
 
   // And back again.
   clf.set_ip_algorithm(IpAlgorithm::kMbt);
-  EXPECT_EQ(count_mismatches(clf, oracle, trace), 0u);
+  EXPECT_EQ(oracle.check(clf, trace).mismatches, 0u);
 }
 
 TEST(Classifier, SwitchToSameAlgorithmIsFree) {
@@ -355,8 +335,8 @@ TEST(Classifier, FailedAddKeepsDeviceCorrect) {
     }
   }
   ASSERT_GT(failures, 0u);
-  baseline::LinearSearch oracle(installed);
-  EXPECT_EQ(count_mismatches(clf, oracle, trace_for(rs, 500)), 0u);
+  dataplane::SnapshotOracle oracle(installed);
+  EXPECT_EQ(oracle.check(clf, trace_for(rs, 500)).mismatches, 0u);
 }
 
 TEST(Classifier, RejectedWideRuleLeaksNoLabels) {
@@ -664,9 +644,9 @@ TEST(Classifier, ModesAgreeOnDisjointRules) {
   ConfigurableClassifier clf(
       cfg_for(rs, CombineMode::kFirstLabel, IpAlgorithm::kMbt));
   clf.add_rules(rs);
-  baseline::LinearSearch oracle(rs);
+  dataplane::SnapshotOracle oracle(rs);
   const auto trace = trace_for(rs, 500, 123);
-  EXPECT_EQ(count_mismatches(clf, oracle, trace), 0u);
+  EXPECT_EQ(oracle.check(clf, trace).mismatches, 0u);
 }
 
 TEST(Classifier, PrunedCombineKeepsEqualPriorityTieBreak) {
@@ -713,8 +693,9 @@ TEST(Classifier, PrunedCombineKeepsEqualPriorityTieBreak) {
       EXPECT_EQ(got.match->rule, RuleId{3});
       // One probe per matching rule; every other combination is pruned.
       EXPECT_EQ(got.crossproduct_probes, 2u);
-      const baseline::LinearSearch oracle(rs);
-      EXPECT_EQ(oracle.classify(h, nullptr)->id, RuleId{3});
+      dataplane::OracleCheck check;
+      EXPECT_TRUE(dataplane::SnapshotOracle(rs).judge(h, got.match, check))
+          << check.first_mismatch;
     }
   }
 }
@@ -790,16 +771,15 @@ TEST(Classifier, PrefixTablesStayExactAcrossUpdates) {
     EXPECT_THROW(clf.add_rules(bulk), CapacityError);
     ASSERT_TRUE(clf.installed_rule(earlier.id).has_value());
 
-    RuleSet installed("installed");
-    for (const Rule& r : clf.installed_rules()) installed.add_verbatim(r);
+    const RuleSet installed = dataplane::installed_ruleset(clf);
     ConfigurableClassifier fresh(cfg);
     fresh.add_rules(installed);
     const auto rows = prefix_rows(clf);
     EXPECT_EQ(rows.size(), 5u);
     EXPECT_EQ(rows, prefix_rows(fresh));
 
-    const baseline::LinearSearch oracle(installed);
+    const dataplane::SnapshotOracle oracle(installed);
     const net::Trace trace = trace_for(installed, 1000, 5);
-    EXPECT_EQ(count_mismatches(clf, oracle, trace), 0u);
+    EXPECT_EQ(oracle.check(clf, trace).mismatches, 0u);
   }
 }

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "baseline/linear_search.hpp"
 #include "core/classifier.hpp"
 #include "dataplane/engine.hpp"
 #include "workload/ruleset_synth.hpp"
@@ -96,11 +95,11 @@ TEST_P(ClassifyBatch, EqualsClassifyFieldForField) {
     for (const auto& t : in) want.push_back(clf.classify(t));
 
     if (dc.mode == core::CombineMode::kCrossProduct) {
-      const baseline::LinearSearch oracle(shape.rules);
+      const dataplane::SnapshotOracle oracle(shape.rules);
+      dataplane::OracleCheck check;
       for (usize i = 0; i < in.size(); ++i) {
-        const ruleset::Rule* r = oracle.classify(in[i], nullptr);
-        ASSERT_EQ(want[i].match.has_value(), r != nullptr) << "packet " << i;
-        if (r != nullptr) ASSERT_EQ(want[i].match->rule, r->id);
+        ASSERT_TRUE(oracle.judge(in[i], want[i].match, check))
+            << "packet " << i << ": " << check.first_mismatch;
       }
     }
 
@@ -167,8 +166,7 @@ TEST(ClassifyBatch, DataplaneWorkerChargesScalarCosts) {
   for (usize i = 0; i < rep.captured[0].size(); ++i) {
     const dataplane::CapturedVerdict& v = rep.captured[0][i];
     const core::ClassifyResult want = clf.classify(v.tuple);
-    ASSERT_EQ(v.matched, want.match.has_value()) << "packet " << i;
-    if (want.match) ASSERT_EQ(v.rule, want.match->rule) << "packet " << i;
+    ASSERT_EQ(v.match, want.match) << "packet " << i;
     ASSERT_EQ(v.cycles, want.cycles) << "packet " << i;
     ASSERT_EQ(v.memory_accesses, want.memory_accesses) << "packet " << i;
   }

@@ -8,7 +8,6 @@
 #include <optional>
 #include <thread>
 
-#include "baseline/linear_search.hpp"
 #include "common/error.hpp"
 #include "dataplane/engine.hpp"
 #include "ruleset/generator.hpp"
@@ -395,12 +394,10 @@ TEST(Engine, MultiWorkerMatchesSingleThreadedOracle) {
   ruleset::TraceGenerator tg(rules, {.headers = 2000, .seed = 5});
   const auto trace = tg.generate();
 
-  // Single-threaded reference counts.
-  baseline::LinearSearch oracle(rules);
-  usize want_matched = 0;
-  for (const auto& e : trace) {
-    if (oracle.classify(e.header, nullptr) != nullptr) ++want_matched;
-  }
+  // Single-threaded reference: the snapshot judged by the oracle.
+  const OracleCheck want =
+      SnapshotOracle(rules).check(programs.acquire()->classifier(), trace);
+  ASSERT_TRUE(want.ok()) << want.first_mismatch;
 
   TrafficPool pool = TrafficPool::from_trace(trace, /*materialize=*/false);
   Engine engine({.workers = 3, .batch_size = 32, .flow_cache_depth = 1024},
@@ -408,7 +405,7 @@ TEST(Engine, MultiWorkerMatchesSingleThreadedOracle) {
   const EngineReport rep = engine.run(pool);
 
   EXPECT_EQ(rep.packets(), trace.size());
-  EXPECT_EQ(rep.matched(), want_matched);
+  EXPECT_EQ(rep.matched(), want.oracle_matched);
   EXPECT_TRUE(merge_reports(0, rep.workers).version_monotonic);
   // Work was actually spread over the workers: each drains its own
   // steered slice of the 2000 packets, however late its thread starts.

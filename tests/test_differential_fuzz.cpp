@@ -5,7 +5,8 @@
 //   x IP lookup backends {mbt, bst, rvh}
 //   x batch sizes {1, 32, 256}
 // and drives the trace through classify_batch(). Every packet's verdict
-// is checked against baseline::LinearSearch over the installed rules
+// is judged by dataplane::SnapshotOracle: rule id, priority and action
+// token must equal baseline::LinearSearch's over the installed rules
 // (semantic ground truth).
 //
 // Half the iterations interleave random update-path mutations
@@ -22,9 +23,9 @@
 // fuzzer: real Engines (1-4 workers, one steered shard each) with
 // verdict capture on, while a concurrent
 // mutator streams rule updates through the RuleProgramPublisher
-// mid-classification. Every captured verdict is checked against a
-// LinearSearch oracle reconstructed at exactly the rule-program
-// version the verdict was stamped with, plus the steering invariant
+// mid-classification. Every captured verdict is judged by a
+// dataplane::VersionedOracle at exactly the rule-program version the
+// verdict was stamped with, plus the steering invariant
 // (each verdict's tuple hashes to the shard that logged it).
 #include <gtest/gtest.h>
 
@@ -33,7 +34,6 @@
 #include <atomic>
 #include <barrier>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -41,7 +41,6 @@
 #include <thread>
 #include <vector>
 
-#include "baseline/linear_search.hpp"
 #include "common/error.hpp"
 #include "common/random.hpp"
 #include "core/classifier.hpp"
@@ -101,17 +100,6 @@ FuzzConfig draw_config(Rng& rng, u64 seed) {
   return c;
 }
 
-/// Rebuild the linear-search oracle from what the classifier actually
-/// has installed (priorities verbatim — no back-fill).
-std::unique_ptr<baseline::LinearSearch> make_oracle(
-    const core::ConfigurableClassifier& clf) {
-  ruleset::RuleSet rs("oracle");
-  for (const ruleset::Rule& r : clf.installed_rules()) {
-    rs.add_verbatim(r);
-  }
-  return std::make_unique<baseline::LinearSearch>(rs);
-}
-
 /// Apply 1..4 random update-path mutations: remove an installed rule,
 /// re-add a previously removed one, or rewrite an action in place.
 void mutate(core::ConfigurableClassifier& clf, Rng& rng,
@@ -160,14 +148,14 @@ void run_config(const FuzzConfig& c) {
   core::ConfigurableClassifier clf(cfg);
   clf.add_rules(rules);
 
-  std::unique_ptr<baseline::LinearSearch> oracle = make_oracle(clf);
+  dataplane::SnapshotOracle oracle(dataplane::installed_ruleset(clf));
+  dataplane::OracleCheck check;
   std::vector<ruleset::Rule> removed;
 
   std::vector<net::FiveTuple> in;
   std::vector<core::ClassifyResult> out;
 
   usize off = 0;
-  usize checked = 0;
   while (off < trace.size()) {
     const usize len = std::min(c.batch, trace.size() - off);
     in.clear();
@@ -176,16 +164,9 @@ void run_config(const FuzzConfig& c) {
     clf.classify_batch(in, out);
 
     for (usize k = 0; k < len; ++k) {
-      const bool batch_match = out[k].match.has_value();
-      const ruleset::Rule* want = oracle->classify(in[k], nullptr);
-      if (want == nullptr) {
-        ASSERT_FALSE(batch_match) << c.describe() << " pkt " << off + k;
-      } else {
-        ASSERT_TRUE(batch_match) << c.describe() << " pkt " << off + k;
-        ASSERT_EQ(out[k].match->rule, want->id)
-            << c.describe() << " pkt " << off + k;
-      }
-      ++checked;
+      ASSERT_TRUE(oracle.judge(in[k], out[k].match, check))
+          << c.describe() << " pkt " << off + k << ": "
+          << check.first_mismatch;
     }
     off += len;
 
@@ -193,10 +174,10 @@ void run_config(const FuzzConfig& c) {
     // against the rebuilt oracle.
     if (c.updates && off < trace.size() && rng.below(4) == 0) {
       mutate(clf, rng, removed);
-      oracle = make_oracle(clf);
+      oracle = dataplane::SnapshotOracle(dataplane::installed_ruleset(clf));
     }
   }
-  ASSERT_EQ(checked, trace.size()) << c.describe();
+  ASSERT_EQ(check.checked, trace.size()) << c.describe();
 }
 
 }  // namespace
@@ -278,65 +259,6 @@ ShardFuzzConfig draw_shard_config(Rng& rng, u64 seed) {
   return c;
 }
 
-/// Version -> LinearSearch oracle over the rules that were installed at
-/// exactly that published version. The single mutator thread record()s
-/// after every publish (and once for the initial install), so by join
-/// time every version a worker could have stamped a verdict with has an
-/// entry. Oracles build lazily — most versions are only ever hit by a
-/// few batches.
-class VersionedOracles {
- public:
-  void record(const dataplane::RuleProgramPublisher& pub) {
-    const std::shared_ptr<const dataplane::RuleProgram> prog = pub.acquire();
-    ruleset::RuleSet rs("v" + std::to_string(prog->version()));
-    for (const ruleset::Rule& r : prog->classifier().installed_rules()) {
-      rs.add_verbatim(r);
-    }
-    rules_.insert_or_assign(prog->version(), std::move(rs));
-  }
-
-  /// Oracle for \p version, or nullptr if that version was never
-  /// published (a stamped verdict with an unknown version is itself a
-  /// bug — it means a worker saw a torn or fabricated snapshot).
-  [[nodiscard]] const baseline::LinearSearch* at(u64 version) {
-    const auto built = oracles_.find(version);
-    if (built != oracles_.end()) return built->second.get();
-    const auto it = rules_.find(version);
-    if (it == rules_.end()) return nullptr;
-    auto oracle = std::make_unique<baseline::LinearSearch>(it->second);
-    return oracles_.emplace(version, std::move(oracle)).first->second.get();
-  }
-
- private:
-  std::map<u64, ruleset::RuleSet> rules_;
-  std::map<u64, std::unique_ptr<baseline::LinearSearch>> oracles_;
-};
-
-/// \p cv against the oracle at the version it was stamped with: match,
-/// rule, priority and action token (a verdict carrying the pre-modify
-/// action at a post-modify version is a stale serve).
-::testing::AssertionResult agrees_with_oracle(
-    const dataplane::CapturedVerdict& cv, VersionedOracles& oracles) {
-  const baseline::LinearSearch* oracle = oracles.at(cv.version);
-  if (oracle == nullptr) {
-    return ::testing::AssertionFailure()
-           << "verdict stamped with never-published version " << cv.version;
-  }
-  const ruleset::Rule* want = oracle->classify(cv.tuple, nullptr);
-  if (cv.matched != (want != nullptr) ||
-      (want != nullptr &&
-       (cv.rule != want->id || cv.priority != want->priority ||
-        cv.action_token != want->action.token))) {
-    return ::testing::AssertionFailure()
-           << "version " << cv.version << ": got "
-           << (cv.matched ? "rule " + std::to_string(cv.rule.value) : "miss")
-           << ", oracle "
-           << (want != nullptr ? "rule " + std::to_string(want->id.value)
-                               : "miss");
-  }
-  return ::testing::AssertionSuccess();
-}
-
 /// The update stream of one run: aimed adds, deletes, re-adds and
 /// modifies drawn against the publisher's installed rules.
 class UpdateStream {
@@ -345,7 +267,8 @@ class UpdateStream {
       : rng_(seed), flows_(std::move(flows)) {}
 
   /// Apply one drawn update (if one applies) and record its version.
-  void step(dataplane::RuleProgramPublisher& pub, VersionedOracles& oracles) {
+  void step(dataplane::RuleProgramPublisher& pub,
+            dataplane::VersionedOracle& oracles) {
     const std::optional<sdn::FlowMod> fm =
         draw(pub.acquire()->classifier().installed_rules());
     if (!fm) return;
@@ -477,7 +400,7 @@ void run_shard_config(const ShardFuzzConfig& c) {
   // workers.
   dataplane::RuleProgramPublisher pub(cfg);
   pub.install_ruleset(rules);
-  VersionedOracles oracles;
+  dataplane::VersionedOracle oracles;
   oracles.record(pub);
 
   // Workers drain a few hundred packets in tens of microseconds — far
@@ -524,7 +447,7 @@ void run_shard_config(const ShardFuzzConfig& c) {
 
   // The mutator is the only writer; it records the installed-rule
   // snapshot after every publish, and is joined before any oracle read,
-  // so VersionedOracles needs no locking.
+  // so the VersionedOracle needs no locking.
   std::thread mutator;
   if (c.mutations) {
     mutator = std::thread([&pub, &oracles, &batches_seen, &mutations_done,
@@ -561,13 +484,13 @@ void run_shard_config(const ShardFuzzConfig& c) {
         << c.describe() << " shard " << s;
     for (usize k = 0; k < rep.captured[s].size(); ++k) {
       const dataplane::CapturedVerdict& cv = rep.captured[s][k];
-      ASSERT_FALSE(cv.parse_error) << c.describe() << " shard " << s;
       // Steering invariant: the verdict's flow hashes to the shard that
       // logged it.
       ASSERT_EQ(dataplane::shard_of(cv.tuple, c.workers), s)
           << c.describe() << " pkt " << k;
-      ASSERT_TRUE(agrees_with_oracle(cv, oracles))
-          << c.describe() << " shard " << s << " pkt " << k;
+      ASSERT_TRUE(oracles.judge(cv))
+          << c.describe() << " shard " << s << " pkt " << k << ": "
+          << oracles.result().first_mismatch;
     }
   }
   EXPECT_EQ(total, trace.size()) << c.describe();
@@ -732,7 +655,7 @@ CacheFuzzInputs make_cache_inputs(const CacheFuzzConfig& c) {
 /// One element-chain run: an update before about one batch in three.
 void run_cache_chain(const CacheFuzzConfig& c, CacheTally& tally) {
   CacheFuzzInputs in = make_cache_inputs(c);
-  VersionedOracles oracles;
+  dataplane::VersionedOracle oracles;
   oracles.record(*in.pub);
   UpdateStream updates(c.seed ^ 0xCAC4E, in.flows);
   Rng rng(c.seed ^ 0xBA7C4);
@@ -754,10 +677,9 @@ void run_cache_chain(const CacheFuzzConfig& c, CacheTally& tally) {
     p.push_batch(b);
   }
   ASSERT_EQ(captured.size(), in.trace.size()) << c.describe();
-  for (usize k = 0; k < captured.size(); ++k) {
-    ASSERT_TRUE(agrees_with_oracle(captured[k], oracles))
-        << c.describe() << " pkt " << k;
-  }
+  oracles.judge(captured);
+  ASSERT_TRUE(oracles.result().ok())
+      << c.describe() << ": " << oracles.result().first_mismatch;
   telemetry::CounterSet counters;
   cache->fill_counters(counters);
   tally.add(counters, updates.failed(), updates.readds());
@@ -771,7 +693,7 @@ void run_cache_chain(const CacheFuzzConfig& c, CacheTally& tally) {
 /// last one.
 void run_cache_engine(const CacheFuzzConfig& c, CacheTally& tally) {
   CacheFuzzInputs in = make_cache_inputs(c);
-  VersionedOracles oracles;
+  dataplane::VersionedOracle oracles;
   oracles.record(*in.pub);
   UpdateStream updates(c.seed ^ 0xCAC4E, in.flows);
   Rng rng(c.seed ^ 0xBA7C4);
@@ -814,12 +736,9 @@ void run_cache_engine(const CacheFuzzConfig& c, CacheTally& tally) {
   ASSERT_TRUE(rep.first_error().empty())
       << c.describe() << ": " << rep.first_error();
   ASSERT_EQ(rep.packets(), in.trace.size()) << c.describe();
-  for (usize s = 0; s < rep.captured.size(); ++s) {
-    for (usize k = 0; k < rep.captured[s].size(); ++k) {
-      ASSERT_TRUE(agrees_with_oracle(rep.captured[s][k], oracles))
-          << c.describe() << " shard " << s << " pkt " << k;
-    }
-  }
+  for (const auto& stream : rep.captured) oracles.judge(stream);
+  ASSERT_TRUE(oracles.result().ok())
+      << c.describe() << ": " << oracles.result().first_mismatch;
   // A failed update makes every shard's cache flush once.
   tally.add(dataplane::merge_reports(0, rep.shards).counters,
             updates.failed() * c.workers, updates.readds());

@@ -3,7 +3,6 @@
 // update-cost shape and failure injection.
 #include <gtest/gtest.h>
 
-#include "baseline/linear_search.hpp"
 #include "core/cycle_model.hpp"
 #include "dataplane/rule_program.hpp"
 #include "ruleset/generator.hpp"
@@ -35,21 +34,12 @@ TEST(Integration, FullStackForwardingMatchesOracle) {
   const auto snap = sw.acquire();
   ASSERT_EQ(snap->rule_count(), rs.size());
 
-  baseline::LinearSearch oracle(rs);
   ruleset::TraceGenerator tg(rs, {.headers = 1500, .random_fraction = 0.1,
                                   .seed = 21});
-  for (const auto& e : tg.generate()) {
-    const auto res = snap->classifier().classify(e.header);
-    const auto* want = oracle.classify(e.header, nullptr);
-    if (want == nullptr) {
-      EXPECT_FALSE(res.match.has_value());
-    } else {
-      ASSERT_TRUE(res.match.has_value());
-      EXPECT_EQ(res.match->rule, want->id);
-      EXPECT_EQ(sdn::ActionSpec::decode(res.match->action).encode(),
-                want->action.token);
-    }
-  }
+  const dataplane::OracleCheck c =
+      dataplane::SnapshotOracle(rs).check(snap->classifier(), tg.generate());
+  EXPECT_TRUE(c.ok()) << c.mismatches << " mismatches, first "
+                      << c.first_mismatch;
 }
 
 TEST(Integration, WireFormatPathAgreesWithTuplePathForTcpUdp) {
@@ -105,15 +95,9 @@ TEST(Integration, ReconfigurationUnderChurn) {
   const auto trace = tg.generate();
 
   auto verify = [&] {
-    baseline::LinearSearch oracle(live);
-    for (const auto& e : trace) {
-      const auto got = clf.classify(e.header);
-      const auto* want = oracle.classify(e.header, nullptr);
-      ASSERT_EQ(got.match.has_value(), want != nullptr);
-      if (want != nullptr) {
-        ASSERT_EQ(got.match->rule, want->id);
-      }
-    }
+    const dataplane::OracleCheck c =
+        dataplane::SnapshotOracle(live).check(clf, trace);
+    ASSERT_TRUE(c.ok()) << c.first_mismatch;
   };
 
   verify();
@@ -168,14 +152,10 @@ TEST(Integration, SharedMemoryDisabledStillWorks) {
   const RuleSet rs = ruleset::make_classbench_like(FilterType::kAcl, 1000);
   clf.add_rules(rs);
   clf.set_ip_algorithm(core::IpAlgorithm::kBst);
-  baseline::LinearSearch oracle(rs);
   ruleset::TraceGenerator tg(rs, {.headers = 300, .seed = 3});
-  for (const auto& e : tg.generate()) {
-    const auto got = clf.classify(e.header);
-    const auto* want = oracle.classify(e.header, nullptr);
-    ASSERT_EQ(got.match.has_value(), want != nullptr);
-    if (want != nullptr) EXPECT_EQ(got.match->rule, want->id);
-  }
+  const dataplane::OracleCheck c =
+      dataplane::SnapshotOracle(rs).check(clf, tg.generate());
+  ASSERT_TRUE(c.ok()) << c.first_mismatch;
   // Without sharing, BST blocks appear as their own memories.
   bool has_bst_block = false;
   for (const auto& b : clf.memory_report().blocks) {

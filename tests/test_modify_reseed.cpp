@@ -2,7 +2,6 @@
 // recovery (extensions over the paper's baseline update path).
 #include <gtest/gtest.h>
 
-#include "baseline/linear_search.hpp"
 #include "core/classifier.hpp"
 #include "core/rule_filter.hpp"
 #include "dataplane/rule_program.hpp"
@@ -105,16 +104,10 @@ TEST(Reseed, RecoversFromProbeBoundAndStaysCorrect) {
   }
   EXPECT_EQ(clf.rule_count(), rs.size());
 
-  baseline::LinearSearch oracle(rs);
   ruleset::TraceGenerator tg(rs, {.headers = 500, .seed = 17});
-  for (const auto& e : tg.generate()) {
-    const auto got = clf.classify(e.header);
-    const auto* want = oracle.classify(e.header, nullptr);
-    ASSERT_EQ(got.match.has_value(), want != nullptr);
-    if (want != nullptr) {
-      EXPECT_EQ(got.match->rule, want->id);
-    }
-  }
+  const dataplane::OracleCheck c =
+      dataplane::SnapshotOracle(rs).check(clf, tg.generate());
+  EXPECT_TRUE(c.ok()) << c.first_mismatch;
 }
 
 TEST(Reseed, GenuinelyFullTableStillThrows) {

@@ -346,9 +346,11 @@ struct ProtoRig {
   ProtocolLut lut{"pr"};
   hw::CommandLog log;
   std::vector<u16> find(u8 proto) {
-    std::vector<u16> out;
+    LabelVec labels;
     hw::CycleRecorder rec;
-    for (Label l : lut.lookup(proto, &rec)) out.push_back(l.value);
+    lut.lookup_into(proto, &rec, labels);
+    std::vector<u16> out;
+    for (Label l : labels) out.push_back(l.value);
     return out;
   }
 };
@@ -367,7 +369,8 @@ TEST(ProtocolLut, SingleAccessLookup) {
   ProtoRig rig;
   rig.lut.insert(ProtoMatch::exact(6), Label{0}, rig.log);
   hw::CycleRecorder rec;
-  (void)rig.lut.lookup(6, &rec);
+  LabelVec labels;
+  rig.lut.lookup_into(6, &rec, labels);
   EXPECT_EQ(rec.memory_accesses(), 1u);  // §V.B: single clock cycle
   EXPECT_EQ(rec.cycles(), 1u);
 }

@@ -6,7 +6,6 @@
 #include <array>
 #include <vector>
 
-#include "baseline/linear_search.hpp"
 #include "common/error.hpp"
 #include "dataplane/engine.hpp"
 #include "dataplane/flow_steer.hpp"
@@ -105,11 +104,9 @@ TEST(ReplicaEngine, SumOfShardsEqualsEngineTotals) {
   programs.install_ruleset(rules);
 
   // Single-threaded reference for the verdict totals.
-  baseline::LinearSearch oracle(rules);
-  usize want_matched = 0;
-  for (const auto& e : trace) {
-    if (oracle.classify(e.header, nullptr) != nullptr) ++want_matched;
-  }
+  const OracleCheck want =
+      SnapshotOracle(rules).check(programs.acquire()->classifier(), trace);
+  ASSERT_TRUE(want.ok()) << want.first_mismatch;
 
   TrafficPool pool = TrafficPool::from_trace(trace, /*materialize=*/false);
   Engine engine({.workers = 4, .batch_size = 32, .flow_cache_depth = 256},
@@ -120,7 +117,7 @@ TEST(ReplicaEngine, SumOfShardsEqualsEngineTotals) {
   ASSERT_EQ(rep.workers.size(), 4u);  // per-thread merged rows
   ASSERT_EQ(rep.shards.size(), 4u);   // raw per-shard rows
   EXPECT_EQ(rep.packets(), trace.size());
-  EXPECT_EQ(rep.matched(), want_matched);
+  EXPECT_EQ(rep.matched(), want.oracle_matched);
 
   // Every counter row: merged shard rows equal merged per-thread rows.
   const WorkerReport all = merge_reports(0, rep.workers);

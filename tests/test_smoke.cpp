@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "baseline/linear_search.hpp"
 #include "core/classifier.hpp"
+#include "dataplane/rule_program.hpp"
 #include "ruleset/generator.hpp"
 #include "ruleset/stats.hpp"
 #include "ruleset/trace_gen.hpp"
@@ -21,20 +21,11 @@ TEST_P(SmokeAll, CrossProductMatchesOracle) {
   core::ConfigurableClassifier clf(cfg);
   clf.add_rules(rules);
 
-  baseline::LinearSearch oracle(rules);
   ruleset::TraceGenerator tg(rules, {.headers = 500, .seed = 7});
-  auto trace = tg.generate();
-
-  usize mismatches = 0;
-  for (const auto& e : trace) {
-    const auto got = clf.classify(e.header);
-    const auto* want = oracle.classify(e.header, nullptr);
-    if (want == nullptr ? got.match.has_value()
-                        : (!got.match || got.match->rule != want->id)) {
-      ++mismatches;
-    }
-  }
-  EXPECT_EQ(mismatches, 0u);
+  const dataplane::OracleCheck c =
+      dataplane::SnapshotOracle(rules).check(clf, tg.generate());
+  EXPECT_TRUE(c.ok()) << c.mismatches << " mismatches, first "
+                      << c.first_mismatch;
 
   auto stats = ruleset::RuleSetStats::analyze(rules);
   fprintf(stderr,

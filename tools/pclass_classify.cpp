@@ -10,23 +10,22 @@
 ///                   [--stats-interval-ms N] [--trace-out FILE]
 ///                   [--metrics-out FILE]
 ///
-/// With --workers the trace runs through the batched dataplane engine
-/// (N worker threads over N RSS-style shards steered by 5-tuple flow
-/// hash, each with the full ruleset, its own flow cache and lock-free
-/// rule snapshots) instead of the single-threaded classify loop. The
-/// engine path also exposes the telemetry exporters: --stats-interval-ms
-/// runs the background StatsSampler, --trace-out writes per-batch spans
-/// as chrome://tracing JSON (one track per worker) and --metrics-out
-/// dumps end-of-run counters in Prometheus text format. All three
-/// require --workers.
+/// The trace runs through the batched dataplane engine: N worker
+/// threads (default 1) over N RSS-style shards steered by 5-tuple flow
+/// hash, each with the full ruleset, its own flow cache (--cache, off by
+/// default) and lock-free rule snapshots. --verify judges every
+/// delivered verdict with the linear-search oracle
+/// (dataplane::VersionedOracle).
+/// The telemetry exporters: --stats-interval-ms runs the background
+/// StatsSampler, --trace-out writes per-batch spans as chrome://tracing
+/// JSON (one track per worker) and --metrics-out dumps end-of-run
+/// counters in Prometheus text format.
+#include <algorithm>
 #include <array>
-#include <chrono>
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "common/build_info.hpp"
 #include "common/parse.hpp"
@@ -45,136 +44,12 @@ namespace {
 int usage() {
   std::cerr << "usage: pclass_classify <rules_file> <trace_file> "
                "[--alg mbt|bst|rvh] [--mode first|cross] [--verify]\n"
-               "                       [--workers N [--batch B] "
+               "                       [--workers N] [--batch B] "
                "[--cache DEPTH]\n"
-               "                        [--stats-interval-ms N] "
-               "[--trace-out FILE] [--metrics-out FILE]]\n"
-               "(--batch/--cache and the telemetry flags "
-               "configure the dataplane engine and require --workers)\n";
+               "                       [--stats-interval-ms N] "
+               "[--trace-out FILE] [--metrics-out FILE]\n"
+               "(--workers defaults to 1, --cache to 0: no flow cache)\n";
   return 2;
-}
-
-/// Telemetry export options for the engine path.
-struct TelemetryOut {
-  u64 stats_interval_ms = 0;
-  std::string trace_path;
-  std::string metrics_path;
-};
-
-/// Dataplane-engine path: the whole trace, batched, across N workers.
-int run_engine(const ruleset::RuleSet& rules, const net::Trace& trace,
-               core::ClassifierConfig cfg, usize workers, usize batch,
-               u32 cache_depth, bool verify,
-               const TelemetryOut& tout) {
-  dataplane::RuleProgramPublisher programs(cfg);
-  const hw::UpdateStats load = programs.install_ruleset(rules);
-  dataplane::TrafficPool pool =
-      dataplane::TrafficPool::from_trace(trace, /*materialize=*/false);
-
-  const dataplane::EngineConfig ecfg{
-      .workers = workers,
-      .batch_size = batch,
-      .flow_cache_depth = cache_depth,
-      .stats_interval_ms = tout.stats_interval_ms,
-      .collect_trace = !tout.trace_path.empty()};
-  dataplane::Engine engine(ecfg, programs);
-  const dataplane::EngineReport rep = engine.run(pool);
-  if (const std::string err = rep.first_error(); !err.empty()) {
-    std::cerr << "error: dataplane worker failed: " << err << "\n";
-    return 1;
-  }
-
-  using telemetry::Counter;
-  TextTable t({"worker", "packets", "matched", "cache hit%", "p50 cyc",
-               "p99 cyc", "Mpps"});
-  for (const auto& w : rep.workers) {
-    t.add_row({std::to_string(w.worker),
-               std::to_string(w.counters[Counter::packets]),
-               std::to_string(w.counters[Counter::matched]),
-               TextTable::num(w.counters.cache_hit_rate() * 100.0, 1),
-               std::to_string(w.latency.percentile(50)),
-               std::to_string(w.latency.percentile(99)),
-               TextTable::num(w.mpps(), 3)});
-  }
-  t.print(std::cout);
-
-  const dataplane::WorkerReport all = dataplane::merge_reports(0, rep.workers);
-  const auto& lat = all.latency;
-  const telemetry::CounterSet& totals = all.counters;
-  TextTable a({"metric", "value"});
-  a.add_row({"engine", std::to_string(workers) + " workers x batch " +
-                           std::to_string(batch)});
-  a.add_row({"load cost", std::to_string(load.cycles) + " bus cycles (1 "
-                          "coalesced snapshot)"});
-  const auto add_rows = [&a](const auto& set) {
-    for (usize i = 0; i < set.v.size(); ++i) {
-      a.add_row({std::string(set.kDefs[i].name), std::to_string(set.v[i])});
-    }
-  };
-  add_rows(totals);
-  add_rows(rep.counters);
-  a.add_row({"aggregate throughput",
-             TextTable::num(rep.aggregate_mpps(), 3) + " Mpps (host)"});
-  a.add_row({"lookup cycles p50/p99/max",
-             std::to_string(lat.percentile(50)) + " / " +
-                 std::to_string(lat.percentile(99)) + " / " +
-                 std::to_string(lat.max())});
-  a.add_row({"snapshot versions monotonic",
-             all.version_monotonic ? "yes" : "NO"});
-  if (tout.stats_interval_ms > 0) {
-    a.add_row({"timeseries samples", std::to_string(rep.timeseries.size()) +
-                                         " (every " +
-                                         std::to_string(tout.stats_interval_ms) +
-                                         " ms)"});
-  }
-  a.print(std::cout);
-
-  if (!tout.trace_path.empty()) {
-    const std::array<telemetry::TraceProcess, 1> procs = {
-        telemetry::TraceProcess{"pclass_classify", rep.trace_events}};
-    std::ofstream os(tout.trace_path);
-    if (!os) {
-      std::cerr << "error: cannot open " << tout.trace_path << "\n";
-      return 1;
-    }
-    telemetry::write_chrome_trace(os, procs);
-    std::cerr << "wrote " << tout.trace_path << "\n";
-  }
-  if (!tout.metrics_path.empty()) {
-    std::ofstream os(tout.metrics_path);
-    if (!os) {
-      std::cerr << "error: cannot open " << tout.metrics_path << "\n";
-      return 1;
-    }
-    telemetry::MetricsWriter m(os);
-    using Label = telemetry::MetricsWriter::Label;
-    const std::array<Label, 1> ls = {Label{"tool", "pclass_classify"}};
-    telemetry::write_run_metrics(m, ls, totals, rep.counters,
-                                 rep.aggregate_mpps(), lat.percentile(50),
-                                 lat.percentile(99));
-    std::cerr << "wrote " << tout.metrics_path << "\n";
-  }
-
-  if (verify) {
-    // Two checks: (1) per-packet agreement of the published snapshot's
-    // classifier with the linear-search oracle (exact — workers all
-    // classify through this same frozen device); (2) the engine's
-    // aggregate match total against the oracle's, which catches
-    // batching/claiming bugs that per-packet replay cannot.
-    const auto snap = programs.acquire();
-    const dataplane::OracleCheck v =
-        dataplane::check_against_oracle(snap->classifier(), trace);
-    std::cout << "verify: " << v.checked - v.mismatches << "/"
-              << trace.size()
-              << " per-packet agree with the oracle; engine matched "
-              << rep.matched() << ", oracle matched " << v.oracle_matched
-              << "\n";
-    if (cfg.combine_mode == core::CombineMode::kCrossProduct &&
-        (v.mismatches != 0 || rep.matched() != v.oracle_matched)) {
-      return 1;
-    }
-  }
-  return all.version_monotonic ? 0 : 1;
 }
 
 }  // namespace
@@ -190,15 +65,17 @@ int main(int argc, char** argv) {
   core::IpAlgorithm alg = core::IpAlgorithm::kMbt;
   core::CombineMode mode = core::CombineMode::kCrossProduct;
   bool verify = false;
-  usize workers = 0;  // 0 = classic single-threaded loop
+  usize workers = 1;
   usize batch = net::kDefaultBatchCapacity;
   u32 cache_depth = 0;
-  TelemetryOut tout;
+  u64 stats_interval_ms = 0;
+  std::string trace_path;
+  std::string metrics_path;
   u64 n = 0;
   for (int i = 3; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--workers" && i + 1 < argc) {
-      if (!parse_count(argv[++i], n)) return usage();
+      if (!parse_count(argv[++i], n) || n == 0) return usage();
       workers = static_cast<usize>(n);
     } else if (flag == "--batch" && i + 1 < argc) {
       if (!parse_count(argv[++i], n) || n == 0) return usage();
@@ -223,25 +100,17 @@ int main(int argc, char** argv) {
       else return usage();
     } else if (flag == "--stats-interval-ms" && i + 1 < argc) {
       if (!parse_count(argv[++i], n) || n > 3'600'000) return usage();
-      tout.stats_interval_ms = n;
+      stats_interval_ms = n;
     } else if (flag == "--trace-out" && i + 1 < argc) {
-      tout.trace_path = argv[++i];
+      trace_path = argv[++i];
     } else if (flag == "--metrics-out" && i + 1 < argc) {
-      tout.metrics_path = argv[++i];
+      metrics_path = argv[++i];
     } else if (flag == "--verify") {
       verify = true;
     } else {
       return usage();
     }
   }
-  if (workers == 0 && (tout.stats_interval_ms > 0 ||
-                       !tout.trace_path.empty() ||
-                       !tout.metrics_path.empty())) {
-    std::cerr << "error: --stats-interval-ms/--trace-out/--metrics-out "
-                 "require the dataplane engine (--workers N)\n";
-    return usage();
-  }
-
   try {
     std::ifstream rf(argv[1]);
     if (!rf) throw Error(std::string("cannot open ") + argv[1]);
@@ -257,82 +126,134 @@ int main(int argc, char** argv) {
     cfg.ip_algorithm = alg;
     cfg.combine_mode = mode;
 
-    if (workers > 0) {
-      return run_engine(rules, trace, cfg, workers, batch, cache_depth,
-                        verify, tout);
-    }
-    if (cache_depth != 0) {
-      std::cerr << "note: --cache configures the dataplane engine "
-                   "and has no effect without --workers\n";
+    dataplane::RuleProgramPublisher programs(cfg);
+    const hw::UpdateStats load = programs.install_ruleset(rules);
+    dataplane::TrafficPool pool =
+        dataplane::TrafficPool::from_trace(trace, /*materialize=*/false);
+
+    const dataplane::EngineConfig ecfg{
+        .workers = workers,
+        .batch_size = batch,
+        .flow_cache_depth = cache_depth,
+        .stats_interval_ms = stats_interval_ms,
+        .collect_trace = !trace_path.empty(),
+        .capture_verdicts = verify};
+    dataplane::Engine engine(ecfg, programs);
+    const dataplane::EngineReport rep = engine.run(pool);
+    if (const std::string err = rep.first_error(); !err.empty()) {
+      std::cerr << "error: dataplane worker failed: " << err << "\n";
+      return 1;
     }
 
-    core::ConfigurableClassifier clf(cfg);
-    const auto load = clf.add_rules(rules);
-
-    // Single-threaded loop, host wall time measured around the lookups.
-    hw::CycleAggregate agg;
-    usize hits = 0;
-    std::vector<core::ClassifyResult> results(trace.size());
-    const auto t0 = std::chrono::steady_clock::now();
-    for (usize i = 0; i < trace.size(); ++i) {
-      results[i] = clf.classify(trace[i].header);
+    using telemetry::Counter;
+    TextTable t({"worker", "packets", "matched", "cache hit%", "p50 cyc",
+                 "p99 cyc", "Mpps"});
+    for (const auto& w : rep.workers) {
+      t.add_row({std::to_string(w.worker),
+                 std::to_string(w.counters[Counter::packets]),
+                 std::to_string(w.counters[Counter::matched]),
+                 TextTable::num(w.counters.cache_hit_rate() * 100.0, 1),
+                 std::to_string(w.latency.percentile(50)),
+                 std::to_string(w.latency.percentile(99)),
+                 TextTable::num(w.mpps(), 3)});
     }
-    const double host_secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    for (const auto& res : results) {
-      hw::CycleRecorder rec;
-      rec.charge(res.cycles, res.memory_accesses);
-      agg.add(rec);
-      if (res.match) ++hits;
-    }
+    t.print(std::cout);
 
+    const dataplane::WorkerReport all =
+        dataplane::merge_reports(0, rep.workers);
+    const auto& lat = all.latency;
+    const telemetry::CounterSet& totals = all.counters;
+    // The device model's rows, from the published snapshot's classifier.
+    const core::ConfigurableClassifier& clf = programs.acquire()->classifier();
     const core::ThroughputModel rate{cfg.fmax_mhz};
-    const double ii = static_cast<double>(
-        clf.lookup_pipeline().initiation_interval());
-    TextTable t({"metric", "value"});
-    t.add_row({"configuration", std::string(to_string(alg)) + " / " +
-                                    to_string(mode)});
-    t.add_row({"host throughput",
-               TextTable::num(host_secs <= 0
-                                  ? 0.0
-                                  : static_cast<double>(trace.size()) /
-                                        1e6 / host_secs,
-                              3) +
-                   " Mpps (1 thread)"});
-    t.add_row({"load cost", std::to_string(load.cycles) + " bus cycles (" +
-                                TextTable::num(
-                                    static_cast<double>(load.cycles) /
-                                        static_cast<double>(rules.size()),
-                                    1) +
-                                "/rule)"});
-    t.add_row({"hits", std::to_string(hits) + "/" +
-                           std::to_string(trace.size())});
-    t.add_row({"mean cycles/lookup", TextTable::num(agg.mean_cycles())});
-    t.add_row({"mean accesses/lookup", TextTable::num(agg.mean_accesses())});
-    t.add_row({"worst cycles", std::to_string(agg.max_cycles())});
-    t.add_row({"pipelined rate", TextTable::num(
-                                     rate.mega_lookups_per_sec(ii)) +
+    const double ii =
+        static_cast<double>(clf.lookup_pipeline().initiation_interval());
+    TextTable a({"metric", "value"});
+    a.add_row({"configuration", std::string(to_string(clf.ip_algorithm())) +
+                                    " / " + to_string(cfg.combine_mode)});
+    a.add_row({"engine", std::to_string(workers) + " workers x batch " +
+                             std::to_string(batch)});
+    a.add_row({"load cost", std::to_string(load.cycles) + " bus cycles (1 "
+                            "coalesced snapshot)"});
+    const auto add_rows = [&a](const auto& set) {
+      for (usize i = 0; i < set.v.size(); ++i) {
+        a.add_row({std::string(set.kDefs[i].name), std::to_string(set.v[i])});
+      }
+    };
+    add_rows(totals);
+    add_rows(rep.counters);
+    a.add_row({"aggregate throughput",
+               TextTable::num(rep.aggregate_mpps(), 3) + " Mpps (host)"});
+    a.add_row({"lookup cycles p50/p99/max",
+               std::to_string(lat.percentile(50)) + " / " +
+                   std::to_string(lat.percentile(99)) + " / " +
+                   std::to_string(lat.max())});
+    a.add_row({"mean accesses/packet",
+               TextTable::num(
+                   static_cast<double>(totals[Counter::memory_accesses]) /
+                   static_cast<double>(std::max<u64>(totals[Counter::packets],
+                                                     1)))});
+    a.add_row({"pipelined rate", TextTable::num(rate.mega_lookups_per_sec(ii)) +
                                      " Mlps = " +
                                      TextTable::num(rate.gbps(ii, 40)) +
                                      " Gbps @40B"});
-    const auto mem = clf.memory_report();
-    t.add_row({"live memory", TextTable::num(
-                                  static_cast<double>(mem.total_used_bits) /
-                                      1e3,
-                                  0) +
-                                  " Kb"});
-    t.print(std::cout);
+    const double live_kb =
+        static_cast<double>(clf.memory_report().total_used_bits) / 1e3;
+    a.add_row({"live memory", TextTable::num(live_kb, 0) + " Kb"});
+    a.add_row({"snapshot versions monotonic",
+               all.version_monotonic ? "yes" : "NO"});
+    if (stats_interval_ms > 0) {
+      a.add_row({"timeseries samples", std::to_string(rep.timeseries.size()) +
+                                           " (every " +
+                                           std::to_string(stats_interval_ms) +
+                                           " ms)"});
+    }
+    a.print(std::cout);
+
+    if (!trace_path.empty()) {
+      const std::array<telemetry::TraceProcess, 1> procs = {
+          telemetry::TraceProcess{"pclass_classify", rep.trace_events}};
+      std::ofstream os(trace_path);
+      if (!os) {
+        std::cerr << "error: cannot open " << trace_path << "\n";
+        return 1;
+      }
+      telemetry::write_chrome_trace(os, procs);
+      std::cerr << "wrote " << trace_path << "\n";
+    }
+    if (!metrics_path.empty()) {
+      std::ofstream os(metrics_path);
+      if (!os) {
+        std::cerr << "error: cannot open " << metrics_path << "\n";
+        return 1;
+      }
+      telemetry::MetricsWriter m(os);
+      using Label = telemetry::MetricsWriter::Label;
+      const std::array<Label, 1> ls = {Label{"tool", "pclass_classify"}};
+      telemetry::write_run_metrics(m, ls, totals, rep.counters,
+                                   rep.aggregate_mpps(), lat.percentile(50),
+                                   lat.percentile(99));
+      std::cerr << "wrote " << metrics_path << "\n";
+    }
 
     if (verify) {
-      const dataplane::OracleCheck v =
-          dataplane::check_against_oracle(clf, trace);
+      // Every delivered verdict, flow-cache hits included, judged by the
+      // oracle over the rules of the snapshot it was classified on.
+      dataplane::VersionedOracle oracle;
+      oracle.record(programs);
+      for (const auto& stream : rep.captured) oracle.judge(stream);
+      const dataplane::OracleCheck& v = oracle.result();
       std::cout << "verify: " << v.checked - v.mismatches << "/"
-                << trace.size() << " agree with the linear-search oracle\n";
-      if (mode == core::CombineMode::kCrossProduct && v.mismatches != 0) {
+                << trace.size()
+                << " verdicts agree with the linear-search oracle (rule, "
+                   "priority and action)\n";
+      if (!v.ok()) std::cout << "first mismatch: " << v.first_mismatch << "\n";
+      if (cfg.combine_mode == core::CombineMode::kCrossProduct &&
+          (!v.ok() || v.checked != trace.size())) {
         return 1;
       }
     }
+    return all.version_monotonic ? 0 : 1;
   } catch (const Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
@@ -342,5 +263,4 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
-  return 0;
 }
