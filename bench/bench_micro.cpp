@@ -54,6 +54,28 @@ static void BM_ClassifyBstFirstLabel(benchmark::State& state) {
 }
 BENCHMARK(BM_ClassifyBstFirstLabel);
 
+// perfbench's acl10k-thrash lookup, without the engine around it: the
+// 10k-rule ACL set and a pool of 32768 distinct flows in maximal repeat
+// distance, so every lookup walks a cold path through the device, as
+// every packet of that workload misses the flow cache. Reports ns per
+// classify(); A/B a lookup-path change here before end-to-end runs.
+static void BM_ClassifyAcl10kThrash(benchmark::State& state) {
+  static const ruleset::RuleSet rules =
+      workload::synthesize(workload::RulesetProfile::acl(10000, 2026));
+  static const net::Trace pool = workload::make_cache_thrash_trace(
+      rules, 32768, 32768, u64{1} ^ 0x7447);
+  const auto clf = make_classifier(rules, core::IpAlgorithm::kMbt,
+                                   core::CombineMode::kCrossProduct);
+  usize i = 0;
+  for (auto _ : state) {
+    const auto res = clf->classify(pool[i].header);
+    benchmark::DoNotOptimize(res.match);
+    i = i + 1 == pool.size() ? 0 : i + 1;
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()));
+}
+BENCHMARK(BM_ClassifyAcl10kThrash);
+
 static void BM_AddRemoveRuleMbt(benchmark::State& state) {
   const Workload& w = acl1k();
   const auto clf = make_classifier(w.rules, core::IpAlgorithm::kMbt,

@@ -19,12 +19,13 @@
 /// the spans it covers); clear rebuilds it from the register words.
 /// Builds with assertions on (no NDEBUG) also rebuild it after every
 /// write and assert that the patched program is identical, bound counts
-/// included. A lookup is one binary search returning its interval's span;
-/// its cost comes only from RegisterFile::charge_lookup, exactly as if
-/// every register were read.
+/// included. A lookup is one branch-free halving search over the interval
+/// starts (about log2(intervals) conditional moves, no data-dependent
+/// branch to mispredict) returning its interval's span; its cost comes
+/// only from RegisterFile::charge_lookup, exactly as if every register
+/// were read.
 #pragma once
 
-#include <algorithm>
 #include <map>
 #include <span>
 #include <string>
@@ -121,11 +122,19 @@ class PortRegisterFile {
   void patch(ruleset::PortRange r, Label label, bool add);
 
   /// The Table IV-ordered labels of every range containing \p port.
+  /// Finds the last start <= port by halving [base, base + n), which
+  /// always holds it (starts[0] is 0): each step keeps the upper half
+  /// when its first start is <= port, a select the compiler emits as a
+  /// conditional move, so the search takes no data-dependent branch.
   [[nodiscard]] std::span<const Label> match(u16 port) const {
-    const std::vector<u32>& starts = program_.starts;
-    const auto k = static_cast<usize>(
-        std::upper_bound(starts.begin(), starts.end(), u32{port}) -
-        starts.begin() - 1);
+    const u32* const starts = program_.starts.data();
+    const u32* base = starts;
+    for (usize n = program_.starts.size(); n > 1;) {
+      const usize half = n / 2;
+      base = base[half] <= port ? base + half : base;
+      n -= half;
+    }
+    const auto k = static_cast<usize>(base - starts);
     return std::span<const Label>(program_.labels)
         .subspan(program_.offsets[k],
                  program_.offsets[k + 1] - program_.offsets[k]);

@@ -64,29 +64,4 @@ void ProtocolLut::clear(hw::CommandLog& log) {
   }
 }
 
-void ProtocolLut::lookup_into(u8 proto, hw::CycleRecorder* rec,
-                              LabelVec& out) const {
-  hw::WordUnpacker u(lut_.read(proto, rec));
-  if (u.pull(1) != 0) {
-    out.push_back(Label{static_cast<u16>(u.pull(kProtoLabelBits))});
-  }
-  // The wildcard register is read in the same cycle (no extra cost).
-  hw::WordUnpacker w(wc_reg_.reg(0));
-  if (w.pull(1) != 0) {
-    out.push_back(Label{static_cast<u16>(w.pull(kProtoLabelBits))});
-  }
-}
-
-Label ProtocolLut::lookup_first(u8 proto, hw::CycleRecorder* rec) const {
-  hw::WordUnpacker u(lut_.read(proto, rec));
-  if (u.pull(1) != 0) {
-    return Label{static_cast<u16>(u.pull(kProtoLabelBits))};
-  }
-  hw::WordUnpacker w(wc_reg_.reg(0));
-  if (w.pull(1) != 0) {
-    return Label{static_cast<u16>(w.pull(kProtoLabelBits))};
-  }
-  return Label{};
-}
-
 }  // namespace pclass::alg

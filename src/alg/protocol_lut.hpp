@@ -8,15 +8,14 @@
 /// List order (§III.C.1): "The priority label for Protocol lookup is
 /// determined by the exact matching value" — exact label first, wildcard
 /// second. Lookup is a single memory access (§V.B: "executed in a single
-/// clock cycle").
+/// clock cycle"); the wildcard register is read in the same cycle, inline
+/// and free, and the at most two labels come back by value.
 #pragma once
 
-#include <optional>
+#include <array>
 #include <span>
 #include <string>
-#include <vector>
 
-#include "common/small_vec.hpp"
 #include "common/types.hpp"
 #include "hwsim/memory.hpp"
 #include "hwsim/register_file.hpp"
@@ -24,6 +23,20 @@
 #include "ruleset/rule.hpp"
 
 namespace pclass::alg {
+
+/// The labels one protocol lookup yields, in list order: [exact?,
+/// wildcard?].
+struct ProtoLabels {
+  std::array<Label, 2> slot;
+  u32 size = 0;
+
+  [[nodiscard]] std::span<const Label> span() const& {
+    return {slot.data(), size};
+  }
+  /// A span of a temporary would dangle (a range-for over
+  /// `lookup(...).span()` reads freed stack).
+  std::span<const Label> span() const&& = delete;
+};
 
 /// Protocol-dimension engine.
 class ProtocolLut {
@@ -45,11 +58,26 @@ class ProtocolLut {
 
   // ---- hardware-side lookup path ----
 
-  /// Append the matching labels for protocol byte \p proto to \p out:
-  /// [exact?, wildcard?].
-  void lookup_into(u8 proto, hw::CycleRecorder* rec, LabelVec& out) const;
+  /// The matching labels for protocol byte \p proto. Charges the one
+  /// LUT read; the wildcard register is compared in the same cycle.
+  [[nodiscard]] ProtoLabels lookup(u8 proto, hw::CycleRecorder* rec) const {
+    ProtoLabels out;
+    hw::WordUnpacker u(lut_.read(proto, rec));
+    if (u.pull(1) != 0) {
+      out.slot[out.size++] = Label{static_cast<u16>(u.pull(kProtoLabelBits))};
+    }
+    hw::WordUnpacker w(wc_reg_.reg(0));
+    if (w.pull(1) != 0) {
+      out.slot[out.size++] = Label{static_cast<u16>(w.pull(kProtoLabelBits))};
+    }
+    return out;
+  }
 
-  [[nodiscard]] Label lookup_first(u8 proto, hw::CycleRecorder* rec) const;
+  /// First (highest-priority) matching label only. Same cost as lookup().
+  [[nodiscard]] Label lookup_first(u8 proto, hw::CycleRecorder* rec) const {
+    const ProtoLabels m = lookup(proto, rec);
+    return m.size == 0 ? Label{} : m.slot[0];
+  }
 
   // ---- introspection ----
 

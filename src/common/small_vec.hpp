@@ -1,11 +1,21 @@
 /// \file small_vec.hpp
 /// Fixed-inline-capacity vector for hot-path scratch data.
 ///
-/// The classifier's lookup path produces short per-dimension label lists
-/// (almost always 1-3 entries); materializing them as std::vector cost
-/// several heap allocations per packet. SmallVec keeps up to N elements
-/// inline on the stack and only touches the heap in the (rare) overflow
-/// case, so steady-state classification allocates nothing.
+/// The exact combine ranks each packet's port and protocol label lists
+/// (almost always 1-3 entries) into scratch lists; as std::vector they
+/// would cost heap allocations per packet. SmallVec keeps up to N
+/// elements inline on the stack and only touches the heap in the (rare)
+/// overflow case, so steady-state classification allocates nothing.
+///
+/// The inline buffer is left uninitialised (an array in an anonymous
+/// union, which no constructor initialises): a SmallVec costs nothing to
+/// construct however large N is, and a slot is written only by
+/// push_back. As a plain member array, Label's default constructor would
+/// write the invalid label into all 48 inline slots of the combine's
+/// three lists on every packet, slots the lookup never reads. This is
+/// sound because elements must be trivially copyable (trivial
+/// assignment and destruction) and only indices below size() are ever
+/// read.
 ///
 /// Deliberately minimal: trivially-copyable element types only, no
 /// erase/insert — exactly what scratch label lists need.
@@ -26,7 +36,7 @@ class SmallVec {
   static_assert(N > 0);
 
  public:
-  SmallVec() = default;
+  SmallVec() : data_(inline_) {}
   SmallVec(const SmallVec&) = delete;
   SmallVec& operator=(const SmallVec&) = delete;
 
@@ -62,16 +72,14 @@ class SmallVec {
     capacity_ = new_cap;
   }
 
-  T inline_[N];
-  T* data_ = inline_;
+  // A variant member that no constructor names is left uninitialised.
+  union {
+    T inline_[N];
+  };
+  T* data_;
   usize size_ = 0;
   usize capacity_ = N;
   std::unique_ptr<T[]> heap_;
 };
-
-/// The lookup path's scratch label list. 8 inline slots cover the label
-/// lists real filter sets produce (leaf-pushed trie lists rarely exceed
-/// a handful of labels); longer lists spill to the heap, correctly.
-using LabelVec = SmallVec<Label, 8>;
 
 }  // namespace pclass

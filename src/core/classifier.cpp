@@ -138,11 +138,11 @@ ruleset::SegmentPrefix ConfigurableClassifier::ip_segment(
   }
 }
 
-void ConfigurableClassifier::reserve_prefixes(usize rules) {
-  // Each rule adds at most one entry per table; sizing by the table's
-  // own count keeps the shallow tables, which hold far fewer prefixes
-  // than there are rules, small on the one-rule update path.
-  for (PrefixSet& t : prefixes_) t.reserve(t.size() + rules);
+void ConfigurableClassifier::reserve_prefixes() {
+  // A rule adds at most one entry per table. Growing each table by its
+  // own count, also across a bulk load, sizes the shallow tables, which
+  // hold far fewer prefixes than there are rules, by what they hold.
+  for (PrefixSet& t : prefixes_) t.reserve(t.size() + 1);
 }
 
 void ConfigurableClassifier::update_prefixes(
@@ -349,7 +349,7 @@ void ConfigurableClassifier::install_rule(const ruleset::Rule& r, u64 fp,
       acquire_labels(r, log, bst_bulk);
   log.hash_compute();
   try {
-    reserve_prefixes(1);  // so the prefix update below cannot throw
+    reserve_prefixes();  // so the prefix update below cannot throw
     filter_insert_with_reseed(Key68::merge(labels),
                               RuleEntry{r.id, r.priority, r.action.token},
                               log);
@@ -375,7 +375,6 @@ hw::UpdateStats ConfigurableClassifier::add_rules(
     check_entry_word("add_rules",
                      RuleEntry{r.id, r.priority, r.action.token});
   }
-  reserve_prefixes(rules.size());
   const auto flush_staged = [&] {
     if (bulk == nullptr) return;
     for (usize i = 0; i < 4; ++i) {
@@ -578,9 +577,8 @@ ClassifyResult ConfigurableClassifier::classify(
     }
   } else {
     // CrossProduct: the exact HPMR over the (short) label lists. The IP
-    // lists and the port intervals are read in place, as spans; only
-    // the protocol LUT composes its (at most two) labels into a stack
-    // buffer.
+    // lists and the port intervals are read in place, as spans; the
+    // protocol LUT returns its (at most two) labels by value.
     std::array<std::span<const Label>, kNumDimensions> lists;
     for (usize i = 0; i < 4; ++i) {
       lists[index_of(kIpDims[i])] =
@@ -590,10 +588,9 @@ ClassifyResult ConfigurableClassifier::classify(
         h.src_port, &recs[index_of(Dimension::kSrcPort)]);
     lists[index_of(Dimension::kDstPort)] = dport_regs_->lookup(
         h.dst_port, &recs[index_of(Dimension::kDstPort)]);
-    LabelVec proto;
-    proto_lut_->lookup_into(h.protocol,
-                            &recs[index_of(Dimension::kProtocol)], proto);
-    lists[index_of(Dimension::kProtocol)] = {proto.begin(), proto.size()};
+    const alg::ProtoLabels proto = proto_lut_->lookup(
+        h.protocol, &recs[index_of(Dimension::kProtocol)]);
+    lists[index_of(Dimension::kProtocol)] = proto.span();
 
     if (std::ranges::none_of(
             lists, [](std::span<const Label> l) { return l.empty(); })) {

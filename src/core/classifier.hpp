@@ -228,9 +228,9 @@ class ConfigurableClassifier {
                       BstStaging* bst_bulk = nullptr,
                       usize steps = kNumDimensions, bool last_written = true);
 
-  /// Make room for \p rules more rules in every prefix table, so the
-  /// prefix update that follows a Rule Filter insert cannot throw.
-  void reserve_prefixes(usize rules);
+  /// Make room for one more rule in every prefix table, so the prefix
+  /// update that follows a Rule Filter insert cannot throw.
+  void reserve_prefixes();
 
   /// Add (\p add) or drop the prefixes of one rule's \p labels,
   /// metering on \p log every entry that flips present/absent.

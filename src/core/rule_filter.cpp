@@ -56,10 +56,10 @@ void RuleFilter::insert(const Key68& key, const RuleEntry& entry,
   if (live_ >= mem_.depth()) {
     throw CapacityError("RuleFilter '" + mem_.name() + "': table full");
   }
-  const u32 home = hasher_(key);
   std::optional<u32> reusable;
-  for (u32 probe = 0; probe < max_probes_; ++probe) {
-    const u32 addr = (home + probe) % mem_.depth();
+  u32 addr = hasher_(key);
+  for (u32 probe = 0; probe < max_probes_;
+       ++probe, addr = next_addr(addr)) {
     const Slot s = decode(addr, nullptr);
     if (s.valid && s.key == key) {
       throw InternalError("RuleFilter: duplicate key insert");
@@ -91,9 +91,9 @@ void RuleFilter::insert(const Key68& key, const RuleEntry& entry,
 }
 
 void RuleFilter::remove(const Key68& key, hw::CommandLog& log) {
-  const u32 home = hasher_(key);
-  for (u32 probe = 0; probe < max_probes_; ++probe) {
-    const u32 addr = (home + probe) % mem_.depth();
+  u32 addr = hasher_(key);
+  for (u32 probe = 0; probe < max_probes_;
+       ++probe, addr = next_addr(addr)) {
     const Slot s = decode(addr, nullptr);
     if (s.valid && s.key == key) {
       encode(addr, Slot{false, true, {}, {}}, log);
@@ -114,9 +114,9 @@ void RuleFilter::modify(const Key68& key, const RuleEntry& entry,
     throw ConfigError("RuleFilter: rule id/priority/action exceed the "
                       "16-bit entry fields");
   }
-  const u32 home = hasher_(key);
-  for (u32 probe = 0; probe < max_probes_; ++probe) {
-    const u32 addr = (home + probe) % mem_.depth();
+  u32 addr = hasher_(key);
+  for (u32 probe = 0; probe < max_probes_;
+       ++probe, addr = next_addr(addr)) {
     const Slot s = decode(addr, nullptr);
     if (s.valid && s.key == key) {
       encode(addr, Slot{true, false, key, entry}, log);
@@ -176,9 +176,9 @@ std::optional<RuleEntry> RuleFilter::lookup(const Key68& key,
   if (rec != nullptr) {
     rec->charge(1, 0);  // hardware hash unit, one cycle
   }
-  const u32 home = hasher_(key);
-  for (u32 probe = 0; probe < max_probes_; ++probe) {
-    const u32 addr = (home + probe) % mem_.depth();
+  u32 addr = hasher_(key);
+  for (u32 probe = 0; probe < max_probes_;
+       ++probe, addr = next_addr(addr)) {
     const Slot s = decode(addr, rec);
     if (s.valid && s.key == key) {
       return s.entry;

@@ -110,6 +110,13 @@ class RuleFilter {
     RuleEntry entry{};
   };
 
+  /// The slot after \p addr on a probe chain, wrapping at the end of the
+  /// memory: the addresses (home + probe) mod depth, stepped without a
+  /// division (the hash keeps home below depth).
+  [[nodiscard]] u32 next_addr(u32 addr) const {
+    return addr + 1 == mem_.depth() ? 0 : addr + 1;
+  }
+
   [[nodiscard]] Slot decode(u32 addr, hw::CycleRecorder* rec) const;
   void encode(u32 addr, const Slot& s, hw::CommandLog& log);
 

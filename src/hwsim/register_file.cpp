@@ -18,21 +18,16 @@ RegisterFile::RegisterFile(std::string name, u32 count, unsigned reg_bits,
   }
 }
 
-void RegisterFile::check_idx(u32 idx) const {
-  if (idx >= count_) {
-    throw ConfigError("RegisterFile '" + name_ + "': index " +
-                      std::to_string(idx) + " out of range (count " +
-                      std::to_string(count_) + ")");
-  }
-}
-
-const Word& RegisterFile::reg(u32 idx) const {
-  check_idx(idx);
-  return regs_[idx];
+void RegisterFile::throw_out_of_range(u32 idx) const {
+  throw ConfigError("RegisterFile '" + name_ + "': index " +
+                    std::to_string(idx) + " out of range (count " +
+                    std::to_string(count_) + ")");
 }
 
 void RegisterFile::write(u32 idx, Word value) {
-  check_idx(idx);
+  if (idx >= count_) {
+    throw_out_of_range(idx);
+  }
   regs_[idx] = value;
   used_ = std::max(used_, idx + 1);
 }

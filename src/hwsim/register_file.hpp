@@ -32,8 +32,15 @@ class RegisterFile {
   [[nodiscard]] u64 total_bits() const { return u64{count_} * reg_bits_; }
   [[nodiscard]] unsigned compare_cycles() const { return compare_cycles_; }
 
-  /// Peek a register (controller-side; free).
-  [[nodiscard]] const Word& reg(u32 idx) const;
+  /// Peek a register (free: a register read is not a memory access).
+  /// Inline, so a lookup that reads a register pays only the bounds
+  /// check. \throws ConfigError on an index past the bank.
+  [[nodiscard]] const Word& reg(u32 idx) const {
+    if (idx >= count_) [[unlikely]] {
+      throw_out_of_range(idx);
+    }
+    return regs_[idx];
+  }
 
   /// Write a register (update path).
   void write(u32 idx, Word value);
@@ -50,7 +57,7 @@ class RegisterFile {
   [[nodiscard]] u32 used_count() const { return used_; }
 
  private:
-  void check_idx(u32 idx) const;
+  [[noreturn]] void throw_out_of_range(u32 idx) const;
 
   std::string name_;
   u32 count_;

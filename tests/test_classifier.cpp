@@ -3,7 +3,9 @@
 // updates, algorithm reconfiguration, cost accounting and reports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -697,6 +699,100 @@ TEST(Classifier, PrunedCombineKeepsEqualPriorityTieBreak) {
       EXPECT_TRUE(dataplane::SnapshotOracle(rs).judge(h, got.match, check))
           << check.first_mismatch;
     }
+  }
+}
+
+TEST(Classifier, LongLabelListsCombineExactly) {
+  // Lists longer than any inline scratch capacity: 22 source and 22
+  // destination port ranges cover the target ports, the protocol LUT
+  // yields an exact and a wildcard label, and 33 nested destination
+  // prefixes put 17 labels on each destination segment's list. Every
+  // verdict of the exact combine must agree with the oracle.
+  const u32 dst = ipv4(10, 1, 2, 3);
+  const u16 sport = 5000;
+  const u16 dport = 8080;
+  std::vector<ruleset::IpPrefix> dst_prefixes;
+  for (u8 len = 0; len <= 32; ++len) {
+    dst_prefixes.push_back(ruleset::IpPrefix::make(dst, len));
+  }
+  const std::array<ruleset::IpPrefix, 3> src_prefixes{
+      ruleset::IpPrefix::make(0, 0),
+      ruleset::IpPrefix::make(ipv4(192, 168, 0, 0), 16),
+      ruleset::IpPrefix::make(ipv4(192, 168, 1, 0), 24)};
+  const auto ranges_around = [](u16 port) {
+    std::vector<ruleset::PortRange> out{ruleset::PortRange::wildcard()};
+    for (u16 i = 0; i <= 20; ++i) {
+      out.push_back(ruleset::PortRange::make(static_cast<u16>(port - i),
+                                             static_cast<u16>(port + i)));
+    }
+    return out;
+  };
+  const std::vector<ruleset::PortRange> sports = ranges_around(sport);
+  const std::vector<ruleset::PortRange> dports = ranges_around(dport);
+  const std::array<ruleset::ProtoMatch, 2> protos{
+      ruleset::ProtoMatch::exact(net::kProtoTcp), ruleset::ProtoMatch::any()};
+
+  RuleSet rs("long-lists");
+  Rng rng(2030);
+  while (rs.size() < 400) {
+    Rule r;
+    r.dst_ip = dst_prefixes[rng.below(dst_prefixes.size())];
+    r.src_ip = src_prefixes[rng.below(src_prefixes.size())];
+    r.src_port = sports[rng.below(sports.size())];
+    r.dst_port = dports[rng.below(dports.size())];
+    r.proto = protos[rng.below(protos.size())];
+    r.priority = static_cast<Priority>(1 + rng.below(80));  // with ties
+    r.id = RuleId{static_cast<u32>(rs.size() + 1)};
+    if (std::ranges::none_of(rs, [&](const Rule& o) {
+          return o.same_match(r);
+        })) {
+      rs.add_verbatim(r);
+    }
+  }
+  // Both port lists the target header reads are past 16 labels.
+  const auto covering = [&](auto pick, u16 port) {
+    std::set<ruleset::PortRange> seen;
+    for (const Rule& r : rs) {
+      if (pick(r).contains(port)) seen.insert(pick(r));
+    }
+    return seen.size();
+  };
+  ASSERT_GE(covering([](const Rule& r) { return r.src_port; }, sport), 20u);
+  ASSERT_GE(covering([](const Rule& r) { return r.dst_port; }, dport), 20u);
+
+  // The target header and its neighbours: each destination bit flipped
+  // (cutting the nested prefixes at every depth), ports stepped across
+  // the range bounds, both protocols.
+  std::vector<net::FiveTuple> headers;
+  for (const u8 proto : {net::kProtoTcp, net::kProtoUdp}) {
+    for (int bit = -1; bit < 32; ++bit) {
+      const u32 d = bit < 0 ? dst : dst ^ (u32{1} << bit);
+      headers.push_back({ipv4(192, 168, 1, 7), d, sport, dport, proto});
+    }
+    for (u16 step = 0; step <= 22; ++step) {
+      headers.push_back({ipv4(192, 168, 1, 7), dst,
+                         static_cast<u16>(sport + step),
+                         static_cast<u16>(dport - step), proto});
+      headers.push_back({ipv4(192, 168, 9, 9), dst ^ 0xFF,
+                         static_cast<u16>(sport - step),
+                         static_cast<u16>(dport + step), proto});
+    }
+  }
+
+  const dataplane::SnapshotOracle oracle(rs);
+  for (const IpAlgorithm alg :
+       {IpAlgorithm::kMbt, IpAlgorithm::kBst, IpAlgorithm::kRvh}) {
+    SCOPED_TRACE(to_string(alg));
+    ConfigurableClassifier clf(
+        cfg_for(rs, CombineMode::kCrossProduct, alg));
+    clf.add_rules(rs);
+    dataplane::OracleCheck check;
+    for (const net::FiveTuple& h : headers) {
+      oracle.judge(h, clf.classify(h).match, check);
+    }
+    EXPECT_EQ(check.checked, headers.size());
+    EXPECT_GT(check.oracle_matched, headers.size() / 2);
+    EXPECT_EQ(check.mismatches, 0u) << check.first_mismatch;
   }
 }
 

@@ -1,5 +1,5 @@
 // Unit tests for src/common: bit utilities, the 68-bit merged key, hash
-// functions and the deterministic RNG.
+// functions, the deterministic RNG and the inline scratch vector.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -9,6 +9,7 @@
 #include "common/hash.hpp"
 #include "common/key68.hpp"
 #include "common/random.hpp"
+#include "common/small_vec.hpp"
 
 using namespace pclass;
 
@@ -250,4 +251,75 @@ TEST(Types, RuleIdAndLabel) {
   EXPECT_LT(RuleId{3}, RuleId{5});
   EXPECT_FALSE(Label{}.valid());
   EXPECT_EQ(Label{7}, Label{7});
+}
+
+// SmallVec's inline slots are uninitialised storage: every test reads
+// only what it pushed, within and past the inline capacity.
+TEST(SmallVec, PushWithinInlineCapacity) {
+  SmallVec<Label, 4> v;
+  EXPECT_TRUE(v.empty());
+  EXPECT_FALSE(v.on_heap());
+  for (u16 i = 0; i < 4; ++i) v.push_back(Label{static_cast<u16>(10 + i)});
+  EXPECT_EQ(v.size(), 4u);
+  EXPECT_FALSE(v.on_heap());
+  EXPECT_EQ(v.front(), Label{10});
+  for (u16 i = 0; i < 4; ++i) EXPECT_EQ(v[i], Label{static_cast<u16>(10 + i)});
+  EXPECT_EQ(v.end() - v.begin(), 4);
+}
+
+TEST(SmallVec, SpillKeepsContentsInOrder) {
+  SmallVec<Label, 4> v;
+  for (u16 i = 0; i < 37; ++i) {
+    v.push_back(Label{static_cast<u16>(100 + i)});
+    EXPECT_EQ(v.on_heap(), i >= 4) << "after " << i + 1 << " pushes";
+    ASSERT_EQ(v.size(), usize{i} + 1);
+    // Every element pushed so far survives each growth.
+    for (u16 j = 0; j <= i; ++j) {
+      ASSERT_EQ(v[j], Label{static_cast<u16>(100 + j)});
+    }
+  }
+  u16 expect = 100;
+  for (const Label l : v) EXPECT_EQ(l, Label{expect++});
+}
+
+TEST(SmallVec, ClearThenReuse) {
+  SmallVec<Label, 2> inline_only;
+  inline_only.push_back(Label{1});
+  inline_only.push_back(Label{2});
+  inline_only.clear();
+  EXPECT_TRUE(inline_only.empty());
+  EXPECT_EQ(inline_only.begin(), inline_only.end());
+  inline_only.push_back(Label{9});
+  EXPECT_EQ(inline_only.size(), 1u);
+  EXPECT_EQ(inline_only[0], Label{9});
+
+  SmallVec<Label, 2> spilled;
+  for (u16 i = 0; i < 5; ++i) spilled.push_back(Label{i});
+  ASSERT_TRUE(spilled.on_heap());
+  spilled.clear();
+  EXPECT_TRUE(spilled.empty());
+  // The heap buffer is kept: refilling past the inline capacity neither
+  // loses elements nor returns to the inline slots.
+  for (u16 i = 0; i < 7; ++i) {
+    spilled.push_back(Label{static_cast<u16>(50 + i)});
+  }
+  EXPECT_TRUE(spilled.on_heap());
+  ASSERT_EQ(spilled.size(), 7u);
+  for (u16 i = 0; i < 7; ++i) {
+    EXPECT_EQ(spilled[i], Label{static_cast<u16>(50 + i)});
+  }
+}
+
+TEST(SmallVec, ElementsAreWrittenInPlace) {
+  SmallVec<u32, 3> v;
+  for (u32 i = 0; i < 3; ++i) v.push_back(i);
+  v[1] = 41;
+  v.front() = 7;
+  EXPECT_EQ(v[0], 7u);
+  EXPECT_EQ(v[1], 41u);
+  v.push_back(99);  // spill after in-place writes
+  EXPECT_EQ(v[0], 7u);
+  EXPECT_EQ(v[1], 41u);
+  EXPECT_EQ(v[2], 2u);
+  EXPECT_EQ(v[3], 99u);
 }

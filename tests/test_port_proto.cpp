@@ -346,11 +346,10 @@ struct ProtoRig {
   ProtocolLut lut{"pr"};
   hw::CommandLog log;
   std::vector<u16> find(u8 proto) {
-    LabelVec labels;
     hw::CycleRecorder rec;
-    lut.lookup_into(proto, &rec, labels);
+    const ProtoLabels labels = lut.lookup(proto, &rec);
     std::vector<u16> out;
-    for (Label l : labels) out.push_back(l.value);
+    for (Label l : labels.span()) out.push_back(l.value);
     return out;
   }
 };
@@ -369,10 +368,14 @@ TEST(ProtocolLut, SingleAccessLookup) {
   ProtoRig rig;
   rig.lut.insert(ProtoMatch::exact(6), Label{0}, rig.log);
   hw::CycleRecorder rec;
-  LabelVec labels;
-  rig.lut.lookup_into(6, &rec, labels);
+  (void)rig.lut.lookup(6, &rec);
   EXPECT_EQ(rec.memory_accesses(), 1u);  // §V.B: single clock cycle
   EXPECT_EQ(rec.cycles(), 1u);
+  // The first label alone costs the same read.
+  hw::CycleRecorder first;
+  EXPECT_EQ(rig.lut.lookup_first(6, &first), Label{0});
+  EXPECT_EQ(first.memory_accesses(), 1u);
+  EXPECT_EQ(first.cycles(), 1u);
 }
 
 TEST(ProtocolLut, WildcardCostsOneRegisterWrite) {

@@ -2,7 +2,10 @@
 // merged label key, §III.D / §IV.A).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "core/rule_filter.hpp"
 
 using namespace pclass;
@@ -108,6 +111,40 @@ TEST(RuleFilter, ProbeBoundCapacityError) {
   } catch (const CapacityError&) {
     EXPECT_GE(inserted, 2u);
   }
+}
+
+TEST(RuleFilter, ProbeChainWrapsPastTheLastAddress) {
+  // Keys homed at the last address continue their chain at address 0:
+  // the k-th of them sits k slots down the wrapped chain, and a lookup
+  // walks exactly that far (one read per slot).
+  constexpr u32 kDepth = 8;
+  RuleFilter f("f", kDepth, kDepth, 1);
+  const Key68Hasher h(kDepth, 1);
+  std::vector<Key68> last;
+  for (u64 x = 0; last.size() < 4; ++x) {
+    if (h(key_of(x)) == kDepth - 1) last.push_back(key_of(x));
+  }
+  hw::CommandLog log;
+  for (u32 i = 0; i < 3; ++i) {
+    f.insert(last[i], {RuleId{i + 1}, 0, 0}, log);
+  }
+  for (u32 i = 0; i < 3; ++i) {
+    hw::CycleRecorder rec;
+    const auto hit = f.lookup(last[i], &rec);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->rule, RuleId{i + 1});
+    EXPECT_EQ(rec.memory_accesses(), u64{i} + 1);
+  }
+  hw::CycleRecorder miss;
+  EXPECT_FALSE(f.lookup(last[3], &miss).has_value());
+  EXPECT_EQ(miss.memory_accesses(), 4u);  // addresses 7, 0, 1, then empty 2
+  // A tombstone at address 0 keeps the wrapped chain intact.
+  f.remove(last[1], log);
+  const auto third = f.lookup(last[2], nullptr);
+  ASSERT_TRUE(third.has_value());
+  EXPECT_EQ(third->rule, RuleId{3});
+  f.modify(last[2], {RuleId{3}, 0, 9}, log);
+  EXPECT_EQ(f.lookup(last[2], nullptr)->action, 9u);
 }
 
 TEST(RuleFilter, TableFullCapacityError) {
