@@ -6,6 +6,8 @@
 /// of the table benches.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "baseline/hypercuts.hpp"
 #include "baseline/linear_search.hpp"
 #include "bench_util.hpp"
@@ -75,6 +77,28 @@ static void BM_ClassifyAcl10kThrash(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<i64>(state.iterations()));
 }
 BENCHMARK(BM_ClassifyAcl10kThrash);
+
+// perfbench's set-up without the packet pool, in ms: a publisher as
+// perfbench configures it (exact combine, headroom for 1024 adds), the
+// 10k-rule ACL install, and the empty batch whose catch-up replay brings
+// the second replica to the log head. The publisher is dropped outside
+// the timing, as perfbench drops its throwaway set-ups.
+static void BM_SetUpAcl10k(benchmark::State& state) {
+  static const ruleset::RuleSet rules =
+      workload::synthesize(workload::RulesetProfile::acl(10000, 2026));
+  core::ClassifierConfig cfg =
+      core::ClassifierConfig::for_scale(rules.size() + 1024);
+  cfg.combine_mode = core::CombineMode::kCrossProduct;
+  for (auto _ : state) {
+    auto programs = std::make_unique<dataplane::RuleProgramPublisher>(cfg);
+    benchmark::DoNotOptimize(programs->install_ruleset(rules));
+    benchmark::DoNotOptimize(programs->apply_batch({}));
+    state.PauseTiming();
+    programs.reset();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_SetUpAcl10k)->Unit(benchmark::kMillisecond);
 
 static void BM_AddRemoveRuleMbt(benchmark::State& state) {
   const Workload& w = acl1k();

@@ -185,10 +185,9 @@ std::array<Label, kNumDimensions> ConfigurableClassifier::acquire_labels(
       ++steps;
       written = false;
       labels[index_of(d)] = acq.label;
-      const Priority best = ip_tables_[i].best_priority(v);
       Priority& shadow = label_prio_[index_of(d)][acq.label.value];
       if (acq.created) {
-        shadow = best;
+        shadow = acq.best;
         switch (cfg_.ip_algorithm) {
           case IpAlgorithm::kMbt:
             mbt_[i]->insert(v, acq.label, log);
@@ -204,8 +203,8 @@ std::array<Label, kNumDimensions> ConfigurableClassifier::acquire_labels(
             }
             break;
         }
-      } else if (shadow != best) {
-        shadow = best;
+      } else if (shadow != acq.best) {
+        shadow = acq.best;
         switch (cfg_.ip_algorithm) {
           case IpAlgorithm::kMbt:
             mbt_[i]->refresh(v, log);
@@ -231,7 +230,7 @@ std::array<Label, kNumDimensions> ConfigurableClassifier::acquire_labels(
       ++steps;
       written = false;
       labels[index_of(d)] = acq.label;
-      label_prio_[index_of(d)][acq.label.value] = table.best_priority(v);
+      label_prio_[index_of(d)][acq.label.value] = acq.best;
       if (acq.created) {
         regs.insert(v, acq.label, log);
       }
@@ -244,8 +243,7 @@ std::array<Label, kNumDimensions> ConfigurableClassifier::acquire_labels(
     ++steps;
     written = false;
     labels[index_of(Dimension::kProtocol)] = acq.label;
-    label_prio_[index_of(Dimension::kProtocol)][acq.label.value] =
-        proto_table_.best_priority(r.proto);
+    label_prio_[index_of(Dimension::kProtocol)][acq.label.value] = acq.best;
     if (acq.created) {
       proto_lut_->insert(r.proto, acq.label, log);
     }
@@ -280,10 +278,9 @@ void ConfigurableClassifier::release_labels(const ruleset::Rule& r,
         case IpAlgorithm::kRvh: rvh_[i]->remove(v, log); break;
       }
     } else {
-      const Priority best = ip_tables_[i].best_priority(v);
       Priority& shadow = label_prio_[index_of(d)][rel.label.value];
-      if (shadow != best) {
-        shadow = best;
+      if (shadow != rel.best) {
+        shadow = rel.best;
         switch (cfg_.ip_algorithm) {
           case IpAlgorithm::kMbt: mbt_[i]->refresh(v, log); break;
           case IpAlgorithm::kBst:
@@ -300,26 +297,16 @@ void ConfigurableClassifier::release_labels(const ruleset::Rule& r,
                      const ruleset::PortRange& v, Dimension d) {
     if (k >= steps) return;
     const alg::ReleaseResult rel = table.release(v, r.priority);
-    if (rel.freed) {
-      label_prio_[index_of(d)][rel.label.value] = kNoPriority;
-      if (written(k)) regs.remove(v, log);
-    } else {
-      label_prio_[index_of(d)][rel.label.value] = table.best_priority(v);
-    }
+    label_prio_[index_of(d)][rel.label.value] = rel.best;
+    if (rel.freed && written(k)) regs.remove(v, log);
   };
   do_port(4, sport_table_, *sport_regs_, r.src_port, Dimension::kSrcPort);
   do_port(5, dport_table_, *dport_regs_, r.dst_port, Dimension::kDstPort);
 
   if (steps < kNumDimensions) return;
   const alg::ReleaseResult rel = proto_table_.release(r.proto, r.priority);
-  if (rel.freed) {
-    label_prio_[index_of(Dimension::kProtocol)][rel.label.value] =
-        kNoPriority;
-    if (written(6)) proto_lut_->remove(r.proto, log);
-  } else {
-    label_prio_[index_of(Dimension::kProtocol)][rel.label.value] =
-        proto_table_.best_priority(r.proto);
-  }
+  label_prio_[index_of(Dimension::kProtocol)][rel.label.value] = rel.best;
+  if (rel.freed && written(6)) proto_lut_->remove(r.proto, log);
 }
 
 hw::UpdateStats ConfigurableClassifier::add_rule(const ruleset::Rule& r) {

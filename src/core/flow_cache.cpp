@@ -32,9 +32,9 @@ u64 FlowCache::fingerprint(const net::FiveTuple& t) const {
   return mix64(a ^ mix64(b ^ seed_));
 }
 
-u32 FlowCache::index(const net::FiveTuple& t) const {
+u32 FlowCache::line_of(u64 fp) const {
   return static_cast<u32>(
-      mul_high_u64(mix64(fingerprint(t) ^ (seed_ >> 3)), mem_.depth()));
+      mul_high_u64(mix64(fp ^ (seed_ >> 3)), mem_.depth()));
 }
 
 std::optional<std::optional<RuleEntry>> FlowCache::lookup(
@@ -42,11 +42,11 @@ std::optional<std::optional<RuleEntry>> FlowCache::lookup(
   if (rec != nullptr) {
     rec->charge(1, 0);  // hash unit
   }
-  hw::WordUnpacker u(mem_.read(index(t), rec));
+  const u64 fp = fingerprint(t);
+  hw::WordUnpacker u(mem_.read(line_of(fp), rec));
   const bool valid = u.pull(1) != 0;
   const bool cached_hit = u.pull(1) != 0;
-  const u64 fp = u.pull(64);
-  if (!valid || fp != fingerprint(t)) {
+  if (!valid || u.pull(64) != fp) {
     ++stats_.misses;
     return std::nullopt;  // cache miss: caller runs the full pipeline
   }
@@ -67,14 +67,15 @@ void FlowCache::fill(const net::FiveTuple& t,
                      const std::optional<RuleEntry>& verdict) {
   const u32 rule = verdict ? (verdict->rule.value & 0xFFFFu) : 0;
   const u32 prio = verdict ? (verdict->priority & 0xFFFFu) : 0;
+  const u64 fp = fingerprint(t);
   hw::WordPacker p;
   p.push(1, 1);
   p.push(verdict.has_value() ? 1 : 0, 1);
-  p.push(fingerprint(t), 64);
+  p.push(fp, 64);
   p.push(rule, 16);
   p.push(prio, 16);
   p.push(verdict ? (verdict->action & 0xFFFFu) : 0, 16);
-  const u32 i = index(t);
+  const u32 i = line_of(fp);
   mem_.write(i, p.word());
   src_ip_[i] = t.src_ip;
   dst_ip_[i] = t.dst_ip;

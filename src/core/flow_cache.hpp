@@ -94,7 +94,8 @@ class FlowCache {
   /// tag instead, which is what a real implementation does:
   /// valid(1) cached_hit(1) fp(64) rule(16) prio(16) action(16) = 114.
   [[nodiscard]] u64 fingerprint(const net::FiveTuple& t) const;
-  [[nodiscard]] u32 index(const net::FiveTuple& t) const;
+  /// The line a tuple of fingerprint \p fp lives in.
+  [[nodiscard]] u32 line_of(u64 fp) const;
 
   /// Clear the \p marked lines marked in drop_ (one write each);
   /// returns \p marked.

@@ -1,5 +1,7 @@
 #include "dataplane/elements.hpp"
 
+#include <algorithm>
+
 #include "sdn/flow_mod.hpp"
 
 namespace pclass::dataplane {
@@ -24,17 +26,20 @@ usize TrafficPool::fill(net::PacketBatch& batch, bool loop) {
   if (total == 0 || batch.full()) return 0;
   const usize want = batch.capacity() - batch.size();
   const u64 start = cursor_.fetch_add(want, std::memory_order_relaxed);
-  usize added = 0;
-  for (usize k = 0; k < want; ++k) {
-    u64 idx = start + k;
-    if (!loop && idx >= total) break;
-    idx %= total;
+  usize added = want;
+  if (!loop) {
+    if (start >= total) return 0;
+    added = static_cast<usize>(std::min<u64>(want, total - start));
+  }
+  // One modulo per batch; each step wraps with a compare.
+  usize idx = static_cast<usize>(start % total);
+  for (usize k = 0; k < added; ++k) {
     if (packets_.empty()) {
       batch.push(tuples_[idx]);
     } else {
       batch.push(&packets_[idx]);
     }
-    ++added;
+    if (++idx == total) idx = 0;
   }
   return added;
 }

@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <tuple>
+#include <vector>
 
 #include "alg/label_list_store.hpp"
 #include "alg/label_table.hpp"
 #include "common/error.hpp"
+#include "common/random.hpp"
 #include "ruleset/rule.hpp"
 
 using namespace pclass;
@@ -91,6 +96,237 @@ TEST(LabelTable, ForEachDeterministicAndComplete) {
   });
   EXPECT_EQ(n, 2u);
   EXPECT_EQ(seen_prio, 1u);
+}
+
+namespace {
+
+// A LabelTable beside a reference model kept in ordered trees: a
+// std::map from value to (label, std::multiset of priorities) and the
+// label allocator spelled out (free labels reused last-freed first, then
+// fresh ones in order). Every step compares what the table returns with
+// what the model says, and check() compares the whole table.
+template <typename ValueT>
+class ModelCheck {
+ public:
+  explicit ModelCheck(Dimension dim) : table_(dim) {}
+
+  void acquire(const ValueT& v, Priority p) {
+    auto it = model_.find(v);
+    if (it == model_.end() && model_.size() >= table_.capacity()) {
+      EXPECT_THROW(table_.acquire(v, p), CapacityError);
+      return;
+    }
+    const AcquireResult got = table_.acquire(v, p);
+    EXPECT_EQ(got.created, it == model_.end());
+    if (it == model_.end()) {
+      Label l{next_};
+      if (free_.empty()) {
+        ++next_;
+      } else {
+        l = free_.back();
+        free_.pop_back();
+      }
+      it = model_.emplace(v, Entry{l, {}}).first;
+    }
+    it->second.prios.insert(p);
+    EXPECT_EQ(got.label, it->second.label);
+    EXPECT_EQ(got.best, *it->second.prios.begin());
+    held_.emplace_back(v, p);
+  }
+
+  /// Releases held acquisition \p k (any order).
+  void release(usize k) {
+    const auto [v, p] = held_[k];
+    held_[k] = held_.back();
+    held_.pop_back();
+    release_held(v, p);
+  }
+
+  /// Releases the acquisition of \p v at \p p, which must be held.
+  void release(const ValueT& v, Priority p) {
+    const auto it = std::find(held_.begin(), held_.end(), std::pair{v, p});
+    ASSERT_NE(it, held_.end());
+    release(static_cast<usize>(it - held_.begin()));
+  }
+
+  /// A release the model does not hold throws and changes nothing.
+  void release_unheld(const ValueT& v, Priority p) {
+    const auto it = model_.find(v);
+    ASSERT_TRUE(it == model_.end() || !it->second.prios.contains(p));
+    EXPECT_THROW(table_.release(v, p), InternalError);
+  }
+
+  void check() {
+    EXPECT_EQ(table_.size(), model_.size());
+    std::vector<std::tuple<ValueT, Label, Priority>> want;
+    for (const auto& [v, e] : model_) {
+      want.emplace_back(v, e.label, *e.prios.begin());
+      EXPECT_EQ(table_.find(v), e.label);
+      EXPECT_EQ(table_.refcount(v), e.prios.size());
+      EXPECT_EQ(table_.best_priority(v), *e.prios.begin());
+    }
+    std::vector<std::tuple<ValueT, Label, Priority>> got;
+    table_.for_each([&](const ValueT& v, Label l, Priority p) {
+      got.emplace_back(v, l, p);
+    });
+    EXPECT_EQ(got, want);  // ascending value order, as the map iterates
+  }
+
+  void check_absent(const ValueT& v) {
+    if (model_.contains(v)) return;
+    EXPECT_FALSE(table_.find(v).has_value());
+    EXPECT_EQ(table_.refcount(v), 0u);
+    EXPECT_EQ(table_.best_priority(v), kNoPriority);
+  }
+
+  [[nodiscard]] usize held() const { return held_.size(); }
+  [[nodiscard]] const std::pair<ValueT, Priority>& held(usize k) const {
+    return held_[k];
+  }
+
+ private:
+  void release_held(const ValueT& v, Priority p) {
+    const auto it = model_.find(v);
+    ASSERT_NE(it, model_.end());
+    it->second.prios.erase(it->second.prios.find(p));
+    const ReleaseResult got = table_.release(v, p);
+    EXPECT_EQ(got.label, it->second.label);
+    const bool freed = it->second.prios.empty();
+    EXPECT_EQ(got.freed, freed);
+    if (freed) {
+      EXPECT_EQ(got.best, kNoPriority);
+      free_.push_back(it->second.label);
+      model_.erase(it);
+    } else {
+      EXPECT_EQ(got.best, *it->second.prios.begin());
+    }
+  }
+
+  struct Entry {
+    Label label;
+    std::multiset<Priority> prios;
+  };
+
+  LabelTable<ValueT> table_;
+  std::map<ValueT, Entry> model_;
+  std::vector<Label> free_;
+  u16 next_ = 0;
+  std::vector<std::pair<ValueT, Priority>> held_;
+};
+
+/// A priority: mostly from a narrow band (so rules share priorities),
+/// otherwise from an ACL-sized range.
+Priority draw_priority(Rng& rng) {
+  return static_cast<Priority>(rng.chance(0.5) ? rng.below(8)
+                                               : rng.below(10000));
+}
+
+/// Random acquires and releases over a pool of \p values, the pool
+/// larger than the table's capacity where \p values allow, with the
+/// table checked whole every 32 steps.
+template <typename ValueT>
+void random_walk(ModelCheck<ValueT>& m, const std::vector<ValueT>& values,
+                 Rng& rng, usize steps) {
+  for (usize s = 0; s < steps; ++s) {
+    const ValueT& v = values[rng.below(values.size())];
+    // Grow, then shrink to empty, then grow again: labels are freed in
+    // bulk and reused.
+    const bool growing = (s / (steps / 4)) % 2 == 0;
+    if (m.held() == 0 || rng.chance(growing ? 0.7 : 0.2)) {
+      m.acquire(v, draw_priority(rng));
+    } else {
+      m.release(rng.below(m.held()));
+    }
+    if (rng.chance(0.02)) {
+      const Priority p = static_cast<Priority>(10000 + rng.below(100));
+      m.release_unheld(v, p);  // no rule holds a priority >= 10000
+    }
+    if (s % 32 == 0) {
+      m.check();
+      m.check_absent(v);
+    }
+  }
+  while (m.held() > 0) m.release(rng.below(m.held()));
+  m.check();
+}
+
+}  // namespace
+
+// The table against a map/multiset model on seeded runs over all three
+// key types: shared priorities, labels freed and reused, the capacity
+// bound, and one value held by 5000 rules with priority-0 rules acquired
+// and released in front of it (as churn adds rules at priority 0 ahead
+// of the wildcard source port and the common protocols).
+TEST(LabelTable, MatchesReferenceModel) {
+  Rng rng(0x1AB31);
+
+  std::vector<SegmentPrefix> prefixes;
+  for (int i = 0; i < 400; ++i) {
+    prefixes.push_back(SegmentPrefix::make(
+        static_cast<u16>(rng.next()), static_cast<u8>(rng.below(17))));
+  }
+  ModelCheck<SegmentPrefix> ip(Dimension::kSrcIpHi);
+  random_walk(ip, prefixes, rng, 6000);
+
+  // 160 ranges over a 128-label table: the walk meets CapacityError.
+  std::vector<PortRange> ranges = {PortRange::wildcard()};
+  while (ranges.size() < 160) {
+    const u16 a = static_cast<u16>(rng.next());
+    const u16 b = static_cast<u16>(rng.next());
+    ranges.push_back(PortRange::make(std::min(a, b), std::max(a, b)));
+  }
+  ModelCheck<PortRange> port(Dimension::kSrcPort);
+  random_walk(port, ranges, rng, 6000);
+
+  const std::vector<ProtoMatch> protos = {
+      ProtoMatch::any(), ProtoMatch::exact(6), ProtoMatch::exact(17),
+      ProtoMatch::exact(1), ProtoMatch::exact(47), ProtoMatch::exact(0)};
+  ModelCheck<ProtoMatch> proto(Dimension::kProtocol);
+  random_walk(proto, protos, rng, 3000);
+
+  // A wildcard held by 5000 rules installed in priority order, beside a
+  // few other ranges; then churn: priority-0 rules come and go in front
+  // of it, while base rules leave and return at random priorities.
+  for (Priority p = 1; p <= 5000; ++p) {
+    port.acquire(PortRange::wildcard(), p);
+    if (p % 500 == 0) port.acquire(ranges[p / 500], p);
+  }
+  port.check();
+  for (usize s = 0; s < 4000; ++s) {
+    const usize zeros = 1 + rng.below(3);
+    for (usize z = 0; z < zeros; ++z) port.acquire(PortRange::wildcard(), 0);
+    for (usize z = 0; z < zeros; ++z) port.release(PortRange::wildcard(), 0);
+    if (rng.chance(0.1)) {
+      const usize k = rng.below(port.held());
+      const auto [v, p] = port.held(k);
+      port.release(k);
+      port.acquire(v, p == 0 ? 0 : draw_priority(rng) + 1);
+    }
+    if (s % 256 == 0) port.check();
+  }
+  port.check();
+
+  for (Priority p = 1; p <= 5000; ++p) proto.acquire(ProtoMatch::exact(17), p);
+  for (usize s = 0; s < 2000; ++s) {
+    proto.acquire(ProtoMatch::exact(17), 0);
+    proto.acquire(ProtoMatch::any(), 0);
+    proto.release(ProtoMatch::exact(17), 0);
+    proto.release(ProtoMatch::any(), 0);
+  }
+  proto.check();
+  while (proto.held() > 0) proto.release(rng.below(proto.held()));
+  proto.check();
+
+  // Rules leave from the front while new ones arrive at the back: the
+  // run slides through its buffer.
+  for (Priority p = 0; p < 3000; ++p) {
+    proto.acquire(ProtoMatch::exact(6), 100 + p);
+    if (p >= 40) proto.release(ProtoMatch::exact(6), 60 + p);
+    if (p % 100 == 0) proto.acquire(ProtoMatch::exact(6), 0);
+    if (p % 100 == 50) proto.release(ProtoMatch::exact(6), 0);
+    if (p % 256 == 0) proto.check();
+  }
+  proto.check();
 }
 
 // ---- LabelListStore ----
