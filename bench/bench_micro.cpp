@@ -36,6 +36,22 @@ void classify_loop(benchmark::State& state, core::IpAlgorithm alg,
   state.SetItemsProcessed(static_cast<i64>(state.iterations()));
 }
 
+/// perfbench's 10k-rule ACL set.
+const ruleset::RuleSet& acl10k() {
+  static const ruleset::RuleSet rules =
+      workload::synthesize(workload::RulesetProfile::acl(10000, 2026));
+  return rules;
+}
+
+/// A publisher configured as perfbench's: exact combine, headroom for
+/// 1024 adds.
+std::unique_ptr<dataplane::RuleProgramPublisher> acl10k_publisher() {
+  core::ClassifierConfig cfg =
+      core::ClassifierConfig::for_scale(acl10k().size() + 1024);
+  cfg.combine_mode = core::CombineMode::kCrossProduct;
+  return std::make_unique<dataplane::RuleProgramPublisher>(cfg);
+}
+
 }  // namespace
 
 static void BM_ClassifyMbtFirstLabel(benchmark::State& state) {
@@ -62,8 +78,7 @@ BENCHMARK(BM_ClassifyBstFirstLabel);
 // every packet of that workload misses the flow cache. Reports ns per
 // classify(); A/B a lookup-path change here before end-to-end runs.
 static void BM_ClassifyAcl10kThrash(benchmark::State& state) {
-  static const ruleset::RuleSet rules =
-      workload::synthesize(workload::RulesetProfile::acl(10000, 2026));
+  const ruleset::RuleSet& rules = acl10k();
   static const net::Trace pool = workload::make_cache_thrash_trace(
       rules, 32768, 32768, u64{1} ^ 0x7447);
   const auto clf = make_classifier(rules, core::IpAlgorithm::kMbt,
@@ -79,19 +94,14 @@ static void BM_ClassifyAcl10kThrash(benchmark::State& state) {
 BENCHMARK(BM_ClassifyAcl10kThrash);
 
 // perfbench's set-up without the packet pool, in ms: a publisher as
-// perfbench configures it (exact combine, headroom for 1024 adds), the
-// 10k-rule ACL install, and the empty batch whose catch-up replay brings
-// the second replica to the log head. The publisher is dropped outside
-// the timing, as perfbench drops its throwaway set-ups.
+// perfbench configures it, the 10k-rule ACL install, and the empty batch
+// whose catch-up brings the second replica to the log head (a copy of
+// the published replica). The publisher is dropped outside the timing,
+// as perfbench drops its throwaway set-ups.
 static void BM_SetUpAcl10k(benchmark::State& state) {
-  static const ruleset::RuleSet rules =
-      workload::synthesize(workload::RulesetProfile::acl(10000, 2026));
-  core::ClassifierConfig cfg =
-      core::ClassifierConfig::for_scale(rules.size() + 1024);
-  cfg.combine_mode = core::CombineMode::kCrossProduct;
   for (auto _ : state) {
-    auto programs = std::make_unique<dataplane::RuleProgramPublisher>(cfg);
-    benchmark::DoNotOptimize(programs->install_ruleset(rules));
+    auto programs = acl10k_publisher();
+    benchmark::DoNotOptimize(programs->install_ruleset(acl10k()));
     benchmark::DoNotOptimize(programs->apply_batch({}));
     state.PauseTiming();
     programs.reset();
@@ -99,6 +109,23 @@ static void BM_SetUpAcl10k(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SetUpAcl10k)->Unit(benchmark::kMillisecond);
+
+// The catch-up of BM_SetUpAcl10k alone, in ms: the install runs outside
+// the timing, so what is timed is the empty batch that levels the
+// second replica, i.e. the copy of a 10k-rule replica into an empty one.
+static void BM_CatchUpAcl10k(benchmark::State& state) {
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto programs = acl10k_publisher();
+    programs->install_ruleset(acl10k());
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(programs->apply_batch({}));
+    state.PauseTiming();
+    programs.reset();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_CatchUpAcl10k)->Unit(benchmark::kMillisecond);
 
 static void BM_AddRemoveRuleMbt(benchmark::State& state) {
   const Workload& w = acl1k();

@@ -24,18 +24,18 @@ hw::Word encode_node(bool valid, u16 start, u32 list_addr) {
 
 BinarySearchTree::BinarySearchTree(const std::string& name, BstConfig cfg,
                                    LabelListStore& lists,
-                                   std::function<Priority(Label)> prio_of,
+                                   const Priority* prio,
                                    hw::Memory* shared_memory)
-    : cfg_(cfg), lists_(lists), prio_of_(std::move(prio_of)) {
+    : cfg_(cfg), lists_(&lists), prio_(prio) {
   if (cfg_.max_nodes == 0) {
     throw ConfigError("BinarySearchTree: max_nodes must be > 0");
   }
-  if (lists_.memory().depth() > (u32{1} << kAddrBits)) {
+  if (lists_->memory().depth() > (u32{1} << kAddrBits)) {
     throw ConfigError("BinarySearchTree: list store too deep for address "
                       "field");
   }
-  if (!prio_of_) {
-    throw ConfigError("BinarySearchTree: priority callback required");
+  if (prio_ == nullptr) {
+    throw ConfigError("BinarySearchTree: priority column required");
   }
   const unsigned word_bits =
       std::max(kMinWordBits, cfg_.word_bits_override == 0
@@ -46,13 +46,19 @@ BinarySearchTree::BinarySearchTree(const std::string& name, BstConfig cfg,
         shared_memory->word_bits() < word_bits) {
       throw ConfigError("BinarySearchTree: shared memory too small");
     }
-    mem_ = shared_memory;
   } else {
-    owned_mem_ = std::make_unique<hw::Memory>(name + ".bst", cfg_.max_nodes,
-                                              word_bits, cfg_.read_cycles);
-    mem_ = owned_mem_.get();
+    owned_mem_.emplace(name + ".bst", cfg_.max_nodes, word_bits,
+                       cfg_.read_cycles);
   }
+  rebind(lists, prio, shared_memory);
   nodes_.resize(cfg_.max_nodes);
+}
+
+void BinarySearchTree::rebind(LabelListStore& lists, const Priority* prio,
+                              hw::Memory* shared_memory) {
+  lists_ = &lists;
+  prio_ = prio;
+  mem_ = owned_mem_ ? &*owned_mem_ : shared_memory;
 }
 
 void BinarySearchTree::write_node(u32 idx, hw::CommandLog& log) {
@@ -77,7 +83,7 @@ void BinarySearchTree::rebuild(hw::CommandLog& log) {
     const u32 lo = p.value;
     const u32 hi =
         p.value | static_cast<u32>(mask_low(16u - p.length) & 0xFFFFu);
-    const Priority prio = prio_of_(label);
+    const Priority prio = prio_[label.value];
     events.push_back({lo, true, prio, label});
     points.push_back(lo);
     if (hi + 1 <= 0xFFFFu) {
@@ -138,12 +144,12 @@ void BinarySearchTree::rebuild(hw::CommandLog& log) {
         valid ? std::span<const Label>(intervals[i].list)
               : std::span<const Label>();
     if (old.valid == valid && old.start == start &&
-        std::ranges::equal(lists_.content(old.ref), list)) {
+        std::ranges::equal(lists_->content(old.ref), list)) {
       continue;
     }
     const ListRef new_ref =
-        list.empty() ? ListRef{} : lists_.acquire(intervals[i].list, log);
-    lists_.release(old.ref);
+        list.empty() ? ListRef{} : lists_->acquire(intervals[i].list, log);
+    lists_->release(old.ref);
     old.valid = valid;
     old.start = start;
     old.ref = new_ref;

@@ -19,9 +19,8 @@
 /// weakness.
 #pragma once
 
-#include <functional>
 #include <map>
-#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -49,13 +48,22 @@ struct BstConfig {
 /// Balanced-BST engine for one dimension.
 class BinarySearchTree {
  public:
+  /// \param prio  the controller's label-priority column: entry l is
+  ///              the current best rule priority of label l.
   BinarySearchTree(const std::string& name, BstConfig cfg,
-                   LabelListStore& lists,
-                   std::function<Priority(Label)> prio_of,
+                   LabelListStore& lists, const Priority* prio,
                    hw::Memory* shared_memory = nullptr);
 
-  BinarySearchTree(const BinarySearchTree&) = delete;
-  BinarySearchTree& operator=(const BinarySearchTree&) = delete;
+  /// A copy holds the source's tree and node words but still points at
+  /// the source's list store, priority column and node memory until
+  /// rebind() points it at its own.
+  BinarySearchTree(const BinarySearchTree&) = default;
+  BinarySearchTree& operator=(const BinarySearchTree&) = default;
+
+  /// Point the tree at \p lists, \p prio and, when it owns no node
+  /// memory, \p shared_memory (as the constructor's).
+  void rebind(LabelListStore& lists, const Priority* prio,
+              hw::Memory* shared_memory);
 
   // ---- controller-side update path ----
 
@@ -107,11 +115,11 @@ class BinarySearchTree {
   void write_node(u32 idx, hw::CommandLog& log);
 
   BstConfig cfg_;
-  LabelListStore& lists_;
-  std::function<Priority(Label)> prio_of_;
+  LabelListStore* lists_;
+  const Priority* prio_;  ///< label value -> best rule priority
 
-  std::unique_ptr<hw::Memory> owned_mem_;
-  hw::Memory* mem_;
+  std::optional<hw::Memory> owned_mem_;  ///< empty when the block is shared
+  hw::Memory* mem_ = nullptr;
 
   std::map<ruleset::SegmentPrefix, Label> prefixes_;
   std::vector<SwNode> nodes_;  ///< heap-order shadow (index 0 = root)

@@ -26,11 +26,10 @@ hw::Word encode_entry(bool child_valid, u64 child, u64 list_addr) {
 }  // namespace
 
 MultiBitTrie::MultiBitTrie(const std::string& name, MbtConfig cfg,
-                           LabelListStore& lists,
-                           std::function<Priority(Label)> prio_of,
+                           LabelListStore& lists, const Priority* prio,
                            hw::Memory* shared_level,
                            usize shared_level_index)
-    : cfg_(std::move(cfg)), lists_(lists), prio_of_(std::move(prio_of)) {
+    : cfg_(std::move(cfg)), lists_(&lists), prio_(prio) {
   if (cfg_.strides.empty()) {
     throw ConfigError("MultiBitTrie: need at least one stride");
   }
@@ -54,11 +53,11 @@ MultiBitTrie::MultiBitTrie(const std::string& name, MbtConfig cfg,
       throw ConfigError("MultiBitTrie: level capacity out of range");
     }
   }
-  if (lists_.memory().depth() > (u32{1} << kAddrBits)) {
+  if (lists_->memory().depth() > (u32{1} << kAddrBits)) {
     throw ConfigError("MultiBitTrie: list store too deep for address field");
   }
-  if (!prio_of_) {
-    throw ConfigError("MultiBitTrie: priority callback required");
+  if (prio_ == nullptr) {
+    throw ConfigError("MultiBitTrie: priority column required");
   }
 
   // The word-width override exists to match the shared block's geometry
@@ -74,14 +73,13 @@ MultiBitTrie::MultiBitTrie(const std::string& name, MbtConfig cfg,
           shared_level->word_bits() < shared_word_bits) {
         throw ConfigError("MultiBitTrie: shared level memory too small");
       }
-      mem_.push_back(shared_level);
+      shared_level_ = k;
     } else {
-      owned_mem_.push_back(std::make_unique<hw::Memory>(
-          name + ".L" + std::to_string(k), depth, kMinWordBits,
-          cfg_.read_cycles));
-      mem_.push_back(owned_mem_.back().get());
+      owned_mem_.emplace_back(name + ".L" + std::to_string(k), depth,
+                              kMinWordBits, cfg_.read_cycles);
     }
   }
+  rebind(lists, prio, shared_level);
 
   pool_.resize(cfg_.strides.size());
   free_ids_.resize(cfg_.strides.size());
@@ -90,6 +88,16 @@ MultiBitTrie::MultiBitTrie(const std::string& name, MbtConfig cfg,
   root.entries.resize(usize{1} << cfg_.strides[0]);
   root.live = true;
   pool_[0].push_back(std::move(root));
+}
+
+void MultiBitTrie::rebind(LabelListStore& lists, const Priority* prio,
+                          hw::Memory* shared_level) {
+  lists_ = &lists;
+  prio_ = prio;
+  mem_.clear();
+  for (usize k = 0, owned = 0; k < cfg_.strides.size(); ++k) {
+    mem_.push_back(k == shared_level_ ? shared_level : &owned_mem_[owned++]);
+  }
 }
 
 unsigned MultiBitTrie::level_word_bits(usize level) const {
@@ -143,7 +151,7 @@ i64 MultiBitTrie::alloc_node(usize level, i64 parent, u32 parent_entry,
   n.parent = parent;
   n.parent_entry = parent_entry;
   n.live = true;
-  lists_.retain(inherited, static_cast<u32>(n.entries.size()));
+  lists_->retain(inherited, static_cast<u32>(n.entries.size()));
   for (u32 e = 0; e < n.entries.size(); ++e) {
     write_entry(level, id, e, log);
   }
@@ -160,7 +168,7 @@ void MultiBitTrie::free_node(usize level, i64 id) {
     while (e + run < n.entries.size() && n.entries[e + run].ref == ref) {
       ++run;
     }
-    lists_.release(ref, run);
+    lists_->release(ref, run);
     e += run;
   }
   // Keep the entry array's capacity for the node's next use.
@@ -217,7 +225,7 @@ std::span<const Label> MultiBitTrie::inherited_of(usize level,
   if (n.parent < 0) {
     return {};
   }
-  return lists_.content(
+  return lists_->content(
       pool_[level - 1][static_cast<usize>(n.parent)].entries[n.parent_entry]
           .ref);
 }
@@ -233,7 +241,7 @@ std::vector<Label> MultiBitTrie::compose_list(
     }
   }
   std::sort(out.begin(), out.end(), [&](Label a, Label b) {
-    const Priority pa = prio_of_(a), pb = prio_of_(b);
+    const Priority pa = prio_[a.value], pb = prio_[b.value];
     return pa != pb ? pa < pb : a.value < b.value;
   });
   return out;
@@ -245,14 +253,14 @@ void MultiBitTrie::recompute_entry(usize level, i64 node, u32 entry,
   SwNode& n = pool_[level][static_cast<usize>(node)];
   const std::vector<Label> fresh = compose_list(n, level, entry, inherited);
   SwEntry& e = n.entries[entry];
-  const bool changed = !std::ranges::equal(fresh, lists_.content(e.ref));
+  const bool changed = !std::ranges::equal(fresh, lists_->content(e.ref));
   if (!changed && !force) {
     return;  // nothing below can have changed either (same inherited base)
   }
   if (changed) {
     const ListRef new_ref =
-        fresh.empty() ? ListRef{} : lists_.acquire(fresh, log);
-    lists_.release(e.ref);
+        fresh.empty() ? ListRef{} : lists_->acquire(fresh, log);
+    lists_->release(e.ref);
     e.ref = new_ref;
     write_entry(level, node, entry, log);
   }
@@ -260,7 +268,7 @@ void MultiBitTrie::recompute_entry(usize level, i64 node, u32 entry,
     // The entry holds a reference to its list, so the span stays valid
     // while the children are recomputed.
     const i64 child = e.child;
-    const std::span<const Label> list = lists_.content(e.ref);
+    const std::span<const Label> list = lists_->content(e.ref);
     const usize child_entries = usize{1} << cfg_.strides[level + 1];
     for (u32 ce = 0; ce < child_entries; ++ce) {
       recompute_entry(level + 1, child, ce, list, log, force);
@@ -369,7 +377,7 @@ void MultiBitTrie::clear(hw::CommandLog& log) {
   root.anchored.clear();
   root.children = 0;
   for (u32 e = 0; e < root.entries.size(); ++e) {
-    lists_.release(root.entries[e].ref);
+    lists_->release(root.entries[e].ref);
     root.entries[e] = SwEntry{};
     write_entry(0, 0, e, log);
   }

@@ -19,9 +19,7 @@
 /// CommandLog and serves reads at lookup time.
 #pragma once
 
-#include <functional>
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -50,17 +48,25 @@ struct MbtConfig {
 /// Multi-bit trie engine for one dimension.
 class MultiBitTrie {
  public:
-  /// \param prio_of  controller callback: current best rule priority of a
-  ///                 label (label lists are kept sorted by it).
+  /// \param prio     the controller's label-priority column: entry l is
+  ///                 the current best rule priority of label l (label
+  ///                 lists are kept sorted by it).
   /// \param shared_level  optional externally-owned memory to use for one
   ///                 level (Fig. 5 sharing); nullptr = own all levels.
   MultiBitTrie(const std::string& name, MbtConfig cfg, LabelListStore& lists,
-               std::function<Priority(Label)> prio_of,
-               hw::Memory* shared_level = nullptr,
+               const Priority* prio, hw::Memory* shared_level = nullptr,
                usize shared_level_index = 1);
 
-  MultiBitTrie(const MultiBitTrie&) = delete;
-  MultiBitTrie& operator=(const MultiBitTrie&) = delete;
+  /// A copy holds the source's nodes and level words but still points at
+  /// the source's list store, priority column and levels until rebind()
+  /// points it at its own (a classifier replica's copy does both).
+  MultiBitTrie(const MultiBitTrie&) = default;
+  MultiBitTrie& operator=(const MultiBitTrie&) = default;
+
+  /// Point the trie at \p lists, \p prio and \p shared_level (as the
+  /// constructor's) and its owned levels at its own memories.
+  void rebind(LabelListStore& lists, const Priority* prio,
+              hw::Memory* shared_level);
 
   // ---- controller-side update path (emits device writes via log) ----
 
@@ -155,12 +161,16 @@ class MultiBitTrie {
       const SwNode& node, usize level, u32 entry,
       std::span<const Label> inherited) const;
 
+  /// shared_level_ when no level is shared.
+  static constexpr usize kNoSharedLevel = ~usize{0};
+
   MbtConfig cfg_;
   std::vector<unsigned> cum_;  ///< cumulative stride sums
-  LabelListStore& lists_;
-  std::function<Priority(Label)> prio_of_;
+  LabelListStore* lists_;
+  const Priority* prio_;  ///< label value -> best rule priority
+  usize shared_level_ = kNoSharedLevel;  ///< the level in a shared block
 
-  std::vector<std::unique_ptr<hw::Memory>> owned_mem_;
+  std::vector<hw::Memory> owned_mem_;  ///< every level but the shared one
   std::vector<hw::Memory*> mem_;  ///< per-level (may alias a shared block)
 
   std::vector<std::vector<SwNode>> pool_;       ///< per-level node pools

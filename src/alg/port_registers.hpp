@@ -52,9 +52,6 @@ class PortRegisterFile {
  public:
   PortRegisterFile(const std::string& name, PortRegistersConfig cfg = {});
 
-  PortRegisterFile(const PortRegisterFile&) = delete;
-  PortRegisterFile& operator=(const PortRegisterFile&) = delete;
-
   // ---- controller-side update path ----
 
   /// Program one register with \p range -> \p label.

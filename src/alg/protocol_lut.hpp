@@ -43,9 +43,6 @@ class ProtocolLut {
  public:
   explicit ProtocolLut(const std::string& name);
 
-  ProtocolLut(const ProtocolLut&) = delete;
-  ProtocolLut& operator=(const ProtocolLut&) = delete;
-
   // ---- controller-side update path ----
 
   /// Program \p match -> \p label (one LUT word, or the wildcard

@@ -37,21 +37,19 @@ u16 ancestor_value(ruleset::SegmentPrefix p, u8 al) {
 }  // namespace
 
 RangeVectorHash::RangeVectorHash(const std::string& name, RvhConfig cfg,
-                                 LabelListStore& lists,
-                                 std::function<Priority(Label)> prio_of)
-    : cfg_(cfg), lists_(lists), prio_of_(std::move(prio_of)) {
-  if (cfg_.table_depth == 0) {
-    throw ConfigError("RangeVectorHash: table_depth must be > 0");
-  }
-  if (lists_.memory().depth() > (u32{1} << kAddrBits)) {
+                                 LabelListStore& lists, const Priority* prio)
+    : cfg_(cfg),
+      lists_(&lists),
+      prio_(prio),
+      mem_(name + ".rvh", cfg_.table_depth, kWordBits, cfg_.read_cycles) {
+  // A zero table_depth is rejected by the table memory itself.
+  if (lists_->memory().depth() > (u32{1} << kAddrBits)) {
     throw ConfigError("RangeVectorHash: list store too deep for address "
                       "field");
   }
-  if (!prio_of_) {
-    throw ConfigError("RangeVectorHash: priority callback required");
+  if (prio_ == nullptr) {
+    throw ConfigError("RangeVectorHash: priority column required");
   }
-  mem_ = std::make_unique<hw::Memory>(name + ".rvh", cfg_.table_depth,
-                                      kWordBits, cfg_.read_cycles);
   slots_.resize(cfg_.table_depth);
 }
 
@@ -80,7 +78,7 @@ std::vector<Label> RangeVectorHash::compute_list(
     const auto it =
         prefixes_.find(ruleset::SegmentPrefix{ancestor_value(p, al), al});
     if (it != prefixes_.end()) {
-      keyed.emplace_back(prio_of_(it->second), it->second.value);
+      keyed.emplace_back(prio_[it->second.value], it->second.value);
     }
   }
   std::sort(keyed.begin(), keyed.end());
@@ -94,7 +92,7 @@ std::vector<Label> RangeVectorHash::compute_list(
 
 void RangeVectorHash::write_entry(u32 slot, hw::CommandLog& log) {
   const SwEntry& e = slots_[slot];
-  log.memory_write(*mem_, slot,
+  log.memory_write(mem_, slot,
                    encode_entry(e.valid, e.prefix.length, e.prefix.value,
                                 e.ref.addr));
 }
@@ -105,7 +103,7 @@ void RangeVectorHash::place_entry(ruleset::SegmentPrefix p,
   u32 slot = home_slot(p);
   for (u32 probes = 0;; ++probes) {
     if (probes >= cfg_.table_depth) {
-      throw CapacityError("RangeVectorHash '" + mem_->name() +
+      throw CapacityError("RangeVectorHash '" + mem_.name() +
                           "': table full at depth " +
                           std::to_string(cfg_.table_depth));
     }
@@ -115,7 +113,7 @@ void RangeVectorHash::place_entry(ruleset::SegmentPrefix p,
   SwEntry& e = slots_[slot];
   e.valid = true;
   e.prefix = p;
-  e.ref = lists_.acquire(list, log);
+  e.ref = lists_->acquire(list, log);
   ++live_entries_;
   // §V.A: one hash-unit cycle to obtain the entry address, then the word.
   log.hash_compute();
@@ -125,7 +123,7 @@ void RangeVectorHash::place_entry(ruleset::SegmentPrefix p,
 void RangeVectorHash::erase_entry(ruleset::SegmentPrefix p,
                                   hw::CommandLog& log) {
   u32 hole = find_slot(p);
-  lists_.release(slots_[hole].ref);
+  lists_->release(slots_[hole].ref);
   slots_[hole] = SwEntry{};
   --live_entries_;
   // Backward-shift cluster repair: keep "probe until invalid" exact
@@ -145,7 +143,7 @@ void RangeVectorHash::erase_entry(ruleset::SegmentPrefix p,
       hole = j;
     }
   }
-  log.memory_write(*mem_, hole, hw::Word{});
+  log.memory_write(mem_, hole, hw::Word{});
 }
 
 void RangeVectorHash::refresh_entry(ruleset::SegmentPrefix p,
@@ -153,9 +151,9 @@ void RangeVectorHash::refresh_entry(ruleset::SegmentPrefix p,
   const u32 slot = find_slot(p);
   SwEntry& e = slots_[slot];
   const std::vector<Label> fresh = compute_list(p);
-  if (std::ranges::equal(fresh, lists_.content(e.ref))) return;
-  const ListRef new_ref = lists_.acquire(fresh, log);
-  lists_.release(e.ref);
+  if (std::ranges::equal(fresh, lists_->content(e.ref))) return;
+  const ListRef new_ref = lists_->acquire(fresh, log);
+  lists_->release(e.ref);
   e.ref = new_ref;
   write_entry(slot, log);
 }
@@ -226,9 +224,9 @@ void RangeVectorHash::refresh(ruleset::SegmentPrefix p, hw::CommandLog& log) {
 void RangeVectorHash::clear(hw::CommandLog& log) {
   for (u32 slot = 0; slot < slots_.size(); ++slot) {
     if (!slots_[slot].valid) continue;
-    lists_.release(slots_[slot].ref);
+    lists_->release(slots_[slot].ref);
     slots_[slot] = SwEntry{};
-    log.memory_write(*mem_, slot, hw::Word{});
+    log.memory_write(mem_, slot, hw::Word{});
   }
   prefixes_.clear();
   len_count_.fill(0);
@@ -253,7 +251,7 @@ ListRef RangeVectorHash::lookup(u16 key, hw::CycleRecorder* rec) const {
         mix64(((u64{len} << kValueBits) | masked) ^ kHashSalt) %
         cfg_.table_depth);
     while (true) {
-      const hw::Word w = mem_->read(slot, rec);
+      const hw::Word w = mem_.read(slot, rec);
       hw::WordUnpacker u(w);
       const u64 valid = u.pull(1);
       const u64 elen = u.pull(kLenBits);

@@ -21,9 +21,7 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -49,12 +47,21 @@ struct RvhConfig {
 /// block (its table is live in both select positions it is not).
 class RangeVectorHash {
  public:
+  /// \param prio  the controller's label-priority column: entry l is
+  ///              the current best rule priority of label l.
   RangeVectorHash(const std::string& name, RvhConfig cfg,
-                  LabelListStore& lists,
-                  std::function<Priority(Label)> prio_of);
+                  LabelListStore& lists, const Priority* prio);
 
-  RangeVectorHash(const RangeVectorHash&) = delete;
-  RangeVectorHash& operator=(const RangeVectorHash&) = delete;
+  /// A copy holds the source's table but still points at the source's
+  /// list store and priority column until rebind() points it at its own.
+  RangeVectorHash(const RangeVectorHash&) = default;
+  RangeVectorHash& operator=(const RangeVectorHash&) = default;
+
+  /// Point the engine at \p lists and \p prio (as the constructor's).
+  void rebind(LabelListStore& lists, const Priority* prio) {
+    lists_ = &lists;
+    prio_ = prio;
+  }
 
   // ---- controller-side update path (incremental) ----
 
@@ -80,12 +87,12 @@ class RangeVectorHash {
 
   // ---- introspection ----
 
-  [[nodiscard]] const hw::Memory& memory() const { return *mem_; }
+  [[nodiscard]] const hw::Memory& memory() const { return mem_; }
   [[nodiscard]] usize entry_count() const { return live_entries_; }
   [[nodiscard]] u64 live_node_bits() const {
-    return u64{live_entries_} * mem_->word_bits();
+    return u64{live_entries_} * mem_.word_bits();
   }
-  [[nodiscard]] u64 capacity_bits() const { return mem_->capacity_bits(); }
+  [[nodiscard]] u64 capacity_bits() const { return mem_.capacity_bits(); }
   [[nodiscard]] usize prefix_count() const { return prefixes_.size(); }
   /// Distinct live prefix lengths = probe groups of the worst-case
   /// lookup (each group costs one hash + its cluster reads).
@@ -118,10 +125,10 @@ class RangeVectorHash {
   void note_length_removed(u8 len);
 
   RvhConfig cfg_;
-  LabelListStore& lists_;
-  std::function<Priority(Label)> prio_of_;
+  LabelListStore* lists_;
+  const Priority* prio_;  ///< label value -> best rule priority
 
-  std::unique_ptr<hw::Memory> mem_;
+  hw::Memory mem_;
 
   std::map<ruleset::SegmentPrefix, Label> prefixes_;
   std::vector<SwEntry> slots_;           ///< table shadow (index = slot)

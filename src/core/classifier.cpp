@@ -46,6 +46,19 @@ constexpr u64 extend_prefix(u64 prefix, Dimension d, Label l) {
   return (prefix << label_bits(d)) | l.value;
 }
 
+/// Copy \p src's block into \p dst's existing one (into a new one when
+/// \p dst has none; none when \p src has none).
+template <typename T>
+void copy_block(std::unique_ptr<T>& dst, const std::unique_ptr<T>& src) {
+  if (src == nullptr) {
+    dst.reset();
+  } else if (dst == nullptr) {
+    dst = std::make_unique<T>(*src);
+  } else {
+    *dst = *src;
+  }
+}
+
 std::string prefix_table_name(usize k) {
   return "combine.prefix" + std::to_string(k);
 }
@@ -89,9 +102,7 @@ ConfigurableClassifier::ConfigurableClassifier(ClassifierConfig cfg)
     lists_[i] = std::make_unique<alg::LabelListStore>(
         name + ".labels", cfg_.label_store_depth, kIpLabelBits);
 
-    auto prio_cb = [this, idx = index_of(d)](Label l) {
-      return label_prio_[idx][l.value];
-    };
+    const Priority* prio = label_prio_[index_of(d)].data();
 
     alg::MbtConfig mc = cfg_.mbt;
     alg::BstConfig bc = cfg_.bst;
@@ -104,12 +115,12 @@ ConfigurableClassifier::ConfigurableClassifier(ClassifierConfig cfg)
       bc.word_bits_override = kSharedWordBits;
     }
     mbt_[i] = std::make_unique<alg::MultiBitTrie>(
-        name + ".mbt", mc, *lists_[i], prio_cb, shared_block,
+        name + ".mbt", mc, *lists_[i], prio, shared_block,
         /*shared_level_index=*/1);
     bst_[i] = std::make_unique<alg::BinarySearchTree>(name, bc, *lists_[i],
-                                                      prio_cb, shared_block);
+                                                      prio, shared_block);
     rvh_[i] = std::make_unique<alg::RangeVectorHash>(name, cfg_.rvh,
-                                                     *lists_[i], prio_cb);
+                                                     *lists_[i], prio);
     if (cfg_.share_ip_memory && cfg_.ip_algorithm != IpAlgorithm::kRvh) {
       shared_[i]->bind(role_of(cfg_.ip_algorithm));
     }
@@ -126,6 +137,45 @@ ConfigurableClassifier::ConfigurableClassifier(ClassifierConfig cfg)
 }
 
 ConfigurableClassifier::~ConfigurableClassifier() = default;
+
+ConfigurableClassifier& ConfigurableClassifier::operator=(
+    const ConfigurableClassifier& o) {
+  if (this == &o) return *this;
+  cfg_ = o.cfg_;
+  hash_seed_ = o.hash_seed_;
+  reseed_attempts_ = o.reseed_attempts_;
+  ip_tables_ = o.ip_tables_;
+  sport_table_ = o.sport_table_;
+  dport_table_ = o.dport_table_;
+  proto_table_ = o.proto_table_;
+  label_prio_ = o.label_prio_;
+  prefixes_ = o.prefixes_;
+  for (usize i = 0; i < 4; ++i) {
+    copy_block(lists_[i], o.lists_[i]);
+    copy_block(shared_[i], o.shared_[i]);
+    copy_block(mbt_[i], o.mbt_[i]);
+    copy_block(bst_[i], o.bst_[i]);
+    copy_block(rvh_[i], o.rvh_[i]);
+  }
+  copy_block(sport_regs_, o.sport_regs_);
+  copy_block(dport_regs_, o.dport_regs_);
+  copy_block(proto_lut_, o.proto_lut_);
+  copy_block(rule_filter_, o.rule_filter_);
+  update_stats_ = o.update_stats_;
+  installed_ = o.installed_;
+  match_index_ = o.match_index_;
+  // The copied engines still point at o's list stores, priority columns
+  // and shared blocks.
+  for (usize i = 0; i < 4; ++i) {
+    const Priority* prio = label_prio_[index_of(kIpDims[i])].data();
+    hw::Memory* shared_block =
+        shared_[i] == nullptr ? nullptr : &shared_[i]->block();
+    mbt_[i]->rebind(*lists_[i], prio, shared_block);
+    bst_[i]->rebind(*lists_[i], prio, shared_block);
+    rvh_[i]->rebind(*lists_[i], prio);
+  }
+  return *this;
+}
 
 ruleset::SegmentPrefix ConfigurableClassifier::ip_segment(
     const ruleset::Rule& r, usize ip_dim_index) {

@@ -86,7 +86,14 @@ class ConfigurableClassifier {
   ~ConfigurableClassifier();
 
   ConfigurableClassifier(const ConfigurableClassifier&) = delete;
-  ConfigurableClassifier& operator=(const ConfigurableClassifier&) = delete;
+
+  /// Become a copy of \p o, written into this device's existing storage:
+  /// its configuration, label tables, device blocks, installed rules and
+  /// update statistics. The engines are then pointed at this device's own
+  /// list stores, priority columns and shared blocks, so the copy looks
+  /// up and updates exactly as \p o would, label numbering and charges
+  /// included.
+  ConfigurableClassifier& operator=(const ConfigurableClassifier& o);
 
   // ---- controller API (update path) ----
 
@@ -146,8 +153,8 @@ class ConfigurableClassifier {
   [[nodiscard]] usize rule_count() const { return installed_.size(); }
   [[nodiscard]] std::optional<ruleset::Rule> installed_rule(RuleId id) const;
 
-  /// Snapshot extraction: every installed rule (id order), so a
-  /// dataplane publisher can seed a fresh replica from a live device.
+  /// Snapshot extraction: every installed rule (id order), e.g. for the
+  /// oracle that judges this device's verdicts.
   [[nodiscard]] std::vector<ruleset::Rule> installed_rules() const;
 
   /// Cumulative update-bus statistics since construction.

@@ -46,6 +46,15 @@ hw::UpdateStats RuleProgramPublisher::replay(RuleProgram& p,
   // publisher-attached controller would account ~2x the cost of the
   // same messages applied once to one classifier. Only entries >=
   // charge_from (this call's batch) contribute to the returned cost.
+  // A catch-up as long as the published replica's rules re-derives what
+  // that replica holds, so it is copied instead; a shorter one (steady
+  // churn's one or two entries) is replayed. charge_from is the
+  // published version, which the standby never passes.
+  const u64 behind = charge_from - p.version_;
+  if (behind > RuleProgram::kMaxRecordedUpdates &&
+      behind >= replicas_[published_slot_]->rule_count()) {
+    copy_published(p);
+  }
   hw::UpdateStats cost;
   const u64 from = p.version_;
   while (p.version_ < log_base_ + log_.size()) {
@@ -88,20 +97,11 @@ void RuleProgramPublisher::publish(const std::shared_ptr<RuleProgram>& next) {
   ++stats_.publishes;
 }
 
-void RuleProgramPublisher::rebuild_standby(std::shared_ptr<RuleProgram>& p) {
-  const std::shared_ptr<RuleProgram>& good = replicas_[published_slot_];
-  // Mirror the published replica's *entire* live configuration — a
-  // ConfigMod in the log may have changed the IP algorithm since
-  // construction, and a rebuild from the constructor config would
-  // silently undo it on the standby.
-  auto fresh = std::make_shared<RuleProgram>(good->clf_.config());
-  for (const ruleset::Rule& r : good->clf_.installed_rules()) {
-    fresh->clf_.add_rule(r);
-  }
-  // No recorded updates: the record starts again at the rebuilt version.
-  fresh->version_ = good->version_;
-  fresh->replayed_from_ = good->version_;
-  p = std::move(fresh);
+void RuleProgramPublisher::copy_published(RuleProgram& p) {
+  // The published replica is at the log head before the batch in
+  // flight: the version a catch-up or a restore levels to.
+  p = *replicas_[published_slot_];
+  ++stats_.standby_copies;
 }
 
 hw::UpdateStats RuleProgramPublisher::apply(const sdn::Message& msg) {
@@ -124,14 +124,14 @@ hw::UpdateStats RuleProgramPublisher::apply_batch(
     // the (untouched) published replica, since a throwing update may
     // have left it half-mutated.
     log_.resize(log_mark);
-    rebuild_standby(sb);
+    copy_published(*sb);
     throw;
   }
   publish(sb);
   stats_.updates_applied += msgs.size();
   stats_.device += cost;
   // Entries below the older replica's version can never be replayed
-  // again (a failed replay rebuilds from installed_rules(), not the
+  // again (a failed replay restores the standby by a copy, not from the
   // log); truncating them keeps the log O(one batch) instead of growing
   // forever under continuous churn.
   const u64 min_version =

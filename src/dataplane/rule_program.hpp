@@ -15,6 +15,15 @@
 ///     to drain off it), the replica is stamped with the log position as
 ///     its version, and published with one atomic pointer swap.
 ///
+/// The standby first catches up on the updates the published replica
+/// absorbed since the standby was last published, by replaying them
+/// from the log. A catch-up at least as long as the published replica's
+/// rule count, and longer than a snapshot's record of updates (at
+/// set-up, the whole install), copies the published replica into the
+/// standby's storage instead, and so does the restore after a failed
+/// apply: a copy writes each block once, where a replay re-derives every
+/// label and engine entry.
+///
 /// Guarantees readers rely on (and tests assert):
 ///   * no torn state — a published program is never mutated again until
 ///     every reader reference to it is gone;
@@ -63,6 +72,10 @@ class RuleProgram {
  public:
   explicit RuleProgram(const core::ClassifierConfig& cfg) : clf_(cfg) {}
 
+  /// Become a copy of \p o, device, version and recorded updates alike,
+  /// in this replica's storage (core::ConfigurableClassifier::operator=).
+  RuleProgram& operator=(const RuleProgram& o) = default;
+
   /// Number of log updates folded into this snapshot (monotonic).
   [[nodiscard]] u64 version() const { return version_; }
   [[nodiscard]] usize rule_count() const { return clf_.rule_count(); }
@@ -77,9 +90,10 @@ class RuleProgram {
   /// The updates that took version \p from to version(), in log order,
   /// or nullopt when this snapshot does not carry all of them. Each
   /// replay appends what it replayed, so a snapshot carries the last
-  /// (at most kMaxRecordedUpdates) updates before its version. A replica
-  /// rebuilt after a failed apply carries none from before the version
-  /// it was rebuilt at. A snapshot whose combine mode is not exact
+  /// (at most kMaxRecordedUpdates) updates before its version; a replica
+  /// levelled by a copy of the published one (a long catch-up, or the
+  /// restore after a failed apply) carries that replica's record. A
+  /// snapshot whose combine mode is not exact
   /// carries none: a first-label verdict can change under an update that
   /// neither matches its packet nor names its rule.
   [[nodiscard]] std::optional<std::span<const sdn::Message>> updates_since(
@@ -119,6 +133,10 @@ struct PublisherStats {
   /// Cumulative modelled device cost, charged once per accepted update
   /// (the standby's catch-up re-application is bookkeeping, not cost).
   hw::UpdateStats device;
+  /// Standbys levelled by copying the published replica instead of
+  /// replaying the log: a long catch-up, or a restore after a failed
+  /// apply.
+  u64 standby_copies = 0;
 };
 
 /// Single-writer, many-reader snapshot publisher (RCU by shared_ptr:
@@ -186,6 +204,7 @@ class RuleProgramPublisher : public sdn::UpdateSink {
     out.set(PublisherCounter::updates_applied, stats_.updates_applied);
     out.set(PublisherCounter::publishes, stats_.publishes);
     out.set(PublisherCounter::grace_spins, stats_.grace_spins);
+    out.set(PublisherCounter::standby_copies, stats_.standby_copies);
   }
 
   /// Version -> publish-timestamp table (telemetry): note()d just
@@ -200,17 +219,20 @@ class RuleProgramPublisher : public sdn::UpdateSink {
   [[nodiscard]] std::shared_ptr<RuleProgram>& standby();
 
   /// Bring \p p to the log head and append the replayed entries to its
-  /// recorded updates;
-  /// only entries >= \p charge_from count toward the returned cost
-  /// (catch-up re-applications are free).
+  /// recorded updates; only entries >= \p charge_from (the published
+  /// version) count toward the returned cost (catch-up re-applications
+  /// are free). A catch-up longer than kMaxRecordedUpdates and at least
+  /// as long as the published rule count is a copy_published() instead.
   hw::UpdateStats replay(RuleProgram& p, u64 charge_from);
 
   /// Publish \p next (stamped at the current log head) with one swap.
   void publish(const std::shared_ptr<RuleProgram>& next);
 
-  /// Rebuild \p p from the other replica after a failed replay left it
-  /// in an unknown state (exceptional path).
-  void rebuild_standby(std::shared_ptr<RuleProgram>& p);
+  /// Make the standby \p p a copy of the published replica: version,
+  /// live configuration (a ConfigMod may have switched the IP algorithm)
+  /// and recorded updates included. Levels a far-behind standby, and
+  /// restores one a failed replay left in an unknown state.
+  void copy_published(RuleProgram& p);
 
   core::ClassifierConfig cfg_;
   mutable std::mutex writer_mu_;

@@ -30,6 +30,8 @@ struct UpdateStats {
   /// see CommandLog::prefix_entry).
   u64 prefix_writes = 0;
 
+  friend bool operator==(const UpdateStats&, const UpdateStats&) = default;
+
   UpdateStats& operator+=(const UpdateStats& o) {
     commands += o.commands;
     cycles += o.cycles;

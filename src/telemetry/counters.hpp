@@ -86,7 +86,9 @@ enum class CounterMerge : u8 { kSum, kMax };
   X(rules, kGauge, kMax, "rules", "Rules in the published snapshot.")      \
   X(updates_applied, kCounter, kSum, "updates", "Updates accepted.")       \
   X(publishes, kCounter, kSum, "publishes", "Snapshot swaps.")             \
-  X(grace_spins, kCounter, kSum, "yields", "Yields waiting on readers.")
+  X(grace_spins, kCounter, kSum, "yields", "Yields waiting on readers.")   \
+  X(standby_copies, kCounter, kSum, "copies",                              \
+    "Standbys levelled by copying the published replica.")
 
 // X(name, kind, merge, unit, help). An update's latency runs from its
 // command's parse (cmd) or its snapshot swap (publish) to the first, or

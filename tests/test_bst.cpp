@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
+#include <vector>
 
 #include "alg/binary_search_tree.hpp"
 #include "common/error.hpp"
@@ -16,17 +16,16 @@ using pclass::ruleset::SegmentPrefix;
 namespace {
 
 struct Rig {
-  std::map<u16, Priority> prio;
+  /// Label value -> priority: the engine's priority column.
+  std::vector<Priority> prio =
+      std::vector<Priority>(usize{1} << kIpLabelBits, kNoPriority);
   LabelListStore lists{"lists", 4096, kIpLabelBits};
   std::unique_ptr<BinarySearchTree> bst;
   hw::CommandLog log;
 
   explicit Rig(BstConfig c = {}) {
     bst = std::make_unique<BinarySearchTree>(
-        "t", c, lists, [this](Label l) {
-          const auto it = prio.find(l.value);
-          return it == prio.end() ? kNoPriority : it->second;
-        });
+        "t", c, lists, prio.data());
   }
 
   void insert(u16 value, u8 len, u16 label, Priority p) {

@@ -4,11 +4,15 @@
 /// end-to-end agreement with the single-threaded classifier.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <optional>
+#include <span>
+#include <tuple>
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/random.hpp"
 #include "dataplane/engine.hpp"
 #include "ruleset/generator.hpp"
 #include "ruleset/trace_gen.hpp"
@@ -381,6 +385,165 @@ TEST(RuleProgram, EngineObservesMonotonicVersionsDuringUpdateStorm) {
   }
 }
 
+// ---- standby levelling: a copy equals a replay ---------------------------
+
+namespace {
+
+/// What a replica shows from outside: its memory map, its installed
+/// rules (when asked for), and verdict and charges of every lookup of
+/// \p headers.
+struct ReplicaView {
+  std::vector<std::tuple<std::string, u64, u64>> blocks;  // name, cap, used
+  u64 register_bits = 0;
+  std::vector<std::string> rules;
+  std::vector<std::tuple<Verdict, u64, u64, u64>> lookups;
+
+  bool operator==(const ReplicaView&) const = default;
+};
+
+ReplicaView view_of(const core::ConfigurableClassifier& clf,
+                    std::span<const net::FiveTuple> headers,
+                    bool with_rules = true) {
+  ReplicaView v;
+  const core::MemoryReport mem = clf.memory_report();
+  for (const core::MemoryBlockReport& b : mem.blocks) {
+    v.blocks.emplace_back(b.name, b.capacity_bits, b.used_bits);
+  }
+  v.register_bits = mem.register_bits;
+  for (const ruleset::Rule& r :
+       with_rules ? clf.installed_rules() : std::vector<ruleset::Rule>{}) {
+    v.rules.push_back(ruleset::to_string(r) + " id " +
+                      std::to_string(r.id.value) + " priority " +
+                      std::to_string(r.priority) + " action " +
+                      std::to_string(r.action.token));
+  }
+  for (const net::FiveTuple& h : headers) {
+    const core::ClassifyResult res = clf.classify(h);
+    v.lookups.emplace_back(res.match, res.cycles, res.memory_accesses,
+                           res.crossproduct_probes);
+  }
+  return v;
+}
+
+/// Updates the published snapshot records: all kMaxRecordedUpdates once
+/// more than that many were applied.
+usize recorded_updates(const RuleProgram& p) {
+  for (u64 from = 0; from <= p.version(); ++from) {
+    if (const auto u = p.updates_since(from)) return u->size();
+  }
+  return 0;
+}
+
+/// An add aimed at \p t (random prefix lengths, ports exact or wild) or
+/// the removal of a random installed rule, alternately.
+sdn::Message aimed_update(usize step, const net::FiveTuple& t,
+                          const std::vector<ruleset::Rule>& installed,
+                          Rng& rng) {
+  if (step % 2 == 1) {
+    return delete_msg(installed[rng.below(installed.size())].id.value);
+  }
+  constexpr std::array<u8, 4> kLens = {8, 16, 24, 32};
+  ruleset::Rule r;
+  r.src_ip = ruleset::IpPrefix::make(t.src_ip, kLens[rng.below(4)]);
+  r.dst_ip = ruleset::IpPrefix::make(t.dst_ip, kLens[rng.below(4)]);
+  if (rng.below(2) == 0) r.src_port = ruleset::PortRange::exact(t.src_port);
+  if (rng.below(2) == 0) r.dst_port = ruleset::PortRange::exact(t.dst_port);
+  r.proto = ruleset::ProtoMatch::exact(t.protocol);
+  r.priority = static_cast<Priority>(rng.below(1200));
+  r.id = RuleId{static_cast<u32>(30'000 + step)};
+  return sdn::FlowMod::add(r, sdn::ActionSpec::output(1 + step % 7));
+}
+
+}  // namespace
+
+TEST(RuleProgramPublisher, CopiedStandbyEqualsReplayedStandby) {
+  const ruleset::RuleSet rules =
+      ruleset::make_classbench_like(ruleset::FilterType::kAcl, 1000);
+  ruleset::TraceGenerator tg(rules, {.headers = 1000, .seed = 11});
+  std::vector<net::FiveTuple> trace;
+  for (const net::TraceEntry& e : tg.generate()) trace.push_back(e.header);
+  const auto probe_set = std::span<const net::FiveTuple>(trace).first(128);
+  std::vector<sdn::Message> install;
+  for (const ruleset::Rule& r : rules) {
+    install.emplace_back(
+        sdn::FlowMod::add(r, sdn::ActionSpec::decode(r.action.token)));
+  }
+
+  struct Case {
+    core::IpAlgorithm alg;
+    std::optional<core::IpAlgorithm> switch_to;
+  };
+  for (const Case& c : {Case{core::IpAlgorithm::kMbt, std::nullopt},
+                        Case{core::IpAlgorithm::kBst, std::nullopt},
+                        Case{core::IpAlgorithm::kRvh, std::nullopt},
+                        Case{core::IpAlgorithm::kMbt,
+                             core::IpAlgorithm::kBst}}) {
+    SCOPED_TRACE(std::string(core::to_string(c.alg)) +
+                 (c.switch_to ? std::string(" -> ") +
+                                    core::to_string(*c.switch_to)
+                              : std::string()));
+    core::ClassifierConfig cfg =
+        core::ClassifierConfig::for_scale(rules.size() + 512);
+    cfg.combine_mode = core::CombineMode::kCrossProduct;
+    cfg.ip_algorithm = c.alg;
+    std::vector<sdn::Message> msgs = install;
+    if (c.switch_to) msgs.emplace_back(sdn::ConfigMod{*c.switch_to});
+
+    // One replica takes the install by replay; the levelling batch then
+    // brings the other up by copying it.
+    RuleProgramPublisher programs(cfg);
+    programs.apply_batch(msgs);
+    const ReplicaView replayed =
+        view_of(programs.acquire()->classifier(), trace);
+    EXPECT_EQ(recorded_updates(*programs.acquire()),
+              RuleProgram::kMaxRecordedUpdates);
+    EXPECT_EQ(programs.stats().standby_copies, 0u);
+    programs.apply_batch({});
+    EXPECT_EQ(programs.stats().standby_copies, 1u);
+    EXPECT_EQ(programs.version(), msgs.size());
+    EXPECT_TRUE(view_of(programs.acquire()->classifier(), trace) == replayed);
+    EXPECT_EQ(recorded_updates(*programs.acquire()),
+              RuleProgram::kMaxRecordedUpdates);
+
+    // A device replaying the same messages is the reference from here.
+    core::ConfigurableClassifier ref(cfg);
+    for (const sdn::Message& m : msgs) sdn::apply_message(ref, m);
+    ASSERT_TRUE(view_of(ref, trace) == replayed);
+
+    // The two replicas now take turns at each update: every step's
+    // charge and verdicts must be the reference's.
+    Rng rng(0x5EED + static_cast<u64>(c.alg));
+    u64 failed = 0;
+    for (usize step = 0; step < 256; ++step) {
+      const sdn::Message m =
+          aimed_update(step, trace[rng.below(trace.size())],
+                       ref.installed_rules(), rng);
+      std::optional<hw::UpdateStats> want;
+      try {
+        want = sdn::apply_message(ref, m);
+      } catch (const Error&) {
+      }
+      if (!want) {  // protocol labels run out, or a match part repeats
+        EXPECT_THROW(programs.apply(m), Error);
+        ++failed;
+        continue;
+      }
+      ASSERT_TRUE(programs.apply(m) == *want) << "step " << step;
+      const std::shared_ptr<const RuleProgram> snap = programs.acquire();
+      ASSERT_TRUE(view_of(snap->classifier(), probe_set, false) ==
+                  view_of(ref, probe_set, false))
+          << "step " << step;
+      ASSERT_EQ(recorded_updates(*snap), RuleProgram::kMaxRecordedUpdates)
+          << "step " << step;
+    }
+    // Steady churn's one-entry catch-ups replay; each failed apply
+    // restores its standby by a copy.
+    EXPECT_EQ(programs.stats().standby_copies, 1 + failed);
+    EXPECT_TRUE(view_of(programs.acquire()->classifier(), trace) ==
+                view_of(ref, trace));
+  }
+}
+
 // ---- engine end-to-end ----------------------------------------------------
 
 TEST(Engine, MultiWorkerMatchesSingleThreadedOracle) {
@@ -677,23 +840,24 @@ TEST(FlowCacheElement, GapBeyondTheRecordedUpdatesFlushesWhole) {
   EXPECT_EQ(c.cache->stats().lines_invalidated, 0u);
 }
 
-TEST(FlowCacheElement, RebuiltStandbyServesItsVersionAndFlushesWorkersBehind) {
+TEST(FlowCacheElement, RestoredStandbyKeepsThePublishedRecord) {
   RuleProgramPublisher programs(exact_config());
   programs.apply(add_msg(5));
   CacheChain behind(&programs);
-  behind.push({probe_tuple(5)});  // cached at v1
+  behind.push({probe_tuple(5), probe_tuple(7)});  // cached at v1 (7: a miss)
   programs.apply(add_msg(7));
   CacheChain at(&programs);
   at.push({probe_tuple(5)});  // cached at v2
 
-  // A failed publish rebuilds the standby from the installed rules at
-  // v2; its record of updates starts again there.
+  // A failed publish restores the standby as a copy of the published
+  // replica at v2, its record of updates included.
   programs.set_fault_hook([] { throw std::runtime_error("injected"); });
   EXPECT_THROW(programs.apply(add_msg(6)), std::runtime_error);
   programs.set_fault_hook(nullptr);
+  EXPECT_EQ(programs.stats().standby_copies, 1u);
   EXPECT_TRUE(at.push({probe_tuple(5)}).meta(0).from_cache);  // nothing new
 
-  // The rebuilt replica publishes v3 with the v2->v3 update: a worker
+  // The restored replica publishes v3 with the v2->v3 update: a worker
   // at v2 drops only what it changes...
   programs.apply(add_msg(6));
   const net::PacketBatch& b_at = at.push({probe_tuple(5), probe_tuple(6)});
@@ -702,11 +866,16 @@ TEST(FlowCacheElement, RebuiltStandbyServesItsVersionAndFlushesWorkersBehind) {
   EXPECT_EQ(b_at.meta(1).rule, RuleId{6});
   EXPECT_EQ(at.cache->stats().invalidations, 0u);
 
-  // ...and a worker still at v1 finds no record of v1->v2, so it flushes.
-  const net::PacketBatch& b_behind = behind.push({probe_tuple(5)});
-  EXPECT_FALSE(b_behind.meta(0).from_cache);
+  // ...and so does a worker still at v1: the record still holds v1->v2,
+  // whose add of rule 7 drops flow 7's cached miss and nothing else.
+  const net::PacketBatch& b_behind =
+      behind.push({probe_tuple(5), probe_tuple(7)});
+  EXPECT_TRUE(b_behind.meta(0).from_cache);
   EXPECT_EQ(b_behind.meta(0).rule, RuleId{5});
-  EXPECT_EQ(behind.cache->stats().invalidations, 1u);
+  EXPECT_FALSE(b_behind.meta(1).from_cache);
+  EXPECT_EQ(b_behind.meta(1).rule, RuleId{7});
+  EXPECT_EQ(behind.cache->stats().invalidations, 0u);
+  EXPECT_EQ(behind.cache->stats().lines_invalidated, 1u);
 }
 
 TEST(FlowCacheElement, FirstLabelCombineFlushesWhole) {

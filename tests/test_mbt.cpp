@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 #include <vector>
 
 #include "alg/multibit_trie.hpp"
@@ -18,22 +17,19 @@ using pclass::ruleset::SegmentPrefix;
 
 namespace {
 
-/// Test fixture: a trie + list store + a priority map driving the
-/// prio_of callback (labels sorted by priority, then value).
+/// Test fixture: a trie + list store + its priority column (labels
+/// sorted by priority, then value).
 struct Rig {
-  std::map<u16, Priority> prio;  // label value -> priority
+  /// Label value -> priority: the engine's priority column.
+  std::vector<Priority> prio =
+      std::vector<Priority>(usize{1} << kIpLabelBits, kNoPriority);
   LabelListStore lists{"lists", 2048, kIpLabelBits};
   MbtConfig cfg;
   std::unique_ptr<MultiBitTrie> trie;
   hw::CommandLog log;
 
   explicit Rig(MbtConfig c = {}) : cfg(std::move(c)) {
-    trie = std::make_unique<MultiBitTrie>(
-        "t", cfg, lists,
-        [this](Label l) {
-          const auto it = prio.find(l.value);
-          return it == prio.end() ? kNoPriority : it->second;
-        });
+    trie = std::make_unique<MultiBitTrie>("t", cfg, lists, prio.data());
   }
 
   void insert(u16 value, u8 len, u16 label, Priority p) {
@@ -195,13 +191,13 @@ TEST(Mbt, ClearEmptiesEverything) {
 
 TEST(Mbt, ConfigValidation) {
   LabelListStore lists("l", 64, kIpLabelBits);
-  auto cb = [](Label) { return Priority{0}; };
+  const std::vector<Priority> prio(usize{1} << kIpLabelBits, 0);
   MbtConfig bad1;
   bad1.strides = {5, 5, 5};  // sums to 15
-  EXPECT_THROW(MultiBitTrie("t", bad1, lists, cb), ConfigError);
+  EXPECT_THROW(MultiBitTrie("t", bad1, lists, prio.data()), ConfigError);
   MbtConfig bad2;
   bad2.level_capacity = {1, 2};  // size mismatch
-  EXPECT_THROW(MultiBitTrie("t", bad2, lists, cb), ConfigError);
+  EXPECT_THROW(MultiBitTrie("t", bad2, lists, prio.data()), ConfigError);
   MbtConfig ok;
   EXPECT_THROW(MultiBitTrie("t", ok, lists, nullptr), ConfigError);
 }
@@ -240,10 +236,12 @@ TEST(Mbt, StoreFullMidLeafPushLeavesTrieAsItWas) {
   // A label-list store that fills part-way through an insert's leaf push
   // must leave the node pools, the store and every lookup as they were,
   // so the same prefix goes in once there is room.
-  std::map<u16, Priority> prio{{1, 5}, {2, 0}, {3, 0}};
+  std::vector<Priority> prio(usize{1} << kIpLabelBits, kNoPriority);
+  prio[1] = 5;
+  prio[2] = 0;
+  prio[3] = 0;
   LabelListStore lists("lists", 4, kIpLabelBits);
-  MultiBitTrie trie("t", MbtConfig{}, lists,
-                    [&prio](Label l) { return prio.at(l.value); });
+  MultiBitTrie trie("t", MbtConfig{}, lists, prio.data());
   hw::CommandLog log;
   const auto lookup = [&](u16 key) {
     std::vector<u16> out;

@@ -21,7 +21,9 @@ namespace {
 /// Shared fixture: an MBT with a given stride plan and a BST over the
 /// same (prefix, label, priority) population.
 struct DualRig {
-  std::map<u16, Priority> prio;
+  /// Label value -> priority: both engines' priority column.
+  std::vector<Priority> prio =
+      std::vector<Priority>(usize{1} << kIpLabelBits, kNoPriority);
   LabelListStore mbt_lists{"ml", 4096, kIpLabelBits};
   LabelListStore bst_lists{"bl", 4096, kIpLabelBits};
   std::unique_ptr<MultiBitTrie> mbt;
@@ -33,13 +35,9 @@ struct DualRig {
     MbtConfig mc;
     mc.strides = std::move(strides);
     mc.level_capacity = std::move(capacity);
-    auto cb = [this](Label l) {
-      const auto it = prio.find(l.value);
-      return it == prio.end() ? kNoPriority : it->second;
-    };
-    mbt = std::make_unique<MultiBitTrie>("m", mc, mbt_lists, cb);
+    mbt = std::make_unique<MultiBitTrie>("m", mc, mbt_lists, prio.data());
     bst = std::make_unique<BinarySearchTree>("b", BstConfig{}, bst_lists,
-                                             cb);
+                                             prio.data());
   }
 
   void insert(SegmentPrefix p, u16 label, Priority pr) {

@@ -53,7 +53,7 @@ ENGINE_ROWS = dict.fromkeys((
     "lost_packets", "trace_events_dropped", "trace_events_truncated"), "sum")
 # The rows of PCLASS_PUBLISHER_COUNTERS and PCLASS_SOCKET_COUNTERS.
 PUBLISHER_ROWS = dict(version="max", rules="max", updates_applied="sum",
-                      publishes="sum", grace_spins="sum")
+                      publishes="sum", grace_spins="sum", standby_copies="sum")
 SOCKET_ROWS = {
     "updates_accepted": "sum", "visibility_samples": "sum",
     "visibility_unresolved": "sum", "visibility_pending": "sum",
@@ -413,7 +413,8 @@ def engine(**rows):
     return zeros(ENGINE_ROWS, **rows)
 
 
-SERVE_PUB = zeros(PUBLISHER_ROWS, version=70, publishes=70, grace_spins=3)
+SERVE_PUB = zeros(PUBLISHER_ROWS, version=70, publishes=70, grace_spins=3,
+                  standby_copies=1)
 SERVE_SOCK = zeros(
     SOCKET_ROWS, updates_accepted=40, visibility_samples=39,
     visibility_unresolved=1, cmd_to_first_total_ns=39, cmd_to_first_max_ns=1,
@@ -536,6 +537,7 @@ def self_test():
                       "# TYPE pclass_workers_failed gauge",
                       "# TYPE pclass_workers_failed counter")),
                   lambda a: a[1]["publisher"].update(grace_spins=4),
+                  lambda a: a[1]["publisher"].update(standby_copies=2),
                   lambda a: a[1]["socket"].update(cmd_to_first_max_ns=2),
                   lambda a: a[5].__setitem__(-1, a[5][-1].replace(
                       "pclass_socket_cmd_to_first_max_ns_total 1\n", ""))),
@@ -567,6 +569,8 @@ def self_test():
     del unrendered["scenarios"][0]["engine"]["shed_packets"]
     unpublished = copy.deepcopy(good)
     del unpublished["scenarios"][0]["publisher"]["grace_spins"]
+    uncopied = copy.deepcopy(good)
+    del uncopied["scenarios"][0]["publisher"]["standby_copies"]
     cases["schema"] = (
         (serve, text(good)),
         lambda a: a.__setitem__(1, text(bad)),
@@ -574,6 +578,7 @@ def self_test():
         lambda a: a.__setitem__(1, text(dropped)),
         lambda a: a.__setitem__(1, text(unrendered)),
         lambda a: a.__setitem__(1, text(unpublished)),
+        lambda a: a.__setitem__(1, text(uncopied)),
         lambda a: a.__setitem__(0, serve.replace('"cache_misses"', '"x"')),
         lambda a: a.__setitem__(0, json.dumps(unrendered_serve)),
         lambda a: a.__setitem__(0, json.dumps(unrendered_sock)))
