@@ -6,11 +6,14 @@
 /// of the table benches.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 
 #include "baseline/hypercuts.hpp"
 #include "baseline/linear_search.hpp"
 #include "bench_util.hpp"
+#include "core/flow_cache.hpp"
 
 using namespace pclass;
 using namespace pclass::bench;
@@ -50,6 +53,61 @@ std::unique_ptr<dataplane::RuleProgramPublisher> acl10k_publisher() {
       core::ClassifierConfig::for_scale(acl10k().size() + 1024);
   cfg.combine_mode = core::CombineMode::kCrossProduct;
   return std::make_unique<dataplane::RuleProgramPublisher>(cfg);
+}
+
+/// A 4096-line flow cache filled as perfbench's acl10k-churn fills its
+/// caches (seed 1: four chained standard-profile draws of 16384 packets,
+/// each packet's verdict from the 10k-rule classifier, in trace order),
+/// and the eight heaviest flows of that trace, which churn's adds aim at.
+struct ChurnCache {
+  core::FlowCache cache{"bench-cache", 4096};
+  std::vector<std::pair<net::FiveTuple, std::optional<core::RuleEntry>>> heavy;
+};
+
+const ChurnCache& churn_cache() {
+  static const ChurnCache c = [] {
+    ChurnCache out;
+    const auto clf = make_classifier(acl10k(), core::IpAlgorithm::kMbt,
+                                     core::CombineMode::kCrossProduct);
+    std::map<net::FiveTuple, std::pair<u64, std::optional<core::RuleEntry>>> flows;
+    for (u64 d = 0; d < 4; ++d) {
+      const auto profile =
+          workload::TraceProfile::standard(16384, (4 + d) ^ 0xABCD);
+      for (const net::TraceEntry& e :
+           workload::TraceSynthesizer(acl10k(), profile).generate()) {
+        const std::optional<core::RuleEntry> v = clf->classify(e.header).match;
+        out.cache.fill(e.header, v);
+        auto& [n, verdict] = flows[e.header];
+        ++n;
+        verdict = v;
+      }
+    }
+    std::vector<std::pair<u64, net::FiveTuple>> by_count;
+    for (const auto& [t, f] : flows) by_count.emplace_back(f.first, t);
+    std::stable_sort(by_count.begin(), by_count.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first > b.first;
+                     });
+    for (usize i = 0; i < 8 && i < by_count.size(); ++i) {
+      const net::FiveTuple& t = by_count[i].second;
+      out.heavy.emplace_back(t, flows.at(t).second);
+    }
+    return out;
+  }();
+  return c;
+}
+
+/// Churn's aimed add at flow \p t: its exact addresses, destination
+/// port and protocol, priority 0, an id above every acl10k rule.
+ruleset::Rule aimed_add(const net::FiveTuple& t, u32 id) {
+  ruleset::Rule r;
+  r.src_ip = ruleset::IpPrefix::make(t.src_ip, 32);
+  r.dst_ip = ruleset::IpPrefix::make(t.dst_ip, 32);
+  r.dst_port = ruleset::PortRange::exact(t.dst_port);
+  r.proto = ruleset::ProtoMatch::exact(t.protocol);
+  r.id = RuleId{id};
+  r.priority = 0;
+  return r;
 }
 
 }  // namespace
@@ -126,6 +184,45 @@ static void BM_CatchUpAcl10k(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CatchUpAcl10k)->Unit(benchmark::kMillisecond);
+
+// The flow-cache catch-up of one churn update, in ns per scan, on a
+// full 4096-line cache filled from churn's traffic: an aimed /32 add
+// (invalidate_matching) cycling over the eight heaviest flows. Each
+// iteration first refills the aimed flow with its base verdict (one
+// fill), so every scan drops one line, as a churn add does.
+static void BM_FlowCacheCatchUpAdd(benchmark::State& state) {
+  core::FlowCache cache = churn_cache().cache;
+  const auto& heavy = churn_cache().heavy;
+  std::vector<ruleset::Rule> adds;
+  for (usize i = 0; i < heavy.size(); ++i) {
+    adds.push_back(aimed_add(heavy[i].first, 60000 + static_cast<u32>(i)));
+  }
+  usize i = 0;
+  for (auto _ : state) {
+    cache.fill(heavy[i].first, heavy[i].second);
+    benchmark::DoNotOptimize(cache.invalidate_matching(adds[i]));
+    i = i + 1 == adds.size() ? 0 : i + 1;
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()));
+}
+BENCHMARK(BM_FlowCacheCatchUpAdd)->Unit(benchmark::kNanosecond);
+
+// The remove of BM_FlowCacheCatchUpAdd's rules (invalidate_rule): each
+// iteration refills an aimed flow with its add's verdict, then scans for
+// that rule, dropping the one line, as a churn remove does.
+static void BM_FlowCacheCatchUpRemove(benchmark::State& state) {
+  core::FlowCache cache = churn_cache().cache;
+  const auto& heavy = churn_cache().heavy;
+  usize i = 0;
+  for (auto _ : state) {
+    const RuleId id{60000 + static_cast<u32>(i)};
+    cache.fill(heavy[i].first, core::RuleEntry{id, 0, 0});
+    benchmark::DoNotOptimize(cache.invalidate_rule(id));
+    i = i + 1 == heavy.size() ? 0 : i + 1;
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()));
+}
+BENCHMARK(BM_FlowCacheCatchUpRemove)->Unit(benchmark::kNanosecond);
 
 static void BM_AddRemoveRuleMbt(benchmark::State& state) {
   const Workload& w = acl1k();

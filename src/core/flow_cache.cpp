@@ -13,6 +13,17 @@ constexpr unsigned kLineBits = 1 + 1 + 64 + 16 + 16 + 16;
 constexpr u32 prefix_mask(u8 length) {
   return length == 0 ? 0u : ~0u << (32 - length);
 }
+
+/// Whether some value of \p col[0, n) has (value & mask) == val: one AND
+/// and compare per value, OR-reduced without a branch.
+inline bool any_masked_equal(const u32* col, usize n, u32 mask, u32 val) {
+  if (mask == 0) return val == 0;  // a /0 holds every value
+  u32 hit = 0;
+  for (usize i = 0; i < n; ++i) {
+    hit |= static_cast<u32>((col[i] & mask) == val);
+  }
+  return hit != 0;
+}
 }  // namespace
 
 FlowCache::FlowCache(std::string name, u32 depth, u64 seed)
@@ -22,8 +33,7 @@ FlowCache::FlowCache(std::string name, u32 depth, u64 seed)
       dst_ip_(depth),
       ports_(depth),
       verdict_(depth),
-      meta_(depth, kInvalid << 8),
-      drop_(depth) {}
+      meta_(depth, kInvalid << 8) {}
 
 u64 FlowCache::fingerprint(const net::FiveTuple& t) const {
   const u64 a = (u64{t.src_ip} << 32) | t.dst_ip;
@@ -85,6 +95,44 @@ void FlowCache::fill(const net::FiveTuple& t,
   ++stats_.fills;
 }
 
+template <typename Drops>
+usize FlowCache::scan(const u32* col, u32 mask, u32 val, Drops drops) {
+  const usize n = meta_.size();
+  usize dropped = 0;
+  for (usize base = 0; base < n; base += kBlock) {
+    const usize len = std::min(kBlock, n - base);
+    // A full block passes its length as a constant, so its loops
+    // vectorize at -O2 too.
+    dropped += len == kBlock ? scan_block(base, kBlock, col, mask, val, drops)
+                             : scan_block(base, len, col, mask, val, drops);
+  }
+  stats_.scan_compares += n;
+  stats_.lines_invalidated += dropped;
+  return dropped;
+}
+
+template <typename Drops>
+usize FlowCache::scan_block(usize base, usize len, const u32* col, u32 mask,
+                            u32 val, Drops& drops) {
+  if (!any_masked_equal(col + base, len, mask, val)) return 0;
+  // Mark branch-free first, so a block every line of which is tested (a
+  // wildcard-address add tests them all) still runs vectorized.
+  u8 drop[kBlock];
+  u32 marked = 0;
+  for (usize j = 0; j < len; ++j) {
+    drop[j] = static_cast<u8>(drops(base + j));
+    marked += drop[j];
+  }
+  const u32 dropped = marked;
+  for (usize j = 0; marked > 0; ++j) {
+    if (drop[j] == 0) continue;
+    mem_.write(static_cast<u32>(base + j), hw::Word{});  // valid bit cleared
+    meta_[base + j] = kInvalid << 8;
+    --marked;
+  }
+  return dropped;
+}
+
 usize FlowCache::invalidate_matching(const ruleset::Rule& r) {
   const u32 src_mask = prefix_mask(r.src_ip.length);
   const u32 dst_mask = prefix_mask(r.dst_ip.length);
@@ -98,58 +146,34 @@ usize FlowCache::invalidate_matching(const ruleset::Rule& r) {
   const u32 proto_mask = r.proto.wildcard ? 0 : 0xFF;
   // The cached verdict beats r iff its (priority, rule) key is lower.
   const u32 key = (r.priority & 0xFFFFu) << 16 | (r.id.value & 0xFFFFu);
-  // Branch-free over raw pointers to u32 columns, so the compiler
-  // vectorizes it without widening (a store through a vector's
-  // operator[] may alias the vectors' own data pointers).
   const u32* src_ip = src_ip_.data();
   const u32* dst_ip = dst_ip_.data();
   const u32* ports = ports_.data();
   const u32* verdict = verdict_.data();
   const u32* meta = meta_.data();
-  u8* drop = drop_.data();
-  const usize n = meta_.size();
-  u32 marked = 0;
-  for (usize i = 0; i < n; ++i) {
-    const u32 state = meta[i] >> 8;
-    const bool match =
-        ((src_ip[i] & src_mask) == src_val) &
-        ((dst_ip[i] & dst_mask) == dst_val) &
-        ((ports[i] >> 16) - sp_lo <= sp_span) &
-        ((ports[i] & 0xFFFFu) - dp_lo <= dp_span) &
-        ((meta[i] & proto_mask) == proto);
-    const bool keep = (state == kCachedHit) & (verdict[i] < key);
-    drop[i] = static_cast<u8>((state != kInvalid) & match & !keep);
-    marked += drop[i];
-  }
-  stats_.scan_compares += n;
-  return drop_marked(marked);
+  // Skip blocks by the address column the rule narrows most.
+  const bool by_src = r.src_ip.length > r.dst_ip.length;
+  return scan(by_src ? src_ip : dst_ip, by_src ? src_mask : dst_mask,
+              by_src ? src_val : dst_val, [&](usize i) {
+                const u32 state = meta[i] >> 8;
+                const bool match =
+                    ((src_ip[i] & src_mask) == src_val) &
+                    ((dst_ip[i] & dst_mask) == dst_val) &
+                    ((ports[i] >> 16) - sp_lo <= sp_span) &
+                    ((ports[i] & 0xFFFFu) - dp_lo <= dp_span) &
+                    ((meta[i] & proto_mask) == proto);
+                const bool keep = (state == kCachedHit) & (verdict[i] < key);
+                return (state != kInvalid) & match & !keep;
+              });
 }
 
 usize FlowCache::invalidate_rule(RuleId id) {
   const u32 rule_id = id.value;
   const u32* verdict = verdict_.data();
   const u32* meta = meta_.data();
-  u8* drop = drop_.data();
-  const usize n = meta_.size();
-  u32 marked = 0;
-  for (usize i = 0; i < n; ++i) {
-    drop[i] = static_cast<u8>((meta[i] >> 8 == kCachedHit) &
-                              ((verdict[i] & 0xFFFFu) == rule_id));
-    marked += drop[i];
-  }
-  stats_.scan_compares += n;
-  return drop_marked(marked);
-}
-
-usize FlowCache::drop_marked(usize marked) {
-  for (u32 i = 0, left = static_cast<u32>(marked); left > 0; ++i) {
-    if (drop_[i] == 0) continue;
-    mem_.write(i, hw::Word{});  // valid bit cleared
-    meta_[i] = kInvalid << 8;
-    --left;
-  }
-  stats_.lines_invalidated += marked;
-  return marked;
+  return scan(verdict, 0xFFFFu, rule_id, [&](usize i) {
+    return (meta[i] >> 8 == kCachedHit) & ((verdict[i] & 0xFFFFu) == rule_id);
+  });
 }
 
 void FlowCache::invalidate_all() {

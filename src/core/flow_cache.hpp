@@ -21,8 +21,20 @@
 /// a rule against the cached flows needs the tuple itself: the host
 /// keeps it, with the cached rule and priority, in column arrays beside
 /// the line memory. A device would store the full 104-bit tuple in the
-/// line to do the same. The scan is charged as modelled cost: one
-/// compare per line scanned, one write per line dropped.
+/// line to do the same. The scan is charged as modelled cost: the device
+/// compares every line (one compare each, scan_compares) and writes each
+/// line it drops (lines_invalidated).
+///
+/// The host skips what cannot change: it tests 64-line blocks by one
+/// column first, one AND and compare per line (the address column of
+/// the longer prefix for an add, destination on a tie; the verdict
+/// column for a delete), and runs the full test only in blocks where a
+/// line passes. On a full 4096-line cache (Release build, shared 2-vCPU
+/// x86-64 host, `bench_micro --benchmark_filter=FlowCacheCatchUp`) an
+/// aimed /32 add scans in ~0.8 us and its delete in ~0.65 us, against
+/// ~4.6 us and ~2.4 us for a scan of every line; a rule with both
+/// addresses wild tests every block and costs what a full scan did
+/// (~4.3 us).
 #pragma once
 
 #include <optional>
@@ -47,6 +59,8 @@ struct FlowCacheStats {
   u64 lines_invalidated = 0;  ///< lines dropped by a per-update scan (one
                               ///< write each)
   u64 scan_compares = 0;      ///< lines compared by per-update scans
+
+  bool operator==(const FlowCacheStats&) const = default;
 
   [[nodiscard]] double hit_rate() const {
     const u64 total = hits + misses;
@@ -84,6 +98,11 @@ class FlowCache {
   /// Flush every line (the fallback when no per-update scan applies).
   void invalidate_all();
 
+  /// The line flow \p t is cached in.
+  [[nodiscard]] u32 line(const net::FiveTuple& t) const {
+    return line_of(fingerprint(t));
+  }
+
   [[nodiscard]] const FlowCacheStats& stats() const { return stats_; }
   [[nodiscard]] const hw::Memory& memory() const { return mem_; }
 
@@ -97,9 +116,19 @@ class FlowCache {
   /// The line a tuple of fingerprint \p fp lives in.
   [[nodiscard]] u32 line_of(u64 fp) const;
 
-  /// Clear the \p marked lines marked in drop_ (one write each);
-  /// returns \p marked.
-  usize drop_marked(usize marked);
+  /// Lines per block of the host's skip test.
+  static constexpr usize kBlock = 64;
+
+  /// Drop the lines \p drops(i) names (one write each), calling it only
+  /// in the kBlock-line blocks where some line has
+  /// (col[i] & mask) == val: \p drops must be false elsewhere. Charges
+  /// a compare for every line, skipped or not; returns the lines dropped.
+  template <typename Drops>
+  usize scan(const u32* col, u32 mask, u32 val, Drops drops);
+  /// scan() over the \p len lines from \p base; returns the lines dropped.
+  template <typename Drops>
+  usize scan_block(usize base, usize len, const u32* col, u32 mask, u32 val,
+                   Drops& drops);
 
   /// Line states (meta_ >> 8).
   static constexpr u32 kInvalid = 0;
@@ -118,7 +147,6 @@ class FlowCache {
   std::vector<u32> ports_;    ///< src_port << 16 | dst_port
   std::vector<u32> verdict_;  ///< priority << 16 | rule (cached hits)
   std::vector<u32> meta_;     ///< state << 8 | protocol
-  std::vector<u8> drop_;  ///< scan scratch: 1 = drop this line
 };
 
 }  // namespace pclass::core

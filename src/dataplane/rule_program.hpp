@@ -109,8 +109,10 @@ class RuleProgram {
   /// smoke runs, 17-32 at full scale and 1 on perfbench churn, so no
   /// measured catch-up falls back. A cap of 8 (50-70 flushes per storm
   /// run) and one of 512 gave storm throughput within run-to-run noise
-  /// of 64. The cap bounds a catch-up at 64 scans (~0.45 ms at 4096
-  /// lines), well below the refills after flushing a full cache of hot
+  /// of 64. The cap bounds a catch-up at 64 scans of a 4096-line cache:
+  /// ~50 us for aimed /32 adds and deletes (~0.8 us a scan), ~0.3 ms if
+  /// every add has both addresses wild (~4.3 us a scan, every block
+  /// tested), well below the refills after flushing a full cache of hot
   /// lines (4096 lookups of ~1.7 us, ~7 ms).
   static constexpr usize kMaxRecordedUpdates = 64;
 

@@ -163,3 +163,172 @@ TEST(FlowCache, FlushedLinesAreNotScannedAgain) {
   EXPECT_EQ(c.invalidate_matching(src_rule(1, 7, 1)), 0u);
   EXPECT_EQ(c.invalidate_rule(RuleId{5}), 0u);
 }
+
+namespace {
+
+/// The lines of a FlowCache as a test-side model: the flow each line
+/// holds and its verdict, with a brute-force pass over every line for
+/// each invalidation.
+struct LineModel {
+  struct Line {
+    bool filled = false;
+    bool valid = false;
+    net::FiveTuple t{};
+    std::optional<RuleEntry> v;
+  };
+  std::vector<Line> lines;
+  FlowCacheStats stats;
+
+  explicit LineModel(u32 depth) : lines(depth) {}
+
+  void fill(FlowCache& c, const net::FiveTuple& t,
+            const std::optional<RuleEntry>& v) {
+    c.fill(t, v);
+    lines[c.line(t)] = Line{true, true, t, v};
+    ++stats.fills;
+  }
+
+  template <class Drop>
+  usize drop_if(Drop drop) {
+    usize n = 0;
+    for (Line& l : lines) {
+      if (l.valid && drop(l)) {
+        l.valid = false;
+        ++n;
+      }
+    }
+    stats.scan_compares += lines.size();
+    stats.lines_invalidated += n;
+    return n;
+  }
+
+  usize invalidate_matching(const ruleset::Rule& r) {
+    return drop_if([&](const Line& l) {
+      const bool beats =
+          l.v && std::pair(l.v->priority, l.v->rule.value) <
+                     std::pair(r.priority, r.id.value);
+      return r.matches(l.t) && !beats;
+    });
+  }
+
+  usize invalidate_rule(RuleId id) {
+    return drop_if([&](const Line& l) { return l.v && l.v->rule == id; });
+  }
+
+  /// Look every filled line's flow up in \p c: it must hit exactly when
+  /// the model's line is valid.
+  void check(FlowCache& c) {
+    for (usize i = 0; i < lines.size(); ++i) {
+      const Line& l = lines[i];
+      if (!l.filled) continue;
+      EXPECT_EQ(cached(c, l.t), l.valid) << "line " << i;
+      ++(l.valid ? stats.hits : stats.misses);
+    }
+    EXPECT_EQ(c.stats(), stats);
+  }
+};
+
+/// The first of the flows make(0), make(1), ... that \p c caches in
+/// line \p line.
+template <class Make>
+net::FiveTuple flow_at(const FlowCache& c, u32 line, Make make) {
+  for (u32 k = 0;; ++k) {
+    const net::FiveTuple t = make(k);
+    if (c.line(t) == line) return t;
+  }
+}
+
+}  // namespace
+
+// The scans skip 64-line blocks by one column; over a depth that ends in
+// a partial block they must drop exactly the lines a brute-force pass
+// over every line drops, with the same counts.
+TEST(FlowCache, BlockSkippingScansEqualABruteForcePass) {
+  constexpr u32 kOddDepth = 1000;  // blocks of 64, the last one of 40
+  FlowCache c("c", kOddDepth);
+  LineModel m(kOddDepth);
+  // Background: every line holds a flow, hits of rules 100..149 and
+  // cached misses, none with the addresses the rules below name.
+  for (u32 k = 0; k < 8 * kOddDepth; ++k) {
+    const net::FiveTuple t{static_cast<u32>(mix64(k)),
+                           static_cast<u32>(mix64(k) >> 32),
+                           static_cast<u16>(k), 80, net::kProtoTcp};
+    m.fill(c, t,
+           k % 3 == 0 ? std::nullopt
+                      : std::optional<RuleEntry>(RuleEntry{
+                            RuleId{100 + k % 50}, static_cast<Priority>(
+                                                      1 + k % 7),
+                            0}));
+  }
+  m.check(c);
+
+  constexpr u32 kSrc = 0x0A000001;
+  constexpr u32 kDst = 0xC0A80001;
+  // Matches at the last line of a block, the first of the next and the
+  // last of the partial block: a verdict the add beats, a cached miss,
+  // and an equal-priority verdict of a lower rule id, which is kept.
+  const auto place = [&](auto make) {
+    m.fill(c, flow_at(c, 63, make), RuleEntry{RuleId{2}, 9, 0});
+    m.fill(c, flow_at(c, 64, make), std::nullopt);
+    m.fill(c, flow_at(c, 999, make), RuleEntry{RuleId{3}, 5, 0});
+  };
+  const auto to_dst = [](u32 k) {
+    return net::FiveTuple{k * 2654435761u, kDst, static_cast<u16>(k), 80,
+                          net::kProtoTcp};
+  };
+  const auto from_src = [](u32 k) {
+    return net::FiveTuple{kSrc, k * 2654435761u, static_cast<u16>(k), 80,
+                          net::kProtoTcp};
+  };
+
+  // A /32 destination with a /0 source skips by the destination column.
+  place(to_dst);
+  m.check(c);
+  ruleset::Rule dst_only;
+  dst_only.dst_ip = ruleset::IpPrefix::make(kDst, 32);
+  dst_only.id = RuleId{7};
+  dst_only.priority = 5;
+  EXPECT_EQ(c.invalidate_matching(dst_only), 2u);
+  EXPECT_EQ(m.invalidate_matching(dst_only), 2u);
+  EXPECT_TRUE(m.lines[999].valid);  // rule 3 beats rule 7 on the id
+  m.check(c);
+
+  // A remove skips by the verdict column.
+  EXPECT_EQ(c.invalidate_rule(RuleId{3}), 1u);
+  EXPECT_EQ(m.invalidate_rule(RuleId{3}), 1u);
+  m.check(c);
+
+  // A /32 source with a /0 destination skips by the source column.
+  place(from_src);
+  m.check(c);
+  EXPECT_EQ(c.invalidate_matching(src_rule(kSrc, 7, 5)), 2u);
+  EXPECT_EQ(m.invalidate_matching(src_rule(kSrc, 7, 5)), 2u);
+  m.check(c);
+
+  // Both addresses /32 (the destination column is tested): only the flow
+  // at line 999 matches both.
+  m.fill(c, flow_at(c, 999,
+                    [&](u32 k) {
+                      return net::FiveTuple{kSrc, kDst, static_cast<u16>(k),
+                                            80, net::kProtoTcp};
+                    }),
+         std::nullopt);
+  m.fill(c, flow_at(c, 998, to_dst), std::nullopt);
+  ruleset::Rule pair = dst_only;
+  pair.src_ip = ruleset::IpPrefix::make(kSrc, 32);
+  EXPECT_EQ(c.invalidate_matching(pair), 1u);
+  EXPECT_EQ(m.invalidate_matching(pair), 1u);
+  m.check(c);
+
+  // Rules spread over every block, then a wildcard-address add, which
+  // tests every block.
+  for (u32 id = 100; id < 150; id += 7) {
+    EXPECT_EQ(c.invalidate_rule(RuleId{id}), m.invalidate_rule(RuleId{id}));
+  }
+  m.check(c);
+  ruleset::Rule any;
+  any.id = RuleId{120};
+  any.priority = 4;
+  EXPECT_EQ(c.invalidate_matching(any), m.invalidate_matching(any));
+  m.check(c);
+}
