@@ -1,7 +1,7 @@
 /// \file dataplane_pipeline.cpp
 /// The dataplane runtime end to end: an SDN controller programs a
 /// RuleProgramPublisher (lock-free rule snapshots), a multi-worker
-/// Engine streams batched traffic through the element pipeline
+/// Engine streams batched traffic through the element chain
 ///
 ///   PacketSource -> Parser -> FlowCache -> Classifier -> ActionSink
 ///

@@ -163,7 +163,6 @@ ConfigurableClassifier& ConfigurableClassifier::operator=(
   copy_block(rule_filter_, o.rule_filter_);
   update_stats_ = o.update_stats_;
   installed_ = o.installed_;
-  match_index_ = o.match_index_;
   // The copied engines still point at o's list stores, priority columns
   // and shared blocks.
   for (usize i = 0; i < 4; ++i) {
@@ -368,18 +367,37 @@ hw::UpdateStats ConfigurableClassifier::add_rule(const ruleset::Rule& r) {
     throw ConfigError("add_rule: duplicate rule id " +
                       std::to_string(r.id.value));
   }
-  const u64 fp = ruleset::match_fingerprint(r);
-  if (match_index_.contains(fp)) {
+  if (const std::optional<RuleId> dup = installed_match(r)) {
     throw ConfigError("add_rule: a rule with an identical match part is "
                       "already installed (id " +
-                      std::to_string(match_index_.at(fp).value) + ")");
+                      std::to_string(dup->value) + ")");
   }
   hw::CommandLog log;
-  install_rule(r, fp, log, nullptr);
+  install_rule(r, log, nullptr);
   return apply(log);
 }
 
-void ConfigurableClassifier::install_rule(const ruleset::Rule& r, u64 fp,
+std::optional<RuleId> ConfigurableClassifier::installed_match(
+    const ruleset::Rule& r) const {
+  std::array<std::optional<Label>, kNumDimensions> found;
+  for (usize i = 0; i < 4; ++i) {
+    found[index_of(kIpDims[i])] = ip_tables_[i].find(ip_segment(r, i));
+  }
+  found[index_of(Dimension::kSrcPort)] = sport_table_.find(r.src_port);
+  found[index_of(Dimension::kDstPort)] = dport_table_.find(r.dst_port);
+  found[index_of(Dimension::kProtocol)] = proto_table_.find(r.proto);
+  std::array<Label, kNumDimensions> labels;
+  for (usize d = 0; d < kNumDimensions; ++d) {
+    if (!found[d]) return std::nullopt;
+    labels[d] = *found[d];
+  }
+  const std::optional<RuleEntry> hit =
+      rule_filter_->lookup(Key68::merge(labels), nullptr);
+  if (!hit) return std::nullopt;
+  return hit->rule;
+}
+
+void ConfigurableClassifier::install_rule(const ruleset::Rule& r,
                                           hw::CommandLog& log,
                                           BstStaging* bst_bulk) {
   const std::array<Label, kNumDimensions> labels =
@@ -396,7 +414,6 @@ void ConfigurableClassifier::install_rule(const ruleset::Rule& r, u64 fp,
   }
   update_prefixes(labels, /*add=*/true, log);
   installed_.emplace(r.id, InstalledRule{r, labels});
-  match_index_.emplace(fp, r.id);
 }
 
 hw::UpdateStats ConfigurableClassifier::add_rules(
@@ -424,12 +441,12 @@ hw::UpdateStats ConfigurableClassifier::add_rules(
         throw ConfigError("add_rules: duplicate rule id " +
                           std::to_string(r.id.value));
       }
-      const u64 fp = ruleset::match_fingerprint(r);
-      if (match_index_.contains(fp)) {
-        throw ConfigError("add_rules: duplicate match part (dedup the set "
-                          "first)");
+      if (const std::optional<RuleId> dup = installed_match(r)) {
+        throw ConfigError("add_rules: duplicate match part of installed "
+                          "rule " + std::to_string(dup->value) +
+                          " (dedup the set first)");
       }
-      install_rule(r, fp, log, bulk);
+      install_rule(r, log, bulk);
     }
   } catch (...) {
     // The rules before the failing one stay installed: hand the BST
@@ -452,7 +469,6 @@ hw::UpdateStats ConfigurableClassifier::remove_rule(RuleId id) {
   rule_filter_->remove(Key68::merge(it->second.labels), log);
   update_prefixes(it->second.labels, /*add=*/false, log);
   release_labels(it->second.rule, log);
-  match_index_.erase(ruleset::match_fingerprint(it->second.rule));
   installed_.erase(it);
   return apply(log);
 }
@@ -736,17 +752,6 @@ ClassifyResult ConfigurableClassifier::classify_packet(
     return miss;
   }
   return classify(*t);
-}
-
-void ConfigurableClassifier::classify_batch(
-    std::span<const net::FiveTuple> in,
-    std::span<ClassifyResult> out) const {
-  if (out.size() < in.size()) {
-    throw ConfigError("classify_batch: output span smaller than input");
-  }
-  for (usize i = 0; i < in.size(); ++i) {
-    out[i] = classify(in[i]);
-  }
 }
 
 std::vector<ruleset::Rule> ConfigurableClassifier::installed_rules() const {

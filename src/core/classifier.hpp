@@ -21,7 +21,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "alg/binary_search_tree.hpp"
@@ -49,7 +48,6 @@ namespace pclass::core {
 ///            engine) + the tail recorder (label merge + every prefix
 ///            check and Rule Filter probe, serial);
 ///   memory_accesses = the *sum* of all recorders' block-memory reads.
-/// classify_batch() charges every packet exactly what classify() does.
 struct ClassifyResult {
   /// The matched rule (HPMR under CrossProduct; under FirstLabel, the
   /// rule owning the first-label combination, when present).
@@ -127,22 +125,14 @@ class ConfigurableClassifier {
 
   /// Classify a parsed 5-tuple. Charges per the ClassifyResult
   /// contract: the 7 phase-2 engines record in parallel (max), the
-  /// merge + Rule Filter tail records serially (sum).
+  /// merge + Rule Filter tail records serially (sum). Thread-safe
+  /// against other concurrent const lookups (the update path is not —
+  /// the dataplane publishes immutable snapshots instead).
   [[nodiscard]] ClassifyResult classify(const net::FiveTuple& h) const;
 
   /// Parse + classify raw packet bytes; nullopt result for non-IPv4.
   [[nodiscard]] ClassifyResult classify_packet(
       std::span<const u8> bytes) const;
-
-  /// Batched lookup: classify `in[i]` into `out[i]` for the whole span,
-  /// one classify() per header, so every result (cycles included) is
-  /// the scalar one. This is the entry point the dataplane engine
-  /// drives per worker batch; `out.size()` must be >= `in.size()`.
-  ///
-  /// Thread-safe against other concurrent const lookups (the update
-  /// path is not — the dataplane publishes immutable snapshots instead).
-  void classify_batch(std::span<const net::FiveTuple> in,
-                      std::span<ClassifyResult> out) const;
 
   // ---- introspection ----
 
@@ -221,10 +211,17 @@ class ConfigurableClassifier {
                                                    BstStaging* bst_bulk);
 
   /// Acquire \p r's labels and insert it into the Rule Filter, rolling
-  /// the labels back if the insert throws; \p fp is its match
-  /// fingerprint. The caller has checked ids and duplicates.
-  void install_rule(const ruleset::Rule& r, u64 fp, hw::CommandLog& log,
+  /// the labels back if the insert throws. The caller has checked ids
+  /// and duplicates.
+  void install_rule(const ruleset::Rule& r, hw::CommandLog& log,
                     BstStaging* bst_bulk);
+
+  /// The installed rule whose match part equals \p r's, found on the
+  /// device itself: equal match parts take the same 7 labels, so the
+  /// Rule Filter holds their merged key. A field value without a label
+  /// has no rule. Looks up without charge and mutates nothing.
+  [[nodiscard]] std::optional<RuleId> installed_match(
+      const ruleset::Rule& r) const;
 
   /// Release a rule's labels, removing/refreshing engine state as
   /// needed. The rollback of a part-way acquire passes \p steps < 7 (the
@@ -298,7 +295,6 @@ class ConfigurableClassifier {
 
   hw::UpdateStats update_stats_;  ///< every batch applied so far
   std::map<RuleId, InstalledRule> installed_;
-  std::unordered_map<u64, RuleId> match_index_;  // fingerprint -> rule
 };
 
 }  // namespace pclass::core

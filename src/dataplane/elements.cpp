@@ -44,19 +44,6 @@ usize TrafficPool::fill(net::PacketBatch& batch, bool loop) {
   return added;
 }
 
-// ---- PacketSource ---------------------------------------------------------
-
-void PacketSource::push_batch(net::PacketBatch& batch) {
-  batch.clear();
-  const usize n = pool_->fill(batch, loop_);
-  if (n == 0) {
-    // Finite pool drained (or empty pool in loop mode): end of input.
-    exhausted_ = true;
-    return;
-  }
-  forward(batch);
-}
-
 // ---- Parser ---------------------------------------------------------------
 
 void Parser::push_batch(net::PacketBatch& batch) {
@@ -80,7 +67,6 @@ void Parser::push_batch(net::PacketBatch& batch) {
     }
   }
   if (tel_ != nullptr) fill_counters(tel_->live);
-  forward(batch);
 }
 
 // ---- FlowCacheElement -----------------------------------------------------
@@ -110,9 +96,8 @@ void FlowCacheElement::catch_up(const RuleProgram& snap) {
 }
 
 void FlowCacheElement::push_batch(net::PacketBatch& batch) {
-  if (programs_->version() != seen_version_) {
-    sync(*programs_->acquire());  // the acquired version may equal ours
-  }
+  snap_ = programs_->acquire();
+  if (snap_->version() != seen_version_) catch_up(*snap_);
   for (usize i = 0; i < batch.size(); ++i) {
     net::PacketMeta& m = batch.meta(i);
     if (m.resolved || !m.tuple) continue;
@@ -131,7 +116,6 @@ void FlowCacheElement::push_batch(net::PacketBatch& batch) {
     }
   }
   if (tel_ != nullptr) fill_counters(tel_->live);
-  forward(batch);
 }
 
 // ---- ClassifierElement ----------------------------------------------------
@@ -140,7 +124,8 @@ void ClassifierElement::push_batch(net::PacketBatch& batch) {
   // Clock reads only when telemetry is attached: the off configuration
   // (the overhead-gate baseline) pays nothing but this branch.
   const u64 t_start = tel_ != nullptr ? telemetry::steady_now_ns() : 0;
-  const std::shared_ptr<const RuleProgram> snap = programs_->acquire();
+  const std::shared_ptr<const RuleProgram> snap =
+      cache_ != nullptr ? cache_->take_snapshot() : programs_->acquire();
   const u64 v = snap->version();
   batch.rule_version = v;
   const bool version_advanced = seen_any_ && v > max_version_;
@@ -151,23 +136,13 @@ void ClassifierElement::push_batch(net::PacketBatch& batch) {
   min_version_ = std::min(min_version_, v);
   max_version_ = std::max(max_version_, v);
 
-  keys_.clear();
-  slots_.clear();
+  const core::ConfigurableClassifier& clf = snap->classifier();
+  u32 lookups = 0;
   for (usize i = 0; i < batch.size(); ++i) {
-    const net::PacketMeta& m = batch.meta(i);
-    if (!m.resolved && m.tuple) {
-      slots_.push_back(i);
-      keys_.push_back(*m.tuple);
-    }
-  }
-  res_.assign(keys_.size(), core::ClassifyResult{});
-  snap->classifier().classify_batch(keys_, res_);
-  lookups_ += keys_.size();
-  if (!keys_.empty()) ++batches_;
-
-  for (usize k = 0; k < slots_.size(); ++k) {
-    net::PacketMeta& m = batch.meta(slots_[k]);
-    const core::ClassifyResult& r = res_[k];
+    net::PacketMeta& m = batch.meta(i);
+    if (m.resolved || !m.tuple) continue;
+    const core::ClassifyResult r = clf.classify(*m.tuple);
+    ++lookups;
     m.resolved = true;
     m.lookup_cycles += r.cycles;
     m.memory_accesses += r.memory_accesses;
@@ -177,27 +152,27 @@ void ClassifierElement::push_batch(net::PacketBatch& batch) {
       m.priority = r.match->priority;
       m.action_token = r.match->action;
     }
-    if (cache_ != nullptr) {
-      cache_->fill_verdict(keys_[k], r.match, *snap);
-    }
+    if (cache_ != nullptr) cache_->fill(*m.tuple, r.match);
   }
+  lookups_ += lookups;
+  if (lookups > 0) ++batches_;
   if (tel_ != nullptr) {
-    publish_telemetry(batch, v, t_start, version_advanced);
+    publish_telemetry(batch, v, t_start, version_advanced, lookups);
   }
-  forward(batch);
 }
 
 void ClassifierElement::publish_telemetry(const net::PacketBatch& batch,
                                           u64 version, u64 t_start_ns,
-                                          bool version_advanced) {
+                                          bool version_advanced,
+                                          u32 lookups) {
   const u64 t_end = telemetry::steady_now_ns();
 
   // Update visibility: the first batch after the published version
   // moved past everything this worker had seen. The publisher stamped
   // the version just before its swap; observe - publish is the
-  // end-to-end latency of the update becoming effective here. t_start
-  // was read before acquire(), so clamp the (rare) case of the clock
-  // read racing the publish.
+  // end-to-end latency of the update becoming effective here. Without
+  // a cache, t_start was read before acquire(), so clamp the (rare) case
+  // of the clock read racing the publish.
   if (version_advanced) {
     if (const std::optional<u64> t_pub =
             programs_->publish_clock().lookup(version)) {
@@ -218,7 +193,7 @@ void ClassifierElement::publish_telemetry(const net::PacketBatch& batch,
   ev.duration_ns = t_end > t_start_ns ? t_end - t_start_ns : 0;
   ev.worker = tel_->worker;
   ev.packets = static_cast<u32>(batch.size());
-  ev.lookups = static_cast<u32>(keys_.size());
+  ev.lookups = lookups;
   ev.snapshot_version = version;
   tel_->ring.push(ev);
 }
@@ -255,7 +230,19 @@ void ActionSink::push_batch(net::PacketBatch& batch) {
     }
   }
   if (tel_ != nullptr) fill_counters(tel_->live);
-  forward(batch);
+}
+
+// ---- the chain ------------------------------------------------------------
+
+bool push_chain(net::PacketBatch& batch, PacketSource* source,
+                Parser& parser, FlowCacheElement* cache,
+                ClassifierElement& classifier, ActionSink& sink) {
+  if (source != nullptr && !source->push_batch(batch)) return false;
+  parser.push_batch(batch);
+  if (cache != nullptr) cache->push_batch(batch);
+  classifier.push_batch(batch);
+  sink.push_batch(batch);
+  return true;
 }
 
 }  // namespace pclass::dataplane

@@ -1,7 +1,14 @@
 /// \file elements.hpp
-/// The standard element set of the dataplane pipeline:
+/// The dataplane's one chain, the lookup of Fig. 3 with its input and
+/// output:
 ///
-///   PacketSource -> Parser -> FlowCache -> Classifier -> ActionSink
+///   PacketSource -> Parser -> [FlowCache] -> Classifier -> ActionSink
+///
+/// Each element is a plain class whose push_batch() annotates a
+/// PacketBatch in place; push_chain() calls them in that order. Elements
+/// are owned per shard (no sharing, no locks inside an element); what
+/// shards share — the rule program, the traffic pool — is reached
+/// through explicitly thread-safe handles.
 ///
 /// PacketSource pulls bursts from its shard's TrafficPool (the Engine
 /// steers the input into one pool per shard; a one-worker engine's
@@ -9,9 +16,12 @@
 /// Parser turns raw bytes into 5-tuples (phase 1 of Fig. 3 plus the
 /// pre-classifier drop path). FlowCache serves repeat flows from a
 /// per-worker exact-match table (the paper's first-packet-of-a-flow
-/// premise). Classifier acquires the current RuleProgram snapshot once
-/// per batch and runs the full 4-phase lookup for cache misses.
-/// ActionSink applies verdict accounting and latency measurement.
+/// premise). A batch sees one RuleProgram snapshot: the flow cache
+/// acquires it, syncs to it and serves its hits from it; the classifier
+/// takes it from the cache (or acquires it when the chain has none),
+/// runs the full 4-phase lookup for the misses on it and stamps the
+/// batch with its version. ActionSink applies verdict accounting and
+/// latency measurement.
 #pragma once
 
 #include <algorithm>
@@ -20,11 +30,12 @@
 #include <memory>
 #include <vector>
 
+#include "common/error.hpp"
 #include "core/flow_cache.hpp"
-#include "dataplane/element.hpp"
 #include "dataplane/rule_program.hpp"
 #include "dataplane/stats.hpp"
 #include "net/packet.hpp"
+#include "net/packet_batch.hpp"
 #include "net/trace.hpp"
 #include "telemetry/live_stats.hpp"
 
@@ -108,31 +119,31 @@ class TrafficPool {
   std::atomic<u64> cursor_{0};
 };
 
-/// Head element: refills the batch from the pool and forwards it.
-class PacketSource : public Element {
+/// Head element: refills the batch from the pool.
+class PacketSource {
  public:
-  PacketSource(TrafficPool* pool, bool loop)
-      : Element("source"), pool_(pool), loop_(loop) {}
+  PacketSource(TrafficPool* pool, bool loop) : pool_(pool), loop_(loop) {}
 
-  void push_batch(net::PacketBatch& batch) override;
-
-  /// True once a finite pool ran dry (the worker's termination signal).
-  [[nodiscard]] bool exhausted() const { return exhausted_; }
+  /// Replace the batch's contents with the next burst. False, leaving
+  /// the batch empty, once a finite pool ran dry (or the pool is empty):
+  /// the end of this source's input.
+  bool push_batch(net::PacketBatch& batch) {
+    batch.clear();
+    return pool_->fill(batch, loop_) != 0;
+  }
 
  private:
   TrafficPool* pool_;
   bool loop_;
-  bool exhausted_ = false;
 };
 
 /// Phase 1: split raw bytes into the 5-tuple; non-IPv4 input takes the
 /// drop path (resolved, unmatched, parse_error).
-class Parser : public Element {
+class Parser {
  public:
-  explicit Parser(telemetry::WorkerTelemetry* tel = nullptr)
-      : Element("parser"), tel_(tel) {}
+  explicit Parser(telemetry::WorkerTelemetry* tel = nullptr) : tel_(tel) {}
 
-  void push_batch(net::PacketBatch& batch) override;
+  void push_batch(net::PacketBatch& batch);
 
   [[nodiscard]] u64 parsed() const { return parsed_; }
   [[nodiscard]] u64 errors() const { return errors_; }
@@ -149,35 +160,38 @@ class Parser : public Element {
   u64 errors_ = 0;
 };
 
-/// Per-worker exact-match fast path. When the published rule-program
-/// version moves, the cache drops only the lines the updates in between
-/// can change (RuleProgram::updates_since; see core::FlowCache for the
-/// rules), and flushes whole when the snapshot does not carry them all
-/// or one of them is a ConfigMod. The one-batch window during which a
-/// worker may still serve a verdict cached at the previous version is
-/// the usual update-propagation delay of a distributed dataplane.
-class FlowCacheElement : public Element {
+/// Per-worker exact-match fast path, and the holder of its batch's
+/// rule-program snapshot. push_batch() acquires the current program
+/// once and brings the cache to its version: it drops only the lines
+/// the updates in between can change (RuleProgram::updates_since; see
+/// core::FlowCache for the rules), and flushes whole when the snapshot
+/// does not carry them all or one of them is a ConfigMod. It then serves
+/// hits at that version. The classifier downstream takes the same
+/// snapshot and fills its verdicts in at it, so a batch's hits and
+/// lookups all see one version.
+class FlowCacheElement {
  public:
   FlowCacheElement(const RuleProgramPublisher* programs, u32 depth,
                    const std::string& name = "flow_cache",
                    telemetry::WorkerTelemetry* tel = nullptr)
-      : Element(name),
-        programs_(programs),
+      : programs_(programs),
         cache_(name, depth == 0 ? 1 : depth),
         seen_version_(programs->version()),
         tel_(tel) {}
 
-  void push_batch(net::PacketBatch& batch) override;
+  void push_batch(net::PacketBatch& batch);
 
-  /// Classifier back-fill: install the verdict of a full lookup made
-  /// against snapshot \p snap. If the classifier raced ahead of the
-  /// version this element saw at batch start, the cache is brought to
-  /// \p snap's version here first — so fresh verdicts are never
-  /// discarded by the next batch's version check.
-  void fill_verdict(const net::FiveTuple& t,
-                    const std::optional<core::RuleEntry>& verdict,
-                    const RuleProgram& snap) {
-    sync(snap);
+  /// Hand the snapshot this batch's hits were served at to the
+  /// classifier: the cache keeps no reference past its batch, so the
+  /// writer's grace wait never waits on it.
+  [[nodiscard]] std::shared_ptr<const RuleProgram> take_snapshot() {
+    return std::move(snap_);
+  }
+
+  /// Install the verdict of a full lookup made on the snapshot
+  /// take_snapshot() handed out.
+  void fill(const net::FiveTuple& t,
+            const std::optional<core::RuleEntry>& verdict) {
     cache_.fill(t, verdict);
   }
 
@@ -197,18 +211,14 @@ class FlowCacheElement : public Element {
 
  private:
   /// Every cached verdict was made at seen_version_; bring them to
-  /// \p snap's version (inline: the fill path calls it per verdict).
-  void sync(const RuleProgram& snap) {
-    if (snap.version() != seen_version_) catch_up(snap);
-  }
-
-  /// The cache's one invalidation site (see sync).
+  /// \p snap's version. The cache's one invalidation site.
   void catch_up(const RuleProgram& snap);
 
   const RuleProgramPublisher* programs_;
   core::FlowCache cache_;
   u64 seen_version_ = 0;
   telemetry::WorkerTelemetry* tel_;
+  std::shared_ptr<const RuleProgram> snap_;  ///< this batch's, until taken
 };
 
 }  // namespace pclass::dataplane
@@ -225,19 +235,19 @@ inline constexpr usize kNumBatchPaths = 3;
 
 namespace pclass::dataplane {
 
-/// Phases 2-4: acquire the current RuleProgram (one atomic load per
-/// batch), classify every unresolved packet through the classifier's
-/// batch entry point in one call, and stamp the batch with the snapshot
-/// version.
-class ClassifierElement : public Element {
+/// Phases 2-4: take the batch's snapshot from \p cache (which must have
+/// run on the batch), or acquire the current RuleProgram when the chain
+/// has no cache; classify() every unresolved packet on it, fill the
+/// verdicts into the cache, stamp the batch with the snapshot's version
+/// and drop the snapshot before returning.
+class ClassifierElement {
  public:
   explicit ClassifierElement(const RuleProgramPublisher* programs,
                              FlowCacheElement* cache = nullptr,
                              telemetry::WorkerTelemetry* tel = nullptr)
-      : Element("classifier"), programs_(programs), cache_(cache),
-        tel_(tel) {}
+      : programs_(programs), cache_(cache), tel_(tel) {}
 
-  void push_batch(net::PacketBatch& batch) override;
+  void push_batch(net::PacketBatch& batch);
 
   [[nodiscard]] u64 lookups() const { return lookups_; }
   /// Always 0; feeds perfbench's ungated core.probe_memo.* metrics
@@ -275,16 +285,13 @@ class ClassifierElement : public Element {
   /// and push this batch's span event into the trace ring. Only called
   /// when telemetry is attached.
   void publish_telemetry(const net::PacketBatch& batch, u64 version,
-                         u64 t_start_ns, bool version_advanced);
+                         u64 t_start_ns, bool version_advanced, u32 lookups);
 
   const RuleProgramPublisher* programs_;
   FlowCacheElement* cache_;
   telemetry::WorkerTelemetry* tel_;
-  std::vector<net::FiveTuple> keys_;       // scratch, reused per batch
-  std::vector<core::ClassifyResult> res_;  // scratch, reused per batch
-  std::vector<usize> slots_;               // scratch, reused per batch
   u64 lookups_ = 0;
-  u64 batches_ = 0;  ///< classify_batch calls with at least one lookup
+  u64 batches_ = 0;  ///< batches with at least one lookup
   u64 min_version_ = std::numeric_limits<u64>::max();
   u64 max_version_ = 0;
   bool monotonic_ = true;
@@ -302,13 +309,13 @@ class ClassifierElement : public Element {
 /// \p capture vector attached it also records every packet's verdict in
 /// arrival order (the sharded differential fuzzer's input) — finite
 /// runs only; the engine rejects capture in loop mode.
-class ActionSink : public Element {
+class ActionSink {
  public:
   explicit ActionSink(telemetry::WorkerTelemetry* tel = nullptr,
                       std::vector<CapturedVerdict>* capture = nullptr)
-      : Element("sink"), tel_(tel), capture_(capture) {}
+      : tel_(tel), capture_(capture) {}
 
-  void push_batch(net::PacketBatch& batch) override;
+  void push_batch(net::PacketBatch& batch);
 
   [[nodiscard]] u64 packets() const { return packets_; }
   [[nodiscard]] u64 matched() const { return matched_; }
@@ -337,5 +344,14 @@ class ActionSink : public Element {
   u64 memory_accesses_ = 0;
   LatencyHistogram latency_;
 };
+
+/// One batch through the chain, each element called in order: \p source
+/// refills \p batch, then the parser, the flow cache (when \p cache is
+/// non-null), the classifier and the sink annotate it. Returns false,
+/// calling nothing after the source, once the source has run dry.
+/// Without a \p source, \p batch goes through as the caller filled it.
+bool push_chain(net::PacketBatch& batch, PacketSource* source,
+                Parser& parser, FlowCacheElement* cache,
+                ClassifierElement& classifier, ActionSink& sink);
 
 }  // namespace pclass::dataplane

@@ -37,6 +37,24 @@ Engine::~Engine() {
   }
 }
 
+Engine::Shard::Shard(usize s, TrafficPool* borrowed, TrafficPool steered,
+                     const EngineConfig& cfg,
+                     const RuleProgramPublisher& programs,
+                     telemetry::WorkerTelemetry* tel)
+    : index(s),
+      owner(s),
+      pool(std::move(steered)),
+      active_pool(borrowed != nullptr ? borrowed : &pool),
+      source(active_pool, cfg.loop),
+      parser(tel),
+      cache(cfg.flow_cache_depth == 0
+                ? std::nullopt
+                : std::make_optional<FlowCacheElement>(
+                      &programs, cfg.flow_cache_depth,
+                      "shard" + std::to_string(s) + ".flow_cache", tel)),
+      classifier(&programs, cache ? &*cache : nullptr, tel),
+      sink(tel, cfg.capture_verdicts ? &captured : nullptr) {}
+
 void Engine::start(TrafficPool& pool) {
   if (running_) {
     throw ConfigError("Engine: start() while already running");
@@ -91,27 +109,10 @@ void Engine::start(TrafficPool& pool) {
           std::make_unique<telemetry::WorkerTelemetry>(static_cast<u32>(s)));
       tel = tel_.back().get();
     }
-    auto sh = std::make_unique<Shard>();
-    sh->index = s;
-    sh->owner = s;
-    if (steered.empty()) {
-      sh->active_pool = &pool;
-    } else {
-      sh->pool = std::move(steered[s]);
-      sh->active_pool = &sh->pool;
-    }
-    sh->source =
-        sh->pipeline.emplace<PacketSource>(sh->active_pool, cfg_.loop);
-    sh->parser = sh->pipeline.emplace<Parser>(tel);
-    if (cfg_.flow_cache_depth > 0) {
-      sh->cache = sh->pipeline.emplace<FlowCacheElement>(
-          &programs_, cfg_.flow_cache_depth,
-          "shard" + std::to_string(s) + ".flow_cache", tel);
-    }
-    sh->classifier =
-        sh->pipeline.emplace<ClassifierElement>(&programs_, sh->cache, tel);
-    sh->sink = sh->pipeline.emplace<ActionSink>(
-        tel, cfg_.capture_verdicts ? &sh->captured : nullptr);
+    auto sh = std::make_unique<Shard>(
+        s, steered.empty() ? &pool : nullptr,
+        steered.empty() ? TrafficPool() : std::move(steered[s]), cfg_,
+        programs_, tel);
     auto w = std::make_unique<WorkerThread>();
     w->index = s;
     w->shards.push_back(sh.get());
@@ -196,11 +197,12 @@ void Engine::worker_main(WorkerThread& w) {
     usize live = 0;
     for (Shard* sp : mine) {
       if (sp->drained.load(std::memory_order_acquire)) continue;
-      sp->source->push_batch(batch);
-      if (sp->source->exhausted()) {
-        sp->drained.store(true, std::memory_order_release);
-      } else {
+      if (push_chain(batch, &sp->source, sp->parser,
+                     sp->cache ? &*sp->cache : nullptr, sp->classifier,
+                     sp->sink)) {
         ++live;
+      } else {
+        sp->drained.store(true, std::memory_order_release);
       }
     }
     if (live == 0) break;
@@ -436,7 +438,7 @@ EngineReport Engine::finish(bool signal_stop) {
       for (const auto& sh : shards_) {
         offered += sh->active_pool->size();
         claimed += sh->active_pool->claimed();
-        delivered += sh->sink->packets();
+        delivered += sh->sink.packets();
       }
       counters_.set(EngineCounter::offered_packets, offered);
       counters_.set(EngineCounter::delivered_packets, delivered);
@@ -496,13 +498,13 @@ EngineReport Engine::run(TrafficPool& pool) {
 WorkerReport Engine::shard_report(const Shard& s) const {
   WorkerReport r;
   r.worker = s.index;
-  s.parser->fill_counters(r.counters);
-  if (s.cache != nullptr) s.cache->fill_counters(r.counters);
-  s.classifier->fill_counters(r.counters);
-  s.sink->fill_counters(r.counters);
-  r.min_version = s.classifier->min_version();
-  r.version_monotonic = s.classifier->version_monotonic();
-  r.latency = s.sink->latency();
+  s.parser.fill_counters(r.counters);
+  if (s.cache) s.cache->fill_counters(r.counters);
+  s.classifier.fill_counters(r.counters);
+  s.sink.fill_counters(r.counters);
+  r.min_version = s.classifier.min_version();
+  r.version_monotonic = s.classifier.version_monotonic();
+  r.latency = s.sink.latency();
   r.wall_seconds = threads_[s.owner]->wall_seconds;
   r.error = threads_[s.owner]->error;
   return r;

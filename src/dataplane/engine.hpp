@@ -4,9 +4,10 @@
 /// into one per-flow consistent slice per shard (a one-worker engine's
 /// single shard drains the caller's pool in place); shard s starts on
 /// worker s, and a worker drives more than one shard only after the
-/// supervisor hands it a dead worker's shards. Each shard runs its own
-/// element pipeline (PacketSource -> Parser -> [FlowCache] ->
-/// Classifier -> ActionSink) over per-worker PacketBatches. Workers
+/// supervisor hands it a dead worker's shards. Each shard owns its own
+/// element chain (PacketSource -> Parser -> [FlowCache] -> Classifier ->
+/// ActionSink, see elements.hpp) and pushes per-worker PacketBatches
+/// through it. Workers
 /// share exactly one thing on the fast path, wait-free: the published
 /// RuleProgram pointer. Everything else — pools, batches, flow caches,
 /// statistics — is per shard, which is what lets the aggregate
@@ -19,6 +20,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -158,25 +160,31 @@ class Engine {
   }
 
  private:
-  /// One pipeline's worth of state. The shard is the unit of ownership:
+  /// One chain's worth of state. The shard is the unit of ownership:
   /// traffic slice, classifier subscription, flow cache, telemetry block
   /// and (when capturing) the verdict log all live here, on the shard's
-  /// own allocations.
+  /// own allocations. The elements hold pointers into the shard, so it
+  /// stays where it was constructed.
   struct Shard {
+    /// Shard \p s drains \p borrowed when non-null (the engine's one
+    /// shard), else its own steered slice \p steered.
+    Shard(usize s, TrafficPool* borrowed, TrafficPool steered,
+          const EngineConfig& cfg, const RuleProgramPublisher& programs,
+          telemetry::WorkerTelemetry* tel);
+
     usize index = 0;   ///< shard id
     usize owner = 0;   ///< driving worker thread (starts as index)
     /// Owned steered slice; empty when the engine's one shard borrows
     /// the caller's pool.
     TrafficPool pool;
     TrafficPool* active_pool = nullptr;  ///< what the source drains
-    Pipeline pipeline;
-    PacketSource* source = nullptr;
-    Parser* parser = nullptr;
-    FlowCacheElement* cache = nullptr;
-    ClassifierElement* classifier = nullptr;
-    ActionSink* sink = nullptr;
     /// In-arrival-order verdict log (capture_verdicts).
     std::vector<CapturedVerdict> captured;
+    PacketSource source;
+    Parser parser;
+    std::optional<FlowCacheElement> cache;  ///< none at flow_cache_depth 0
+    ClassifierElement classifier;
+    ActionSink sink;
     /// Set by the owning worker once the shard's source ran dry. Owner-
     /// written, watchdog-read: it is what survives a worker restart or
     /// a takeover.

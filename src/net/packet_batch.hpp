@@ -1,14 +1,14 @@
 /// \file packet_batch.hpp
 /// The unit of work of the dataplane runtime: a bounded batch of packets
-/// streaming through the element pipeline (Click-style). Batching
-/// amortises per-packet overhead (snapshot acquisition, virtual
-/// dispatch, cache misses) across kDefaultBatchCapacity headers — the
-/// software analogue of the paper's pipelined initiation interval.
+/// streaming through the element chain. Batching amortises per-packet
+/// overhead (snapshot acquisition, per-element calls, cache misses)
+/// across kDefaultBatchCapacity headers — the software analogue of the
+/// paper's pipelined initiation interval.
 ///
 /// A batch entry is either a pointer to raw packet bytes (parsed by the
 /// Parser element) or a pre-parsed 5-tuple (trace-driven workloads skip
 /// the wire format). Per-packet annotations accumulate in PacketMeta as
-/// the batch moves down the pipeline; net/ stays layer-clean by storing
+/// the batch moves down the chain; net/ stays layer-clean by storing
 /// the action as the opaque 16-bit token the classifier carries
 /// (sdn::ActionSpec::decode gives it meaning).
 #pragma once
@@ -26,7 +26,7 @@ namespace pclass::net {
 /// software-dataplane sweet spot).
 inline constexpr usize kDefaultBatchCapacity = 32;
 
-/// Per-packet pipeline annotations.
+/// Per-packet chain annotations.
 struct PacketMeta {
   std::optional<FiveTuple> tuple;  ///< set on entry or by the Parser
   bool parse_error = false;        ///< raw bytes were not classifiable

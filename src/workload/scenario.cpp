@@ -4,6 +4,7 @@
 #include <array>
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <ostream>
 #include <thread>
 
@@ -272,10 +273,10 @@ ScenarioResult run_update_storm(const ScenarioOptions& opts,
 /// writer-side contention the single-writer storm cannot produce. Every
 /// publish rotates the workers onto the other replica hundreds of times
 /// mid-trace. The oracle check below re-classifies the trace on the
-/// final snapshot only: it judges no verdict the storm delivered, so a
-/// stale serve from an old snapshot or the flow cache goes unseen here
-/// (the cache's one-batch window would make a per-version judge inexact
-/// with the cache on). The chaos scenario judges delivered verdicts.
+/// final snapshot only: it judges no verdict the storm delivered. The
+/// engine runs in loop mode, which cannot capture verdicts, so a stale
+/// serve from an old snapshot or the flow cache goes unseen here. The
+/// chaos scenario judges every delivered verdict, cache hits included.
 ScenarioResult run_update_storm_multi(const ScenarioOptions& opts,
                                       const std::string& name) {
   ScenarioResult r;
@@ -358,9 +359,42 @@ ScenarioResult run_update_storm_multi(const ScenarioOptions& opts,
 constexpr const char* kDefaultChaosPlan =
     "throw:w=1@1,throw:w=1@2,throw:w=1@3,stall:w=2@1:ms=250,pubfail:u=2";
 
+/// \p storm with a modify of a hot rule after every 4th message. The hot
+/// rules are the 8 that \p clf matches for the most of \p trace's first
+/// 4096 headers; each modify gives the next of them, round robin, a
+/// fresh output port. Live flows' cached verdicts then change mid-run:
+/// a flow cache that served a line past its rule's modify would hand
+/// out the old action, and the per-version judge would catch it.
+std::vector<sdn::Message> with_hot_modifies(
+    const std::vector<sdn::Message>& storm,
+    const core::ConfigurableClassifier& clf, const net::Trace& trace) {
+  std::map<RuleId, usize> hits;
+  for (usize i = 0; i < std::min<usize>(trace.size(), 4096); ++i) {
+    if (const auto m = clf.classify(trace[i].header).match) ++hits[m->rule];
+  }
+  std::vector<std::pair<usize, RuleId>> hot;
+  for (const auto& [id, n] : hits) hot.emplace_back(n, id);
+  std::sort(hot.rbegin(), hot.rend());
+  hot.resize(std::min<usize>(hot.size(), 8));
+
+  std::vector<sdn::Message> out;
+  for (usize k = 0; k < storm.size(); ++k) {
+    out.push_back(storm[k]);
+    if (k % 4 != 3 || hot.empty()) continue;
+    const usize m = k / 4;
+    sdn::FlowMod mod;
+    mod.command = sdn::FlowMod::Command::kModify;
+    mod.cookie = hot[m % hot.size()].second;
+    mod.action = sdn::ActionSpec::output(static_cast<u16>(1 + m % 60));
+    out.emplace_back(mod);
+  }
+  return out;
+}
+
 /// Chaos scenario: the fw-like workload on flow-steered shards under a
-/// seeded FaultPlan with the supervisor on. Every delivered verdict is
-/// checked against the LinearSearch oracle at its snapshot version, and
+/// seeded FaultPlan with the supervisor on and the flow cache in the
+/// loop. Every delivered verdict, cache hits included, is checked
+/// against the LinearSearch oracle at its snapshot version, and
 /// the run must conserve packets exactly: delivered + shed + lost ==
 /// offered.
 ScenarioResult run_chaos(const ScenarioOptions& opts,
@@ -379,11 +413,9 @@ ScenarioResult run_chaos(const ScenarioOptions& opts,
   fault::FaultInjector injector(std::move(plan));
 
   // At least 3 workers: the default plan targets workers 1 and 2, and
-  // worker 0 survives to take over worker 1's shard. Flow cache off —
-  // the per-version oracle demands exact verdicts.
+  // worker 0 survives to take over worker 1's shard.
   ScenarioOptions copts = opts;
   copts.workers = std::max<usize>(opts.workers, 3);
-  copts.flow_cache_depth = 0;
   EngineConfig ecfg = engine_config(copts, /*loop=*/false);
   ecfg.capture_verdicts = true;
   ecfg.fault_injector = &injector;
@@ -395,11 +427,13 @@ ScenarioResult run_chaos(const ScenarioOptions& opts,
 
   usize updates = scaled(400, opts.scale, 64);
   updates &= ~usize{1};
-  const UpdateStorm storm = make_update_storm(
-      w.rules, updates, /*first_id=*/60'000, opts.seed ^ 0x0BAD);
-
   RuleProgramPublisher programs(scenario_config(w.rules, 512, opts));
   programs.install_ruleset(w.rules);
+  const std::vector<sdn::Message> schedule = with_hot_modifies(
+      make_update_storm(w.rules, updates, /*first_id=*/60'000,
+                        opts.seed ^ 0x0BAD)
+          .schedule,
+      programs.acquire()->classifier(), w.trace);
   programs.set_fault_hook([&injector] { injector.on_publisher_apply(); });
   dataplane::VersionedOracle oracles;
   oracles.record(programs);
@@ -414,7 +448,7 @@ ScenarioResult run_chaos(const ScenarioOptions& opts,
   // restore), so the retry of the same message must succeed.
   u64 publish_failures_survived = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  for (const sdn::Message& msg : storm.schedule) {
+  for (const sdn::Message& msg : schedule) {
     try {
       programs.apply(msg);
     } catch (const fault::InjectedFault&) {
@@ -434,7 +468,7 @@ ScenarioResult run_chaos(const ScenarioOptions& opts,
   // with an unpublished version is itself a mismatch (torn snapshot).
   for (const auto& stream : rep.captured) oracles.judge(stream);
   fill_engine_stats(r, std::move(rep), programs);
-  fill_schedule(r, storm.schedule.size(), storm_secs);
+  fill_schedule(r, schedule.size(), storm_secs);
   note_oracle(r, oracles.result());
   r.injected = injector.counters();
   if (opts.fault_plan.empty()) {

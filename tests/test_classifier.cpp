@@ -201,15 +201,81 @@ TEST(Classifier, PaperUpdateCostWhenLabelsExist) {
 }
 
 TEST(Classifier, DuplicateIdAndMatchRejected) {
+  // The labels of every dimension, then the update counters: a rejected
+  // add must leave both as they were.
+  using State = std::tuple<std::array<usize, kNumDimensions>, usize,
+                           hw::UpdateStats>;
+  const auto state = [](const ConfigurableClassifier& clf) {
+    std::array<usize, kNumDimensions> labels{};
+    for (usize d = 0; d < kNumDimensions; ++d) {
+      labels[d] = clf.label_count(kAllDimensions[d]);
+    }
+    return State{labels, clf.rule_count(), clf.update_stats()};
+  };
+  const auto set_of = [](std::initializer_list<Rule> rules) {
+    RuleSet rs;
+    for (const Rule& x : rules) rs.add_verbatim(x);
+    return rs;
+  };
+  const auto rejects = [](auto add, const char* names_id) {
+    try {
+      add();
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(names_id), std::string::npos)
+          << e.what();
+      return true;
+    }
+    return false;
+  };
+  for (const IpAlgorithm alg :
+       {IpAlgorithm::kMbt, IpAlgorithm::kBst, IpAlgorithm::kRvh}) {
+    SCOPED_TRACE(to_string(alg));
+    ClassifierConfig cfg;
+    cfg.ip_algorithm = alg;
+    ConfigurableClassifier clf(cfg);
+    Rule r;
+    r.id = RuleId{1};
+    r.src_ip = ruleset::IpPrefix::make(ipv4(10, 1, 2, 0), 24);
+    r.dst_port = ruleset::PortRange::exact(80);
+    clf.add_rule(r);
+    Rule other = r;  // every field but the source prefix is r's
+    other.id = RuleId{3};
+    other.src_ip = ruleset::IpPrefix::make(ipv4(10, 1, 3, 0), 24);
+    other.dst_port = ruleset::PortRange::exact(81);
+    clf.add_rule(other);
+    const State before = state(clf);
+
+    EXPECT_THROW(clf.add_rule(r), ConfigError);  // same id
+    Rule dup = r;  // same match, another id and priority
+    dup.id = RuleId{2};
+    dup.priority = 7;
+    EXPECT_TRUE(rejects([&] { clf.add_rule(dup); }, "id 1"));
+    EXPECT_TRUE(rejects([&] { clf.add_rules(set_of({dup})); },
+                        "rule 1"));
+    EXPECT_EQ(state(clf), before);
+
+    // Every field value has a label, but no rule has this combination.
+    Rule mixed = r;
+    mixed.id = RuleId{4};
+    mixed.dst_port = other.dst_port;
+    EXPECT_NO_THROW(clf.add_rule(mixed));
+
+    // A batch whose second rule repeats its first's match: the first
+    // stays installed, as if the batch had held it alone.
+    Rule fresh = r;
+    fresh.id = RuleId{5};
+    fresh.src_ip = ruleset::IpPrefix::make(ipv4(10, 9, 0, 0), 16);
+    Rule fresh_dup = fresh;
+    fresh_dup.id = RuleId{6};
+    ConfigurableClassifier twin(cfg);
+    for (const Rule& x : {r, other, mixed}) twin.add_rule(x);
+    twin.add_rules(set_of({fresh}));
+    EXPECT_TRUE(rejects(
+        [&] { clf.add_rules(set_of({fresh, fresh_dup})); },
+        "rule 5"));
+    EXPECT_EQ(state(clf), state(twin));
+  }
   ConfigurableClassifier clf;
-  Rule r;
-  r.id = RuleId{1};
-  r.dst_port = ruleset::PortRange::exact(80);
-  clf.add_rule(r);
-  EXPECT_THROW(clf.add_rule(r), ConfigError);  // same id
-  Rule r2 = r;
-  r2.id = RuleId{2};
-  EXPECT_THROW(clf.add_rule(r2), ConfigError);  // same match
   Rule r3;
   r3.id = RuleId{};
   EXPECT_THROW(clf.add_rule(r3), ConfigError);  // invalid id

@@ -1,20 +1,16 @@
-// Batch-vs-scalar equivalence of the lookup entry points.
+// classify() against the LinearSearch oracle, and the dataplane's
+// per-packet charges.
 //
-// The contract under test (see ClassifyResult's doc comment):
-// classify_batch() returns, per packet, a ClassifyResult field-for-field
-// equal to classify() — verdict, cycles, memory_accesses and
-// crossproduct_probes — and under CrossProduct both agree with the
-// baseline::LinearSearch oracle. Covered for every IP backend, both
-// combine modes, batch sizes straddling the default capacity, and the
+// Under CrossProduct every verdict of classify() — rule id, priority and
+// action token — must equal baseline::LinearSearch's, judged by
+// dataplane::SnapshotOracle. Covered for every IP backend and the
 // workload shapes that stress the lookup differently: fw-like
 // (wildcard-heavy lists), acl/ipc, Zipf flows (heavy repeats), trie
 // depth and cache thrash (every packet a distinct flow). A dataplane
-// worker, which calls classify_batch() batch after batch, delivers the
-// same per-packet charges.
+// worker, which calls classify() for each packet its batch leaves
+// unresolved, delivers the same per-packet charges as classify().
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -26,8 +22,6 @@
 using namespace pclass;
 
 namespace {
-
-constexpr usize kBatchSizes[] = {1, 31, 32, 33, 256};
 
 struct Shape {
   std::string name;
@@ -72,80 +66,38 @@ std::vector<Shape> shapes() {
   return out;
 }
 
-struct DeviceCase {
-  core::IpAlgorithm alg;
-  core::CombineMode mode;
-};
+class Classify : public ::testing::TestWithParam<core::IpAlgorithm> {};
 
-class ClassifyBatch : public ::testing::TestWithParam<DeviceCase> {};
-
-TEST_P(ClassifyBatch, EqualsClassifyFieldForField) {
-  const DeviceCase& dc = GetParam();
+TEST_P(Classify, AgreesWithTheOracleOnEveryShape) {
   for (const Shape& shape : shapes()) {
     SCOPED_TRACE(shape.name);
     core::ClassifierConfig cfg = core::ClassifierConfig::for_scale(512);
-    cfg.ip_algorithm = dc.alg;
-    cfg.combine_mode = dc.mode;
+    cfg.ip_algorithm = GetParam();
+    cfg.combine_mode = core::CombineMode::kCrossProduct;
     core::ConfigurableClassifier clf(cfg);
     clf.add_rules(shape.rules);
-    const std::span<const net::FiveTuple> in = shape.headers;
-
-    std::vector<core::ClassifyResult> want;
-    want.reserve(in.size());
-    for (const auto& t : in) want.push_back(clf.classify(t));
-
-    if (dc.mode == core::CombineMode::kCrossProduct) {
-      const dataplane::SnapshotOracle oracle(shape.rules);
-      dataplane::OracleCheck check;
-      for (usize i = 0; i < in.size(); ++i) {
-        ASSERT_TRUE(oracle.judge(in[i], want[i].match, check))
-            << "packet " << i << ": " << check.first_mismatch;
-      }
+    const dataplane::SnapshotOracle oracle(shape.rules);
+    dataplane::OracleCheck check;
+    for (usize i = 0; i < shape.headers.size(); ++i) {
+      const net::FiveTuple& h = shape.headers[i];
+      ASSERT_TRUE(oracle.judge(h, clf.classify(h).match, check))
+          << "packet " << i << ": " << check.first_mismatch;
     }
-
-    std::vector<core::ClassifyResult> got;
-    for (const usize batch : kBatchSizes) {
-      got.assign(in.size(), {});
-      for (usize off = 0; off < in.size(); off += batch) {
-        const usize len = std::min(batch, in.size() - off);
-        clf.classify_batch(in.subspan(off, len),
-                           std::span(got).subspan(off, len));
-      }
-      for (usize i = 0; i < in.size(); ++i) {
-        ASSERT_EQ(got[i].match, want[i].match)
-            << "batch " << batch << ", packet " << i;
-        ASSERT_EQ(got[i].cycles, want[i].cycles)
-            << "batch " << batch << ", packet " << i;
-        ASSERT_EQ(got[i].memory_accesses, want[i].memory_accesses)
-            << "batch " << batch << ", packet " << i;
-        ASSERT_EQ(got[i].crossproduct_probes, want[i].crossproduct_probes)
-            << "batch " << batch << ", packet " << i;
-      }
-    }
+    EXPECT_EQ(check.checked, shape.headers.size());
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Devices, ClassifyBatch,
-    ::testing::Values(
-        DeviceCase{core::IpAlgorithm::kMbt, core::CombineMode::kCrossProduct},
-        DeviceCase{core::IpAlgorithm::kBst, core::CombineMode::kCrossProduct},
-        DeviceCase{core::IpAlgorithm::kRvh, core::CombineMode::kCrossProduct},
-        DeviceCase{core::IpAlgorithm::kMbt, core::CombineMode::kFirstLabel},
-        DeviceCase{core::IpAlgorithm::kBst, core::CombineMode::kFirstLabel},
-        DeviceCase{core::IpAlgorithm::kRvh, core::CombineMode::kFirstLabel}),
-    [](const auto& info) {
-      const DeviceCase& dc = info.param;
-      std::string name = to_string(dc.alg);
-      name += dc.mode == core::CombineMode::kCrossProduct ? "_cross"
-                                                          : "_first";
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(Backends, Classify,
+                         ::testing::Values(core::IpAlgorithm::kMbt,
+                                           core::IpAlgorithm::kBst,
+                                           core::IpAlgorithm::kRvh),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });
 
-// The dataplane worker classifies through classify_batch() batch after
-// batch on one element, so the per-packet charges the engine delivers
-// (the scenario reports' lookup cycles and memory accesses) are the
-// scalar ones too.
+// The dataplane worker calls classify() for each packet of its batch, so
+// the per-packet charges the engine delivers (the scenario reports'
+// lookup cycles and memory accesses) are classify()'s.
 TEST(ClassifyBatch, DataplaneWorkerChargesScalarCosts) {
   const Shape shape = shapes()[3];  // fw-zipf: heavy combination reuse
   core::ClassifierConfig cfg = core::ClassifierConfig::for_scale(512);

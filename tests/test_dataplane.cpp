@@ -1,5 +1,5 @@
-/// Tests for the batched multi-worker dataplane runtime: element graph
-/// wiring, batch boundary conditions, snapshot publication under a
+/// Tests for the batched multi-worker dataplane runtime: the element
+/// chain, batch boundary conditions, snapshot publication under a
 /// concurrent writer (no torn reads, monotonic versions), and engine
 /// end-to-end agreement with the single-threaded classifier.
 #include <gtest/gtest.h>
@@ -51,44 +51,6 @@ sdn::Message add_msg(u32 i) {
   return fm;
 }
 
-/// An element that just counts what flows through it.
-class CountingElement : public Element {
- public:
-  CountingElement() : Element("counter") {}
-  void push_batch(net::PacketBatch& b) override {
-    ++batches;
-    packets += b.size();
-    forward(b);
-  }
-  u64 batches = 0;
-  u64 packets = 0;
-};
-
-/// Publishes \p msg when the (after + 1)-th batch passes through it, so
-/// the classifier downstream acquires a newer version than the one the
-/// flow cache upstream saw at batch start.
-class PublishingElement : public Element {
- public:
-  PublishingElement(RuleProgramPublisher* programs, sdn::Message msg,
-                    usize after = 0)
-      : Element("publishing"),
-        programs_(programs),
-        msg_(std::move(msg)),
-        after_(after) {}
-  void push_batch(net::PacketBatch& b) override {
-    if (msg_ && after_-- == 0) {
-      programs_->apply(*msg_);
-      msg_.reset();
-    }
-    forward(b);
-  }
-
- private:
-  RuleProgramPublisher* programs_;
-  std::optional<sdn::Message> msg_;
-  usize after_;  ///< batches to let pass before publishing
-};
-
 /// A TCP rule on dst port 80; \p narrow restricts it to src ports
 /// 0-32767.
 sdn::FlowMod port80_add(u32 id, Priority priority, bool narrow,
@@ -121,25 +83,34 @@ core::ClassifierConfig exact_config() {
   return cfg;
 }
 
-/// Cache -> classifier -> sink, without a source: push() sends one
-/// batch.
-struct CacheChain {
-  explicit CacheChain(RuleProgramPublisher* programs, u32 depth = 1024) {
-    cache = p.emplace<FlowCacheElement>(programs, depth);
-    p.emplace<ClassifierElement>(programs, cache);
-    p.emplace<ActionSink>();
+/// Parser -> [flow cache] -> classifier -> sink, without a source:
+/// push() sends one hand-built batch through push_chain(). A
+/// \p cache_depth of 0 leaves the cache out, as the engine does.
+struct Chain {
+  explicit Chain(const RuleProgramPublisher* programs,
+                 u32 cache_depth = 1024)
+      : cache(cache_depth == 0 ? std::nullopt
+                               : std::make_optional<FlowCacheElement>(
+                                     programs, cache_depth)),
+        classifier(programs, cache ? &*cache : nullptr) {}
+
+  void push(net::PacketBatch& batch) {
+    ASSERT_TRUE(push_chain(batch, nullptr, parser, cache ? &*cache : nullptr,
+                           classifier, sink));
   }
 
   /// Push \p flows as one batch; the batch is left for inspection.
   net::PacketBatch& push(std::initializer_list<net::FiveTuple> flows) {
     b.clear();
     for (const net::FiveTuple& t : flows) b.push(t);
-    p.push_batch(b);
+    push(b);
     return b;
   }
 
-  Pipeline p;
-  FlowCacheElement* cache = nullptr;
+  Parser parser;
+  std::optional<FlowCacheElement> cache;
+  ClassifierElement classifier;
+  ActionSink sink;
   net::PacketBatch b{16};
 };
 
@@ -179,49 +150,30 @@ TEST(TrafficPool, RejectsMixedEntryKinds) {
   EXPECT_THROW(packet_pool.add(probe_tuple(2)), Error);
 }
 
-// ---- element graph wiring -------------------------------------------------
+// ---- the element chain ----------------------------------------------------
 
-TEST(ElementGraph, WiringForwardsDownstream) {
+TEST(ElementChain, ClassifiesAndCountsABatch) {
   RuleProgramPublisher programs(small_config());
   programs.apply(add_msg(1));
+  Chain c(&programs, /*cache_depth=*/0);
 
-  Pipeline p;
-  auto* counter_in = p.emplace<CountingElement>();
-  auto* parser = p.emplace<Parser>();
-  auto* clf = p.emplace<ClassifierElement>(&programs);
-  auto* counter_out = p.emplace<CountingElement>();
-  auto* sink = p.emplace<ActionSink>();
-  ASSERT_EQ(p.size(), 5u);
-  EXPECT_EQ(counter_in->next(), parser);
-  EXPECT_EQ(parser->next(), clf);
-  EXPECT_EQ(clf->next(), counter_out);
-  EXPECT_EQ(counter_out->next(), sink);
-  EXPECT_EQ(sink->next(), nullptr);
+  const net::PacketBatch& b =
+      c.push({probe_tuple(1), probe_tuple(2)});  // no rule for 2: miss
 
-  net::PacketBatch b(8);
-  b.push(probe_tuple(1));
-  b.push(probe_tuple(2));  // no rule for it: miss
-  p.push_batch(b);
-
-  EXPECT_EQ(counter_in->packets, 2u);
-  EXPECT_EQ(counter_out->packets, 2u);
-  EXPECT_EQ(sink->packets(), 2u);
-  EXPECT_EQ(sink->matched(), 1u);
-  EXPECT_EQ(sink->dropped(), 1u);
+  EXPECT_EQ(c.classifier.lookups(), 2u);
+  EXPECT_EQ(c.sink.packets(), 2u);
+  EXPECT_EQ(c.sink.matched(), 1u);
+  EXPECT_EQ(c.sink.dropped(), 1u);
   EXPECT_EQ(b.rule_version, 1u);
   EXPECT_TRUE(b.meta(0).matched);
   EXPECT_EQ(b.meta(0).rule, RuleId{1});
   EXPECT_FALSE(b.meta(1).matched);
 }
 
-TEST(ElementGraph, ParserHandlesRawAndMalformedPackets) {
+TEST(ElementChain, ParserHandlesRawAndMalformedPackets) {
   RuleProgramPublisher programs(small_config());
   programs.apply(add_msg(7));
-
-  Pipeline p;
-  auto* parser = p.emplace<Parser>();
-  p.emplace<ClassifierElement>(&programs);
-  auto* sink = p.emplace<ActionSink>();
+  Chain c(&programs, /*cache_depth=*/0);
 
   const net::Packet good = net::make_packet(probe_tuple(7));
   net::Packet bad;
@@ -230,12 +182,12 @@ TEST(ElementGraph, ParserHandlesRawAndMalformedPackets) {
   net::PacketBatch b(8);
   b.push(&good);
   b.push(&bad);
-  p.push_batch(b);
+  c.push(b);
 
-  EXPECT_EQ(parser->parsed(), 1u);
-  EXPECT_EQ(parser->errors(), 1u);
-  EXPECT_EQ(sink->matched(), 1u);
-  EXPECT_EQ(sink->dropped(), 1u);
+  EXPECT_EQ(c.parser.parsed(), 1u);
+  EXPECT_EQ(c.parser.errors(), 1u);
+  EXPECT_EQ(c.sink.matched(), 1u);
+  EXPECT_EQ(c.sink.dropped(), 1u);
   EXPECT_TRUE(b.meta(1).parse_error);
 }
 
@@ -244,43 +196,39 @@ TEST(ElementGraph, ParserHandlesRawAndMalformedPackets) {
 TEST(BatchBoundaries, EmptyBatchOfOneAndOverCapacity) {
   RuleProgramPublisher programs(small_config());
   programs.apply(add_msg(3));
-
-  Pipeline p;
-  auto* parser = p.emplace<Parser>();
-  auto* clf = p.emplace<ClassifierElement>(&programs);
-  auto* sink = p.emplace<ActionSink>();
-  (void)parser;
+  Chain c(&programs, /*cache_depth=*/0);
 
   // Empty batch: flows through, touches nothing.
   net::PacketBatch empty(4);
-  p.push_batch(empty);
-  EXPECT_EQ(sink->packets(), 0u);
-  EXPECT_EQ(clf->lookups(), 0u);
+  c.push(empty);
+  EXPECT_EQ(c.sink.packets(), 0u);
+  EXPECT_EQ(c.classifier.lookups(), 0u);
   EXPECT_EQ(empty.rule_version, 1u);  // still stamped
 
   // Batch of one.
   net::PacketBatch one(4);
   one.push(probe_tuple(3));
-  p.push_batch(one);
-  EXPECT_EQ(sink->packets(), 1u);
-  EXPECT_EQ(sink->matched(), 1u);
+  c.push(one);
+  EXPECT_EQ(c.sink.packets(), 1u);
+  EXPECT_EQ(c.sink.matched(), 1u);
 
-  // A pool larger than the batch capacity drains over several batches.
+  // A pool larger than the batch capacity drains over several batches;
+  // the chain reports the dry source and runs nothing after it.
   TrafficPool pool;
   const usize kPackets = 10;  // capacity 4 -> batches of 4/4/2
   for (u32 i = 0; i < kPackets; ++i) pool.add(probe_tuple(3));
   PacketSource source(&pool, /*loop=*/false);
-  source.connect(p.head());
   net::PacketBatch scratch(4);
   usize batches = 0;
-  while (true) {
-    source.push_batch(scratch);
-    if (source.exhausted()) break;
+  while (push_chain(scratch, &source, c.parser, nullptr, c.classifier,
+                    c.sink)) {
     ++batches;
   }
   EXPECT_EQ(batches, 3u);
-  EXPECT_EQ(sink->packets(), 1u + kPackets);
-  EXPECT_EQ(sink->matched(), 1u + kPackets);
+  EXPECT_TRUE(scratch.empty());
+  EXPECT_EQ(c.sink.packets(), 1u + kPackets);
+  EXPECT_EQ(c.sink.matched(), 1u + kPackets);
+  EXPECT_EQ(c.classifier.lookups(), 1u + kPackets);
 }
 
 // ---- rule-program snapshots ----------------------------------------------
@@ -622,20 +570,12 @@ TEST(Engine, FiniteRunLedgerCountsEveryPacketOnce) {
 TEST(FlowCacheElement, ServesRepeatsAndDropsTheLineOfADeletedRule) {
   RuleProgramPublisher programs(exact_config());
   programs.apply(add_msg(5));
+  Chain c(&programs, 256);
 
-  Pipeline p;
-  auto* cache = p.emplace<FlowCacheElement>(&programs, 256);
-  p.emplace<ClassifierElement>(&programs, cache);
-  auto* sink = p.emplace<ActionSink>();
-
-  net::PacketBatch b(4);
-  b.push(probe_tuple(5));
-  p.push_batch(b);  // miss -> full lookup -> fill
-  b.clear();
-  b.push(probe_tuple(5));
-  p.push_batch(b);  // repeat flow: served by the cache
-  EXPECT_EQ(sink->matched(), 2u);
-  EXPECT_EQ(cache->stats().hits, 1u);
+  c.push({probe_tuple(5)});  // miss -> full lookup -> fill
+  c.push({probe_tuple(5)});  // repeat flow: served by the cache
+  EXPECT_EQ(c.sink.matched(), 2u);
+  EXPECT_EQ(c.cache->stats().hits, 1u);
 
   // Deleting the cached verdict's rule bumps the version; the stale
   // verdict must not outlive it.
@@ -644,84 +584,79 @@ TEST(FlowCacheElement, ServesRepeatsAndDropsTheLineOfADeletedRule) {
   del.cookie = RuleId{5};
   programs.apply(del);
 
-  b.clear();
-  b.push(probe_tuple(5));
-  p.push_batch(b);
-  EXPECT_EQ(cache->stats().invalidations, 0u);      // no full flush...
-  EXPECT_EQ(cache->stats().lines_invalidated, 1u);  // ...the line dropped
-  EXPECT_EQ(cache->stats().hits, 1u);  // not served from the stale line
-  EXPECT_EQ(sink->matched(), 2u);      // rule is gone: miss
+  const net::PacketBatch& b = c.push({probe_tuple(5)});
+  EXPECT_EQ(c.cache->stats().invalidations, 0u);      // no full flush...
+  EXPECT_EQ(c.cache->stats().lines_invalidated, 1u);  // ...the line dropped
+  EXPECT_EQ(c.cache->stats().hits, 1u);  // not served from the stale line
+  EXPECT_EQ(c.sink.matched(), 2u);       // rule is gone: miss
   EXPECT_EQ(b.rule_version, 2u);
 }
 
 TEST(FlowCacheElement, HigherPriorityAddEvictsCachedVerdict) {
   RuleProgramPublisher programs;
   programs.apply(port80_add(1, 1, false, sdn::ActionSpec::output(4)));
-
-  Pipeline p;
-  auto* cache = p.emplace<FlowCacheElement>(&programs, 1024);
-  p.emplace<ClassifierElement>(&programs, cache);
-  auto* sink = p.emplace<ActionSink>();
+  Chain c(&programs);
 
   const net::FiveTuple h{ipv4(1, 2, 3, 4), ipv4(5, 6, 7, 8), 1000, 80,
                          net::kProtoTcp};
-  net::PacketBatch b(4);
   for (int i = 0; i < 2; ++i) {
-    b.clear();
-    b.push(h);
-    p.push_batch(b);
-    EXPECT_EQ(b.meta(0).rule, RuleId{1});
+    EXPECT_EQ(c.push({h}).meta(0).rule, RuleId{1});
   }
-  EXPECT_EQ(cache->stats().hits, 1u);  // the second one was cached
+  EXPECT_EQ(c.cache->stats().hits, 1u);  // the second one was cached
 
   // A higher-priority drop rule arrives; the cached "output 4" verdict
   // must not survive.
   programs.apply(port80_add(0, 0, true, sdn::ActionSpec::drop()));
-  b.clear();
-  b.push(h);
-  p.push_batch(b);
+  const net::PacketBatch& b = c.push({h});
   EXPECT_FALSE(b.meta(0).from_cache);
   ASSERT_TRUE(b.meta(0).matched);
   EXPECT_EQ(b.meta(0).rule, RuleId{0});  // the deny rule, not the stale line
   EXPECT_EQ(sdn::ActionSpec::decode(b.meta(0).action_token).kind,
             sdn::ActionSpec::Kind::kDrop);
-  EXPECT_EQ(sink->dropped(), 1u);
+  EXPECT_EQ(c.sink.dropped(), 1u);
 }
 
-TEST(FlowCacheElement, VerdictFilledAtRacedVersionServesNextBatch) {
-  RuleProgramPublisher programs(small_config());
+TEST(FlowCacheElement, PublishAfterTheCacheLeavesTheBatchAtItsVersion) {
+  RuleProgramPublisher programs(exact_config());
   programs.apply(add_msg(5));
+  Chain c(&programs, 256);
+  c.push({probe_tuple(5)});  // flow 5's verdict cached at v1
 
-  // The update lands between the cache's version check and the
-  // classifier's snapshot acquire.
-  Pipeline p;
-  auto* cache = p.emplace<FlowCacheElement>(&programs, 256);
-  p.emplace<PublishingElement>(&programs, add_msg(6));
-  auto* clf = p.emplace<ClassifierElement>(&programs, cache);
-  auto* sink = p.emplace<ActionSink>();
-
-  net::PacketBatch b(4);
-  b.push(probe_tuple(5));
-  p.push_batch(b);  // cache saw v1, classifier filled at v2
-  EXPECT_EQ(b.rule_version, 2u);
-  EXPECT_EQ(cache->stats().invalidations, 1u);
-
+  // Rule 6 lands after the cache served flow 5 and before the classifier
+  // looks flow 6 up: the whole batch stays at the cache's v1, so flow 6
+  // misses and its miss is cached at v1.
+  net::PacketBatch& b = c.b;
   b.clear();
   b.push(probe_tuple(5));
-  p.push_batch(b);  // the v2 verdict is still in the cache
+  b.push(probe_tuple(6));
+  c.parser.push_batch(b);
+  c.cache->push_batch(b);
+  programs.apply(add_msg(6));
+  c.classifier.push_batch(b);
+  c.sink.push_batch(b);
+  EXPECT_EQ(b.rule_version, 1u);
   EXPECT_TRUE(b.meta(0).from_cache);
-  EXPECT_EQ(cache->stats().hits, 1u);
-  EXPECT_EQ(cache->stats().invalidations, 1u);
-  EXPECT_EQ(clf->lookups(), 1u);
-  EXPECT_EQ(sink->matched(), 2u);
-}
+  EXPECT_EQ(b.meta(0).rule, RuleId{5});
+  EXPECT_FALSE(b.meta(1).from_cache);
+  EXPECT_FALSE(b.meta(1).matched);
 
-// ---- per-update flow-cache invalidation: one test per contract rule ------
+  // The next batch sees v2: rule 6's add drops the cached miss, so flow
+  // 6 now matches it; flow 5's line survives.
+  const net::PacketBatch& next = c.push({probe_tuple(5), probe_tuple(6)});
+  EXPECT_EQ(next.rule_version, 2u);
+  EXPECT_TRUE(next.meta(0).from_cache);
+  EXPECT_FALSE(next.meta(1).from_cache);
+  ASSERT_TRUE(next.meta(1).matched);
+  EXPECT_EQ(next.meta(1).rule, RuleId{6});
+  EXPECT_EQ(c.cache->stats().invalidations, 0u);
+  EXPECT_EQ(c.cache->stats().lines_invalidated, 1u);
+  EXPECT_EQ(c.classifier.lookups(), 3u);
+}
 
 TEST(FlowCacheElement, LineAnUpdateCannotChangeIsStillServed) {
   RuleProgramPublisher programs(exact_config());
   programs.apply_batch(std::vector<sdn::Message>{add_msg(5), add_msg(6)});
-  CacheChain c(&programs);
+  Chain c(&programs);
   c.push({probe_tuple(5), probe_tuple(6)});  // fill both
 
   // Neither update can change flow 5's verdict: rule 7 does not match
@@ -740,7 +675,7 @@ TEST(FlowCacheElement, LineAnUpdateCannotChangeIsStillServed) {
 TEST(FlowCacheElement, EqualPriorityAddFollowsTheLowerRuleId) {
   RuleProgramPublisher programs(exact_config());
   programs.apply(add_msg(100));  // priority 100
-  CacheChain c(&programs);
+  Chain c(&programs);
   c.push({probe_tuple(100)});
 
   // Same priority as the cached verdict, higher id: rule 100 still wins.
@@ -766,7 +701,7 @@ TEST(FlowCacheElement, EqualPriorityAddFollowsTheLowerRuleId) {
 TEST(FlowCacheElement, MatchingAddDropsACachedMiss) {
   RuleProgramPublisher programs(exact_config());
   programs.apply(add_msg(5));
-  CacheChain c(&programs);
+  Chain c(&programs);
   c.push({probe_tuple(9), probe_tuple(11)});  // two cached misses
 
   programs.apply(add_msg(9));
@@ -781,7 +716,7 @@ TEST(FlowCacheElement, MatchingAddDropsACachedMiss) {
 TEST(FlowCacheElement, ModifyServesTheNewAction) {
   RuleProgramPublisher programs(exact_config());
   programs.apply(add_msg(5));  // output(1)
-  CacheChain c(&programs);
+  Chain c(&programs);
   c.push({probe_tuple(5)});
 
   sdn::FlowMod mod;
@@ -800,7 +735,7 @@ TEST(FlowCacheElement, ModifyServesTheNewAction) {
 TEST(FlowCacheElement, ConfigModFlushesWhole) {
   RuleProgramPublisher programs(exact_config());
   programs.apply(add_msg(5));
-  CacheChain c(&programs);
+  Chain c(&programs);
   c.push({probe_tuple(5)});
 
   programs.apply(sdn::ConfigMod{core::IpAlgorithm::kMbt});
@@ -813,7 +748,7 @@ TEST(FlowCacheElement, ConfigModFlushesWhole) {
 TEST(FlowCacheElement, GapBeyondTheRecordedUpdatesFlushesWhole) {
   RuleProgramPublisher programs(exact_config());
   programs.apply(add_msg(5));
-  CacheChain c(&programs);
+  Chain c(&programs);
   c.push({probe_tuple(5)});
 
   // A few publishes between two batches are within the recorded
@@ -843,10 +778,10 @@ TEST(FlowCacheElement, GapBeyondTheRecordedUpdatesFlushesWhole) {
 TEST(FlowCacheElement, RestoredStandbyKeepsThePublishedRecord) {
   RuleProgramPublisher programs(exact_config());
   programs.apply(add_msg(5));
-  CacheChain behind(&programs);
+  Chain behind(&programs);
   behind.push({probe_tuple(5), probe_tuple(7)});  // cached at v1 (7: a miss)
   programs.apply(add_msg(7));
-  CacheChain at(&programs);
+  Chain at(&programs);
   at.push({probe_tuple(5)});  // cached at v2
 
   // A failed publish restores the standby as a copy of the published
@@ -883,7 +818,7 @@ TEST(FlowCacheElement, FirstLabelCombineFlushesWhole) {
   // matches its flow nor names its rule, so only a flush is safe.
   RuleProgramPublisher programs(small_config());
   programs.apply(add_msg(5));
-  CacheChain c(&programs);
+  Chain c(&programs);
   c.push({probe_tuple(5)});
 
   programs.apply(add_msg(6));
@@ -891,56 +826,49 @@ TEST(FlowCacheElement, FirstLabelCombineFlushesWhole) {
   EXPECT_EQ(c.cache->stats().invalidations, 1u);
 }
 
-TEST(FlowCacheElement, RacedVersionDropsTheLinesOfItsUpdates) {
+TEST(FlowCacheElement, NextBatchDropsTheLinesOfAPublishAfterTheCache) {
   RuleProgramPublisher programs(exact_config());
   programs.apply_batch(std::vector<sdn::Message>{add_msg(5), add_msg(6)});
+  Chain c(&programs, 256);
+  c.push({probe_tuple(5), probe_tuple(6)});  // fills both at v2
 
-  // In the second batch rule 6 is deleted between the cache's version
-  // check and the classifier's snapshot acquire; the fill at the raced
-  // version drops flow 6's line and keeps flow 5's.
-  Pipeline p;
-  auto* cache = p.emplace<FlowCacheElement>(&programs, 256);
-  p.emplace<PublishingElement>(&programs, delete_msg(6), /*after=*/1);
-  p.emplace<ClassifierElement>(&programs, cache);
-  p.emplace<ActionSink>();
-
-  net::PacketBatch b(4);
-  b.push(probe_tuple(5));
-  b.push(probe_tuple(6));
-  p.push_batch(b);  // fills both at v2
+  // Rule 6 is deleted after the cache served flows 5 and 6 from v2: the
+  // batch, flow 7's lookup included, stays at v2.
+  net::PacketBatch& b = c.b;
   b.clear();
   b.push(probe_tuple(5));
   b.push(probe_tuple(6));
   b.push(probe_tuple(7));
-  p.push_batch(b);  // 5, 6 served at v2; flow 7 filled at v3
-  EXPECT_EQ(b.rule_version, 3u);
+  c.parser.push_batch(b);
+  c.cache->push_batch(b);
+  programs.apply(delete_msg(6));
+  c.classifier.push_batch(b);
+  c.sink.push_batch(b);
+  EXPECT_EQ(b.rule_version, 2u);
+  EXPECT_TRUE(b.meta(1).from_cache);
+  EXPECT_EQ(b.meta(1).rule, RuleId{6});
 
-  b.clear();
-  b.push(probe_tuple(5));
-  b.push(probe_tuple(6));
-  p.push_batch(b);
-  EXPECT_TRUE(b.meta(0).from_cache);
-  EXPECT_EQ(b.meta(0).rule, RuleId{5});
-  EXPECT_FALSE(b.meta(1).from_cache);
-  EXPECT_FALSE(b.meta(1).matched);
-  EXPECT_EQ(cache->stats().invalidations, 0u);
-  EXPECT_EQ(cache->stats().lines_invalidated, 1u);
+  // The next batch sees v3: the delete drops flow 6's line and keeps
+  // flow 5's.
+  const net::PacketBatch& next = c.push({probe_tuple(5), probe_tuple(6)});
+  EXPECT_EQ(next.rule_version, 3u);
+  EXPECT_TRUE(next.meta(0).from_cache);
+  EXPECT_EQ(next.meta(0).rule, RuleId{5});
+  EXPECT_FALSE(next.meta(1).from_cache);
+  EXPECT_FALSE(next.meta(1).matched);
+  EXPECT_EQ(c.cache->stats().invalidations, 0u);
+  EXPECT_EQ(c.cache->stats().lines_invalidated, 1u);
 }
 
 TEST(ActionSink, ExplicitDropActionCountsMatchedAndDropped) {
   RuleProgramPublisher programs;
   programs.apply(port80_add(1, 1, false, sdn::ActionSpec::drop()));
+  Chain c(&programs, /*cache_depth=*/0);
 
-  Pipeline p;
-  p.emplace<ClassifierElement>(&programs);
-  auto* sink = p.emplace<ActionSink>();
-
-  net::PacketBatch b(4);
-  b.push(net::FiveTuple{ipv4(1, 2, 3, 4), ipv4(5, 6, 7, 8), 1000, 80,
-                        net::kProtoTcp});
-  p.push_batch(b);
-  EXPECT_EQ(sink->matched(), 1u);  // matched...
-  EXPECT_EQ(sink->dropped(), 1u);  // ...and dropped by its action
+  c.push({net::FiveTuple{ipv4(1, 2, 3, 4), ipv4(5, 6, 7, 8), 1000, 80,
+                         net::kProtoTcp}});
+  EXPECT_EQ(c.sink.matched(), 1u);  // matched...
+  EXPECT_EQ(c.sink.dropped(), 1u);  // ...and dropped by its action
 }
 
 TEST(Engine, SingleWorkerCacheHitsOnRepeatedFlows) {

@@ -248,11 +248,13 @@ def gate_telemetry(rep, trace, metrics):
 
 
 def gate_chaos(rep):
-    """Oracle-clean, exact conservation, the seeded faults healed, and
-    the seeded stall fired and was detected."""
+    """Oracle-clean with flow-cache hits among the judged verdicts, exact
+    conservation, the seeded faults healed, and the seeded stall fired
+    and was detected."""
     s = rep["scenarios"][0]
     assert s["ok"], f"chaos not ok: {s['error']}"
     assert s["oracle"]["mismatches"] == 0 and s["oracle"]["checked"] > 0
+    assert s["cache_hits"] > 0, "chaos: no flow-cache hit was judged"
     c = s["conservation"]
     assert c["checked"] and c["conserved"], c
     e = s["engine"]
@@ -489,7 +491,7 @@ def self_test():
                       lambda a: a[0]["scenarios"][0]["engine"].update(
                           offered_packets=11)),
         "chaos": ((report("MBT", {
-                      "ok": True, "error": "",
+                      "ok": True, "error": "", "cache_hits": 3,
                       "oracle": {"mismatches": 0, "checked": 5},
                       "conservation": {"checked": True, "conserved": True},
                       "engine": engine(worker_restarts=1, shards_reassigned=1,
@@ -501,6 +503,7 @@ def self_test():
                                              "publish_failures": 1}}}),),
                   lambda a: a[0]["scenarios"][0]["engine"].update(
                       shed_packets=2),
+                  lambda a: a[0]["scenarios"][0].update(cache_hits=0),
                   lambda a: a[0]["scenarios"][0]["engine"].update(
                       stall_detections=0),
                   lambda a: a[0]["scenarios"][0]["fault"]["injected"].update(
